@@ -287,16 +287,13 @@ def cmd_wp(args):
     return 0
 
 
-def _check_priors(args, program):
-    decls = program.decls
-    names = tuple(d.name for d in decls)
-    space = all_states(names, [d.domain for d in decls])
+def _check_priors(args, executable):
     if args.prior:
-        yield args.prior, load_prior(args.prior, decls)
+        yield args.prior, load_prior(args.prior, executable.decls)
         return
     spec = args.priors
     if spec == "exhaustive":
-        for s in space:
+        for s in executable.states():
             yield f"point {_state_line(s)}", Dist([(s, Fraction(1))])
         return
     if spec.startswith("random:"):
@@ -306,6 +303,7 @@ def _check_priors(args, program):
         if len(parts) != 3:
             raise KuifjeError("want --priors random:COUNT:SEED")
         count, seed = int(parts[1]), int(parts[2])
+        space = executable.states()
         rng = random.Random(seed)
         for k in range(count):
             while True:
@@ -325,10 +323,11 @@ def cmd_check(args):
     post = _resolve_post(program, args)
     engine = WpEngine(program, _wp_config(args))
     result = engine.wp_program(post)
+    executable = engine.executable  # its tables are warm from wp's loop analysis
     ok = bad = 0
-    for label, prior in _check_priors(args, program):
+    for label, prior in _check_priors(args, executable):
         lhs = eval_gain(result.pre, prior)
-        hyper = run_forward(program, prior, loop_bound=args.loop_bound)
+        hyper = executable.run(prior, loop_bound=args.loop_bound)
         rhs = eval_gain_hyper(post, hyper)
         if lhs == rhs:
             ok += 1
@@ -381,11 +380,16 @@ def _add_common(sub):
     sub.add_argument(
         "--format", choices=("table", "json"), default="table", help="output format"
     )
-    sub.add_argument("--seed", type=int, default=42, help="seed for random priors")
 
 
 def _add_wp_flags(sub):
     sub.add_argument("--post", help="post-gain expression (overrides @post)")
+    sub.add_argument(
+        "--seed",
+        type=int,
+        default=42,
+        help="seed for the random priors that test loop annotations",
+    )
     sub.add_argument(
         "--no-simplify",
         action="store_true",

@@ -956,17 +956,6 @@ def simplify(g, decls, canon=None):
     return _atoms_to_nf(canon, canon.prune(atoms))
 
 
-def apply_context(ctx, g, decls, canon=None):
-    """Scale every atom by the assertion-context Iverson [ctx]."""
-    canon = canon or Canon(decls)
-    guard = canon.atom_of(Iverson(ctx))
-    if isinstance(g, NormalForm):
-        atoms = [canon.atom_of(a) for a in g.atoms]
-    else:
-        atoms = canon.normalize_gain(g)
-    return _atoms_to_nf(canon, canon.dedupe([canon.atom_mul(guard, a) for a in atoms]))
-
-
 def eval_nf(nf, dist, canon):
     """Value of a normal form on a prior, via memoized atom vectors.
 

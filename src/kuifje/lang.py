@@ -1187,19 +1187,11 @@ def subst_array_elem_gain(g, arr, idx, val, length, elem_is_bool):
 # --- desugaring -----------------------------------------------------------------------
 
 
-_desugared = {}  # id(program) -> (program, result); the refs keep the ids from being reused
-
-
 def desugar_visible(program):
     """Insert `print v` after every assignment to a visible variable.
 
-    Memoized per program object (and idempotent on its own output): callers
-    desugar on every run, and the per-statement evaluation caches downstream
-    rely on node identity being stable across runs of the same program.
+    Returns a new Program; apply it once, to a program as parsed.
     """
-    cached = _desugared.get(id(program))
-    if cached is not None and cached[0] is program:
-        return cached[1]
     visible = {d.name for d in program.decls if d.visible}
 
     def walk(s):
@@ -1213,10 +1205,7 @@ def desugar_visible(program):
             return SWhile(s.guard, walk(s.body), s.invariant, pos=s.pos)
         return s
 
-    result = Program(program.decls, walk(program.body), program.post, pos=program.pos)
-    _desugared[id(program)] = (program, result)
-    _desugared[id(result)] = (result, result)
-    return result
+    return Program(program.decls, walk(program.body), program.post, pos=program.pos)
 
 
 # --- printer --------------------------------------------------------------------------

@@ -11,262 +11,195 @@ splitting them.
 `classical_run` is the leak-blind counterpart: it forgets every observation
 and returns the ordinary output distribution.  Averaging a run's Hyper always
 reproduces it, which is the package's leak-erasure sanity law.
+
+All concrete execution goes through one `Executable` per program.  Its
+per-statement tables serve every run on it, the backwards analysis's loop
+bounds and loop-head groups, and `check`'s priors, and they are freed with
+the object.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .core import Dist, Hyper, _hyper_merge, unit
-from .errors import DomainViolation, IndexOutOfBounds, LoopBoundExceeded
+from .core import Dist, State, _hyper_merge, all_states, unit
+from .errors import DivisionByZero, DomainViolation, IndexOutOfBounds, LoopBoundExceeded
 from .lang import (
     SAssign,
     SIf,
     SPrint,
     SSeq,
-    SSkip,
     SWhile,
     desugar_visible,
     eval_expr,
     stmt_to_source,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 DEFAULT_LOOP_BOUND = 10000
 
+# Runtime errors that end a path.  The tables record them; `run` and
+# `classical_run` raise them, the backwards analysis treats the path as
+# undefined.
+_FAULTS = (IndexOutOfBounds, DivisionByZero, DomainViolation)
 
-class MarkovUpdate:
-    """A deterministic state update, applied inside each inner distribution."""
-
-    def __init__(self, fn, label=""):
-        self.fn = fn
-        self.label = label
-
-    def apply(self, dist):
-        return dist.map(self.fn)
+_TRUE = ("branch", True)
+_FALSE = ("branch", False)
 
 
-class Channel:
-    """A deterministic observation: each state emits one observable value."""
-
-    def __init__(self, fn, label=""):
-        self.fn = fn
-        self.label = label
-
-    def split(self, dist):
-        """Partition a distribution by observed value.
-
-        Returns (observation, weight, conditioned distribution) triples; the
-        weights sum to one and each conditioned distribution is normalized.
-        """
-        buckets = {}
-        for state, p in dist.entries:
-            buckets.setdefault(self.fn(state), []).append((state, p))
-        out = []
-        for obs, pairs in sorted(buckets.items()):
-            w = sum(p for _, p in pairs)
-            out.append((obs, w, Dist(tuple((s, p / w) for s, p in pairs), _canonical=True)))
-        return out
-
-    def matrix(self, states):
-        """0/1 channel matrix over the given states (deterministic rows)."""
-        columns = sorted({self.fn(s) for s in states})
-        rows = [[ONE if self.fn(s) == o else ZERO for o in columns] for s in states]
-        return columns, rows
+def _raise(fault):
+    # A fresh copy: the recorded error must not carry a traceback, which
+    # would keep the frames of the run that raised it alive.
+    raise type(fault)(*fault.args)
 
 
-def apply_markov(update, hyper):
-    """Push every inner distribution through a state update."""
-    return _hyper_merge((update.apply(d), w) for d, w in hyper.entries)
+def _bound_exceeded(bound):
+    return LoopBoundExceeded(
+        f"loop exceeded {bound} iterations; raise the loop bound or add an invariant"
+    )
 
 
-def apply_channel(channel, hyper):
-    """Refine every inner distribution by an observation, then forget which."""
-    pairs = []
-    for d, w in hyper.entries:
-        for _, wo, cond in channel.split(d):
-            pairs.append((cond, w * wo))
-    return _hyper_merge(pairs)
-
-
-# --- program interpretation -----------------------------------------------------
-
-# Statement updates and observations are pure functions of the state, so each
-# AST node keeps a state -> result memo: prior batteries re-running one program
-# pay for each state's evaluation once.  Keyed by node identity; the stored
-# node reference keeps its id from being reused.  Exceptions are never cached.
-_node_caches = {}
-
-
-def _node_slots(node):
-    entry = _node_caches.get(id(node))
-    if entry is None or entry[0] is not node:
-        entry = (node, {})
-        _node_caches[id(node)] = entry
-    return entry[1]
-
-
-def _memoized_state_fn(fn):
-    memo = {}
-
-    def cached(state):
-        try:
-            return memo[state]
-        except KeyError:
-            memo[state] = value = fn(state)
-            return value
-
-    return cached
-
-
-def _assign_fn(decls, stmt):
-    """The state update for an assignment, with domain checking."""
-    slots = _node_slots(stmt)
-    update = slots.get("assign")
-    if update is not None:
-        return update
-    dom = {d.name: d.domain for d in decls}[stmt.name]
-
-    if stmt.index is None:
-
-        def fn(state):
-            v = eval_expr(stmt.value, state)
-            if not dom.contains(v):
-                raise DomainViolation(
-                    f"{stmt.name} := {v} leaves the declared domain {dom!r}"
-                )
-            return state.set(stmt.name, v)
-
+def _enclosing(stmt, target):
+    """Ids of the statements from `stmt` down to `target`; empty if absent."""
+    if stmt is target:
+        return {id(stmt)}
+    if isinstance(stmt, SSeq):
+        children = stmt.stmts
+    elif isinstance(stmt, SIf):
+        children = (stmt.then, stmt.els)
+    elif isinstance(stmt, SWhile):
+        children = (stmt.body,)
     else:
-        elem = dom.element
-
-        def fn(state):
-            i = eval_expr(stmt.index, state)
-            arr = state.get(stmt.name)
-            if not 0 <= i < len(arr):
-                raise IndexOutOfBounds(f"{stmt.name}[{i}] with length {len(arr)}")
-            v = eval_expr(stmt.value, state)
-            if not elem.contains(v):
-                raise DomainViolation(
-                    f"{stmt.name}[{i}] := {v} leaves the declared domain {elem!r}"
-                )
-            return state.set(stmt.name, arr[:i] + (v,) + arr[i + 1 :])
-
-    update = MarkovUpdate(_memoized_state_fn(fn), label=stmt_to_source(stmt))
-    slots["assign"] = update
-    return update
+        children = ()
+    for child in children:
+        path = _enclosing(child, target)
+        if path:
+            path.add(id(stmt))
+            return path
+    return set()
 
 
-def _print_channel(stmt):
-    """The observation channel for a print statement."""
-    slots = _node_slots(stmt)
-    chan = slots.get("print")
-    if chan is None:
-        chan = Channel(
-            _memoized_state_fn(lambda s: eval_expr(stmt.expr, s)), label="print"
-        )
-        slots["print"] = chan
-    return chan
+class Executable:
+    """A program, desugared once, with one lazily filled table per statement.
 
+    Statements are deterministic, so a statement run from a state has one
+    outcome, and its table maps the state to (trace, final, need):
 
-def _guard_channel(guard):
-    """The branch-taken observation channel for a guard expression."""
-    slots = _node_slots(guard)
-    chan = slots.get("guard")
-    if chan is None:
-        chan = Channel(
-            _memoized_state_fn(lambda s: bool(eval_expr(guard, s))), label="guard"
-        )
-        slots["guard"] = chan
-    return chan
+    - `trace` is the observations in order: ("branch", taken) for each guard
+      test, ("print", value) for each print;
+    - `final` is the state it ends in or, on a path a runtime error stopped,
+      that error, with `trace` the observations made before it;
+    - `need` is the most iterations any loop on the path took, so that a
+      recorded outcome still raises LoopBoundExceeded for a caller whose
+      bound is smaller.  Exceeding a bound is never recorded.
 
-
-class _Runner:
-    """Table-driven interpreter.
-
-    Statements are deterministic, so each support state yields one fixed
-    observation trace and one final state.  A statement maps a hyper by
-    grouping each inner distribution's states by trace (that is exactly the
-    cascade of guard/print channels) and pushing each group through the
-    final-state map.  The per-state executions are memoized on the AST
-    nodes, so prior batteries over one program pay for each state once.
+    The tables are keyed by node identity, which stays unique because the
+    object holds the program.  Callers evaluating many priors keep one
+    Executable (or a WpEngine's) so that each state is executed once.
     """
 
-    def __init__(self, decls, loop_bound):
-        self.decls = decls
-        self.loop_bound = loop_bound
+    def __init__(self, program):
+        self.program = desugar_visible(program)
+        self.decls = self.program.decls
+        self._domains = {d.name: d.domain for d in self.decls}
+        self._states = None
+        self._tables = {}
 
-    def _exec(self, stmt, state):
-        """Run one statement from one state.
+    def states(self):
+        """Every declared state, in canonical order."""
+        if self._states is None:
+            self._states = all_states(
+                tuple(d.name for d in self.decls), [d.domain for d in self.decls]
+            )
+        return self._states
 
-        Returns (trace, final state, need) where `need` is the largest
-        iteration count any loop on this path required — cached results
-        re-raise for runs whose loop bound is smaller than that.
-        """
-        memo = _node_slots(stmt).setdefault("exec", {})
-        hit = memo.get(state)
+    # ---- the interpreter
+
+    def _exec(self, stmt, state, bound):
+        """The outcome of `stmt` from `state`, from its table or by running it."""
+        table = self._tables.get(id(stmt))
+        if table is None:
+            table = self._tables[id(stmt)] = {}
+        hit = table.get(state)
         if hit is not None:
-            if hit[2] > self.loop_bound:
-                raise LoopBoundExceeded(
-                    f"loop exceeded {self.loop_bound} iterations; "
-                    "raise the loop bound or add an invariant"
-                )
+            if hit[2] > bound:
+                raise _bound_exceeded(bound)
             return hit
-        if isinstance(stmt, SSkip):
-            result = ((), state, 0)
-        elif isinstance(stmt, SAssign):
-            result = ((), _assign_fn(self.decls, stmt).fn(state), 0)
-        elif isinstance(stmt, SPrint):
-            result = ((_print_channel(stmt).fn(state),), state, 0)
-        elif isinstance(stmt, SSeq):
-            trace = []
-            cur = state
-            need = 0
-            for s in stmt.stmts:
-                t, cur, n = self._exec(s, cur)
-                trace.extend(t)
-                if n > need:
-                    need = n
-            result = (tuple(trace), cur, need)
-        elif isinstance(stmt, SIf):
-            taken = _guard_channel(stmt.guard).fn(state)
-            t, fin, need = self._exec(stmt.then if taken else stmt.els, state)
-            result = ((taken,) + t, fin, need)
-        elif isinstance(stmt, SWhile):
-            guard = _guard_channel(stmt.guard).fn
-            trace = []
-            cur = state
-            need = 0
-            k = 0  # body executions along this path so far
-            while True:
-                taken = guard(cur)
-                trace.append(taken)
-                if not taken:
-                    break
-                if k >= self.loop_bound:
-                    raise LoopBoundExceeded(
-                        f"loop exceeded {self.loop_bound} iterations; "
-                        "raise the loop bound or add an invariant"
-                    )
-                t, cur, n = self._exec(stmt.body, cur)
-                trace.extend(t)
-                if n > need:
-                    need = n
-                k += 1
-            result = (tuple(trace), cur, need if need > k else k)
-        else:
-            raise AssertionError(f"unhandled statement {stmt!r}")
-        memo[state] = result
+        trace = []
+        cur = state
+        need = 0
+        try:
+            if isinstance(stmt, SAssign):
+                dom = self._domains[stmt.name]
+                if stmt.index is None:
+                    v = eval_expr(stmt.value, state)
+                    if not dom.contains(v):
+                        raise DomainViolation(
+                            f"{stmt.name} := {v} leaves the declared domain {dom!r}"
+                        )
+                    cur = state.set(stmt.name, v)
+                else:
+                    i = eval_expr(stmt.index, state)
+                    arr = state.get(stmt.name)
+                    if not 0 <= i < len(arr):
+                        raise IndexOutOfBounds(
+                            f"{stmt.name}[{i}] with length {len(arr)}"
+                        )
+                    v = eval_expr(stmt.value, state)
+                    if not dom.element.contains(v):
+                        raise DomainViolation(
+                            f"{stmt.name}[{i}] := {v} leaves the declared "
+                            f"domain {dom.element!r}"
+                        )
+                    cur = state.set(stmt.name, arr[:i] + (v,) + arr[i + 1 :])
+            elif isinstance(stmt, SPrint):
+                trace.append(("print", eval_expr(stmt.expr, state)))
+            elif isinstance(stmt, SSeq):
+                for s in stmt.stmts:
+                    t, cur, n = self._exec(s, cur, bound)
+                    trace += t
+                    if n > need:
+                        need = n
+                    if not isinstance(cur, State):
+                        break
+            elif isinstance(stmt, SIf):
+                taken = bool(eval_expr(stmt.guard, state))
+                trace.append(_TRUE if taken else _FALSE)
+                branch = stmt.then if taken else stmt.els
+                t, cur, need = self._exec(branch, state, bound)
+                trace += t
+            elif isinstance(stmt, SWhile):
+                k = 0  # body executions along this path so far
+                while isinstance(cur, State):
+                    taken = bool(eval_expr(stmt.guard, cur))
+                    trace.append(_TRUE if taken else _FALSE)
+                    if not taken:
+                        break
+                    k += 1
+                    if k > bound:
+                        raise _bound_exceeded(bound)
+                    if k > need:
+                        need = k
+                    t, cur, n = self._exec(stmt.body, cur, bound)
+                    trace += t
+                    if n > need:
+                        need = n
+            # SSkip leaves everything as it is
+        except _FAULTS as exc:
+            cur = exc.with_traceback(None)
+        result = (tuple(trace), cur, need)
+        table[state] = result
         return result
 
-    def denote(self, stmt, hyper):
+    # ---- forward runs
+
+    def _denote(self, stmt, hyper, bound):
+        """Group each inner's states by trace (the cascade of guard and print
+        channels) and push each group through the final-state map."""
         pairs = []
         for d, w in hyper.entries:
             buckets = {}
             for s, p in d.entries:
-                trace, fin, _ = self._exec(stmt, s)
+                trace, fin, _ = self._exec(stmt, s, bound)
+                if not isinstance(fin, State):
+                    _raise(fin)
                 bucket = buckets.setdefault(trace, {})
                 q = bucket.get(fin)
                 bucket[fin] = p if q is None else q + p
@@ -281,34 +214,108 @@ class _Runner:
                 pairs.append((inner, w * bw))
         return _hyper_merge(pairs)
 
+    def run(self, prior, loop_bound=DEFAULT_LOOP_BOUND, trace=None):
+        """The program as a Hyper transformer, applied to `prior`.
+
+        `trace`, if given, is a list that receives (label, hyper) snapshots
+        after each top-level statement.
+        """
+        hyper = unit(prior)
+        body = self.program.body
+        for s in body.stmts if isinstance(body, SSeq) else (body,):
+            hyper = self._denote(s, hyper, loop_bound)
+            if trace is not None:
+                trace.append((stmt_to_source(s).split("\n")[0].strip(), hyper))
+        return hyper
+
+    def classical_run(self, prior, loop_bound=DEFAULT_LOOP_BOUND):
+        """Run forgetting all observations: the plain output distribution."""
+        acc = {}
+        for s, p in prior.entries:
+            _, fin, _ = self._exec(self.program.body, s, loop_bound)
+            if not isinstance(fin, State):
+                _raise(fin)
+            q = acc.get(fin)
+            acc[fin] = p if q is None else q + p
+        return Dist(tuple(sorted(acc.items())), _canonical=True)
+
+    # ---- loop heads, read back from the tables (nothing is evaluated here)
+
+    def _heads(self, loop, state):
+        """Each arrival at `loop`'s head when it runs from `state`, as (head
+        state, length of the loop's trace before that guard test).
+
+        Stops after a guard test that came out false or failed, or after a
+        round whose body failed.  The loop's outcome from `state` must be in
+        its table already.
+        """
+        trace = self._tables[id(loop)][state][0]
+        pos = 0
+        while True:
+            yield state, pos
+            if pos == len(trace) or trace[pos] == _FALSE:
+                return
+            t, state, _ = self._tables[id(loop.body)][state]
+            if not isinstance(state, State):
+                return
+            pos += 1 + len(t)
+
+    def loop_rounds(self, loop, state, bound):
+        """How many guard tests come out true when `loop` runs alone from
+        `state`, counting up to a runtime error that stops it."""
+        trace = self._exec(loop, state, bound)[0]
+        return sum(
+            trace[pos] == _TRUE
+            for _, pos in self._heads(loop, state)
+            if pos < len(trace)
+        )
+
+    def loop_heads(self, loop, bound):
+        """(observation history, state) at every arrival at `loop`'s head,
+        over runs of the whole program from every declared state.
+
+        Arrivals before a runtime error count, and so does a head whose guard
+        test itself fails.
+        """
+        path = _enclosing(self.program.body, loop)
+        for s0 in self.states():
+            self._exec(self.program.body, s0, bound)
+            yield from self._replay(self.program.body, s0, (), loop, path)
+
+    def _replay(self, stmt, state, history, loop, path):
+        """`loop_heads`'s pairs inside `stmt`, entered from `state` after
+        `history`; descends only into the statements on `path`."""
+        if isinstance(stmt, SSeq):
+            for s in stmt.stmts:
+                if id(s) in path:
+                    yield from self._replay(s, state, history, loop, path)
+                    return
+                t, state, _ = self._tables[id(s)][state]
+                history += t
+                if not isinstance(state, State):
+                    return
+        elif isinstance(stmt, SIf):
+            t = self._tables[id(stmt)][state][0]
+            if t:  # the guard test did not fail
+                branch = stmt.then if t[0] == _TRUE else stmt.els
+                if id(branch) in path:
+                    yield from self._replay(branch, state, history + t[:1], loop, path)
+        else:  # `loop` itself, or a loop around it
+            trace = self._tables[id(stmt)][state][0]
+            for head, pos in self._heads(stmt, state):
+                if stmt is loop:
+                    yield history + trace[:pos], head
+                elif pos < len(trace) and trace[pos] == _TRUE:
+                    yield from self._replay(
+                        stmt.body, head, history + trace[: pos + 1], loop, path
+                    )
+
 
 def run(program, prior, loop_bound=DEFAULT_LOOP_BOUND, trace=None):
-    """Interpret a program as a Hyper transformer from the given prior.
-
-    `trace`, if given, is a list that receives (label, hyper) snapshots after
-    each top-level statement.
-    """
-    program = desugar_visible(program)
-    runner = _Runner(program.decls, loop_bound)
-    hyper = unit(prior)
-    steps = program.body.stmts if isinstance(program.body, SSeq) else (program.body,)
-    for s in steps:
-        hyper = runner.denote(s, hyper)
-        if trace is not None:
-            trace.append((stmt_to_source(s).split("\n")[0].strip(), hyper))
-    return hyper
-
-
-# --- leak-blind execution ---------------------------------------------------------
+    """One-shot `Executable(program).run(...)`: the tables die with the call."""
+    return Executable(program).run(prior, loop_bound, trace)
 
 
 def classical_run(program, prior, loop_bound=DEFAULT_LOOP_BOUND):
-    """Run forgetting all observations: the plain output distribution."""
-    program = desugar_visible(program)
-    runner = _Runner(program.decls, loop_bound)
-    acc = {}
-    for s, p in prior.entries:
-        _, fin, _ = runner._exec(program.body, s)
-        q = acc.get(fin)
-        acc[fin] = p if q is None else q + p
-    return Dist(tuple(sorted(acc.items())), _canonical=True)
+    """One-shot `Executable(program).classical_run(...)`."""
+    return Executable(program).classical_run(prior, loop_bound)

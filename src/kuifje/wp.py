@@ -23,9 +23,10 @@ An annotation V for `while g do B` must satisfy, at every loop head,
 The check is a falsifier: the equality is tested on the distributions an
 observer can actually hold at the loop head.  Those are grouped by
 observation history (running the whole program concretely from every declared
-initial state), and within each group the check tries every point
-distribution plus seeded random ones.  Passing is evidence, not proof; any
-failure comes with a concrete counterexample distribution.
+initial state; a path stopped by a runtime error is undefined, but the loop
+heads it reached before the error count), and within each group the check
+tries every point distribution plus seeded random ones.  Passing is evidence,
+not proof; any failure comes with a concrete counterexample distribution.
 
 Unfolding is exact: if every state exits the loop within k iterations, the
 k-fold expansion with innermost term [not g] AND E is the loop's pre-gain.
@@ -37,11 +38,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .core import ArrayDomain, BoolDomain, all_states
+from .core import BoolDomain
+from .core import all_states  # noqa: F401  perfbench/spans.py wraps wp.all_states
 from .errors import (
     BoundTooSmall,
     DivisionByZero,
-    DomainViolation,
     IndexOutOfBounds,
     InvariantCheckFailed,
     KuifjeError,
@@ -66,7 +67,6 @@ from .lang import (
     SSeq,
     SSkip,
     SWhile,
-    desugar_visible,
     eval_expr,
     expr_to_source,
     gain_to_source,
@@ -74,8 +74,7 @@ from .lang import (
     subst_expr,
     subst_gain,
 )
-
-DEFAULT_LOOP_BOUND = 10000
+from .semantics import DEFAULT_LOOP_BOUND, Executable
 
 
 @dataclass
@@ -105,26 +104,24 @@ def _value_lit(v):
 
 
 class WpEngine:
-    """Backwards transformer over one program, with shared canonical caches."""
+    """Backwards transformer over one program, with shared canonical caches.
+
+    `executable` runs the program concretely, for loop bounds and loop-head
+    groups; callers running the same program forward can share it.
+    """
 
     def __init__(self, program, config=None):
         self.config = config or WpConfig()
-        self.program = desugar_visible(program)
+        self.executable = Executable(program)
+        self.program = self.executable.program
         self.decls = self.program.decls
         self.domains = {d.name: d.domain for d in self.decls}
         self.canon = Canon(self.decls)
         self.trace = []
-        self._states = None
         self._loop_bounds = {}
 
-    # ---- shared state enumeration
-
     def states(self):
-        if self._states is None:
-            self._states = all_states(
-                tuple(d.name for d in self.decls), [d.domain for d in self.decls]
-            )
-        return self._states
+        return self.executable.states()
 
     # ---- public entry
 
@@ -226,28 +223,17 @@ class WpEngine:
         if id(stmt) in self._loop_bounds:
             return self._loop_bounds[id(stmt)]
         cap = self.config.loop_bound
-        worst = 0
-        for s in self.states():
-            n = 0
-            state = s
-            while True:
-                try:
-                    taken = bool(eval_expr(stmt.guard, state))
-                except (IndexOutOfBounds, DivisionByZero):
-                    break  # the program is undefined here; not our concern
-                if not taken:
-                    break
-                n += 1
-                if n > cap:
-                    raise LoopNeedsInvariantOrBound(
-                        f"loop at line {stmt.pos[0] if stmt.pos else '?'} does not "
-                        f"provably exit within {cap} iterations on the declared "
-                        "state space; annotate it or raise the loop bound"
-                    )
-                state = self._exec(stmt.body, state, None)
-                if state is None:
-                    break
-            worst = max(worst, n)
+        try:
+            # a runtime error ends the count: the program is undefined there
+            worst = max(
+                self.executable.loop_rounds(stmt, s, cap) for s in self.states()
+            )
+        except LoopBoundExceeded:
+            raise LoopNeedsInvariantOrBound(
+                f"loop at line {stmt.pos[0] if stmt.pos else '?'} does not "
+                f"provably exit within {cap} iterations on the declared "
+                "state space; annotate it or raise the loop bound"
+            ) from None
         self._loop_bounds[id(stmt)] = worst
         return worst
 
@@ -307,94 +293,22 @@ class WpEngine:
                 )
         return candidate
 
-    # ---- concrete execution (for loop bounds and observation groups)
-
-    def _exec(self, stmt, state, obs, hook=None):
-        """Run a statement concretely; returns the final state or None on a
-        runtime error.  obs collects observations; hook(node, state) fires at
-        every loop-head guard evaluation."""
-        if isinstance(stmt, SSkip):
-            return state
-        if isinstance(stmt, SSeq):
-            for s in stmt.stmts:
-                state = self._exec(s, state, obs, hook)
-                if state is None:
-                    return None
-            return state
-        try:
-            if isinstance(stmt, SAssign):
-                return self._exec_assign(stmt, state)
-            if isinstance(stmt, SPrint):
-                v = eval_expr(stmt.expr, state)
-                if obs is not None:
-                    obs.append(("print", v))
-                return state
-            if isinstance(stmt, SIf):
-                taken = bool(eval_expr(stmt.guard, state))
-                if obs is not None:
-                    obs.append(("branch", taken))
-                return self._exec(stmt.then if taken else stmt.els, state, obs, hook)
-            if isinstance(stmt, SWhile):
-                n = 0
-                while True:
-                    if hook is not None:
-                        hook(stmt, state)
-                    taken = bool(eval_expr(stmt.guard, state))
-                    if obs is not None:
-                        obs.append(("branch", taken))
-                    if not taken:
-                        return state
-                    n += 1
-                    if n > self.config.loop_bound:
-                        raise LoopBoundExceeded(
-                            f"loop exceeded {self.config.loop_bound} iterations"
-                        )
-                    state = self._exec(stmt.body, state, obs, hook)
-                    if state is None:
-                        return None
-        except (IndexOutOfBounds, DivisionByZero, DomainViolation):
-            return None
-        raise AssertionError(f"unhandled statement {stmt!r}")
-
-    def _exec_assign(self, stmt, state):
-        if stmt.index is None:
-            v = eval_expr(stmt.value, state)
-            if not self.domains[stmt.name].contains(v):
-                raise DomainViolation(f"{stmt.name} := {v}")
-            return state.set(stmt.name, v)
-        i = eval_expr(stmt.index, state)
-        arr = state.get(stmt.name)
-        if not 0 <= i < len(arr):
-            raise IndexOutOfBounds(f"{stmt.name}[{i}]")
-        v = eval_expr(stmt.value, state)
-        if not self.domains[stmt.name].element.contains(v):
-            raise DomainViolation(f"{stmt.name}[{i}] := {v}")
-        return state.set(stmt.name, arr[:i] + (v,) + arr[i + 1 :])
-
     def _loop_head_groups(self, target):
         """State sets an observer can hold at target's loop head.
 
-        Executes the whole program from every declared initial state.  Two
+        Runs the whole program from every declared initial state.  Two
         loop-head snapshots belong to the same group iff they carry the same
         observation history — exactly then can one posterior mix them.
-        Groups are ordered deterministically (by history, then state order).
+        Groups are ordered deterministically (by the repr of the history,
+        then state order): the falsifier draws its random priors group by
+        group, so the order decides which counterexample is reported.
         """
         groups = {}
-
-        for s0 in self.states():
-            obs = []
-
-            def hook(node, state, _obs=obs):
-                if node is target:
-                    key = tuple(_obs)
-                    groups.setdefault(key, set()).add(state)
-
-            self._exec(self.program.body, s0, obs, hook)
-
-        out = []
-        for key in sorted(groups, key=repr):
-            out.append(sorted(groups[key]))
-        return out
+        for history, state in self.executable.loop_heads(
+            target, self.config.loop_bound
+        ):
+            groups.setdefault(history, set()).add(state)
+        return [sorted(groups[key]) for key in sorted(groups, key=repr)]
 
     # ---- deliberately leak-blind transformer (the unsound mode)
 

@@ -31,7 +31,7 @@ from kuifje.lang import (
     parse_gain,
     parse_program,
 )
-from kuifje.semantics import classical_run, run
+from kuifje.semantics import run
 from kuifje.wp import WpConfig, WpEngine, wp
 from kuifje.cli import main as cli_main
 
@@ -276,9 +276,8 @@ def test_10_leak_erasure(clock):
     import random
 
     for name in soundness.corpus_names():
-        p = soundness.program(name)
-        engine = WpEngine(p)
-        states = list(engine.states())
+        exe = soundness.engine(name).executable
+        states = list(exe.states())
         pts = states if len(states) <= 512 else states[:: len(states) // 192]
         priors = [uniform(states)] + [point(s) for s in pts]
         rng = random.Random(31)
@@ -293,5 +292,5 @@ def test_10_leak_erasure(clock):
                 )
             )
         for prior in priors:
-            assert avg(run(p, prior)) == classical_run(p, prior), name
+            assert avg(exe.run(prior)) == exe.classical_run(prior), name
     clock(30)

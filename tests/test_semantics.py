@@ -1,4 +1,4 @@
-"""Forward interpretation: hypers, channels, and the leak-blind projection."""
+"""Forward interpretation: hypers, observations, and the leak-blind projection."""
 
 import glob
 import os
@@ -9,17 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from kuifje.core import Dist, Hyper, State, avg, dist_from_entries, point, unit, uniform
+from kuifje.core import Dist, State, avg, dist_from_entries, point, unit, uniform
 from kuifje.errors import DomainViolation, KuifjeError, LoopBoundExceeded
 from kuifje.lang import check_program, parse_program
-from kuifje.semantics import (
-    Channel,
-    MarkovUpdate,
-    apply_channel,
-    apply_markov,
-    classical_run,
-    run,
-)
+from kuifje.semantics import Executable, classical_run, run
 
 F = Fraction
 
@@ -28,50 +21,44 @@ def states_xy():
     return [State(("x",), (v,)) for v in range(4)]
 
 
-# ---- channels and updates
+# ---- updates and observations, one statement at a time
 
 
-def test_markov_update_maps_inners():
-    d = uniform(states_xy())
-    h = Hyper(((d, F(1, 2)), (point(states_xy()[0]), F(1, 2))))
-    upd = MarkovUpdate(lambda s: s.set("x", 3 - s.get("x")))
-    out = apply_markov(upd, h)
-    assert sum(w for _, w in out.entries) == 1
-    flat = avg(out)
-    assert flat.prob(states_xy()[3]) == F(1, 8) + F(1, 2)
+def one_statement(stmt):
+    p = parse_program("hidden x : int[0..3]\n" + stmt)
+    check_program(p)
+    return p
 
 
-def test_channel_split_weights_and_normalization():
-    d = dist_from_entries([(states_xy()[i], F(i + 1, 10)) for i in range(4)])
-    chan = Channel(lambda s: s.get("x") % 2)
-    parts = chan.split(d)
-    assert [obs for obs, _, _ in parts] == [0, 1]
-    w0 = parts[0][1]
-    assert w0 == F(1, 10) + F(3, 10)
-    inner0 = parts[0][2]
-    assert inner0.prob(states_xy()[0]) == F(1, 4)
-    assert sum(p for _, p in inner0.entries) == 1
+def test_update_maps_inner_and_keeps_mass():
+    prior = dist_from_entries([(states_xy()[i], F(i + 1, 10)) for i in range(4)])
+    out = run(one_statement("x := 3 - x"), prior)
+    assert [w for _, w in out.entries] == [1]
+    inner = out.entries[0][0]
+    assert sum(p for _, p in inner.entries) == 1
+    assert [inner.prob(states_xy()[3 - i]) for i in range(4)] == [
+        F(1, 10), F(2, 10), F(3, 10), F(4, 10)
+    ]
 
 
-def test_channel_matrix_is_deterministic_rows():
-    chan = Channel(lambda s: s.get("x") % 2)
-    cols, rows = chan.matrix(states_xy())
-    assert cols == [0, 1]
-    for row in rows:
-        assert sum(row) == 1 and set(row) <= {F(0), F(1)}
+def test_print_splits_weights_and_normalizes():
+    prior = dist_from_entries([(states_xy()[i], F(i + 1, 10)) for i in range(4)])
+    out = run(one_statement("print x mod 2"), prior)
+    by_weight = sorted(out.entries, key=lambda e: e[1])
+    assert [w for _, w in by_weight] == [F(1, 10) + F(3, 10), F(2, 10) + F(4, 10)]
+    even = by_weight[0][0]
+    assert even.prob(states_xy()[0]) == F(1, 4)
+    for inner, _ in out.entries:
+        assert sum(p for _, p in inner.entries) == 1
 
 
-def test_apply_channel_merges_equal_posteriors():
-    # a constant observation refines nothing: the hyper is unchanged
-    d = uniform(states_xy())
-    h = unit(d)
-    out = apply_channel(Channel(lambda s: 7), h)
-    assert out == h
+def test_constant_print_refines_nothing():
+    prior = uniform(states_xy())
+    assert run(one_statement("print 7"), prior) == unit(prior)
 
 
-def test_apply_channel_full_refinement():
-    d = uniform(states_xy())
-    out = apply_channel(Channel(lambda s: s.get("x")), unit(d))
+def test_print_of_whole_state_refines_fully():
+    out = run(one_statement("print x"), uniform(states_xy()))
     assert len(out.entries) == 4
     for inner, w in out.entries:
         assert w == F(1, 4)
@@ -178,6 +165,21 @@ def test_loop_bound_exceeded():
     check_program(p)
     with pytest.raises(LoopBoundExceeded):
         run(p, uniform(states_xy()), loop_bound=50)
+
+
+def test_warm_table_still_enforces_loop_bound():
+    # x = 3 needs three rounds: the first run fills the table, and a second
+    # run with a smaller bound must not be answered from it
+    src = "hidden x : int[0..3]\nwhile x != 0 do\n  x := x - 1\nod"
+    p = parse_program(src)
+    check_program(p)
+    prior = uniform(states_xy())
+    exe = Executable(p)
+    assert exe.run(prior, loop_bound=3) == unit(point(State(("x",), (0,))))
+    with pytest.raises(LoopBoundExceeded):
+        exe.run(prior, loop_bound=2)
+    with pytest.raises(LoopBoundExceeded):
+        exe.classical_run(prior, loop_bound=2)
 
 
 def test_domain_violation_is_reported():

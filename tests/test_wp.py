@@ -1,5 +1,7 @@
 """The backwards pre-gain transformer: rules, loops, and soundness."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,11 +10,12 @@ import soundness
 from kuifje.core import State, dist_from_entries, point, uniform
 from kuifje.errors import (
     BoundTooSmall,
+    IndexOutOfBounds,
     InvariantCheckFailed,
     KuifjeError,
     LoopNeedsInvariantOrBound,
 )
-from kuifje.gain import eval_gain, semantic_eq
+from kuifje.gain import eval_gain, eval_gain_hyper, semantic_eq
 from kuifje.lang import check_program, parse_expr, parse_gain, parse_program
 from kuifje.semantics import classical_run, run
 from kuifje.wp import WpConfig, WpEngine, classical_expectation, classical_wp, wp
@@ -135,7 +138,7 @@ def test_unfold_counts_iterations():
 def test_unfold_depth_too_small():
     p = soundness.program("search_early_exit.kuif")
     cfg = WpConfig(force_unfold=True, unfold_depth=1)
-    with pytest.raises(BoundTooSmall):
+    with pytest.raises(BoundTooSmall, match="^loop needs 3 unfoldings, but only 1 "):
         WpEngine(p, cfg).wp_program()
 
 
@@ -191,6 +194,73 @@ def test_overclaiming_invariant_rejected():
     p = make(corrupted)
     with pytest.raises(InvariantCheckFailed):
         wp(p)
+
+
+# ---- runtime errors: a failing path is undefined for wp, fatal for run
+
+STUCK_SEARCH = (
+    "hidden A : array[2] of int[0..1]\nhidden x : int[0..1]\n"
+    "hidden n : int[0..2]\nhidden t : int[0..1]\n"
+    "n := 0;\n"
+    "while n != 3 and A[n] != x invariant { [x in A[n:]] } do\n"
+    "  t := A[n + 1];\n  n := n + 1\nod\n"
+    "@post { MAX i in 0..1: [A[i] = x] }"
+)
+
+
+def test_failing_paths_are_undefined_for_wp():
+    # from A=[0,0], x=1 the body reads A[2] on the second round: the loop
+    # heads before that still count, the path itself is left out
+    p = make(STUCK_SEARCH)
+    assert wp(p).render() == "[x in A]"
+    unfolded = wp(p, config=WpConfig(force_unfold=True))
+    assert unfolded.render() == "[A[0] = x or A[1] = x]"
+    # the exit bound counts the round that failed, and stops there
+    cfg = WpConfig(force_unfold=True, unfold_depth=1)
+    with pytest.raises(BoundTooSmall, match="^loop needs 2 unfoldings, but only 1 "):
+        wp(p, config=cfg)
+    with pytest.raises(IndexOutOfBounds):
+        run(p, point(State(("A", "x", "n", "t"), ((0, 0), 1, 0, 0))))
+
+
+def test_loop_head_whose_guard_fails_is_checked():
+    # from A=[0,0], x=1 the guard itself reads A[2] at n = 2; that head is
+    # still reachable, and only there does the annotation overclaim
+    p = make(
+        "hidden A : array[2] of int[0..1]\nhidden x : int[0..1]\n"
+        "hidden n : int[0..2]\n"
+        "n := 0;\n"
+        "while A[n] != x invariant { [x in A[n:]] MAX [n = 2] } do\n"
+        "  n := n + 1\nod\n"
+        "@post { MAX i in 0..1: [A[i] = x] }"
+    )
+    with pytest.raises(InvariantCheckFailed) as exc:
+        wp(p)
+    assert str(exc.value).endswith(
+        "on the reachable prior Dist({{A=[0,0] x=1 n=2}: 1}) "
+        "the annotation is worth 1 but one loop step is worth 0"
+    )
+
+
+def test_program_and_tables_are_freed_after_use():
+    # nothing process-wide may keep a program or its execution tables alive
+    p = make(STUCK_SEARCH)
+    refs = [weakref.ref(p)]
+    run(p, point(State(("A", "x", "n", "t"), ((0, 1), 1, 0, 0))))
+    wp(p)
+    engine = WpEngine(p)  # as `check` uses it: wp, then forward runs
+    pre = engine.wp_program().pre
+    exe = engine.executable
+    refs += [weakref.ref(exe), weakref.ref(exe.program)]
+    for s in exe.states()[:16]:
+        try:
+            hyper = exe.run(point(s))
+        except IndexOutOfBounds:
+            continue
+        assert eval_gain(pre, point(s)) == eval_gain_hyper(p.post, hyper)
+    del p, engine, exe
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 # ---- the unsound mode reproduces the classical (leak-blind) answer
