@@ -13,7 +13,11 @@ Because atoms are non-negative, scaling distributes over MAX pointwise, and
 because PLUS choices are independent, this recursive valuation agrees exactly
 with first flattening to the normal form "MAX over atoms" and then taking the
 best expected atom.  We therefore never need to expand the (exponentially
-large) normal form just to evaluate.
+large) normal form just to evaluate.  One class, `GainEvaluator`, computes
+that value: it reads a distribution as integer weights over indexed states
+with one common divisor, memoizes atom values per state, and divides once
+at the top.  `eval_gain`/`eval_gain_hyper` are one-shot wrappers, and
+`semantic_le`/`semantic_eq` run their trial distributions through one.
 
 Atoms use a *total* semantics: inside an atom, a boolean sub-term that indexes
 out of bounds is false, and an atom whose numeric part cannot be evaluated on
@@ -142,60 +146,88 @@ def eval_atom_total(e, state, env=None):
 # --- gain evaluation -------------------------------------------------------------------
 
 
-def _eval_gain(g, entries, mult, env):
-    # entries: tuple of (state, prob>0); mult: per-entry accumulated scaling
-    if isinstance(g, GAtom):
-        total = ZERO
-        for (state, p), m in zip(entries, mult):
-            if m == 0:
-                continue
-            v = eval_atom_total(g.expr, state, env)
-            if v < 0:
-                raise NegativeAtom(
-                    f"atom {expr_to_source(g.expr)} is {v} on {state!r}"
-                )
-            total += p * m * v
-        return total
-    if isinstance(g, GMax):
-        return max(_eval_gain(g.left, entries, mult, env),
-                   _eval_gain(g.right, entries, mult, env))
-    if isinstance(g, GPlus):
-        return _eval_gain(g.left, entries, mult, env) + _eval_gain(
-            g.right, entries, mult, env
-        )
-    if isinstance(g, GAnd):
-        scaled = []
-        for (state, p), m in zip(entries, mult):
-            if m == 0:
-                scaled.append(ZERO)
-                continue
-            v = eval_atom_total(g.scalar, state, env)
-            if v < 0:
-                raise NegativeAtom(
-                    f"atom {expr_to_source(g.scalar)} is {v} on {state!r}"
-                )
-            scaled.append(m * v)
-        return _eval_gain(g.body, entries, scaled, env)
-    if isinstance(g, GQuantMax):
-        best = None
-        for v in g.values:
-            sub = dict(env, **{g.var: v})
-            val = _eval_gain(g.body, entries, mult, sub)
-            if best is None or val > best:
-                best = val
-        return best
-    raise TypeCheckError(f"unknown gain expression {g!r}")
+class GainEvaluator:
+    """Values gain expressions on distributions over one fixed list of states.
+
+    A distribution is read as (state index, integer weight) pairs plus one
+    common divisor.  Every combinator commutes with dividing all weights by a
+    positive constant, so the recursion runs on the weights and divides
+    exactly once at the top.  `f AND G` multiplies each entry's weight by f
+    and drops the entries where that is 0, so an atom is never evaluated
+    where a zero guard shields it and a negative value there is never
+    reported.  Atom values are memoized per state, keyed by the atom and its
+    quantifier bindings, stored as ints where integral, and computed on first
+    use: a caller valuing many distributions over the same states evaluates
+    each atom on each state once.
+    """
+
+    def __init__(self, states):
+        self.states = list(states)
+        self._index = {s: i for i, s in enumerate(self.states)}
+        self._values = {}
+
+    def value(self, g, dist, env=None):
+        """g's exact value on dist, whose support lies in the states."""
+        den = lcm(*(p.denominator for _, p in dist.entries))
+        index = self._index
+        support = [
+            (index[s], p.numerator * (den // p.denominator)) for s, p in dist.entries
+        ]
+        return self.weighted_value(g, support, den, env)
+
+    def weighted_value(self, g, support, den=1, env=None):
+        """g's value on the distribution giving states[i] probability w/den,
+        for each (i, w) in support; every w is a positive integer."""
+        return Fraction(self._eval(g, support, env or {}), den)
+
+    def _eval(self, g, support, env):
+        if isinstance(g, GAtom):
+            return sum(w for _, w in self._scaled(g.expr, support, env))
+        if isinstance(g, GMax):
+            return max(
+                self._eval(g.left, support, env), self._eval(g.right, support, env)
+            )
+        if isinstance(g, GPlus):
+            return self._eval(g.left, support, env) + self._eval(g.right, support, env)
+        if isinstance(g, GAnd):
+            return self._eval(g.body, self._scaled(g.scalar, support, env), env)
+        if isinstance(g, GQuantMax):
+            return max(
+                self._eval(g.body, support, dict(env, **{g.var: v})) for v in g.values
+            )
+        raise TypeCheckError(f"unknown gain expression {g!r}")
+
+    def _scaled(self, expr, support, env):
+        """The support with each weight times expr's value, zeros dropped."""
+        key = (expr, tuple(sorted(env.items())) if env else ())
+        vals = self._values.get(key)
+        if vals is None:
+            vals = self._values[key] = [None] * len(self.states)
+        out = []
+        for i, w in support:
+            v = vals[i]
+            if v is None:
+                v = eval_atom_total(expr, self.states[i], env)
+                v = vals[i] = v.numerator if v.denominator == 1 else v
+            if v:
+                if v < 0:
+                    raise NegativeAtom(
+                        f"atom {expr_to_source(expr)} is {v} on {self.states[i]!r}"
+                    )
+                out.append((i, w if v == 1 else w * v))
+        return out
 
 
 def eval_gain(g, dist, env=None):
-    """The gain's exact value against a single distribution."""
-    entries = dist.entries
-    return _eval_gain(g, entries, [ONE] * len(entries), env or {})
+    """The gain's exact value against a single distribution (one-shot)."""
+    return GainEvaluator(dist.support()).value(g, dist, env)
 
 
 def eval_gain_hyper(g, hyper, env=None):
     """The gain's value against a hyper: average of per-posterior values."""
-    return sum((w * eval_gain(g, d, env) for d, w in hyper.entries), ZERO)
+    states = dict.fromkeys(s for d, _ in hyper.entries for s, _ in d.entries)
+    ev = GainEvaluator(states)
+    return sum((w * ev.value(g, d, env) for d, w in hyper.entries), ZERO)
 
 
 # --- canonicalization ---------------------------------------------------------------
@@ -956,37 +988,6 @@ def simplify(g, decls, canon=None):
     return _atoms_to_nf(canon, canon.prune(atoms))
 
 
-def eval_nf(nf, dist, canon):
-    """Value of a normal form on a prior, via memoized atom vectors.
-
-    Equals eval_gain(nf.as_gain(), dist) but marginalizes the prior onto
-    each atom's variables first, so wide-support priors against many-atom
-    normal forms stay cheap.
-    """
-    if not nf.atoms:
-        return ZERO
-    marginals = {}
-    best = None
-    for expr in nf.atoms:
-        atom = canon.atom_of(expr)
-        key, states = canon.space(canon.atom_vars(atom))
-        if key not in marginals:
-            index = {s: i for i, s in enumerate(states)}
-            weights = [ZERO] * len(states)
-            for s, p in dist.entries:
-                proj = State(key, tuple(s.get(n) for n in key))
-                weights[index[proj]] += p
-            marginals[key] = weights
-        vec = canon.atom_vector(atom, key)
-        total = ZERO
-        for w, v in zip(marginals[key], vec):
-            if w:
-                total += w * v
-        if best is None or total > best:
-            best = total
-    return best
-
-
 # --- semantic comparison -----------------------------------------------------------------
 
 
@@ -1008,102 +1009,6 @@ class CompareResult:
             f"violated on {self.counterexample!r}: "
             f"left = {self.left}, right = {self.right}"
         )
-
-
-class _VecEval:
-    """Evaluates gain expressions against many distributions on fixed states.
-
-    Distributions arrive as (state index, integer weight) supports plus one
-    common divisor: every combinator commutes with dividing by a positive
-    constant, so the whole evaluation runs on integer weights and divides
-    exactly once at the top.  Atom passes skip zero entries, which for
-    Iverson-bracket atoms is most of them.
-    """
-
-    def __init__(self, states):
-        self.states = list(states)
-        self._values = {}
-
-    def values(self, expr, env):
-        key = (expr, tuple(sorted(env.items())) if env else ())
-        if key not in self._values:
-            self._values[key] = tuple(
-                eval_atom_total(expr, s, env) for s in self.states
-            )
-        return self._values[key]
-
-    def eval(self, g, support, mult, env):
-        # support: (state index, integer weight) pairs; mult: per-entry scale
-        # factors aligned with it, or None meaning all ones
-        if isinstance(g, GAtom):
-            vals = self.values(g.expr, env)
-            total = 0
-            if mult is None:
-                for i, p in support:
-                    v = vals[i]
-                    if v < 0:
-                        raise NegativeAtom(
-                            f"atom {expr_to_source(g.expr)} is {v} "
-                            f"on {self.states[i]!r}"
-                        )
-                    if v:
-                        total = total + (p if v == 1 else p * v)
-            else:
-                for (i, p), m in zip(support, mult):
-                    v = vals[i]
-                    if v < 0:
-                        raise NegativeAtom(
-                            f"atom {expr_to_source(g.expr)} is {v} "
-                            f"on {self.states[i]!r}"
-                        )
-                    if v and m:
-                        total = total + (p * m if v == 1 else p * m * v)
-            return total
-        if isinstance(g, GMax):
-            return max(
-                self.eval(g.left, support, mult, env),
-                self.eval(g.right, support, mult, env),
-            )
-        if isinstance(g, GPlus):
-            return self.eval(g.left, support, mult, env) + self.eval(
-                g.right, support, mult, env
-            )
-        if isinstance(g, GAnd):
-            vals = self.values(g.scalar, env)
-            scaled = []
-            if mult is None:
-                for i, _ in support:
-                    v = vals[i]
-                    if v < 0:
-                        raise NegativeAtom(
-                            f"atom {expr_to_source(g.scalar)} is {v} "
-                            f"on {self.states[i]!r}"
-                        )
-                    scaled.append(v)
-            else:
-                for (i, _), m in zip(support, mult):
-                    v = vals[i]
-                    if v < 0:
-                        raise NegativeAtom(
-                            f"atom {expr_to_source(g.scalar)} is {v} "
-                            f"on {self.states[i]!r}"
-                        )
-                    scaled.append(m * v if m else 0)
-            return self.eval(g.body, support, scaled, env)
-        if isinstance(g, GQuantMax):
-            best = None
-            for v in g.values:
-                val = self.eval(g.body, support, mult, dict(env, **{g.var: v}))
-                if best is None or val > best:
-                    best = val
-            return best
-        raise TypeCheckError(f"unknown gain expression {g!r}")
-
-    def eval_dist(self, g, support, total=1):
-        raw = self.eval(g, support, None, {})
-        if total == 1:
-            return raw if isinstance(raw, Fraction) else Fraction(raw)
-        return Fraction(raw, total)
 
 
 def random_weights(n, rng, max_weight=16):
@@ -1131,14 +1036,13 @@ def _compare(g1, g2, decls, relation, trials, seed, states, rng):
         states = all_states(
             tuple(d.name for d in decls), [d.domain for d in decls]
         )
-    states = list(states)
-    ev = _VecEval(states)
-    for support, total in _iter_dists(states, trials, seed, rng):
-        l = ev.eval_dist(g1, support, total)
-        r = ev.eval_dist(g2, support, total)
+    ev = GainEvaluator(states)
+    for support, total in _iter_dists(ev.states, trials, seed, rng):
+        l = ev.weighted_value(g1, support, total)
+        r = ev.weighted_value(g2, support, total)
         bad = (l > r) if relation == "<=" else (l != r)
         if bad:
-            witness = Dist([(states[i], Fraction(p, total)) for i, p in support])
+            witness = Dist([(ev.states[i], Fraction(p, total)) for i, p in support])
             return CompareResult(False, relation, witness, l, r)
     return CompareResult(True, relation)
 

@@ -2,8 +2,9 @@
 
 Used by both the wp unit tests and the acceptance suite.  The engines and
 backwards results are cached per corpus program so one pytest session pays
-for each analysis exactly once, and forward runs reuse the engine's
-executable, whose tables are already warm.
+for each analysis exactly once, forward runs reuse the engine's executable,
+whose tables are already warm, and pre-gains are valued by one evaluator per
+program, which evaluates each atom on each state once.
 """
 
 import glob
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 
 from kuifje.core import Dist, point
-from kuifje.gain import eval_gain_hyper, eval_nf
+from kuifje.gain import GainEvaluator, eval_gain_hyper
 from kuifje.lang import check_program, parse_program
 from kuifje.wp import WpEngine
 
@@ -21,6 +22,7 @@ CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 _programs = {}
 _engines = {}
 _nfs = {}
+_evaluators = {}
 
 
 def program(name):
@@ -56,6 +58,13 @@ def wp_nf(name):
     return engine(name), _nfs[name]
 
 
+def evaluator(name):
+    """One GainEvaluator over a corpus program's declared space, per session."""
+    if name not in _evaluators:
+        _evaluators[name] = GainEvaluator(engine(name).states())
+    return _evaluators[name]
+
+
 def priors_for(states, n_random, seed):
     """Every point prior, then n_random seeded random rational priors."""
     states = sorted(states)
@@ -84,10 +93,11 @@ def check_soundness(name, n_random=100, seed=20260816):
     """
     p = program(name)
     engine, nf = wp_nf(name)
-    states = list(engine.states())
+    pre = nf.as_gain()
+    ev = evaluator(name)
     checked = 0
-    for prior in priors_for(states, n_random, seed):
-        lhs = eval_nf(nf, prior, engine.canon)
+    for prior in priors_for(ev.states, n_random, seed):
+        lhs = ev.value(pre, prior)
         rhs = eval_gain_hyper(p.post, engine.executable.run(prior))
         assert lhs == rhs, (
             f"{name}: pre-gain gives {lhs} on {prior!r} "

@@ -19,7 +19,7 @@ import oracles
 import soundness
 from kuifje.core import State, avg, dist_from_entries, point, uniform
 from kuifje.errors import InvariantCheckFailed
-from kuifje.gain import eval_gain, eval_gain_hyper, eval_nf, semantic_eq, simplify
+from kuifje.gain import eval_gain, eval_gain_hyper, semantic_eq, simplify
 from kuifje.lang import (
     SAssign,
     SIf,

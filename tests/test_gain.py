@@ -10,15 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebra
-from kuifje.core import State, avg, dist_from_entries, hyper_reduce, point
+from kuifje.core import State, all_states, avg, dist_from_entries, hyper_reduce, point
 from kuifje.errors import NegativeAtom
 from kuifje.gain import (
-    Canon,
+    GainEvaluator,
     eval_atom_total,
     eval_bool_total,
     eval_gain,
     eval_gain_hyper,
-    eval_nf,
     normalize,
     semantic_eq,
     semantic_le,
@@ -258,18 +257,14 @@ def test_simplify_idempotent_on_corpus_posts():
     assert seen >= 12
 
 
-def test_eval_nf_agrees_with_eval_gain():
+def test_simplified_and_shared_evaluations_agree_with_one_shot():
     rng = random.Random(7)
     g = parse_gain(
         "(MAX w in 0..9: [x = w]) MAX 1/2 * [a] PLUS [n = 1] MAX x AND [b]"
     )
-    canon = Canon(DECLS)
-    nf = simplify(g, DECLS, canon)
-    names = tuple(d.name for d in DECLS)
-    doms = [d.domain for d in DECLS]
-    from kuifje.core import all_states
-
-    states = list(all_states(names, doms))
+    nf_gain = simplify(g, DECLS).as_gain()
+    states = all_states([d.name for d in DECLS], [d.domain for d in DECLS])
+    shared = GainEvaluator(states)
     for trial in range(20):
         support = rng.sample(states, rng.randint(1, 12))
         weights = [rng.randint(1, 9) for _ in support]
@@ -277,7 +272,22 @@ def test_eval_nf_agrees_with_eval_gain():
         d = dist_from_entries(
             [(s, F(w, total)) for s, w in zip(support, weights)]
         )
-        assert eval_nf(nf, d, canon) == eval_gain(g, d)
+        expect = eval_gain(g, d)
+        assert eval_gain(nf_gain, d) == expect
+        # one evaluator, reused across supports of differing shape
+        assert shared.value(g, d) == expect
+        assert shared.value(nf_gain, d) == expect
+
+
+def test_shielded_negative_atom_is_not_reported():
+    # [x != 0] guards x - 1, whose value -1 at x = 0 carries multiplier 0;
+    # valuing on a prior and comparing on all priors must agree on that
+    p = parse_program("hidden x : int[0..3]\nskip\n")
+    check_program(p)
+    g = parse_gain("[x != 0] AND (x - 1)")
+    assert eval_gain(g, point(State(("x",), (0,)))) == 0
+    assert semantic_le(g, g, p.decls)
+    assert semantic_eq(g, g, p.decls)
 
 
 def test_semantic_le_strict_cases():
