@@ -30,7 +30,7 @@ from .errors import (
     LoopBoundExceeded,
     LoopNeedsInvariantOrBound,
 )
-from .gain import eval_gain, eval_gain_hyper
+from .gain import eval_gain, eval_gain_hyper, random_weights
 from .lang import check_gain, check_program, parse_gain, parse_program
 from .semantics import run as run_forward
 from .wp import DEFAULT_LOOP_BOUND, WpConfig, WpEngine
@@ -306,11 +306,8 @@ def _check_priors(args, executable):
         space = executable.states()
         rng = random.Random(seed)
         for k in range(count):
-            while True:
-                weights = [rng.randrange(0, 17) for _ in space]
-                total = sum(weights)
-                if total:
-                    break
+            weights = random_weights(len(space), rng)
+            total = sum(weights)
             yield f"random #{k}", Dist(
                 [(s, Fraction(w, total)) for s, w in zip(space, weights)]
             )

@@ -121,19 +121,13 @@ class ArrayDomain:
 # --- program states -----------------------------------------------------------
 
 
-_INDEX_CACHE = {}
-
-
-def _name_index(names):
-    m = _INDEX_CACHE.get(names)
-    if m is None:
-        m = {n: i for i, n in enumerate(names)}
-        _INDEX_CACHE[names] = m
-    return m
-
-
 class State:
-    """An immutable variable store with a total order and cached hash."""
+    """An immutable variable store with a total order and cached hash.
+
+    States of one declaration compare by their values tuple: each position
+    holds one domain's values, so the order is lexicographic, the order in
+    which `all_states` enumerates them.
+    """
 
     __slots__ = ("names", "values", "_hash")
 
@@ -143,10 +137,10 @@ class State:
         self._hash = hash(values)
 
     def get(self, name):
-        return self.values[_name_index(self.names)[name]]
+        return self.values[self.names.index(name)]
 
     def set(self, name, value):
-        i = _name_index(self.names)[name]
+        i = self.names.index(name)
         vals = self.values[:i] + (value,) + self.values[i + 1 :]
         return State(self.names, vals)
 
@@ -157,16 +151,10 @@ class State:
         return isinstance(other, State) and self.values == other.values
 
     def __lt__(self, other):
-        return self._sort_key() < other._sort_key()
+        return self.values < other.values
 
     def __le__(self, other):
-        return self._sort_key() <= other._sort_key()
-
-    def _sort_key(self):
-        # bool < int comparisons are fine, but keep mixed tuples sortable too
-        return tuple(
-            (1, len(v), v) if isinstance(v, tuple) else (0, 0, (v,)) for v in self.values
-        )
+        return self.values <= other.values
 
     def __hash__(self):
         return self._hash

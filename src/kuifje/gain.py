@@ -19,10 +19,11 @@ with one common divisor, memoizes atom values per state, and divides once
 at the top.  `eval_gain`/`eval_gain_hyper` are one-shot wrappers, and
 `semantic_le`/`semantic_eq` run their trial distributions through one.
 
-Atoms use a *total* semantics: inside an atom, a boolean sub-term that indexes
-out of bounds is false, and an atom whose numeric part cannot be evaluated on
-some state contributes 0 there.  Multiplication short-circuits on a zero left
-factor, so a guard Iverson really does shield the expression it multiplies.
+Atoms use a *total* semantics: inside an atom, an atomic boolean test that
+fails (out-of-bounds index, division by zero) is false under either polarity,
+and an atom whose numeric part cannot be evaluated on some state contributes
+0 there.  Multiplication short-circuits on a zero left factor, so a guard
+Iverson really does shield the expression it multiplies.
 
 The canonicalizer rewrites every atom into a sum of terms coeff*[pred]*factors
 with predicates in minimized disjunctive normal form, merges complementary
@@ -60,6 +61,7 @@ from .lang import (
     Not,
     RatLit,
     Var,
+    apply_op,
     eval_expr,
     expr_to_source,
     free_vars,
@@ -83,23 +85,27 @@ FALSE_DNF = frozenset()
 
 
 def eval_bool_total(e, state, env=None):
-    """Boolean evaluation where an out-of-range atomic test counts as false.
+    """Boolean evaluation where an atomic test that fails is false.
 
-    Negation is applied after that default, so `not (A[n] = x)` is true on a
-    state where n is past the end of A.  Connectives recurse structurally.
+    `not` is pushed down to the atomic tests (De Morgan through `and`/`or`),
+    so a failing test is false under either polarity: on a state where n is
+    past the end of A, `A[n] = x`, `A[n] != x` and `not (A[n] = x)` are all
+    false.
     """
+    return _bool_total(e, state, env, False)
+
+
+def _bool_total(e, state, env, neg):
+    # the value of e, or of `not e` when neg is set
     if isinstance(e, BoolOp):
-        if e.op == "and":
-            return eval_bool_total(e.left, state, env) and eval_bool_total(
-                e.right, state, env
-            )
-        return eval_bool_total(e.left, state, env) or eval_bool_total(
-            e.right, state, env
-        )
+        left = _bool_total(e.left, state, env, neg)
+        if (e.op == "and") != neg:
+            return left and _bool_total(e.right, state, env, neg)
+        return left or _bool_total(e.right, state, env, neg)
     if isinstance(e, Not):
-        return not eval_bool_total(e.arg, state, env)
+        return _bool_total(e.arg, state, env, not neg)
     try:
-        return bool(eval_expr(e, state, env))
+        return bool(eval_expr(e, state, env)) != neg
     except _EVAL_ERRORS:
         return False
 
@@ -109,23 +115,11 @@ def _eval_numeric(e, state, env):
     factor and Iverson brackets use the total boolean semantics."""
     if isinstance(e, Iverson):
         return 1 if eval_bool_total(e.arg, state, env) else 0
-    if isinstance(e, Bin) and e.op == "*":
-        a = _eval_numeric(e.left, state, env)
-        if a == 0:
-            return 0
-        return a * _eval_numeric(e.right, state, env)
     if isinstance(e, Bin):
         a = _eval_numeric(e.left, state, env)
-        b = _eval_numeric(e.right, state, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "&":
-            return a & b
-        if b == 0:
-            raise DivisionByZero(f"{e.op} by zero")
-        return a // b if e.op == "div" else a % b
+        if a == 0 and e.op == "*":
+            return 0
+        return apply_op(e.op, a, _eval_numeric(e.right, state, env))
     if isinstance(e, Neg):
         return -_eval_numeric(e.arg, state, env)
     if isinstance(e, MaxF):
@@ -289,12 +283,9 @@ class Canon:
     # ---- literals and DNF
 
     def _lit_value(self, lit, state, env=None):
+        """A literal's truth on a state; a failing test is false either way."""
         neg, atom = lit
-        try:
-            v = bool(eval_expr(atom, state, env))
-        except _EVAL_ERRORS:
-            v = False
-        return v != neg
+        return _bool_total(atom, state, env, neg)
 
     def pred_value(self, dnf, state, env=None):
         return any(
@@ -445,11 +436,7 @@ class Canon:
         if self._numeric_sides(left, right):
             left, right = self._shift_consts(left, right, op)
         if _is_const(left) and _is_const(right):
-            value = {
-                "=": _const_val(left) == _const_val(right),
-                "<": _const_val(left) < _const_val(right),
-                "<=": _const_val(left) <= _const_val(right),
-            }[op]
+            value = apply_op(op, _const_val(left), _const_val(right))
             return FALSE_DNF if value == neg else TRUE_DNF
         if op == "=":
             if _is_const(left) or (
@@ -578,9 +565,6 @@ class Canon:
             return TRUE_DNF
         return result
 
-    def pred_taut(self, dnf):
-        return self.minimize(dnf) == TRUE_DNF
-
     def pred_unsat(self, dnf):
         return self.minimize(dnf) == FALSE_DNF
 
@@ -629,13 +613,12 @@ class Canon:
         if isinstance(e, Bin):  # div mod &
             left = self.canon_num(e.left)
             right = self.canon_num(e.right)
-            if _is_const(left) and _is_const(right):
-                a, b = _const_val(left), _const_val(right)
-                if e.op == "&" and a.denominator == b.denominator == 1:
-                    return self._terms_of(_const_lit(int(a) & int(b)))
-                if e.op in ("div", "mod") and b != 0 and 1 == a.denominator == b.denominator:
-                    v = int(a) // int(b) if e.op == "div" else int(a) % int(b)
-                    return self._terms_of(_const_lit(v))
+            # canonical constants are IntLit exactly when integral
+            if isinstance(left, IntLit) and isinstance(right, IntLit):
+                try:
+                    return self._terms_of(IntLit(apply_op(e.op, left.value, right.value)))
+                except DivisionByZero:
+                    pass
             return [_Term(ONE, None, (Bin(e.op, left, right),))]
         if isinstance(e, (MaxF, MinF)):
             args = [self.canon_num(a) for a in e.args]
@@ -814,6 +797,8 @@ class Canon:
         return out
 
     def atom_vector(self, atom, names_key):
+        """The atom's values on the projected space, as (den, integer tuple):
+        the value on the i-th state is ints[i] / den."""
         vkey = (id(atom), names_key)
         if vkey in self._vectors:
             return self._vectors[vkey]
@@ -837,9 +822,12 @@ class Canon:
             except _EVAL_ERRORS:
                 total = ZERO
             values.append(total)
-        values = tuple(values)
-        self._vectors[vkey] = values
-        return values
+        den = lcm(*(x.denominator for x in values))
+        out = self._vectors[vkey] = (
+            den,
+            tuple(x.numerator * (den // x.denominator) for x in values),
+        )
+        return out
 
     # ---- normal form construction
 
@@ -899,22 +887,14 @@ class Canon:
         for a in atoms:
             union |= self.atom_vars(a)
         key, _ = self.space(union)
+        vecs = [(a, self.atom_vector(a, key)) for a in atoms]
+        # rescale to one common denominator, so vectors compare as integers
+        den = lcm(*(d for _, (d, _) in vecs))
         live = [
-            (a, v)
-            for a in atoms
-            for v in (self.atom_vector(a, key),)
-            if any(x != 0 for x in v)
+            (a, v if d == den else tuple(x * (den // d) for x in v))
+            for a, (d, v) in vecs
+            if any(v)
         ]
-        # integer-scaled vectors compare much faster than Fractions
-        den = 1
-        for _, v in live:
-            for x in v:
-                den = lcm(den, x.denominator)
-        if den <= 10**9:
-            live = [
-                (a, tuple(x.numerator * (den // x.denominator) for x in v))
-                for a, v in live
-            ]
         # equal vectors: keep the lexicographically smallest rendering
         byvec = {}
         for a, v in live:

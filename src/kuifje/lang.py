@@ -13,6 +13,7 @@ The parser is hand-rolled recursive descent over a regex lexer; positions are
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -906,18 +907,30 @@ def check_gain(gain, decls):
 
 # --- evaluation ---------------------------------------------------------------------
 
+# The meaning of every binary operator, shared by the evaluators and by the
+# canonicalizer's constant folding.  Integer div/mod follow floor division.
+OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "&": operator.and_,
+    "div": operator.floordiv, "mod": operator.mod,
+    "=": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def apply_op(op, a, b):
+    """`a op b` for a Bin or Cmp operator; div/mod by 0 raise DivisionByZero."""
+    if b == 0 and op in ("div", "mod"):
+        raise DivisionByZero(f"{op} by zero")
+    return OPS[op](a, b)
+
 
 def eval_expr(e, state, env=None):
     """Evaluate an expression in a State (env carries quantifier bindings).
 
     `and`/`or` are short-circuit, so guards like `n != N and A[n] != x` stay
-    total at the array boundary.  Integer div/mod follow floor-division.
+    total at the array boundary.
     """
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, RatLit):
-        return e.value
-    if isinstance(e, BoolLit):
+    if isinstance(e, (IntLit, RatLit, BoolLit)):
         return e.value
     if isinstance(e, Var):
         if env is not None and e.name in env:
@@ -931,31 +944,13 @@ def eval_expr(e, state, env=None):
         return arr[i]
     if isinstance(e, Neg):
         return -eval_expr(e.arg, state, env)
-    if isinstance(e, Bin):
+    if isinstance(e, (Bin, Cmp)):
         a = eval_expr(e.left, state, env)
-        b = eval_expr(e.right, state, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "&":
-            return a & b
-        if b == 0:
-            raise DivisionByZero(f"{e.op} by zero")
-        return a // b if e.op == "div" else a % b
+        return apply_op(e.op, a, eval_expr(e.right, state, env))
     if isinstance(e, MaxF):
         return max(eval_expr(a, state, env) for a in e.args)
     if isinstance(e, MinF):
         return min(eval_expr(a, state, env) for a in e.args)
-    if isinstance(e, Cmp):
-        a = eval_expr(e.left, state, env)
-        b = eval_expr(e.right, state, env)
-        return {
-            "=": a == b, "!=": a != b,
-            "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-        }[e.op]
     if isinstance(e, BoolOp):
         a = eval_expr(e.left, state, env)
         if e.op == "and":
@@ -1023,51 +1018,57 @@ def gain_vars(g):
     raise TypeCheckError(f"unknown gain expression {g!r}")
 
 
-def subst_expr(e, name, repl):
-    """Capture-free substitution of an expression for a scalar variable."""
-    if isinstance(e, Var):
-        return repl if e.name == name else e
+def map_expr(e, f):
+    """e's node rebuilt with f applied to each direct sub-expression.
+
+    Variables and literals have none and come back unchanged.
+    """
     if isinstance(e, Idx):
-        return Idx(e.name, subst_expr(e.index, name, repl), pos=e.pos)
+        return Idx(e.name, f(e.index), pos=e.pos)
+    if isinstance(e, (Bin, Cmp, BoolOp)):
+        return type(e)(e.op, f(e.left), f(e.right), pos=e.pos)
+    if isinstance(e, (Neg, Not, Iverson)):
+        return type(e)(f(e.arg), pos=e.pos)
+    if isinstance(e, (MaxF, MinF)):
+        return type(e)(tuple(f(a) for a in e.args), pos=e.pos)
     if isinstance(e, Mem):
-        lo = None if e.lo is None else subst_expr(e.lo, name, repl)
-        hi = None if e.hi is None else subst_expr(e.hi, name, repl)
-        return Mem(subst_expr(e.item, name, repl), e.array, lo, hi, e.negated, pos=e.pos)
-    if isinstance(e, Bin):
-        return Bin(e.op, subst_expr(e.left, name, repl), subst_expr(e.right, name, repl))
-    if isinstance(e, Cmp):
-        return Cmp(e.op, subst_expr(e.left, name, repl), subst_expr(e.right, name, repl))
-    if isinstance(e, BoolOp):
-        return BoolOp(
-            e.op, subst_expr(e.left, name, repl), subst_expr(e.right, name, repl)
-        )
-    if isinstance(e, Neg):
-        return Neg(subst_expr(e.arg, name, repl))
-    if isinstance(e, Not):
-        return Not(subst_expr(e.arg, name, repl))
-    if isinstance(e, Iverson):
-        return Iverson(subst_expr(e.arg, name, repl))
-    if isinstance(e, MaxF):
-        return MaxF(tuple(subst_expr(a, name, repl) for a in e.args))
-    if isinstance(e, MinF):
-        return MinF(tuple(subst_expr(a, name, repl) for a in e.args))
-    return e  # literals
+        lo = None if e.lo is None else f(e.lo)
+        hi = None if e.hi is None else f(e.hi)
+        return Mem(f(e.item), e.array, lo, hi, e.negated, pos=e.pos)
+    return e
+
+
+def map_gain(g, f):
+    """g with f applied to every atom and every AND scalar."""
+    if isinstance(g, GAtom):
+        return GAtom(f(g.expr), pos=g.pos)
+    if isinstance(g, (GMax, GPlus)):
+        return type(g)(map_gain(g.left, f), map_gain(g.right, f), pos=g.pos)
+    if isinstance(g, GAnd):
+        return GAnd(f(g.scalar), map_gain(g.body, f), pos=g.pos)
+    if isinstance(g, GQuantMax):
+        return GQuantMax(g.var, g.values, map_gain(g.body, f), pos=g.pos)
+    raise TypeCheckError(f"unknown gain expression {g!r}")
+
+
+def subst_expr(e, name, repl):
+    """Substitution of an expression for a scalar variable.
+
+    Capture cannot happen: program expressions never mention a quantifier
+    index, and the typechecker rejects an index that shadows a variable or
+    an outer index.
+    """
+
+    def go(x):
+        if isinstance(x, Var) and x.name == name:
+            return repl
+        return map_expr(x, go)
+
+    return go(e)
 
 
 def subst_gain(g, name, repl):
-    if isinstance(g, GAtom):
-        return GAtom(subst_expr(g.expr, name, repl), pos=g.pos)
-    if isinstance(g, GMax):
-        return GMax(subst_gain(g.left, name, repl), subst_gain(g.right, name, repl))
-    if isinstance(g, GPlus):
-        return GPlus(subst_gain(g.left, name, repl), subst_gain(g.right, name, repl))
-    if isinstance(g, GAnd):
-        return GAnd(subst_expr(g.scalar, name, repl), subst_gain(g.body, name, repl))
-    if isinstance(g, GQuantMax):
-        if g.var == name:  # shadowed; the typechecker already forbids this
-            return g
-        return GQuantMax(g.var, g.values, subst_gain(g.body, name, repl))
-    raise TypeCheckError(f"unknown gain expression {g!r}")
+    return map_gain(g, lambda e: subst_expr(e, name, repl))
 
 
 def _updated_element(k, idx, val, base, elem_is_bool):
@@ -1095,17 +1096,16 @@ def subst_array_elem(e, arr, idx, val, length, elem_is_bool):
 
     Reads of arr[k] become a blend over whether k hits the written slot, and
     membership tests over arr expand positionally (k ranges over the array,
-    guarded by the slice bounds).  idx and val are pre-state expressions and
-    are not rewritten; index expressions inside e are rewritten first, since
-    they are post-state reads.
+    guarded by the slice bounds, and by a definedness test so that it fails
+    where the original test fails).  idx and val are pre-state expressions
+    and are not rewritten; index expressions inside e are rewritten first,
+    since they are post-state reads.
     """
 
     def go(x):
         if isinstance(x, Idx) and x.name == arr:
             k = go(x.index)
             return _updated_element(k, idx, val, Idx(arr, k), elem_is_bool)
-        if isinstance(x, Idx):
-            return Idx(x.name, go(x.index), pos=x.pos)
         if isinstance(x, Mem) and x.array == arr:
             item = go(x.item)
             lo = None if x.lo is None else go(x.lo)
@@ -1131,57 +1131,25 @@ def subst_array_elem(e, arr, idx, val, length, elem_is_bool):
             out = disjuncts[0]
             for d in disjuncts[1:]:
                 out = BoolOp("or", out, d)
-            return Not(out) if x.negated else out
-        if isinstance(x, Mem):
-            lo = None if x.lo is None else go(x.lo)
-            hi = None if x.hi is None else go(x.hi)
-            return Mem(go(x.item), x.array, lo, hi, x.negated, pos=x.pos)
-        if isinstance(x, Bin):
-            return Bin(x.op, go(x.left), go(x.right))
-        if isinstance(x, Cmp):
-            return Cmp(x.op, go(x.left), go(x.right))
-        if isinstance(x, BoolOp):
-            return BoolOp(x.op, go(x.left), go(x.right))
-        if isinstance(x, Neg):
-            return Neg(go(x.arg))
-        if isinstance(x, Not):
-            return Not(go(x.arg))
-        if isinstance(x, Iverson):
-            return Iverson(go(x.arg))
-        if isinstance(x, MaxF):
-            return MaxF(tuple(go(a) for a in x.args))
-        if isinstance(x, MinF):
-            return MinF(tuple(go(a) for a in x.args))
-        return x
+            if x.negated:
+                out = Not(out)
+            # The same test read before the write fails exactly where x does
+            # (same item and bounds, same length).  `pre or not pre` holds
+            # exactly where it is defined and its negation never holds, so the
+            # guarded expansion, like the atomic x, is false under either
+            # polarity wherever x fails.
+            pre = Mem(item, arr, lo, hi, x.negated)
+            defined = BoolOp("or", pre, Not(pre))
+            return BoolOp("and", defined, BoolOp("or", Not(defined), out))
+        return map_expr(x, go)
 
     return go(e)
 
 
 def subst_array_elem_gain(g, arr, idx, val, length, elem_is_bool):
-    if isinstance(g, GAtom):
-        return GAtom(subst_array_elem(g.expr, arr, idx, val, length, elem_is_bool))
-    if isinstance(g, GMax):
-        return GMax(
-            subst_array_elem_gain(g.left, arr, idx, val, length, elem_is_bool),
-            subst_array_elem_gain(g.right, arr, idx, val, length, elem_is_bool),
-        )
-    if isinstance(g, GPlus):
-        return GPlus(
-            subst_array_elem_gain(g.left, arr, idx, val, length, elem_is_bool),
-            subst_array_elem_gain(g.right, arr, idx, val, length, elem_is_bool),
-        )
-    if isinstance(g, GAnd):
-        return GAnd(
-            subst_array_elem(g.scalar, arr, idx, val, length, elem_is_bool),
-            subst_array_elem_gain(g.body, arr, idx, val, length, elem_is_bool),
-        )
-    if isinstance(g, GQuantMax):
-        return GQuantMax(
-            g.var,
-            g.values,
-            subst_array_elem_gain(g.body, arr, idx, val, length, elem_is_bool),
-        )
-    raise TypeCheckError(f"unknown gain expression {g!r}")
+    return map_gain(
+        g, lambda e: subst_array_elem(e, arr, idx, val, length, elem_is_bool)
+    )
 
 
 # --- desugaring -----------------------------------------------------------------------

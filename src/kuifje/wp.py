@@ -70,6 +70,8 @@ from .lang import (
     eval_expr,
     expr_to_source,
     gain_to_source,
+    stmt_to_source,
+    subst_array_elem,
     subst_array_elem_gain,
     subst_expr,
     subst_gain,
@@ -80,7 +82,6 @@ from .semantics import DEFAULT_LOOP_BOUND, Executable
 @dataclass
 class WpConfig:
     loop_bound: int = DEFAULT_LOOP_BOUND
-    trials: int = 100
     seed: int = 42
     simplify: bool = True
     unsound_no_branch_leak: bool = False
@@ -131,15 +132,13 @@ class WpEngine:
             raise KuifjeError("program has no @post and no post-gain was given")
         if self.config.unsound_no_branch_leak:
             pre = self._unsound_pre(post)
-        elif self.config.trace:
-            body = self.program.body
-            stmts = body.stmts if isinstance(body, SSeq) else (body,)
-            pre = post
-            for s in reversed(stmts):
-                pre = self.wp(s, pre)
-                self._note(s, pre)
         else:
-            pre = self.wp(self.program.body, post)
+            body = self.program.body
+            pre = post
+            for s in reversed(body.stmts if isinstance(body, SSeq) else (body,)):
+                pre = self.wp(s, pre)
+                if self.config.trace:
+                    self._note(s, pre)
         if self.config.simplify:
             nf = simplify(pre, self.decls, self.canon)
         else:
@@ -169,8 +168,6 @@ class WpEngine:
         raise AssertionError(f"unhandled statement {stmt!r}")
 
     def _note(self, stmt, g):
-        from .lang import stmt_to_source
-
         label = stmt_to_source(stmt).split("\n")[0].strip()
         self.trace.append((label, simplify(g, self.decls, self.canon).render()))
 
@@ -263,21 +260,15 @@ class WpEngine:
         )
         lhs = candidate
         if self.config.simplify:
-            # Simplification preserves the value on every distribution, so
-            # the falsifier's verdict is unchanged; both sides shrink once
-            # instead of being re-walked per observation group.
+            # Both sides shrink once instead of being re-walked per
+            # observation group.  This is not exact where a cancelled term
+            # reads out of bounds (see Canon._shift_consts), so without
+            # simplification the falsifier compares the raw gains.
             lhs = simplify(candidate, self.decls, self.canon).as_gain()
             rhs = simplify(rhs, self.decls, self.canon).as_gain()
         rng = random.Random(self.config.seed)
         for states in self._loop_head_groups(stmt):
-            res = semantic_eq(
-                lhs,
-                rhs,
-                self.decls,
-                trials=self.config.trials,
-                states=states,
-                rng=rng,
-            )
+            res = semantic_eq(lhs, rhs, self.decls, states=states, rng=rng)
             if not res:
                 lhs_text = gain_to_source(candidate)
                 rhs_text = (
@@ -329,8 +320,6 @@ class WpEngine:
             if stmt.index is None:
                 return subst_expr(e, stmt.name, stmt.value)
             dom = self.domains[stmt.name]
-            from .lang import subst_array_elem
-
             return subst_array_elem(
                 e,
                 stmt.name,

@@ -199,6 +199,37 @@ def test_check_passes_with_random_priors():
     )
 
 
+@pytest.mark.parametrize(
+    "source, pre, priors",
+    [
+        # at n = 2 both A[n] tests fail; a failing test is false, also as `!=`
+        (
+            "hidden A : array[2] of int[0..1]\nhidden n : int[0..2]\nskip\n"
+            "@post { [A[n] != 1] MAX [n = 2] }\n",
+            "[A[n] != 1] MAX [n = 2]",
+            12,
+        ),
+        # at n = 2 the slice A[n + 1:] is out of range, so the test fails and
+        # is false even under `not`; the expansion under the write must too
+        (
+            "hidden A : array[2] of int[0..2]\nhidden n : int[0..2]\nA[0] := n\n"
+            "@post { [not (1 in A[n + 1:])] }\n",
+            "[1 notin A[1 + n:]]",
+            27,
+        ),
+    ],
+    ids=["not-equal", "negated-slice-under-write"],
+)
+def test_check_with_failing_reads_in_the_post(tmp_path, source, pre, priors):
+    prog = tmp_path / "probe.kuif"
+    prog.write_text(source)
+    p = cli("check", str(prog))
+    assert p.returncode == 0, p.stdout
+    assert p.stdout == (
+        f"PASS pre = {pre}\nchecked {priors} priors: {priors} agree, 0 disagree\n"
+    )
+
+
 def test_check_exhaustive_quiet_by_default():
     p = cli("check", corpus("branch_assign.kuif"), "--priors", "exhaustive")
     assert p.returncode == 0

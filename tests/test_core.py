@@ -1,5 +1,6 @@
 """Distributions, hypers, and their canonical forms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,15 @@ def test_state_repr():
 def test_state_ordering_is_total():
     sts = all_states(("x",), [IntRange(0, 3)])
     assert sorted(sts) == list(sts)
+    # a declaration mixing int, array and bool sorts into enumeration order
+    mixed = all_states(
+        ("x", "A", "b"),
+        [IntRange(-1, 1), ArrayDomain(2, IntRange(0, 2)), BoolDomain()],
+    )
+    shuffled = list(mixed)
+    random.Random(7).shuffle(shuffled)
+    assert sorted(shuffled) == mixed
+    assert all(s < t and s <= t and not t <= s for s, t in zip(mixed, mixed[1:]))
 
 
 # ---- distributions

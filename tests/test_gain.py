@@ -197,7 +197,38 @@ def test_atom_division_by_zero_contributes_zero():
 def test_atom_index_out_of_bounds_contributes_zero():
     s = State(("A", "n"), ((1, 2, 3), 3))
     assert eval_atom_total(parse_expr("[A[n] = 1]"), s) == 0
-    assert eval_bool_total(parse_expr("A[n] = 1"), s) is False
+    # a failing test is false under either polarity
+    for text in ("A[n] = 1", "A[n] != 1", "not (A[n] = 1)", "not (A[n] < 1 or n = 0)"):
+        assert eval_bool_total(parse_expr(text), s) is False
+    assert eval_bool_total(parse_expr("not (A[n] = 1 and n = 0)"), s) is True
+
+
+PROBE = """\
+hidden A : array[2] of int[0..1]
+hidden n : int[0..2]
+hidden B : array[2] of bool
+skip
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[A[n] != 1] MAX [n = 2]",
+        "[not (A[n] = 1)] MAX [n = 2]",
+        "[not (A[n] < 1)]",
+        "[B[n] = false]",
+        "[not (B[n] or A[n] = 0)] PLUS [n != 0]",
+    ],
+)
+def test_simplify_keeps_value_where_a_test_fails(text):
+    p = parse_program(PROBE)
+    check_program(p)
+    g = parse_gain(text)
+    simple = simplify(g, p.decls).as_gain()
+    names = tuple(d.name for d in p.decls)
+    for s in all_states(names, [d.domain for d in p.decls]):
+        assert eval_gain(simple, point(s)) == eval_gain(g, point(s)), s
 
 
 def test_multiplication_short_circuits_zero_left_factor():

@@ -15,9 +15,17 @@ from kuifje.errors import (
     KuifjeError,
     LoopNeedsInvariantOrBound,
 )
-from kuifje.gain import eval_gain, eval_gain_hyper, semantic_eq
-from kuifje.lang import check_program, parse_expr, parse_gain, parse_program
-from kuifje.semantics import classical_run, run
+from kuifje.gain import eval_gain, eval_gain_hyper, semantic_eq, simplify
+from kuifje.lang import (
+    check_gain,
+    check_program,
+    parse_expr,
+    parse_gain,
+    parse_program,
+    subst_array_elem_gain,
+    subst_gain,
+)
+from kuifje.semantics import Executable, classical_run, run
 from kuifje.wp import WpConfig, WpEngine, classical_expectation, classical_wp, wp
 
 F = Fraction
@@ -56,6 +64,69 @@ def test_wp_assign_array_element_blends():
     assert eval_gain(res.pre, d_hit) == 1
     assert eval_gain(res.pre, d_miss) == 0
     assert eval_gain(res.pre, d_already) == 1
+
+
+LEMMA_DECLS = "hidden A : array[2] of int[0..2]\nhidden n : int[0..2]\nhidden b : bool\n"
+
+LEMMA_GAINS = [
+    "[A[n] = 1]",
+    "[A[n] != 1] MAX [n = 2]",
+    "[not (A[n] < 1)] PLUS [b]",
+    "[1 in A[n:]]",
+    "[1 in A[:n + 1]] PLUS [0 notin A[n - 1:]]",
+    "[2 notin A[:n]] MAX [n in A]",
+    "[b] AND (A[1] PLUS [n = 0])",
+    "MAX i in 0..2: [A[i] = n] PLUS [b]",
+    "[n != 0] * (A[1] div n) MAX max(A[0], n) MAX min(n, A[1] + 1)",
+    "[not (b and A[n] = 2)] AND (A[0] & n)",
+    "[not (1 in A[n + 1:])]",
+    "[not (0 notin A[n - 1:])] PLUS [not (2 in A[:n + 1])]",
+    "[not (A[n] in A[1:1])] MAX [not (A[n] notin A[2:])]",
+]
+
+# simplify rejects a boolean equality unless one side is `true` or `false`,
+# so this one is checked raw only
+LEMMA_RAW_GAINS = ["[b = (A[n] = 0)]"]
+
+LEMMA_ASSIGNS = [
+    "n := 2 - n",
+    "n := A[n]",
+    "n := (n + A[0]) mod 3",
+    "b := A[n] = 1",
+    "b := not b or n = 0",
+    "A[n] := 2 - A[n]",
+    "A[0] := n",
+    "A[1] := A[n]",
+    "A[n + 1] := 1",
+]
+
+
+@pytest.mark.parametrize("assign", LEMMA_ASSIGNS)
+def test_substitution_lemma(assign):
+    # the value of the substituted gain before the assignment, raw and
+    # simplified, equals the value of the gain after it, on every state where
+    # the assignment runs; the gains read out of bounds on some of those states
+    p = make(LEMMA_DECLS + assign)
+    stmt = p.body
+    ex = Executable(p)
+    cases = 0
+    for text in LEMMA_GAINS + LEMMA_RAW_GAINS:
+        g = check_gain(parse_gain(text), p.decls)
+        if stmt.index is None:
+            pre = subst_gain(g, stmt.name, stmt.value)
+        else:
+            pre = subst_array_elem_gain(g, stmt.name, stmt.index, stmt.value, 2, False)
+        simple = pre if text in LEMMA_RAW_GAINS else simplify(pre, p.decls).as_gain()
+        for s in ex.states():
+            try:
+                after = ex.classical_run(point(s))
+            except KuifjeError:
+                continue
+            want = eval_gain(g, after)
+            assert eval_gain(pre, point(s)) == want, (text, s)
+            assert eval_gain(simple, point(s)) == want, (text, s)
+            cases += 1
+    assert cases >= len(LEMMA_GAINS + LEMMA_RAW_GAINS) * 18
 
 
 def test_wp_print_splits_by_attained_value():
