@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .core import Dist, State, _fmt_value, all_states, uniform
+from .core import Dist, Hyper, State, _fmt_value, all_states, point, uniform
 from .errors import (
     BoundTooSmall,
     InvariantCheckFailed,
@@ -30,7 +30,7 @@ from .errors import (
     LoopBoundExceeded,
     LoopNeedsInvariantOrBound,
 )
-from .gain import eval_gain, eval_gain_hyper, random_weights
+from .gain import GainEvaluator, eval_gain, eval_gain_hyper, random_weights
 from .lang import check_gain, check_program, parse_gain, parse_program
 from .semantics import run as run_forward
 from .wp import DEFAULT_LOOP_BOUND, WpConfig, WpEngine
@@ -85,7 +85,18 @@ def _parse_value(text):
         if not body:
             return ()
         return tuple(_parse_value(part) for part in body.split(","))
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise KuifjeError(f"bad value {text!r} in prior") from None
+
+
+def _prob(text):
+    """An exact probability from its text, or a KuifjeError naming the text."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise KuifjeError(f"bad probability {text!r}") from None
 
 
 def _parse_bindings(text, decls):
@@ -117,7 +128,7 @@ def _prior_from_lines(text, decls):
         if ":" not in line:
             raise KuifjeError(f"bad prior line {line!r} (want bindings : prob)")
         left, _, prob = line.rpartition(":")
-        pairs.append((_parse_bindings(left, decls), Fraction(prob.strip())))
+        pairs.append((_parse_bindings(left, decls), _prob(prob.strip())))
     if not pairs:
         raise KuifjeError("prior file/directive contains no entries")
     return Dist(pairs)
@@ -144,7 +155,7 @@ def _prior_product(spec, decls):
                     raise KuifjeError(
                         f"prior value {name}={vtext.strip()} is outside its domain"
                     )
-                entries.append((v, Fraction(ptext.strip())))
+                entries.append((v, _prob(ptext.strip())))
             marginals[name] = entries
         else:
             raise KuifjeError(f"bad product factor {chunk!r}")
@@ -194,8 +205,6 @@ def hyper_to_json(hyper):
 
 
 def hyper_from_json(doc, decls):
-    from .core import Hyper
-
     names = tuple(d.name for d in decls)
     by_name = {d.name: d for d in decls}
     pairs = []
@@ -211,8 +220,8 @@ def hyper_from_json(doc, decls):
                 if not by_name[n].domain.contains(v):
                     raise KuifjeError(f"hyper value {n}={v!r} is outside its domain")
                 vals.append(v)
-            inner_pairs.append((State(names, tuple(vals)), Fraction(cell["prob"])))
-        pairs.append((Dist(inner_pairs), Fraction(group["weight"])))
+            inner_pairs.append((State(names, tuple(vals)), _prob(cell["prob"])))
+        pairs.append((Dist(inner_pairs), _prob(group["weight"])))
     return Hyper(pairs)
 
 
@@ -294,7 +303,7 @@ def _check_priors(args, executable):
     spec = args.priors
     if spec == "exhaustive":
         for s in executable.states():
-            yield f"point {_state_line(s)}", Dist([(s, Fraction(1))])
+            yield f"point {_state_line(s)}", point(s)
         return
     if spec.startswith("random:"):
         import random
@@ -307,10 +316,7 @@ def _check_priors(args, executable):
         rng = random.Random(seed)
         for k in range(count):
             weights = random_weights(len(space), rng)
-            total = sum(weights)
-            yield f"random #{k}", Dist(
-                [(s, Fraction(w, total)) for s, w in zip(space, weights)]
-            )
+            yield f"random #{k}", Dist.from_weights(dict(zip(space, weights)))
         return
     raise KuifjeError(f"bad --priors {spec!r}")
 
@@ -321,11 +327,13 @@ def cmd_check(args):
     engine = WpEngine(program, _wp_config(args))
     result = engine.wp_program(post)
     executable = engine.executable  # its tables are warm from wp's loop analysis
+    # one evaluator values every atom on every state at most once
+    ev = GainEvaluator(executable.states())
     ok = bad = 0
     for label, prior in _check_priors(args, executable):
-        lhs = eval_gain(result.pre, prior)
+        lhs = ev.value(result.pre, prior)
         hyper = executable.run(prior, loop_bound=args.loop_bound)
-        rhs = eval_gain_hyper(post, hyper)
+        rhs = ev.hyper_value(post, hyper)
         if lhs == rhs:
             ok += 1
             if args.verbose:
@@ -349,9 +357,14 @@ def cmd_eval(args):
     g = parse_gain(args.gain)
     check_gain(g, program.decls)
     if args.hyper:
-        with open(args.hyper) as f:
-            doc = json.load(f)
-        value = eval_gain_hyper(g, hyper_from_json(doc, program.decls))
+        try:
+            with open(args.hyper) as f:
+                hyper = hyper_from_json(json.load(f), program.decls)
+        except (OSError, ValueError, TypeError) as exc:
+            raise KuifjeError(f"cannot read hyper {args.hyper}: {exc}") from None
+        except KeyError as exc:
+            raise KuifjeError(f"hyper {args.hyper} lacks the field {exc}") from None
+        value = eval_gain_hyper(g, hyper)
     elif args.prior:
         value = eval_gain(g, load_prior(args.prior, program.decls))
     else:

@@ -1,25 +1,21 @@
 """Exact probability kernel: states, distributions, hyper-distributions.
 
-All probabilities are `fractions.Fraction` values, never floats.  A Dist is a
-finite probability distribution in canonical form (entries sorted, zero
-probabilities pruned, probabilities summing to exactly one).  A Hyper is a
-distribution over distributions, again canonical: equal inner distributions
-are merged by adding their outer weights.
-
-Canonical form gives structural equality the right meaning: two pipelines
-that produce the same knowledge state produce equal Hyper values.
+Probabilities are exact, never floats.  A Dist holds positive integer weights
+in one canonical form (see `Dist`), so two pipelines that produce the same
+distribution produce equal values.  A Hyper is a Dist whose elements are
+Dists.  `Dist(pairs)` and `Hyper(pairs)` validate outside probabilities;
+`Dist.from_weights` takes the package's own integer weights, exact by
+construction, and validates nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NegativeProbability, SumNotOne
 
-Rational = Fraction
-
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _fmt_value(v):
@@ -177,64 +173,96 @@ def all_states(names, domains):
 
 
 class Dist:
-    """A finite discrete distribution with exact rational probabilities."""
+    """A finite discrete distribution with exact rational probabilities.
 
-    __slots__ = ("entries", "_hash")
+    Stored as `weights`, (element, positive int) pairs sorted by element with
+    gcd 1, and `den`, their sum: element e has probability w/den.  Equal
+    distributions therefore have equal `weights`, which equality and hashing
+    read.  `entries` is the same distribution as (element, Fraction) pairs.
+    """
 
-    def __init__(self, pairs, _canonical=False):
-        if _canonical:
-            self.entries = pairs
-        else:
-            acc = {}
-            for elem, p in pairs:
-                p = Fraction(p)
-                if p < 0:
-                    raise NegativeProbability(f"probability {p} for {elem!r}")
-                if p == 0:
-                    continue
+    __slots__ = ("weights", "den", "_entries", "_hash")
+
+    def __init__(self, pairs):
+        self._check(pairs, "probability {p} for {elem!r}", "probabilities")
+
+    @classmethod
+    def from_weights(cls, weights):
+        """The distribution giving each element of `{element: int}` its weight
+        over their sum.  Weights are non-negative and not all zero; zero
+        weights are dropped."""
+        self = object.__new__(cls)
+        self._canon({e: w for e, w in weights.items() if w})
+        return self
+
+    def _check(self, pairs, negative, what):
+        """Validate outside (element, probability) pairs and canonicalize."""
+        acc = {}
+        for elem, p in pairs:
+            p = Fraction(p)
+            if p < 0:
+                raise NegativeProbability(negative.format(p=p, elem=elem))
+            if p:
                 acc[elem] = acc.get(elem, ZERO) + p
-            total = sum(acc.values(), ZERO)
-            if total != 1:
-                raise SumNotOne(f"probabilities sum to {total}, not 1")
-            self.entries = tuple(sorted(acc.items()))
-        self._hash = hash(self.entries)
+        total = sum(acc.values(), ZERO)
+        if total != 1:
+            raise SumNotOne(f"{what} sum to {total}, not 1")
+        den = lcm(*(p.denominator for p in acc.values()))
+        self._canon({e: p.numerator * (den // p.denominator) for e, p in acc.items()})
+
+    def _canon(self, acc):
+        """Set the canonical form from `{element: positive int}`."""
+        g = gcd(*acc.values())
+        self.weights = tuple(sorted((e, w // g) for e, w in acc.items()))
+        self.den = sum(acc.values()) // g
+        self._entries = None
+        self._hash = hash(self.weights)
+
+    @property
+    def entries(self):
+        """(element, Fraction probability) pairs, built on first use."""
+        if self._entries is None:
+            den = self.den
+            self._entries = tuple((e, Fraction(w, den)) for e, w in self.weights)
+        return self._entries
 
     def support(self):
-        return tuple(e for e, _ in self.entries)
+        return tuple(e for e, _ in self.weights)
 
     def prob(self, elem):
-        for e, p in self.entries:
+        for e, w in self.weights:
             if e == elem:
-                return p
+                return Fraction(w, self.den)
         return ZERO
 
     def expectation(self, f):
-        return sum((p * f(e) for e, p in self.entries), ZERO)
+        return sum((w * f(e) for e, w in self.weights), ZERO) / self.den
 
     def map(self, f):
-        """Push the distribution forward through f (merging collisions).
-
-        The entries are already exact, positive, and sum to one, and merging
-        preserves all three, so this skips the validating constructor.
-        """
+        """Push the distribution forward through f (merging collisions)."""
         acc = {}
-        for e, p in self.entries:
+        for e, w in self.weights:
             k = f(e)
-            q = acc.get(k)
-            acc[k] = p if q is None else q + p
-        return Dist(tuple(sorted(acc.items())), _canonical=True)
+            acc[k] = acc.get(k, 0) + w
+        return Dist.from_weights(acc)
 
     def __eq__(self, other):
-        return isinstance(other, Dist) and self.entries == other.entries
+        return isinstance(other, Dist) and self.weights == other.weights
 
     def __lt__(self, other):
-        return self.entries < other.entries
+        """The order of `entries`, compared without building Fractions."""
+        for (e, w), (f, v) in zip(self.weights, other.weights):
+            if e != f:
+                return e < f
+            if w * other.den != v * self.den:
+                return w * other.den < v * self.den
+        return len(self.weights) < len(other.weights)
 
     def __hash__(self):
         return self._hash
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.weights)
 
     def __repr__(self):
         inner = ", ".join(f"{e!r}: {p}" for e, p in self.entries)
@@ -248,7 +276,7 @@ def dist_from_entries(pairs):
 
 def point(elem):
     """The distribution putting all mass on one element."""
-    return Dist(((elem, ONE),), _canonical=True)
+    return Dist.from_weights({elem: 1})
 
 
 def uniform(elements):
@@ -264,58 +292,30 @@ def expectation(dist, f):
 # --- hyper-distributions ------------------------------------------------------
 
 
-class Hyper:
-    """A distribution over distributions (an observer's knowledge state)."""
+class Hyper(Dist):
+    """A distribution over distributions (an observer's knowledge state).
 
-    __slots__ = ("entries", "_hash")
+    Its elements are the inner Dists, ordered as their `entries` are, and its
+    weights are their outer weights.
+    """
 
-    def __init__(self, pairs, _canonical=False):
-        if _canonical:
-            self.entries = pairs
-        else:
-            acc = {}
-            for inner, w in pairs:
-                w = Fraction(w)
-                if w < 0:
-                    raise NegativeProbability(f"outer weight {w}")
-                if w == 0:
-                    continue
-                acc[inner] = acc.get(inner, ZERO) + w
-            total = sum(acc.values(), ZERO)
-            if total != 1:
-                raise SumNotOne(f"outer weights sum to {total}, not 1")
-            self.entries = tuple(sorted(acc.items(), key=lambda kv: kv[0].entries))
-        self._hash = hash(self.entries)
+    __slots__ = ()
 
-    def inners(self):
-        return tuple(d for d, _ in self.entries)
+    def __init__(self, pairs):
+        self._check(pairs, "outer weight {p}", "outer weights")
 
-    def weight(self, inner):
-        for d, w in self.entries:
-            if d == inner:
-                return w
-        return ZERO
-
-    def expectation(self, f):
-        """Average f over the inner distributions."""
-        return sum((w * f(d) for d, w in self.entries), ZERO)
+    inners = Dist.support
+    weight = Dist.prob
 
     def avg(self):
         """Flatten back to a single distribution (the observer forgets)."""
+        den = lcm(*(d.den for d, _ in self.weights))
         acc = {}
-        for inner, w in self.entries:
-            for e, p in inner.entries:
-                acc[e] = acc.get(e, ZERO) + w * p
-        return Dist(tuple(sorted(acc.items())), _canonical=True)
-
-    def __eq__(self, other):
-        return isinstance(other, Hyper) and self.entries == other.entries
-
-    def __hash__(self):
-        return self._hash
-
-    def __len__(self):
-        return len(self.entries)
+        for d, w in self.weights:
+            k = w * (den // d.den)
+            for e, v in d.weights:
+                acc[e] = acc.get(e, 0) + k * v
+        return Dist.from_weights(acc)
 
     def __repr__(self):
         inner = ", ".join(f"{w} @ {d!r}" for d, w in self.entries)
@@ -327,25 +327,9 @@ def hyper_reduce(pairs):
     return Hyper(pairs)
 
 
-def _hyper_merge(pairs):
-    """Trusted hyper_reduce for interpreter-internal pairs.
-
-    Callers guarantee exact positive weights summing to one (channel splits
-    and Markov pushes preserve mass), so only merging and the canonical sort
-    remain.
-    """
-    acc = {}
-    for inner, w in pairs:
-        q = acc.get(inner)
-        acc[inner] = w if q is None else q + w
-    return Hyper(
-        tuple(sorted(acc.items(), key=lambda kv: kv[0].entries)), _canonical=True
-    )
-
-
 def unit(dist):
     """Embed a distribution as the trivial (no-knowledge-gained) hyper."""
-    return Hyper(((dist, ONE),), _canonical=True)
+    return Hyper.from_weights({dist: 1})
 
 
 def avg(hyper):

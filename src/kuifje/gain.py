@@ -162,12 +162,15 @@ class GainEvaluator:
 
     def value(self, g, dist, env=None):
         """g's exact value on dist, whose support lies in the states."""
-        den = lcm(*(p.denominator for _, p in dist.entries))
         index = self._index
-        support = [
-            (index[s], p.numerator * (den // p.denominator)) for s, p in dist.entries
-        ]
-        return self.weighted_value(g, support, den, env)
+        support = [(index[s], w) for s, w in dist.weights]
+        return self.weighted_value(g, support, dist.den, env)
+
+    def hyper_value(self, g, hyper, env=None):
+        """g's value on a hyper, whose inners' supports lie in the states:
+        the average of its values on the inners."""
+        total = sum((w * self.value(g, d, env) for d, w in hyper.weights), ZERO)
+        return total / hyper.den
 
     def weighted_value(self, g, support, den=1, env=None):
         """g's value on the distribution giving states[i] probability w/den,
@@ -218,10 +221,10 @@ def eval_gain(g, dist, env=None):
 
 
 def eval_gain_hyper(g, hyper, env=None):
-    """The gain's value against a hyper: average of per-posterior values."""
-    states = dict.fromkeys(s for d, _ in hyper.entries for s, _ in d.entries)
-    ev = GainEvaluator(states)
-    return sum((w * ev.value(g, d, env) for d, w in hyper.entries), ZERO)
+    """The gain's value against a hyper: average of per-posterior values
+    (one-shot)."""
+    states = dict.fromkeys(s for d in hyper.inners() for s in d.support())
+    return GainEvaluator(states).hyper_value(g, hyper, env)
 
 
 # --- canonicalization ---------------------------------------------------------------
@@ -1022,7 +1025,7 @@ def _compare(g1, g2, decls, relation, trials, seed, states, rng):
         r = ev.weighted_value(g2, support, total)
         bad = (l > r) if relation == "<=" else (l != r)
         if bad:
-            witness = Dist([(ev.states[i], Fraction(p, total)) for i, p in support])
+            witness = Dist.from_weights({ev.states[i]: w for i, w in support})
             return CompareResult(False, relation, witness, l, r)
     return CompareResult(True, relation)
 

@@ -20,7 +20,9 @@ the object.
 
 from __future__ import annotations
 
-from .core import Dist, State, _hyper_merge, all_states, unit
+from math import lcm
+
+from .core import Dist, Hyper, State, all_states, unit
 from .errors import DivisionByZero, DomainViolation, IndexOutOfBounds, LoopBoundExceeded
 from .lang import (
     SAssign,
@@ -192,27 +194,24 @@ class Executable:
 
     def _denote(self, stmt, hyper, bound):
         """Group each inner's states by trace (the cascade of guard and print
-        channels) and push each group through the final-state map."""
-        pairs = []
-        for d, w in hyper.entries:
+        channels) and push each group through the final-state map.  A group
+        of inner d, outer weight w, has weight w * (its mass in d) over `den`.
+        """
+        den = lcm(*(d.den for d, _ in hyper.weights))
+        acc = {}
+        for d, w in hyper.weights:
+            scale = w * (den // d.den)
             buckets = {}
-            for s, p in d.entries:
+            for s, v in d.weights:
                 trace, fin, _ = self._exec(stmt, s, bound)
                 if not isinstance(fin, State):
                     _raise(fin)
                 bucket = buckets.setdefault(trace, {})
-                q = bucket.get(fin)
-                bucket[fin] = p if q is None else q + p
+                bucket[fin] = bucket.get(fin, 0) + v
             for fins in buckets.values():
-                bw = None  # exact bucket mass
-                for q in fins.values():
-                    bw = q if bw is None else bw + q
-                inner = Dist(
-                    tuple(sorted((f, q / bw) for f, q in fins.items())),
-                    _canonical=True,
-                )
-                pairs.append((inner, w * bw))
-        return _hyper_merge(pairs)
+                inner = Dist.from_weights(fins)
+                acc[inner] = acc.get(inner, 0) + scale * sum(fins.values())
+        return Hyper.from_weights(acc)
 
     def run(self, prior, loop_bound=DEFAULT_LOOP_BOUND, trace=None):
         """The program as a Hyper transformer, applied to `prior`.
@@ -231,13 +230,12 @@ class Executable:
     def classical_run(self, prior, loop_bound=DEFAULT_LOOP_BOUND):
         """Run forgetting all observations: the plain output distribution."""
         acc = {}
-        for s, p in prior.entries:
+        for s, v in prior.weights:
             _, fin, _ = self._exec(self.program.body, s, loop_bound)
             if not isinstance(fin, State):
                 _raise(fin)
-            q = acc.get(fin)
-            acc[fin] = p if q is None else q + p
-        return Dist(tuple(sorted(acc.items())), _canonical=True)
+            acc[fin] = acc.get(fin, 0) + v
+        return Dist.from_weights(acc)
 
     # ---- loop heads, read back from the tables (nothing is evaluated here)
 

@@ -3,17 +3,16 @@
 Used by both the wp unit tests and the acceptance suite.  The engines and
 backwards results are cached per corpus program so one pytest session pays
 for each analysis exactly once, forward runs reuse the engine's executable,
-whose tables are already warm, and pre-gains are valued by one evaluator per
-program, which evaluates each atom on each state once.
+whose tables are already warm, and pre- and post-gains are valued by one
+evaluator per program, which evaluates each atom on each state once.
 """
 
 import glob
 import os
 import random
-from fractions import Fraction
 
 from kuifje.core import Dist, point
-from kuifje.gain import GainEvaluator, eval_gain_hyper
+from kuifje.gain import GainEvaluator
 from kuifje.lang import check_program, parse_program
 from kuifje.wp import WpEngine
 
@@ -74,14 +73,7 @@ def priors_for(states, n_random, seed):
         w = [rng.randint(0, 16) for _ in states]
         if not any(w):
             w[rng.randrange(len(states))] = 1
-        total = sum(w)
-        # Entries are sorted, positive, and sum to one by construction.
-        out.append(
-            Dist(
-                tuple((s, Fraction(wi, total)) for s, wi in zip(states, w) if wi),
-                _canonical=True,
-            )
-        )
+        out.append(Dist.from_weights(dict(zip(states, w))))
     return out
 
 
@@ -98,7 +90,7 @@ def check_soundness(name, n_random=100, seed=20260816):
     checked = 0
     for prior in priors_for(ev.states, n_random, seed):
         lhs = ev.value(pre, prior)
-        rhs = eval_gain_hyper(p.post, engine.executable.run(prior))
+        rhs = ev.hyper_value(p.post, engine.executable.run(prior))
         assert lhs == rhs, (
             f"{name}: pre-gain gives {lhs} on {prior!r} "
             f"but the forward run is worth {rhs}"

@@ -309,6 +309,34 @@ def test_missing_file_exit_2():
     assert p.stderr.startswith("error:")
 
 
+_NO_PROB_CELL = {"hyper": [{"weight": "1", "inner": [{"state": {"x": 0}}]}]}
+
+
+@pytest.mark.parametrize(
+    "args, hyper_text, named",
+    [
+        (("run", "--prior", "x=1 : abc"), None, "'abc'"),
+        (("run", "--prior", "x=zz : 1"), None, "'zz'"),
+        (("run", "--prior", "x=1 : 1/0"), None, "'1/0'"),
+        (("run", "--prior", "product x:{1:1/2,2:xx}"), None, "'xx'"),
+        (("eval", "--gain", "[x = 0]"), json.dumps(_NO_PROB_CELL), "'prob'"),
+        (("eval", "--gain", "[x = 0]"), "not json {", "h.json"),
+    ],
+)
+def test_malformed_prior_or_hyper_exit_2(tmp_path, args, hyper_text, named):
+    command, *rest = args
+    if hyper_text is not None:
+        hyper_file = tmp_path / "h.json"
+        hyper_file.write_text(hyper_text)
+        rest += ["--hyper", str(hyper_file)]
+    p = cli(command, corpus("threshold_print.kuif"), *rest)
+    assert p.returncode == 2
+    assert p.stderr.startswith("error:")
+    assert named in p.stderr.splitlines()[0]
+    assert "Traceback" not in p.stderr
+    assert p.stdout == ""
+
+
 # ---- determinism: identical bytes under different hash seeds
 
 

@@ -164,6 +164,32 @@ def test_hyper_reduce_orders_deterministically():
     assert a.entries == b.entries
 
 
+def test_hyper_orders_inners_by_their_probabilities():
+    halves = Dist([(S[0], H), (S[1], H)])
+    thirds = Dist([(S[0], Fraction(1, 3)), (S[1], Fraction(2, 3))])
+    for pairs in ([(halves, H), (thirds, H)], [(thirds, H), (halves, H)]):
+        # 1/3 < 1/2 on S[0]; the reduced weights, (1, 1) and (1, 2), would
+        # put the halves first
+        assert Hyper(pairs).inners() == (thirds, halves)
+
+
+def test_equal_dists_from_different_denominators_are_equal():
+    thirds = Dist([(S[0], Fraction(1, 3)), (S[1], Fraction(2, 3))])
+    sixths = Dist(
+        [(S[1], Fraction(4, 6)), (S[0], Fraction(1, 6)), (S[0], Fraction(1, 6))]
+    )
+    mixed = avg(Hyper([(point(S[0]), Fraction(1, 4)), (uniform(S[:2]), H),
+                       (point(S[1]), Fraction(1, 4))]))
+    doubled = uniform(S).map(lambda s: S[0] if s.get("x") < 2 else S[1])
+    assert sixths == thirds and hash(sixths) == hash(thirds)
+    assert mixed == doubled == uniform(S[:2])
+    assert hash(mixed) == hash(doubled) == hash(uniform(S[:2]))
+    h1 = Hyper([(thirds, Fraction(2, 6)), (point(S[2]), Fraction(4, 6))])
+    h2 = Hyper([(point(S[2]), Fraction(2, 3)), (sixths, Fraction(1, 3))])
+    assert h1 == h2 and hash(h1) == hash(h2)
+    assert len({thirds, sixths}) == 1
+
+
 # ---- algebraic laws on random data
 
 weights4 = st.lists(
