@@ -15,9 +15,11 @@ with first flattening to the normal form "MAX over atoms" and then taking the
 best expected atom.  We therefore never need to expand the (exponentially
 large) normal form just to evaluate.  One class, `GainEvaluator`, computes
 that value: it reads a distribution as integer weights over indexed states
-with one common divisor, memoizes atom values per state, and divides once
-at the top.  `eval_gain`/`eval_gain_hyper` are one-shot wrappers, and
-`semantic_le`/`semantic_eq` run their trial distributions through one.
+with one common divisor, and divides once at the top.  Each atom is
+compiled once (`lang.compile_expr`) and its values are kept in a column,
+one slot per state, filled in as distributions need them; the columns die
+with the evaluator.  `eval_gain`/`eval_gain_hyper` are one-shot wrappers,
+and `semantic_le`/`semantic_eq` run their trial distributions through one.
 
 Atoms use a *total* semantics: inside an atom, an atomic boolean test that
 fails (out-of-bounds index, division by zero) is false under either polarity,
@@ -28,7 +30,10 @@ Iverson really does shield the expression it multiplies.
 The canonicalizer rewrites every atom into a sum of terms coeff*[pred]*factors
 with predicates in minimized disjunctive normal form, merges complementary
 and disjoint guarded terms, and renders deterministically; `simplify` prunes
-atoms that are pointwise dominated on the declared state space.
+atoms that are pointwise dominated on the declared state space.  It decides
+predicates on bitmasks over projected state spaces, one per literal, and
+values atoms from integer factor columns under those masks; like the
+evaluator's, its columns die with it.
 """
 
 from __future__ import annotations
@@ -36,11 +41,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .core import Dist, State, all_states
-from .errors import DivisionByZero, IndexOutOfBounds, NegativeAtom, TypeCheckError
+from .core import Dist, all_states
+from .errors import DivisionByZero, NegativeAtom, TypeCheckError
 from .lang import (
+    EVAL_ERRORS,
+    NEGATED_TEST,
+    NUMERIC,
+    TEST,
     Bin,
     BoolLit,
     BoolOp,
@@ -50,7 +59,6 @@ from .lang import (
     GMax,
     GPlus,
     GQuantMax,
-    GainExpr,
     IntLit,
     Idx,
     Iverson,
@@ -62,17 +70,14 @@ from .lang import (
     RatLit,
     Var,
     apply_op,
-    eval_expr,
+    compile_expr,
     expr_to_source,
     free_vars,
-    gain_vars,
     subst_gain,
 )
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-_EVAL_ERRORS = (IndexOutOfBounds, DivisionByZero)
 
 # DNF encoding: a predicate is a frozenset of conjunctions; a conjunction is a
 # frozenset of literals; a literal is (negated, atom-Expr).  TRUE is the DNF
@@ -92,52 +97,39 @@ def eval_bool_total(e, state, env=None):
     past the end of A, `A[n] = x`, `A[n] != x` and `not (A[n] = x)` are all
     false.
     """
-    return _bool_total(e, state, env, False)
+    return compile_expr(e, state.names, TEST)(state.values, env)
 
 
-def _bool_total(e, state, env, neg):
-    # the value of e, or of `not e` when neg is set
-    if isinstance(e, BoolOp):
-        left = _bool_total(e.left, state, env, neg)
-        if (e.op == "and") != neg:
-            return left and _bool_total(e.right, state, env, neg)
-        return left or _bool_total(e.right, state, env, neg)
-    if isinstance(e, Not):
-        return _bool_total(e.arg, state, env, not neg)
-    try:
-        return bool(eval_expr(e, state, env)) != neg
-    except _EVAL_ERRORS:
-        return False
-
-
-def _eval_numeric(e, state, env):
-    """Strict numeric evaluation except: `*` short-circuits on a zero left
-    factor and Iverson brackets use the total boolean semantics."""
-    if isinstance(e, Iverson):
-        return 1 if eval_bool_total(e.arg, state, env) else 0
-    if isinstance(e, Bin):
-        a = _eval_numeric(e.left, state, env)
-        if a == 0 and e.op == "*":
-            return 0
-        return apply_op(e.op, a, _eval_numeric(e.right, state, env))
-    if isinstance(e, Neg):
-        return -_eval_numeric(e.arg, state, env)
-    if isinstance(e, MaxF):
-        return max(_eval_numeric(a, state, env) for a in e.args)
-    if isinstance(e, MinF):
-        return min(_eval_numeric(a, state, env) for a in e.args)
-    return eval_expr(e, state, env)
+def _exact(x):
+    # an atom's value as an int where integral, else as a Fraction
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def eval_atom_total(e, state, env=None):
     """Value of a gain atom on a state; unevaluable states contribute 0."""
     try:
-        return Fraction(_eval_numeric(e, state, env))
-    except _EVAL_ERRORS:
+        return Fraction(compile_expr(e, state.names, NUMERIC)(state.values, env))
+    except EVAL_ERRORS:
         return ZERO
 
 
 # --- gain evaluation -------------------------------------------------------------------
+
+
+class _Column:
+    """One atom's values under one set of quantifier bindings, one slot per
+    state, filled in on first use."""
+
+    __slots__ = ("fn", "values", "missing", "negative")
+
+    def __init__(self, fn, n):
+        self.fn = fn
+        self.values = [None] * n
+        self.missing = n
+        self.negative = False
 
 
 class GainEvaluator:
@@ -149,16 +141,19 @@ class GainEvaluator:
     exactly once at the top.  `f AND G` multiplies each entry's weight by f
     and drops the entries where that is 0, so an atom is never evaluated
     where a zero guard shields it and a negative value there is never
-    reported.  Atom values are memoized per state, keyed by the atom and its
-    quantifier bindings, stored as ints where integral, and computed on first
-    use: a caller valuing many distributions over the same states evaluates
-    each atom on each state once.
+    reported.  Each atom is compiled once, and its values are kept in a
+    column per quantifier bindings, stored as ints where integral and filled
+    in on first use: a caller valuing many distributions over the same states
+    evaluates each atom on each state once.  The columns die with the
+    evaluator.
     """
 
     def __init__(self, states):
         self.states = list(states)
         self._index = {s: i for i, s in enumerate(self.states)}
-        self._values = {}
+        self._names = self.states[0].names if self.states else ()
+        self._rows = [s.values for s in self.states]
+        self._columns = {}
 
     def value(self, g, dist, env=None):
         """g's exact value on dist, whose support lies in the states."""
@@ -179,7 +174,8 @@ class GainEvaluator:
 
     def _eval(self, g, support, env):
         if isinstance(g, GAtom):
-            return sum(w for _, w in self._scaled(g.expr, support, env))
+            values = self._column(g.expr, support, env)
+            return sum([w * values[i] for i, w in support])
         if isinstance(g, GMax):
             return max(
                 self._eval(g.left, support, env), self._eval(g.right, support, env)
@@ -187,32 +183,44 @@ class GainEvaluator:
         if isinstance(g, GPlus):
             return self._eval(g.left, support, env) + self._eval(g.right, support, env)
         if isinstance(g, GAnd):
-            return self._eval(g.body, self._scaled(g.scalar, support, env), env)
+            values = self._column(g.scalar, support, env)
+            scaled = [(i, w * values[i]) for i, w in support if values[i]]
+            return self._eval(g.body, scaled, env)
         if isinstance(g, GQuantMax):
             return max(
                 self._eval(g.body, support, dict(env, **{g.var: v})) for v in g.values
             )
         raise TypeCheckError(f"unknown gain expression {g!r}")
 
-    def _scaled(self, expr, support, env):
-        """The support with each weight times expr's value, zeros dropped."""
+    def _column(self, expr, support, env):
+        """expr's values on the states, filled in at least on the support;
+        NegativeAtom if one of them is negative on a support entry."""
         key = (expr, tuple(sorted(env.items())) if env else ())
-        vals = self._values.get(key)
-        if vals is None:
-            vals = self._values[key] = [None] * len(self.states)
-        out = []
-        for i, w in support:
-            v = vals[i]
-            if v is None:
-                v = eval_atom_total(expr, self.states[i], env)
-                v = vals[i] = v.numerator if v.denominator == 1 else v
-            if v:
+        col = self._columns.get(key)
+        if col is None:
+            fn = compile_expr(expr, self._names, NUMERIC)
+            col = self._columns[key] = _Column(fn, len(self.states))
+        values = col.values
+        if col.missing:
+            fn, rows = col.fn, self._rows
+            for i, _ in support:
+                if values[i] is None:
+                    try:
+                        v = _exact(fn(rows[i], env))
+                    except EVAL_ERRORS:
+                        v = 0
+                    if v < 0:
+                        col.negative = True
+                    values[i] = v
+                    col.missing -= 1
+        if col.negative:
+            for i, _ in support:
+                v = values[i]
                 if v < 0:
                     raise NegativeAtom(
                         f"atom {expr_to_source(expr)} is {v} on {self.states[i]!r}"
                     )
-                out.append((i, w if v == 1 else w * v))
-        return out
+        return values
 
 
 def eval_gain(g, dist, env=None):
@@ -229,12 +237,28 @@ def eval_gain_hyper(g, hyper, env=None):
 
 # --- canonicalization ---------------------------------------------------------------
 
+# A 0/1 column as bytes, and a bitmask over the same states: bit i is entry i.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask(column):
+    return int(column.translate(_TO_DIGITS)[::-1], 2)
+
+
+def _bits(mask, n):
+    return format(mask, f"0{n}b")[::-1].encode().translate(_TO_BITS)
+
 
 @dataclass(frozen=True)
 class _Term:
     coeff: Fraction
     pred: frozenset | None  # DNF; None means true
     factors: tuple  # canonical numeric factor expressions, sorted by render
+
+
+# boolean expressions that are tests, not values
+_TESTS = (Cmp, BoolOp, Not, Mem)
 
 
 def _const_lit(v):
@@ -258,11 +282,16 @@ class Canon:
         self.domains = {d.name: d.domain for d in decls}
         self.order = {d.name: i for i, d in enumerate(decls)}
         self._spaces = {}
+        self._rows = {}
         self._models = {}
         self._lit_model_cache = {}
+        self._factor_columns = {}
         self._intern = {}
         self._vars_memo = {}
         self._render_memo = {}
+        self._lit_renders = {}
+        self._conj_renders = {}
+        self._pred_renders = {}
         self._minimized = {}
         self._atom_cache = {}
         self._vectors = {}
@@ -276,6 +305,14 @@ class Canon:
             self._spaces[key] = all_states(key, [self.domains[n] for n in key])
         return key, self._spaces[key]
 
+    def rows(self, names_key):
+        """The projected space's states as values tuples, in the same order."""
+        rows = self._rows.get(names_key)
+        if rows is None:
+            _, states = self.space(names_key)
+            rows = self._rows[names_key] = [s.values for s in states]
+        return rows
+
     def _pred_vars(self, dnf):
         out = set()
         for conj in dnf:
@@ -285,31 +322,21 @@ class Canon:
 
     # ---- literals and DNF
 
-    def _lit_value(self, lit, state, env=None):
-        """A literal's truth on a state; a failing test is false either way."""
-        neg, atom = lit
-        return _bool_total(atom, state, env, neg)
-
-    def pred_value(self, dnf, state, env=None):
-        return any(
-            all(self._lit_value(lit, state, env) for lit in conj) for conj in dnf
-        )
-
     def full_mask(self, names_key):
         _, states = self.space(names_key)
         return (1 << len(states)) - 1
 
     def lit_models(self, lit, names_key):
-        """Bitmask over the projected space of where one literal holds."""
+        """Bitmask over the projected space of where one literal holds; a
+        failing test is false under either polarity."""
         mkey = (lit, names_key)
-        if mkey not in self._lit_model_cache:
-            _, states = self.space(names_key)
-            mask = 0
-            for i, s in enumerate(states):
-                if self._lit_value(lit, s):
-                    mask |= 1 << i
-            self._lit_model_cache[mkey] = mask
-        return self._lit_model_cache[mkey]
+        mask = self._lit_model_cache.get(mkey)
+        if mask is None:
+            neg, atom = lit
+            fn = compile_expr(atom, names_key, NEGATED_TEST if neg else TEST)
+            column = bytes([fn(row, None) for row in self.rows(names_key)])
+            mask = self._lit_model_cache[mkey] = _mask(column)
+        return mask
 
     def models(self, dnf, names_key):
         """Bitmask over the projected space of where the DNF holds."""
@@ -341,13 +368,23 @@ class Canon:
             return Mem(atom.item, atom.array, atom.lo, atom.hi, neg)
         return Not(atom) if neg else atom
 
+    def lit_render(self, lit):
+        out = self._lit_renders.get(lit)
+        if out is None:
+            out = self._lit_renders[lit] = expr_to_source(self.lit_expr(lit))
+        return out
+
     def _conj_expr(self, conj):
-        exprs = sorted(
-            (self.lit_expr(lit) for lit in conj), key=lambda e: expr_to_source(e)
-        )
-        out = exprs[0]
-        for e in exprs[1:]:
-            out = BoolOp("and", out, e)
+        lits = sorted(conj, key=self.lit_render)
+        out = self.lit_expr(lits[0])
+        for lit in lits[1:]:
+            out = BoolOp("and", out, self.lit_expr(lit))
+        return out
+
+    def _conj_render(self, conj):
+        out = self._conj_renders.get(conj)
+        if out is None:
+            out = self._conj_renders[conj] = expr_to_source(self._conj_expr(conj))
         return out
 
     def pred_expr(self, dnf):
@@ -355,16 +392,17 @@ class Canon:
             return BoolLit(True)
         if dnf == FALSE_DNF:
             return BoolLit(False)
-        exprs = sorted(
-            (self._conj_expr(c) for c in dnf), key=lambda e: expr_to_source(e)
-        )
-        out = exprs[0]
-        for e in exprs[1:]:
-            out = BoolOp("or", out, e)
+        conjs = sorted(dnf, key=self._conj_render)
+        out = self._conj_expr(conjs[0])
+        for c in conjs[1:]:
+            out = BoolOp("or", out, self._conj_expr(c))
         return out
 
     def pred_render(self, dnf):
-        return expr_to_source(self.pred_expr(dnf))
+        out = self._pred_renders.get(dnf)
+        if out is None:
+            out = self._pred_renders[dnf] = expr_to_source(self.pred_expr(dnf))
+        return out
 
     # ---- boolean canonicalization
 
@@ -429,6 +467,17 @@ class Canon:
             )
             flip = (not lit.value) != (op == "!=")
             return self.to_dnf(other, neg != flip)
+        if op in ("=", "!=") and (
+            isinstance(e.left, _TESTS) or isinstance(e.right, _TESTS)
+        ):
+            # b = T with T a test is one literal, read as written: like the
+            # comparison, it is false under either polarity wherever a read
+            # in it fails.  `not` is not pushed into T, since for a compound
+            # T that would not be so: `not (A[n] = 0 and n < 2)` holds at n = 2.
+            left, right = e.left, e.right
+            if expr_to_source(right) < expr_to_source(left):
+                left, right = right, left
+            return frozenset({frozenset({(neg != (op == "!="), Cmp("=", left, right))})})
         left = self.canon_num(e.left)
         right = self.canon_num(e.right)
         if op in (">", ">="):
@@ -518,17 +567,12 @@ class Canon:
         return out
 
     def _conj_key(self, conj):
-        return tuple(sorted(expr_to_source(self.lit_expr(lit)) for lit in conj))
+        return tuple(sorted(self.lit_render(lit) for lit in conj))
 
     def _minimize(self, dnf):
         if dnf in (TRUE_DNF, FALSE_DNF):
             return dnf
-        names = self._pred_vars(dnf)
-        if not names:
-            # constant predicate with no declared variables
-            probe = State((), ())
-            return TRUE_DNF if self.pred_value(dnf, probe) else FALSE_DNF
-        key, states = self.space(names)
+        key, _ = self.space(self._pred_vars(dnf))
         target = self.models(dnf, key)
         if not target:
             return FALSE_DNF
@@ -550,7 +594,7 @@ class Canon:
             changed = False
             # greedy literal deletion, in deterministic order
             for i, conj in enumerate(list(conjs)):
-                for lit in sorted(conj, key=lambda l: expr_to_source(self.lit_expr(l))):
+                for lit in sorted(conj, key=self.lit_render):
                     slim = conj - {lit}
                     cand = frozenset(conjs[:i] + [slim] + conjs[i + 1 :])
                     if self.models(cand, key) == target:
@@ -799,37 +843,60 @@ class Canon:
         self._vars_memo[id(atom)] = out
         return out
 
+    def _factor_column(self, f, names_key):
+        """A factor's values on the projected space as (den, ints, fails): the
+        value on the i-th state is ints[i] / den, or, where bit i of fails is
+        set, a failing read (ints[i] is then 0)."""
+        ckey = (f, names_key)
+        out = self._factor_columns.get(ckey)
+        if out is None:
+            fn = compile_expr(f, names_key, NUMERIC)
+            values, fails = [], 0
+            for i, row in enumerate(self.rows(names_key)):
+                try:
+                    values.append(fn(row, None))
+                except EVAL_ERRORS:
+                    values.append(0)
+                    fails |= 1 << i
+            den = lcm(*(x.denominator for x in values))
+            ints = [x.numerator * (den // x.denominator) for x in values]
+            out = self._factor_columns[ckey] = (den, ints, fails)
+        return out
+
     def atom_vector(self, atom, names_key):
         """The atom's values on the projected space, as (den, integer tuple):
-        the value on the i-th state is ints[i] / den."""
+        the value on the i-th state is ints[i] / den, in lowest terms.  A
+        factor that fails where its term's predicate holds makes the atom 0
+        on that state."""
         vkey = (id(atom), names_key)
         if vkey in self._vectors:
             return self._vectors[vkey]
         _, states = self.space(names_key)
-        model_sets = {
-            t.pred: self.models(t.pred, names_key)
-            for t in atom
-            if t.pred is not None
-        }
-        values = []
-        for i, s in enumerate(states):
-            total = ZERO
-            try:
-                for t in atom:
-                    if t.pred is not None and not (model_sets[t.pred] >> i) & 1:
-                        continue
-                    v = t.coeff
-                    for f in t.factors:
-                        v *= _eval_numeric(f, s, None)
-                    total += v
-            except _EVAL_ERRORS:
-                total = ZERO
-            values.append(total)
-        den = lcm(*(x.denominator for x in values))
-        out = self._vectors[vkey] = (
-            den,
-            tuple(x.numerator * (den // x.denominator) for x in values),
-        )
+        n = len(states)
+        full = (1 << n) - 1
+        terms = []
+        den = 1
+        for t in atom:
+            columns = [self._factor_column(f, names_key) for f in t.factors]
+            tden = t.coeff.denominator
+            for c in columns:
+                tden *= c[0]
+            den = lcm(den, tden)
+            terms.append((t, columns, tden))
+        acc = [0] * n
+        fails = 0
+        for t, columns, tden in terms:
+            k = t.coeff.numerator * (den // tden)
+            mask = full if t.pred is None else self.models(t.pred, names_key)
+            col = [k * b for b in _bits(mask, n)]
+            for _, ints, bad in columns:
+                fails |= bad & mask
+                col = [x * y for x, y in zip(col, ints)]
+            acc = [a + x for a, x in zip(acc, col)]
+        if fails:
+            acc = [0 if b else a for a, b in zip(acc, _bits(fails, n))]
+        g = gcd(den, *acc)
+        out = self._vectors[vkey] = (den // g, tuple(x // g for x in acc))
         return out
 
     # ---- normal form construction

@@ -1,4 +1,4 @@
-"""The surface language: lexer, AST, parser, typechecker, evaluator, printer.
+"""The surface language: lexer, AST, parser, typechecker, compiler, printer.
 
 Programs declare `hidden`/`visible` variables over finite domains, run a small
 imperative body (skip, assignments, if/fi, while/od, print), and may carry a
@@ -9,6 +9,8 @@ bounded quantifier `MAX i in lo..hi: ...`.
 
 The parser is hand-rolled recursive descent over a regex lexer; positions are
 1-based line:column and ride along on AST nodes without affecting equality.
+Input may nest at most MAX_DEPTH levels.  Expressions are evaluated by
+closures that `compile_expr` builds once per node.
 """
 
 from __future__ import annotations
@@ -95,43 +97,65 @@ def tokenize(src):
 _POS = dict(default=None, compare=False, repr=False)
 
 
+def _node(cls):
+    """A frozen dataclass node that computes its hash once, on first use.
+
+    Memos keyed by nodes then pay one dict lookup per hash instead of a walk
+    of the subtree.  Nodes are not interned: two equal nodes may carry
+    different positions.  Compiled closures (see `compile_expr`) are kept in
+    the same per-node dict.
+    """
+    cls = dataclass(frozen=True)(cls)
+    value_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = value_hash(self)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 @dataclass(frozen=True)
 class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class IntLit(Expr):
     value: int
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class RatLit(Expr):
     value: Fraction
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class BoolLit(Expr):
     value: bool
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     name: str
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class Idx(Expr):
     name: str
     index: Expr
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class Bin(Expr):
     op: str  # + - * div mod &
     left: Expr
@@ -139,25 +163,25 @@ class Bin(Expr):
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     arg: Expr
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class MaxF(Expr):
     args: tuple
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class MinF(Expr):
     args: tuple
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class Cmp(Expr):
     op: str  # = != < <= > >=
     left: Expr
@@ -165,7 +189,7 @@ class Cmp(Expr):
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class BoolOp(Expr):
     op: str  # and | or   (short-circuit)
     left: Expr
@@ -173,19 +197,19 @@ class BoolOp(Expr):
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Expr):
     arg: Expr
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class Iverson(Expr):
     arg: Expr  # boolean; value is the indicator 1/0
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class Mem(Expr):
     """Membership `item in A[lo:hi]` over a half-open slice of a declared array.
 
@@ -208,34 +232,34 @@ class GainExpr:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class GAtom(GainExpr):
     expr: Expr
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class GMax(GainExpr):
     left: GainExpr
     right: GainExpr
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class GPlus(GainExpr):
     left: GainExpr
     right: GainExpr
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class GAnd(GainExpr):
     scalar: Expr  # the single-atom (standard) left operand
     body: GainExpr
     pos: tuple = field(**_POS)
 
 
-@dataclass(frozen=True)
+@_node
 class GQuantMax(GainExpr):
     var: str
     values: tuple  # concrete ints, resolved at parse time
@@ -306,6 +330,8 @@ class Program:
     body: Stmt
     post: GainExpr | None
     pos: tuple = field(**_POS)
+    # set by desugar_visible, which returns a marked program unchanged
+    desugared: bool = field(default=False, compare=False, repr=False)
 
 
 # --- parser ----------------------------------------------------------------------
@@ -316,12 +342,26 @@ _CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
 # out to be a lone atom, e.g. `(1/10)*[x notin A]`
 _ARITH_CONT = {"+", "-", "*", "div", "mod", "&"} | _CMP_OPS | {"and", "or", "in", "notin"}
 
+# The deepest an expression or gain may nest, in levels.  Each unary or
+# binary operator opens one level: `x + x + x` takes two more than `x`.  Each
+# expression, whole or within parentheses, brackets, an index or a call,
+# opens three, since the parser passes nine functions deep to reach it; each
+# parenthesized gain and each quantifier body opens two.  So counted, the
+# parser, the typechecker, the canonicalizer, the compiler and the closures
+# it builds each spend at most about three Python frames per level (without
+# a limit, `wp` handles at most 108 nested parentheses, 325 nested operators
+# and 972 chained gain operators).  At the limit, `wp` and `check` leave at
+# least 380 frames of Python's default recursion limit of 1000 unused.
+# Deeper input is a ParseError naming the token where the limit was passed.
+MAX_DEPTH = 200
+
 
 class Parser:
     def __init__(self, src):
         self.toks = tokenize(src)
         self.i = 0
         self.in_gain = False
+        self.depth = 0  # nesting levels open; see MAX_DEPTH
 
     # token plumbing
 
@@ -352,6 +392,13 @@ class Parser:
     def fail(self, message):
         t = self.peek()
         raise ParseError(message, t.line, t.col)
+
+    def nest(self, t, levels=1):
+        """Open nesting levels at token t.  Callers put `depth` back when the
+        levels they opened are closed."""
+        self.depth += levels
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", t.line, t.col)
 
     # program structure
 
@@ -466,19 +513,25 @@ class Parser:
             self.in_gain = saved
 
     def _gain_max(self):
+        depth = self.depth
         g = self._gain_plus()
         while True:
             t = self.accept("MAX")
             if t is None:
+                self.depth = depth
                 return g
+            self.nest(t)
             g = GMax(g, self._gain_plus(), pos=(t.line, t.col))
 
     def _gain_plus(self):
+        depth = self.depth
         g = self._gain_and()
         while True:
             t = self.accept("PLUS")
             if t is None:
+                self.depth = depth
                 return g
+            self.nest(t)
             g = GPlus(g, self._gain_and(), pos=(t.line, t.col))
 
     def _gain_and(self):
@@ -490,7 +543,10 @@ class Parser:
             raise NonStandardAndContext(
                 f"{t.line}:{t.col}: left operand of AND must be a single atom"
             )
-        return GAnd(g.expr, self._gain_and(), pos=(t.line, t.col))
+        self.nest(t)
+        g = GAnd(g.expr, self._gain_and(), pos=(t.line, t.col))
+        self.depth -= 1
+        return g
 
     def _quant_ahead(self, ahead):
         """After a MAX token, `i in` introduces a bounded quantifier."""
@@ -504,10 +560,12 @@ class Parser:
         if t.kind == "(":
             # may be a parenthesized gain or a parenthesized arithmetic
             # sub-expression; decide by what follows the closing paren
-            mark = self.i
+            mark, depth = self.i, self.depth
             self.next()
+            self.nest(t, 2)
             g = self._gain_max()
             self.expect(")")
+            self.depth = depth
             if isinstance(g, GAtom) and self.peek().kind in _ARITH_CONT:
                 self.i = mark  # re-parse as an arithmetic atom
                 return GAtom(self.parse_expr(), pos=(t.line, t.col))
@@ -519,7 +577,9 @@ class Parser:
         self.expect("in")
         values = self.parse_range(t)
         self.expect(":")
+        self.nest(t, 2)
         body = self._gain_max()
+        self.depth -= 2
         return GQuantMax(var, values, body, pos=(t.line, t.col))
 
     def parse_range(self, t):
@@ -542,28 +602,40 @@ class Parser:
     # additive, multiplicative (* div mod &), unary minus, primary
 
     def parse_expr(self):
-        return self._expr_or()
+        self.nest(self.peek(), 3)
+        e = self._expr_or()
+        self.depth -= 3
+        return e
 
     def _expr_or(self):
+        depth = self.depth
         e = self._expr_and()
         while True:
             t = self.accept("or")
             if t is None:
+                self.depth = depth
                 return e
+            self.nest(t)
             e = BoolOp("or", e, self._expr_and(), pos=(t.line, t.col))
 
     def _expr_and(self):
+        depth = self.depth
         e = self._expr_not()
         while True:
             t = self.accept("and")
             if t is None:
+                self.depth = depth
                 return e
+            self.nest(t)
             e = BoolOp("and", e, self._expr_not(), pos=(t.line, t.col))
 
     def _expr_not(self):
         t = self.accept("not")
         if t is not None:
-            return Not(self._expr_not(), pos=(t.line, t.col))
+            self.nest(t)
+            e = Not(self._expr_not(), pos=(t.line, t.col))
+            self.depth -= 1
+            return e
         return self._expr_cmp()
 
     def _expr_cmp(self):
@@ -590,29 +662,38 @@ class Parser:
         return Mem(item, arr.text, lo, hi, t.kind == "notin", pos=(t.line, t.col))
 
     def _expr_add(self):
+        depth = self.depth
         e = self._expr_mul()
         while True:
             t = self.peek()
             if t.kind in ("+", "-"):
                 self.next()
+                self.nest(t)
                 e = Bin(t.kind, e, self._expr_mul(), pos=(t.line, t.col))
             else:
+                self.depth = depth
                 return e
 
     def _expr_mul(self):
+        depth = self.depth
         e = self._expr_unary()
         while True:
             t = self.peek()
             if t.kind in ("*", "div", "mod", "&"):
                 self.next()
+                self.nest(t)
                 e = Bin(t.kind, e, self._expr_unary(), pos=(t.line, t.col))
             else:
+                self.depth = depth
                 return e
 
     def _expr_unary(self):
         t = self.accept("-")
         if t is not None:
-            return Neg(self._expr_unary(), pos=(t.line, t.col))
+            self.nest(t)
+            e = Neg(self._expr_unary(), pos=(t.line, t.col))
+            self.depth -= 1
+            return e
         return self._expr_primary()
 
     def _expr_primary(self):
@@ -924,52 +1005,145 @@ def apply_op(op, a, b):
     return OPS[op](a, b)
 
 
+# Reads that fail.  Strict evaluation raises them; total evaluation turns a
+# failing test into false and a failing numeric read into an unevaluable atom.
+EVAL_ERRORS = (IndexOutOfBounds, DivisionByZero)
+
+# Compilation modes.  STRICT is the language's evaluation.  NUMERIC is the
+# total semantics of a gain atom: it descends only through Iverson, Bin, Neg
+# and max/min, `*` stops at a zero left factor, and an Iverson reads its test
+# in TEST mode; any other node is strict.  TEST and NEGATED_TEST value a
+# boolean, or its negation, with `not` pushed down to the atomic tests
+# through `and`/`or`, and an atomic test that fails false under either
+# polarity.
+STRICT, NUMERIC, TEST, NEGATED_TEST = "strict", "numeric", "test", "negated test"
+
+
+def compile_expr(e, names, mode=STRICT):
+    """e as a closure `f(values, env)` over a state's values tuple, laid out
+    as `names`, and the quantifier bindings `env` (a dict, or None).
+
+    The closure is built once per (names, mode) and kept on the node, so it
+    lives exactly as long as the expression does.
+    """
+    code = e.__dict__.get("_code")
+    if code is None:
+        code = e.__dict__["_code"] = {}
+    fn = code.get((names, mode))
+    if fn is None:
+        fn = code[names, mode] = _compile(e, names, mode)
+    return fn
+
+
+def _compile(e, names, mode):
+    if mode in (TEST, NEGATED_TEST):
+        return _compile_test(e, names, mode == NEGATED_TEST)
+    if mode == NUMERIC and not isinstance(e, (Iverson, Bin, Neg, MaxF, MinF)):
+        return compile_expr(e, names)
+    # From here mode is STRICT, or NUMERIC for the nodes just named; the
+    # operands of Neg, Bin and max/min are compiled in the same mode.
+    if isinstance(e, (IntLit, RatLit, BoolLit)):
+        value = e.value
+        return lambda v, env: value
+    if isinstance(e, Var):
+        name = e.name
+        if name not in names:  # a quantifier index
+            return lambda v, env: env[name]
+        k = names.index(name)
+        return lambda v, env: v[k]
+    if isinstance(e, Idx):
+        name, k = e.name, names.index(e.name)
+        index = compile_expr(e.index, names)
+
+        def idx(v, env):
+            arr = v[k]
+            i = index(v, env)
+            if 0 <= i < len(arr):
+                return arr[i]
+            raise IndexOutOfBounds(f"{name}[{i}] with length {len(arr)}")
+
+        return idx
+    if isinstance(e, Neg):
+        arg = compile_expr(e.arg, names, mode)
+        return lambda v, env: -arg(v, env)
+    if isinstance(e, (Bin, Cmp)):
+        op, fn = e.op, OPS[e.op]
+        left = compile_expr(e.left, names, mode)
+        right = compile_expr(e.right, names, mode)
+        if op in ("div", "mod"):
+            return lambda v, env: apply_op(op, left(v, env), right(v, env))
+        if op == "*" and mode == NUMERIC:
+
+            def times(v, env):
+                a = left(v, env)
+                return 0 if a == 0 else a * right(v, env)
+
+            return times
+        return lambda v, env: fn(left(v, env), right(v, env))
+    if isinstance(e, (MaxF, MinF)):
+        pick = max if isinstance(e, MaxF) else min
+        args = tuple(compile_expr(a, names, mode) for a in e.args)
+        return lambda v, env: pick([a(v, env) for a in args])
+    if isinstance(e, BoolOp):
+        left = compile_expr(e.left, names)
+        right = compile_expr(e.right, names)
+        if e.op == "and":
+            return lambda v, env: right(v, env) if left(v, env) else False
+        return lambda v, env: True if left(v, env) else right(v, env)
+    if isinstance(e, Not):
+        arg = compile_expr(e.arg, names)
+        return lambda v, env: not arg(v, env)
+    if isinstance(e, Iverson):
+        arg = compile_expr(e.arg, names, TEST if mode == NUMERIC else STRICT)
+        return lambda v, env: 1 if arg(v, env) else 0
+    if isinstance(e, Mem):
+        name, k, negated = e.array, names.index(e.array), e.negated
+        item = compile_expr(e.item, names)
+        lo = None if e.lo is None else compile_expr(e.lo, names)
+        hi = None if e.hi is None else compile_expr(e.hi, names)
+
+        def mem(v, env):
+            arr = v[k]
+            x = item(v, env)
+            a = 0 if lo is None else lo(v, env)
+            b = len(arr) if hi is None else hi(v, env)
+            if not (0 <= a <= len(arr) and 0 <= b <= len(arr)):
+                raise IndexOutOfBounds(f"slice {name}[{a}:{b}] with length {len(arr)}")
+            return (x not in arr[a:b]) if negated else (x in arr[a:b])
+
+        return mem
+    raise TypeCheckError(f"cannot evaluate {e!r}")
+
+
+def _compile_test(e, names, neg):
+    # the total value of e, or of `not e` when neg is set
+    if isinstance(e, BoolOp):
+        mode = NEGATED_TEST if neg else TEST
+        left = compile_expr(e.left, names, mode)
+        right = compile_expr(e.right, names, mode)
+        if (e.op == "and") != neg:
+            return lambda v, env: left(v, env) and right(v, env)
+        return lambda v, env: left(v, env) or right(v, env)
+    if isinstance(e, Not):
+        return compile_expr(e.arg, names, TEST if neg else NEGATED_TEST)
+    strict = compile_expr(e, names)
+
+    def test(v, env):
+        try:
+            return (not strict(v, env)) if neg else bool(strict(v, env))
+        except EVAL_ERRORS:
+            return False
+
+    return test
+
+
 def eval_expr(e, state, env=None):
     """Evaluate an expression in a State (env carries quantifier bindings).
 
     `and`/`or` are short-circuit, so guards like `n != N and A[n] != x` stay
     total at the array boundary.
     """
-    if isinstance(e, (IntLit, RatLit, BoolLit)):
-        return e.value
-    if isinstance(e, Var):
-        if env is not None and e.name in env:
-            return env[e.name]
-        return state.get(e.name)
-    if isinstance(e, Idx):
-        arr = state.get(e.name)
-        i = eval_expr(e.index, state, env)
-        if not 0 <= i < len(arr):
-            raise IndexOutOfBounds(f"{e.name}[{i}] with length {len(arr)}")
-        return arr[i]
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, state, env)
-    if isinstance(e, (Bin, Cmp)):
-        a = eval_expr(e.left, state, env)
-        return apply_op(e.op, a, eval_expr(e.right, state, env))
-    if isinstance(e, MaxF):
-        return max(eval_expr(a, state, env) for a in e.args)
-    if isinstance(e, MinF):
-        return min(eval_expr(a, state, env) for a in e.args)
-    if isinstance(e, BoolOp):
-        a = eval_expr(e.left, state, env)
-        if e.op == "and":
-            return eval_expr(e.right, state, env) if a else False
-        return True if a else eval_expr(e.right, state, env)
-    if isinstance(e, Not):
-        return not eval_expr(e.arg, state, env)
-    if isinstance(e, Iverson):
-        return 1 if eval_expr(e.arg, state, env) else 0
-    if isinstance(e, Mem):
-        arr = state.get(e.array)
-        v = eval_expr(e.item, state, env)
-        lo = 0 if e.lo is None else eval_expr(e.lo, state, env)
-        hi = len(arr) if e.hi is None else eval_expr(e.hi, state, env)
-        if not (0 <= lo <= len(arr) and 0 <= hi <= len(arr)):
-            raise IndexOutOfBounds(f"slice {e.array}[{lo}:{hi}] with length {len(arr)}")
-        found = v in arr[lo:hi]
-        return not found if e.negated else found
-    raise TypeCheckError(f"cannot evaluate {e!r}")
+    return compile_expr(e, state.names)(state.values, env)
 
 
 # --- substitution and variable collection ----------------------------------------------
@@ -1158,8 +1332,11 @@ def subst_array_elem_gain(g, arr, idx, val, length, elem_is_bool):
 def desugar_visible(program):
     """Insert `print v` after every assignment to a visible variable.
 
-    Returns a new Program; apply it once, to a program as parsed.
+    Returns a new Program, marked as desugared; a marked program comes back
+    unchanged, so applying it twice is applying it once.
     """
+    if program.desugared:
+        return program
     visible = {d.name for d in program.decls if d.visible}
 
     def walk(s):
@@ -1173,7 +1350,9 @@ def desugar_visible(program):
             return SWhile(s.guard, walk(s.body), s.invariant, pos=s.pos)
         return s
 
-    return Program(program.decls, walk(program.body), program.post, pos=program.pos)
+    return Program(
+        program.decls, walk(program.body), program.post, pos=program.pos, desugared=True
+    )
 
 
 # --- printer --------------------------------------------------------------------------

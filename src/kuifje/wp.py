@@ -42,8 +42,6 @@ from .core import BoolDomain
 from .core import all_states  # noqa: F401  perfbench/spans.py wraps wp.all_states
 from .errors import (
     BoundTooSmall,
-    DivisionByZero,
-    IndexOutOfBounds,
     InvariantCheckFailed,
     KuifjeError,
     LoopBoundExceeded,
@@ -51,6 +49,7 @@ from .errors import (
 )
 from .gain import Canon, eval_atom_total, normalize, semantic_eq, simplify
 from .lang import (
+    EVAL_ERRORS,
     Bin,
     BoolLit,
     Cmp,
@@ -67,7 +66,7 @@ from .lang import (
     SSeq,
     SSkip,
     SWhile,
-    eval_expr,
+    compile_expr,
     expr_to_source,
     gain_to_source,
     stmt_to_source,
@@ -196,11 +195,12 @@ class WpEngine:
 
     def _attained(self, expr):
         """Values expr can take anywhere on the declared state space."""
+        fn = compile_expr(expr, tuple(d.name for d in self.decls))
         seen = set()
         for s in self.states():
             try:
-                seen.add(eval_expr(expr, s))
-            except (IndexOutOfBounds, DivisionByZero):
+                seen.add(fn(s.values, None))
+            except EVAL_ERRORS:
                 continue
         if not seen:
             raise KuifjeError(

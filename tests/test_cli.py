@@ -217,8 +217,40 @@ def test_check_passes_with_random_priors():
             "[1 notin A[1 + n:]]",
             27,
         ),
+        # a boolean equality between a variable and a test is one literal,
+        # false under either polarity where a read in the test fails
+        (
+            "hidden A : array[2] of int[0..2]\nhidden n : int[0..1]\n"
+            "hidden b : bool\nskip\n@post { [b = (A[n] = 0)] }\n",
+            "[(A[n] = 0) = b]",
+            36,
+        ),
+        # a compound test too: at n = 2 the post is 0 whatever b is, though
+        # `not (A[n] = 0 and n < 2)` holds there
+        (
+            "hidden A : array[2] of int[0..1]\nhidden n : int[0..2]\n"
+            "hidden b : bool\nskip\n@post { [b = (A[n] = 0 and n < 2)] }\n",
+            "[(A[n] = 0 and n < 2) = b]",
+            24,
+        ),
+        # `!=` under a write, which expands the slice into a compound test;
+        # at n = 3 the slice fails, and the comparison is false there
+        (
+            "hidden A : array[2] of int[0..2]\nhidden n : int[0..3]\n"
+            "hidden b : bool\nA[1] := A[0]\n@post { [b != (1 in A[n:])] }\n",
+            "[((1 in A[n:] or not 1 in A[n:]) and (not (1 in A[n:] or not 1 in A[n:]) "
+            "or (n <= 0 and (0 = 1 and 1 = A[0] or not 0 = 1 and 1 = A[0]) or n <= 1 "
+            "and (1 = 1 and 1 = A[0] or not 1 = 1 and 1 = A[1])))) != b]",
+            72,
+        ),
     ],
-    ids=["not-equal", "negated-slice-under-write"],
+    ids=[
+        "not-equal",
+        "negated-slice-under-write",
+        "boolean-equality",
+        "boolean-equality-compound-test",
+        "boolean-inequality-under-write",
+    ],
 )
 def test_check_with_failing_reads_in_the_post(tmp_path, source, pre, priors):
     prog = tmp_path / "probe.kuif"
@@ -266,6 +298,44 @@ def test_parse_error_exit_2(tmp_path):
     assert p.returncode == 2
     assert p.stderr == "error: 2:1: expected a statement, found 'MAX'\n"
     assert p.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "expr, where",
+    [
+        ("(" * 200 + "x" + ")" * 200, "2:73"),  # the 66th parenthesis
+        (" + ".join(["x"] * 1500), "2:797"),  # the 198th `+`
+    ],
+    ids=["nested-parentheses", "flat-sum"],
+)
+@pytest.mark.parametrize("command", ["run", "wp", "check"])
+def test_too_deep_expression_exit_2(tmp_path, command, expr, where):
+    f = tmp_path / "deep.kuif"
+    f.write_text(f"hidden x : int[0..3]\nprint {expr}\n@post {{ [x = 1] }}\n")
+    args = ("--prior", "uniform") if command == "run" else ()
+    p = cli(command, str(f), *args)
+    assert p.returncode == 2
+    assert p.stderr == f"error: {where}: nesting deeper than 200 levels\n"
+    assert p.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "body, post",
+    [
+        ("print " + "(" * 65 + "x" + ")" * 65, "[x = 1]"),
+        ("print " + " + ".join(["x"] * 198), "[x = 1]"),
+        ("skip", " PLUS ".join(["[x = 1]"] * 195)),
+    ],
+    ids=["nested-parentheses", "flat-sum", "gain-chain"],
+)
+@pytest.mark.parametrize("command", ["run", "wp", "check"])
+def test_deepest_accepted_input_runs(tmp_path, command, body, post):
+    f = tmp_path / "deep.kuif"
+    f.write_text(f"hidden x : int[0..3]\n{body}\n@post {{ {post} }}\n")
+    args = ("--prior", "uniform") if command == "run" else ()
+    p = cli(command, str(f), *args)
+    assert p.returncode == 0, p.stderr
+    assert p.stderr == ""
 
 
 def test_unbounded_loop_exit_3(tmp_path):

@@ -1,0 +1,126 @@
+"""The expression compiler against a reference tree-walker, on generated trees.
+
+The declaration makes reads fail: `A[n]` is out of range at n = 2, `div`
+and `mod` by z fail at z = 0, and slice bounds can leave the array.  The
+quantifier index `i` is bound in the environment.  Strict evaluation must
+give the same value, or raise the same error with the same message; total
+evaluation must give the same value.
+"""
+
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_eval as ref
+from kuifje.core import ArrayDomain, BoolDomain, IntRange, all_states
+from kuifje.gain import eval_atom_total, eval_bool_total
+from kuifje.lang import (
+    Bin,
+    BoolLit,
+    BoolOp,
+    Cmp,
+    Idx,
+    IntLit,
+    Iverson,
+    MaxF,
+    Mem,
+    MinF,
+    Neg,
+    Not,
+    Var,
+    eval_expr,
+)
+
+STATES = all_states(
+    ("A", "n", "z", "b"),
+    [ArrayDomain(2, IntRange(0, 1)), IntRange(0, 2), IntRange(0, 1), BoolDomain()],
+)
+ENV = {"i": 1}
+
+
+@cache
+def ints(depth):
+    leaves = [
+        st.integers(-1, 3).map(IntLit),
+        st.sampled_from(["n", "z", "i"]).map(Var),
+        st.just(Idx("A", Var("n"))),  # fails at n = 2
+    ]
+    if depth == 0:
+        return st.one_of(leaves)
+    sub, cond = ints(depth - 1), bools(depth - 1)
+    ops = st.sampled_from(["+", "-", "*", "div", "mod", "&"])
+    args = st.lists(sub, min_size=1, max_size=3).map(tuple)
+    return st.one_of(
+        *leaves,
+        sub.map(lambda e: Idx("A", e)),
+        st.builds(Bin, ops, sub, sub),
+        # `*` with a left factor that is often 0 and a right one that often fails
+        st.builds(lambda c, e: Bin("*", Iverson(c), Idx("A", e)), cond, sub),
+        sub.map(Neg),
+        args.map(MaxF),
+        args.map(MinF),
+        cond.map(Iverson),
+    )
+
+
+@cache
+def bools(depth):
+    leaves = [
+        st.booleans().map(BoolLit),
+        st.just(Var("b")),
+        st.just(Cmp("=", Idx("A", Var("n")), IntLit(0))),  # fails at n = 2
+        # the slice A[:n + 1] fails at n = 2
+        st.just(Mem(Var("z"), "A", None, Bin("+", Var("n"), IntLit(1)), False)),
+    ]
+    if depth == 0:
+        return st.one_of(leaves)
+    sub, num = bools(depth - 1), ints(depth - 1)
+    bound = st.none() | num
+    return st.one_of(
+        *leaves,
+        st.builds(Cmp, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), num, num),
+        st.builds(Cmp, st.sampled_from(["=", "!="]), sub, sub),
+        st.builds(BoolOp, st.sampled_from(["and", "or"]), sub, sub),
+        sub.map(Not),
+        st.builds(lambda x, lo, hi, neg: Mem(x, "A", lo, hi, neg), num, bound, bound,
+                  st.booleans()),
+    )
+
+
+def _strict(fn, e, s):
+    try:
+        v = fn(e, s, ENV)
+    except Exception as exc:  # the error is the outcome being compared
+        return type(exc), str(exc)
+    return type(v), v
+
+
+def _subtrees(e):
+    yield e
+    for child in (
+        getattr(e, "index", None), getattr(e, "item", None), getattr(e, "lo", None),
+        getattr(e, "hi", None), getattr(e, "left", None), getattr(e, "right", None),
+        getattr(e, "arg", None), *getattr(e, "args", ()),
+    ):
+        if child is not None:
+            yield from _subtrees(child)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(ints(3), bools(3)))
+def test_compiled_evaluation_matches_the_reference(tree):
+    for e in _subtrees(tree):
+        boolean = isinstance(e, (BoolLit, Cmp, BoolOp, Not, Mem)) or e == Var("b")
+        for s in STATES:
+            assert _strict(eval_expr, e, s) == _strict(ref.value, e, s), (e, s)
+            if boolean:
+                assert eval_bool_total(e, s, ENV) is ref.truth(e, s, ENV), (e, s)
+                negated = eval_bool_total(Not(e), s, ENV)
+                assert negated is ref.truth(e, s, ENV, True), (e, s)
+            else:
+                # an atom that fails is worth 0, like one that is 0; `e + 1`
+                # tells the two apart
+                for atom in (e, Bin("+", e, IntLit(1))):
+                    want = ref.atom(atom, s, ENV)
+                    assert eval_atom_total(atom, s, ENV) == want, (e, s)

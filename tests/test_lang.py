@@ -14,6 +14,7 @@ from kuifje.errors import (
     TypeCheckError,
 )
 from kuifje.lang import (
+    MAX_DEPTH,
     BoolLit,
     Cmp,
     GAnd,
@@ -268,6 +269,30 @@ def test_visible_desugars_to_print():
     d = desugar_visible(p)
     text = stmt_to_source(d.body)
     assert "print y" in text
+
+
+def test_desugar_visible_is_idempotent(load_program):
+    p = load_program("search_with_flag")
+    once = desugar_visible(p)
+    twice = desugar_visible(once)
+    assert twice == once
+    assert stmt_to_source(twice.body).count("print ") == 2
+
+
+def test_nesting_limit_is_a_parse_error():
+    # an expression opens three levels, each parenthesis three more, each
+    # operator one
+    parens = (MAX_DEPTH - 3) // 3
+    parse_expr("(" * parens + "x" + ")" * parens)
+    with pytest.raises(ParseError, match=f"^1:{parens + 2}: nesting deeper"):
+        parse_expr("(" * (parens + 1) + "x" + ")" * (parens + 1))
+    parse_expr(" + ".join(["x"] * (MAX_DEPTH - 2)))
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse_expr(" + ".join(["x"] * (MAX_DEPTH - 1)))
+    # each atom's expression and its Iverson bracket open six
+    parse_gain(" MAX ".join(["[x = 1]"] * (MAX_DEPTH - 5)))
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse_gain(" MAX ".join(["[x = 1]"] * (MAX_DEPTH - 4)))
 
 
 # ---- typechecking rejections

@@ -15,8 +15,9 @@ from kuifje.errors import (
     KuifjeError,
     LoopNeedsInvariantOrBound,
 )
-from kuifje.gain import eval_gain, eval_gain_hyper, semantic_eq, simplify
+from kuifje.gain import GainEvaluator, eval_gain, eval_gain_hyper, semantic_eq, simplify
 from kuifje.lang import (
+    MAX_DEPTH,
     check_gain,
     check_program,
     parse_expr,
@@ -82,11 +83,11 @@ LEMMA_GAINS = [
     "[not (1 in A[n + 1:])]",
     "[not (0 notin A[n - 1:])] PLUS [not (2 in A[:n + 1])]",
     "[not (A[n] in A[1:1])] MAX [not (A[n] notin A[2:])]",
+    "[b = (A[n] = 0)]",
+    "[b = (A[n] = 0 and n < 2)]",
+    "[not b = (A[n] = 1 or n = 2)] MAX [b != (not (A[n] = 1))]",
+    "[b != (1 in A[n:])] PLUS [(n = 0) = (not b)]",
 ]
-
-# simplify rejects a boolean equality unless one side is `true` or `false`,
-# so this one is checked raw only
-LEMMA_RAW_GAINS = ["[b = (A[n] = 0)]"]
 
 LEMMA_ASSIGNS = [
     "n := 2 - n",
@@ -110,13 +111,13 @@ def test_substitution_lemma(assign):
     stmt = p.body
     ex = Executable(p)
     cases = 0
-    for text in LEMMA_GAINS + LEMMA_RAW_GAINS:
+    for text in LEMMA_GAINS:
         g = check_gain(parse_gain(text), p.decls)
         if stmt.index is None:
             pre = subst_gain(g, stmt.name, stmt.value)
         else:
             pre = subst_array_elem_gain(g, stmt.name, stmt.index, stmt.value, 2, False)
-        simple = pre if text in LEMMA_RAW_GAINS else simplify(pre, p.decls).as_gain()
+        simple = simplify(pre, p.decls).as_gain()
         for s in ex.states():
             try:
                 after = ex.classical_run(point(s))
@@ -126,7 +127,7 @@ def test_substitution_lemma(assign):
             assert eval_gain(pre, point(s)) == want, (text, s)
             assert eval_gain(simple, point(s)) == want, (text, s)
             cases += 1
-    assert cases >= len(LEMMA_GAINS + LEMMA_RAW_GAINS) * 18
+    assert cases >= len(LEMMA_GAINS) * 18
 
 
 def test_wp_print_splits_by_attained_value():
@@ -313,25 +314,55 @@ def test_loop_head_whose_guard_fails_is_checked():
     )
 
 
+def test_deepest_accepted_input_leaves_recursion_headroom():
+    # in process, under the test runner's own frames: each pass over the
+    # deepest expressions and gains the parser accepts stays clear of
+    # Python's recursion limit
+    parens = (MAX_DEPTH - 3) // 3
+    for body, post in [
+        ("print " + "(" * parens + "x" + ")" * parens, "[x = 1]"),
+        ("print " + " + ".join(["x"] * (MAX_DEPTH - 2)), "[x = 1]"),
+        ("print " + "not " * (MAX_DEPTH - 3) + "x = 1", "[x = 1]"),
+        ("skip", " PLUS ".join(["[x = 1]"] * (MAX_DEPTH - 5))),
+        ("skip", "[" + " and ".join(["x = 1"] * (MAX_DEPTH - 5)) + "]"),
+    ]:
+        p = make(f"hidden x : int[0..3]\n{body}\n@post {{ {post} }}\n")
+        pre = wp(p).pre
+        hyper = run(p, uniform(Executable(p).states()))
+        assert eval_gain(pre, uniform(Executable(p).states())) == eval_gain_hyper(
+            p.post, hyper
+        )
+
+
 def test_program_and_tables_are_freed_after_use():
-    # nothing process-wide may keep a program or its execution tables alive
+    # nothing process-wide may keep a program, its compiled expressions, its
+    # execution tables or an evaluator's columns alive
     p = make(STUCK_SEARCH)
-    refs = [weakref.ref(p)]
+    guard = p.body.stmts[1].guard
+    atom = p.post.body.expr
+    refs = [weakref.ref(p), weakref.ref(guard), weakref.ref(atom)]
     run(p, point(State(("A", "x", "n", "t"), ((0, 1), 1, 0, 0))))
     wp(p)
     engine = WpEngine(p)  # as `check` uses it: wp, then forward runs
     pre = engine.wp_program().pre
     exe = engine.executable
-    refs += [weakref.ref(exe), weakref.ref(exe.program)]
+    ev = GainEvaluator(exe.states())
+    refs += [
+        weakref.ref(exe),
+        weakref.ref(exe.program),
+        weakref.ref(engine.canon),
+        weakref.ref(ev),
+    ]
     for s in exe.states()[:16]:
         try:
             hyper = exe.run(point(s))
         except IndexOutOfBounds:
             continue
+        assert ev.value(pre, point(s)) == ev.hyper_value(p.post, hyper)
         assert eval_gain(pre, point(s)) == eval_gain_hyper(p.post, hyper)
-    del p, engine, exe
+    del p, guard, atom, engine, pre, exe, ev
     gc.collect()
-    assert [r() for r in refs] == [None, None, None]
+    assert [r() for r in refs] == [None] * 7
 
 
 # ---- the unsound mode reproduces the classical (leak-blind) answer
