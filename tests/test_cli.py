@@ -1,5 +1,6 @@
 """Command-line interface: exact outputs, exit codes, and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -51,6 +52,42 @@ def test_wp_no_simplify_keeps_dominated_atoms():
     assert p.stdout == (
         "[a or b] MAX [a or not b] MAX [b and not a] MAX [not a and not b]\n"
     )
+
+
+WP_DIGESTS = {
+    # SHA-256 of `wp` stdout on each corpus program with a @post, and of
+    # `wp --force-unfold` on each one with an annotated loop
+    ("branch_assign.kuif", ()): "67a92f9c8cb8591693ce66afb743d6453b0fc53e420237062dd7083c44972c2b",
+    ("clamp_parity.kuif", ()): "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ("compose_leaks_small.kuif", ()): "10a8bd8e278ac0e8e84272fda95654b24a3ca4c0ec5c6250e61253c70f4525be",
+    ("halve_then_guess.kuif", ()): "5f46c308a434438dc599b76339ed0f86316944bf5b3549834a87157de1409858",
+    ("mark_slot.kuif", ()): "10a4700a7b47e5889920a2b48a7e95cad939ef70e4626b284aa3462dfcd93bae",
+    ("max_no_branch.kuif", ()): "795287d3a36415c00462b9b2fb6284e07b597179c7cdf73ed97d4a68bcca277a",
+    ("reveal_low_bits_small.kuif", ()): "03e40579901d2795daf58d9a591f79159d4214844591bca76cc16db2dad86c32",
+    ("reveal_max_value.kuif", ()): "795287d3a36415c00462b9b2fb6284e07b597179c7cdf73ed97d4a68bcca277a",
+    ("reveal_mod4_small.kuif", ()): "bf37cc2cc64846d239fb31ba6b8e9bf75407bf6749b208b1a143402f4f7323cd",
+    ("search_early_exit.kuif", ()): "c3691219a7216e87e53121dd6f20b69aaf6250db5cb0f15d2a819eb919e9adbb",
+    ("search_full_scan.kuif", ()): "c3691219a7216e87e53121dd6f20b69aaf6250db5cb0f15d2a819eb919e9adbb",
+    ("search_with_flag.kuif", ()): "84d3d83ee76c478e237b9cfad1d099d6f5ca88cb67827f6c61e55bf8dbba277e",
+    ("sell_secret.kuif", ()): "5f7b2acdbe31d24b1025e2726307d92553d0a6ace937a3852159d40410ac3139",
+    ("skip_loop.kuif", ()): "9f0dc5830a3fffb25fcbacd199107f72f1327529673e1021b8a47e2f079c7b9c",
+    ("threshold_print.kuif", ()): "dede1dfc73c2e1f7477fea071925fae961e5e514a5dd431165c058a51af74d2d",
+    ("max_no_branch.kuif", ("--force-unfold",)): "795287d3a36415c00462b9b2fb6284e07b597179c7cdf73ed97d4a68bcca277a",
+    ("reveal_max_value.kuif", ("--force-unfold",)): "3399987c412d0c084d10f4caed8feb462a9a57e93cff4bed6d095ba29c52df43",
+    ("search_early_exit.kuif", ("--force-unfold",)): "84d3d83ee76c478e237b9cfad1d099d6f5ca88cb67827f6c61e55bf8dbba277e",
+    ("search_full_scan.kuif", ("--force-unfold",)): "84d3d83ee76c478e237b9cfad1d099d6f5ca88cb67827f6c61e55bf8dbba277e",
+}
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    sorted(WP_DIGESTS),
+    ids=[" ".join((n,) + f) for n, f in sorted(WP_DIGESTS)],
+)
+def test_wp_stdout_digest(name, flags):
+    p = cli("wp", corpus(name), *flags)
+    assert p.returncode == 0, p.stderr
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == WP_DIGESTS[name, flags]
 
 
 def test_wp_explicit_post_overrides():
