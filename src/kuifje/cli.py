@@ -7,7 +7,8 @@ Subcommands:
   eval   — evaluate a gain expression on a prior or on a saved hyper
 
 Exit codes: 0 success; 1 check found a mismatch; 2 parse/type/input error;
-3 loop bound trouble; 4 a loop annotation failed its consistency check.
+3 a resource limit was hit (loop iterations, or expression depth built by
+the analysis); 4 a loop annotation failed its consistency check.
 
 All probabilities are exact rationals.  Table output prints them as `p/q`
 (integers bare); JSON output always uses the `n/d` form, `0/1` and `1/1`
@@ -485,6 +486,14 @@ def main(argv=None):
         return 4
     except (LoopBoundExceeded, BoundTooSmall, LoopNeedsInvariantOrBound) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        # the parser bounds input nesting, but substitution can build
+        # expressions deeper than any the parser admits
+        print(
+            "error: the analysis built an expression nested too deep to process",
+            file=sys.stderr,
+        )
         return 3
     except KuifjeError as exc:
         print(f"error: {exc}", file=sys.stderr)

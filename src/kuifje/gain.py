@@ -30,9 +30,9 @@ Iverson really does shield the expression it multiplies.
 The canonicalizer rewrites every atom into a sum of terms coeff*[pred]*factors
 with predicates in minimized disjunctive normal form, merges complementary
 and disjoint guarded terms, and renders deterministically; `simplify` prunes
-atoms that are pointwise dominated on the declared state space.  It decides
-predicates on bitmasks over projected state spaces, one per literal, and
-values atoms from integer factor columns under those masks; like the
+atoms that are pointwise dominated on the declared state space.  It lists
+that space once, decides predicates on bitmasks over it, one per literal,
+and values atoms from integer factor columns under those masks; like the
 evaluator's, its columns die with it.
 """
 
@@ -72,7 +72,6 @@ from .lang import (
     apply_op,
     compile_expr,
     expr_to_source,
-    free_vars,
     subst_gain,
 )
 
@@ -275,19 +274,23 @@ def _const_val(e):
 
 
 class Canon:
-    """Canonicalizer and exact comparison engine bound to declarations."""
+    """Canonicalizer and exact comparison engine bound to declarations.
+
+    Predicates and atoms are decided on the declared state space, whose
+    states are listed once in `all_states` order: bit i of a mask, and slot i
+    of a column, is the i-th state.
+    """
 
     def __init__(self, decls):
-        self.decls = tuple(decls)
         self.domains = {d.name: d.domain for d in decls}
-        self.order = {d.name: i for i, d in enumerate(decls)}
-        self._spaces = {}
-        self._rows = {}
+        self.names = tuple(self.domains)
+        states = all_states(self.names, list(self.domains.values()))
+        self._values = [s.values for s in states]
+        self.full = (1 << len(self._values)) - 1
         self._models = {}
         self._lit_model_cache = {}
         self._factor_columns = {}
         self._intern = {}
-        self._vars_memo = {}
         self._render_memo = {}
         self._lit_renders = {}
         self._conj_renders = {}
@@ -297,62 +300,33 @@ class Canon:
         self._vectors = {}
         self._rebuilt = {}
 
-    # ---- projected state spaces
-
-    def space(self, names):
-        key = tuple(sorted(names, key=lambda n: self.order[n]))
-        if key not in self._spaces:
-            self._spaces[key] = all_states(key, [self.domains[n] for n in key])
-        return key, self._spaces[key]
-
-    def rows(self, names_key):
-        """The projected space's states as values tuples, in the same order."""
-        rows = self._rows.get(names_key)
-        if rows is None:
-            _, states = self.space(names_key)
-            rows = self._rows[names_key] = [s.values for s in states]
-        return rows
-
-    def _pred_vars(self, dnf):
-        out = set()
-        for conj in dnf:
-            for _, atom in conj:
-                out |= free_vars(atom)
-        return out & set(self.domains)
-
     # ---- literals and DNF
 
-    def full_mask(self, names_key):
-        _, states = self.space(names_key)
-        return (1 << len(states)) - 1
-
-    def lit_models(self, lit, names_key):
-        """Bitmask over the projected space of where one literal holds; a
-        failing test is false under either polarity."""
-        mkey = (lit, names_key)
-        mask = self._lit_model_cache.get(mkey)
+    def lit_models(self, lit):
+        """Bitmask of the states where one literal holds; a failing test is
+        false under either polarity."""
+        mask = self._lit_model_cache.get(lit)
         if mask is None:
             neg, atom = lit
-            fn = compile_expr(atom, names_key, NEGATED_TEST if neg else TEST)
-            column = bytes([fn(row, None) for row in self.rows(names_key)])
-            mask = self._lit_model_cache[mkey] = _mask(column)
+            fn = compile_expr(atom, self.names, NEGATED_TEST if neg else TEST)
+            column = bytes([fn(row, None) for row in self._values])
+            mask = self._lit_model_cache[lit] = _mask(column)
         return mask
 
-    def models(self, dnf, names_key):
-        """Bitmask over the projected space of where the DNF holds."""
-        mkey = (dnf, names_key)
-        if mkey not in self._models:
-            full = self.full_mask(names_key)
+    def models(self, dnf):
+        """Bitmask of the states where the DNF holds."""
+        out = self._models.get(dnf)
+        if out is None:
             out = 0
             for conj in dnf:
-                acc = full
+                acc = self.full
                 for lit in conj:
-                    acc &= self.lit_models(lit, names_key)
+                    acc &= self.lit_models(lit)
                     if not acc:
                         break
                 out |= acc
-            self._models[mkey] = out
-        return self._models[mkey]
+            self._models[dnf] = out
+        return out
 
     def lit_expr(self, lit):
         neg, atom = lit
@@ -572,15 +546,14 @@ class Canon:
     def _minimize(self, dnf):
         if dnf in (TRUE_DNF, FALSE_DNF):
             return dnf
-        key, _ = self.space(self._pred_vars(dnf))
-        target = self.models(dnf, key)
+        target = self.models(dnf)
         if not target:
             return FALSE_DNF
-        if target == self.full_mask(key):
+        if target == self.full:
             return TRUE_DNF
 
         conjs = sorted(set(dnf), key=self._conj_key)
-        conjs = [c for c in conjs if self.models(frozenset({c}), key)]
+        conjs = [c for c in conjs if self.models(frozenset({c}))]
         # absorption: a superset conjunction is redundant next to its subset
         kept = []
         for c in conjs:
@@ -597,14 +570,14 @@ class Canon:
                 for lit in sorted(conj, key=self.lit_render):
                     slim = conj - {lit}
                     cand = frozenset(conjs[:i] + [slim] + conjs[i + 1 :])
-                    if self.models(cand, key) == target:
+                    if self.models(cand) == target:
                         conjs[i] = slim
                         conj = slim
                         changed = True
             # greedy disjunct deletion
             for i in range(len(conjs) - 1, -1, -1):
                 cand = frozenset(conjs[:i] + conjs[i + 1 :])
-                if cand and self.models(cand, key) == target:
+                if cand and self.models(cand) == target:
                     del conjs[i]
                     changed = True
         result = frozenset(conjs)
@@ -612,15 +585,8 @@ class Canon:
             return TRUE_DNF
         return result
 
-    def pred_unsat(self, dnf):
-        return self.minimize(dnf) == FALSE_DNF
-
     def preds_disjoint(self, d1, d2):
-        names = self._pred_vars(d1) | self._pred_vars(d2)
-        if not names:
-            return self.pred_unsat(d1) or self.pred_unsat(d2)
-        key, _ = self.space(names)
-        return not (self.models(d1, key) & self.models(d2, key))
+        return not (self.models(d1) & self.models(d2))
 
     # ---- numeric canonicalization (via atoms)
 
@@ -830,29 +796,15 @@ class Canon:
 
     # ---- value vectors
 
-    def atom_vars(self, atom):
-        if id(atom) in self._vars_memo:
-            return self._vars_memo[id(atom)]
-        out = set()
-        for t in atom:
-            if t.pred is not None:
-                out |= self._pred_vars(t.pred)
-            for f in t.factors:
-                out |= free_vars(f)
-        out &= set(self.domains)
-        self._vars_memo[id(atom)] = out
-        return out
-
-    def _factor_column(self, f, names_key):
-        """A factor's values on the projected space as (den, ints, fails): the
-        value on the i-th state is ints[i] / den, or, where bit i of fails is
-        set, a failing read (ints[i] is then 0)."""
-        ckey = (f, names_key)
-        out = self._factor_columns.get(ckey)
+    def _factor_column(self, f):
+        """A factor's values on the states as (den, ints, fails): the value on
+        the i-th state is ints[i] / den, or, where bit i of fails is set, a
+        failing read (ints[i] is then 0)."""
+        out = self._factor_columns.get(f)
         if out is None:
-            fn = compile_expr(f, names_key, NUMERIC)
+            fn = compile_expr(f, self.names, NUMERIC)
             values, fails = [], 0
-            for i, row in enumerate(self.rows(names_key)):
+            for i, row in enumerate(self._values):
                 try:
                     values.append(fn(row, None))
                 except EVAL_ERRORS:
@@ -860,24 +812,22 @@ class Canon:
                     fails |= 1 << i
             den = lcm(*(x.denominator for x in values))
             ints = [x.numerator * (den // x.denominator) for x in values]
-            out = self._factor_columns[ckey] = (den, ints, fails)
+            out = self._factor_columns[f] = (den, ints, fails)
         return out
 
-    def atom_vector(self, atom, names_key):
-        """The atom's values on the projected space, as (den, integer tuple):
-        the value on the i-th state is ints[i] / den, in lowest terms.  A
-        factor that fails where its term's predicate holds makes the atom 0
-        on that state."""
-        vkey = (id(atom), names_key)
-        if vkey in self._vectors:
-            return self._vectors[vkey]
-        _, states = self.space(names_key)
-        n = len(states)
-        full = (1 << n) - 1
+    def atom_vector(self, atom):
+        """The atom's values on the states, as (den, integer tuple): the value
+        on the i-th state is ints[i] / den, in lowest terms.  A factor that
+        fails where its term's predicate holds makes the atom 0 on that
+        state."""
+        out = self._vectors.get(id(atom))
+        if out is not None:
+            return out
+        n = len(self._values)
         terms = []
         den = 1
         for t in atom:
-            columns = [self._factor_column(f, names_key) for f in t.factors]
+            columns = [self._factor_column(f) for f in t.factors]
             tden = t.coeff.denominator
             for c in columns:
                 tden *= c[0]
@@ -887,7 +837,7 @@ class Canon:
         fails = 0
         for t, columns, tden in terms:
             k = t.coeff.numerator * (den // tden)
-            mask = full if t.pred is None else self.models(t.pred, names_key)
+            mask = self.full if t.pred is None else self.models(t.pred)
             col = [k * b for b in _bits(mask, n)]
             for _, ints, bad in columns:
                 fails |= bad & mask
@@ -896,7 +846,7 @@ class Canon:
         if fails:
             acc = [0 if b else a for a, b in zip(acc, _bits(fails, n))]
         g = gcd(den, *acc)
-        out = self._vectors[vkey] = (den // g, tuple(x // g for x in acc))
+        out = self._vectors[id(atom)] = (den // g, tuple(x // g for x in acc))
         return out
 
     # ---- normal form construction
@@ -944,20 +894,11 @@ class Canon:
         return out
 
     def prune(self, atoms):
-        """Drop identically-zero atoms and pointwise-dominated atoms.
-
-        All atoms are lifted to their shared variable space, so one vector
-        per atom suffices; adding unread variables just repeats coordinates
-        and cannot change any pointwise comparison.
-        """
+        """Drop identically-zero atoms and pointwise-dominated atoms."""
         atoms = self.dedupe(atoms)
         if not atoms:
             return []
-        union = set()
-        for a in atoms:
-            union |= self.atom_vars(a)
-        key, _ = self.space(union)
-        vecs = [(a, self.atom_vector(a, key)) for a in atoms]
+        vecs = [(a, self.atom_vector(a)) for a in atoms]
         # rescale to one common denominator, so vectors compare as integers
         den = lcm(*(d for _, (d, _) in vecs))
         live = [

@@ -342,17 +342,18 @@ _CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
 # out to be a lone atom, e.g. `(1/10)*[x notin A]`
 _ARITH_CONT = {"+", "-", "*", "div", "mod", "&"} | _CMP_OPS | {"and", "or", "in", "notin"}
 
-# The deepest an expression or gain may nest, in levels.  Each unary or
-# binary operator opens one level: `x + x + x` takes two more than `x`.  Each
-# expression, whole or within parentheses, brackets, an index or a call,
-# opens three, since the parser passes nine functions deep to reach it; each
-# parenthesized gain and each quantifier body opens two.  So counted, the
-# parser, the typechecker, the canonicalizer, the compiler and the closures
-# it builds each spend at most about three Python frames per level (without
-# a limit, `wp` handles at most 108 nested parentheses, 325 nested operators
-# and 972 chained gain operators).  At the limit, `wp` and `check` leave at
-# least 380 frames of Python's default recursion limit of 1000 unused.
-# Deeper input is a ParseError naming the token where the limit was passed.
+# The deepest a program, an expression or a gain may nest, in levels.  Each
+# unary or binary operator opens one level: `x + x + x` takes two more than
+# `x`.  Each expression, whole or within parentheses, brackets, an index or a
+# call, opens three, since the parser passes nine functions deep to reach
+# it; each parenthesized gain and each quantifier body opens two; each `if`
+# and `while` opens one.  So counted, the parser, the typechecker, the
+# canonicalizer, the compiler and the closures it builds each spend at most
+# about three Python frames per level (without a limit, `wp` handles at most
+# 108 nested parentheses, 325 nested operators, 972 chained gain operators
+# and 487 nested `if`s).  At the limit, `wp` and `check` leave at least 380
+# frames of Python's default recursion limit of 1000 unused.  Deeper input
+# is a ParseError naming the token where the limit was passed.
 MAX_DEPTH = 200
 
 
@@ -475,13 +476,16 @@ class Parser:
         if self.accept("print"):
             return SPrint(self.parse_expr(), pos=(t.line, t.col))
         if self.accept("if"):
+            self.nest(t)
             guard = self.parse_expr()
             self.expect("then")
             then = self.parse_seq()
             els = self.parse_seq() if self.accept("else") else SSkip(pos=(t.line, t.col))
             self.expect("fi")
+            self.depth -= 1
             return SIf(guard, then, els, pos=(t.line, t.col))
         if self.accept("while"):
+            self.nest(t)
             guard = self.parse_expr()
             invariant = None
             if self.accept("invariant"):
@@ -491,6 +495,7 @@ class Parser:
             self.expect("do")
             body = self.parse_seq()
             self.expect("od")
+            self.depth -= 1
             return SWhile(guard, body, invariant, pos=(t.line, t.col))
         if self.at("name"):
             name = self.next()
@@ -1146,50 +1151,7 @@ def eval_expr(e, state, env=None):
     return compile_expr(e, state.names)(state.values, env)
 
 
-# --- substitution and variable collection ----------------------------------------------
-
-
-def free_vars(e):
-    """Names appearing in an expression (variables and array names)."""
-    out = set()
-
-    def walk(x):
-        if isinstance(x, Var):
-            out.add(x.name)
-        elif isinstance(x, Idx):
-            out.add(x.name)
-            walk(x.index)
-        elif isinstance(x, Mem):
-            out.add(x.array)
-            walk(x.item)
-            if x.lo is not None:
-                walk(x.lo)
-            if x.hi is not None:
-                walk(x.hi)
-        elif isinstance(x, (Bin, Cmp, BoolOp)):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, (Neg, Not, Iverson)):
-            walk(x.arg)
-        elif isinstance(x, (MaxF, MinF)):
-            for a in x.args:
-                walk(a)
-
-    walk(e)
-    return out
-
-
-def gain_vars(g):
-    """Names appearing in a gain expression, minus bound quantifier indices."""
-    if isinstance(g, GAtom):
-        return free_vars(g.expr)
-    if isinstance(g, (GMax, GPlus)):
-        return gain_vars(g.left) | gain_vars(g.right)
-    if isinstance(g, GAnd):
-        return free_vars(g.scalar) | gain_vars(g.body)
-    if isinstance(g, GQuantMax):
-        return gain_vars(g.body) - {g.var}
-    raise TypeCheckError(f"unknown gain expression {g!r}")
+# --- substitution -----------------------------------------------------------------------
 
 
 def map_expr(e, f):
@@ -1454,17 +1416,9 @@ def stmt_to_source(s, indent=0):
     raise TypeCheckError(f"cannot print {s!r}")
 
 
-def domain_to_source(dom):
-    if isinstance(dom, BoolDomain):
-        return "bool"
-    if isinstance(dom, IntRange):
-        return f"int[{dom.lo}..{dom.hi}]"
-    return f"array[{dom.length}] of {domain_to_source(dom.element)}"
-
-
 def program_to_source(program):
     lines = [
-        f"{'visible' if d.visible else 'hidden'} {d.name} : {domain_to_source(d.domain)}"
+        f"{'visible' if d.visible else 'hidden'} {d.name} : {d.domain!r}"
         for d in program.decls
     ]
     body = stmt_to_source(program.body)

@@ -338,17 +338,19 @@ def test_parse_error_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "expr, where",
+    "body, where",
     [
-        ("(" * 200 + "x" + ")" * 200, "2:73"),  # the 66th parenthesis
-        (" + ".join(["x"] * 1500), "2:797"),  # the 198th `+`
+        ("print " + "(" * 200 + "x" + ")" * 200, "2:73"),  # the 66th parenthesis
+        ("print " + " + ".join(["x"] * 1500), "2:797"),  # the 198th `+`
+        # the guard of the 198th `if`
+        ("if x = 1 then " * 600 + "x := 2" + " fi" * 600, "2:2762"),
     ],
-    ids=["nested-parentheses", "flat-sum"],
+    ids=["nested-parentheses", "flat-sum", "nested-if"],
 )
 @pytest.mark.parametrize("command", ["run", "wp", "check"])
-def test_too_deep_expression_exit_2(tmp_path, command, expr, where):
+def test_too_deep_expression_exit_2(tmp_path, command, body, where):
     f = tmp_path / "deep.kuif"
-    f.write_text(f"hidden x : int[0..3]\nprint {expr}\n@post {{ [x = 1] }}\n")
+    f.write_text(f"hidden x : int[0..3]\n{body}\n@post {{ [x = 1] }}\n")
     args = ("--prior", "uniform") if command == "run" else ()
     p = cli(command, str(f), *args)
     assert p.returncode == 2
@@ -362,8 +364,9 @@ def test_too_deep_expression_exit_2(tmp_path, command, expr, where):
         ("print " + "(" * 65 + "x" + ")" * 65, "[x = 1]"),
         ("print " + " + ".join(["x"] * 198), "[x = 1]"),
         ("skip", " PLUS ".join(["[x = 1]"] * 195)),
+        ("if x = 1 then " * 197 + "x := 2" + " fi" * 197, "[x = 1]"),
     ],
-    ids=["nested-parentheses", "flat-sum", "gain-chain"],
+    ids=["nested-parentheses", "flat-sum", "gain-chain", "nested-if"],
 )
 @pytest.mark.parametrize("command", ["run", "wp", "check"])
 def test_deepest_accepted_input_runs(tmp_path, command, body, post):
@@ -373,6 +376,24 @@ def test_deepest_accepted_input_runs(tmp_path, command, body, post):
     p = cli(command, str(f), *args)
     assert p.returncode == 0, p.stderr
     assert p.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["wp", "check"])
+def test_expression_built_too_deep_exit_3(tmp_path, command):
+    # both statements parse, but substituting y's 190-term value into the
+    # 190-term print nests far deeper than any parsed expression
+    f = tmp_path / "subst.kuif"
+    f.write_text(
+        "hidden x : int[0..3]; hidden y : int[0..3];\n"
+        "y := " + " + ".join(f"x div {i}" for i in range(1, 191)) + ";\n"
+        "print " + " + ".join(["y"] * 190) + "\n@post { [x = 1] }\n"
+    )
+    p = cli(command, str(f))
+    assert p.returncode == 3
+    assert p.stderr == (
+        "error: the analysis built an expression nested too deep to process\n"
+    )
+    assert p.stdout == ""
 
 
 def test_unbounded_loop_exit_3(tmp_path):

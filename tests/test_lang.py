@@ -293,6 +293,14 @@ def test_nesting_limit_is_a_parse_error():
     parse_gain(" MAX ".join(["[x = 1]"] * (MAX_DEPTH - 5)))
     with pytest.raises(ParseError, match="nesting deeper"):
         parse_gain(" MAX ".join(["[x = 1]"] * (MAX_DEPTH - 4)))
+    # each `if` and `while` opens one, and its guard three more
+    for open_, close in [("if x = 1 then ", " fi"), ("while x = 1 do ", " od")]:
+        k = MAX_DEPTH - 3
+        parse_program("hidden x : int[0..3]\n" + open_ * k + "skip" + close * k)
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_program(
+                "hidden x : int[0..3]\n" + open_ * (k + 1) + "skip" + close * (k + 1)
+            )
 
 
 # ---- typechecking rejections

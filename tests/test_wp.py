@@ -325,6 +325,10 @@ def test_deepest_accepted_input_leaves_recursion_headroom():
         ("print " + "not " * (MAX_DEPTH - 3) + "x = 1", "[x = 1]"),
         ("skip", " PLUS ".join(["[x = 1]"] * (MAX_DEPTH - 5))),
         ("skip", "[" + " and ".join(["x = 1"] * (MAX_DEPTH - 5)) + "]"),
+        (
+            "if x = 1 then " * (MAX_DEPTH - 3) + "x := 2" + " fi" * (MAX_DEPTH - 3),
+            "[x = 1]",
+        ),
     ]:
         p = make(f"hidden x : int[0..3]\n{body}\n@post {{ {post} }}\n")
         pre = wp(p).pre
