@@ -276,11 +276,26 @@ def cmd_run(args):
     return 0
 
 
+class AnalysisTooDeep(KuifjeError):
+    """wp built an expression nested deeper than Python's stack allows."""
+
+
+def _wp_pre(engine, post):
+    try:
+        return engine.wp_program(post)
+    except RecursionError:
+        # the parser bounds input nesting, but substitution can build
+        # expressions deeper than any the parser admits
+        raise AnalysisTooDeep(
+            "the analysis built an expression nested too deep to process"
+        ) from None
+
+
 def cmd_wp(args):
     program = _load_program(args.program)
     post = _resolve_post(program, args)
     engine = WpEngine(program, _wp_config(args))
-    result = engine.wp_program(post)
+    result = _wp_pre(engine, post)
     if args.format == "json":
         doc = {"pre": result.render()}
         if args.show_trace:
@@ -326,7 +341,7 @@ def cmd_check(args):
     program = _load_program(args.program)
     post = _resolve_post(program, args)
     engine = WpEngine(program, _wp_config(args))
-    result = engine.wp_program(post)
+    result = _wp_pre(engine, post)
     executable = engine.executable  # its tables are warm from wp's loop analysis
     # one evaluator values every atom on every state at most once
     ev = GainEvaluator(executable.states())
@@ -484,16 +499,13 @@ def main(argv=None):
             lhs, rhs = exc.equation
             print(f"  needed: {lhs} == {rhs}", file=sys.stderr)
         return 4
-    except (LoopBoundExceeded, BoundTooSmall, LoopNeedsInvariantOrBound) as exc:
+    except (
+        LoopBoundExceeded,
+        BoundTooSmall,
+        LoopNeedsInvariantOrBound,
+        AnalysisTooDeep,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RecursionError:
-        # the parser bounds input nesting, but substitution can build
-        # expressions deeper than any the parser admits
-        print(
-            "error: the analysis built an expression nested too deep to process",
-            file=sys.stderr,
-        )
         return 3
     except KuifjeError as exc:
         print(f"error: {exc}", file=sys.stderr)

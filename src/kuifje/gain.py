@@ -30,10 +30,10 @@ Iverson really does shield the expression it multiplies.
 The canonicalizer rewrites every atom into a sum of terms coeff*[pred]*factors
 with predicates in minimized disjunctive normal form, merges complementary
 and disjoint guarded terms, and renders deterministically; `simplify` prunes
-atoms that are pointwise dominated on the declared state space.  It lists
-that space once, decides predicates on bitmasks over it, one per literal,
-and values atoms from integer factor columns under those masks; like the
-evaluator's, its columns die with it.
+atoms that are pointwise dominated on the declared state space.  It reads
+that space's states once, when it first needs them, decides predicates on
+bitmasks over it, one per literal, and values atoms from integer factor
+columns under those masks; like the evaluator's, its columns die with it.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .core import Dist, all_states
@@ -276,17 +277,18 @@ def _const_val(e):
 class Canon:
     """Canonicalizer and exact comparison engine bound to declarations.
 
-    Predicates and atoms are decided on the declared state space, whose
-    states are listed once in `all_states` order: bit i of a mask, and slot i
-    of a column, is the i-th state.
+    Predicates and atoms are decided on the declared state space, in
+    `all_states` order: bit i of a mask, and slot i of a column, is the i-th
+    state.  `states`, if given, returns that list (a WpEngine passes its
+    executable's, so the space is listed once); it is called when the first
+    predicate or atom is decided, so a Canon that decides none lists nothing.
     """
 
-    def __init__(self, decls):
+    def __init__(self, decls, states=None):
         self.domains = {d.name: d.domain for d in decls}
         self.names = tuple(self.domains)
-        states = all_states(self.names, list(self.domains.values()))
-        self._values = [s.values for s in states]
-        self.full = (1 << len(self._values)) - 1
+        names, domains = self.names, list(self.domains.values())
+        self._states = states or (lambda: all_states(names, domains))
         self._models = {}
         self._lit_model_cache = {}
         self._factor_columns = {}
@@ -299,6 +301,14 @@ class Canon:
         self._atom_cache = {}
         self._vectors = {}
         self._rebuilt = {}
+
+    @cached_property
+    def _values(self):
+        return [s.values for s in self._states()]
+
+    @cached_property
+    def full(self):
+        return (1 << len(self._values)) - 1
 
     # ---- literals and DNF
 

@@ -116,7 +116,7 @@ class WpEngine:
         self.program = self.executable.program
         self.decls = self.program.decls
         self.domains = {d.name: d.domain for d in self.decls}
-        self.canon = Canon(self.decls)
+        self.canon = Canon(self.decls, self.executable.states)
         self.trace = []
         self._loop_bounds = {}
 

@@ -13,6 +13,7 @@ import algebra
 from kuifje.core import State, all_states, avg, dist_from_entries, hyper_reduce, point
 from kuifje.errors import NegativeAtom
 from kuifje.gain import (
+    Canon,
     GainEvaluator,
     eval_atom_total,
     eval_bool_total,
@@ -260,6 +261,23 @@ def test_normalize_expands_to_max_of_atoms():
 def test_simplify_prunes_dominated_atoms():
     nf = simplify(parse_gain("[a] MAX [a and b] MAX 1/2"), DECLS)
     assert nf.render() == "1/2 MAX [a]"
+
+
+def test_canon_lists_the_states_when_first_deciding():
+    calls = []
+
+    def states():
+        calls.append(1)
+        return all_states([d.name for d in DECLS], [d.domain for d in DECLS])
+
+    canon = Canon(DECLS, states)
+    assert calls == []
+    nf = simplify(parse_gain("[a] MAX [a and b] MAX 1/2"), DECLS, canon)
+    assert nf.render() == "1/2 MAX [a]"
+    assert simplify(parse_gain("[x = 1] MAX [n = 2]"), DECLS, canon).render() == (
+        "[n = 2] MAX [x = 1]"
+    )
+    assert calls == [1]
 
 
 def test_normalize_keeps_dominated_atoms():

@@ -47,6 +47,27 @@ def test_wp_skip_is_identity():
     assert res.render() == "[x = 0] MAX [x = 1] MAX [x = 2] MAX [x = 3]"
 
 
+@pytest.mark.parametrize("stmt", ["skip", "print x mod 2"])
+def test_wp_lists_the_declared_space_once(monkeypatch, stmt):
+    # the canonicalizer reads the executable's state list, which a print
+    # also needs, rather than listing the space again
+    import kuifje.core
+    import kuifje.gain
+    import kuifje.semantics
+
+    calls = []
+
+    def counted(names, domains):
+        calls.append(tuple(names))
+        return kuifje.core.all_states(names, domains)
+
+    monkeypatch.setattr(kuifje.semantics, "all_states", counted)
+    monkeypatch.setattr(kuifje.gain, "all_states", counted)
+    p = make(f"hidden x : int[0..3]\n{stmt}\n@post {{ [x = 1] }}")
+    assert wp(p).render() == "[x = 1]"
+    assert calls == [("x",)]
+
+
 def test_wp_assign_substitutes():
     p = make("hidden x : int[0..9]\nx := x div 2\n@post { [x = 1] }")
     assert wp(p).render() == "[x div 2 = 1]"
