@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -150,6 +152,200 @@ def test_run_json_hyper_shape():
     first = doc["hyper"][0]["inner"]
     assert [row["state"]["x"] for row in first] == [0, 1, 2, 3]
     assert {row["prob"] for row in first} == {"1/4"}
+
+
+def _full_support_prior(program, rng):
+    """Prior-file text giving every declared state a seeded weight in 1..16."""
+    from kuifje.core import _fmt_value, all_states
+
+    decls = program.decls
+    states = all_states([d.name for d in decls], [d.domain for d in decls])
+    weights = [rng.randint(1, 16) for _ in states]
+    total = sum(weights)
+    return "".join(
+        " ".join(f"{n}={_fmt_value(v)}" for n, v in zip(s.names, s.values))
+        + f" : {Fraction(w, total)}\n"
+        for s, w in zip(states, weights)
+    )
+
+
+def _guessing_gain(program):
+    """One-try guessing gain on the program's first scalar variable."""
+    from kuifje.core import BoolDomain, IntRange
+
+    for d in program.decls:
+        if isinstance(d.domain, BoolDomain):
+            return f"[{d.name}] MAX [not {d.name}]"
+        if isinstance(d.domain, IntRange):
+            return f"MAX w in {d.domain.lo}..{d.domain.hi}: [{d.name} = w]"
+    raise AssertionError("program has no scalar variable")
+
+
+RUN_DIGESTS = {
+    # SHA-256 of `run --format json` stdout on each corpus program, and of
+    # `eval --hyper` with the guessing gain on that output; "file" is the
+    # seeded full-support prior that `_full_support_prior` writes
+    ("branch_assign.kuif", "file"): (
+        "08655a836161a128fff452f59a4b0c0aa953afaf258992a166e8e6ffd75d2b1b",
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ),
+    ("branch_assign.kuif", "uniform"): (
+        "78ef984b8b9628d29e4dbec5719070c1a933886775252fbd4c1819cc71875f8f",
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ),
+    ("clamp_parity.kuif", "file"): (
+        "f9ebec68c86771a359d0b836f1e9e34b2ba9a911d567d4143468035654a81e1a",
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ),
+    ("clamp_parity.kuif", "uniform"): (
+        "65b94166edb815de0b235d207de60a71c904afa7cfd19d609eb3748d8e7b2556",
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ),
+    ("compose_leaks_small.kuif", "file"): (
+        "18c86f0c314da21308fd6f78a021207d3636ba37e876edd4e3dfb9abbf173b01",
+        "ca0ca0dc48537c27b173b404755dc816fb499f77bb4bf00ca2b7464d0a8d6c19",
+    ),
+    ("compose_leaks_small.kuif", "uniform"): (
+        "8021cd782cc027451298bf44a96036299554954b687316659b7ebfdf93f01f1d",
+        "31d98f752e5b9381a4ae94db10564eb93058ca5bbce96009918f7172ff0a4e05",
+    ),
+    ("halve_then_guess.kuif", "file"): (
+        "646e55ef718fe73c72c250487d54809fb2a72cbb722efc847bae60ffef04e938",
+        "70874740bda0a25951166815b805ff2731b1cd9cb00156b754462f68d97cb9bd",
+    ),
+    ("halve_then_guess.kuif", "uniform"): (
+        "a18bbe705be4eaf1a5d2ec675e9158684e454fd78f81428d08fe720749cfb7a6",
+        "035b4d8c6f956e453f0e654c827e93a5d2a738f9591cd254e9dd4bd00f87c669",
+    ),
+    ("mark_slot.kuif", "file"): (
+        "c76f5b39bbf2fa5e191b1a9d24ec315d77a25b228e22d551c0c50c89a8b7a967",
+        "fa7d9d8399116baa93f7166bdcf1d1b82f1a4bba3c090df71f75d5db08c0d40d",
+    ),
+    ("mark_slot.kuif", "uniform"): (
+        "f48a732427842c2c6859584ea2d06e0e32cac768c70553fa241bb1c68df56526",
+        "b46522e3c1502ac4adb3a5101c2d43dd58a6115abccb32dbc91ec95cfb8ffbba",
+    ),
+    ("max_no_branch.kuif", "file"): (
+        "fbaf5d2dc57e2d4de58d32df32220b9eeb7bba41dae5adbf498d5b3d9388ff6c",
+        "f206c481d758c47180100ab17efe126a78bc133d387cfa887829609d9715f029",
+    ),
+    ("max_no_branch.kuif", "uniform"): (
+        "8b1585a7c8462065186145bc0ea54f9c5d42e7f6c2b4fcaf685db18bc0d1e7bd",
+        "1c3ea55e48efd86c893429a6a629a7bb893fd49fa675a0a9d8543b58731eeb03",
+    ),
+    ("reveal_low_bits.kuif", "file"): (
+        "4601fbf93054e5568264eaf8df0c1d5bb6256e4cb696e50f9d308b0385820402",
+        "17de667395fc1f40ae731149644a3517afa7d6c9d8ce64878b5acae2c4319964",
+    ),
+    ("reveal_low_bits.kuif", "uniform"): (
+        "0b938bd2f7e78301da52ff4fcadade083c00daac19158d8626ff5a9839eaf604",
+        "a6866a3c341481cdbdc10c15e98f1448e5d6e1e5485bebd8293f835a5d0dc7ec",
+    ),
+    ("reveal_low_bits_small.kuif", "file"): (
+        "c463d071b900c4b53d0759d459b5a8e2f7564da6cbbf8e55deef89d414d8e203",
+        "e11bff718a8c70a7d47bfb082c3f85d59d7b36c91bdc0da5a2d5933813101248",
+    ),
+    ("reveal_low_bits_small.kuif", "uniform"): (
+        "0f79c1179fcaf54779624b9901f451ff8a924e7ced39386de1dca734504e2e91",
+        "93eb24eedf43b048b7225800d0d36b77abc2640b226582c7e95a3618d316a9b2",
+    ),
+    ("reveal_max_value.kuif", "file"): (
+        "0042dd1b070455e8b7035e8cd8efbf33bd18233387792129a9431456fda8f08c",
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ),
+    ("reveal_max_value.kuif", "uniform"): (
+        "e0093113828ea254fd7ed3c4372f4839425a304b3b89e18e082908f7d8ce17d7",
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ),
+    ("reveal_mod4_small.kuif", "file"): (
+        "881afecf5ba42c8929df2711b005316b1571c657331ff2579a51ec2acf4368e9",
+        "b254701d2fd781d722395517d9b2b241549ef480cef8f9b81bd347904e276df1",
+    ),
+    ("reveal_mod4_small.kuif", "uniform"): (
+        "a2da0de6226092eb03f8f1265ca80e02979cd5417b06e0824a7cd4ed1830e046",
+        "f9d4fb450905219eddeffb6e3657039b0f91c9567974ce100216b734500711c7",
+    ),
+    ("reveal_mod8.kuif", "file"): (
+        "abc4d9a4055373872747fd83bb6712974ad2b701bfe7264654370e6e49ec5aa3",
+        "02ad4702f627189ea1acba654b8db320fbe864bb352f6e3c25bf4a1c000c42c8",
+    ),
+    ("reveal_mod8.kuif", "uniform"): (
+        "a316393693ab1ec751f3dacc7387fb4b9a8f3b430aea1cc3debd0d60f3b50389",
+        "b938b5dbd23830cd791eca2abf2e4361da8edcab363662bd8af5e76bbb96fad6",
+    ),
+    ("search_early_exit.kuif", "file"): (
+        "82a6912bf294675834036db837b18c3eaecd7bbb9528a0f29cf7948abd0be85a",
+        "a8d3370402ab0d4e9b6049b60174767437d98ac0c98b9fcb1114090e48a19b0f",
+    ),
+    ("search_early_exit.kuif", "uniform"): (
+        "96b500bd3efea428dc91109235ecc58e7b24751536143472e74cb7cc94e1c2cd",
+        "93eb24eedf43b048b7225800d0d36b77abc2640b226582c7e95a3618d316a9b2",
+    ),
+    ("search_full_scan.kuif", "file"): (
+        "b052940ad1fddcafc5779ee5c087b17686d2c9b588070c995b4d6767ccd95b6d",
+        "fa1fd3ec5ee9c9c80ae2c7f9b2996bc158eea3dcced7174526b740a22ae4f691",
+    ),
+    ("search_full_scan.kuif", "uniform"): (
+        "ea2d043ed33da3515f52549e514b55162cd9a64dd4e06bdc88033a03395e78be",
+        "93eb24eedf43b048b7225800d0d36b77abc2640b226582c7e95a3618d316a9b2",
+    ),
+    ("search_with_flag.kuif", "file"): (
+        "06cf85ff76790635dab259db4152c5a179c645f44a4d18a1316564c77f4f17c7",
+        "d784359e630d20ad964e7a8df0541f1107c2463cf964cf54d6a83f105fdac761",
+    ),
+    ("search_with_flag.kuif", "uniform"): (
+        "b998251f54170ee30864549dc943022777d79f2ae4c1a190a8fa1179d4326676",
+        "93eb24eedf43b048b7225800d0d36b77abc2640b226582c7e95a3618d316a9b2",
+    ),
+    ("sell_secret.kuif", "file"): (
+        "ef3676745ec161a3ba0f98c78a9503110bd4cfe90fe56472510a661ada2efb00",
+        "164e8f4ed13f5c51874982d8f36c74e8cf866efbc8271732e074b7bc4a7988b3",
+    ),
+    ("sell_secret.kuif", "uniform"): (
+        "96b500bd3efea428dc91109235ecc58e7b24751536143472e74cb7cc94e1c2cd",
+        "93eb24eedf43b048b7225800d0d36b77abc2640b226582c7e95a3618d316a9b2",
+    ),
+    ("skip_loop.kuif", "file"): (
+        "fdcb67cd95f753dce7872231d30ef2d971057790fe276af909250eeafd1a3087",
+        "4bc1e78d7e62da740a121e39db486e1fbbc52942dde8c06f70075cc7e33fd6e1",
+    ),
+    ("skip_loop.kuif", "uniform"): (
+        "545d581988f3bd567036ae0f108dd996a2e287c1b6931b7a4f7f8b71c9230c8a",
+        "de7e55cd172f2065828bdd6c2015c5e92fdd6271ab1bd0f30a5e15104e64678d",
+    ),
+    ("threshold_print.kuif", "file"): (
+        "d88402c57f5fed231e347a5c72aa493452abb1fe6c5cece8b95a249bde274cc5",
+        "a168b6f327a62e04a21140a7ee332e6906a7665c007e100a1e05267f351c40f0",
+    ),
+    ("threshold_print.kuif", "uniform"): (
+        "9b6f4bc8f973fe1224bc53c1f6aed9acd263d9507310886813ffec6a67f73ed8",
+        "035b4d8c6f956e453f0e654c827e93a5d2a738f9591cd254e9dd4bd00f87c669",
+    ),
+
+}
+
+
+@pytest.mark.parametrize(
+    "name, prior",
+    sorted(RUN_DIGESTS),
+    ids=[f"{n} {p}" for n, p in sorted(RUN_DIGESTS)],
+)
+def test_run_stdout_digest(name, prior, tmp_path, load_program):
+    program = load_program(name[: -len(".kuif")])
+    spec = prior
+    if prior == "file":
+        spec = str(tmp_path / "full.prior")
+        with open(spec, "w") as f:
+            f.write(_full_support_prior(program, random.Random(name)))
+    run = cli("run", corpus(name), "--prior", spec, "--format", "json")
+    assert run.returncode == 0, run.stderr
+    hyper_file = tmp_path / "h.json"
+    hyper_file.write_text(run.stdout)
+    ev = cli("eval", corpus(name), "--gain", _guessing_gain(program),
+             "--hyper", str(hyper_file))
+    assert ev.returncode == 0, ev.stderr
+    got = tuple(hashlib.sha256(p.stdout.encode()).hexdigest() for p in (run, ev))
+    assert got == RUN_DIGESTS[name, prior]
 
 
 # ---- eval, including the hyper json round-trip
