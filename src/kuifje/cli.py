@@ -18,6 +18,7 @@ included.  Output is deterministic: same inputs, same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -100,36 +101,74 @@ def _prob(text):
         raise KuifjeError(f"bad probability {text!r}") from None
 
 
-def _parse_bindings(text, decls):
-    by_name = {d.name: d for d in decls}
-    got = {}
-    for piece in text.split():
-        if "=" not in piece:
-            raise KuifjeError(f"bad binding {piece!r} in prior (want name=value)")
-        name, _, val = piece.partition("=")
-        if name not in by_name:
-            raise KuifjeError(f"prior binds undeclared variable {name!r}")
-        v = _parse_value(val)
-        if not by_name[name].domain.contains(v):
-            raise KuifjeError(f"prior value {name}={val} is outside its domain")
-        got[name] = v
-    missing = [d.name for d in decls if d.name not in got]
-    if missing:
-        raise KuifjeError(f"prior line leaves {', '.join(missing)} unbound")
-    names = tuple(d.name for d in decls)
-    return State(names, tuple(got[n] for n in names))
+_UNBOUND = object()  # a state slot no binding has filled yet
+
+# How each input reads a state's value, and shows it in an error.
+_VALUES = {
+    "prior": (_parse_value, lambda raw, value: raw),
+    "hyper": (
+        lambda raw: tuple(raw) if isinstance(raw, list) else raw,
+        lambda raw, value: repr(value),
+    ),
+}
+
+
+def _slots(decls):
+    """{name: (position in a state, domain)} for each declared variable."""
+    return {d.name: (i, d.domain) for i, d in enumerate(decls)}
+
+
+def _bind(slots, source, name, raw):
+    """(position, value) of one binding that a prior line or hyper state
+    makes: the name must be declared and the value lie in its domain."""
+    if name not in slots:
+        raise KuifjeError(f"{source} binds undeclared variable {name!r}")
+    i, domain = slots[name]
+    parse, show = _VALUES[source]
+    value = parse(raw)
+    if not domain.contains(value):
+        raise KuifjeError(
+            f"{source} value {name}={show(raw, value)} is outside its domain"
+        )
+    return i, value
 
 
 def _prior_from_lines(text, decls):
+    """A prior from `bindings : probability` lines.  Each distinct
+    `name=value` text and each distinct probability text is read once."""
+    slots = _slots(decls)
+    names = tuple(slots)
+    bound = {}  # "name=value" -> (position, value)
+    probs = {}  # probability text -> Fraction
     pairs = []
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if ":" not in line:
+        left, colon, prob = line.rpartition(":")
+        if not colon:
             raise KuifjeError(f"bad prior line {line!r} (want bindings : prob)")
-        left, _, prob = line.rpartition(":")
-        pairs.append((_parse_bindings(left, decls), _prob(prob.strip())))
+        vals = [_UNBOUND] * len(names)
+        for piece in left.split():
+            hit = bound.get(piece)
+            if hit is None:
+                name, eq, val = piece.partition("=")
+                if not eq:
+                    raise KuifjeError(
+                        f"bad binding {piece!r} in prior (want name=value)"
+                    )
+                hit = bound[piece] = _bind(slots, "prior", name, val)
+            i, v = hit
+            if vals[i] is not _UNBOUND:
+                raise KuifjeError(f"prior line binds {names[i]} twice")
+            vals[i] = v
+        if _UNBOUND in vals:
+            missing = [n for n, v in zip(names, vals) if v is _UNBOUND]
+            raise KuifjeError(f"prior line leaves {', '.join(missing)} unbound")
+        p = probs.get(prob)
+        if p is None:
+            p = probs[prob] = _prob(prob.strip())
+        pairs.append((State(names, tuple(vals)), p))
     if not pairs:
         raise KuifjeError("prior file/directive contains no entries")
     return Dist(pairs)
@@ -206,21 +245,21 @@ def hyper_to_json(hyper):
 
 
 def hyper_from_json(doc, decls):
-    names = tuple(d.name for d in decls)
-    by_name = {d.name: d for d in decls}
+    slots = _slots(decls)
+    names = tuple(slots)
     pairs = []
     for group in doc["hyper"]:
         inner_pairs = []
         for cell in group["inner"]:
+            state = cell["state"]
             vals = []
             for n in names:
-                if n not in cell["state"]:
+                if n not in state:
                     raise KuifjeError(f"hyper state leaves {n!r} unbound")
-                v = cell["state"][n]
-                v = tuple(v) if isinstance(v, list) else v
-                if not by_name[n].domain.contains(v):
-                    raise KuifjeError(f"hyper value {n}={v!r} is outside its domain")
-                vals.append(v)
+                vals.append(_bind(slots, "hyper", n, state[n])[1])
+            if len(state) > len(names):
+                for n in state:  # one of them is undeclared
+                    _bind(slots, "hyper", n, state[n])
             inner_pairs.append((State(names, tuple(vals)), _prob(cell["prob"])))
         pairs.append((Dist(inner_pairs), _prob(group["weight"])))
     return Hyper(pairs)
@@ -434,6 +473,7 @@ def _add_wp_flags(sub):
     )
 
 
+@functools.cache  # parse_args never changes the parser, so one serves every call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kuifje",

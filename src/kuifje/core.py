@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import NegativeProbability, SumNotOne
 
 ZERO = Fraction(0)
+_first = itemgetter(0)
 
 
 def _fmt_value(v):
@@ -196,24 +198,33 @@ class Dist:
         return self
 
     def _check(self, pairs, negative, what):
-        """Validate outside (element, probability) pairs and canonicalize."""
-        acc = {}
+        """Validate outside (element, probability) pairs and canonicalize.
+
+        Each probability is converted once; the sum is checked on integers
+        over the lcm of the denominators."""
+        parts = []
         for elem, p in pairs:
-            p = Fraction(p)
-            if p < 0:
+            if type(p) is not Fraction:
+                p = Fraction(p)
+            n = p.numerator
+            if n < 0:
                 raise NegativeProbability(negative.format(p=p, elem=elem))
-            if p:
-                acc[elem] = acc.get(elem, ZERO) + p
-        total = sum(acc.values(), ZERO)
-        if total != 1:
-            raise SumNotOne(f"{what} sum to {total}, not 1")
-        den = lcm(*(p.denominator for p in acc.values()))
-        self._canon({e: p.numerator * (den // p.denominator) for e, p in acc.items()})
+            if n:
+                parts.append((elem, n, p.denominator))
+        den = lcm(*{d for _, _, d in parts})
+        acc = {}
+        for elem, n, d in parts:
+            acc[elem] = acc.get(elem, 0) + n * (den // d)
+        total = sum(acc.values())
+        if total != den:
+            raise SumNotOne(f"{what} sum to {Fraction(total, den)}, not 1")
+        self._canon(acc)
 
     def _canon(self, acc):
         """Set the canonical form from `{element: positive int}`."""
         g = gcd(*acc.values())
-        self.weights = tuple(sorted((e, w // g) for e, w in acc.items()))
+        # the elements are distinct, so they alone order the pairs
+        self.weights = tuple(sorted([(e, w // g) for e, w in acc.items()], key=_first))
         self.den = sum(acc.values()) // g
         self._entries = None
         self._hash = hash(self.weights)

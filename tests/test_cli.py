@@ -634,6 +634,9 @@ def test_missing_file_exit_2():
 
 
 _NO_PROB_CELL = {"hyper": [{"weight": "1", "inner": [{"state": {"x": 0}}]}]}
+_EXTRA_KEY = {
+    "hyper": [{"weight": "1", "inner": [{"state": {"x": 0, "zz": 5}, "prob": "1"}]}]
+}
 
 
 @pytest.mark.parametrize(
@@ -643,6 +646,8 @@ _NO_PROB_CELL = {"hyper": [{"weight": "1", "inner": [{"state": {"x": 0}}]}]}
         (("run", "--prior", "x=zz : 1"), None, "'zz'"),
         (("run", "--prior", "x=1 : 1/0"), None, "'1/0'"),
         (("run", "--prior", "product x:{1:1/2,2:xx}"), None, "'xx'"),
+        (("run", "--prior", "x=1 x=2 : 1"), None, "prior line binds x twice"),
+        (("eval", "--gain", "[x = 0]"), json.dumps(_EXTRA_KEY), "variable 'zz'"),
         (("eval", "--gain", "[x = 0]"), json.dumps(_NO_PROB_CELL), "'prob'"),
         (("eval", "--gain", "[x = 0]"), "not json {", "h.json"),
     ],
