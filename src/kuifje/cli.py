@@ -113,14 +113,10 @@ _VALUES = {
 }
 
 
-def _slots(decls):
-    """{name: (position in a state, domain)} for each declared variable."""
-    return {d.name: (i, d.domain) for i, d in enumerate(decls)}
-
-
 def _bind(slots, source, name, raw):
     """(position, value) of one binding that a prior line or hyper state
-    makes: the name must be declared and the value lie in its domain."""
+    makes: the name must be declared in `slots` ({name: (position,
+    domain)}) and the value lie in its domain."""
     if name not in slots:
         raise KuifjeError(f"{source} binds undeclared variable {name!r}")
     i, domain = slots[name]
@@ -136,7 +132,7 @@ def _bind(slots, source, name, raw):
 def _prior_from_lines(text, decls):
     """A prior from `bindings : probability` lines.  Each distinct
     `name=value` text and each distinct probability text is read once."""
-    slots = _slots(decls)
+    slots = {d.name: (i, d.domain) for i, d in enumerate(decls)}
     names = tuple(slots)
     bound = {}  # "name=value" -> (position, value)
     probs = {}  # probability text -> Fraction
@@ -245,7 +241,7 @@ def hyper_to_json(hyper):
 
 
 def hyper_from_json(doc, decls):
-    slots = _slots(decls)
+    slots = {d.name: (i, d.domain) for i, d in enumerate(decls)}
     names = tuple(slots)
     pairs = []
     for group in doc["hyper"]:

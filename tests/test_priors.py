@@ -38,7 +38,7 @@ GAPS = st.sampled_from([" ", "  ", "\t", " \t "])
 
 
 def _decimal(q):
-    """q as a decimal text, or None if it has no finite one of six places."""
+    """q as a decimal text, or None if that needs more than six places."""
     scale = 10**6
     if scale % q.denominator:
         return None
@@ -123,9 +123,12 @@ def _outcome(read, text):
         return type(exc), str(exc)
 
 
-def _new(text):
-    dist = _prior_from_lines(text, DECLS)
+def _canonical(dist):
     return dist.weights, dist.den
+
+
+def _new(text):
+    return _canonical(_prior_from_lines(text, DECLS))
 
 
 def _binds_twice(text, name):
@@ -136,7 +139,7 @@ def _binds_twice(text, name):
     return False
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, derandomize=True, deadline=None)
 @given(prior_texts())
 def test_prior_reader_matches_reference(text):
     new = _outcome(_new, text)
@@ -172,7 +175,7 @@ PROBS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), PROBS), max_size=6), st.booleans())
 def test_dist_validation_matches_reference(pairs, close):
     if close and pairs:
@@ -180,30 +183,26 @@ def test_dist_validation_matches_reference(pairs, close):
         rest = sum(Fraction(p) for _, p in pairs[:-1])
         pairs[-1] = (pairs[-1][0], 1 - rest)
     pairs = [(State(("x",), (e,)), p) for e, p in pairs]
-
-    def new(ps):
-        d = Dist(ps)
-        return d.weights, d.den
-
-    assert _outcome(new, pairs) == _outcome(ref.canonical, pairs)
+    new = _outcome(lambda ps: _canonical(Dist(ps)), pairs)
+    assert new == _outcome(ref.canonical, pairs)
 
 
-def test_hyper_validation_matches_reference():
-    s = [State(("x",), (v,)) for v in range(3)]
-    d1 = Dist([(s[0], Fraction(1, 2)), (s[1], Fraction(1, 2))])
-    d2 = Dist([(s[2], 1)])
+S = [State(("x",), (v,)) for v in range(3)]
+D1 = Dist([(S[0], Fraction(1, 2)), (S[1], Fraction(1, 2))])
+D2 = Dist([(S[2], 1)])
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(D1, Fraction(1, 3)), (D2, Fraction(2, 3))],
+        [(D1, Fraction(1, 3)), (D1, Fraction(1, 6)), (D2, "1/2")],
+        [(D1, Fraction(1, 3)), (D2, Fraction(1, 3))],
+        [(D1, Fraction(-1, 3)), (D2, Fraction(4, 3))],
+        [(D1, 0), (D2, 1)],
+    ],
+)
+def test_hyper_validation_matches_reference(pairs):
+    new = _outcome(lambda ps: _canonical(Hyper(ps)), pairs)
     outer = ("outer weight {p}", "outer weights")
-    for pairs in (
-        [(d1, Fraction(1, 3)), (d2, Fraction(2, 3))],
-        [(d1, Fraction(1, 3)), (d1, Fraction(1, 6)), (d2, "1/2")],
-        [(d1, Fraction(1, 3)), (d2, Fraction(1, 3))],
-        [(d1, Fraction(-1, 3)), (d2, Fraction(4, 3))],
-        [(d1, 0), (d2, 1)],
-    ):
-        def new(ps):
-            h = Hyper(ps)
-            return h.weights, h.den
-
-        assert _outcome(new, pairs) == _outcome(
-            lambda ps: ref.canonical(ps, *outer), pairs
-        )
+    assert new == _outcome(lambda ps: ref.canonical(ps, *outer), pairs)
