@@ -646,10 +646,10 @@ _EXTRA_KEY = {
         (("run", "--prior", "x=zz : 1"), None, "'zz'"),
         (("run", "--prior", "x=1 : 1/0"), None, "'1/0'"),
         (("run", "--prior", "product x:{1:1/2,2:xx}"), None, "'xx'"),
-        (("run", "--prior", "x=1 x=2 : 1"), None, "prior line binds x twice"),
-        (("eval", "--gain", "[x = 0]"), json.dumps(_EXTRA_KEY), "variable 'zz'"),
         (("eval", "--gain", "[x = 0]"), json.dumps(_NO_PROB_CELL), "'prob'"),
         (("eval", "--gain", "[x = 0]"), "not json {", "h.json"),
+        (("run", "--prior", "x=1 x=2 : 1"), None, "prior line binds x twice"),
+        (("eval", "--gain", "[x = 0]"), json.dumps(_EXTRA_KEY), "variable 'zz'"),
     ],
 )
 def test_malformed_prior_or_hyper_exit_2(tmp_path, args, hyper_text, named):
