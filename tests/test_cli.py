@@ -92,6 +92,44 @@ def test_wp_stdout_digest(name, flags):
     assert hashlib.sha256(p.stdout.encode()).hexdigest() == WP_DIGESTS[name, flags]
 
 
+CHECK_DIGESTS = {
+    # SHA-256 of `check --priors random:3:7 --verbose` stdout on each corpus
+    # program with a @post, and of the same with `--force-unfold` on each one
+    # with an annotated loop: the priors run through the executor that wp's
+    # loop analysis warmed
+    ("branch_assign.kuif", ()): "33aba5ad71315abeb2e03521f8c3714ed4c7f8c980fa37df33b333f76d3064c4",
+    ("clamp_parity.kuif", ()): "bec09e3fe09efa22ad79b8f6c3803e1bbd179f711a4cb998e937a2c18dbd98c9",
+    ("compose_leaks_small.kuif", ()): "8c83d6c84130414fe5ae04cd3d1919c11967c6ab83c2e15516cac23d69aec518",
+    ("halve_then_guess.kuif", ()): "3f469fe483dd02c394296fd8810c56a9cfbd2ee05f21a06a4d1d5288fce65b4a",
+    ("mark_slot.kuif", ()): "86b4f141a34297a42bcd7f61741743998cb0ed4e4beebb8439a1ec4cb9ede860",
+    ("max_no_branch.kuif", ()): "db39f4176ea21c3a64fed77f6992215a4d2d37925c3a63ca8df59d8122523cc5",
+    ("reveal_low_bits_small.kuif", ()): "047fc8068f0c9e1555bb1c00f0882b0417e252919689e1eff7d83b9f286c0d97",
+    ("reveal_max_value.kuif", ()): "db39f4176ea21c3a64fed77f6992215a4d2d37925c3a63ca8df59d8122523cc5",
+    ("reveal_mod4_small.kuif", ()): "daf981627cdd82c1b48eb7b07490d49886cbf51737d26ef685b82d71a9a1a822",
+    ("search_early_exit.kuif", ()): "0ad4ea774710f98960f9a61febd4ae0b12fb442a5e917a3aac5d953113a9cc06",
+    ("search_full_scan.kuif", ()): "8e2dddda6ad599a75f5ca84ea1c348f08029840bfc850f87a441fb2831198b22",
+    ("search_with_flag.kuif", ()): "c7918b8116d2da0ef0cdcd1bf106baecfc161dc5dceff1f0bb3dd27a45fb7f4e",
+    ("sell_secret.kuif", ()): "bda5bb45385e2121ade655f2ccc59e4903699e2a731887e465a4b035cacab96e",
+    ("skip_loop.kuif", ()): "21f122e23711be03223a298e06e1b5117b9238e23dead1815022dd5287152acb",
+    ("threshold_print.kuif", ()): "6e3c1c42c118a3209e696120ff7904c547d242a7fde2404e0bfced79fc65b8f5",
+    ("max_no_branch.kuif", ("--force-unfold",)): "db39f4176ea21c3a64fed77f6992215a4d2d37925c3a63ca8df59d8122523cc5",
+    ("reveal_max_value.kuif", ("--force-unfold",)): "ce48527016368d4f260172c74555027a3e36aad8d4427d475f445f19733fd1eb",
+    ("search_early_exit.kuif", ("--force-unfold",)): "bb81ee9dc00f4d95f9125061734f7204f1e74ec9f75079c5a85f01d29c39a4da",
+    ("search_full_scan.kuif", ("--force-unfold",)): "c7918b8116d2da0ef0cdcd1bf106baecfc161dc5dceff1f0bb3dd27a45fb7f4e",
+}
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    sorted(CHECK_DIGESTS),
+    ids=[" ".join((n,) + f) for n, f in sorted(CHECK_DIGESTS)],
+)
+def test_check_stdout_digest(name, flags):
+    p = cli("check", corpus(name), "--priors", "random:3:7", "--verbose", *flags)
+    assert p.returncode == 0, p.stderr
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == CHECK_DIGESTS[name, flags]
+
+
 def test_wp_explicit_post_overrides():
     p = cli("wp", corpus("branch_assign.kuif"), "--post", "[b]")
     assert p.returncode == 0
