@@ -13,7 +13,7 @@ and returns the ordinary output distribution.  Averaging a run's Hyper always
 reproduces it, which is the package's leak-erasure sanity law.
 
 All concrete execution goes through one `Executable` per program.  Its
-per-statement tables serve every run on it, the backwards analysis's loop
+compiled statements and their tables serve every run on it, the backwards analysis's loop
 bounds and loop-head groups, and `check`'s priors, and they are freed with
 the object.
 """
@@ -30,8 +30,8 @@ from .lang import (
     SPrint,
     SSeq,
     SWhile,
+    compile_expr,
     desugar_visible,
-    eval_expr,
     stmt_to_source,
 )
 
@@ -79,116 +79,131 @@ def _enclosing(stmt, target):
 
 
 class Executable:
-    """A program, desugared once, with one lazily filled table per statement.
+    """A program, desugared once, with each statement compiled once into a
+    step over a state's values tuple, laid out as the declarations.
 
     Statements are deterministic, so a statement run from a state has one
-    outcome, and its table maps the state to (trace, final, need):
+    outcome.  A step maps the values and a loop bound to (trace, final,
+    need):
 
     - `trace` is the observations in order: ("branch", taken) for each guard
       test, ("print", value) for each print;
-    - `final` is the state it ends in or, on a path a runtime error stopped,
-      that error, with `trace` the observations made before it;
+    - `final` is the values tuple it ends in or, on a path a runtime error
+      stopped, that error, with `trace` the observations made before it;
     - `need` is the most iterations any loop on the path took, so that a
       recorded outcome still raises LoopBoundExceeded for a caller whose
       bound is smaller.  Exceeding a bound is never recorded.
 
-    The tables are keyed by node identity, which stays unique because the
-    object holds the program.  Callers evaluating many priors keep one
-    Executable (or a WpEngine's) so that each state is executed once.
+    The step of a sequence, `if` or `while` records its outcomes in its own
+    table, keyed by the values tuple.  Steps are kept by node identity, which
+    stays unique because the object holds the program; no step refers back
+    to the object or to a statement node, so the tables die with it.  A State
+    is built only where a result leaves the object.  Callers evaluating many
+    priors keep one Executable (or a WpEngine's) so that each state is
+    executed once.
     """
 
     def __init__(self, program):
         self.program = desugar_visible(program)
         self.decls = self.program.decls
-        self._domains = {d.name: d.domain for d in self.decls}
+        self._names = tuple(d.name for d in self.decls)
         self._states = None
-        self._tables = {}
+        self._steps = {}
 
     def states(self):
         """Every declared state, in canonical order."""
         if self._states is None:
-            self._states = all_states(
-                tuple(d.name for d in self.decls), [d.domain for d in self.decls]
-            )
+            self._states = all_states(self._names, [d.domain for d in self.decls])
         return self._states
 
-    # ---- the interpreter
+    # ---- compiling statements into steps
 
-    def _exec(self, stmt, state, bound):
-        """The outcome of `stmt` from `state`, from its table or by running it."""
-        table = self._tables.get(id(stmt))
-        if table is None:
-            table = self._tables[id(stmt)] = {}
-        hit = table.get(state)
-        if hit is not None:
-            if hit[2] > bound:
-                raise _bound_exceeded(bound)
-            return hit
-        trace = []
-        cur = state
-        need = 0
-        try:
-            if isinstance(stmt, SAssign):
-                dom = self._domains[stmt.name]
-                if stmt.index is None:
-                    v = eval_expr(stmt.value, state)
-                    if not dom.contains(v):
-                        raise DomainViolation(
-                            f"{stmt.name} := {v} leaves the declared domain {dom!r}"
-                        )
-                    cur = state.set(stmt.name, v)
-                else:
-                    i = eval_expr(stmt.index, state)
-                    arr = state.get(stmt.name)
-                    if not 0 <= i < len(arr):
-                        raise IndexOutOfBounds(
-                            f"{stmt.name}[{i}] with length {len(arr)}"
-                        )
-                    v = eval_expr(stmt.value, state)
-                    if not dom.element.contains(v):
-                        raise DomainViolation(
-                            f"{stmt.name}[{i}] := {v} leaves the declared "
-                            f"domain {dom.element!r}"
-                        )
-                    cur = state.set(stmt.name, arr[:i] + (v,) + arr[i + 1 :])
-            elif isinstance(stmt, SPrint):
-                trace.append(("print", eval_expr(stmt.expr, state)))
-            elif isinstance(stmt, SSeq):
-                for s in stmt.stmts:
-                    t, cur, n = self._exec(s, cur, bound)
+    def _step(self, stmt):
+        """`stmt`'s step, compiled on first use.  An assignment, print or
+        skip costs no more to run again than to look up, so it has no
+        table."""
+        step = self._steps.get(id(stmt))
+        if step is None:
+            step = self._compile(stmt)
+            if isinstance(stmt, (SSeq, SIf, SWhile)):
+                step = _memo({}, step)
+            self._steps[id(stmt)] = step
+        return step
+
+    def _compile(self, stmt):
+        """`stmt` as `run(values, bound) -> (trace, final, need)`, catching
+        the runtime errors of its own expressions and assignment."""
+        names = self._names
+        if isinstance(stmt, SAssign):
+            return _assign(stmt, names, self.decls[names.index(stmt.name)].domain)
+        if isinstance(stmt, SPrint):
+            expr = compile_expr(stmt.expr, names)
+
+            def run(v, bound):
+                try:
+                    return (("print", expr(v, None)),), v, 0
+                except _FAULTS as exc:
+                    return (), exc.with_traceback(None), 0
+
+            return run
+        if isinstance(stmt, SSeq):
+            steps = [self._step(s) for s in stmt.stmts]
+
+            def run(v, bound):
+                trace = []
+                need = 0
+                for step in steps:
+                    t, v, n = step(v, bound)
                     trace += t
                     if n > need:
                         need = n
-                    if not isinstance(cur, State):
+                    if type(v) is not tuple:
                         break
-            elif isinstance(stmt, SIf):
-                taken = bool(eval_expr(stmt.guard, state))
-                trace.append(_TRUE if taken else _FALSE)
-                branch = stmt.then if taken else stmt.els
-                t, cur, need = self._exec(branch, state, bound)
-                trace += t
-            elif isinstance(stmt, SWhile):
+                return tuple(trace), v, need
+
+            return run
+        if isinstance(stmt, SIf):
+            guard = compile_expr(stmt.guard, names)
+            then, els = self._step(stmt.then), self._step(stmt.els)
+
+            def run(v, bound):
+                try:
+                    taken = guard(v, None)
+                except _FAULTS as exc:
+                    return (), exc.with_traceback(None), 0
+                t, fin, need = (then if taken else els)(v, bound)
+                return (_TRUE if taken else _FALSE, *t), fin, need
+
+            return run
+        if isinstance(stmt, SWhile):
+            guard = compile_expr(stmt.guard, names)
+            body = self._step(stmt.body)
+
+            def run(v, bound):
+                trace = []
+                need = 0
                 k = 0  # body executions along this path so far
-                while isinstance(cur, State):
-                    taken = bool(eval_expr(stmt.guard, cur))
-                    trace.append(_TRUE if taken else _FALSE)
-                    if not taken:
-                        break
-                    k += 1
-                    if k > bound:
-                        raise _bound_exceeded(bound)
-                    if k > need:
-                        need = k
-                    t, cur, n = self._exec(stmt.body, cur, bound)
-                    trace += t
-                    if n > need:
-                        need = n
-            # SSkip leaves everything as it is
-        except _FAULTS as exc:
-            cur = exc.with_traceback(None)
-        result = (tuple(trace), cur, need)
-        table[state] = result
-        return result
+                try:  # only the guard can fail: the body's step records its own
+                    while guard(v, None):
+                        trace.append(_TRUE)
+                        k += 1
+                        if k > bound:
+                            raise _bound_exceeded(bound)
+                        if k > need:
+                            need = k
+                        t, v, n = body(v, bound)
+                        trace += t
+                        if n > need:
+                            need = n
+                        if type(v) is not tuple:
+                            return tuple(trace), v, need
+                except _FAULTS as exc:
+                    return tuple(trace), exc.with_traceback(None), need
+                trace.append(_FALSE)
+                return tuple(trace), v, need
+
+            return run
+        return lambda v, bound: ((), v, 0)  # SSkip leaves everything as it is
 
     # ---- forward runs
 
@@ -197,19 +212,21 @@ class Executable:
         channels) and push each group through the final-state map.  A group
         of inner d, outer weight w, has weight w * (its mass in d) over `den`.
         """
+        step = self._step(stmt)
+        names = self._names
         den = lcm(*(d.den for d, _ in hyper.weights))
         acc = {}
         for d, w in hyper.weights:
             scale = w * (den // d.den)
             buckets = {}
             for s, v in d.weights:
-                trace, fin, _ = self._exec(stmt, s, bound)
-                if not isinstance(fin, State):
+                trace, fin, _ = step(s.values, bound)
+                if type(fin) is not tuple:
                     _raise(fin)
                 bucket = buckets.setdefault(trace, {})
                 bucket[fin] = bucket.get(fin, 0) + v
             for fins in buckets.values():
-                inner = Dist.from_weights(fins)
+                inner = Dist.from_weights({State(names, f): n for f, n in fins.items()})
                 acc[inner] = acc.get(inner, 0) + scale * sum(fins.values())
         return Hyper.from_weights(acc)
 
@@ -229,42 +246,44 @@ class Executable:
 
     def classical_run(self, prior, loop_bound=DEFAULT_LOOP_BOUND):
         """Run forgetting all observations: the plain output distribution."""
+        step = self._step(self.program.body)
         acc = {}
         for s, v in prior.weights:
-            _, fin, _ = self._exec(self.program.body, s, loop_bound)
-            if not isinstance(fin, State):
+            fin = step(s.values, loop_bound)[1]
+            if type(fin) is not tuple:
                 _raise(fin)
             acc[fin] = acc.get(fin, 0) + v
-        return Dist.from_weights(acc)
+        names = self._names
+        return Dist.from_weights({State(names, f): n for f, n in acc.items()})
 
-    # ---- loop heads, read back from the tables (nothing is evaluated here)
+    # ---- loop heads, read back through the steps from the warm tables
 
-    def _heads(self, loop, state):
-        """Each arrival at `loop`'s head when it runs from `state`, as (head
-        state, length of the loop's trace before that guard test).
+    def _heads(self, loop, values, bound):
+        """Each arrival at `loop`'s head when it runs from `values`, as (head
+        values, length of the loop's trace before that guard test).
 
         Stops after a guard test that came out false or failed, or after a
-        round whose body failed.  The loop's outcome from `state` must be in
-        its table already.
+        round whose body failed.
         """
-        trace = self._tables[id(loop)][state][0]
+        trace = self._step(loop)(values, bound)[0]
+        body = self._step(loop.body)
         pos = 0
         while True:
-            yield state, pos
+            yield values, pos
             if pos == len(trace) or trace[pos] == _FALSE:
                 return
-            t, state, _ = self._tables[id(loop.body)][state]
-            if not isinstance(state, State):
+            t, values, _ = body(values, bound)
+            if type(values) is not tuple:
                 return
             pos += 1 + len(t)
 
     def loop_rounds(self, loop, state, bound):
         """How many guard tests come out true when `loop` runs alone from
         `state`, counting up to a runtime error that stops it."""
-        trace = self._exec(loop, state, bound)[0]
+        trace = self._step(loop)(state.values, bound)[0]
         return sum(
             trace[pos] == _TRUE
-            for _, pos in self._heads(loop, state)
+            for _, pos in self._heads(loop, state.values, bound)
             if pos < len(trace)
         )
 
@@ -275,38 +294,109 @@ class Executable:
         Arrivals before a runtime error count, and so does a head whose guard
         test itself fails.
         """
-        path = _enclosing(self.program.body, loop)
+        body = self.program.body
+        step = self._step(body)
+        path = _enclosing(body, loop)
+        names = self._names
         for s0 in self.states():
-            self._exec(self.program.body, s0, bound)
-            yield from self._replay(self.program.body, s0, (), loop, path)
+            step(s0.values, bound)
+            for history, head in self._replay(body, s0.values, (), loop, path, bound):
+                yield history, State(names, head)
 
-    def _replay(self, stmt, state, history, loop, path):
-        """`loop_heads`'s pairs inside `stmt`, entered from `state` after
+    def _replay(self, stmt, values, history, loop, path, bound):
+        """`loop_heads`'s pairs inside `stmt`, entered from `values` after
         `history`; descends only into the statements on `path`."""
         if isinstance(stmt, SSeq):
             for s in stmt.stmts:
                 if id(s) in path:
-                    yield from self._replay(s, state, history, loop, path)
+                    yield from self._replay(s, values, history, loop, path, bound)
                     return
-                t, state, _ = self._tables[id(s)][state]
+                t, values, _ = self._step(s)(values, bound)
                 history += t
-                if not isinstance(state, State):
+                if type(values) is not tuple:
                     return
         elif isinstance(stmt, SIf):
-            t = self._tables[id(stmt)][state][0]
+            t = self._step(stmt)(values, bound)[0]
             if t:  # the guard test did not fail
                 branch = stmt.then if t[0] == _TRUE else stmt.els
                 if id(branch) in path:
-                    yield from self._replay(branch, state, history + t[:1], loop, path)
+                    yield from self._replay(
+                        branch, values, history + t[:1], loop, path, bound
+                    )
         else:  # `loop` itself, or a loop around it
-            trace = self._tables[id(stmt)][state][0]
-            for head, pos in self._heads(stmt, state):
+            trace = self._step(stmt)(values, bound)[0]
+            for head, pos in self._heads(stmt, values, bound):
                 if stmt is loop:
                     yield history + trace[:pos], head
                 elif pos < len(trace) and trace[pos] == _TRUE:
                     yield from self._replay(
-                        stmt.body, head, history + trace[: pos + 1], loop, path
+                        stmt.body, head, history + trace[: pos + 1], loop, path, bound
                     )
+
+
+def _memo(table, run):
+    """`run` answered from `table` where it can.  A recorded outcome whose
+    `need` exceeds the caller's bound raises; one just run never does, since
+    running it would have raised instead."""
+
+    def step(values, bound):
+        hit = table.get(values)
+        if hit is None:
+            hit = table[values] = run(values, bound)
+        elif hit[2] > bound:
+            raise _bound_exceeded(bound)
+        return hit
+
+    return step
+
+
+def _assign(stmt, names, dom):
+    """The run of an assignment to `stmt.name`, declared over `dom`, whose
+    values sit at `names.index(stmt.name)`."""
+    name = stmt.name
+    k = names.index(name)
+    value = compile_expr(stmt.value, names)
+    if stmt.index is None:
+        contains = dom.contains
+
+        def run(v, bound):
+            try:
+                x = value(v, None)
+                if not contains(x):
+                    raise DomainViolation(
+                        f"{name} := {x} leaves the declared domain {dom!r}"
+                    )
+            except _FAULTS as exc:
+                return (), exc.with_traceback(None), 0
+            w = list(v)
+            w[k] = x
+            return (), tuple(w), 0
+
+        return run
+    index = compile_expr(stmt.index, names)
+    element = dom.element
+    contains = element.contains
+
+    def run(v, bound):
+        try:
+            i = index(v, None)
+            arr = v[k]
+            if not 0 <= i < len(arr):
+                raise IndexOutOfBounds(f"{name}[{i}] with length {len(arr)}")
+            x = value(v, None)
+            if not contains(x):
+                raise DomainViolation(
+                    f"{name}[{i}] := {x} leaves the declared domain {element!r}"
+                )
+        except _FAULTS as exc:
+            return (), exc.with_traceback(None), 0
+        a = list(arr)
+        a[i] = x
+        w = list(v)
+        w[k] = tuple(a)
+        return (), tuple(w), 0
+
+    return run
 
 
 def run(program, prior, loop_bound=DEFAULT_LOOP_BOUND, trace=None):
