@@ -178,6 +178,8 @@ def _prior_product(spec, decls):
         name, _, rest = chunk.partition(":")
         if name not in by_name:
             raise KuifjeError(f"prior names undeclared variable {name!r}")
+        if name in marginals:
+            raise KuifjeError(f"product prior names {name} twice")
         dom = by_name[name].domain
         if rest == "uniform":
             vals = dom.values()
@@ -238,6 +240,19 @@ def hyper_to_json(hyper):
             for inner, w in hyper.entries
         ]
     }
+
+
+def _json_object(pairs):
+    """A JSON object as a dict, refusing a repeated key instead of keeping
+    its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"JSON object repeats the key {key!r}")
+            seen.add(key)
+    return doc
 
 
 def hyper_from_json(doc, decls):
@@ -410,7 +425,8 @@ def cmd_eval(args):
     if args.hyper:
         try:
             with open(args.hyper) as f:
-                hyper = hyper_from_json(json.load(f), program.decls)
+                doc = json.load(f, object_pairs_hook=_json_object)
+                hyper = hyper_from_json(doc, program.decls)
         except (OSError, ValueError, TypeError) as exc:
             raise KuifjeError(f"cannot read hyper {args.hyper}: {exc}") from None
         except KeyError as exc:

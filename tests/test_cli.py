@@ -676,6 +676,12 @@ _EXTRA_KEY = {
     "hyper": [{"weight": "1", "inner": [{"state": {"x": 0, "zz": 5}, "prob": "1"}]}]
 }
 
+# json.dumps cannot write a repeated key
+_REPEATED_KEY = (
+    '{"hyper": [{"weight": "1", "inner": '
+    '[{"state": {"x": 0, "x": 1}, "prob": "1"}]}]}'
+)
+
 
 @pytest.mark.parametrize(
     "args, hyper_text, named",
@@ -688,6 +694,9 @@ _EXTRA_KEY = {
         (("eval", "--gain", "[x = 0]"), "not json {", "h.json"),
         (("run", "--prior", "x=1 x=2 : 1"), None, "prior line binds x twice"),
         (("eval", "--gain", "[x = 0]"), json.dumps(_EXTRA_KEY), "variable 'zz'"),
+        (("run", "--prior", "product x:uniform x:{1:1}"), None,
+         "error: product prior names x twice"),
+        (("eval", "--gain", "[x = 0]"), _REPEATED_KEY, "repeats the key 'x'"),
     ],
 )
 def test_malformed_prior_or_hyper_exit_2(tmp_path, args, hyper_text, named):
