@@ -109,12 +109,12 @@ def test_loop_heads_and_rounds_match_the_reference(name):
 
 FAULTING = {
     "division by zero": (
-        "hidden x : int[0..3]\nhidden y : int[0..3]\nprint x;\ny := 3 div x",
+        "hidden x : int[0..3]\nhidden y : int[0..3]\nprint x;\ny := 3 div x;\nprint y",
         ("DivisionByZero", "div by zero"),
     ),
     "array write out of bounds": (
         "hidden A : array[2] of int[0..3]\nhidden i : int[0..3]\n"
-        "print i;\nA[i] := 1",
+        "print i;\nA[i] := 1;\nprint A[0]",
         ("IndexOutOfBounds", "A[3] with length 2"),
     ),
     "scalar domain violation": (
