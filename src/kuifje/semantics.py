@@ -13,9 +13,9 @@ and returns the ordinary output distribution.  Averaging a run's Hyper always
 reproduces it, which is the package's leak-erasure sanity law.
 
 All concrete execution goes through one `Executable` per program.  Its
-compiled statements and their tables serve every run on it, the backwards analysis's loop
-bounds and loop-head groups, and `check`'s priors, and they are freed with
-the object.
+compiled statements and their tables serve every run on it, the backwards
+analysis's loop bounds and loop-head groups, and `check`'s priors, and they
+are freed with the object.
 """
 
 from __future__ import annotations
@@ -183,24 +183,26 @@ class Executable:
                 trace = []
                 need = 0
                 k = 0  # body executions along this path so far
-                try:  # only the guard can fail: the body's step records its own
-                    while guard(v, None):
-                        trace.append(_TRUE)
-                        k += 1
-                        if k > bound:
-                            raise _bound_exceeded(bound)
-                        if k > need:
-                            need = k
-                        t, v, n = body(v, bound)
-                        trace += t
-                        if n > need:
-                            need = n
-                        if type(v) is not tuple:
-                            return tuple(trace), v, need
-                except _FAULTS as exc:
-                    return tuple(trace), exc.with_traceback(None), need
-                trace.append(_FALSE)
-                return tuple(trace), v, need
+                while True:
+                    try:
+                        taken = guard(v, None)
+                    except _FAULTS as exc:
+                        return tuple(trace), exc.with_traceback(None), need
+                    if not taken:
+                        trace.append(_FALSE)
+                        return tuple(trace), v, need
+                    trace.append(_TRUE)
+                    k += 1
+                    if k > bound:
+                        raise _bound_exceeded(bound)
+                    if k > need:
+                        need = k
+                    t, v, n = body(v, bound)
+                    trace += t
+                    if n > need:
+                        need = n
+                    if type(v) is not tuple:
+                        return tuple(trace), v, need
 
             return run
         return lambda v, bound: ((), v, 0)  # SSkip leaves everything as it is
