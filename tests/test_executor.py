@@ -29,13 +29,14 @@ ANNOTATED = [
 BOUND_ORDERS = [(1, 2, DEFAULT_LOOP_BOUND), (DEFAULT_LOOP_BOUND, 1, 2)]
 
 
-def _load(path):
+def _program(src):
+    """`src` parsed, checked and desugared once, as both interpreters run it."""
+    return Executable(check_program(parse_program(src))).program
+
+
+def _corpus(path):
     with open(path) as f:
-        return check_program(parse_program(f.read()))
-
-
-def _make(src):
-    return check_program(parse_program(src))
+        return _program(f.read())
 
 
 def _loops(stmt):
@@ -84,13 +85,13 @@ def _top_level(program):
 @pytest.mark.parametrize("bounds", BOUND_ORDERS, ids=["cold", "warm"])
 @pytest.mark.parametrize("path", CORPUS, ids=[os.path.basename(p) for p in CORPUS])
 def test_steps_match_the_reference_on_corpus(path, bounds):
-    program = Executable(_load(path)).program  # desugared, as both run it
+    program = _corpus(path)
     assert _compare(program, _top_level(program), bounds)
 
 
 @pytest.mark.parametrize("name", ANNOTATED)
 def test_loop_heads_and_rounds_match_the_reference(name):
-    program = Executable(_load(os.path.join(os.path.dirname(CORPUS[0]), name))).program
+    program = _corpus(os.path.join(os.path.dirname(CORPUS[0]), name))
     exe, ref = Executable(program), ReferenceExecutable(program)
     loops = _loops(program.body)
     assert any(w.invariant is not None for w in loops)
@@ -138,7 +139,7 @@ FAULTING = {
 @pytest.mark.parametrize("case", sorted(FAULTING))
 def test_faulting_paths_match_the_reference(case, bounds):
     src, (kind, message) = FAULTING[case]
-    program = Executable(_make(src)).program
+    program = _program(src)
     exe = Executable(program)
     assert _compare(program, _top_level(program), bounds)
     faults = [
@@ -154,7 +155,7 @@ def test_faulting_paths_match_the_reference(case, bounds):
 def test_fault_keeps_the_observations_made_before_it():
     # the guard reads A[2] after two true tests: the trace keeps both, and
     # `need` the two rounds
-    program = _make(
+    program = _program(
         "hidden A : array[2] of int[0..1]\nhidden n : int[0..3]\n"
         "n := 0;\nwhile A[n] = 0 do\n  n := n + 1\nod"
     )
