@@ -119,24 +119,25 @@ class Executable:
     # ---- compiling statements into steps
 
     def _step(self, stmt):
-        """`stmt`'s step, compiled on first use.  An assignment, print or
-        skip costs no more to run again than to look up, so it has no
-        table."""
-        step = self._steps.get(id(stmt))
-        if step is None:
-            step = self._compile(stmt)
-            if isinstance(stmt, (SSeq, SIf, SWhile)):
-                step = _memo({}, step)
-            self._steps[id(stmt)] = step
-        return step
+        """`stmt` as `run(values, bound) -> (trace, final, need)`, compiled
+        on first use together with its children, catching the runtime errors
+        of its own expressions and assignment.
 
-    def _compile(self, stmt):
-        """`stmt` as `run(values, bound) -> (trace, final, need)`, catching
-        the runtime errors of its own expressions and assignment."""
+        The run of a sequence, `if` or `while` answers from its table where
+        it can: a recorded outcome whose `need` exceeds the caller's bound
+        raises, one just run never does, since running it would have raised
+        instead.  An assignment, print or skip costs no more to run again
+        than to look up, so it has no table.  Compiling and running each
+        take one frame per statement node, so that the deepest nesting the
+        parser accepts stays clear of the recursion limit.
+        """
+        run = self._steps.get(id(stmt))
+        if run is not None:
+            return run
         names = self._names
         if isinstance(stmt, SAssign):
-            return _assign(stmt, names, self.decls[names.index(stmt.name)].domain)
-        if isinstance(stmt, SPrint):
+            run = _assign(stmt, names, self.decls[names.index(stmt.name)].domain)
+        elif isinstance(stmt, SPrint):
             expr = compile_expr(stmt.expr, names)
 
             def run(v, bound):
@@ -145,11 +146,19 @@ class Executable:
                 except _FAULTS as exc:
                     return (), exc.with_traceback(None), 0
 
-            return run
-        if isinstance(stmt, SSeq):
-            steps = [self._step(s) for s in stmt.stmts]
+        elif isinstance(stmt, SSeq):
+            steps = []
+            for s in stmt.stmts:
+                steps.append(self._step(s))
+            table = {}
 
-            def run(v, bound):
+            def run(v0, bound):
+                hit = table.get(v0)
+                if hit is not None:
+                    if hit[2] > bound:
+                        raise _bound_exceeded(bound)
+                    return hit
+                v = v0
                 trace = []
                 need = 0
                 for step in steps:
@@ -159,27 +168,42 @@ class Executable:
                         need = n
                     if type(v) is not tuple:
                         break
-                return tuple(trace), v, need
+                hit = table[v0] = tuple(trace), v, need
+                return hit
 
-            return run
-        if isinstance(stmt, SIf):
+        elif isinstance(stmt, SIf):
             guard = compile_expr(stmt.guard, names)
             then, els = self._step(stmt.then), self._step(stmt.els)
+            table = {}
 
             def run(v, bound):
+                hit = table.get(v)
+                if hit is not None:
+                    if hit[2] > bound:
+                        raise _bound_exceeded(bound)
+                    return hit
                 try:
                     taken = guard(v, None)
                 except _FAULTS as exc:
-                    return (), exc.with_traceback(None), 0
-                t, fin, need = (then if taken else els)(v, bound)
-                return (_TRUE if taken else _FALSE, *t), fin, need
+                    hit = (), exc.with_traceback(None), 0
+                else:
+                    t, fin, need = (then if taken else els)(v, bound)
+                    hit = (_TRUE if taken else _FALSE, *t), fin, need
+                table[v] = hit
+                return hit
 
-            return run
-        if isinstance(stmt, SWhile):
+        elif isinstance(stmt, SWhile):
             guard = compile_expr(stmt.guard, names)
             body = self._step(stmt.body)
+            table = {}
 
-            def run(v, bound):
+            def run(v0, bound):
+                hit = table.get(v0)
+                if hit is not None:
+                    if hit[2] > bound:
+                        raise _bound_exceeded(bound)
+                    return hit
+                v = v0
                 trace = []
                 need = 0
                 k = 0  # body executions along this path so far
@@ -187,10 +211,11 @@ class Executable:
                     try:
                         taken = guard(v, None)
                     except _FAULTS as exc:
-                        return tuple(trace), exc.with_traceback(None), need
+                        v = exc.with_traceback(None)
+                        break
                     if not taken:
                         trace.append(_FALSE)
-                        return tuple(trace), v, need
+                        break
                     trace.append(_TRUE)
                     k += 1
                     if k > bound:
@@ -202,10 +227,17 @@ class Executable:
                     if n > need:
                         need = n
                     if type(v) is not tuple:
-                        return tuple(trace), v, need
+                        break
+                hit = table[v0] = tuple(trace), v, need
+                return hit
 
-            return run
-        return lambda v, bound: ((), v, 0)  # SSkip leaves everything as it is
+        else:  # SSkip leaves everything as it is
+
+            def run(v, bound):
+                return (), v, 0
+
+        self._steps[id(stmt)] = run
+        return run
 
     # ---- forward runs
 
@@ -334,22 +366,6 @@ class Executable:
                     yield from self._replay(
                         stmt.body, head, history + trace[: pos + 1], loop, path, bound
                     )
-
-
-def _memo(table, run):
-    """`run` answered from `table` where it can.  A recorded outcome whose
-    `need` exceeds the caller's bound raises; one just run never does, since
-    running it would have raised instead."""
-
-    def step(values, bound):
-        hit = table.get(values)
-        if hit is None:
-            hit = table[values] = run(values, bound)
-        elif hit[2] > bound:
-            raise _bound_exceeded(bound)
-        return hit
-
-    return step
 
 
 def _assign(stmt, names, dom):

@@ -599,8 +599,9 @@ def test_too_deep_expression_exit_2(tmp_path, command, body, where):
         ("print " + " + ".join(["x"] * 198), "[x = 1]"),
         ("skip", " PLUS ".join(["[x = 1]"] * 195)),
         ("if x = 1 then " * 197 + "x := 2" + " fi" * 197, "[x = 1]"),
+        ("if x = 1 then skip; " * 197 + "x := 2" + " fi" * 197, "[x = 1]"),
     ],
-    ids=["nested-parentheses", "flat-sum", "gain-chain", "nested-if"],
+    ids=["nested-parentheses", "flat-sum", "gain-chain", "nested-if", "nested-if-seq"],
 )
 @pytest.mark.parametrize("command", ["run", "wp", "check"])
 def test_deepest_accepted_input_runs(tmp_path, command, body, post):
@@ -608,6 +609,20 @@ def test_deepest_accepted_input_runs(tmp_path, command, body, post):
     f.write_text(f"hidden x : int[0..3]\n{body}\n@post {{ {post} }}\n")
     args = ("--prior", "uniform") if command == "run" else ()
     p = cli(command, str(f), *args)
+    assert p.returncode == 0, p.stderr
+    assert p.stderr == ""
+
+
+def test_deepest_sequence_bodied_loops_run(tmp_path):
+    f = tmp_path / "deep.kuif"
+    f.write_text(
+        "hidden x : int[0..3]\n"
+        + "while x = 1 do skip; " * 197
+        + "x := 2"
+        + " od" * 197
+        + "\n"
+    )
+    p = cli("run", str(f), "--prior", "uniform")
     assert p.returncode == 0, p.stderr
     assert p.stderr == ""
 

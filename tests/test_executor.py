@@ -8,12 +8,15 @@ and `need`, or both must raise LoopBoundExceeded.
 """
 
 import glob
+import inspect
 import os
+import sys
 
 import pytest
 
+from kuifje.core import uniform
 from kuifje.errors import LoopBoundExceeded
-from kuifje.lang import SIf, SSeq, SWhile, check_program, parse_program
+from kuifje.lang import MAX_DEPTH, SIf, SSeq, SWhile, check_program, parse_program
 from kuifje.semantics import DEFAULT_LOOP_BOUND, Executable
 from reference_exec import ReferenceExecutable
 
@@ -166,3 +169,34 @@ def test_fault_keeps_the_observations_made_before_it():
     assert need == 2
     with pytest.raises(LoopBoundExceeded):
         exe._step(program.body)(((0, 0), 3), 1)
+
+
+# ---- stack use
+
+
+NESTS = {
+    "if": ("if x = 1 then ", " fi"),
+    "if-sequence": ("if x = 1 then skip; ", " fi"),
+    "while": ("while x = 1 do ", " od"),
+    "while-sequence": ("while x = 1 do skip; ", " od"),
+}
+
+
+@pytest.mark.parametrize("nest", sorted(NESTS))
+def test_each_nesting_level_takes_at_most_two_frames(nest):
+    # the deepest nest the parser accepts, compiled and run under a
+    # recursion limit of two frames a level plus a fixed allowance: a level
+    # whose body is a sequence is two statement nodes, one frame each
+    opener, closer = NESTS[nest]
+    levels = MAX_DEPTH - 3
+    exe = Executable(
+        _program("hidden x : int[0..3]\n" + opener * levels + "x := 2" + closer * levels)
+    )
+    prior = uniform(exe.states())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 2 * levels + 20)
+    try:
+        hyper = exe.run(prior)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(hyper.weights) == 2  # x = 1 was seen, or it was not

@@ -350,6 +350,12 @@ def test_deepest_accepted_input_leaves_recursion_headroom():
             "if x = 1 then " * (MAX_DEPTH - 3) + "x := 2" + " fi" * (MAX_DEPTH - 3),
             "[x = 1]",
         ),
+        (
+            "if x = 1 then skip; " * (MAX_DEPTH - 3)
+            + "x := 2"
+            + " fi" * (MAX_DEPTH - 3),
+            "[x = 1]",
+        ),
     ]:
         p = make(f"hidden x : int[0..3]\n{body}\n@post {{ {post} }}\n")
         pre = wp(p).pre
