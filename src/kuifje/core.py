@@ -125,6 +125,9 @@ class State:
     States of one declaration compare by their values tuple: each position
     holds one domain's values, so the order is lexicographic, the order in
     which `all_states` enumerates them.
+
+    `get`, `set` and `bindings` are the by-name view for library callers
+    and tests; the executor reads and writes the values tuple by position.
     """
 
     __slots__ = ("names", "values", "_hash")
@@ -135,9 +138,11 @@ class State:
         self._hash = hash(values)
 
     def get(self, name):
+        """The value bound to `name`."""
         return self.values[self.names.index(name)]
 
     def set(self, name, value):
+        """A new State with `name` bound to `value` and the rest unchanged."""
         i = self.names.index(name)
         vals = self.values[:i] + (value,) + self.values[i + 1 :]
         return State(self.names, vals)
