@@ -613,20 +613,6 @@ def test_deepest_accepted_input_runs(tmp_path, command, body, post):
     assert p.stderr == ""
 
 
-def test_deepest_sequence_bodied_loops_run(tmp_path):
-    f = tmp_path / "deep.kuif"
-    f.write_text(
-        "hidden x : int[0..3]\n"
-        + "while x = 1 do skip; " * 197
-        + "x := 2"
-        + " od" * 197
-        + "\n"
-    )
-    p = cli("run", str(f), "--prior", "uniform")
-    assert p.returncode == 0, p.stderr
-    assert p.stderr == ""
-
-
 @pytest.mark.parametrize("command", ["wp", "check"])
 def test_expression_built_too_deep_exit_3(tmp_path, command):
     # both statements parse, but substituting y's 190-term value into the
