@@ -31,12 +31,20 @@ not proof; any failure comes with a concrete counterexample distribution.
 Unfolding is exact: if every state exits the loop within k iterations, the
 k-fold expansion with innermost term [not g] AND E is the loop's pre-gain.
 Each unfolding step is renormalized to keep the expression from snowballing.
+
+The unsound mode models a leak-blind adversary, one that commits to an action
+before the run.  For the post MAX_i a_i its pre-gain is MAX_i wp(P, a_i), the
+MAX taken outside, where sound wp is wp(P, MAX_i a_i).  A one-atom wp is the
+classical pre-expectation (McIver and Morgan, 2005): the branches of an `if`
+or a `print` sum into one mixed atom.  Each annotation speaks of the whole
+post, so this mode unfolds every loop.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
 
 from .core import BoolDomain
 from .core import all_states  # noqa: F401  perfbench/spans.py wraps wp.all_states
@@ -50,7 +58,6 @@ from .errors import (
 from .gain import Canon, eval_atom_total, normalize, semantic_eq, simplify
 from .lang import (
     EVAL_ERRORS,
-    Bin,
     BoolLit,
     Cmp,
     GAnd,
@@ -70,9 +77,7 @@ from .lang import (
     expr_to_source,
     gain_to_source,
     stmt_to_source,
-    subst_array_elem,
     subst_array_elem_gain,
-    subst_expr,
     subst_gain,
 )
 from .semantics import DEFAULT_LOOP_BOUND, Executable
@@ -163,7 +168,11 @@ class WpEngine:
                 GAnd(Iverson(Not(stmt.guard)), self.wp(stmt.els, g)),
             )
         if isinstance(stmt, SWhile):
-            return self._wp_while(stmt, g)
+            if stmt.invariant is None or self.config.force_unfold or (
+                self.config.unsound_no_branch_leak
+            ):
+                return self._wp_while_unfold(stmt, g)
+            return self._wp_while_invariant(stmt, g)
         raise AssertionError(f"unhandled statement {stmt!r}")
 
     def _note(self, stmt, g):
@@ -209,11 +218,6 @@ class WpEngine:
         return sorted(seen)
 
     # ---- loops
-
-    def _wp_while(self, stmt, g):
-        if stmt.invariant is not None and not self.config.force_unfold:
-            return self._wp_while_invariant(stmt, g)
-        return self._wp_while_unfold(stmt, g)
 
     def _loop_exit_bound(self, stmt):
         """Max guard-true count running the loop alone from every state."""
@@ -301,65 +305,22 @@ class WpEngine:
             groups.setdefault(history, set()).add(state)
         return [sorted(groups[key]) for key in sorted(groups, key=repr)]
 
-    # ---- deliberately leak-blind transformer (the unsound mode)
+    # ---- the leak-blind adversary (the unsound mode)
 
-    def classical_pre(self, stmt, e):
-        """Backwards expected-value transformer that ignores all observations.
+    def leak_blind_pre(self, atom):
+        """wp of the one-atom post `atom`: one atom, or 0 for the empty form.
 
-        Maps a numeric expression to a numeric expression; branch structure
-        becomes arithmetic mixing, so the adversary is (wrongly) assumed not
-        to see which branch ran.
-        """
-        if isinstance(stmt, SSkip) or isinstance(stmt, SPrint):
-            return e
-        if isinstance(stmt, SSeq):
-            for s in reversed(stmt.stmts):
-                e = self.classical_pre(s, e)
-            return e
-        if isinstance(stmt, SAssign):
-            if stmt.index is None:
-                return subst_expr(e, stmt.name, stmt.value)
-            dom = self.domains[stmt.name]
-            return subst_array_elem(
-                e,
-                stmt.name,
-                stmt.index,
-                stmt.value,
-                dom.length,
-                isinstance(dom.element, BoolDomain),
-            )
-        if isinstance(stmt, SIf):
-            t = self.classical_pre(stmt.then, e)
-            f = self.classical_pre(stmt.els, e)
-            mixed = Bin(
-                "+",
-                Bin("*", Iverson(stmt.guard), t),
-                Bin("*", Iverson(Not(stmt.guard)), f),
-            )
-            return self.canon.canon_num(mixed)
-        if isinstance(stmt, SWhile):
-            k = self._loop_exit_bound(stmt)
-            pre = Bin("*", Iverson(Not(stmt.guard)), e)
-            for _ in range(k):
-                step = Bin(
-                    "+",
-                    Bin("*", Iverson(stmt.guard), self.classical_pre(stmt.body, pre)),
-                    Bin("*", Iverson(Not(stmt.guard)), e),
-                )
-                pre = self.canon.canon_num(step)
-            return self.canon.canon_num(pre)
-        raise AssertionError(f"unhandled statement {stmt!r}")
+        On a leak-blind engine, which unfolds every loop, the unsound pre-gain
+        of `MAX_i a_i` is `MAX_i leak_blind_pre(a_i)`; sound wp is
+        `wp(P, MAX_i a_i)`."""
+        nf = simplify(self.wp(self.program.body, GAtom(atom)), self.decls, self.canon)
+        (pre,) = nf.atoms or (IntLit(0),)
+        return pre
 
     def _unsound_pre(self, post):
         atoms = simplify(post, self.decls, self.canon).atoms
-        pres = [
-            self.canon.canon_num(self.classical_pre(self.program.body, a))
-            for a in atoms
-        ]
-        out = GAtom(pres[0])
-        for p in pres[1:]:
-            out = GMax(out, GAtom(p))
-        return out
+        pres = [GAtom(self.leak_blind_pre(a)) for a in atoms] or [GAtom(IntLit(0))]
+        return reduce(GMax, pres)
 
 
 def wp(program, post=None, config=None):
@@ -368,9 +329,13 @@ def wp(program, post=None, config=None):
 
 
 def classical_wp(program, expr, config=None):
-    """Leak-blind pre-expectation of a numeric expression (oracle helper)."""
-    engine = WpEngine(program, config)
-    return engine.canon.canon_num(engine.classical_pre(engine.program.body, expr))
+    """Leak-blind pre-expectation of a numeric expression (oracle helper).
+
+    It is sound wp of the one-atom post `expr`, every loop unfolded.  The
+    leak-blind pre-gain of `MAX_i a_i` is `MAX_i classical_wp(P, a_i)`,
+    where sound wp is `wp(P, MAX_i a_i)`."""
+    config = replace(config or WpConfig(), unsound_no_branch_leak=True)
+    return WpEngine(program, config).leak_blind_pre(expr)
 
 
 def classical_expectation(program, expr, dist, config=None):

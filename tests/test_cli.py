@@ -600,8 +600,16 @@ def test_too_deep_expression_exit_2(tmp_path, command, body, where):
         ("skip", " PLUS ".join(["[x = 1]"] * 195)),
         ("if x = 1 then " * 197 + "x := 2" + " fi" * 197, "[x = 1]"),
         ("if x = 1 then skip; " * 197 + "x := 2" + " fi" * 197, "[x = 1]"),
+        ("while x = 1 do skip; " * 197 + "x := 2" + " od" * 197, "[x = 1]"),
     ],
-    ids=["nested-parentheses", "flat-sum", "gain-chain", "nested-if", "nested-if-seq"],
+    ids=[
+        "nested-parentheses",
+        "flat-sum",
+        "gain-chain",
+        "nested-if",
+        "nested-if-seq",
+        "nested-while-seq",
+    ],
 )
 @pytest.mark.parametrize("command", ["run", "wp", "check"])
 def test_deepest_accepted_input_runs(tmp_path, command, body, post):

@@ -15,7 +15,14 @@ from kuifje.errors import (
     KuifjeError,
     LoopNeedsInvariantOrBound,
 )
-from kuifje.gain import GainEvaluator, eval_gain, eval_gain_hyper, semantic_eq, simplify
+from kuifje.gain import (
+    GainEvaluator,
+    eval_atom_total,
+    eval_gain,
+    eval_gain_hyper,
+    semantic_eq,
+    simplify,
+)
 from kuifje.lang import (
     MAX_DEPTH,
     check_gain,
@@ -230,9 +237,12 @@ def test_unfold_counts_iterations():
 
 def test_unfold_depth_too_small():
     p = soundness.program("search_early_exit.kuif")
-    cfg = WpConfig(force_unfold=True, unfold_depth=1)
-    with pytest.raises(BoundTooSmall, match="^loop needs 3 unfoldings, but only 1 "):
-        WpEngine(p, cfg).wp_program()
+    for cfg in [
+        WpConfig(force_unfold=True, unfold_depth=1),
+        WpConfig(unsound_no_branch_leak=True, unfold_depth=1),
+    ]:
+        with pytest.raises(BoundTooSmall, match="^loop needs 3 unfoldings, but only 1 "):
+            WpEngine(p, cfg).wp_program()
 
 
 def test_unbounded_loop_needs_annotation():
@@ -316,6 +326,27 @@ def test_failing_paths_are_undefined_for_wp():
         run(p, point(State(("A", "x", "n", "t"), ((0, 0), 1, 0, 0))))
 
 
+def test_failing_paths_are_undefined_for_leak_blind_mode():
+    # where the print fails (n = 2) the path is left out, as in sound wp,
+    # rather than the print being skipped
+    p = make(
+        "hidden A : array[2] of int[0..1]; hidden n : int[0..2]; print A[n]\n"
+        "@post { [A[0] = 0] }"
+    )
+    sound = wp(p).render()
+    assert sound == "[A[0] = 0 and A[n] = 0 or A[0] = 0 and A[n] = 1]"
+    assert wp(p, config=WpConfig(unsound_no_branch_leak=True)).render() == sound
+    pre = classical_wp(p, parse_expr("[A[0] = 0]"))
+    for s in Executable(p).states():
+        if s.get("n") == 2:
+            assert eval_atom_total(pre, s) == 0
+
+
+def test_leak_blind_mode_of_a_zero_post_is_zero():
+    p = make("hidden x : int[0..3]\nskip\n@post { [x = 5] }")
+    assert wp(p, config=WpConfig(unsound_no_branch_leak=True)).render() == "0"
+
+
 def test_loop_head_whose_guard_fails_is_checked():
     # from A=[0,0], x=1 the guard itself reads A[2] at n = 2; that head is
     # still reachable, and only there does the annotation overclaim
@@ -354,6 +385,12 @@ def test_deepest_accepted_input_leaves_recursion_headroom():
             "if x = 1 then skip; " * (MAX_DEPTH - 3)
             + "x := 2"
             + " fi" * (MAX_DEPTH - 3),
+            "[x = 1]",
+        ),
+        (
+            "while x = 1 do skip; " * (MAX_DEPTH - 3)
+            + "x := 2"
+            + " od" * (MAX_DEPTH - 3),
             "[x = 1]",
         ),
     ]:
@@ -457,8 +494,6 @@ def test_classical_wp_is_an_expression():
     p = soundness.program("branch_assign.kuif")
     pre = classical_wp(p, parse_expr("[b]"))
     s = State(("a", "b"), (True, False))
-    from kuifje.gain import eval_atom_total
-
     assert eval_atom_total(pre, s) == 1  # a true forces b := true
 
 
