@@ -172,35 +172,30 @@ def _prior_from_lines(text, decls):
 
 def _prior_product(spec, decls):
     """`product a:{true:1/3,false:2/3} x:uniform` — independent marginals."""
-    by_name = {d.name: d for d in decls}
+    slots = {d.name: (i, d.domain) for i, d in enumerate(decls)}
     marginals = {}
     for chunk in spec.split():
         name, _, rest = chunk.partition(":")
-        if name not in by_name:
+        if name not in slots:
             raise KuifjeError(f"prior names undeclared variable {name!r}")
         if name in marginals:
             raise KuifjeError(f"product prior names {name} twice")
-        dom = by_name[name].domain
         if rest == "uniform":
-            vals = dom.values()
+            vals = slots[name][1].values()
             marginals[name] = [(v, Fraction(1, len(vals))) for v in vals]
         elif rest.startswith("{") and rest.endswith("}"):
             entries = []
             for item in rest[1:-1].split(","):
                 vtext, _, ptext = item.partition(":")
-                v = _parse_value(vtext)
-                if not dom.contains(v):
-                    raise KuifjeError(
-                        f"prior value {name}={vtext.strip()} is outside its domain"
-                    )
+                v = _bind(slots, "prior", name, vtext.strip())[1]
                 entries.append((v, _prob(ptext.strip())))
             marginals[name] = entries
         else:
             raise KuifjeError(f"bad product factor {chunk!r}")
-    missing = [d.name for d in decls if d.name not in marginals]
+    missing = [n for n in slots if n not in marginals]
     if missing:
         raise KuifjeError(f"product prior leaves {', '.join(missing)} unbound")
-    names = tuple(d.name for d in decls)
+    names = tuple(slots)
     pairs = [((), Fraction(1))]
     for n in names:
         pairs = [
@@ -398,7 +393,7 @@ def cmd_check(args):
     ok = bad = 0
     for label, prior in _check_priors(args, executable):
         lhs = ev.value(result.pre, prior)
-        hyper = executable.run(prior, loop_bound=args.loop_bound)
+        hyper = executable.run(prior)
         rhs = ev.hyper_value(post, hyper)
         if lhs == rhs:
             ok += 1
@@ -470,7 +465,8 @@ def _add_wp_flags(sub):
     sub.add_argument(
         "--no-simplify",
         action="store_true",
-        help="skip dominance pruning of the result",
+        help="keep every dominated atom: the pre-gain can grow exponentially "
+        "with the observation branches",
     )
     sub.add_argument(
         "--force-unfold",

@@ -959,12 +959,17 @@ class NormalForm:
         return " MAX ".join(expr_to_source(a) for a in self.atoms)
 
     def as_gain(self):
-        if not self.atoms:
-            return GAtom(IntLit(0))
-        g = GAtom(self.atoms[0])
-        for a in self.atoms[1:]:
-            g = GMax(g, GAtom(a))
-        return g
+        """The atoms as a balanced MAX, in their order: log2(k) levels deep
+        where a chain of k atoms would be k deep, past the recursion limit
+        of every walker for a wide form."""
+
+        def tree(lo, hi):
+            if hi - lo == 1:
+                return GAtom(self.atoms[lo])
+            mid = (lo + hi) // 2
+            return GMax(tree(lo, mid), tree(mid, hi))
+
+        return tree(0, len(self.atoms)) if self.atoms else GAtom(IntLit(0))
 
 
 def _atoms_to_nf(canon, atoms):

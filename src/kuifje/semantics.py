@@ -52,12 +52,6 @@ def _raise(fault):
     raise type(fault)(*fault.args)
 
 
-def _bound_exceeded(bound):
-    return LoopBoundExceeded(
-        f"loop exceeded {bound} iterations; raise the loop bound or add an invariant"
-    )
-
-
 def _enclosing(stmt, target):
     """Ids of the statements from `stmt` down to `target`; empty if absent."""
     if stmt is target:
@@ -80,19 +74,20 @@ def _enclosing(stmt, target):
 
 class Executable:
     """A program, desugared once, with each statement compiled once into a
-    step over a state's values tuple, laid out as the declarations.
+    step over a state's values tuple, laid out as the declarations, and one
+    loop bound for every run on it.
 
     Statements are deterministic, so a statement run from a state has one
-    outcome.  A step maps the values and a loop bound to (trace, final,
-    need):
+    outcome.  A step maps the values to (trace, final):
 
     - `trace` is the observations in order: ("branch", taken) for each guard
       test, ("print", value) for each print;
     - `final` is the values tuple it ends in or, on a path a runtime error
-      stopped, that error, with `trace` the observations made before it;
-    - `need` is the most iterations any loop on the path took, so that a
-      recorded outcome still raises LoopBoundExceeded for a caller whose
-      bound is smaller.  Exceeding a bound is never recorded.
+      stopped, that error, with `trace` the observations made before it.
+
+    A loop that runs more than `loop_bound` rounds raises LoopBoundExceeded
+    and records nothing, so every recorded outcome holds for the object's
+    bound; a caller that wants another bound builds another Executable.
 
     The step of a sequence, `if` or `while` records its outcomes in its own
     table, keyed by the values tuple.  Steps are kept by node identity, which
@@ -103,9 +98,10 @@ class Executable:
     executed once.
     """
 
-    def __init__(self, program):
+    def __init__(self, program, loop_bound=DEFAULT_LOOP_BOUND):
         self.program = desugar_visible(program)
         self.decls = self.program.decls
+        self.loop_bound = loop_bound
         self._names = tuple(d.name for d in self.decls)
         self._states = None
         self._steps = {}
@@ -119,14 +115,12 @@ class Executable:
     # ---- compiling statements into steps
 
     def _step(self, stmt):
-        """`stmt` as `run(values, bound) -> (trace, final, need)`, compiled
-        on first use together with its children, catching the runtime errors
-        of its own expressions and assignment.
+        """`stmt` as `run(values) -> (trace, final)`, compiled on first use
+        together with its children, catching the runtime errors of its own
+        expressions and assignment.
 
         The run of a sequence, `if` or `while` answers from its table where
-        it can: a recorded outcome whose `need` exceeds the caller's bound
-        raises, one just run never does, since running it would have raised
-        instead.  An assignment, print or skip costs no more to run again
+        it can.  An assignment, print or skip costs no more to run again
         than to look up, so it has no table.  Compiling and running each
         take one frame per statement node, so that the deepest nesting the
         parser accepts stays clear of the recursion limit.
@@ -140,11 +134,11 @@ class Executable:
         elif isinstance(stmt, SPrint):
             expr = compile_expr(stmt.expr, names)
 
-            def run(v, bound):
+            def run(v):
                 try:
-                    return (("print", expr(v, None)),), v, 0
+                    return (("print", expr(v, None)),), v
                 except _FAULTS as exc:
-                    return (), exc.with_traceback(None), 0
+                    return (), exc.with_traceback(None)
 
         elif isinstance(stmt, SSeq):
             steps = []
@@ -152,23 +146,17 @@ class Executable:
                 steps.append(self._step(s))
             table = {}
 
-            def run(v0, bound):
+            def run(v0):
                 hit = table.get(v0)
-                if hit is not None:
-                    if hit[2] > bound:
-                        raise _bound_exceeded(bound)
-                    return hit
-                v = v0
-                trace = []
-                need = 0
-                for step in steps:
-                    t, v, n = step(v, bound)
-                    trace += t
-                    if n > need:
-                        need = n
-                    if type(v) is not tuple:
-                        break
-                hit = table[v0] = tuple(trace), v, need
+                if hit is None:
+                    v = v0
+                    trace = []
+                    for step in steps:
+                        t, v = step(v)
+                        trace += t
+                        if type(v) is not tuple:
+                            break
+                    hit = table[v0] = tuple(trace), v
                 return hit
 
         elif isinstance(stmt, SIf):
@@ -176,72 +164,65 @@ class Executable:
             then, els = self._step(stmt.then), self._step(stmt.els)
             table = {}
 
-            def run(v, bound):
+            def run(v):
                 hit = table.get(v)
-                if hit is not None:
-                    if hit[2] > bound:
-                        raise _bound_exceeded(bound)
-                    return hit
-                try:
-                    taken = guard(v, None)
-                except _FAULTS as exc:
-                    hit = (), exc.with_traceback(None), 0
-                else:
-                    t, fin, need = (then if taken else els)(v, bound)
-                    hit = (_TRUE if taken else _FALSE, *t), fin, need
-                table[v] = hit
+                if hit is None:
+                    try:
+                        taken = guard(v, None)
+                    except _FAULTS as exc:
+                        hit = (), exc.with_traceback(None)
+                    else:
+                        t, fin = (then if taken else els)(v)
+                        hit = (_TRUE if taken else _FALSE, *t), fin
+                    table[v] = hit
                 return hit
 
         elif isinstance(stmt, SWhile):
             guard = compile_expr(stmt.guard, names)
             body = self._step(stmt.body)
+            bound = self.loop_bound
             table = {}
 
-            def run(v0, bound):
+            def run(v0):
                 hit = table.get(v0)
-                if hit is not None:
-                    if hit[2] > bound:
-                        raise _bound_exceeded(bound)
-                    return hit
-                v = v0
-                trace = []
-                need = 0
-                k = 0  # body executions along this path so far
-                while True:
-                    try:
-                        taken = guard(v, None)
-                    except _FAULTS as exc:
-                        v = exc.with_traceback(None)
-                        break
-                    if not taken:
-                        trace.append(_FALSE)
-                        break
-                    trace.append(_TRUE)
-                    k += 1
-                    if k > bound:
-                        raise _bound_exceeded(bound)
-                    if k > need:
-                        need = k
-                    t, v, n = body(v, bound)
-                    trace += t
-                    if n > need:
-                        need = n
-                    if type(v) is not tuple:
-                        break
-                hit = table[v0] = tuple(trace), v, need
+                if hit is None:
+                    v = v0
+                    trace = []
+                    k = 0  # body executions along this path so far
+                    while True:
+                        try:
+                            taken = guard(v, None)
+                        except _FAULTS as exc:
+                            v = exc.with_traceback(None)
+                            break
+                        if not taken:
+                            trace.append(_FALSE)
+                            break
+                        trace.append(_TRUE)
+                        k += 1
+                        if k > bound:
+                            raise LoopBoundExceeded(
+                                f"loop exceeded {bound} iterations; raise the loop "
+                                "bound or add an invariant"
+                            )
+                        t, v = body(v)
+                        trace += t
+                        if type(v) is not tuple:
+                            break
+                    hit = table[v0] = tuple(trace), v
                 return hit
 
         else:  # SSkip leaves everything as it is
 
-            def run(v, bound):
-                return (), v, 0
+            def run(v):
+                return (), v
 
         self._steps[id(stmt)] = run
         return run
 
     # ---- forward runs
 
-    def _denote(self, stmt, hyper, bound):
+    def _denote(self, stmt, hyper):
         """Group each inner's states by trace (the cascade of guard and print
         channels) and push each group through the final-state map.  A group
         of inner d, outer weight w, has weight w * (its mass in d) over `den`.
@@ -254,7 +235,7 @@ class Executable:
             scale = w * (den // d.den)
             buckets = {}
             for s, v in d.weights:
-                trace, fin, _ = step(s.values, bound)
+                trace, fin = step(s.values)
                 if type(fin) is not tuple:
                     _raise(fin)
                 bucket = buckets.setdefault(trace, {})
@@ -264,7 +245,7 @@ class Executable:
                 acc[inner] = acc.get(inner, 0) + scale * sum(fins.values())
         return Hyper.from_weights(acc)
 
-    def run(self, prior, loop_bound=DEFAULT_LOOP_BOUND, trace=None):
+    def run(self, prior, trace=None):
         """The program as a Hyper transformer, applied to `prior`.
 
         `trace`, if given, is a list that receives (label, hyper) snapshots
@@ -273,17 +254,17 @@ class Executable:
         hyper = unit(prior)
         body = self.program.body
         for s in body.stmts if isinstance(body, SSeq) else (body,):
-            hyper = self._denote(s, hyper, loop_bound)
+            hyper = self._denote(s, hyper)
             if trace is not None:
                 trace.append((stmt_to_source(s).split("\n")[0].strip(), hyper))
         return hyper
 
-    def classical_run(self, prior, loop_bound=DEFAULT_LOOP_BOUND):
+    def classical_run(self, prior):
         """Run forgetting all observations: the plain output distribution."""
         step = self._step(self.program.body)
         acc = {}
         for s, v in prior.weights:
-            fin = step(s.values, loop_bound)[1]
+            fin = step(s.values)[1]
             if type(fin) is not tuple:
                 _raise(fin)
             acc[fin] = acc.get(fin, 0) + v
@@ -292,36 +273,36 @@ class Executable:
 
     # ---- loop heads, read back through the steps from the warm tables
 
-    def _heads(self, loop, values, bound):
+    def _heads(self, loop, values):
         """Each arrival at `loop`'s head when it runs from `values`, as (head
         values, length of the loop's trace before that guard test).
 
         Stops after a guard test that came out false or failed, or after a
         round whose body failed.
         """
-        trace = self._step(loop)(values, bound)[0]
+        trace = self._step(loop)(values)[0]
         body = self._step(loop.body)
         pos = 0
         while True:
             yield values, pos
             if pos == len(trace) or trace[pos] == _FALSE:
                 return
-            t, values, _ = body(values, bound)
+            t, values = body(values)
             if type(values) is not tuple:
                 return
             pos += 1 + len(t)
 
-    def loop_rounds(self, loop, state, bound):
+    def loop_rounds(self, loop, state):
         """How many guard tests come out true when `loop` runs alone from
         `state`, counting up to a runtime error that stops it."""
-        trace = self._step(loop)(state.values, bound)[0]
+        trace = self._step(loop)(state.values)[0]
         return sum(
             trace[pos] == _TRUE
-            for _, pos in self._heads(loop, state.values, bound)
+            for _, pos in self._heads(loop, state.values)
             if pos < len(trace)
         )
 
-    def loop_heads(self, loop, bound):
+    def loop_heads(self, loop):
         """(observation history, state) at every arrival at `loop`'s head,
         over runs of the whole program from every declared state.
 
@@ -333,38 +314,36 @@ class Executable:
         path = _enclosing(body, loop)
         names = self._names
         for s0 in self.states():
-            step(s0.values, bound)
-            for history, head in self._replay(body, s0.values, (), loop, path, bound):
+            step(s0.values)
+            for history, head in self._replay(body, s0.values, (), loop, path):
                 yield history, State(names, head)
 
-    def _replay(self, stmt, values, history, loop, path, bound):
+    def _replay(self, stmt, values, history, loop, path):
         """`loop_heads`'s pairs inside `stmt`, entered from `values` after
         `history`; descends only into the statements on `path`."""
         if isinstance(stmt, SSeq):
             for s in stmt.stmts:
                 if id(s) in path:
-                    yield from self._replay(s, values, history, loop, path, bound)
+                    yield from self._replay(s, values, history, loop, path)
                     return
-                t, values, _ = self._step(s)(values, bound)
+                t, values = self._step(s)(values)
                 history += t
                 if type(values) is not tuple:
                     return
         elif isinstance(stmt, SIf):
-            t = self._step(stmt)(values, bound)[0]
+            t = self._step(stmt)(values)[0]
             if t:  # the guard test did not fail
                 branch = stmt.then if t[0] == _TRUE else stmt.els
                 if id(branch) in path:
-                    yield from self._replay(
-                        branch, values, history + t[:1], loop, path, bound
-                    )
+                    yield from self._replay(branch, values, history + t[:1], loop, path)
         else:  # `loop` itself, or a loop around it
-            trace = self._step(stmt)(values, bound)[0]
-            for head, pos in self._heads(stmt, values, bound):
+            trace = self._step(stmt)(values)[0]
+            for head, pos in self._heads(stmt, values):
                 if stmt is loop:
                     yield history + trace[:pos], head
                 elif pos < len(trace) and trace[pos] == _TRUE:
                     yield from self._replay(
-                        stmt.body, head, history + trace[: pos + 1], loop, path, bound
+                        stmt.body, head, history + trace[: pos + 1], loop, path
                     )
 
 
@@ -377,7 +356,7 @@ def _assign(stmt, names, dom):
     if stmt.index is None:
         contains = dom.contains
 
-        def run(v, bound):
+        def run(v):
             try:
                 x = value(v, None)
                 if not contains(x):
@@ -385,17 +364,17 @@ def _assign(stmt, names, dom):
                         f"{name} := {x} leaves the declared domain {dom!r}"
                     )
             except _FAULTS as exc:
-                return (), exc.with_traceback(None), 0
+                return (), exc.with_traceback(None)
             w = list(v)
             w[k] = x
-            return (), tuple(w), 0
+            return (), tuple(w)
 
         return run
     index = compile_expr(stmt.index, names)
     element = dom.element
     contains = element.contains
 
-    def run(v, bound):
+    def run(v):
         try:
             i = index(v, None)
             arr = v[k]
@@ -407,21 +386,22 @@ def _assign(stmt, names, dom):
                     f"{name}[{i}] := {x} leaves the declared domain {element!r}"
                 )
         except _FAULTS as exc:
-            return (), exc.with_traceback(None), 0
+            return (), exc.with_traceback(None)
         a = list(arr)
         a[i] = x
         w = list(v)
         w[k] = tuple(a)
-        return (), tuple(w), 0
+        return (), tuple(w)
 
     return run
 
 
 def run(program, prior, loop_bound=DEFAULT_LOOP_BOUND, trace=None):
-    """One-shot `Executable(program).run(...)`: the tables die with the call."""
-    return Executable(program).run(prior, loop_bound, trace)
+    """One-shot `Executable(program, loop_bound).run(...)`: the tables die
+    with the call."""
+    return Executable(program, loop_bound).run(prior, trace)
 
 
 def classical_run(program, prior, loop_bound=DEFAULT_LOOP_BOUND):
-    """One-shot `Executable(program).classical_run(...)`."""
-    return Executable(program).classical_run(prior, loop_bound)
+    """One-shot `Executable(program, loop_bound).classical_run(...)`."""
+    return Executable(program, loop_bound).classical_run(prior)

@@ -117,12 +117,11 @@ class WpEngine:
 
     def __init__(self, program, config=None):
         self.config = config or WpConfig()
-        self.executable = Executable(program)
+        self.executable = Executable(program, self.config.loop_bound)
         self.program = self.executable.program
         self.decls = self.program.decls
         self.domains = {d.name: d.domain for d in self.decls}
         self.canon = Canon(self.decls, self.executable.states)
-        self.trace = []
         self._loop_bounds = {}
 
     def states(self):
@@ -134,6 +133,7 @@ class WpEngine:
         post = post if post is not None else self.program.post
         if post is None:
             raise KuifjeError("program has no @post and no post-gain was given")
+        trace = []
         if self.config.unsound_no_branch_leak:
             pre = self._unsound_pre(post)
         else:
@@ -142,12 +142,15 @@ class WpEngine:
             for s in reversed(body.stmts if isinstance(body, SSeq) else (body,)):
                 pre = self.wp(s, pre)
                 if self.config.trace:
-                    self._note(s, pre)
+                    label = stmt_to_source(s).split("\n")[0].strip()
+                    trace.append(
+                        (label, simplify(pre, self.decls, self.canon).render())
+                    )
         if self.config.simplify:
             nf = simplify(pre, self.decls, self.canon)
         else:
             nf = normalize(pre, self.decls, self.canon)
-        return WpResult(pre=nf.as_gain(), nf=nf, trace=list(self.trace))
+        return WpResult(pre=nf.as_gain(), nf=nf, trace=trace)
 
     # ---- structural rules
 
@@ -174,10 +177,6 @@ class WpEngine:
                 return self._wp_while_unfold(stmt, g)
             return self._wp_while_invariant(stmt, g)
         raise AssertionError(f"unhandled statement {stmt!r}")
-
-    def _note(self, stmt, g):
-        label = stmt_to_source(stmt).split("\n")[0].strip()
-        self.trace.append((label, simplify(g, self.decls, self.canon).render()))
 
     def _wp_assign(self, stmt, g):
         if stmt.index is None:
@@ -223,17 +222,14 @@ class WpEngine:
         """Max guard-true count running the loop alone from every state."""
         if id(stmt) in self._loop_bounds:
             return self._loop_bounds[id(stmt)]
-        cap = self.config.loop_bound
         try:
             # a runtime error ends the count: the program is undefined there
-            worst = max(
-                self.executable.loop_rounds(stmt, s, cap) for s in self.states()
-            )
+            worst = max(self.executable.loop_rounds(stmt, s) for s in self.states())
         except LoopBoundExceeded:
             raise LoopNeedsInvariantOrBound(
                 f"loop at line {stmt.pos[0] if stmt.pos else '?'} does not "
-                f"provably exit within {cap} iterations on the declared "
-                "state space; annotate it or raise the loop bound"
+                f"provably exit within {self.config.loop_bound} iterations on "
+                "the declared state space; annotate it or raise the loop bound"
             ) from None
         self._loop_bounds[id(stmt)] = worst
         return worst
@@ -299,9 +295,7 @@ class WpEngine:
         group, so the order decides which counterexample is reported.
         """
         groups = {}
-        for history, state in self.executable.loop_heads(
-            target, self.config.loop_bound
-        ):
+        for history, state in self.executable.loop_heads(target):
             groups.setdefault(history, set()).add(state)
         return [sorted(groups[key]) for key in sorted(groups, key=repr)]
 

@@ -706,6 +706,8 @@ _REPEATED_KEY = (
         (("run", "--prior", "product x:uniform x:{1:1}"), None,
          "error: product prior names x twice"),
         (("eval", "--gain", "[x = 0]"), _REPEATED_KEY, "repeats the key 'x'"),
+        (("run", "--prior", "product x:{1:1/2,12:1/2}"), None,
+         "prior value x=12 is outside its domain"),
     ],
 )
 def test_malformed_prior_or_hyper_exit_2(tmp_path, args, hyper_text, named):

@@ -1,10 +1,10 @@
 """Compiled statement steps against the reference tree-walking interpreter.
 
 Every corpus program runs from every declared state through each top-level
-statement and through the whole body, under loop bounds 1, 2 and the
-default, both from cold tables and from tables a larger bound warmed.  Each
-run must give the reference's trace, final state (or fault type and message)
-and `need`, or both must raise LoopBoundExceeded.
+statement and through the whole body, on one executable per loop bound (1,
+2 and the default), first from cold tables and then again from the tables
+the first pass warmed.  Each run must give the reference's trace and final
+state (or fault type and message), or both must raise LoopBoundExceeded.
 """
 
 import glob
@@ -29,7 +29,8 @@ ANNOTATED = [
     "search_early_exit.kuif",
     "search_full_scan.kuif",
 ]
-BOUND_ORDERS = [(1, 2, DEFAULT_LOOP_BOUND), (DEFAULT_LOOP_BOUND, 1, 2)]
+BOUNDS = (1, 2, DEFAULT_LOOP_BOUND)
+PASSES = {"cold": 1, "warm": 2}
 
 
 def _program(src):
@@ -56,27 +57,31 @@ def _outcome(fn):
     """A run's outcome in comparable form: final values, or fault type and
     message; None when the bound was exceeded."""
     try:
-        trace, fin, need = fn()
+        trace, fin = fn()
     except LoopBoundExceeded as exc:
         return None, str(exc)
     if isinstance(fin, Exception):
         fin = (type(fin), fin.args)
     elif not isinstance(fin, tuple):
         fin = fin.values  # the reference's State
-    return trace, fin, need
+    return trace, fin
 
 
-def _compare(program, stmts, bounds):
-    exe, ref = Executable(program), ReferenceExecutable(program)
+def _compare(program, stmts, passes):
+    """Run `stmts` from every state `passes` times on one executable per
+    bound; every pass after the first is answered from the tables."""
+    ref = ReferenceExecutable(program)
     checked = 0
-    for bound in bounds:
-        for stmt in stmts:
-            step = exe._step(stmt)
-            for s in ref.states():
-                got = _outcome(lambda: step(s.values, bound))
-                want = _outcome(lambda: ref._exec(stmt, s, bound))
-                assert got == want, (stmt, s, bound)
-                checked += 1
+    for bound in BOUNDS:
+        exe = Executable(program, bound)
+        for _ in range(passes):
+            for stmt in stmts:
+                step = exe._step(stmt)
+                for s in ref.states():
+                    got = _outcome(lambda: step(s.values))
+                    want = _outcome(lambda: ref._exec(stmt, s, bound)[:2])
+                    assert got == want, (stmt, s, bound)
+                    checked += 1
     return checked
 
 
@@ -85,11 +90,11 @@ def _top_level(program):
     return (body.stmts if isinstance(body, SSeq) else (body,)) + (body,)
 
 
-@pytest.mark.parametrize("bounds", BOUND_ORDERS, ids=["cold", "warm"])
+@pytest.mark.parametrize("passes", PASSES.values(), ids=PASSES)
 @pytest.mark.parametrize("path", CORPUS, ids=[os.path.basename(p) for p in CORPUS])
-def test_steps_match_the_reference_on_corpus(path, bounds):
+def test_steps_match_the_reference_on_corpus(path, passes):
     program = _corpus(path)
-    assert _compare(program, _top_level(program), bounds)
+    assert _compare(program, _top_level(program), passes)
 
 
 @pytest.mark.parametrize("name", ANNOTATED)
@@ -99,11 +104,11 @@ def test_loop_heads_and_rounds_match_the_reference(name):
     loops = _loops(program.body)
     assert any(w.invariant is not None for w in loops)
     for loop in loops:
-        got = list(exe.loop_heads(loop, DEFAULT_LOOP_BOUND))
+        got = list(exe.loop_heads(loop))
         assert got and got == list(ref.loop_heads(loop, DEFAULT_LOOP_BOUND))
         assert all(type(h) is tuple for h, _ in got)
         for s in exe.states():
-            assert exe.loop_rounds(loop, s, DEFAULT_LOOP_BOUND) == ref.loop_rounds(
+            assert exe.loop_rounds(loop, s) == ref.loop_rounds(
                 loop, s, DEFAULT_LOOP_BOUND
             )
 
@@ -138,17 +143,17 @@ FAULTING = {
 }
 
 
-@pytest.mark.parametrize("bounds", BOUND_ORDERS, ids=["cold", "warm"])
+@pytest.mark.parametrize("passes", PASSES.values(), ids=PASSES)
 @pytest.mark.parametrize("case", sorted(FAULTING))
-def test_faulting_paths_match_the_reference(case, bounds):
+def test_faulting_paths_match_the_reference(case, passes):
     src, (kind, message) = FAULTING[case]
     program = _program(src)
     exe = Executable(program)
-    assert _compare(program, _top_level(program), bounds)
+    assert _compare(program, _top_level(program), passes)
     faults = [
         fin
         for s in exe.states()
-        for fin in [exe._step(program.body)(s.values, DEFAULT_LOOP_BOUND)[1]]
+        for fin in [exe._step(program.body)(s.values)[1]]
         if isinstance(fin, Exception)
     ]
     assert (type(faults[-1]).__name__, str(faults[-1])) == (kind, message)
@@ -157,18 +162,16 @@ def test_faulting_paths_match_the_reference(case, bounds):
 
 def test_fault_keeps_the_observations_made_before_it():
     # the guard reads A[2] after two true tests: the trace keeps both, and
-    # `need` the two rounds
+    # a bound of one round stops the same run before the fault
     program = _program(
         "hidden A : array[2] of int[0..1]\nhidden n : int[0..3]\n"
         "n := 0;\nwhile A[n] = 0 do\n  n := n + 1\nod"
     )
-    exe = Executable(program)
-    trace, fin, need = exe._step(program.body)(((0, 0), 3), DEFAULT_LOOP_BOUND)
+    trace, fin = Executable(program)._step(program.body)(((0, 0), 3))
     assert trace == (("branch", True), ("branch", True))
     assert str(fin) == "A[2] with length 2"
-    assert need == 2
     with pytest.raises(LoopBoundExceeded):
-        exe._step(program.body)(((0, 0), 3), 1)
+        Executable(program, 1)._step(program.body)(((0, 0), 3))
 
 
 # ---- stack use

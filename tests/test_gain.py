@@ -3,6 +3,7 @@
 import glob
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebra
-from kuifje.core import State, all_states, avg, dist_from_entries, hyper_reduce, point
+from kuifje.core import (
+    State,
+    all_states,
+    avg,
+    dist_from_entries,
+    hyper_reduce,
+    point,
+    uniform,
+)
 from kuifje.errors import NegativeAtom
 from kuifje.gain import (
     Canon,
@@ -33,6 +42,7 @@ from kuifje.lang import (
     parse_expr,
     parse_gain,
     parse_program,
+    subst_gain,
 )
 
 F = Fraction
@@ -284,6 +294,26 @@ def test_normalize_keeps_dominated_atoms():
     nf = normalize(parse_gain("[a] MAX [a and b]"), DECLS)
     assert nf.render() == "[a and b] MAX [a]"
     assert simplify(parse_gain("[a] MAX [a and b]"), DECLS).render() == "[a]"
+
+
+def test_wide_normal_form_stays_clear_of_the_recursion_limit():
+    # 1200 atoms as a MAX chain would be 1200 levels deep, past the default
+    # limit for every walker of the gain
+    p = parse_program("hidden x : int[0..1199]\nhidden y : int[0..1]\ny := 0")
+    check_program(p)
+    canon = Canon(p.decls)
+    nf = simplify(parse_gain("MAX w in 0..1199: [x = w]"), p.decls, canon)
+    assert len(nf.atoms) == 1200
+    prior = uniform([State(("x", "y"), (w, 0)) for w in range(3)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        g = nf.as_gain()
+        assert simplify(g, p.decls, canon) == nf
+        assert eval_gain(g, prior) == F(1, 3)
+        assert simplify(subst_gain(g, "y", parse_expr("0")), p.decls, canon) == nf
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_simplify_idempotent_on_corpus_posts():

@@ -168,18 +168,19 @@ def test_loop_bound_exceeded():
 
 
 def test_warm_table_still_enforces_loop_bound():
-    # x = 3 needs three rounds: the first run fills the table, and a second
-    # run with a smaller bound must not be answered from it
+    # x = 3 needs three rounds: bound 3 passes, and under bound 2 the
+    # failed run records nothing, so a second call raises again
     src = "hidden x : int[0..3]\nwhile x != 0 do\n  x := x - 1\nod"
     p = parse_program(src)
     check_program(p)
     prior = uniform(states_xy())
-    exe = Executable(p)
-    assert exe.run(prior, loop_bound=3) == unit(point(State(("x",), (0,))))
-    with pytest.raises(LoopBoundExceeded):
-        exe.run(prior, loop_bound=2)
-    with pytest.raises(LoopBoundExceeded):
-        exe.classical_run(prior, loop_bound=2)
+    assert Executable(p, 3).run(prior) == unit(point(State(("x",), (0,))))
+    exe = Executable(p, 2)
+    for _ in range(2):
+        with pytest.raises(LoopBoundExceeded):
+            exe.run(prior)
+        with pytest.raises(LoopBoundExceeded):
+            exe.classical_run(prior)
 
 
 def test_domain_violation_is_reported():

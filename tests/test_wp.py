@@ -508,6 +508,11 @@ def test_trace_reports_intermediate_pres():
     assert labels[-1] == "n := 0"
     # the last note is the whole program's pre-gain
     assert res.trace[-1][1] == res.render()
+    # a second call on the same engine reports only its own notes
+    engine = WpEngine(soundness.program("threshold_print.kuif"), WpConfig(trace=True))
+    assert len(engine.wp_program().trace) == 1
+    again = engine.wp_program(parse_gain("[x = 1]"))
+    assert [pre for _, pre in again.trace] == [again.render()]
 
 
 # ---- soundness battery (cheap subset; the acceptance suite runs all of it)
