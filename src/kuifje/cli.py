@@ -288,7 +288,6 @@ def _load_program(path):
 def _wp_config(args):
     return WpConfig(
         loop_bound=args.loop_bound,
-        seed=args.seed,
         simplify=not getattr(args, "no_simplify", False),
         unsound_no_branch_leak=getattr(args, "unsound_no_branch_leak", False),
         force_unfold=getattr(args, "force_unfold", False),
@@ -459,8 +458,8 @@ def _add_wp_flags(sub):
     sub.add_argument(
         "--seed",
         type=int,
-        default=42,
-        help="seed for the random priors that test loop annotations",
+        help="ignored: loop annotations are decided exactly, with no random "
+        "priors",
     )
     sub.add_argument(
         "--no-simplify",

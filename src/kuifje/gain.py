@@ -18,8 +18,12 @@ that value: it reads a distribution as integer weights over indexed states
 with one common divisor, and divides once at the top.  Each atom is
 compiled once (`lang.compile_expr`) and its values are kept in a column,
 one slot per state, filled in as distributions need them; the columns die
-with the evaluator.  `eval_gain`/`eval_gain_hyper` are one-shot wrappers,
-and `semantic_le`/`semantic_eq` run their trial distributions through one.
+with the evaluator.  `eval_gain`/`eval_gain_hyper` are one-shot wrappers.
+
+The same evaluator lists a gain's atom vectors over the states, pruned of
+dominated ones; `semantic_le`/`semantic_eq` decide a comparison on every
+distribution from those two sets (see `semantic_le`), exactly, with a
+counterexample prior when it fails.
 
 Atoms use a *total* semantics: inside an atom, an atomic boolean test that
 fails (out-of-bounds index, division by zero) is false under either polarity,
@@ -38,7 +42,7 @@ columns under those masks; like the evaluator's, its columns die with it.
 
 from __future__ import annotations
 
-import random
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -192,6 +196,52 @@ class GainEvaluator:
             )
         raise TypeCheckError(f"unknown gain expression {g!r}")
 
+    def vectors(self, g):
+        """g's atom vectors: tuples with one entry per state, such that g's
+        value on any distribution p over the states is the largest v·p, or 0
+        if there is no vector.  Zero and pointwise-dominated vectors are
+        dropped at every combiner, which is exact because the combinators are
+        monotone and pointwise.  As in valuing, `f AND G` reads G only where f
+        is not 0, so a shielded negative atom is never reported."""
+        return self._vectors(g, [(i, 1) for i in range(len(self.states))], {})
+
+    def _vectors(self, g, support, env):
+        # support holds (state index, weight) pairs; the weights are unused
+        if isinstance(g, GAtom):
+            values = self._column(g.expr, support, env)
+            return _dominant([tuple([values[i] for i, _ in support])])
+        if isinstance(g, GMax):
+            return _dominant(
+                self._vectors(g.left, support, env)
+                + self._vectors(g.right, support, env)
+            )
+        if isinstance(g, GPlus):
+            left = self._vectors(g.left, support, env)
+            right = self._vectors(g.right, support, env)
+            if not (left and right):
+                return left or right
+            return _dominant(
+                [tuple(map(operator.add, a, b)) for a in left for b in right]
+            )
+        if isinstance(g, GAnd):
+            values = self._column(g.scalar, support, env)
+            kept = [k for k, (i, _) in enumerate(support) if values[i]]
+            body = self._vectors(g.body, [support[k] for k in kept], env)
+            # a positive scale keeps the vectors nonzero and undominated
+            out = []
+            for v in body:
+                scaled = [0] * len(support)
+                for k, x in zip(kept, v):
+                    scaled[k] = values[support[k][0]] * x
+                out.append(tuple(scaled))
+            return out
+        if isinstance(g, GQuantMax):
+            out = []
+            for v in g.values:
+                out.extend(self._vectors(g.body, support, dict(env, **{g.var: v})))
+            return _dominant(out)
+        raise TypeCheckError(f"unknown gain expression {g!r}")
+
     def _column(self, expr, support, env):
         """expr's values on the states, filled in at least on the support;
         NegativeAtom if one of them is negative on a support entry."""
@@ -221,6 +271,21 @@ class GainEvaluator:
                         f"atom {expr_to_source(expr)} is {v} on {self.states[i]!r}"
                     )
         return values
+
+
+def _dominant(vectors):
+    """The nonzero vectors that no other vector pointwise dominates, each
+    once, in first-seen order."""
+    vecs = [v for v in dict.fromkeys(vectors) if any(v)]
+    # a vector dominating another has a strictly larger sum
+    sums = [sum(v) for v in vecs]
+    return [
+        v
+        for v, s in zip(vecs, sums)
+        if not any(
+            t > s and all(x <= y for x, y in zip(v, w)) for w, t in zip(vecs, sums)
+        )
+    ]
 
 
 def eval_gain(g, dist, env=None):
@@ -999,6 +1064,10 @@ def simplify(g, decls, canon=None):
 
 @dataclass
 class CompareResult:
+    """The decision of `semantic_le`/`semantic_eq`.  When the relation fails,
+    `counterexample` is a prior over the compared states on which it fails,
+    and `left`/`right` are the two gains' exact values there."""
+
     holds: bool
     relation: str = ""
     counterexample: Dist | None = None
@@ -1025,44 +1094,130 @@ def random_weights(n, rng, max_weight=16):
             return w
 
 
-def _iter_dists(states, trials, seed, rng):
-    # (integer-weight support, common divisor) pairs: every point, then trials
-    n = len(states)
-    for i in range(n):
-        yield [(i, 1)], 1
-    rng = rng if rng is not None else random.Random(seed)
-    for _ in range(trials):
-        w = random_weights(n, rng)
-        total = sum(w)
-        yield [(i, wi) for i, wi in enumerate(w) if wi], total
+def _lp_max(rows, c):
+    """max c·x over x ≥ 0 with A x ≤ b, each row being A[r] + [b[r]] with
+    b[r] ≥ 0, so the slacks are a feasible first basis; the problem must be
+    bounded.  Returns (max, x), exactly.
+
+    A dense tableau pivoting by Bland's rule (the lowest index enters, ties
+    in the ratio test leave by the lowest index), which cannot cycle.  Each
+    row is scaled to integers, and pivoting keeps every entry an integer
+    over one common divisor d, the determinant of the basis (integer
+    pivoting, as in Avis's lrs): by Sylvester's identity each division
+    below is exact, and d > 0, so signs read straight off the integers."""
+    m, k = len(rows), len(c)
+    tab = []
+    for r, row in enumerate(rows):
+        scale = lcm(*(Fraction(a).denominator for a in row))
+        ints = [int(a * scale) for a in row]
+        tab.append(ints[:-1] + [int(q == r) for q in range(m)] + ints[-1:])
+    obj = [-a for a in c] + [0] * (m + 1)
+    basis = list(range(k, k + m))
+    d = 1
+    while True:
+        col = next((j for j, a in enumerate(obj[:-1]) if a < 0), None)
+        if col is None:
+            break
+        _, _, r = min(
+            (Fraction(row[-1], row[col]), basis[r], r)
+            for r, row in enumerate(tab)
+            if row[col] > 0
+        )
+        prow = tab[r]
+        a = prow[col]
+        for row in tab + [obj]:
+            f = row[col]
+            if row is not prow:
+                row[:] = [(x * a - f * y) // d for x, y in zip(row, prow)]
+        basis[r], d = col, a
+    x = [ZERO] * k
+    for r, j in enumerate(basis):
+        if j < k:
+            x[j] = Fraction(tab[r][-1], d)
+    return Fraction(obj[-1], d), x
 
 
-def _compare(g1, g2, decls, relation, trials, seed, states, rng):
+def _separating_prior(v, upper):
+    """A prior p, as (position, integer weight) pairs, with v·p > w·p for
+    every w in upper (a nonempty list of vectors as long as v), or None
+    when v lies pointwise under a convex combination of upper.
+
+    By minimax duality the two cases are exclusive and exhaustive; this is
+    the g-vulnerability view of Alvim, Chatzikokolakis, Palamidessi and
+    Smith (CSF 2012).  It solves max t subject to (v - w)·p ≥ t for every w
+    in upper, p a distribution over the positions where v is positive
+    (mass elsewhere only lowers every v·p - w·p).  The last such position
+    takes the remaining mass, and t = s - M with M the largest entry of
+    upper, so every constraint reads A x ≤ b with b ≥ 0."""
+    pos = [k for k, x in enumerate(v) if x]
+    *free, last = pos
+    big = max(x for w in upper for x in w)
+    rows = []
+    for w in upper:
+        d_last = v[last] - w[last]
+        rows.append(
+            [d_last - (v[k] - w[k]) for k in free] + [1, big + d_last]
+        )
+    rows.append([1] * len(free) + [0, 1])
+    top, x = _lp_max(rows, [0] * len(free) + [1])
+    if top <= big:
+        return None
+    probs = x[:-1]
+    probs.append(1 - sum(probs))
+    den = lcm(*(p.denominator for p in probs))
+    return [(k, int(p * den)) for k, p in zip(pos, probs) if p]
+
+
+def _compare(g1, g2, decls, relation, states):
     if states is None:
         states = all_states(
             tuple(d.name for d in decls), [d.domain for d in decls]
         )
     ev = GainEvaluator(states)
-    for support, total in _iter_dists(ev.states, trials, seed, rng):
+    left, right = ev.vectors(g1), ev.vectors(g2)
+    bad = operator.gt if relation == "<=" else operator.ne
+
+    def violation(support):
+        total = sum(w for _, w in support)
         l = ev.weighted_value(g1, support, total)
         r = ev.weighted_value(g2, support, total)
-        bad = (l > r) if relation == "<=" else (l != r)
-        if bad:
-            witness = Dist.from_weights({ev.states[i]: w for i, w in support})
-            return CompareResult(False, relation, witness, l, r)
+        witness = Dist.from_weights({ev.states[i]: w for i, w in support})
+        return CompareResult(False, relation, witness, l, r)
+
+    # point priors first, in state order: a gain's value there is the
+    # largest entry of its vectors at that state
+    zeros = [0] * len(ev.states)
+    lmax = [max(col) for col in zip(*left)] if left else zeros
+    rmax = [max(col) for col in zip(*right)] if right else zeros
+    for i, (l, r) in enumerate(zip(lmax, rmax)):
+        if bad(l, r):
+            return violation([(i, 1)])
+    sides = [(left, right)] if relation == "<=" else [(left, right), (right, left)]
+    for lower, upper in sides:
+        for v in lower:
+            if any(all(x <= y for x, y in zip(v, w)) for w in upper):
+                continue
+            support = _separating_prior(v, upper)
+            if support is not None:
+                return violation(support)
     return CompareResult(True, relation)
 
 
-def semantic_le(g1, g2, decls, trials=100, seed=42, states=None, rng=None):
-    """Falsification-based check that g1's value never exceeds g2's.
+def semantic_le(g1, g2, decls, states=None):
+    """Decides whether g1's value is at most g2's on every distribution over
+    the declared state space (or over the given states).
 
-    Tries every point distribution on the state space (or the given states)
-    plus `trials` seeded random rational distributions.  A returned holds=True
-    means no counterexample was found.
+    Both gains become pruned sets of atom vectors (`GainEvaluator.vectors`),
+    and g1 ≤ g2 on every distribution iff each vector of g1 lies pointwise
+    under a convex combination of g2's.  Point priors are tried first, in
+    state order; then a vector of g1 under a vector of g2 needs nothing
+    more, and any other is settled by an exact rational LP whose optimal
+    vertex, when the relation fails, is the counterexample prior.
     """
-    return _compare(g1, g2, decls, "<=", trials, seed, states, rng)
+    return _compare(g1, g2, decls, "<=", states)
 
 
-def semantic_eq(g1, g2, decls, trials=100, seed=42, states=None, rng=None):
-    """Like semantic_le but requires exact equality of values on every trial."""
-    return _compare(g1, g2, decls, "==", trials, seed, states, rng)
+def semantic_eq(g1, g2, decls, states=None):
+    """Decides whether g1 and g2 have equal values on every distribution:
+    `semantic_le` both ways, the point priors first."""
+    return _compare(g1, g2, decls, "==", states)

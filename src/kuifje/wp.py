@@ -20,13 +20,14 @@ An annotation V for `while g do B` must satisfy, at every loop head,
 
     V  ==  [g] AND pre(B, V)  PLUS  [not g] AND E.
 
-The check is a falsifier: the equality is tested on the distributions an
-observer can actually hold at the loop head.  Those are grouped by
-observation history (running the whole program concretely from every declared
-initial state; a path stopped by a runtime error is undefined, but the loop
-heads it reached before the error count), and within each group the check
-tries every point distribution plus seeded random ones.  Passing is evidence,
-not proof; any failure comes with a concrete counterexample distribution.
+The check decides the equality on every distribution an observer can
+actually hold at the loop head: those over one group of loop-head states
+with the same observation history (running the whole program concretely from
+every declared initial state; a path stopped by a runtime error is undefined,
+but the loop heads it reached before the error count).  `gain.semantic_eq`
+decides each group exactly, sampling no priors.  The groups are decided in a
+fixed order, which fixes the reported counterexample: the first violating
+point prior, else the optimal vertex of an exact LP.
 
 Unfolding is exact: if every state exits the loop within k iterations, the
 k-fold expansion with innermost term [not g] AND E is the loop's pre-gain.
@@ -42,9 +43,7 @@ post, so this mode unfolds every loop.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 from .core import BoolDomain
 from .core import all_states  # noqa: F401  perfbench/spans.py wraps wp.all_states
@@ -55,14 +54,13 @@ from .errors import (
     LoopBoundExceeded,
     LoopNeedsInvariantOrBound,
 )
-from .gain import Canon, eval_atom_total, normalize, semantic_eq, simplify
+from .gain import Canon, NormalForm, eval_atom_total, normalize, semantic_eq, simplify
 from .lang import (
     EVAL_ERRORS,
     BoolLit,
     Cmp,
     GAnd,
     GAtom,
-    GMax,
     GPlus,
     IntLit,
     Iverson,
@@ -86,7 +84,6 @@ from .semantics import DEFAULT_LOOP_BOUND, Executable
 @dataclass
 class WpConfig:
     loop_bound: int = DEFAULT_LOOP_BOUND
-    seed: int = 42
     simplify: bool = True
     unsound_no_branch_leak: bool = False
     force_unfold: bool = False
@@ -263,12 +260,11 @@ class WpEngine:
             # Both sides shrink once instead of being re-walked per
             # observation group.  This is not exact where a cancelled term
             # reads out of bounds (see Canon._shift_consts), so without
-            # simplification the falsifier compares the raw gains.
+            # simplification the decision compares the raw gains.
             lhs = simplify(candidate, self.decls, self.canon).as_gain()
             rhs = simplify(rhs, self.decls, self.canon).as_gain()
-        rng = random.Random(self.config.seed)
         for states in self._loop_head_groups(stmt):
-            res = semantic_eq(lhs, rhs, self.decls, states=states, rng=rng)
+            res = semantic_eq(lhs, rhs, self.decls, states=states)
             if not res:
                 lhs_text = gain_to_source(candidate)
                 rhs_text = (
@@ -291,8 +287,8 @@ class WpEngine:
         loop-head snapshots belong to the same group iff they carry the same
         observation history — exactly then can one posterior mix them.
         Groups are ordered deterministically (by the repr of the history,
-        then state order): the falsifier draws its random priors group by
-        group, so the order decides which counterexample is reported.
+        then state order): they are decided one by one, so the order decides
+        which counterexample is reported.
         """
         groups = {}
         for history, state in self.executable.loop_heads(target):
@@ -313,8 +309,9 @@ class WpEngine:
 
     def _unsound_pre(self, post):
         atoms = simplify(post, self.decls, self.canon).atoms
-        pres = [GAtom(self.leak_blind_pre(a)) for a in atoms] or [GAtom(IntLit(0))]
-        return reduce(GMax, pres)
+        # a balanced MAX, log2(k) deep, so a wide post stays clear of the
+        # recursion limit
+        return NormalForm(tuple(self.leak_blind_pre(a) for a in atoms)).as_gain()
 
 
 def wp(program, post=None, config=None):

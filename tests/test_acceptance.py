@@ -109,7 +109,7 @@ def test_02_halving_assignment(capsys, clock):
         "MAX [x div 2 = 3] MAX [x div 2 = 4]"
     )
     p = soundness.program("halve_then_guess.kuif")
-    assert semantic_eq(emitted, five_atoms, p.decls, trials=100, seed=42)
+    assert semantic_eq(emitted, five_atoms, p.decls)
 
     quarters = uniform([State(("x",), (v,)) for v in (0, 3, 6, 9)])
     assert eval_gain(emitted, quarters) == F(1, 4)
@@ -143,9 +143,7 @@ def test_04_search_invariant_verified(clock):
     """The suffix-membership annotation checks out and collapses to [x in A]."""
     p = soundness.program("search_early_exit.kuif")
     engine, nf = soundness.wp_nf("search_early_exit.kuif")  # invariant route
-    assert semantic_eq(
-        nf.as_gain(), parse_gain("[x in A]"), p.decls, trials=100, seed=42
-    )
+    assert semantic_eq(nf.as_gain(), parse_gain("[x in A]"), p.decls)
     clock(5)
 
 
@@ -179,11 +177,11 @@ def test_05_run_to_completion_loops(clock):
     target = parse_gain("[x in A]")
     flagged = soundness.program("search_with_flag.kuif")
     res = WpEngine(flagged).wp_program()  # no annotation: unfolding
-    assert semantic_eq(res.pre, target, flagged.decls, trials=50, seed=42)
+    assert semantic_eq(res.pre, target, flagged.decls)
 
     full = soundness.program("search_full_scan.kuif")
     res2 = WpEngine(full, WpConfig(force_unfold=True)).wp_program()
-    assert semantic_eq(res2.pre, target, full.decls, trials=50, seed=42)
+    assert semantic_eq(res2.pre, target, full.decls)
     clock(10)
 
 
@@ -193,13 +191,13 @@ def test_06_array_max_programs(clock):
     p = soundness.program("reveal_max_value.kuif")
     engine, nf = soundness.wp_nf("reveal_max_value.kuif")
     target = parse_gain("max(A[0], A[1], A[2])")
-    assert semantic_eq(nf.as_gain(), target, p.decls, trials=50, seed=42)
+    assert semantic_eq(nf.as_gain(), target, p.decls)
 
     q = soundness.program("max_no_branch.kuif")
     _, nf2 = soundness.wp_nf("max_no_branch.kuif")
     post_nf = simplify(q.post, q.decls)
     assert nf2.render() == post_nf.render()
-    assert semantic_eq(nf2.as_gain(), q.post, q.decls, trials=50, seed=42)
+    assert semantic_eq(nf2.as_gain(), q.post, q.decls)
     clock(10)
 
 
@@ -265,7 +263,7 @@ def test_08_soundness_battery(clock):
 def test_09_algebra_battery(clock):
     """Every combinator law, plus normalization preserving meaning, on
     hundreds of seeded random expressions; zero violations."""
-    checks, violations = algebra.run_battery(cases=60, trials=6)
+    checks, violations = algebra.run_battery(cases=60)
     assert checks >= 500
     assert violations == []
     clock(60)

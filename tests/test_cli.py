@@ -639,6 +639,31 @@ def test_expression_built_too_deep_exit_3(tmp_path, command):
     assert p.stdout == ""
 
 
+def test_leak_blind_mode_takes_a_wide_post(tmp_path):
+    # the per-atom pre-gains of a 1200-atom post join without a 1200-deep
+    # MAX; one assignment leaves every pre-gain its own post atom
+    f = tmp_path / "wide.kuif"
+    f.write_text("hidden x : int[0..1199]\nhidden y : int[0..1]\ny := 0\n")
+    post = ("--post", "MAX w in 0..1199: [x = w]")
+    blind = cli("wp", str(f), *post, "--unsound-no-branch-leak")
+    assert blind.returncode == 0, blind.stderr
+    assert blind.stdout == cli("wp", str(f), *post).stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("wp", corpus("search_full_scan.kuif")),
+        ("check", corpus("search_full_scan.kuif"), "--priors", "random:2:5"),
+    ],
+)
+def test_seed_is_accepted_and_ignored(args):
+    outs = [cli(*args, *seed) for seed in ((), ("--seed", "1"), ("--seed", "99"))]
+    assert all(p.returncode == 0 for p in outs)
+    assert outs[0].stdout
+    assert outs[0].stdout == outs[1].stdout == outs[2].stdout
+
+
 def test_unbounded_loop_exit_3(tmp_path):
     f = tmp_path / "spin.kuif"
     f.write_text(
@@ -663,7 +688,7 @@ def test_bad_invariant_exit_4(tmp_path):
     p = cli("wp", str(f))
     assert p.returncode == 4
     lines = p.stderr.splitlines()
-    # the whole line pins the group order and the falsifier's draws
+    # the whole line pins the group order and the point priors tried first
     assert lines[0] == (
         "error: loop annotation is not self-consistent: on the reachable prior "
         "Dist({{x=2 n=2}: 1}) the annotation is worth 0 but one loop step is worth 1"
