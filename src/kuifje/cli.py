@@ -8,7 +8,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 check found a mismatch; 2 parse/type/input error;
 3 a resource limit was hit (loop iterations, or expression depth built by
-the analysis); 4 a loop annotation failed its consistency check.
+the analysis); 4 a loop annotation failed its consistency check; 5 an
+internal error (any other exception, `MemoryError` included), reported on one
+line without a traceback.
 
 All probabilities are exact rationals.  Table output prints them as `p/q`
 (integers bare); JSON output always uses the `n/d` form, `0/1` and `1/1`
@@ -557,6 +559,9 @@ def main(argv=None):
     except KuifjeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

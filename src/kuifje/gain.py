@@ -347,6 +347,12 @@ class Canon:
     state.  `states`, if given, returns that list (a WpEngine passes its
     executable's, so the space is listed once); it is called when the first
     predicate or atom is decided, so a Canon that decides none lists nothing.
+
+    Every atom a Canon returns comes from `_finalize`, which interns it, so an
+    atom's identity is its value and no atom's id is reused while the Canon
+    lives.  Caches keyed by atom ids (vectors, renderings, and the memos of
+    `atom_add`, `atom_mul` and `prune`) are therefore exact for the Canon's
+    life, and die with it.
     """
 
     def __init__(self, decls, states=None):
@@ -366,6 +372,9 @@ class Canon:
         self._atom_cache = {}
         self._vectors = {}
         self._rebuilt = {}
+        self._sums = {}
+        self._products = {}
+        self._prunes = {}
 
     @cached_property
     def _values(self):
@@ -821,13 +830,23 @@ class Canon:
             t.coeff,
         )
 
-    # ---- atom arithmetic
+    # ---- atom arithmetic (memoised by atom identity; see the class docstring)
 
     def atom_add(self, a, b):
-        return self._finalize(list(a) + list(b))
+        key = (id(a), id(b))
+        out = self._sums.get(key)
+        if out is None:
+            out = self._sums[key] = self._finalize(list(a) + list(b))
+        return out
 
     def atom_mul(self, a, b):
-        return self._finalize(self._mul_terms(list(a), list(b)))
+        key = (id(a), id(b))
+        out = self._products.get(key)
+        if out is None:
+            out = self._products[key] = self._finalize(
+                self._mul_terms(list(a), list(b))
+            )
+        return out
 
     # ---- rebuild and render
 
@@ -921,7 +940,11 @@ class Canon:
         if fails:
             acc = [0 if b else a for a, b in zip(acc, _bits(fails, n))]
         g = gcd(den, *acc)
-        out = self._vectors[id(atom)] = (den // g, tuple(x // g for x in acc))
+        if g == 1:
+            out = (den, tuple(acc))
+        else:
+            out = (den // g, tuple(x // g for x in acc))
+        self._vectors[id(atom)] = out
         return out
 
     # ---- normal form construction
@@ -969,10 +992,13 @@ class Canon:
         return out
 
     def prune(self, atoms):
-        """Drop identically-zero atoms and pointwise-dominated atoms."""
+        """Drop identically-zero atoms and pointwise-dominated atoms.  The
+        result is a new list on every call; the memo keeps a tuple."""
         atoms = self.dedupe(atoms)
-        if not atoms:
-            return []
+        key = tuple(map(id, atoms))
+        out = self._prunes.get(key)
+        if out is not None:
+            return list(out)
         vecs = [(a, self.atom_vector(a)) for a in atoms]
         # rescale to one common denominator, so vectors compare as integers
         den = lcm(*(d for _, (d, _) in vecs))
@@ -1006,6 +1032,7 @@ class Canon:
             if not dominated:
                 out.append(ai)
         out.sort(key=self.atom_render)
+        self._prunes[key] = tuple(out)
         return out
 
 

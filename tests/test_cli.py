@@ -705,6 +705,22 @@ def test_missing_file_exit_2():
     assert p.stderr.startswith("error:")
 
 
+def test_unexpected_exception_exit_5(monkeypatch, capsys):
+    from kuifje import cli as kuifje_cli
+
+    class Broken:
+        def __init__(self, *args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(kuifje_cli, "WpEngine", Broken)
+    code = kuifje_cli.main(["wp", os.path.join(ROOT, "corpus", "branch_assign.kuif")])
+    out, err = capsys.readouterr()
+    assert code == 5
+    assert out == ""
+    assert err == "error: internal error: ZeroDivisionError: boom\n"
+    assert "Traceback" not in err
+
+
 _NO_PROB_CELL = {"hyper": [{"weight": "1", "inner": [{"state": {"x": 0}}]}]}
 _EXTRA_KEY = {
     "hyper": [{"weight": "1", "inner": [{"state": {"x": 0, "zz": 5}, "prob": "1"}]}]

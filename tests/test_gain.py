@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebra
+import soundness
 from kuifje.core import (
     State,
     all_states,
@@ -44,6 +45,7 @@ from kuifje.lang import (
     parse_program,
     subst_gain,
 )
+from kuifje.wp import WpEngine
 
 F = Fraction
 
@@ -314,6 +316,46 @@ def test_wide_normal_form_stays_clear_of_the_recursion_limit():
         assert simplify(subst_gain(g, "y", parse_expr("0")), p.decls, canon) == nf
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_canon_memoises_sums_and_products():
+    canon = Canon(DECLS)
+    a = canon.atom_of(parse_gain("[a] * x").expr)
+    b = canon.atom_of(parse_gain("[n = 1] + 1/2").expr)
+    finalized = []
+    real = canon._finalize
+
+    def counting(terms):
+        finalized.append(1)
+        return real(terms)
+
+    canon._finalize = counting
+    assert canon.atom_add(a, b) is canon.atom_add(a, b)
+    assert canon.atom_mul(a, b) is canon.atom_mul(a, b)
+    canon.atom_add(b, a)
+    # three distinct (combiner, pair) calls; the repeats are lookups
+    assert len(finalized) == 3
+
+
+def test_canon_prune_returns_a_fresh_list():
+    canon = Canon(DECLS)
+    atoms = [canon.atom_of(parse_gain(s).expr) for s in ("[a]", "[a and b]", "1/2")]
+    first = canon.prune(atoms)
+    expected = list(first)
+    first.clear()
+    assert canon.prune(atoms) == expected
+    assert len(expected) == 2
+
+
+def test_simplify_on_a_warm_canon_matches_a_fresh_one():
+    # the engine's Canon has memoised every combination the unfolding made
+    p = soundness.program("search_with_flag.kuif")
+    engine = WpEngine(p)
+    pre = engine.wp(p.body, p.post)
+    warm = simplify(pre, p.decls, engine.canon)
+    assert warm.render() == simplify(pre, p.decls, Canon(p.decls)).render()
+    assert simplify(pre, p.decls, engine.canon).render() == warm.render()
+    assert warm.render() == "[A[0] = x or A[1] = x or A[2] = x]"
 
 
 def test_simplify_idempotent_on_corpus_posts():
