@@ -36,8 +36,9 @@ with predicates in minimized disjunctive normal form, merges complementary
 and disjoint guarded terms, and renders deterministically; `simplify` prunes
 atoms that are pointwise dominated on the declared state space.  It reads
 that space's states once, when it first needs them, decides predicates on
-bitmasks over it, one per literal, and values atoms from integer factor
-columns under those masks; like the evaluator's, its columns die with it.
+bitmasks over it, both polarities of a literal from one pass, and values
+atoms from integer factor columns under those masks; like the evaluator's,
+its columns die with it.
 """
 
 from __future__ import annotations
@@ -45,14 +46,14 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
 from math import gcd, lcm
 
 from .core import Dist, all_states
 from .errors import DivisionByZero, NegativeAtom, TypeCheckError
 from .lang import (
     EVAL_ERRORS,
-    NEGATED_TEST,
     NUMERIC,
     TEST,
     Bin,
@@ -273,19 +274,42 @@ class GainEvaluator:
         return values
 
 
+def _lies_under(v, s, ranked, strict=False):
+    """Whether v, whose entries sum to s, lies pointwise under a vector of
+    ranked: (sum, vector) pairs in descending order of sum, none equal to v
+    when strict is set.  A vector under another has a smaller sum or equals
+    it, so the scan stops at the first smaller sum, or when strict is set at
+    the first sum that is not larger."""
+    le = operator.le
+    for t, w in ranked:
+        if t < s or strict and t == s:
+            return False
+        if all(map(le, v, w)):
+            return True
+    return False
+
+
+def _undominated(vectors, sums):
+    """One flag per vector of a list of distinct ones, with their sums:
+    whether no other vector lies pointwise over it.  The vectors are scanned
+    by descending sum, and each is tested against the undominated ones
+    already kept: a vector under a dominated one is under that one's
+    dominator too."""
+    keep = [False] * len(vectors)
+    kept = []
+    for k in sorted(range(len(vectors)), key=sums.__getitem__, reverse=True):
+        v, s = vectors[k], sums[k]
+        if not _lies_under(v, s, kept, strict=True):
+            kept.append((s, v))
+            keep[k] = True
+    return keep
+
+
 def _dominant(vectors):
     """The nonzero vectors that no other vector pointwise dominates, each
     once, in first-seen order."""
     vecs = [v for v in dict.fromkeys(vectors) if any(v)]
-    # a vector dominating another has a strictly larger sum
-    sums = [sum(v) for v in vecs]
-    return [
-        v
-        for v, s in zip(vecs, sums)
-        if not any(
-            t > s and all(x <= y for x, y in zip(v, w)) for w, t in zip(vecs, sums)
-        )
-    ]
+    return list(compress(vecs, _undominated(vecs, list(map(sum, vecs)))))
 
 
 def eval_gain(g, dist, env=None):
@@ -302,13 +326,16 @@ def eval_gain_hyper(g, hyper, env=None):
 
 # --- canonicalization ---------------------------------------------------------------
 
-# A 0/1 column as bytes, and a bitmask over the same states: bit i is entry i.
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# A literal's tri-state column as bytes, one entry per state: 0 false, 1
+# true, 2 a read fails.  Each table turns it into one polarity's digits, a
+# failing read false under either; the bitmask reads bit i as entry i.
+_POSITIVE = bytes.maketrans(b"\x00\x01\x02", b"010")
+_NEGATED = bytes.maketrans(b"\x00\x01\x02", b"100")
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _mask(column):
-    return int(column.translate(_TO_DIGITS)[::-1], 2)
+def _mask(column, table):
+    return int(column.translate(table)[::-1], 2)
 
 
 def _bits(mask, n):
@@ -347,6 +374,12 @@ class Canon:
     state.  `states`, if given, returns that list (a WpEngine passes its
     executable's, so the space is listed once); it is called when the first
     predicate or atom is decided, so a Canon that decides none lists nothing.
+
+    One tri-state pass over a literal's atom gives both polarities' masks
+    (`lit_models`).  `_models` holds the mask of each predicate `models` is
+    asked for, and only those: minimisation works on one mask per
+    conjunction, kept as literals and disjuncts are dropped, and stores none
+    of its candidates.
 
     Every atom a Canon returns comes from `_finalize`, which interns it, so an
     atom's identity is its value and no atom's id is reused while the Canon
@@ -387,15 +420,33 @@ class Canon:
     # ---- literals and DNF
 
     def lit_models(self, lit):
-        """Bitmask of the states where one literal holds; a failing test is
-        false under either polarity."""
+        """Bitmask of the states where one literal holds.  One tri-state pass
+        over the literal's atom gives both polarities' masks: a failing read
+        is false under either, so the two are disjoint, and outside their
+        union lie exactly the states where a read fails."""
         mask = self._lit_model_cache.get(lit)
         if mask is None:
-            neg, atom = lit
-            fn = compile_expr(atom, self.names, NEGATED_TEST if neg else TEST)
-            column = bytes([fn(row, None) for row in self._values])
-            mask = self._lit_model_cache[lit] = _mask(column)
+            atom = lit[1]
+            fn = compile_expr(atom, self.names)
+            column = bytearray()
+            for row in self._values:
+                try:
+                    column.append(fn(row, None))
+                except EVAL_ERRORS:
+                    column.append(2)
+            cache = self._lit_model_cache
+            cache[False, atom] = _mask(column, _POSITIVE)
+            cache[True, atom] = _mask(column, _NEGATED)
+            mask = cache[lit]
         return mask
+
+    def _conj_models(self, conj):
+        acc = self.full
+        for lit in conj:
+            acc &= self.lit_models(lit)
+            if not acc:
+                break
+        return acc
 
     def models(self, dnf):
         """Bitmask of the states where the DNF holds."""
@@ -403,12 +454,7 @@ class Canon:
         if out is None:
             out = 0
             for conj in dnf:
-                acc = self.full
-                for lit in conj:
-                    acc &= self.lit_models(lit)
-                    if not acc:
-                        break
-                out |= acc
+                out |= self._conj_models(conj)
             self._models[dnf] = out
         return out
 
@@ -628,46 +674,52 @@ class Canon:
         return tuple(sorted(self.lit_render(lit) for lit in conj))
 
     def _minimize(self, dnf):
+        # Greedy two-level minimisation on one mask per conjunction, kept as
+        # literals and disjuncts are dropped.  The masks' union stays the
+        # target, so a slimmed conjunction keeps it exactly when its own mask
+        # stays inside the target.
         if dnf in (TRUE_DNF, FALSE_DNF):
             return dnf
-        target = self.models(dnf)
+        conjs = sorted(dnf, key=self._conj_key)
+        masks = [self._conj_models(c) for c in conjs]
+        target = reduce(operator.or_, masks, 0)
         if not target:
             return FALSE_DNF
         if target == self.full:
             return TRUE_DNF
-
-        conjs = sorted(set(dnf), key=self._conj_key)
-        conjs = [c for c in conjs if self.models(frozenset({c}))]
+        outside = self.full ^ target
+        live = [(c, m) for c, m in zip(conjs, masks) if m]
         # absorption: a superset conjunction is redundant next to its subset
-        kept = []
-        for c in conjs:
-            if any(other < c for other in conjs if other != c):
-                continue
-            kept.append(c)
-        conjs = kept
+        live = [(c, m) for c, m in live if not any(o < c for o, _ in live)]
+        conjs = [c for c, _ in live]
+        masks = [m for _, m in live]
 
         changed = True
         while changed:
             changed = False
             # greedy literal deletion, in deterministic order
-            for i, conj in enumerate(list(conjs)):
-                for lit in sorted(conj, key=self.lit_render):
-                    slim = conj - {lit}
-                    cand = frozenset(conjs[:i] + [slim] + conjs[i + 1 :])
-                    if self.models(cand) == target:
-                        conjs[i] = slim
-                        conj = slim
+            for i, conj in enumerate(conjs):
+                lits = sorted(conj, key=self.lit_render)
+                # a dropped literal's mask is replaced by the full one
+                lit_masks = [self.lit_models(lit) for lit in lits]
+                for p, lit in enumerate(lits):
+                    m, lit_masks[p] = lit_masks[p], self.full
+                    slim = reduce(operator.and_, lit_masks)
+                    if slim & outside:
+                        lit_masks[p] = m
+                    else:
+                        conj = conj - {lit}
+                        masks[i] = slim
                         changed = True
-            # greedy disjunct deletion
+                conjs[i] = conj
+            # greedy disjunct deletion, last first: a conjunction goes when
+            # the others' union is the target
             for i in range(len(conjs) - 1, -1, -1):
-                cand = frozenset(conjs[:i] + conjs[i + 1 :])
-                if cand and self.models(cand) == target:
-                    del conjs[i]
+                others = masks[:i] + masks[i + 1 :]
+                if others and reduce(operator.or_, others) == target:
+                    del conjs[i], masks[i]
                     changed = True
-        result = frozenset(conjs)
-        if result == frozenset({frozenset()}):
-            return TRUE_DNF
-        return result
+        return frozenset(conjs)
 
     def preds_disjoint(self, d1, d2):
         return not (self.models(d1) & self.models(d2))
@@ -915,37 +967,46 @@ class Canon:
         fails where its term's predicate holds makes the atom 0 on that
         state."""
         out = self._vectors.get(id(atom))
-        if out is not None:
-            return out
+        if out is None:
+            if len(atom) == 1 and not atom[0].factors:
+                # c·[p]: the coefficient is in lowest terms, so is the vector
+                t = atom[0]
+                mask = self.full if t.pred is None else self.models(t.pred)
+                bits = _bits(mask, len(self._values))
+                out = (t.coeff.denominator, tuple(map(t.coeff.numerator.__mul__, bits)))
+            else:
+                out = self._terms_vector(atom)
+            self._vectors[id(atom)] = out
+        return out
+
+    def _terms_vector(self, terms):
+        # atom_vector's general case, for any list of terms
         n = len(self._values)
-        terms = []
+        parts = []
         den = 1
-        for t in atom:
+        for t in terms:
             columns = [self._factor_column(f) for f in t.factors]
             tden = t.coeff.denominator
             for c in columns:
                 tden *= c[0]
             den = lcm(den, tden)
-            terms.append((t, columns, tden))
+            parts.append((t, columns, tden))
         acc = [0] * n
         fails = 0
-        for t, columns, tden in terms:
+        for t, columns, tden in parts:
             k = t.coeff.numerator * (den // tden)
             mask = self.full if t.pred is None else self.models(t.pred)
-            col = [k * b for b in _bits(mask, n)]
+            col = map(k.__mul__, _bits(mask, n))
             for _, ints, bad in columns:
                 fails |= bad & mask
-                col = [x * y for x, y in zip(col, ints)]
-            acc = [a + x for a, x in zip(acc, col)]
+                col = map(operator.mul, col, ints)
+            acc = list(map(operator.add, acc, col))
         if fails:
-            acc = [0 if b else a for a, b in zip(acc, _bits(fails, n))]
+            acc = list(map(operator.mul, acc, _bits(self.full ^ fails, n)))
         g = gcd(den, *acc)
         if g == 1:
-            out = (den, tuple(acc))
-        else:
-            out = (den // g, tuple(x // g for x in acc))
-        self._vectors[id(atom)] = out
-        return out
+            return (den, tuple(acc))
+        return (den // g, tuple(x // g for x in acc))
 
     # ---- normal form construction
 
@@ -993,45 +1054,40 @@ class Canon:
 
     def prune(self, atoms):
         """Drop identically-zero atoms and pointwise-dominated atoms.  The
-        result is a new list on every call; the memo keeps a tuple."""
+        result is a new list on every call; the memo keeps a tuple.
+
+        The vectors are rescaled to one denominator.  Equal vectors have
+        equal sums, so they are found by comparing within a sum, and no
+        vector is hashed; of equal ones the smallest rendering stays.  The
+        rest go through `_undominated` in (sum, rendering) order."""
         atoms = self.dedupe(atoms)
         key = tuple(map(id, atoms))
         out = self._prunes.get(key)
         if out is not None:
             return list(out)
-        vecs = [(a, self.atom_vector(a)) for a in atoms]
-        # rescale to one common denominator, so vectors compare as integers
-        den = lcm(*(d for _, (d, _) in vecs))
-        live = [
-            (a, v if d == den else tuple(x * (den // d) for x in v))
-            for a, (d, v) in vecs
-            if any(v)
-        ]
-        # equal vectors: keep the lexicographically smallest rendering
-        byvec = {}
-        for a, v in live:
-            cur = byvec.get(v)
-            if cur is None or self.atom_render(a) < self.atom_render(cur):
-                byvec[v] = a
-        # a dominating vector has a strictly larger coordinate sum
+        render = self.atom_render
+        vecs = [self.atom_vector(a) for a in atoms]
+        den = lcm(*(d for d, _ in vecs))
+        bysum = {}
+        for a, (d, v) in zip(atoms, vecs):
+            if not any(v):
+                continue
+            if d != den:
+                v = tuple(map((den // d).__mul__, v))
+            group = bysum.setdefault(sum(v), [])
+            for k, (b, w) in enumerate(group):
+                if w == v:
+                    if render(a) < render(b):
+                        group[k] = (a, v)
+                    break
+            else:
+                group.append((a, v))
         items = sorted(
-            ((v, a) for v, a in byvec.items()),
-            key=lambda va: (sum(va[0]), self.atom_render(va[1])),
+            ((s, a, v) for s, group in bysum.items() for a, v in group),
+            key=lambda sav: (sav[0], render(sav[1])),
         )
-        sums = [sum(v) for v, _ in items]
-        out = []
-        for i, (vi, ai) in enumerate(items):
-            dominated = False
-            for j in range(len(items) - 1, i, -1):
-                if sums[j] <= sums[i]:
-                    break
-                vj = items[j][0]
-                if all(x <= y for x, y in zip(vi, vj)):
-                    dominated = True
-                    break
-            if not dominated:
-                out.append(ai)
-        out.sort(key=self.atom_render)
+        keep = _undominated([v for _, _, v in items], [s for s, _, _ in items])
+        out = sorted(compress([a for _, a, _ in items], keep), key=render)
         self._prunes[key] = tuple(out)
         return out
 
@@ -1221,8 +1277,11 @@ def _compare(g1, g2, decls, relation, states):
             return violation([(i, 1)])
     sides = [(left, right)] if relation == "<=" else [(left, right), (right, left)]
     for lower, upper in sides:
+        ranked = sorted(
+            zip(map(sum, upper), upper), key=operator.itemgetter(0), reverse=True
+        )
         for v in lower:
-            if any(all(x <= y for x, y in zip(v, w)) for w in upper):
+            if _lies_under(v, sum(v), ranked):
                 continue
             support = _separating_prior(v, upper)
             if support is not None:

@@ -1,0 +1,214 @@
+"""`Canon`'s bulk kernels against plain definitions.
+
+- DNF minimisation on cached conjunction masks returns the same frozenset as
+  the candidate-by-candidate reference (`reference_minimize.py`), on every
+  DNF that `wp` minimises on the corpus and on generated DNFs.
+- One tri-state pass per literal atom gives both polarities: the two masks
+  are disjoint, and outside their union lie exactly the failing reads.
+- The one-term, factorless `atom_vector` path matches the general one and
+  `eval_atom_total`, state by state.
+"""
+
+import glob
+import os
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kuifje.core import all_states
+from kuifje.gain import Canon, eval_atom_total
+from kuifje.lang import (
+    EVAL_ERRORS,
+    check_program,
+    compile_expr,
+    parse_expr,
+    parse_gain,
+    parse_program,
+)
+from kuifje.wp import WpConfig, WpEngine
+from reference_minimize import ReferenceMinimizer
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+ANNOTATED = (
+    "max_no_branch.kuif",
+    "reveal_max_value.kuif",
+    "search_early_exit.kuif",
+    "search_full_scan.kuif",
+)
+
+
+def _program(src):
+    program = parse_program(src)
+    check_program(program)
+    return program
+
+
+def _corpus(name):
+    with open(os.path.join(CORPUS, name)) as f:
+        return _program(f.read())
+
+
+POSTED = sorted(
+    os.path.basename(path)
+    for path in glob.glob(os.path.join(CORPUS, "*.kuif"))
+    if _corpus(os.path.basename(path)).post is not None
+)
+RUNS = [(name, False) for name in POSTED] + [(name, True) for name in ANNOTATED]
+
+
+def _wp_run(name, force_unfold):
+    """The engine's Canon after `wp` on a corpus program, and each DNF its
+    minimisation was given, with the result."""
+    engine = WpEngine(_corpus(name), WpConfig(force_unfold=force_unfold))
+    canon = engine.canon
+    calls = []
+    minimize = canon._minimize
+
+    def recording(dnf):
+        out = minimize(dnf)
+        calls.append((dnf, out))
+        return out
+
+    canon._minimize = recording
+    engine.wp_program()
+    del canon._minimize
+    return canon, calls
+
+
+def _run_id(run):
+    name, force_unfold = run
+    return name + (" --force-unfold" if force_unfold else "")
+
+
+# ---- minimisation and polarities on the corpus
+
+
+def _failing_reads(canon, atom):
+    fn = compile_expr(atom, canon.names)
+    mask = 0
+    for i, row in enumerate(canon._values):
+        try:
+            fn(row, None)
+        except EVAL_ERRORS:
+            mask |= 1 << i
+    return mask
+
+
+def _assert_polarities(canon, atom):
+    pos = canon.lit_models((False, atom))
+    neg = canon.lit_models((True, atom))
+    assert pos & neg == 0
+    assert canon.full ^ (pos | neg) == _failing_reads(canon, atom)
+
+
+def test_posted_corpus_is_the_fifteen():
+    assert len(POSTED) == 15
+
+
+@pytest.mark.parametrize("name, force_unfold", RUNS, ids=list(map(_run_id, RUNS)))
+def test_minimize_and_polarities_on_corpus(name, force_unfold):
+    canon, calls = _wp_run(name, force_unfold)
+    assert calls
+    reference = ReferenceMinimizer(canon)
+    for dnf, out in calls:
+        assert out == reference.minimize(dnf), canon.pred_render(dnf)
+    # both polarities of every literal the run decided
+    atoms = {atom for _, atom in canon._lit_model_cache}
+    assert atoms
+    for atom in atoms:
+        _assert_polarities(canon, atom)
+
+
+def test_corpus_minimisation_drops_literals_and_disjuncts():
+    # the differential test sees real work, not only constant DNFs
+    _, calls = _wp_run("search_with_flag.kuif", False)
+    sizes = [(sum(map(len, dnf)), sum(map(len, out))) for dnf, out in calls]
+    assert sum(1 for before, after in sizes if 0 < after < before) > 100
+
+
+SPACE = _program(
+    """\
+hidden b : bool
+hidden x : int[0..3]
+hidden y : int[0..3]
+hidden A : array[2] of int[0..2]
+skip
+"""
+)
+SPACE_CANON = Canon(SPACE.decls)
+TESTS = [
+    "b",
+    "x = 1",
+    "x = 3",
+    "y = 0",
+    "x < 2",
+    "y <= x",
+    "x + 1 = y",
+    "A[x] = y",
+    "A[y] = 1",
+    "A[0] = x",
+    "y in A",
+    "b = (x < y)",
+]
+# each test and its negation as one canonical literal (A[x] and A[y] read
+# out of bounds at 2 and 3)
+LITERALS = [
+    lit
+    for src in TESTS
+    for neg in (False, True)
+    for (lit,) in SPACE_CANON.to_dnf(parse_expr(src), neg)
+]
+
+conjunctions = st.frozensets(st.sampled_from(LITERALS), min_size=0, max_size=4)
+dnfs = st.frozensets(conjunctions, min_size=1, max_size=6)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(dnfs)
+def test_minimize_matches_reference_on_generated_dnfs(dnf):
+    assert len(SPACE_CANON._values) == 288
+    expected = ReferenceMinimizer(SPACE_CANON).minimize(dnf)
+    assert SPACE_CANON._minimize(dnf) == expected
+
+
+# ---- an out-of-bounds read
+
+
+def test_out_of_bounds_read_is_false_under_both_polarities():
+    canon = Canon(_corpus("search_early_exit.kuif").decls)
+    ((lit,),) = canon.to_dnf(parse_expr("A[n] = x"))
+    atom = lit[1]
+    _assert_polarities(canon, atom)
+    # n ranges over 0..3 and A has length 3: n = 3 reads past the end
+    length = canon.domains["A"].length
+    past = 0
+    for i, row in enumerate(canon._values):
+        if row[canon.names.index("n")] == length:
+            past |= 1 << i
+    assert past
+    assert canon.lit_models((False, atom)) & past == 0
+    assert canon.lit_models((True, atom)) & past == 0
+    assert _failing_reads(canon, atom) == past
+
+
+# ---- the one-term atom_vector path
+
+
+@pytest.mark.parametrize("coeff", ["1", "3/4", "-2"])
+@pytest.mark.parametrize("pred", [None, "[b or A[x] = y and x < 2]"])
+def test_one_term_atom_vector_matches_general_path(coeff, pred):
+    canon = Canon(SPACE.decls)
+    source = coeff if pred is None else f"{coeff} * {pred}"
+    atom = canon.atom_of(parse_gain(source).expr)
+    (term,) = atom
+    assert term.coeff == Fraction(coeff) and not term.factors
+    assert (term.pred is None) == (pred is None)
+    den, ints = canon.atom_vector(atom)
+    assert (den, ints) == canon._terms_vector(atom)
+    states = all_states(canon.names, list(canon.domains.values()))
+    expr = canon.atom_expr(atom)
+    assert [Fraction(v, den) for v in ints] == [
+        eval_atom_total(expr, s) for s in states
+    ]
