@@ -383,9 +383,13 @@ class Canon:
 
     Every atom a Canon returns comes from `_finalize`, which interns it, so an
     atom's identity is its value and no atom's id is reused while the Canon
-    lives.  Caches keyed by atom ids (vectors, renderings, and the memos of
-    `atom_add`, `atom_mul` and `prune`) are therefore exact for the Canon's
-    life, and die with it.
+    lives.  Caches keyed by atom ids (vectors, rebuilt expressions, and the
+    memos of `atom_add`, `atom_mul` and `prune`) are therefore exact for the
+    Canon's life.  `normalize_gain` memoises sub-gains by identity, keeping
+    each alive beside its atoms; `to_dnf` memoises tests by value; and
+    literal, conjunction and predicate expressions are built once, so their
+    renderings, which `lang.expr_to_source` keeps on the nodes, are made
+    once.  All of these die with the Canon.
     """
 
     def __init__(self, decls, states=None):
@@ -397,10 +401,10 @@ class Canon:
         self._lit_model_cache = {}
         self._factor_columns = {}
         self._intern = {}
-        self._render_memo = {}
-        self._lit_renders = {}
-        self._conj_renders = {}
-        self._pred_renders = {}
+        self._dnfs = {}
+        self._lit_exprs = {}
+        self._conj_exprs = {}
+        self._pred_exprs = {}
         self._minimized = {}
         self._atom_cache = {}
         self._vectors = {}
@@ -408,6 +412,7 @@ class Canon:
         self._sums = {}
         self._products = {}
         self._prunes = {}
+        self._normal_forms = {}
 
     @cached_property
     def _values(self):
@@ -458,77 +463,86 @@ class Canon:
             self._models[dnf] = out
         return out
 
+    # A literal's, a conjunction's and a DNF's expression is built once and
+    # kept, so canonical atoms share their literal nodes and each node's
+    # rendering (kept on the node by expr_to_source) is made once.
+
     def lit_expr(self, lit):
-        neg, atom = lit
-        if isinstance(atom, Cmp):
-            if atom.op == "=":
-                return Cmp("!=" if neg else "=", atom.left, atom.right)
-            # inequality literals are never negated (negation flips them)
-            if _is_const(atom.left) and not _is_const(atom.right):
-                flipped = {"<": ">", "<=": ">="}[atom.op]
-                return Cmp(flipped, atom.right, atom.left)
-            return atom
-        if isinstance(atom, Mem):
-            return Mem(atom.item, atom.array, atom.lo, atom.hi, neg)
-        return Not(atom) if neg else atom
+        out = self._lit_exprs.get(lit)
+        if out is None:
+            neg, atom = lit
+            if isinstance(atom, Cmp):
+                if atom.op == "=":
+                    out = Cmp("!=" if neg else "=", atom.left, atom.right)
+                # inequality literals are never negated (negation flips them)
+                elif _is_const(atom.left) and not _is_const(atom.right):
+                    flipped = {"<": ">", "<=": ">="}[atom.op]
+                    out = Cmp(flipped, atom.right, atom.left)
+                else:
+                    out = atom
+            elif isinstance(atom, Mem):
+                out = Mem(atom.item, atom.array, atom.lo, atom.hi, neg)
+            else:
+                out = Not(atom) if neg else atom
+            self._lit_exprs[lit] = out
+        return out
 
     def lit_render(self, lit):
-        out = self._lit_renders.get(lit)
-        if out is None:
-            out = self._lit_renders[lit] = expr_to_source(self.lit_expr(lit))
-        return out
+        return expr_to_source(self.lit_expr(lit))
 
     def _conj_expr(self, conj):
-        lits = sorted(conj, key=self.lit_render)
-        out = self.lit_expr(lits[0])
-        for lit in lits[1:]:
-            out = BoolOp("and", out, self.lit_expr(lit))
-        return out
-
-    def _conj_render(self, conj):
-        out = self._conj_renders.get(conj)
+        out = self._conj_exprs.get(conj)
         if out is None:
-            out = self._conj_renders[conj] = expr_to_source(self._conj_expr(conj))
+            lits = sorted(conj, key=self.lit_render)
+            out = self.lit_expr(lits[0])
+            for lit in lits[1:]:
+                out = BoolOp("and", out, self.lit_expr(lit))
+            self._conj_exprs[conj] = out
         return out
 
     def pred_expr(self, dnf):
-        if dnf == TRUE_DNF:
-            return BoolLit(True)
-        if dnf == FALSE_DNF:
-            return BoolLit(False)
-        conjs = sorted(dnf, key=self._conj_render)
-        out = self._conj_expr(conjs[0])
-        for c in conjs[1:]:
-            out = BoolOp("or", out, self._conj_expr(c))
+        out = self._pred_exprs.get(dnf)
+        if out is None:
+            if dnf == TRUE_DNF:
+                out = BoolLit(True)
+            elif dnf == FALSE_DNF:
+                out = BoolLit(False)
+            else:
+                conjs = sorted(dnf, key=lambda c: expr_to_source(self._conj_expr(c)))
+                out = self._conj_expr(conjs[0])
+                for c in conjs[1:]:
+                    out = BoolOp("or", out, self._conj_expr(c))
+            self._pred_exprs[dnf] = out
         return out
 
     def pred_render(self, dnf):
-        out = self._pred_renders.get(dnf)
-        if out is None:
-            out = self._pred_renders[dnf] = expr_to_source(self.pred_expr(dnf))
-        return out
+        return expr_to_source(self.pred_expr(dnf))
 
     # ---- boolean canonicalization
 
     def to_dnf(self, e, neg=False):
-        """Negation normal form pushed into minimized-ready DNF."""
+        """Negation normal form pushed into minimized-ready DNF, memoised by
+        (e, neg) for the Canon's life."""
+        out = self._dnfs.get((e, neg))
+        if out is not None:
+            return out
         if isinstance(e, BoolLit):
-            return FALSE_DNF if e.value == neg else TRUE_DNF
-        if isinstance(e, Not):
-            return self.to_dnf(e.arg, not neg)
-        if isinstance(e, BoolOp):
+            out = FALSE_DNF if e.value == neg else TRUE_DNF
+        elif isinstance(e, Not):
+            out = self.to_dnf(e.arg, not neg)
+        elif isinstance(e, BoolOp):
             both = (self.to_dnf(e.left, neg), self.to_dnf(e.right, neg))
-            conj = (e.op == "and") != neg  # De Morgan under negation
-            if conj:
-                return self._dnf_and(*both)
-            return both[0] | both[1]
-        if isinstance(e, Iverson):
+            if (e.op == "and") != neg:  # De Morgan under negation
+                out = self._dnf_and(*both)
+            else:
+                out = both[0] | both[1]
+        elif isinstance(e, Iverson):
             # [b] used as a boolean via = / != is handled in Cmp; a bare
             # Iverson is numeric and cannot reach here
             raise TypeCheckError(f"numeric expression in boolean position: {e!r}")
-        if isinstance(e, Cmp):
-            return self._cmp_dnf(e, neg)
-        if isinstance(e, Mem):
+        elif isinstance(e, Cmp):
+            out = self._cmp_dnf(e, neg)
+        elif isinstance(e, Mem):
             atom = Mem(
                 self.canon_num(e.item),
                 e.array,
@@ -536,11 +550,14 @@ class Canon:
                 self._slice_bound(e.hi, self.domains[e.array].length),
                 False,
             )
-            return frozenset({frozenset({(e.negated != neg, atom)})})
-        if isinstance(e, (Var, Idx)):
+            out = frozenset({frozenset({(e.negated != neg, atom)})})
+        elif isinstance(e, (Var, Idx)):
             atom = e if isinstance(e, Var) else Idx(e.name, self.canon_num(e.index))
-            return frozenset({frozenset({(neg, atom)})})
-        raise TypeCheckError(f"not a boolean expression: {e!r}")
+            out = frozenset({frozenset({(neg, atom)})})
+        else:
+            raise TypeCheckError(f"not a boolean expression: {e!r}")
+        self._dnfs[e, neg] = out
+        return out
 
     def _slice_bound(self, bound, default):
         if bound is None:
@@ -936,9 +953,7 @@ class Canon:
         return out
 
     def atom_render(self, atom):
-        if id(atom) not in self._render_memo:
-            self._render_memo[id(atom)] = expr_to_source(self.atom_expr(atom))
-        return self._render_memo[id(atom)]
+        return expr_to_source(self.atom_expr(atom))
 
     # ---- value vectors
 
@@ -1011,36 +1026,45 @@ class Canon:
     # ---- normal form construction
 
     def normalize_gain(self, g, prune=False):
+        """g's atoms, as a new list on every call, memoised by (id(g), prune)
+        beside g itself, which keeps the id g's: a sub-gain that wp shares is
+        normalized once."""
         # With prune=True, dominated atoms are dropped at every combiner.
         # This is exact: combinators are monotone and atoms are combined
         # pointwise, so an atom dominated now yields dominated combinations
         # later, while its dominator's combinations survive.  Without it,
         # PLUS chains from long observation cascades go exponential.
+        got = self._normal_forms.get((id(g), prune))
+        if got is not None:
+            return list(got[1])
         squeeze = self.prune if prune else self.dedupe
         if isinstance(g, GAtom):
-            return [self.atom_of(g.expr)]
-        if isinstance(g, GMax):
-            return squeeze(
+            out = [self.atom_of(g.expr)]
+        elif isinstance(g, GMax):
+            out = squeeze(
                 self.normalize_gain(g.left, prune) + self.normalize_gain(g.right, prune)
             )
-        if isinstance(g, GPlus):
+        elif isinstance(g, GPlus):
             zero = [self.atom_of(IntLit(0))]
             left = squeeze(self.normalize_gain(g.left, prune)) or zero
             right = squeeze(self.normalize_gain(g.right, prune)) or zero
-            return squeeze([self.atom_add(a, b) for a in left for b in right])
-        if isinstance(g, GAnd):
+            out = squeeze([self.atom_add(a, b) for a in left for b in right])
+        elif isinstance(g, GAnd):
             scalar = self.atom_of(g.scalar)
-            return squeeze(
+            out = squeeze(
                 [self.atom_mul(scalar, a) for a in self.normalize_gain(g.body, prune)]
             )
-        if isinstance(g, GQuantMax):
+        elif isinstance(g, GQuantMax):
             out = []
             for v in g.values:
                 out.extend(
                     self.normalize_gain(subst_gain(g.body, g.var, IntLit(v)), prune)
                 )
-            return squeeze(out)
-        raise TypeCheckError(f"unknown gain expression {g!r}")
+            out = squeeze(out)
+        else:
+            raise TypeCheckError(f"unknown gain expression {g!r}")
+        self._normal_forms[id(g), prune] = (g, tuple(out))
+        return out
 
     def dedupe(self, atoms):
         # zero atoms are kept: MAX with 0 only collapses under dominance
@@ -1057,9 +1081,10 @@ class Canon:
         result is a new list on every call; the memo keeps a tuple.
 
         The vectors are rescaled to one denominator.  Equal vectors have
-        equal sums, so they are found by comparing within a sum, and no
-        vector is hashed; of equal ones the smallest rendering stays.  The
-        rest go through `_undominated` in (sum, rendering) order."""
+        equal sums and the same first nonzero position, so they are found by
+        comparing within one group of both, and no vector is hashed; of
+        equal ones the smallest rendering stays.  The rest go through
+        `_undominated` in (sum, rendering) order."""
         atoms = self.dedupe(atoms)
         key = tuple(map(id, atoms))
         out = self._prunes.get(key)
@@ -1068,13 +1093,14 @@ class Canon:
         render = self.atom_render
         vecs = [self.atom_vector(a) for a in atoms]
         den = lcm(*(d for d, _ in vecs))
-        bysum = {}
+        groups = {}
         for a, (d, v) in zip(atoms, vecs):
             if not any(v):
                 continue
             if d != den:
                 v = tuple(map((den // d).__mul__, v))
-            group = bysum.setdefault(sum(v), [])
+            first = v.index(next(filter(None, v)))
+            group = groups.setdefault((sum(v), first), [])
             for k, (b, w) in enumerate(group):
                 if w == v:
                     if render(a) < render(b):
@@ -1083,7 +1109,7 @@ class Canon:
             else:
                 group.append((a, v))
         items = sorted(
-            ((s, a, v) for s, group in bysum.items() for a, v in group),
+            ((s, a, v) for (s, _), group in groups.items() for a, v in group),
             key=lambda sav: (sav[0], render(sav[1])),
         )
         keep = _undominated([v for _, _, v in items], [s for s, _, _ in items])

@@ -102,8 +102,8 @@ def _node(cls):
 
     Memos keyed by nodes then pay one dict lookup per hash instead of a walk
     of the subtree.  Nodes are not interned: two equal nodes may carry
-    different positions.  Compiled closures (see `compile_expr`) are kept in
-    the same per-node dict.
+    different positions.  Compiled closures (see `compile_expr`) and the
+    rendering (see `expr_to_source`) are kept in the same per-node dict.
     """
     cls = dataclass(frozen=True)(cls)
     value_hash = cls.__hash__
@@ -1155,56 +1155,93 @@ def eval_expr(e, state, env=None):
 
 
 def map_expr(e, f):
-    """e's node rebuilt with f applied to each direct sub-expression.
-
+    """e's node with f applied to each direct sub-expression, or e itself
+    when f returns every one unchanged: a subtree a rewrite leaves alone
+    stays the same object, with its cached hash, closures and rendering.
     Variables and literals have none and come back unchanged.
     """
     if isinstance(e, Idx):
-        return Idx(e.name, f(e.index), pos=e.pos)
+        index = f(e.index)
+        return e if index is e.index else Idx(e.name, index, pos=e.pos)
     if isinstance(e, (Bin, Cmp, BoolOp)):
-        return type(e)(e.op, f(e.left), f(e.right), pos=e.pos)
+        left, right = f(e.left), f(e.right)
+        same = left is e.left and right is e.right
+        return e if same else type(e)(e.op, left, right, pos=e.pos)
     if isinstance(e, (Neg, Not, Iverson)):
-        return type(e)(f(e.arg), pos=e.pos)
+        arg = f(e.arg)
+        return e if arg is e.arg else type(e)(arg, pos=e.pos)
     if isinstance(e, (MaxF, MinF)):
-        return type(e)(tuple(f(a) for a in e.args), pos=e.pos)
+        args = tuple(map(f, e.args))
+        return e if all(map(operator.is_, args, e.args)) else type(e)(args, pos=e.pos)
     if isinstance(e, Mem):
+        item = f(e.item)
         lo = None if e.lo is None else f(e.lo)
         hi = None if e.hi is None else f(e.hi)
-        return Mem(f(e.item), e.array, lo, hi, e.negated, pos=e.pos)
+        same = item is e.item and lo is e.lo and hi is e.hi
+        return e if same else Mem(item, e.array, lo, hi, e.negated, pos=e.pos)
     return e
 
 
-def map_gain(g, f):
-    """g with f applied to every atom and every AND scalar."""
+def map_gain(g, f, memo):
+    """g with f applied to every atom and every AND scalar.
+
+    As in `map_expr`, a node whose parts all come back unchanged is returned
+    itself.  `memo` maps the id of each node of g visited to its image, so a
+    node g shares is mapped once and its image is shared in the result (g
+    keeps its nodes, and so their ids, alive).
+    """
+    out = memo.get(id(g))
+    if out is not None:
+        return out
     if isinstance(g, GAtom):
-        return GAtom(f(g.expr), pos=g.pos)
-    if isinstance(g, (GMax, GPlus)):
-        return type(g)(map_gain(g.left, f), map_gain(g.right, f), pos=g.pos)
-    if isinstance(g, GAnd):
-        return GAnd(f(g.scalar), map_gain(g.body, f), pos=g.pos)
-    if isinstance(g, GQuantMax):
-        return GQuantMax(g.var, g.values, map_gain(g.body, f), pos=g.pos)
-    raise TypeCheckError(f"unknown gain expression {g!r}")
+        expr = f(g.expr)
+        out = g if expr is g.expr else GAtom(expr, pos=g.pos)
+    elif isinstance(g, (GMax, GPlus)):
+        left, right = map_gain(g.left, f, memo), map_gain(g.right, f, memo)
+        same = left is g.left and right is g.right
+        out = g if same else type(g)(left, right, pos=g.pos)
+    elif isinstance(g, GAnd):
+        scalar, body = f(g.scalar), map_gain(g.body, f, memo)
+        same = scalar is g.scalar and body is g.body
+        out = g if same else GAnd(scalar, body, pos=g.pos)
+    elif isinstance(g, GQuantMax):
+        body = map_gain(g.body, f, memo)
+        out = g if body is g.body else GQuantMax(g.var, g.values, body, pos=g.pos)
+    else:
+        raise TypeCheckError(f"unknown gain expression {g!r}")
+    memo[id(g)] = out
+    return out
+
+
+def _substitution(name, repl, memo):
+    # x with repl for the variable name, each node of a call mapped once
+    def go(x):
+        out = memo.get(id(x))
+        if out is None:
+            out = repl if isinstance(x, Var) and x.name == name else map_expr(x, go)
+            memo[id(x)] = out
+        return out
+
+    return go
 
 
 def subst_expr(e, name, repl):
     """Substitution of an expression for a scalar variable.
 
+    Sharing is kept: a subtree not mentioning the variable comes back as the
+    same object, and a node e shares is mapped once, its image shared.
     Capture cannot happen: program expressions never mention a quantifier
     index, and the typechecker rejects an index that shadows a variable or
     an outer index.
     """
-
-    def go(x):
-        if isinstance(x, Var) and x.name == name:
-            return repl
-        return map_expr(x, go)
-
-    return go(e)
+    return _substitution(name, repl, {})(e)
 
 
 def subst_gain(g, name, repl):
-    return map_gain(g, lambda e: subst_expr(e, name, repl))
+    """`subst_expr` on every atom and AND scalar of g, with one identity memo
+    for the whole call, so sharing within and across atoms is kept."""
+    memo = {}
+    return map_gain(g, _substitution(name, repl, memo), memo)
 
 
 def _updated_element(k, idx, val, base, elem_is_bool):
@@ -1227,22 +1264,26 @@ def _updated_element(k, idx, val, base, elem_is_bool):
     )
 
 
-def subst_array_elem(e, arr, idx, val, length, elem_is_bool):
-    """Substitute for the assignment `arr[idx] := val` inside an expression.
+def subst_array_elem_gain(g, arr, idx, val, length, elem_is_bool):
+    """Substitute for the assignment `arr[idx] := val` inside a gain.
 
     Reads of arr[k] become a blend over whether k hits the written slot, and
     membership tests over arr expand positionally (k ranges over the array,
     guarded by the slice bounds, and by a definedness test so that it fails
     where the original test fails).  idx and val are pre-state expressions
-    and are not rewritten; index expressions inside e are rewritten first,
-    since they are post-state reads.
+    and are not rewritten; index expressions inside g are rewritten first,
+    since they are post-state reads.  Sharing is kept as by `subst_gain`.
     """
+    memo = {}
 
     def go(x):
+        out = memo.get(id(x))
+        if out is not None:
+            return out
         if isinstance(x, Idx) and x.name == arr:
             k = go(x.index)
-            return _updated_element(k, idx, val, Idx(arr, k), elem_is_bool)
-        if isinstance(x, Mem) and x.array == arr:
+            out = _updated_element(k, idx, val, Idx(arr, k), elem_is_bool)
+        elif isinstance(x, Mem) and x.array == arr:
             item = go(x.item)
             lo = None if x.lo is None else go(x.lo)
             hi = None if x.hi is None else go(x.hi)
@@ -1276,16 +1317,13 @@ def subst_array_elem(e, arr, idx, val, length, elem_is_bool):
             # polarity wherever x fails.
             pre = Mem(item, arr, lo, hi, x.negated)
             defined = BoolOp("or", pre, Not(pre))
-            return BoolOp("and", defined, BoolOp("or", Not(defined), out))
-        return map_expr(x, go)
+            out = BoolOp("and", defined, BoolOp("or", Not(defined), out))
+        else:
+            out = map_expr(x, go)
+        memo[id(x)] = out
+        return out
 
-    return go(e)
-
-
-def subst_array_elem_gain(g, arr, idx, val, length, elem_is_bool):
-    return map_gain(
-        g, lambda e: subst_array_elem(e, arr, idx, val, length, elem_is_bool)
-    )
+    return map_gain(g, go, memo)
 
 
 # --- desugaring -----------------------------------------------------------------------
@@ -1322,47 +1360,51 @@ def desugar_visible(program):
 
 _PREC = {"or": 1, "and": 2, "not": 3, "cmp": 4, "+": 5, "-": 5,
          "*": 6, "div": 6, "mod": 6, "&": 6, "neg": 7}
+_SELF_DELIMITED = 9  # the level of a node no context parenthesizes
 
 
 def expr_to_source(e, prec=0):
-    def wrap(level, s):
-        return f"({s})" if level < prec else s
-
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, RatLit):
-        return f"{e.value.numerator}/{e.value.denominator}"
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Idx):
-        return f"{e.name}[{expr_to_source(e.index)}]"
-    if isinstance(e, Neg):
-        return wrap(7, f"-{expr_to_source(e.arg, 8)}")
-    if isinstance(e, Bin):
-        p = _PREC[e.op]
-        return wrap(p, f"{expr_to_source(e.left, p)} {e.op} {expr_to_source(e.right, p + 1)}")
-    if isinstance(e, MaxF):
-        return "max(" + ", ".join(expr_to_source(a) for a in e.args) + ")"
-    if isinstance(e, MinF):
-        return "min(" + ", ".join(expr_to_source(a) for a in e.args) + ")"
-    if isinstance(e, Cmp):
-        return wrap(4, f"{expr_to_source(e.left, 5)} {e.op} {expr_to_source(e.right, 5)}")
-    if isinstance(e, BoolOp):
-        p = _PREC[e.op]
-        return wrap(p, f"{expr_to_source(e.left, p)} {e.op} {expr_to_source(e.right, p + 1)}")
-    if isinstance(e, Not):
-        return wrap(3, f"not {expr_to_source(e.arg, 4)}")
-    if isinstance(e, Iverson):
-        return f"[{expr_to_source(e.arg)}]"
-    if isinstance(e, Mem):
-        op = "notin" if e.negated else "in"
-        lo = "" if e.lo is None else expr_to_source(e.lo)
-        hi = "" if e.hi is None else expr_to_source(e.hi)
-        arr = e.array if not lo and not hi else f"{e.array}[{lo}:{hi}]"
-        return wrap(4, f"{expr_to_source(e.item, 5)} {op} {arr}")
-    raise TypeCheckError(f"cannot print {e!r}")
+    """e as source text in a context of precedence prec: parenthesized when
+    e's own level binds looser.  The text and e's own level are built once
+    per node and kept on it, as `compile_expr` keeps closures, so a shared
+    subtree is rendered once however many trees contain it."""
+    src = e.__dict__.get("_src")
+    if src is None:
+        if isinstance(e, IntLit):
+            src = (_SELF_DELIMITED, str(e.value))
+        elif isinstance(e, RatLit):
+            src = (_SELF_DELIMITED, f"{e.value.numerator}/{e.value.denominator}")
+        elif isinstance(e, BoolLit):
+            src = (_SELF_DELIMITED, "true" if e.value else "false")
+        elif isinstance(e, Var):
+            src = (_SELF_DELIMITED, e.name)
+        elif isinstance(e, Idx):
+            src = (_SELF_DELIMITED, f"{e.name}[{expr_to_source(e.index)}]")
+        elif isinstance(e, Neg):
+            src = (7, f"-{expr_to_source(e.arg, 8)}")
+        elif isinstance(e, (Bin, BoolOp)):
+            p = _PREC[e.op]
+            src = (p, f"{expr_to_source(e.left, p)} {e.op} {expr_to_source(e.right, p + 1)}")
+        elif isinstance(e, (MaxF, MinF)):
+            args = ", ".join(map(expr_to_source, e.args))
+            src = (_SELF_DELIMITED, f"{'max' if isinstance(e, MaxF) else 'min'}({args})")
+        elif isinstance(e, Cmp):
+            src = (4, f"{expr_to_source(e.left, 5)} {e.op} {expr_to_source(e.right, 5)}")
+        elif isinstance(e, Not):
+            src = (3, f"not {expr_to_source(e.arg, 4)}")
+        elif isinstance(e, Iverson):
+            src = (_SELF_DELIMITED, f"[{expr_to_source(e.arg)}]")
+        elif isinstance(e, Mem):
+            op = "notin" if e.negated else "in"
+            lo = "" if e.lo is None else expr_to_source(e.lo)
+            hi = "" if e.hi is None else expr_to_source(e.hi)
+            arr = e.array if not lo and not hi else f"{e.array}[{lo}:{hi}]"
+            src = (4, f"{expr_to_source(e.item, 5)} {op} {arr}")
+        else:
+            raise TypeCheckError(f"cannot print {e!r}")
+        e.__dict__["_src"] = src
+    level, text = src
+    return f"({text})" if level < prec else text
 
 
 # gain precedence: MAX=1, PLUS=2, AND=3, primary=4

@@ -7,11 +7,15 @@
   are disjoint, and outside their union lie exactly the failing reads.
 - The one-term, factorless `atom_vector` path matches the general one and
   `eval_atom_total`, state by state.
+- Pruning, which finds equal vectors within groups of one sum and first
+  nonzero position, returns the same list as a hashing reference
+  (`reference_prune.py`) on generated atom lists with many vectors per sum.
 """
 
 import glob
 import os
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from kuifje.lang import (
 )
 from kuifje.wp import WpConfig, WpEngine
 from reference_minimize import ReferenceMinimizer
+from reference_prune import reference_prune
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 ANNOTATED = (
@@ -212,3 +217,48 @@ def test_one_term_atom_vector_matches_general_path(coeff, pred):
     assert [Fraction(v, den) for v in ints] == [
         eval_atom_total(expr, s) for s in states
     ]
+
+
+# ---- pruning
+
+
+PRUNE_CANON = Canon(_program("hidden x : int[0..5]\nhidden b : bool\nskip").decls)
+# tests that hold on the same states but render differently, so that equal
+# vectors come from distinct atoms
+PRUNE_TESTS = [
+    "x = 0", "x < 1", "x <= 1", "x < 2", "x = 2", "x >= 4", "x = 5", "b", "not b"
+]
+PRUNE_COEFFS = ["1/2", "1", "3/2", "2"]
+
+
+def _prune_atom(terms):
+    src = " + ".join(f"{c} * [{t}]" for c, t in terms) or "0"
+    return PRUNE_CANON.atom_of(parse_gain(src).expr)
+
+
+prune_terms = st.lists(
+    st.tuples(st.sampled_from(PRUNE_COEFFS), st.sampled_from(PRUNE_TESTS)), max_size=3
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(prune_terms, min_size=1, max_size=40))
+def test_prune_matches_reference_on_generated_atoms(terms):
+    atoms = [_prune_atom(t) for t in terms]
+    assert PRUNE_CANON.prune(atoms) == reference_prune(PRUNE_CANON, atoms)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5])
+def test_prune_matches_reference_on_sets_of_one_size(size):
+    # every set of `size` values of x as one atom: the vectors share one sum
+    # and none dominates another, so many share a group
+    wide = [
+        _prune_atom([("1", " or ".join(f"x = {w}" for w in ws))])
+        for ws in combinations(range(6), size)
+    ]
+    assert len({sum(PRUNE_CANON.atom_vector(a)[1]) for a in wide}) == 1
+    # each single value lies under a set that holds it
+    atoms = [_prune_atom([("1", f"x = {w}")]) for w in range(6)] + wide
+    kept = PRUNE_CANON.prune(atoms)
+    assert kept == reference_prune(PRUNE_CANON, atoms)
+    assert sorted(map(id, kept)) == sorted(map(id, wide))
