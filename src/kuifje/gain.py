@@ -367,7 +367,11 @@ def _const_val(e):
 
 
 class Canon:
-    """Canonicalizer and exact comparison engine bound to declarations.
+    """Canonicalizer of gains and tests for output, bound to declarations.
+
+    It takes no part in deciding a comparison: `semantic_le`/`semantic_eq`
+    value gains as written, through `GainEvaluator`, because cancelling a
+    term that reads out of bounds changes where an atom is defined.
 
     Predicates and atoms are decided on the declared state space, in
     `all_states` order: bit i of a mask, and slot i of a column, is the i-th
@@ -1161,11 +1165,7 @@ def normalize(g, decls, canon=None):
 def simplify(g, decls, canon=None):
     """Normal form with identically-zero and pointwise-dominated atoms removed."""
     canon = canon or Canon(decls)
-    if isinstance(g, NormalForm):
-        atoms = [canon.atom_of(a) for a in g.atoms]
-    else:
-        atoms = canon.normalize_gain(g, prune=True)
-    return _atoms_to_nf(canon, canon.prune(atoms))
+    return _atoms_to_nf(canon, canon.prune(canon.normalize_gain(g, prune=True)))
 
 
 # --- semantic comparison -----------------------------------------------------------------

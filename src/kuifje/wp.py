@@ -25,7 +25,9 @@ actually hold at the loop head: those over one group of loop-head states
 with the same observation history (running the whole program concretely from
 every declared initial state; a path stopped by a runtime error is undefined,
 but the loop heads it reached before the error count).  `gain.semantic_eq`
-decides each group exactly, sampling no priors.  The groups are decided in a
+decides each group exactly, sampling no priors, on the equation as written:
+neither side is simplified first, so the decision is the same with or
+without `--no-simplify`.  The groups are decided in a
 fixed order, which fixes the reported counterexample: the first violating
 point prior, else the optimal vertex of an exact LP.
 
@@ -255,16 +257,8 @@ class WpEngine:
             GAnd(Iverson(stmt.guard), self.wp(stmt.body, candidate)),
             GAnd(Iverson(Not(stmt.guard)), g),
         )
-        lhs = candidate
-        if self.config.simplify:
-            # Both sides shrink once instead of being re-walked per
-            # observation group.  This is not exact where a cancelled term
-            # reads out of bounds (see Canon._shift_consts), so without
-            # simplification the decision compares the raw gains.
-            lhs = simplify(candidate, self.decls, self.canon).as_gain()
-            rhs = simplify(rhs, self.decls, self.canon).as_gain()
         for states in self._loop_head_groups(stmt):
-            res = semantic_eq(lhs, rhs, self.decls, states=states)
+            res = semantic_eq(candidate, rhs, self.decls, states=states)
             if not res:
                 lhs_text = gain_to_source(candidate)
                 rhs_text = (

@@ -13,6 +13,7 @@
 """
 
 import glob
+import importlib
 import os
 from fractions import Fraction
 from itertools import combinations
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuifje.core import all_states
-from kuifje.gain import Canon, eval_atom_total
+from kuifje.gain import Canon, eval_atom_total, simplify
 from kuifje.lang import (
     EVAL_ERRORS,
     check_program,
@@ -34,6 +35,9 @@ from kuifje.lang import (
 from kuifje.wp import WpConfig, WpEngine
 from reference_minimize import ReferenceMinimizer
 from reference_prune import reference_prune
+
+# the module, which the package shadows with its `wp` function
+kuifje_wp = importlib.import_module("kuifje.wp")
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 ANNOTATED = (
@@ -65,20 +69,35 @@ RUNS = [(name, False) for name in POSTED] + [(name, True) for name in ANNOTATED]
 
 def _wp_run(name, force_unfold):
     """The engine's Canon after `wp` on a corpus program, and each DNF its
-    minimisation was given, with the result."""
+    minimisation was given, with the result.
+
+    `wp` decides a loop annotation's equation as written, so the run also
+    simplifies both sides of the equation wherever `wp` decides it: an
+    annotated loop's body and exit side then still reach the minimiser (the
+    Canon's memos make each repeat free)."""
     engine = WpEngine(_corpus(name), WpConfig(force_unfold=force_unfold))
     canon = engine.canon
     calls = []
     minimize = canon._minimize
+    decide = kuifje_wp.semantic_eq
 
     def recording(dnf):
         out = minimize(dnf)
         calls.append((dnf, out))
         return out
 
+    def simplifying(lhs, rhs, *args, **kwargs):
+        simplify(lhs, engine.decls, canon)
+        simplify(rhs, engine.decls, canon)
+        return decide(lhs, rhs, *args, **kwargs)
+
     canon._minimize = recording
-    engine.wp_program()
-    del canon._minimize
+    kuifje_wp.semantic_eq = simplifying
+    try:
+        engine.wp_program()
+    finally:
+        kuifje_wp.semantic_eq = decide
+        del canon._minimize
     return canon, calls
 
 

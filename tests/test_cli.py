@@ -699,6 +699,30 @@ def test_bad_invariant_exit_4(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "args", [("wp",), ("wp", "--no-simplify"), ("check",)], ids=" ".join
+)
+def test_annotation_over_a_failing_read_exit_4(tmp_path, args):
+    # `simplify` would turn the annotation into 1, though its read fails at
+    # n = 2; the equation is decided as written, so every command rejects it
+    f = tmp_path / "failread.kuif"
+    f.write_text(
+        "hidden A : array[2] of int[0..1]\nhidden n : int[0..2]\n"
+        "while n != 2 invariant { [A[n] = A[n]] } do\n  n := n + 1\nod\n"
+        "@post { [A[n] = A[n]] }\n"
+    )
+    p = cli(args[0], str(f), *args[1:])
+    assert p.returncode == 4
+    assert p.stdout == ""
+    assert p.stderr.splitlines() == [
+        "error: loop annotation is not self-consistent: on the reachable prior "
+        "Dist({{A=[0,0] n=1}: 1}) the annotation is worth 1 but one loop step "
+        "is worth 0",
+        "  needed: [A[n] = A[n]] == [n != 2] AND pre(body, annotation) "
+        "PLUS [not (n != 2)] AND post",
+    ]
+
+
 def test_missing_file_exit_2():
     p = cli("wp", "corpus/no_such_program.kuif")
     assert p.returncode == 2

@@ -258,9 +258,72 @@ def test_unbounded_loop_needs_annotation():
 # ---- loops: annotations
 
 
-def test_invariant_route_returns_annotation():
-    engine, nf = soundness.wp_nf("search_early_exit.kuif")
-    assert nf.render() == "[x in A]"
+ANNOTATED = (
+    "max_no_branch.kuif",
+    "reveal_max_value.kuif",
+    "search_early_exit.kuif",
+    "search_full_scan.kuif",
+)
+
+WRONG_COUNT = (
+    "hidden x : int[0..3]\nhidden n : int[0..3]\n"
+    "n := 0;\nwhile n != x invariant { [n = 0] } do\n  n := n + 1\nod\n"
+    "@post { MAX w in 0..3: [x = w] }"
+)
+
+GUARD_FAILS = (
+    "hidden A : array[2] of int[0..1]\nhidden x : int[0..1]\n"
+    "hidden n : int[0..2]\n"
+    "n := 0;\n"
+    "while A[n] != x invariant { [x in A[n:]] MAX [n = 2] } do\n"
+    "  n := n + 1\nod\n"
+    "@post { MAX i in 0..1: [A[i] = x] }"
+)
+
+# `simplify` turns `[A[n] = A[n]]` into 1, though the read fails at n = 2
+CANCELLED_FAILING_READ = (
+    "hidden A : array[2] of int[0..1]\nhidden n : int[0..2]\n"
+    "while n != 2 invariant { [A[n] = A[n]] } do\n  n := n + 1\nod\n"
+    "@post { [A[n] = A[n]] }"
+)
+
+
+with open(soundness.CORPUS + "/search_early_exit.kuif") as _f:
+    SEARCH = _f.read()
+
+# claims full knowledge of x while the scan is still in progress
+OVERCLAIMING = SEARCH.replace("[x in A[n:]]", "MAX w in 0..3: [x = w]")
+
+REJECTED = {
+    "wrong count": WRONG_COUNT,
+    "overclaiming": OVERCLAIMING,
+    "guard fails": GUARD_FAILS,
+    "cancelled failing read": CANCELLED_FAILING_READ,
+}
+
+
+def _annotation_decision(p, config):
+    try:
+        wp(p, config=config)
+    except InvariantCheckFailed as e:
+        return str(e), e.counterexample
+    return None
+
+
+@pytest.mark.parametrize("case", [*ANNOTATED, *REJECTED])
+def test_invariant_route_returns_annotation(case):
+    # the annotation equation is decided as written, never simplified first,
+    # so the route returns the annotation, or rejects it with the same
+    # message and counterexample, with and without simplification
+    p = soundness.program(case) if case in ANNOTATED else make(REJECTED[case])
+    decisions = [
+        _annotation_decision(p, config)
+        for config in (WpConfig(), WpConfig(simplify=False))
+    ]
+    assert decisions[0] == decisions[1]
+    assert (decisions[0] is None) == (case in ANNOTATED)
+    if case == "search_early_exit.kuif":
+        assert soundness.wp_nf(case)[1].render() == "[x in A]"
 
 
 def test_invariant_and_unfold_agree():
@@ -271,11 +334,7 @@ def test_invariant_and_unfold_agree():
 
 
 def test_wrong_invariant_rejected_with_counterexample():
-    p = make(
-        "hidden x : int[0..3]\nhidden n : int[0..3]\n"
-        "n := 0;\nwhile n != x invariant { [n = 0] } do\n  n := n + 1\nod\n"
-        "@post { MAX w in 0..3: [x = w] }"
-    )
+    p = make(WRONG_COUNT)
     with pytest.raises(InvariantCheckFailed) as e:
         wp(p)
     err = e.value
@@ -287,14 +346,9 @@ def test_wrong_invariant_rejected_with_counterexample():
 
 
 def test_overclaiming_invariant_rejected():
-    # claims full knowledge of x while the scan is still in progress
-    src = soundness.program("search_early_exit.kuif")
-    text = open(soundness.CORPUS + "/search_early_exit.kuif").read()
-    corrupted = text.replace("[x in A[n:]]", "MAX w in 0..3: [x = w]")
-    assert corrupted != text
-    p = make(corrupted)
+    assert OVERCLAIMING != SEARCH
     with pytest.raises(InvariantCheckFailed):
-        wp(p)
+        wp(make(OVERCLAIMING))
 
 
 # ---- runtime errors: a failing path is undefined for wp, fatal for run
@@ -348,16 +402,8 @@ def test_leak_blind_mode_of_a_zero_post_is_zero():
 def test_loop_head_whose_guard_fails_is_checked():
     # from A=[0,0], x=1 the guard itself reads A[2] at n = 2; that head is
     # still reachable, and only there does the annotation overclaim
-    p = make(
-        "hidden A : array[2] of int[0..1]\nhidden x : int[0..1]\n"
-        "hidden n : int[0..2]\n"
-        "n := 0;\n"
-        "while A[n] != x invariant { [x in A[n:]] MAX [n = 2] } do\n"
-        "  n := n + 1\nod\n"
-        "@post { MAX i in 0..1: [A[i] = x] }"
-    )
     with pytest.raises(InvariantCheckFailed) as exc:
-        wp(p)
+        wp(make(GUARD_FAILS))
     assert str(exc.value).endswith(
         "on the reachable prior Dist({{A=[0,0] x=1 n=2}: 1}) "
         "the annotation is worth 1 but one loop step is worth 0"
