@@ -370,10 +370,12 @@ def _check_priors(args, executable):
     if spec.startswith("random:"):
         import random
 
-        parts = spec.split(":")
-        if len(parts) != 3:
+        try:
+            count, seed = map(int, spec.split(":")[1:])
+        except ValueError:  # not two integers
+            count = 0
+        if count < 1:
             raise KuifjeError("want --priors random:COUNT:SEED")
-        count, seed = int(parts[1]), int(parts[2])
         space = executable.states()
         rng = random.Random(seed)
         for k in range(count):
@@ -466,8 +468,10 @@ def _add_wp_flags(sub):
     sub.add_argument(
         "--no-simplify",
         action="store_true",
-        help="keep every dominated atom: the pre-gain can grow exponentially "
-        "with the observation branches",
+        help="skip pruning in the final flattening only, which then keeps "
+        "every dominated atom and can grow exponentially with the observation "
+        "branches; loop unfolding, --unsound-no-branch-leak and --show-trace "
+        "still prune",
     )
     sub.add_argument(
         "--force-unfold",

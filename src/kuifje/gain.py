@@ -1081,43 +1081,30 @@ class Canon:
         return out
 
     def prune(self, atoms):
-        """Drop identically-zero atoms and pointwise-dominated atoms.  The
-        result is a new list on every call; the memo keeps a tuple.
+        """Drop identically-zero atoms and pointwise-dominated atoms, in
+        rendering order.  The result is a new list on every call; the memo
+        keeps a tuple.
 
-        The vectors are rescaled to one denominator.  Equal vectors have
-        equal sums and the same first nonzero position, so they are found by
-        comparing within one group of both, and no vector is hashed; of
-        equal ones the smallest rendering stays.  The rest go through
-        `_undominated` in (sum, rendering) order."""
+        The vectors are rescaled to one denominator, and equal ones are found
+        by hashing, as `_dominant` does; of equal ones the smallest rendering
+        stays.  The distinct vectors go through `_undominated`."""
         atoms = self.dedupe(atoms)
         key = tuple(map(id, atoms))
         out = self._prunes.get(key)
         if out is not None:
             return list(out)
-        render = self.atom_render
+        atoms.sort(key=self.atom_render)
         vecs = [self.atom_vector(a) for a in atoms]
         den = lcm(*(d for d, _ in vecs))
-        groups = {}
+        best = {}  # vector -> its first atom, the one with the smallest rendering
         for a, (d, v) in zip(atoms, vecs):
             if not any(v):
                 continue
             if d != den:
                 v = tuple(map((den // d).__mul__, v))
-            first = v.index(next(filter(None, v)))
-            group = groups.setdefault((sum(v), first), [])
-            for k, (b, w) in enumerate(group):
-                if w == v:
-                    if render(a) < render(b):
-                        group[k] = (a, v)
-                    break
-            else:
-                group.append((a, v))
-        items = sorted(
-            ((s, a, v) for (s, _), group in groups.items() for a, v in group),
-            key=lambda sav: (sav[0], render(sav[1])),
-        )
-        keep = _undominated([v for _, _, v in items], [s for s, _, _ in items])
-        out = sorted(compress([a for _, a, _ in items], keep), key=render)
+            best.setdefault(v, a)
+        vecs = list(best)
+        out = list(compress(best.values(), _undominated(vecs, list(map(sum, vecs)))))
         self._prunes[key] = tuple(out)
         return out
 
@@ -1137,35 +1124,38 @@ class NormalForm:
         return " MAX ".join(expr_to_source(a) for a in self.atoms)
 
     def as_gain(self):
-        """The atoms as a balanced MAX, in their order: log2(k) levels deep
-        where a chain of k atoms would be k deep, past the recursion limit
-        of every walker for a wide form."""
-
-        def tree(lo, hi):
-            if hi - lo == 1:
-                return GAtom(self.atoms[lo])
-            mid = (lo + hi) // 2
-            return GMax(tree(lo, mid), tree(mid, hi))
-
-        return tree(0, len(self.atoms)) if self.atoms else GAtom(IntLit(0))
+        """The atoms as a balanced MAX, in their order."""
+        return balanced(GMax, [GAtom(a) for a in self.atoms])
 
 
-def _atoms_to_nf(canon, atoms):
-    rendered = sorted({canon.atom_render(a) for a in atoms})
-    exprs = {canon.atom_render(a): canon.atom_expr(a) for a in atoms}
-    return NormalForm(tuple(exprs[r] for r in rendered))
+def balanced(join, gains):
+    """A list of gains joined by `GMax` or `GPlus`, in their order, as a
+    balanced tree, or 0 for no gains: log2(k) levels deep where a chain of k
+    gains would be k deep, past the recursion limit of every walker for a
+    wide form."""
+
+    def tree(lo, hi):
+        if hi - lo == 1:
+            return gains[lo]
+        mid = (lo + hi) // 2
+        return join(tree(lo, mid), tree(mid, hi))
+
+    return tree(0, len(gains)) if gains else GAtom(IntLit(0))
 
 
 def normalize(g, decls, canon=None):
     """Flatten a gain expression into a MAX of canonical atoms (no pruning)."""
     canon = canon or Canon(decls)
-    return _atoms_to_nf(canon, canon.dedupe(canon.normalize_gain(g)))
+    atoms = canon.dedupe(canon.normalize_gain(g))
+    exprs = {canon.atom_render(a): canon.atom_expr(a) for a in atoms}
+    return NormalForm(tuple(exprs[r] for r in sorted(exprs)))
 
 
 def simplify(g, decls, canon=None):
     """Normal form with identically-zero and pointwise-dominated atoms removed."""
     canon = canon or Canon(decls)
-    return _atoms_to_nf(canon, canon.prune(canon.normalize_gain(g, prune=True)))
+    atoms = canon.prune(canon.normalize_gain(g, prune=True))
+    return NormalForm(tuple(map(canon.atom_expr, atoms)))
 
 
 # --- semantic comparison -----------------------------------------------------------------

@@ -56,13 +56,14 @@ from .errors import (
     LoopBoundExceeded,
     LoopNeedsInvariantOrBound,
 )
-from .gain import Canon, NormalForm, eval_atom_total, normalize, semantic_eq, simplify
+from .gain import Canon, balanced, eval_atom_total, normalize, semantic_eq, simplify
 from .lang import (
     EVAL_ERRORS,
     BoolLit,
     Cmp,
     GAnd,
     GAtom,
+    GMax,
     GPlus,
     IntLit,
     Iverson,
@@ -192,13 +193,10 @@ class WpEngine:
 
     def _wp_print(self, expr, g):
         values = self._attained(expr)
-        branches = [
-            GAnd(Iverson(Cmp("=", expr, _value_lit(v))), g) for v in values
-        ]
-        out = branches[0]
-        for b in branches[1:]:
-            out = GPlus(out, b)
-        return out
+        # a balanced PLUS: a print with k values would be a k-deep chain
+        return balanced(
+            GPlus, [GAnd(Iverson(Cmp("=", expr, _value_lit(v))), g) for v in values]
+        )
 
     def _attained(self, expr):
         """Values expr can take anywhere on the declared state space."""
@@ -303,9 +301,8 @@ class WpEngine:
 
     def _unsound_pre(self, post):
         atoms = simplify(post, self.decls, self.canon).atoms
-        # a balanced MAX, log2(k) deep, so a wide post stays clear of the
-        # recursion limit
-        return NormalForm(tuple(self.leak_blind_pre(a) for a in atoms)).as_gain()
+        # a balanced MAX, so a wide post stays clear of the recursion limit
+        return balanced(GMax, [GAtom(self.leak_blind_pre(a)) for a in atoms])
 
 
 def wp(program, post=None, config=None):

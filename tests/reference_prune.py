@@ -1,9 +1,10 @@
 """Reference dominance pruning, kept only to test `Canon.prune` against.
 
-`reference_prune` finds equal vectors by hashing them and dominated ones by
-comparing every pair: none of the grouping by sum and first nonzero
-position, or the scan by descending sum, that `Canon.prune` uses to avoid
-both.  It borrows only the Canon's atom vectors and renderings.
+`reference_prune` finds dominated vectors by comparing every pair, with no
+scan by descending sum as `Canon.prune` makes, and keeps the smallest
+rendering among equal vectors by comparing renderings, where `Canon.prune`
+sorts by rendering first.  It borrows only the Canon's atom vectors and
+renderings.
 """
 
 from math import lcm

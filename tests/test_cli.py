@@ -637,6 +637,8 @@ def test_too_deep_expression_exit_2(tmp_path, command, body, where):
         ("if x = 1 then " * 197 + "x := 2" + " fi" * 197, "[x = 1]"),
         ("if x = 1 then skip; " * 197 + "x := 2" + " fi" * 197, "[x = 1]"),
         ("while x = 1 do skip; " * 197 + "x := 2" + " od" * 197, "[x = 1]"),
+        # a print of 1200 values joins 1200 branches without a 1200-deep PLUS
+        ("hidden z : int[0..1199]\nprint z", "[x = 1]"),
     ],
     ids=[
         "nested-parentheses",
@@ -645,6 +647,7 @@ def test_too_deep_expression_exit_2(tmp_path, command, body, where):
         "nested-if",
         "nested-if-seq",
         "nested-while-seq",
+        "wide-print",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "wp", "check"])
@@ -763,6 +766,25 @@ def test_missing_file_exit_2():
     p = cli("wp", "corpus/no_such_program.kuif")
     assert p.returncode == 2
     assert p.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("random:x:3", "want --priors random:COUNT:SEED"),
+        ("random:2:y", "want --priors random:COUNT:SEED"),
+        ("random:0:3", "want --priors random:COUNT:SEED"),
+        ("random:-2:3", "want --priors random:COUNT:SEED"),
+        ("random:2", "want --priors random:COUNT:SEED"),
+        ("bogus", "bad --priors 'bogus'"),
+    ],
+)
+def test_malformed_priors_spec_exit_2(spec, message):
+    # COUNT must be a positive integer: a check of no priors proves nothing
+    p = cli("check", corpus("branch_assign.kuif"), "--priors", spec)
+    assert p.returncode == 2
+    assert p.stderr == f"error: {message}\n"
+    assert p.stdout == ""
 
 
 def test_unexpected_exception_exit_5(monkeypatch, capsys):
