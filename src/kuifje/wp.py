@@ -193,7 +193,7 @@ class WpEngine:
 
     def _wp_print(self, expr, g):
         values = self._attained(expr)
-        # a balanced PLUS: a print with k values would be a k-deep chain
+        # balanced, where a chain would be as deep as expr has values
         return balanced(
             GPlus, [GAnd(Iverson(Cmp("=", expr, _value_lit(v))), g) for v in values]
         )
