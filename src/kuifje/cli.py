@@ -391,7 +391,9 @@ def cmd_check(args):
     engine = WpEngine(program, _wp_config(args))
     result = _wp_pre(engine, post)
     executable = engine.executable  # its tables are warm from wp's loop analysis
-    # one evaluator values every atom on every state at most once
+    # one evaluator over the declared space values the pre-gain and the
+    # post-gain, each distinct sub-expression once over all the states, so
+    # a test the pre-gain's atoms share is evaluated once per state
     ev = GainEvaluator(executable.states())
     ok = bad = 0
     for label, prior in _check_priors(args, executable):

@@ -15,10 +15,13 @@ with first flattening to the normal form "MAX over atoms" and then taking the
 best expected atom.  We therefore never need to expand the (exponentially
 large) normal form just to evaluate.  One class, `GainEvaluator`, computes
 that value: it reads a distribution as integer weights over indexed states
-with one common divisor, and divides once at the top.  Each atom is
-compiled once (`lang.compile_expr`) and its values are kept in a column,
-one slot per state, filled in as distributions need them; the columns die
-with the evaluator.  `eval_gain`/`eval_gain_hyper` are one-shot wrappers.
+with one common divisor, and divides once at the top.  It values atoms as
+columns over all its states, one per distinct sub-expression and
+quantifier binding, so a test that many atoms share is evaluated once per
+state: an atomic test takes one tri-state pass (`literal_masks`), `and`,
+`or` and `not` are bitmask operations, and arithmetic combines integer
+columns entry by entry.  The columns die with the evaluator.
+`eval_gain`/`eval_gain_hyper` are one-shot wrappers.
 
 The same evaluator lists a gain's atom vectors over the states, pruned of
 dominated ones; `semantic_le`/`semantic_eq` decide a comparison on every
@@ -36,9 +39,10 @@ with predicates in minimized disjunctive normal form, merges complementary
 and disjoint guarded terms, and renders deterministically; `simplify` prunes
 atoms that are pointwise dominated on the declared state space.  It reads
 that space's states once, when it first needs them, decides predicates on
-bitmasks over it, both polarities of a literal from one pass, and values
-atoms from integer factor columns under those masks; like the evaluator's,
-its columns die with it.
+bitmasks over it, both polarities of a literal from the evaluator's one
+tri-state pass, and values atoms from integer factor columns under those
+masks.  It shares that pass with the evaluator, not its results: its masks
+and columns are its own, and die with it.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ from .lang import (
     MinF,
     Neg,
     Not,
+    OPS,
     RatLit,
     Var,
     apply_op,
@@ -105,14 +110,6 @@ def eval_bool_total(e, state, env=None):
     return compile_expr(e, state.names, TEST)(state.values, env)
 
 
-def _exact(x):
-    # an atom's value as an int where integral, else as a Fraction
-    if type(x) is int:
-        return x
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 def eval_atom_total(e, state, env=None):
     """Value of a gain atom on a state; unevaluable states contribute 0."""
     try:
@@ -121,20 +118,50 @@ def eval_atom_total(e, state, env=None):
         return ZERO
 
 
+# --- columns and masks ---------------------------------------------------------------
+#
+# A mask is an int whose bit i stands for the i-th state; a column is a
+# sequence with one value per state.
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask(column):
+    """The mask of a column's nonzero entries."""
+    return int(bytes(map(bool, column)).translate(_DIGITS)[::-1] or b"0", 2)
+
+
+def _bits(mask, n):
+    """A mask as a column of n 0/1 entries."""
+    return format(mask, f"0{n}b")[::-1].encode().translate(_TO_BITS)
+
+
+def read_column(fn, rows, env=None):
+    """A compiled closure's values on rows, as (values, fails): where bit i
+    of fails is set, the read on rows[i] fails and values[i] is 0."""
+    values, fails = [], 0
+    append = values.append
+    for i, row in enumerate(rows):
+        try:
+            append(fn(row, env))
+        except EVAL_ERRORS:
+            append(0)
+            fails |= 1 << i
+    return values, fails
+
+
+def literal_masks(fn, rows, env=None):
+    """One tri-state pass of an atomic test's closure over rows, as the
+    masks (true, false) of the rows where it holds and where it does not.
+    A read that fails puts a row in neither: a failing test is false under
+    either polarity."""
+    values, fails = read_column(fn, rows, env)
+    true = _mask(values)
+    return true, ((1 << len(rows)) - 1) ^ true ^ fails
+
+
 # --- gain evaluation -------------------------------------------------------------------
-
-
-class _Column:
-    """One atom's values under one set of quantifier bindings, one slot per
-    state, filled in on first use."""
-
-    __slots__ = ("fn", "values", "missing", "negative")
-
-    def __init__(self, fn, n):
-        self.fn = fn
-        self.values = [None] * n
-        self.missing = n
-        self.negative = False
 
 
 class GainEvaluator:
@@ -144,13 +171,17 @@ class GainEvaluator:
     common divisor.  Every combinator commutes with dividing all weights by a
     positive constant, so the recursion runs on the weights and divides
     exactly once at the top.  `f AND G` multiplies each entry's weight by f
-    and drops the entries where that is 0, so an atom is never evaluated
-    where a zero guard shields it and a negative value there is never
-    reported.  Each atom is compiled once, and its values are kept in a
-    column per quantifier bindings, stored as ints where integral and filled
-    in on first use: a caller valuing many distributions over the same states
-    evaluates each atom on each state once.  The columns die with the
-    evaluator.
+    and drops the entries where that is 0, so a negative value that a zero
+    guard shields is never reported.
+
+    Atoms are valued a sub-expression at a time, each over all the states,
+    and each distinct sub-expression once per quantifier bindings (`_column`),
+    so a caller valuing many distributions over the same states, or many
+    atoms that share a test, pays for each once.  An atomic test takes one
+    tri-state pass (`literal_masks`); `and`, `or` and `not` are operations
+    on its masks, with `not` pushed down to the atomic tests; `[test]` is
+    a 0/1 column; arithmetic combines columns entry by entry.  The columns
+    die with the evaluator.
     """
 
     def __init__(self, states):
@@ -158,7 +189,9 @@ class GainEvaluator:
         self._index = {s: i for i, s in enumerate(self.states)}
         self._names = self.states[0].names if self.states else ()
         self._rows = [s.values for s in self.states]
-        self._columns = {}
+        self._full = (1 << len(self.states)) - 1
+        self._memos = {}
+        self._binds = {}
 
     def value(self, g, dist, env=None):
         """g's exact value on dist, whose support lies in the states."""
@@ -175,25 +208,50 @@ class GainEvaluator:
     def weighted_value(self, g, support, den=1, env=None):
         """g's value on the distribution giving states[i] probability w/den,
         for each (i, w) in support; every w is a positive integer."""
-        return Fraction(self._eval(g, support, env or {}), den)
+        env = env or {}
+        return Fraction(self._eval(g, support, env, self._memo(env)), den)
 
-    def _eval(self, g, support, env):
+    def _memo(self, env):
+        # the columns under one set of quantifier bindings
+        key = tuple(sorted(env.items())) if env else ()
+        memo = self._memos.get(key)
+        if memo is None:
+            memo = self._memos[key] = {}
+        return memo
+
+    def _bind(self, env, memo, var, v):
+        # env with var bound to v, and its columns, found once per binding
+        key = (id(memo), var, v)
+        got = self._binds.get(key)
+        if got is None:
+            inner = dict(env, **{var: v})
+            got = self._binds[key] = (inner, self._memo(inner))
+        return got
+
+    def _eval(self, g, support, env, memo):
         if isinstance(g, GAtom):
-            values = self._column(g.expr, support, env)
-            return sum([w * values[i] for i, w in support])
+            den, ints = self._atom(g.expr, support, env, memo)
+            total = sum([w * ints[i] for i, w in support])
+            return total if den == 1 else Fraction(total, den)
         if isinstance(g, GMax):
             return max(
-                self._eval(g.left, support, env), self._eval(g.right, support, env)
+                self._eval(g.left, support, env, memo),
+                self._eval(g.right, support, env, memo),
             )
         if isinstance(g, GPlus):
-            return self._eval(g.left, support, env) + self._eval(g.right, support, env)
+            return self._eval(g.left, support, env, memo) + self._eval(
+                g.right, support, env, memo
+            )
         if isinstance(g, GAnd):
-            values = self._column(g.scalar, support, env)
-            scaled = [(i, w * values[i]) for i, w in support if values[i]]
-            return self._eval(g.body, scaled, env)
+            den, ints = self._atom(g.scalar, support, env, memo)
+            scaled = [(i, w * ints[i]) for i, w in support if ints[i]]
+            return _exact(self._eval(g.body, scaled, env, memo), den)
         if isinstance(g, GQuantMax):
             return max(
-                self._eval(g.body, support, dict(env, **{g.var: v})) for v in g.values
+                [
+                    self._eval(g.body, support, *self._bind(env, memo, g.var, v))
+                    for v in g.values
+                ]
             )
         raise TypeCheckError(f"unknown gain expression {g!r}")
 
@@ -202,76 +260,146 @@ class GainEvaluator:
         value on any distribution p over the states is the largest v·p, or 0
         if there is no vector.  Zero and pointwise-dominated vectors are
         dropped at every combiner, which is exact because the combinators are
-        monotone and pointwise.  As in valuing, `f AND G` reads G only where f
-        is not 0, so a shielded negative atom is never reported."""
-        return self._vectors(g, [(i, 1) for i in range(len(self.states))], {})
+        monotone and pointwise.  As in valuing, `f AND G` keeps G's entries
+        only where f is not 0, so a negative atom value that the guard
+        shields is never reported."""
+        support = [(i, 1) for i in range(len(self.states))]
+        return self._vectors(g, support, {}, self._memo({}))
 
-    def _vectors(self, g, support, env):
+    def _vectors(self, g, support, env, memo):
         # support holds (state index, weight) pairs; the weights are unused
         if isinstance(g, GAtom):
-            values = self._column(g.expr, support, env)
-            return _dominant([tuple([values[i] for i, _ in support])])
+            den, ints = self._atom(g.expr, support, env, memo)
+            v = [ints[i] for i, _ in support]
+            return _dominant([tuple(v if den == 1 else [Fraction(x, den) for x in v])])
         if isinstance(g, GMax):
             return _dominant(
-                self._vectors(g.left, support, env)
-                + self._vectors(g.right, support, env)
+                self._vectors(g.left, support, env, memo)
+                + self._vectors(g.right, support, env, memo)
             )
         if isinstance(g, GPlus):
-            left = self._vectors(g.left, support, env)
-            right = self._vectors(g.right, support, env)
+            left = self._vectors(g.left, support, env, memo)
+            right = self._vectors(g.right, support, env, memo)
             if not (left and right):
                 return left or right
             return _dominant(
                 [tuple(map(operator.add, a, b)) for a in left for b in right]
             )
         if isinstance(g, GAnd):
-            values = self._column(g.scalar, support, env)
-            kept = [k for k, (i, _) in enumerate(support) if values[i]]
-            body = self._vectors(g.body, [support[k] for k in kept], env)
+            den, ints = self._atom(g.scalar, support, env, memo)
+            kept = [k for k, (i, _) in enumerate(support) if ints[i]]
+            body = self._vectors(g.body, [support[k] for k in kept], env, memo)
             # a positive scale keeps the vectors nonzero and undominated
             out = []
             for v in body:
                 scaled = [0] * len(support)
                 for k, x in zip(kept, v):
-                    scaled[k] = values[support[k][0]] * x
+                    scaled[k] = _exact(ints[support[k][0]] * x, den)
                 out.append(tuple(scaled))
             return out
         if isinstance(g, GQuantMax):
             out = []
             for v in g.values:
-                out.extend(self._vectors(g.body, support, dict(env, **{g.var: v})))
+                out.extend(
+                    self._vectors(g.body, support, *self._bind(env, memo, g.var, v))
+                )
             return _dominant(out)
         raise TypeCheckError(f"unknown gain expression {g!r}")
 
-    def _column(self, expr, support, env):
-        """expr's values on the states, filled in at least on the support;
-        NegativeAtom if one of them is negative on a support entry."""
-        key = (expr, tuple(sorted(env.items())) if env else ())
-        col = self._columns.get(key)
-        if col is None:
-            fn = compile_expr(expr, self._names, NUMERIC)
-            col = self._columns[key] = _Column(fn, len(self.states))
-        values = col.values
-        if col.missing:
-            fn, rows = col.fn, self._rows
+    def _atom(self, expr, support, env, memo):
+        """The atom's values as (den, ints), as `_column` gives them;
+        NegativeAtom if one is negative on a support entry."""
+        den, ints, _, negative = memo.get(expr) or self._column(expr, env, memo)
+        if negative:
             for i, _ in support:
-                if values[i] is None:
-                    try:
-                        v = _exact(fn(rows[i], env))
-                    except EVAL_ERRORS:
-                        v = 0
-                    if v < 0:
-                        col.negative = True
-                    values[i] = v
-                    col.missing -= 1
-        if col.negative:
-            for i, _ in support:
-                v = values[i]
-                if v < 0:
+                if ints[i] < 0:
                     raise NegativeAtom(
-                        f"atom {expr_to_source(expr)} is {v} on {self.states[i]!r}"
+                        f"atom {expr_to_source(expr)} is {Fraction(ints[i], den)} "
+                        f"on {self.states[i]!r}"
                     )
-        return values
+        return den, ints
+
+    def _column(self, e, env, memo):
+        """A numeric expression's total values on the states, as (den, ints,
+        fails, negative): the value on the i-th state is ints[i] / den, or,
+        where bit i of fails is set, unevaluable, since a read fails, and
+        ints[i] is 0; negative tells whether any value is below 0."""
+        col = memo.get(e)
+        if col is None:
+            den, ints, fails = self._fold(e, env, memo)
+            if fails:
+                kept = _bits(self._full ^ fails, len(ints))
+                ints = list(map(operator.mul, ints, kept))
+            col = memo[e] = (den, ints, fails, min(ints, default=0) < 0)
+        return col
+
+    def _fold(self, e, env, memo):
+        # e's (den, ints, fails) from its operands' columns; ints may be
+        # nonzero where a read fails, and _column zeroes them
+        n = len(self._rows)
+        if isinstance(e, Iverson):
+            return 1, _bits(self._test(e.arg, False, env, memo), n), 0
+        if isinstance(e, (IntLit, RatLit)):
+            v = Fraction(e.value)
+            return v.denominator, [v.numerator] * n, 0
+        if isinstance(e, Neg):
+            den, ints, fails, _ = self._column(e.arg, env, memo)
+            return den, list(map(operator.neg, ints)), fails
+        if isinstance(e, Bin):
+            left = self._column(e.left, env, memo)
+            right = self._column(e.right, env, memo)
+            fails = left[2] | right[2]
+            if e.op == "*":
+                # a zero left factor shields the right one's failing reads
+                if right[2]:
+                    fails = left[2] | right[2] & _mask(left[1])
+                ints = list(map(operator.mul, left[1], right[1]))
+                return left[0] * right[0], ints, fails
+            den, (a, b) = _common(left, right)
+            if e.op in ("div", "mod"):
+                # x/den div y/den is x div y; x/den mod y/den is (x mod y)/den
+                fn = OPS[e.op]
+                ints = [fn(x, y) if y else 0 for x, y in zip(a, b)]
+                fails |= self._full ^ _mask(b)
+                return (1 if e.op == "div" else den), ints, fails
+            return den, list(map(OPS[e.op], a, b)), fails
+        if isinstance(e, (MaxF, MinF)):
+            cols = [self._column(a, env, memo) for a in e.args]
+            den, ints = _common(*cols)
+            pick = max if isinstance(e, MaxF) else min
+            fails = reduce(operator.or_, [c[2] for c in cols])
+            return den, list(map(pick, zip(*ints))), fails
+        # a read: a variable, a quantifier index or an array element
+        return 1, *read_column(compile_expr(e, self._names), self._rows, env)
+
+    def _test(self, e, neg, env, memo):
+        """The mask of the states where the test e holds, or where `not e`
+        does when neg is set, under the total semantics."""
+        if isinstance(e, BoolOp):
+            left = self._test(e.left, neg, env, memo)
+            right = self._test(e.right, neg, env, memo)
+            return left & right if (e.op == "and") != neg else left | right
+        if isinstance(e, Not):
+            return self._test(e.arg, not neg, env, memo)
+        masks = memo.get(e)
+        if masks is None:
+            fn = compile_expr(e, self._names)
+            masks = memo[e] = literal_masks(fn, self._rows, env)
+        return masks[neg]
+
+
+def _exact(x, den):
+    # x / den, an int when den is 1
+    return x if den == 1 else Fraction(x, den)
+
+
+def _common(*columns):
+    """Columns' ints over one denominator, as (den, [ints, ...])."""
+    den = lcm(*[c[0] for c in columns])
+    return den, [
+        c[1] if c[0] == den else list(map((den // c[0]).__mul__, c[1]))
+        for c in columns
+    ]
 
 
 def _lies_under(v, s, ranked, strict=False):
@@ -326,22 +454,6 @@ def eval_gain_hyper(g, hyper, env=None):
 
 # --- canonicalization ---------------------------------------------------------------
 
-# A literal's tri-state column as bytes, one entry per state: 0 false, 1
-# true, 2 a read fails.  Each table turns it into one polarity's digits, a
-# failing read false under either; the bitmask reads bit i as entry i.
-_POSITIVE = bytes.maketrans(b"\x00\x01\x02", b"010")
-_NEGATED = bytes.maketrans(b"\x00\x01\x02", b"100")
-_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _mask(column, table):
-    return int(column.translate(table)[::-1], 2)
-
-
-def _bits(mask, n):
-    return format(mask, f"0{n}b")[::-1].encode().translate(_TO_BITS)
-
-
 @dataclass(frozen=True)
 class _Term:
     coeff: Fraction
@@ -379,8 +491,8 @@ class Canon:
     executable's, so the space is listed once); it is called when the first
     predicate or atom is decided, so a Canon that decides none lists nothing.
 
-    One tri-state pass over a literal's atom gives both polarities' masks
-    (`lit_models`).  `_models` holds the mask of each predicate `models` is
+    One tri-state pass over a literal's atom, the evaluator's
+    `literal_masks`, gives both polarities' masks (`lit_models`).  `_models` holds the mask of each predicate `models` is
     asked for, and only those: minimisation works on one mask per
     conjunction, kept as literals and disjuncts are dropped, and stores none
     of its candidates.
@@ -430,22 +542,16 @@ class Canon:
 
     def lit_models(self, lit):
         """Bitmask of the states where one literal holds.  One tri-state pass
-        over the literal's atom gives both polarities' masks: a failing read
-        is false under either, so the two are disjoint, and outside their
-        union lie exactly the states where a read fails."""
+        over the literal's atom (`literal_masks`) gives both polarities'
+        masks: a failing read is false under either, so the two are
+        disjoint, and outside their union lie exactly the states where a read
+        fails."""
         mask = self._lit_model_cache.get(lit)
         if mask is None:
             atom = lit[1]
             fn = compile_expr(atom, self.names)
-            column = bytearray()
-            for row in self._values:
-                try:
-                    column.append(fn(row, None))
-                except EVAL_ERRORS:
-                    column.append(2)
             cache = self._lit_model_cache
-            cache[False, atom] = _mask(column, _POSITIVE)
-            cache[True, atom] = _mask(column, _NEGATED)
+            cache[False, atom], cache[True, atom] = literal_masks(fn, self._values)
             mask = cache[lit]
         return mask
 
@@ -968,13 +1074,7 @@ class Canon:
         out = self._factor_columns.get(f)
         if out is None:
             fn = compile_expr(f, self.names, NUMERIC)
-            values, fails = [], 0
-            for i, row in enumerate(self._values):
-                try:
-                    values.append(fn(row, None))
-                except EVAL_ERRORS:
-                    values.append(0)
-                    fails |= 1 << i
+            values, fails = read_column(fn, self._values)
             den = lcm(*(x.denominator for x in values))
             ints = [x.numerator * (den // x.denominator) for x in values]
             out = self._factor_columns[f] = (den, ints, fails)

@@ -865,10 +865,13 @@ class Checker:
         t = self.expr_type(e, qvars)
         if t == BOOL:
             raise TypeCheckError(
-                f"gain atom must be numeric; wrap the condition in [ ]: {e!r}"
+                "gain atom must be numeric; wrap the condition in [ ]: "
+                + _source(e)
             )
         if not self.is_nonneg(e, qvars):
-            raise TypeCheckError(f"gain atom is not evidently non-negative: {e!r}")
+            raise TypeCheckError(
+                f"gain atom is not evidently non-negative: {_source(e)}"
+            )
 
     def is_nonneg(self, e, qvars):
         """Syntactic non-negativity discipline for user-written atoms."""
@@ -901,7 +904,7 @@ class Checker:
     def require(self, e, want, qvars):
         t = self.expr_type(e, qvars)
         if t != want and not (want == RAT and t == INT):
-            raise TypeCheckError(f"expected {want}, got {t}: {e!r}")
+            raise TypeCheckError(f"expected {want}, got {t}: {_source(e)}")
 
     def expr_type(self, e, qvars):
         if isinstance(e, IntLit):
@@ -934,28 +937,30 @@ class Checker:
         if isinstance(e, Neg):
             t = self.expr_type(e.arg, qvars)
             if t == BOOL:
-                raise TypeCheckError(f"negation of a boolean: {e!r}")
+                raise TypeCheckError(f"negation of a boolean: {_source(e)}")
             return t
         if isinstance(e, Bin):
             lt = self.expr_type(e.left, qvars)
             rt = self.expr_type(e.right, qvars)
             if BOOL in (lt, rt):
-                raise TypeCheckError(f"arithmetic on booleans: {e!r}")
+                raise TypeCheckError(f"arithmetic on booleans: {_source(e)}")
             if e.op in ("div", "mod", "&") and RAT in (lt, rt):
-                raise TypeCheckError(f"{e.op} needs integer operands: {e!r}")
+                raise TypeCheckError(f"{e.op} needs integer operands: {_source(e)}")
             return RAT if RAT in (lt, rt) else INT
         if isinstance(e, (MaxF, MinF)):
             ts = [self.expr_type(a, qvars) for a in e.args]
             if BOOL in ts:
-                raise TypeCheckError(f"max/min over booleans: {e!r}")
+                raise TypeCheckError(f"max/min over booleans: {_source(e)}")
             return RAT if RAT in ts else INT
         if isinstance(e, Cmp):
             lt = self.expr_type(e.left, qvars)
             rt = self.expr_type(e.right, qvars)
             if (lt == BOOL) != (rt == BOOL):
-                raise TypeCheckError(f"comparison mixes bool and number: {e!r}")
+                raise TypeCheckError(
+                    f"comparison mixes bool and number: {_source(e)}"
+                )
             if lt == BOOL and e.op not in ("=", "!="):
-                raise TypeCheckError(f"ordering on booleans: {e!r}")
+                raise TypeCheckError(f"ordering on booleans: {_source(e)}")
             return BOOL
         if isinstance(e, BoolOp):
             self.require(e.left, BOOL, qvars)
@@ -974,12 +979,18 @@ class Checker:
             it = self.expr_type(e.item, qvars)
             et = BOOL if isinstance(d.domain.element, BoolDomain) else INT
             if (it == BOOL) != (et == BOOL):
-                raise TypeCheckError(f"membership type mismatch: {e!r}")
+                raise TypeCheckError(f"membership type mismatch: {_source(e)}")
             for bound in (e.lo, e.hi):
                 if bound is not None:
                     self.require(bound, INT, qvars)
             return BOOL
         raise TypeCheckError(f"unknown expression {e!r}")
+
+
+def _source(e):
+    # an expression as an error message shows it
+    line = f" at line {e.pos[0]}" if e.pos else ""
+    return expr_to_source(e) + line
 
 
 def check_program(program):

@@ -608,6 +608,48 @@ def test_parse_error_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "source, args, message",
+    [
+        (
+            None,
+            ("eval", corpus("reveal_mod4_small.kuif"), "--gain", "H - 3",
+             "--prior", "uniform"),
+            "error: gain atom is not evidently non-negative: H - 3 at line 1\n",
+        ),
+        (
+            None,
+            ("eval", corpus("reveal_mod4_small.kuif"), "--gain", "H = 3",
+             "--prior", "uniform"),
+            "error: gain atom must be numeric; wrap the condition in [ ]: "
+            "H = 3 at line 1\n",
+        ),
+        (
+            "hidden x : int[0..3]\nx := x = 1\n",
+            ("run", "PROGRAM", "--prior", "uniform"),
+            "error: expected int, got bool: x = 1 at line 2\n",
+        ),
+        (
+            "hidden x : int[0..3]\nhidden b : bool\nx := x + (b or b)\n",
+            ("run", "PROGRAM", "--prior", "uniform"),
+            "error: arithmetic on booleans: x + (b or b) at line 3\n",
+        ),
+    ],
+    ids=["negative-atom", "boolean-atom", "assign-bool-to-int", "bool-arithmetic"],
+)
+def test_type_error_shows_source_text_exit_2(tmp_path, source, args, message):
+    if source is not None:
+        f = tmp_path / "bad.kuif"
+        f.write_text(source)
+        args = tuple(str(f) if a == "PROGRAM" else a for a in args)
+    p = cli(*args)
+    assert p.returncode == 2
+    assert p.stderr == message
+    assert p.stdout == ""
+    for node in ("Bin(", "Cmp(", "Var(", "BoolOp("):
+        assert node not in p.stderr
+
+
+@pytest.mark.parametrize(
     "body, where",
     [
         ("print " + "(" * 200 + "x" + ")" * 200, "2:73"),  # the 66th parenthesis

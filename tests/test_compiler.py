@@ -4,22 +4,28 @@ The declaration makes reads fail: `A[n]` is out of range at n = 2, `div`
 and `mod` by z fail at z = 0, and slice bounds can leave the array.  The
 quantifier index `i` is bound in the environment.  Strict evaluation must
 give the same value, or raise the same error with the same message; total
-evaluation must give the same value.
+evaluation must give the same value.  `GainEvaluator`, which values atoms a
+sub-expression column at a time, must agree with the reference atom by atom
+and state by state.
 """
 
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_eval as ref
 from kuifje.core import ArrayDomain, BoolDomain, IntRange, all_states
-from kuifje.gain import eval_atom_total, eval_bool_total
+from kuifje.errors import NegativeAtom
+from kuifje.gain import GainEvaluator, eval_atom_total, eval_bool_total
 from kuifje.lang import (
     Bin,
     BoolLit,
     BoolOp,
     Cmp,
+    GAnd,
+    GAtom,
     Idx,
     IntLit,
     Iverson,
@@ -124,3 +130,43 @@ def test_compiled_evaluation_matches_the_reference(tree):
                 for atom in (e, Bin("+", e, IntLit(1))):
                     want = ref.atom(atom, s, ENV)
                     assert eval_atom_total(atom, s, ENV) == want, (e, s)
+
+
+# holds on the states with n = i (1 in ENV) and b: a sixth of them
+GUARD = Iverson(BoolOp("and", Cmp("=", Var("n"), Var("i")), Var("b")))
+
+
+def _atoms(tree):
+    # each numeric subtree e as e and e + 1, each boolean one b as [b] and
+    # [not b]
+    for e in _subtrees(tree):
+        if isinstance(e, (BoolLit, Cmp, BoolOp, Not, Mem)) or e == Var("b"):
+            yield from (Iverson(e), Iverson(Not(e)))
+        else:
+            yield from (e, Bin("+", e, IntLit(1)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(ints(3), bools(3)))
+def test_column_evaluator_matches_the_reference(tree):
+    # one evaluator for the whole tree, so subtrees meet columns that their
+    # own subtrees left in the memo
+    ev = GainEvaluator(STATES)
+    everywhere = [(i, 1) for i in range(len(STATES))]
+    for atom in _atoms(tree):
+        want = [ref.atom(atom, s, ENV) for s in STATES]
+        for i, s in enumerate(STATES):
+            if want[i] < 0:
+                with pytest.raises(NegativeAtom):
+                    ev.weighted_value(GAtom(atom), [(i, 1)], 1, ENV)
+            else:
+                got = ev.weighted_value(GAtom(atom), [(i, 1)], 1, ENV)
+                assert got == want[i], (atom, s)
+        # the guard reads the atom only where it holds
+        guarded = [w for s, w in zip(STATES, want) if ref.atom(GUARD, s, ENV)]
+        g = GAnd(GUARD, GAtom(atom))
+        if min(guarded) < 0:
+            with pytest.raises(NegativeAtom):
+                ev.weighted_value(g, everywhere, 1, ENV)
+        else:
+            assert ev.weighted_value(g, everywhere, 1, ENV) == sum(guarded), atom

@@ -4,6 +4,8 @@
   node shared in its input as one shared object in its output.
 - On the DAG that `print` builds (one continuation under every
   observation branch), `Canon.normalize_gain` computes each node once.
+- `GainEvaluator` values each distinct literal of a pre-gain once per
+  state, however many atoms share it.
 - `expr_to_source`, which keeps each node's rendering on the node, prints
   exactly what the recursive reference printer (`reference_print.py`)
   prints, at every precedence, whatever context rendered a node first.
@@ -17,7 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kuifje import gain
+from kuifje.core import Dist
+from kuifje.gain import GainEvaluator, eval_atom_total
 from kuifje.lang import (
+    STRICT,
     Bin,
     GAnd,
     GAtom,
@@ -203,6 +209,40 @@ def test_normalize_gain_computes_each_shared_node_once():
     # the memo returns a new list on each call
     again = canon.normalize_gain(pre, True)
     assert again == atoms and again is not atoms
+
+
+# ---- each shared literal valued once per state
+
+
+def test_gain_evaluator_values_each_literal_once_per_state(monkeypatch):
+    # 256 atoms over 256 states, each a disjunction of four of the sixteen
+    # literals H = c
+    engine = WpEngine(_corpus("reveal_low_bits_small.kuif"))
+    nf = engine.wp_program().nf
+    states = engine.executable.states()
+    assert len(nf.atoms) == len(states) == 256
+    calls = Counter()
+    real = gain.compile_expr
+
+    def counting(e, names, mode=STRICT):
+        fn = real(e, names, mode)
+
+        def counted(values, env):
+            calls[expr_to_source(e)] += 1
+            return fn(values, env)
+
+        return counted
+
+    monkeypatch.setattr(gain, "compile_expr", counting)
+    prior = Dist.from_weights({s: k + 1 for k, s in enumerate(states)})
+    got = GainEvaluator(states).value(nf.as_gain(), prior)
+    monkeypatch.undo()
+    assert sorted(calls) == sorted(f"H = {c}" for c in range(16))
+    assert set(calls.values()) == {len(states)}
+    # the value is the best expected atom, atom by atom and state by state
+    assert got == max(
+        sum(w * eval_atom_total(a, s) for s, w in prior.weights) for a in nf.atoms
+    ) / prior.den
 
 
 # ---- the per-node printer against the reference
