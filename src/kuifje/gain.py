@@ -127,9 +127,14 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _pack(bits):
+    """The mask of a column of 0/1 entries."""
+    return int(bytes(bits).translate(_DIGITS)[::-1] or b"0", 2)
+
+
 def _mask(column):
     """The mask of a column's nonzero entries."""
-    return int(bytes(map(bool, column)).translate(_DIGITS)[::-1] or b"0", 2)
+    return _pack(map(bool, column))
 
 
 def _bits(mask, n):
@@ -137,18 +142,26 @@ def _bits(mask, n):
     return format(mask, f"0{n}b")[::-1].encode().translate(_TO_BITS)
 
 
+def _at(positions, n):
+    """The mask with the bits at the given positions, all below n, set."""
+    bits = bytearray(n)
+    for i in positions:
+        bits[i] = 1
+    return _pack(bits)
+
+
 def read_column(fn, rows, env=None):
     """A compiled closure's values on rows, as (values, fails): where bit i
     of fails is set, the read on rows[i] fails and values[i] is 0."""
-    values, fails = [], 0
+    values, failed = [], []
     append = values.append
-    for i, row in enumerate(rows):
+    for row in rows:
         try:
             append(fn(row, env))
         except EVAL_ERRORS:
+            failed.append(len(values))
             append(0)
-            fails |= 1 << i
-    return values, fails
+    return values, _at(failed, len(rows)) if failed else 0
 
 
 def literal_masks(fn, rows, env=None):
@@ -157,7 +170,7 @@ def literal_masks(fn, rows, env=None):
     A read that fails puts a row in neither: a failing test is false under
     either polarity."""
     values, fails = read_column(fn, rows, env)
-    true = _mask(values)
+    true = _pack(values)  # a test's values are bools
     return true, ((1 << len(rows)) - 1) ^ true ^ fails
 
 
@@ -338,7 +351,7 @@ class GainEvaluator:
         # nonzero where a read fails, and _column zeroes them
         n = len(self._rows)
         if isinstance(e, Iverson):
-            return 1, _bits(self._test(e.arg, False, env, memo), n), 0
+            return 1, _bits(self._test(e.arg, False, self._full, env, memo), n), 0
         if isinstance(e, (IntLit, RatLit)):
             v = Fraction(e.value)
             return v.denominator, [v.numerator] * n, 0
@@ -372,20 +385,41 @@ class GainEvaluator:
         # a read: a variable, a quantifier index or an array element
         return 1, *read_column(compile_expr(e, self._names), self._rows, env)
 
-    def _test(self, e, neg, env, memo):
-        """The mask of the states where the test e holds, or where `not e`
-        does when neg is set, under the total semantics."""
+    def _test(self, e, neg, care, env, memo):
+        """The mask of the states in care where the test e holds, or where
+        `not e` does when neg is set, under the total semantics.
+
+        As `and` and `or` short-circuit, the right operand is read only on
+        the states the left one leaves open.  An atomic test's masks are
+        kept with the states they cover, and a pass reads only the states
+        in care that are not yet covered, so it is read on each state at
+        most once."""
         if isinstance(e, BoolOp):
-            left = self._test(e.left, neg, env, memo)
-            right = self._test(e.right, neg, env, memo)
-            return left & right if (e.op == "and") != neg else left | right
+            left = self._test(e.left, neg, care, env, memo)
+            if (e.op == "and") != neg:
+                return self._test(e.right, neg, left, env, memo)
+            return left | self._test(e.right, neg, care & ~left, env, memo)
         if isinstance(e, Not):
-            return self._test(e.arg, not neg, env, memo)
+            return self._test(e.arg, not neg, care, env, memo)
         masks = memo.get(e)
         if masks is None:
-            fn = compile_expr(e, self._names)
-            masks = memo[e] = literal_masks(fn, self._rows, env)
-        return masks[neg]
+            masks = memo[e] = [0, 0, 0]  # covered, true, false
+        todo = care & ~masks[0]
+        if todo:
+            fn, rows = compile_expr(e, self._names), self._rows
+            if todo == self._full:
+                true, false = literal_masks(fn, rows, env)
+            else:
+                n = len(rows)
+                where = list(compress(range(n), _bits(todo, n)))
+                true, false = [
+                    _at(compress(where, _bits(m, len(where))), n)
+                    for m in literal_masks(fn, [rows[i] for i in where], env)
+                ]
+            masks[0] |= todo
+            masks[1] |= true
+            masks[2] |= false
+        return masks[2 if neg else 1] & care
 
 
 def _exact(x, den):
@@ -492,10 +526,10 @@ class Canon:
     predicate or atom is decided, so a Canon that decides none lists nothing.
 
     One tri-state pass over a literal's atom, the evaluator's
-    `literal_masks`, gives both polarities' masks (`lit_models`).  `_models` holds the mask of each predicate `models` is
-    asked for, and only those: minimisation works on one mask per
-    conjunction, kept as literals and disjuncts are dropped, and stores none
-    of its candidates.
+    `literal_masks`, gives both polarities' masks (`lit_models`).  `_models`
+    holds the mask of each predicate `models` is asked for, and only those:
+    minimisation works on one mask per conjunction, kept as literals and
+    disjuncts are dropped, and stores none of its candidates.
 
     Every atom a Canon returns comes from `_finalize`, which interns it, so an
     atom's identity is its value and no atom's id is reused while the Canon
