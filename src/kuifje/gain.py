@@ -191,10 +191,11 @@ class GainEvaluator:
     and each distinct sub-expression once per quantifier bindings (`_column`),
     so a caller valuing many distributions over the same states, or many
     atoms that share a test, pays for each once.  An atomic test takes one
-    tri-state pass (`literal_masks`); `and`, `or` and `not` are operations
-    on its masks, with `not` pushed down to the atomic tests; `[test]` is
-    a 0/1 column; arithmetic combines columns entry by entry.  The columns
-    die with the evaluator.
+    tri-state pass (`literal_masks`), on the states not yet covered
+    (`_test`); `and`, `or` and `not` are operations on its masks, with
+    `not` pushed down to the atomic tests; `[test]` is a 0/1 column;
+    arithmetic combines columns entry by entry.  The columns die with the
+    evaluator.
     """
 
     def __init__(self, states):
