@@ -391,15 +391,17 @@ def cmd_check(args):
     engine = WpEngine(program, _wp_config(args))
     result = _wp_pre(engine, post)
     executable = engine.executable  # its tables are warm from wp's loop analysis
-    # one evaluator over the declared space values the pre-gain and the
-    # post-gain, each distinct sub-expression once over all the states, so
-    # a test the pre-gain's atoms share is evaluated once per state
-    ev = GainEvaluator(executable.states())
+    # one evaluator over the declared space values the pre-gain, and one over
+    # the final states the program reaches values the post-gain, each
+    # distinct sub-expression once over its states, so a test the pre-gain's
+    # atoms share is evaluated once per state
+    pre_ev = GainEvaluator(executable.states())
+    post_ev = GainEvaluator(executable.finals())
     ok = bad = 0
     for label, prior in _check_priors(args, executable):
-        lhs = ev.value(result.pre, prior)
+        lhs = pre_ev.value(result.pre, prior)
         hyper = executable.run(prior)
-        rhs = ev.hyper_value(post, hyper)
+        rhs = post_ev.hyper_value(post, hyper)
         if lhs == rhs:
             ok += 1
             if args.verbose:

@@ -40,9 +40,16 @@ and disjoint guarded terms, and renders deterministically; `simplify` prunes
 atoms that are pointwise dominated on the declared state space.  It reads
 that space's states once, when it first needs them, decides predicates on
 bitmasks over it, both polarities of a literal from the evaluator's one
-tri-state pass, and values atoms from integer factor columns under those
-masks.  It shares that pass with the evaluator, not its results: its masks
-and columns are its own, and die with it.
+tri-state pass, and values atoms as level sets: one (value, mask) pair per
+distinct nonzero value, so that an atom c·[p] is its coefficient and p's
+mask, a sum refines its terms' masks, and only a factor product reads
+columns, once, and groups the states by value.  Equal atoms are found by
+hashing level sets, and dominance is mask containment, so the cost of an
+atom grows with its distinct values, not with the states.  (This is the
+terminal-value view of algebraic decision diagrams: Bahar et al.,
+"Algebraic decision diagrams and their applications", ICCAD 1993.)  It
+shares the tri-state pass with the evaluator, not its results: its masks
+and level sets are its own, and die with it.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import compress
 from math import gcd, lcm
 
@@ -259,6 +266,8 @@ class GainEvaluator:
         if isinstance(g, GAnd):
             den, ints = self._atom(g.scalar, support, env, memo)
             scaled = [(i, w * ints[i]) for i, w in support if ints[i]]
+            if not scaled:  # a guard 0 on the support: the body is not read
+                return 0
             return _exact(self._eval(g.body, scaled, env, memo), den)
         if isinstance(g, GQuantMax):
             return max(
@@ -302,6 +311,8 @@ class GainEvaluator:
         if isinstance(g, GAnd):
             den, ints = self._atom(g.scalar, support, env, memo)
             kept = [k for k, (i, _) in enumerate(support) if ints[i]]
+            if not kept:  # a guard 0 on the support: the body is not read
+                return []
             body = self._vectors(g.body, [support[k] for k in kept], env, memo)
             # a positive scale keeps the vectors nonzero and undominated
             out = []
@@ -437,32 +448,63 @@ def _common(*columns):
     ]
 
 
-def _lies_under(v, s, ranked, strict=False):
+def _pointwise_le(v, w):
+    """Whether the tuple v lies entry by entry under the tuple w."""
+    return all(map(operator.le, v, w))
+
+
+def _levels_le(v, w, full):
+    """Whether the level set v lies pointwise under the level set w, both
+    over one denominator and the states of full, by mask containment: each
+    level (a, m) of v lies inside the states where w is at least a, and so
+    does v's zero set, with a = 0.  Only a negative value needs the zero
+    sets; without one, w is at least 0 everywhere."""
+    if v and v[0][0] < 0 or w and w[0][0] < 0:
+        v, w = _with_zero(v, full), _with_zero(w, full)
+    k, above = len(w), 0  # above: the states where w is at least w[k]'s value
+    for a, m in reversed(v):
+        while k and w[k - 1][0] >= a:
+            k -= 1
+            above |= w[k][1]
+        if m & ~above:
+            return False
+    return True
+
+
+def _with_zero(levels, full):
+    # the levels with the zero set as the level of 0, in order of value
+    zero = full
+    for _, m in levels:
+        zero ^= m
+    return sorted((*levels, (0, zero)))
+
+
+def _lies_under(v, s, ranked, le, strict=False):
     """Whether v, whose entries sum to s, lies pointwise under a vector of
     ranked: (sum, vector) pairs in descending order of sum, none equal to v
-    when strict is set.  A vector under another has a smaller sum or equals
-    it, so the scan stops at the first smaller sum, or when strict is set at
-    the first sum that is not larger."""
-    le = operator.le
+    when strict is set; le(v, w) decides one pair.  A vector under another
+    has a smaller sum or equals it, so the scan stops at the first smaller
+    sum, or when strict is set at the first sum that is not larger."""
     for t, w in ranked:
         if t < s or strict and t == s:
             return False
-        if all(map(le, v, w)):
+        if le(v, w):
             return True
     return False
 
 
-def _undominated(vectors, sums):
+def _undominated(vectors, sums, le):
     """One flag per vector of a list of distinct ones, with their sums:
-    whether no other vector lies pointwise over it.  The vectors are scanned
-    by descending sum, and each is tested against the undominated ones
-    already kept: a vector under a dominated one is under that one's
-    dominator too."""
+    whether no other vector lies pointwise over it, as le decides.  Both
+    tuples (`_pointwise_le`) and level sets (`_levels_le`) are vectors here.
+    The vectors are scanned by descending sum, and each is tested against
+    the undominated ones already kept: a vector under a dominated one is
+    under that one's dominator too."""
     keep = [False] * len(vectors)
     kept = []
     for k in sorted(range(len(vectors)), key=sums.__getitem__, reverse=True):
         v, s = vectors[k], sums[k]
-        if not _lies_under(v, s, kept, strict=True):
+        if not _lies_under(v, s, kept, le, strict=True):
             kept.append((s, v))
             keep[k] = True
     return keep
@@ -472,7 +514,8 @@ def _dominant(vectors):
     """The nonzero vectors that no other vector pointwise dominates, each
     once, in first-seen order."""
     vecs = [v for v in dict.fromkeys(vectors) if any(v)]
-    return list(compress(vecs, _undominated(vecs, list(map(sum, vecs)))))
+    keep = _undominated(vecs, list(map(sum, vecs)), _pointwise_le)
+    return list(compress(vecs, keep))
 
 
 def eval_gain(g, dist, env=None):
@@ -521,10 +564,10 @@ class Canon:
     term that reads out of bounds changes where an atom is defined.
 
     Predicates and atoms are decided on the declared state space, in
-    `all_states` order: bit i of a mask, and slot i of a column, is the i-th
-    state.  `states`, if given, returns that list (a WpEngine passes its
-    executable's, so the space is listed once); it is called when the first
-    predicate or atom is decided, so a Canon that decides none lists nothing.
+    `all_states` order: bit i of a mask is the i-th state.  `states`, if
+    given, returns that list (a WpEngine passes its executable's, so the
+    space is listed once); it is called when the first predicate or atom is
+    decided, so a Canon that decides none lists nothing.
 
     One tri-state pass over a literal's atom, the evaluator's
     `literal_masks`, gives both polarities' masks (`lit_models`).  `_models`
@@ -532,9 +575,16 @@ class Canon:
     minimisation works on one mask per conjunction, kept as literals and
     disjuncts are dropped, and stores none of its candidates.
 
+    An atom's values are a level set (`atom_levels`), never a per-state
+    tuple: one (value, mask) pair per distinct nonzero value over one
+    denominator.  `prune` hashes level sets to find equal atoms, sums them
+    as value times mask size, and decides dominance by mask containment
+    (`_levels_le`).  A factor product's levels are kept per product, not its
+    columns.
+
     Every atom a Canon returns comes from `_finalize`, which interns it, so an
     atom's identity is its value and no atom's id is reused while the Canon
-    lives.  Caches keyed by atom ids (vectors, rebuilt expressions, and the
+    lives.  Caches keyed by atom ids (level sets, rebuilt expressions, and the
     memos of `atom_add`, `atom_mul` and `prune`) are therefore exact for the
     Canon's life.  `normalize_gain` memoises sub-gains by identity, keeping
     each alive beside its atoms; `to_dnf` memoises tests by value; and
@@ -550,7 +600,7 @@ class Canon:
         self._states = states or (lambda: all_states(names, domains))
         self._models = {}
         self._lit_model_cache = {}
-        self._factor_columns = {}
+        self._factor_levels = {}
         self._intern = {}
         self._dnfs = {}
         self._lit_exprs = {}
@@ -558,7 +608,7 @@ class Canon:
         self._pred_exprs = {}
         self._minimized = {}
         self._atom_cache = {}
-        self._vectors = {}
+        self._levels = {}
         self._rebuilt = {}
         self._sums = {}
         self._products = {}
@@ -1100,67 +1150,77 @@ class Canon:
     def atom_render(self, atom):
         return expr_to_source(self.atom_expr(atom))
 
-    # ---- value vectors
+    # ---- level sets
 
-    def _factor_column(self, f):
-        """A factor's values on the states as (den, ints, fails): the value on
-        the i-th state is ints[i] / den, or, where bit i of fails is set, a
-        failing read (ints[i] is then 0)."""
-        out = self._factor_columns.get(f)
+    def atom_levels(self, atom):
+        """The atom's values on the states as a level set (den, levels):
+        one (value, mask) pair per distinct nonzero integer value, in
+        increasing order of value, with pairwise disjoint masks.  The atom is
+        value / den on the states of a mask and 0 on the rest, in lowest
+        terms.  A factor that fails where its term's predicate holds makes
+        the atom 0 on that state.
+
+        A term c·[p] is the one level (c's numerator, p's mask); a sum
+        refines its terms' levels, so that only a term with factors reads
+        columns, those of its factor product, once (`_product_levels`)."""
+        out = self._levels.get(id(atom))
         if out is None:
-            fn = compile_expr(f, self.names, NUMERIC)
-            values, fails = read_column(fn, self._values)
-            den = lcm(*(x.denominator for x in values))
-            ints = [x.numerator * (den // x.denominator) for x in values]
-            out = self._factor_columns[f] = (den, ints, fails)
+            out = self._levels[id(atom)] = self._sum_levels(atom)
         return out
 
-    def atom_vector(self, atom):
-        """The atom's values on the states, as (den, integer tuple): the value
-        on the i-th state is ints[i] / den, in lowest terms.  A factor that
-        fails where its term's predicate holds makes the atom 0 on that
-        state."""
-        out = self._vectors.get(id(atom))
-        if out is None:
-            if len(atom) == 1 and not atom[0].factors:
-                # c·[p]: the coefficient is in lowest terms, so is the vector
-                t = atom[0]
-                mask = self.full if t.pred is None else self.models(t.pred)
-                bits = _bits(mask, len(self._values))
-                out = (t.coeff.denominator, tuple(map(t.coeff.numerator.__mul__, bits)))
-            else:
-                out = self._terms_vector(atom)
-            self._vectors[id(atom)] = out
-        return out
-
-    def _terms_vector(self, terms):
-        # atom_vector's general case, for any list of terms
-        n = len(self._values)
+    def _sum_levels(self, terms):
         parts = []
-        den = 1
         for t in terms:
-            columns = [self._factor_column(f) for f in t.factors]
-            tden = t.coeff.denominator
-            for c in columns:
-                tden *= c[0]
-            den = lcm(den, tden)
-            parts.append((t, columns, tden))
-        acc = [0] * n
-        fails = 0
-        for t, columns, tden in parts:
-            k = t.coeff.numerator * (den // tden)
             mask = self.full if t.pred is None else self.models(t.pred)
-            col = map(k.__mul__, _bits(mask, n))
-            for _, ints, bad in columns:
-                fails |= bad & mask
-                col = map(operator.mul, col, ints)
-            acc = list(map(operator.add, acc, col))
-        if fails:
-            acc = list(map(operator.mul, acc, _bits(self.full ^ fails, n)))
-        g = gcd(den, *acc)
+            c = t.coeff
+            if t.factors:
+                den, levels, fails = self._product_levels(t.factors)
+                levels = [(c.numerator * v, m & mask) for v, m in levels]
+                parts.append((c.denominator * den, levels, fails & mask))
+            else:
+                parts.append((c.denominator, [(c.numerator, mask)], 0))
+        den = lcm(*(d for d, _, _ in parts))
+        acc = {0: self.full}  # value -> the states where the sum so far has it
+        fails = 0
+        for d, levels, bad in parts:
+            fails |= bad
+            scale = den // d
+            refined = {}
+            for v, states in acc.items():
+                for k, m in levels:
+                    inside = states & m
+                    if inside:
+                        states ^= inside
+                        w = v + k * scale
+                        refined[w] = refined.get(w, 0) | inside
+                if states:
+                    refined[v] = refined.get(v, 0) | states
+            acc = refined
+        keep = self.full ^ fails
+        levels = sorted((v, m & keep) for v, m in acc.items() if v and m & keep)
+        g = gcd(den, *(v for v, _ in levels))
         if g == 1:
-            return (den, tuple(acc))
-        return (den // g, tuple(x // g for x in acc))
+            return den, tuple(levels)
+        return den // g, tuple((v // g, m) for v, m in levels)
+
+    def _product_levels(self, factors):
+        """A product of factors as (den, levels, fails): the product is v /
+        den on the states of each (v, mask) of levels, which are disjoint,
+        and 0 elsewhere; where bit i of fails is set, a factor's read fails
+        on the i-th state.  Each factor is read once over the states."""
+        out = self._factor_levels.get(factors)
+        if out is None:
+            den, ints, fails = 1, None, 0
+            for f in factors:
+                fn = compile_expr(f, self.names, NUMERIC)
+                values, bad = read_column(fn, self._values)
+                d = lcm(*(x.denominator for x in values))
+                col = [x.numerator * (d // x.denominator) for x in values]
+                den, fails = den * d, fails | bad
+                ints = col if ints is None else list(map(operator.mul, ints, col))
+            levels = [(v, _pack(map(v.__eq__, ints))) for v in set(ints) if v]
+            out = self._factor_levels[factors] = (den, levels, fails)
+        return out
 
     # ---- normal form construction
 
@@ -1220,26 +1280,30 @@ class Canon:
         rendering order.  The result is a new list on every call; the memo
         keeps a tuple.
 
-        The vectors are rescaled to one denominator, and equal ones are found
-        by hashing, as `_dominant` does; of equal ones the smallest rendering
-        stays.  The distinct vectors go through `_undominated`."""
+        The level sets are rescaled to one denominator, and equal ones are
+        found by hashing, as `_dominant` does with vectors; of equal ones the
+        smallest rendering stays.  The distinct level sets go through
+        `_undominated`, with sums from value times mask size and dominance
+        by mask containment."""
         atoms = self.dedupe(atoms)
         key = tuple(map(id, atoms))
         out = self._prunes.get(key)
         if out is not None:
             return list(out)
         atoms.sort(key=self.atom_render)
-        vecs = [self.atom_vector(a) for a in atoms]
-        den = lcm(*(d for d, _ in vecs))
-        best = {}  # vector -> its first atom, the one with the smallest rendering
-        for a, (d, v) in zip(atoms, vecs):
-            if not any(v):
+        sets = [self.atom_levels(a) for a in atoms]
+        den = lcm(*(d for d, _ in sets))
+        best = {}  # level set -> its first atom, the one with the smallest rendering
+        for a, (d, levels) in zip(atoms, sets):
+            if not levels:
                 continue
             if d != den:
-                v = tuple(map((den // d).__mul__, v))
-            best.setdefault(v, a)
-        vecs = list(best)
-        out = list(compress(best.values(), _undominated(vecs, list(map(sum, vecs)))))
+                levels = tuple((v * (den // d), m) for v, m in levels)
+            best.setdefault(levels, a)
+        sets = list(best)
+        sums = [sum(v * m.bit_count() for v, m in levels) for levels in sets]
+        le = partial(_levels_le, full=self.full)
+        out = list(compress(best.values(), _undominated(sets, sums, le)))
         self._prunes[key] = tuple(out)
         return out
 
@@ -1432,7 +1496,7 @@ def _compare(g1, g2, decls, relation, states):
             zip(map(sum, upper), upper), key=operator.itemgetter(0), reverse=True
         )
         for v in lower:
-            if _lies_under(v, sum(v), ranked):
+            if _lies_under(v, sum(v), ranked, _pointwise_le):
                 continue
             support = _separating_prior(v, upper)
             if support is not None:

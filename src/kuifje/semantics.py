@@ -112,6 +112,15 @@ class Executable:
             self._states = all_states(self._names, [d.domain for d in self.decls])
         return self._states
 
+    def finals(self):
+        """The final states of the runs from every declared state that end
+        without a runtime error, each once, in order of first arrival; the
+        body's table answers for the states a loop analysis already ran."""
+        step = self._step(self.program.body)
+        finals = dict.fromkeys(step(s.values)[1] for s in self.states())
+        names = self._names
+        return [State(names, f) for f in finals if type(f) is tuple]
+
     # ---- compiling statements into steps
 
     def _step(self, stmt):

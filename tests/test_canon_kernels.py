@@ -5,17 +5,21 @@
   DNF that `wp` minimises on the corpus and on generated DNFs.
 - One tri-state pass per literal atom gives both polarities: the two masks
   are disjoint, and outside their union lie exactly the failing reads.
-- The one-term, factorless `atom_vector` path matches the general one and
-  `eval_atom_total`, state by state.
-- Pruning, which finds equal vectors within groups of one sum and first
-  nonzero position, returns the same list as a hashing reference
-  (`reference_prune.py`) on generated atom lists with many vectors per sum.
+- An atom's level set, expanded, equals `eval_atom_total` state by state,
+  for factorless terms, factor terms, sums and negative coefficients.
+- Pruning on level sets returns the same list as a reference that values
+  atoms with `eval_atom_total` and compares every pair
+  (`reference_prune.py`): on generated atom lists with many vectors per sum,
+  negative coefficients and factor terms, and on every call `wp` makes on
+  the corpus.
 """
 
 import glob
 import importlib
+import operator
 import os
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -23,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuifje.core import all_states
-from kuifje.gain import Canon, eval_atom_total, simplify
+from kuifje.gain import Canon, simplify
 from kuifje.lang import (
     EVAL_ERRORS,
     check_program,
@@ -34,7 +38,7 @@ from kuifje.lang import (
 )
 from kuifje.wp import WpConfig, WpEngine
 from reference_minimize import ReferenceMinimizer
-from reference_prune import reference_prune
+from reference_prune import atom_values, reference_prune
 
 # the module, which the package shadows with its `wp` function
 kuifje_wp = importlib.import_module("kuifje.wp")
@@ -217,25 +221,42 @@ def test_out_of_bounds_read_is_false_under_both_polarities():
     assert _failing_reads(canon, atom) == past
 
 
-# ---- the one-term atom_vector path
+# ---- level sets
 
 
 @pytest.mark.parametrize("coeff", ["1", "3/4", "-2"])
 @pytest.mark.parametrize("pred", [None, "[b or A[x] = y and x < 2]"])
-def test_one_term_atom_vector_matches_general_path(coeff, pred):
+def test_level_set_matches_total_values(coeff, pred):
+    # c·[p] alone, with factors (one whose read fails where A[x] is out of
+    # bounds), and in sums whose terms overlap
     canon = Canon(SPACE.decls)
-    source = coeff if pred is None else f"{coeff} * {pred}"
-    atom = canon.atom_of(parse_gain(source).expr)
-    (term,) = atom
-    assert term.coeff == Fraction(coeff) and not term.factors
-    assert (term.pred is None) == (pred is None)
-    den, ints = canon.atom_vector(atom)
-    assert (den, ints) == canon._terms_vector(atom)
-    states = all_states(canon.names, list(canon.domains.values()))
-    expr = canon.atom_expr(atom)
-    assert [Fraction(v, den) for v in ints] == [
-        eval_atom_total(expr, s) for s in states
+    guarded = coeff if pred is None else f"{coeff} * {pred}"
+    sources = [
+        guarded,
+        f"{guarded} * x",
+        f"{guarded} * max(x, 2) * A[y]",
+        f"{guarded} + [x < 2] - 1/2 * [y = 3]",
+        f"{guarded} * y + x * [b] - A[x] div 2",
     ]
+    states = all_states(canon.names, list(canon.domains.values()))
+    for source in sources:
+        atom = canon.atom_of(parse_gain(source).expr)
+        den, levels = canon.atom_levels(atom)
+        values = [v for v, _ in levels]
+        assert values == sorted(set(values)) and 0 not in values
+        masks = [m for _, m in levels]
+        assert all(m for m in masks)
+        assert sum(m.bit_count() for m in masks) == (
+            reduce(operator.or_, masks, 0).bit_count()
+        )
+        expanded = [0] * len(states)
+        for v, m in levels:
+            for i in range(len(states)):
+                if m >> i & 1:
+                    expanded[i] = Fraction(v, den)
+        assert expanded == list(atom_values(canon, atom, states)), source
+    (term,) = canon.atom_of(parse_gain(guarded).expr)
+    assert term.coeff == Fraction(coeff) and not term.factors
 
 
 # ---- pruning
@@ -247,16 +268,24 @@ PRUNE_CANON = Canon(_program("hidden x : int[0..5]\nhidden b : bool\nskip").decl
 PRUNE_TESTS = [
     "x = 0", "x < 1", "x <= 1", "x < 2", "x = 2", "x >= 4", "x = 5", "b", "not b"
 ]
-PRUNE_COEFFS = ["1/2", "1", "3/2", "2"]
+PRUNE_COEFFS = ["1/2", "1", "3/2", "2", "-1", "-1/2"]
+PRUNE_FACTORS = ["", "x", "max(x, 2)"]
 
 
 def _prune_atom(terms):
-    src = " + ".join(f"{c} * [{t}]" for c, t in terms) or "0"
-    return PRUNE_CANON.atom_of(parse_gain(src).expr)
+    src = " + ".join(
+        f"{c} * [{t}]" + (f" * {f}" if f else "") for c, t, f in terms
+    )
+    return PRUNE_CANON.atom_of(parse_gain(src or "0").expr)
 
 
 prune_terms = st.lists(
-    st.tuples(st.sampled_from(PRUNE_COEFFS), st.sampled_from(PRUNE_TESTS)), max_size=3
+    st.tuples(
+        st.sampled_from(PRUNE_COEFFS),
+        st.sampled_from(PRUNE_TESTS),
+        st.sampled_from(PRUNE_FACTORS),
+    ),
+    max_size=3,
 )
 
 
@@ -272,12 +301,57 @@ def test_prune_matches_reference_on_sets_of_one_size(size):
     # every set of `size` values of x as one atom: the vectors share one sum
     # and none dominates another, so many share a group
     wide = [
-        _prune_atom([("1", " or ".join(f"x = {w}" for w in ws))])
+        _prune_atom([("1", " or ".join(f"x = {w}" for w in ws), "")])
         for ws in combinations(range(6), size)
     ]
-    assert len({sum(PRUNE_CANON.atom_vector(a)[1]) for a in wide}) == 1
+    assert len({sum(atom_values(PRUNE_CANON, a)) for a in wide}) == 1
     # each single value lies under a set that holds it
-    atoms = [_prune_atom([("1", f"x = {w}")]) for w in range(6)] + wide
+    atoms = [_prune_atom([("1", f"x = {w}", "")]) for w in range(6)] + wide
     kept = PRUNE_CANON.prune(atoms)
     assert kept == reference_prune(PRUNE_CANON, atoms)
     assert sorted(map(id, kept)) == sorted(map(id, wide))
+
+
+# ---- pruning on the corpus
+
+PRUNE_RUNS = [
+    (name, WpConfig(force_unfold=force_unfold), _run_id((name, force_unfold)))
+    for name, force_unfold in RUNS
+] + [
+    (name, WpConfig(unsound_no_branch_leak=True), name + " --unsound-no-branch-leak")
+    for name in POSTED
+]
+
+
+@pytest.mark.parametrize(
+    "name, config", [r[:2] for r in PRUNE_RUNS], ids=[r[2] for r in PRUNE_RUNS]
+)
+def test_prune_matches_reference_on_corpus(name, config):
+    """Every call `wp` makes to `Canon.prune` returns `reference_prune`'s
+    list.  Each atom is valued once; its interned id stays its own for the
+    Canon's life, and so does a repeated call's list of ids."""
+    engine = WpEngine(_corpus(name), config)
+    canon = engine.canon
+    states = engine.states()
+    prune = canon.prune
+    values, expected = {}, {}
+    calls = []
+
+    def atom(a):
+        got = values.get(id(a))
+        if got is None:
+            got = values[id(a)] = atom_values(canon, a, states)
+        return got
+
+    def checking(atoms):
+        out = prune(atoms)
+        key = tuple(map(id, atoms))
+        if key not in expected:
+            expected[key] = reference_prune(canon, atoms, atom)
+        assert out == expected[key]
+        calls.append(key)
+        return out
+
+    canon.prune = checking
+    engine.wp_program()
+    assert calls

@@ -35,10 +35,15 @@ from kuifje.gain import (
     simplify,
 )
 from kuifje.lang import (
+    BoolLit,
+    GAnd,
     GAtom,
     GMax,
     GPlus,
     GQuantMax,
+    Idx,
+    Iverson,
+    Var,
     check_program,
     parse_expr,
     parse_gain,
@@ -409,6 +414,19 @@ def test_shielded_negative_atom_is_not_reported():
     assert eval_gain(g, point(State(("x",), (0,)))) == 0
     assert semantic_le(g, g, p.decls)
     assert semantic_eq(g, g, p.decls)
+
+
+def test_zero_guard_leaves_its_body_unread():
+    # an unchecked gain whose body reads the quantifier index i outside any
+    # binder, behind a guard that is 0 on every state: the body is not read
+    p = parse_program("hidden A : array[2] of int[0..1]\nhidden n : int[0..2]\nskip\n")
+    check_program(p)
+    g = GAnd(Iverson(BoolLit(False)), GAtom(Idx("A", Var("i"))))
+    states = all_states(("A", "n"), [d.domain for d in p.decls])
+    ev = GainEvaluator(states)
+    assert ev.vectors(g) == []
+    assert ev.value(g, uniform(states)) == 0
+    assert semantic_eq(g, parse_gain("0"), p.decls)
 
 
 def test_semantic_le_strict_cases():
