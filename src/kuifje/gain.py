@@ -40,16 +40,12 @@ and disjoint guarded terms, and renders deterministically; `simplify` prunes
 atoms that are pointwise dominated on the declared state space.  It reads
 that space's states once, when it first needs them, decides predicates on
 bitmasks over it, both polarities of a literal from the evaluator's one
-tri-state pass, and values atoms as level sets: one (value, mask) pair per
-distinct nonzero value, so that an atom c·[p] is its coefficient and p's
-mask, a sum refines its terms' masks, and only a factor product reads
-columns, once, and groups the states by value.  Equal atoms are found by
-hashing level sets, and dominance is mask containment, so the cost of an
-atom grows with its distinct values, not with the states.  (This is the
-terminal-value view of algebraic decision diagrams: Bahar et al.,
-"Algebraic decision diagrams and their applications", ICCAD 1993.)  It
-shares the tri-state pass with the evaluator, not its results: its masks
-and level sets are its own, and die with it.
+tri-state pass, and values atoms as level sets, one (value, mask) pair per
+distinct nonzero value (the terminal-value view of algebraic decision
+diagrams: Bahar et al., ICCAD 1993), so an atom costs as much as its
+distinct values, not as the states.  It shares the tri-state pass with the
+evaluator, not its results: its masks and level sets are its own, and die
+with it.
 """
 
 from __future__ import annotations
@@ -576,11 +572,9 @@ class Canon:
     disjuncts are dropped, and stores none of its candidates.
 
     An atom's values are a level set (`atom_levels`), never a per-state
-    tuple: one (value, mask) pair per distinct nonzero value over one
-    denominator.  `prune` hashes level sets to find equal atoms, sums them
-    as value times mask size, and decides dominance by mask containment
-    (`_levels_le`).  A factor product's levels are kept per product, not its
-    columns.
+    tuple.  `prune` hashes level sets to find equal atoms, sums them as
+    value times mask size, and decides dominance by mask containment
+    (`_levels_le`).
 
     Every atom a Canon returns comes from `_finalize`, which interns it, so an
     atom's identity is its value and no atom's id is reused while the Canon

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuifje.core import all_states
-from kuifje.gain import Canon, simplify
+from kuifje.gain import Canon, _levels_le, _pointwise_le, simplify
 from kuifje.lang import (
     EVAL_ERRORS,
     check_program,
@@ -257,6 +257,27 @@ def test_level_set_matches_total_values(coeff, pred):
         assert expanded == list(atom_values(canon, atom, states)), source
     (term,) = canon.atom_of(parse_gain(guarded).expr)
     assert term.coeff == Fraction(coeff) and not term.factors
+
+
+def _levels_of(vector):
+    # a tuple's level set, the plain way
+    levels = {}
+    for i, x in enumerate(vector):
+        if x:
+            levels[x] = levels.get(x, 0) | 1 << i
+    return tuple(sorted(levels.items()))
+
+
+small_vectors = st.lists(st.sampled_from([-2, -1, 0, 0, 1, 2, 3]), min_size=7, max_size=7)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(small_vectors, small_vectors)
+def test_levels_le_matches_pointwise_comparison(v, w):
+    # dominance by mask containment decides as entry-by-entry comparison,
+    # negative values and zero sets included
+    full = (1 << 7) - 1
+    assert _levels_le(_levels_of(v), _levels_of(w), full) == _pointwise_le(v, w)
 
 
 # ---- pruning
