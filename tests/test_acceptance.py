@@ -292,3 +292,45 @@ def test_10_leak_erasure(clock):
         for prior in priors:
             assert avg(exe.run(prior)) == exe.classical_run(prior), name
     clock(30)
+
+
+def test_11_forward_pass_on_a_4096_line_prior(capsys, clock, tmp_path):
+    """`run --format json` from a seeded 4096-line prior file, then `eval
+    --hyper` on its output, both equal to the replay oracle."""
+    import random
+
+    rng = random.Random(4096)
+    weights = {(h, low): rng.randint(1, 16) for h in range(64) for low in range(64)}
+    total = sum(weights.values())
+    prior = {s: F(w, total) for s, w in weights.items()}
+    prior_file = tmp_path / "reveal.prior"
+    prior_file.write_text(
+        "".join(f"H={h} L={low} : {p}\n" for (h, low), p in prior.items())
+    )
+    rc, out = cli(
+        capsys, "run", "corpus/reveal_mod8.kuif", "--prior", str(prior_file),
+        "--format", "json",
+    )
+    assert rc == 0
+    want = oracles.trace_hyper(
+        prior, lambda s: oracles.branch_reveal_6bit(s[0])
+    )
+    got = sorted(
+        (F(group["weight"]),
+         sorted(((c["state"]["H"], c["state"]["L"]), F(c["prob"]))
+                for c in group["inner"]))
+        for group in json.loads(out)["hyper"]
+    )
+    assert got == sorted((w, sorted(post.items())) for w, post in want.values())
+
+    hyper_file = tmp_path / "reveal.json"
+    hyper_file.write_text(out)
+    rc, out = cli(
+        capsys, "eval", "corpus/reveal_mod8.kuif", "--gain",
+        "MAX h in 0..63: [H = h]", "--hyper", str(hyper_file),
+    )
+    assert rc == 0
+    assert F(out.strip()) == oracles.bayes_vulnerability(
+        want, project=lambda s: s[0]
+    )
+    clock(2)

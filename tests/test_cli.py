@@ -228,6 +228,44 @@ def test_run_json_hyper_shape():
     assert {row["prob"] for row in first} == {"1/4"}
 
 
+# Which runtime error a failing run reports: the first failure at the
+# earliest top-level statement, in the canonical order of the hyper before
+# that statement, states in order within each posterior.  Each program below
+# fails on several states, and a walk of the posteriors in any other order
+# reports another error.
+_PRECEDENCE = "hidden x : int[0..3];\nprint x mod 2;\nx := 3 - x;\n"
+_PRECEDENCE_READS = (
+    "hidden n : int[0..3];\nhidden A : array[2] of int[0..1];\n"
+    "print n mod 2;\nn := 3 - n;\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source, flags, code, stderr",
+    [
+        (_PRECEDENCE + "x := 10 div (x - 1)", (), 2,
+         "error: x := -10 leaves the declared domain int[0..3]"),
+        (_PRECEDENCE
+         + "if x = 0 then while true do skip od else x := 10 div (x - 1) fi",
+         ("--loop-bound", "5"), 3,
+         "error: loop exceeded 5 iterations; raise the loop bound or add an "
+         "invariant"),
+        (_PRECEDENCE_READS + "print A[n]", (), 2, "error: A[2] with length 2"),
+        (_PRECEDENCE_READS + "if A[n] = 0 then skip else skip fi", (), 2,
+         "error: A[2] with length 2"),
+    ],
+    ids=["domain", "loop bound", "print read", "guard read"],
+)
+def test_run_reports_the_first_failure_in_canonical_order(
+    tmp_path, source, flags, code, stderr
+):
+    f = tmp_path / "fails.kuif"
+    f.write_text(source + "\n")
+    for fmt in ("table", "json"):
+        p = cli("run", str(f), "--prior", "uniform", "--format", fmt, *flags)
+        assert (p.returncode, p.stderr, p.stdout) == (code, stderr + "\n", "")
+
+
 def _full_support_prior(program, rng):
     """Prior-file text giving every declared state a seeded weight in 1..16."""
     from kuifje.core import _fmt_value, all_states
@@ -485,6 +523,44 @@ def test_eval_rejects_hyper_outside_domains(tmp_path):
     assert p.returncode == 2
     assert p.stdout == ""
     assert "error:" in p.stderr
+
+
+# Valid cells first, then one cell whose value equals a valid one but has
+# another JSON type: reading the valid cells must not make it pass.
+_TYPED_GOOD = {"x": 1, "b": True, "A": [1, 0]}
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [
+        ({"x": True}, "x=True"),
+        ({"x": 1.0}, "x=1.0"),
+        ({"b": 1}, "b=1"),
+        ({"A": [True, 0]}, "A=(True, 0)"),
+        ({"A": [[1], 0]}, "A=([1], 0)"),
+    ],
+    ids=["int true", "int 1.0", "bool 1", "array true", "array nested"],
+)
+def test_eval_rejects_hyper_value_of_another_type(tmp_path, bad, shown):
+    program = tmp_path / "typed.kuif"
+    program.write_text(
+        "hidden x : int[0..3];\nhidden b : bool;\n"
+        "hidden A : array[2] of int[0..1];\nskip\n"
+    )
+    cells = [_TYPED_GOOD, _TYPED_GOOD | {"x": 2}, _TYPED_GOOD | bad]
+    doc = {
+        "hyper": [
+            {"weight": "1/2", "inner": [{"state": cells[0], "prob": "1"}]},
+            {"weight": "1/2",
+             "inner": [{"state": c, "prob": "1/2"} for c in cells[1:]]},
+        ]
+    }
+    hyper_file = tmp_path / "typed.json"
+    hyper_file.write_text(json.dumps(doc))
+    p = cli("eval", str(program), "--gain", "[x = 0]", "--hyper", str(hyper_file))
+    assert p.returncode == 2
+    assert p.stderr == f"error: hyper value {shown} is outside its domain\n"
+    assert p.stdout == ""
 
 
 # ---- check

@@ -1,6 +1,7 @@
 """Forward interpretation: hypers, observations, and the leak-blind projection."""
 
 import glob
+import hashlib
 import os
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from kuifje.core import Dist, State, avg, dist_from_entries, point, unit, uniform
+from kuifje.core import Dist, Hyper, State, avg, dist_from_entries, point, unit, uniform
 from kuifje.errors import DomainViolation, KuifjeError, LoopBoundExceeded
 from kuifje.lang import check_program, parse_program
 from kuifje.semantics import Executable, classical_run, run
@@ -200,6 +201,51 @@ def test_trace_snapshots_per_top_level_statement():
     label, h = snaps[0]
     assert label.startswith("print")
     assert sorted(w for _, w in h.entries) == [F(2, 5), F(3, 5)]
+
+
+def _scan_step(values):
+    """`search_full_scan.kuif` replayed by hand: (trace, final) from (A, x,
+    n, f)."""
+    A, x, _, _ = values
+    trace = [("print", False)]
+    f = False
+    for n in range(3):
+        trace += [("branch", True), ("branch", A[n] == x)]
+        if A[n] == x:
+            f = True
+            trace.append(("print", True))
+    trace.append(("branch", False))
+    return tuple(trace), (A, x, 3, f)
+
+
+def test_trace_snapshots_on_a_program_with_visible_writes_and_a_loop():
+    p = load("search_full_scan.kuif")
+    prior = uniform(Executable(p).states())
+    snaps = []
+    final = run(p, prior, trace=snaps)
+    labels = [label for label, _ in snaps]
+    assert labels[:2] == ["f := false;", "n := 0"]
+    assert labels[2].startswith("while n != 3 invariant {")
+    assert labels[2].endswith("} do")
+    # SHA-256 of each snapshot's repr
+    assert [hashlib.sha256(repr(h).encode()).hexdigest() for _, h in snaps] == [
+        "7221fb0dd60f6ec1e1b0bbfb6410229d7a3dbb52858e0930a009befe9cb57231",
+        "6cc661f6aebf3aae73b4eb7ba819c8fa9159d92aabce7392a9a999f6b2bf1fe3",
+        "4fe4d0cb4eb88c686e3bc3ba07aa6f2bd5631a306a02ec0fe993fe50e0c383e7",
+    ]
+    names = prior.support()[0].names
+    assert [len(h) for _, h in snaps] == [1, 1, 8]
+    assert snaps[0][1] == unit(prior.map(lambda s: s.set("f", False)))
+    assert snaps[1][1] == unit(snaps[0][1].inners()[0].map(lambda s: s.set("n", 0)))
+    want = oracles.trace_hyper(
+        {s.values: p for s, p in prior.entries}, _scan_step
+    )
+    assert snaps[2][1] == final == Hyper(
+        [
+            (Dist([(State(names, v), q) for v, q in post.items()]), w)
+            for w, post in want.values()
+        ]
+    )
 
 
 # ---- leak erasure: forgetting observations gives the classical semantics
