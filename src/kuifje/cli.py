@@ -15,6 +15,11 @@ line without a traceback.
 All probabilities are exact rationals.  Table output prints them as `p/q`
 (integers bare); JSON output always uses the `n/d` form, `0/1` and `1/1`
 included.  Output is deterministic: same inputs, same bytes.
+
+A prior is read into a Dist over values tuples with integer weights, and
+`run` keeps its states as values tuples from the prior text to the output
+text; `eval --prior` and `check --prior` name them as States for the gain
+evaluator, and `eval --hyper` reads States, which the evaluator needs.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
-from .core import Dist, Hyper, State, _fmt_value, all_states, point, uniform
+from .core import Dist, Hyper, State, _fmt_value, all_states, point
 from .errors import (
     BoundTooSmall,
     InvariantCheckFailed,
@@ -51,15 +57,8 @@ def _frac_table(q):
     return str(Fraction(q))
 
 
-def _state_line(state):
-    return " ".join(f"{n}={_fmt_value(v)}" for n, v in state.bindings().items())
-
-
-def _state_json(state):
-    out = {}
-    for n, v in state.bindings().items():
-        out[n] = list(v) if isinstance(v, tuple) else v
-    return out
+def _state_line(names, values):
+    return " ".join(f"{n}={_fmt_value(v)}" for n, v in zip(names, values))
 
 
 def _color_enabled():
@@ -131,14 +130,16 @@ def _bind(slots, source, name, raw):
     return i, value
 
 
-def _prior_from_lines(text, decls):
-    """A prior from `bindings : probability` lines.  Each distinct
-    `name=value` text and each distinct probability text is read once."""
+def _prior_lines(text, decls):
+    """A prior over values tuples from `bindings : probability` lines.  Each
+    distinct `name=value` text and each distinct probability text is read
+    once, in line order, so the first fault in the text is the one reported.
+    """
     slots = {d.name: (i, d.domain) for i, d in enumerate(decls)}
     names = tuple(slots)
     bound = {}  # "name=value" -> (position, value)
     probs = {}  # probability text -> Fraction
-    pairs = []
+    rows = []  # (values, probability text)
     for raw in text.splitlines():
         line = raw.partition("#")[0].strip()
         if not line:
@@ -163,13 +164,40 @@ def _prior_from_lines(text, decls):
         if _UNBOUND in vals:
             missing = [n for n, v in zip(names, vals) if v is _UNBOUND]
             raise KuifjeError(f"prior line leaves {', '.join(missing)} unbound")
-        p = probs.get(prob)
-        if p is None:
-            p = probs[prob] = _prob(prob.strip())
-        pairs.append((State(names, tuple(vals)), p))
-    if not pairs:
+        if prob not in probs:
+            probs[prob] = _prob(prob.strip())
+        rows.append((tuple(vals), prob))
+    if not rows:
         raise KuifjeError("prior file/directive contains no entries")
-    return Dist(pairs)
+    return _prior_dist(rows, probs, names)
+
+
+def _prior_from_lines(text, decls):
+    """`_prior_lines`'s prior over States, as `tests/test_priors.py`
+    compares it with a reference reader."""
+    return _named(_prior_lines(text, decls), decls)
+
+
+def _prior_dist(rows, probs, names):
+    """The prior giving each (values, key) row probability `probs[key]`,
+    rows with equal values adding up.  The probabilities are checked on
+    integers over the lcm of their denominators; only an invalid prior
+    builds States, so that `Dist` names the fault as it always has."""
+    den = lcm(*(p.denominator for p in probs.values()))
+    scaled = {k: p.numerator * (den // p.denominator) for k, p in probs.items()}
+    weights = {}
+    for vals, k in rows:
+        weights[vals] = weights.get(vals, 0) + scaled[k]
+    if min(scaled.values()) < 0 or sum(weights.values()) != den:
+        Dist([(State(names, vals), probs[k]) for vals, k in rows])  # raises
+    return Dist.from_weights(weights)
+
+
+def _named(prior, decls):
+    """A prior over values tuples as one over States, for the callers that
+    read States: the gain evaluator and `check`'s run."""
+    names = tuple(d.name for d in decls)
+    return prior.map(lambda v: State(names, v))
 
 
 def _prior_product(spec, decls):
@@ -203,40 +231,80 @@ def _prior_product(spec, decls):
         pairs = [
             (vals + (v,), p * q) for vals, p in pairs for v, q in marginals[n]
         ]
-    return Dist([(State(names, vals), p) for vals, p in pairs])
+    return _prior_dist(
+        [(vals, k) for k, (vals, _) in enumerate(pairs)],
+        {k: p for k, (_, p) in enumerate(pairs)},
+        names,
+    )
 
 
 def load_prior(spec, decls):
-    """A prior from a directive string or a file of weighted states."""
+    """A prior over values tuples, laid out as `decls`, from a directive
+    string or a file of weighted states."""
     if spec == "uniform":
-        names = tuple(d.name for d in decls)
-        return uniform(all_states(names, [d.domain for d in decls]))
+        states = all_states([d.name for d in decls], [d.domain for d in decls])
+        return Dist.from_weights(dict.fromkeys((s.values for s in states), 1))
     if spec.startswith("product "):
         return _prior_product(spec[len("product ") :], decls)
     if os.path.exists(spec):
         with open(spec) as f:
-            return _prior_from_lines(f.read(), decls)
+            return _prior_lines(f.read(), decls)
     if ":" in spec:
-        return _prior_from_lines(spec, decls)
+        return _prior_lines(spec, decls)
     raise KuifjeError(f"cannot read prior {spec!r}: not a file or directive")
 
 
 # ---------------------------------------------------------------- hyper JSON
 
 
-def hyper_to_json(hyper):
-    return {
-        "hyper": [
-            {
-                "weight": _frac_json(w),
-                "inner": [
-                    {"state": _state_json(s), "prob": _frac_json(p)}
-                    for s, p in inner.entries
-                ],
-            }
-            for inner, w in hyper.entries
-        ]
-    }
+def _json_ratio(n, d):
+    g = gcd(n, d)
+    return f'"{n // g}/{d // g}"'
+
+
+def _json_value(v, pad):
+    """A state value as `json.dumps(..., indent=2)` writes it at the depth
+    whose line prefix is `pad`."""
+    if type(v) is bool:
+        return "true" if v else "false"
+    if type(v) is tuple:
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        return "[" + ",".join(inner + _json_value(x, inner) for x in v) + pad + "]"
+    return str(v)
+
+
+def _hyper_json(hyper, names):
+    """A Hyper over Dists over values tuples laid out as `names`, as the text
+    `json.dumps(doc, indent=2)` gives for the documented document
+
+        {"hyper": [{"weight": "n/d",
+                    "inner": [{"state": {name: value, ...}, "prob": "n/d"}]}]}
+
+    with arrays as lists and every probability in lowest terms, `1/1`
+    included.  Each distinct state's block is written once."""
+    pad = "\n            "
+    keys = [pad + json.dumps(n) + ": " for n in names]
+    blocks = {}  # values tuple -> its "state" object
+    groups = []
+    for inner, w in hyper.weights:
+        cells = []
+        for v, p in inner.weights:
+            block = blocks.get(v)
+            if block is None:
+                fields = ",".join(k + _json_value(x, pad) for k, x in zip(keys, v))
+                block = blocks[v] = "{" + fields + "\n          }" if v else "{}"
+            cells.append(
+                '{\n          "state": ' + block
+                + ',\n          "prob": ' + _json_ratio(p, inner.den) + "\n        }"
+            )
+        groups.append(
+            '{\n      "weight": ' + _json_ratio(w, hyper.den)
+            + ',\n      "inner": [\n        ' + ",\n        ".join(cells)
+            + "\n      ]\n    }"
+        )
+    return '{\n  "hyper": [\n    ' + ",\n    ".join(groups) + "\n  ]\n}"
 
 
 def _json_object(pairs):
@@ -253,8 +321,24 @@ def _json_object(pairs):
 
 
 def hyper_from_json(doc, decls):
+    """The Hyper over States that a `run --format json` document holds.
+
+    Each binding is checked once per (name, JSON type, value), so that
+    `true`, `1` and `1.0` are told apart, and each probability text is read
+    once."""
     slots = {d.name: (i, d.domain) for i, d in enumerate(decls)}
     names = tuple(slots)
+    bound = {}  # (name, JSON type, value) -> (position, value)
+    probs = {}  # probability text -> Fraction
+
+    def prob(text):
+        if type(text) is not str:
+            return _prob(text)
+        q = probs.get(text)
+        if q is None:
+            q = probs[text] = _prob(text)
+        return q
+
     pairs = []
     for group in doc["hyper"]:
         inner_pairs = []
@@ -264,12 +348,23 @@ def hyper_from_json(doc, decls):
             for n in names:
                 if n not in state:
                     raise KuifjeError(f"hyper state leaves {n!r} unbound")
-                vals.append(_bind(slots, "hyper", n, state[n])[1])
+                raw = state[n]
+                if type(raw) is list:
+                    key = n, list, tuple(raw), tuple(map(type, raw))
+                else:
+                    key = n, type(raw), raw
+                try:
+                    hit = bound.get(key)
+                except TypeError:  # an object, or an array holding one, lies
+                    hit = None  # in no domain: _bind raises before storing it
+                if hit is None:
+                    hit = bound[key] = _bind(slots, "hyper", n, raw)
+                vals.append(hit[1])
             if len(state) > len(names):
                 for n in state:  # one of them is undeclared
                     _bind(slots, "hyper", n, state[n])
-            inner_pairs.append((State(names, tuple(vals)), _prob(cell["prob"])))
-        pairs.append((Dist(inner_pairs), _prob(group["weight"])))
+            inner_pairs.append((State(names, tuple(vals)), prob(cell["prob"])))
+        pairs.append((Dist(inner_pairs), prob(group["weight"])))
     return Hyper(pairs)
 
 
@@ -312,13 +407,14 @@ def cmd_run(args):
     program = _load_program(args.program)
     prior = load_prior(args.prior, program.decls)
     hyper = run_forward(program, prior, loop_bound=args.loop_bound)
+    names = tuple(d.name for d in program.decls)
     if args.format == "json":
-        print(json.dumps(hyper_to_json(hyper), indent=2))
+        print(_hyper_json(hyper, names))
     else:
         for inner, w in hyper.entries:
             print(f"{_frac_table(w)}:")
-            for s, p in inner.entries:
-                print(f"  {_state_line(s)} : {_frac_table(p)}")
+            for v, p in inner.entries:
+                print(f"  {_state_line(names, v)} : {_frac_table(p)}")
     return 0
 
 
@@ -360,12 +456,13 @@ def cmd_wp(args):
 
 def _check_priors(args, executable):
     if args.prior:
-        yield args.prior, load_prior(args.prior, executable.decls)
+        decls = executable.decls
+        yield args.prior, _named(load_prior(args.prior, decls), decls)
         return
     spec = args.priors
     if spec == "exhaustive":
         for s in executable.states():
-            yield f"point {_state_line(s)}", point(s)
+            yield f"point {_state_line(s.names, s.values)}", point(s)
         return
     if spec.startswith("random:"):
         import random
@@ -435,7 +532,8 @@ def cmd_eval(args):
             raise KuifjeError(f"hyper {args.hyper} lacks the field {exc}") from None
         value = eval_gain_hyper(g, hyper)
     elif args.prior:
-        value = eval_gain(g, load_prior(args.prior, program.decls))
+        prior = _named(load_prior(args.prior, program.decls), program.decls)
+        value = eval_gain(g, prior)
     else:
         raise KuifjeError("eval needs --prior or --hyper")
     if args.format == "json":

@@ -15,14 +15,16 @@ reproduces it, which is the package's leak-erasure sanity law.
 All concrete execution goes through one `Executable` per program.  Its
 compiled statements and their tables serve every run on it, the backwards
 analysis's loop bounds and loop-head groups, and `check`'s priors, and they
-are freed with the object.
+are freed with the object.  Inside it a state is its values tuple and a
+posterior is a `{values: int}` group of integer weights; a State, Dist or
+Hyper is built only where a result leaves, and a prior over values tuples
+gives a Hyper over values tuples, so the command line's `run` builds no
+State at all.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
-from .core import Dist, Hyper, State, all_states, unit
+from .core import BoolDomain, Dist, Hyper, State, all_states
 from .errors import DivisionByZero, DomainViolation, IndexOutOfBounds, LoopBoundExceeded
 from .lang import (
     SAssign,
@@ -231,42 +233,39 @@ class Executable:
 
     # ---- forward runs
 
-    def _denote(self, stmt, hyper):
-        """Group each inner's states by trace (the cascade of guard and print
-        channels) and push each group through the final-state map.  A group
-        of inner d, outer weight w, has weight w * (its mass in d) over `den`.
-        """
-        step = self._step(stmt)
-        names = self._names
-        den = lcm(*(d.den for d, _ in hyper.weights))
-        acc = {}
-        for d, w in hyper.weights:
-            scale = w * (den // d.den)
-            buckets = {}
-            for s, v in d.weights:
-                trace, fin = step(s.values)
-                if type(fin) is not tuple:
-                    _raise(fin)
-                bucket = buckets.setdefault(trace, {})
-                bucket[fin] = bucket.get(fin, 0) + v
-            for fins in buckets.values():
-                inner = Dist.from_weights({State(names, f): n for f, n in fins.items()})
-                acc[inner] = acc.get(inner, 0) + scale * sum(fins.values())
-        return Hyper.from_weights(acc)
-
     def run(self, prior, trace=None):
         """The program as a Hyper transformer, applied to `prior`.
 
+        `prior` is a Dist over States, or over values tuples laid out as the
+        declarations; the posteriors of the result are over the same kind.
         `trace`, if given, is a list that receives (label, hyper) snapshots
         after each top-level statement.
+
+        Between statements the posteriors are `{values: int}` groups whose
+        weights share the prior's denominator: each statement pushes every
+        group's states through its step and splits the group by trace.  A
+        Hyper is built only where one leaves.  A failing run raises the error
+        met first in the canonical order of the hyper before the statement
+        that fails: posteriors in order, states in order within each.
         """
-        hyper = unit(prior)
+        if type(prior.weights[0][0]) is State:
+            names = self._names
+            groups = [{s.values: w for s, w in prior.weights}]
+        else:
+            names = None
+            groups = [dict(prior.weights)]
         body = self.program.body
-        for s in body.stmts if isinstance(body, SSeq) else (body,):
-            hyper = self._denote(s, hyper)
+        for stmt in body.stmts if isinstance(body, SSeq) else (body,):
+            step = self._step(stmt)
+            try:
+                groups = _split(step, groups)
+            except (LoopBoundExceeded, *_FAULTS):
+                _raise_first(step, groups)
+                raise
             if trace is not None:
-                trace.append((stmt_to_source(s).split("\n")[0].strip(), hyper))
-        return hyper
+                label = stmt_to_source(stmt).split("\n")[0].strip()
+                trace.append((label, _hyper(groups, names)))
+        return _hyper(groups, names)
 
     def classical_run(self, prior):
         """Run forgetting all observations: the plain output distribution."""
@@ -356,21 +355,66 @@ class Executable:
                     )
 
 
+def _split(step, groups):
+    """Each `{values: int}` group pushed through `step` and split by trace;
+    raises the first runtime error it meets."""
+    out = []
+    for group in groups:
+        buckets = {}
+        for v, w in group.items():
+            trace, fin = step(v)
+            if type(fin) is not tuple:
+                _raise(fin)
+            bucket = buckets.get(trace)
+            if bucket is None:
+                bucket = buckets[trace] = {}
+            bucket[fin] = bucket.get(fin, 0) + w
+        out += buckets.values()
+    return out
+
+
+def _raise_first(step, groups):
+    """Raise the runtime error that `step` meets first in the canonical order
+    of the hyper of `groups`, a loop over its bound included."""
+    for inner in _hyper(groups, None).inners():
+        for v, _ in inner.weights:
+            fin = step(v)[1]
+            if type(fin) is not tuple:
+                _raise(fin)
+
+
+def _hyper(groups, names):
+    """The Hyper of `{values: int}` groups: over Dists over States named by
+    `names`, or over values tuples if `names` is None."""
+    acc = {}
+    for group in groups:
+        if names is not None:
+            group = {State(names, v): w for v, w in group.items()}
+        inner = Dist.from_weights(group)
+        acc[inner] = acc.get(inner, 0) + sum(group.values())
+    return Hyper.from_weights(acc)
+
+
 def _assign(stmt, names, dom):
     """The run of an assignment to `stmt.name`, declared over `dom`, whose
-    values sit at `names.index(stmt.name)`."""
+    values sit at `names.index(stmt.name)`.  The scalar domain it writes is
+    checked as `type(x) is kind and lo <= x <= hi`."""
     name = stmt.name
     k = names.index(name)
     value = compile_expr(stmt.value, names)
+    target = dom if stmt.index is None else dom.element
+    if isinstance(target, BoolDomain):
+        kind, lo, hi = bool, False, True
+    else:
+        kind, lo, hi = int, target.lo, target.hi
     if stmt.index is None:
-        contains = dom.contains
 
         def run(v):
             try:
                 x = value(v, None)
-                if not contains(x):
+                if not (type(x) is kind and lo <= x <= hi):
                     raise DomainViolation(
-                        f"{name} := {x} leaves the declared domain {dom!r}"
+                        f"{name} := {x} leaves the declared domain {target!r}"
                     )
             except _FAULTS as exc:
                 return (), exc.with_traceback(None)
@@ -380,8 +424,6 @@ def _assign(stmt, names, dom):
 
         return run
     index = compile_expr(stmt.index, names)
-    element = dom.element
-    contains = element.contains
 
     def run(v):
         try:
@@ -390,9 +432,9 @@ def _assign(stmt, names, dom):
             if not 0 <= i < len(arr):
                 raise IndexOutOfBounds(f"{name}[{i}] with length {len(arr)}")
             x = value(v, None)
-            if not contains(x):
+            if not (type(x) is kind and lo <= x <= hi):
                 raise DomainViolation(
-                    f"{name}[{i}] := {x} leaves the declared domain {element!r}"
+                    f"{name}[{i}] := {x} leaves the declared domain {target!r}"
                 )
         except _FAULTS as exc:
             return (), exc.with_traceback(None)

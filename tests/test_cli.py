@@ -9,6 +9,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kuifje.cli import _hyper_json
+from kuifje.core import ArrayDomain, BoolDomain, Dist, Hyper, IntRange
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -264,6 +269,64 @@ def test_run_reports_the_first_failure_in_canonical_order(
     for fmt in ("table", "json"):
         p = cli("run", str(f), "--prior", "uniform", "--format", fmt, *flags)
         assert (p.returncode, p.stderr, p.stdout) == (code, stderr + "\n", "")
+
+
+DOMAINS = st.one_of(
+    st.builds(
+        lambda lo, n: IntRange(lo, lo + n), st.integers(-20, 5), st.integers(0, 6)
+    ),
+    st.just(BoolDomain()),
+    st.builds(
+        lambda k, lo: ArrayDomain(k, IntRange(lo, lo + 2)),
+        st.integers(1, 3),
+        st.integers(-9, 1),
+    ),
+)
+
+
+@st.composite
+def named_hypers(draw):
+    """Names, and a Hyper over values tuples laid out as declarations over
+    them: negative integers, booleans and arrays, or no variable at all."""
+    domains = draw(st.lists(DOMAINS, max_size=3))
+    names = draw(st.permutations(["x", "H", "A", "low_2", "f"]))[: len(domains)]
+    values = st.tuples(*(st.sampled_from(d.values()) for d in domains))
+    inners = st.dictionaries(values, st.integers(1, 40), min_size=1, max_size=5)
+    acc = {}
+    groups = st.lists(st.tuples(inners, st.integers(1, 40)), min_size=1, max_size=4)
+    for weights, w in draw(groups):
+        inner = Dist.from_weights(weights)
+        acc[inner] = acc.get(inner, 0) + w
+    return names, Hyper.from_weights(acc)
+
+
+def _ratio(q):
+    return f"{q.numerator}/{q.denominator}"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(named_hypers())
+def test_hyper_json_matches_json_dumps(case):
+    names, hyper = case
+    doc = {
+        "hyper": [
+            {
+                "weight": _ratio(w),
+                "inner": [
+                    {
+                        "state": {
+                            n: list(x) if isinstance(x, tuple) else x
+                            for n, x in zip(names, v)
+                        },
+                        "prob": _ratio(p),
+                    }
+                    for v, p in inner.entries
+                ],
+            }
+            for inner, w in hyper.entries
+        ]
+    }
+    assert _hyper_json(hyper, names) == json.dumps(doc, indent=2)
 
 
 def _full_support_prior(program, rng):

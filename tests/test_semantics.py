@@ -248,6 +248,24 @@ def test_trace_snapshots_on_a_program_with_visible_writes_and_a_loop():
     )
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["threshold_print.kuif", "search_full_scan.kuif", "compose_leaks_small.kuif"],
+)
+def test_run_on_values_tuples_matches_run_on_states(name):
+    import random
+
+    exe = Executable(load(name))
+    rng = random.Random(name)
+    prior = Dist.from_weights({s: rng.randint(1, 9) for s in exe.states()})
+    named = exe.run(prior)
+    plain = exe.run(prior.map(lambda s: s.values))
+    assert [(d.weights, w) for d, w in plain.weights] == [
+        (tuple((s.values, v) for s, v in d.weights), w) for d, w in named.weights
+    ]
+    assert all(type(v) is tuple for d in plain.inners() for v in d.support())
+
+
 # ---- leak erasure: forgetting observations gives the classical semantics
 
 
