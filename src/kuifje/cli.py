@@ -267,9 +267,7 @@ def _json_value(v, pad):
     whose line prefix is `pad`."""
     if type(v) is bool:
         return "true" if v else "false"
-    if type(v) is tuple:
-        if not v:
-            return "[]"
+    if type(v) is tuple:  # an array, never empty
         inner = pad + "  "
         return "[" + ",".join(inner + _json_value(x, inner) for x in v) + pad + "]"
     return str(v)
