@@ -236,8 +236,8 @@ def test_run_json_hyper_shape():
 # Which runtime error a failing run reports: the first failure at the
 # earliest top-level statement, in the canonical order of the hyper before
 # that statement, states in order within each posterior.  Each program below
-# fails on several states, and a walk of the posteriors in any other order
-# reports another error.
+# fails on several states, and walking the posteriors in the order they split
+# off reports another error.
 _PRECEDENCE = "hidden x : int[0..3];\nprint x mod 2;\nx := 3 - x;\n"
 _PRECEDENCE_READS = (
     "hidden n : int[0..3];\nhidden A : array[2] of int[0..1];\n"
