@@ -898,6 +898,21 @@ def test_unbounded_loop_exit_3(tmp_path):
     )
 
 
+def test_unfold_depth_above_the_exit_bound_prints_the_same_pre_gain():
+    # the flag search exits within 3 rounds on every state: the unfoldings
+    # past that no state reaches, so they print the same bytes
+    args = ("wp", corpus("search_with_flag.kuif"), "--force-unfold")
+    plain = cli(*args)
+    assert plain.returncode == 0, plain.stderr
+    for depth in ("3", "6"):
+        deep = cli(*args, "--unfold-depth", depth)
+        assert deep.returncode == 0, deep.stderr
+        assert deep.stdout == plain.stdout
+    short = cli(*args, "--unfold-depth", "2")
+    assert short.returncode == 3
+    assert short.stderr == "error: loop needs 3 unfoldings, but only 2 were allowed\n"
+
+
 def test_bad_invariant_exit_4(tmp_path):
     f = tmp_path / "badinv.kuif"
     f.write_text(

@@ -5,6 +5,9 @@ statement and through the whole body, on one executable per loop bound (1,
 2 and the default), first from cold tables and then again from the tables
 the first pass warmed.  Each run must give the reference's trace and final
 state (or fault type and message), or both must raise LoopBoundExceeded.
+The loop facts the backwards analysis reads, `loop_heads` and `loop_rounds`,
+are compared the same way on every loop of every corpus program and of two
+programs that put an annotated loop inside an `if` and inside another loop.
 """
 
 import glob
@@ -16,19 +19,39 @@ import pytest
 
 from kuifje.core import uniform
 from kuifje.errors import LoopBoundExceeded
+from kuifje.gain import semantic_eq
 from kuifje.lang import MAX_DEPTH, SIf, SSeq, SWhile, check_program, parse_program
 from kuifje.semantics import DEFAULT_LOOP_BOUND, Executable
+from kuifje.wp import WpConfig, WpEngine
 from reference_exec import ReferenceExecutable
 
 CORPUS = sorted(
     glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "corpus", "*.kuif"))
 )
-ANNOTATED = [
-    "max_no_branch.kuif",
-    "reveal_max_value.kuif",
-    "search_early_exit.kuif",
-    "search_full_scan.kuif",
-]
+# The early-exit search's annotated loop where a loop analysis has to walk
+# through an enclosing statement to reach its head: a taken `if` branch, and
+# the rounds of an unannotated loop.  They stay out of the corpus, which the
+# benchmark runs whole against recorded outputs.
+_SEARCH = (
+    "while n != 3 and A[n] != x invariant { [x in A[n:]] } do\n"
+    "  n := n + 1\n"
+    "od"
+)
+_DECLS = "hidden A : array[3] of int[0..3]\nhidden x : int[0..3]\nhidden n : int[0..3]\n"
+_POST = "\n@post { MAX i in 0..2: [A[i] = x] }"
+NESTED = {
+    "search_inside_if": (
+        _DECLS + "hidden b : bool\n"
+        "n := 0;\nif b then\n" + _SEARCH + "\nelse\n  skip\nfi" + _POST
+    ),
+    "search_inside_loop": (
+        _DECLS + "hidden k : int[0..1]\n"
+        "k := 0;\nwhile k < 1 do\n  n := 0;\n" + _SEARCH + ";\n  k := k + 1\nod"
+        + _POST
+    ),
+}
+# head arrivals at the annotated loop, over runs from every declared state
+NESTED_ARRIVALS = {"search_inside_if": 2800, "search_inside_loop": 5600}
 BOUNDS = (1, 2, DEFAULT_LOOP_BOUND)
 PASSES = {"cold": 1, "warm": 2}
 
@@ -97,20 +120,59 @@ def test_steps_match_the_reference_on_corpus(path, passes):
     assert _compare(program, _top_level(program), passes)
 
 
-@pytest.mark.parametrize("name", ANNOTATED)
+def _facts(exe, loop, states):
+    """`loop_heads` and `loop_rounds` of `exe` in comparable form; the bound's
+    message when the bound was exceeded."""
+    try:
+        heads = [(h, s.values) for h, s in exe.loop_heads(loop)]
+        rounds = [exe.loop_rounds(loop, s) for s in states]
+    except LoopBoundExceeded as exc:
+        return None, str(exc)
+    return heads, rounds
+
+
+def _reference_facts(ref, loop, bound):
+    try:
+        heads = [(h, s.values) for h, s in ref.loop_heads(loop, bound)]
+        rounds = [ref.loop_rounds(loop, s, bound) for s in ref.states()]
+    except LoopBoundExceeded as exc:
+        return None, str(exc)
+    return heads, rounds
+
+
+def _has_loop(path):
+    with open(path) as f:
+        return "while" in f.read()
+
+
+LOOP_PROGRAMS = {os.path.basename(p): p for p in CORPUS if _has_loop(p)}
+LOOP_PROGRAMS.update(NESTED)
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_PROGRAMS))
 def test_loop_heads_and_rounds_match_the_reference(name):
-    program = _corpus(os.path.join(os.path.dirname(CORPUS[0]), name))
-    exe, ref = Executable(program), ReferenceExecutable(program)
+    source = LOOP_PROGRAMS[name]
+    program = _corpus(source) if name.endswith(".kuif") else _program(source)
     loops = _loops(program.body)
-    assert any(w.invariant is not None for w in loops)
-    for loop in loops:
-        got = list(exe.loop_heads(loop))
-        assert got and got == list(ref.loop_heads(loop, DEFAULT_LOOP_BOUND))
-        assert all(type(h) is tuple for h, _ in got)
-        for s in exe.states():
-            assert exe.loop_rounds(loop, s) == ref.loop_rounds(
-                loop, s, DEFAULT_LOOP_BOUND
-            )
+    assert loops
+    for bound in BOUNDS:
+        exe, ref = Executable(program, bound), ReferenceExecutable(program)
+        for loop in loops:
+            got = _facts(exe, loop, exe.states())
+            assert got == _reference_facts(ref, loop, bound), (loop, bound)
+            if got[0] is not None:
+                assert all(type(h) is tuple for h, _ in got[0])
+
+
+@pytest.mark.parametrize("name", sorted(NESTED))
+def test_annotation_inside_an_enclosing_statement(name):
+    program = check_program(parse_program(NESTED[name]))
+    exe = Executable(program)
+    (loop,) = [w for w in _loops(exe.program.body) if w.invariant is not None]
+    assert len(list(exe.loop_heads(loop))) == NESTED_ARRIVALS[name]
+    annotated = WpEngine(program).wp_program().pre
+    unfolded = WpEngine(program, WpConfig(force_unfold=True)).wp_program().pre
+    assert semantic_eq(annotated, unfolded, program.decls)
 
 
 # ---- hand-written paths through every fault
