@@ -172,12 +172,6 @@ def _prior_lines(text, decls):
     return _prior_dist(rows, probs, names)
 
 
-def _prior_from_lines(text, decls):
-    """`_prior_lines`'s prior over States, as `tests/test_priors.py`
-    compares it with a reference reader."""
-    return _named(_prior_lines(text, decls), decls)
-
-
 def _prior_dist(rows, probs, names):
     """The prior giving each (values, key) row probability `probs[key]`,
     rows with equal values adding up.  The probabilities are checked on
@@ -323,7 +317,8 @@ def hyper_from_json(doc, decls):
 
     Each binding is checked once per (name, JSON type, value), so that
     `true`, `1` and `1.0` are told apart, and each probability text is read
-    once."""
+    once.  A probability or weight is a string, as `run` writes it: a JSON
+    number or boolean is refused, not read as its binary value."""
     slots = {d.name: (i, d.domain) for i, d in enumerate(decls)}
     names = tuple(slots)
     bound = {}  # (name, JSON type, value) -> (position, value)
@@ -331,7 +326,7 @@ def hyper_from_json(doc, decls):
 
     def prob(text):
         if type(text) is not str:
-            return _prob(text)
+            raise KuifjeError(f"bad probability {json.dumps(text)} (not a string)")
         q = probs.get(text)
         if q is None:
             q = probs[text] = _prob(text)

@@ -91,6 +91,12 @@ class Executable:
     and records nothing, so every recorded outcome holds for the object's
     bound; a caller that wants another bound builds another Executable.
 
+    Beside its outcome, a `while` step records, for each values tuple it runs
+    from, `(rounds, arrivals)`: the number of guard tests that came out true,
+    and one `(length of the trace so far, head values)` pair for each arrival
+    at the loop's head.  The backwards analysis reads its loop facts from
+    that record, so no loop body runs twice to find them.
+
     The step of a sequence, `if` or `while` records its outcomes in its own
     table, keyed by the values tuple.  Steps are kept by node identity, which
     stays unique because the object holds the program; no step refers back
@@ -107,6 +113,7 @@ class Executable:
         self._names = tuple(d.name for d in self.decls)
         self._states = None
         self._steps = {}
+        self._loops = {}  # id of a while statement -> its step's record
 
     def states(self):
         """Every declared state, in canonical order."""
@@ -193,14 +200,17 @@ class Executable:
             body = self._step(stmt.body)
             bound = self.loop_bound
             table = {}
+            record = self._loops[id(stmt)] = {}
 
             def run(v0):
                 hit = table.get(v0)
                 if hit is None:
                     v = v0
                     trace = []
+                    arrivals = []
                     k = 0  # body executions along this path so far
                     while True:
+                        arrivals.append((len(trace), v))
                         try:
                             taken = guard(v, None)
                         except _FAULTS as exc:
@@ -221,6 +231,7 @@ class Executable:
                         if type(v) is not tuple:
                             break
                     hit = table[v0] = tuple(trace), v
+                    record[v0] = k, tuple(arrivals)
                 return hit
 
         else:  # SSkip leaves everything as it is
@@ -279,36 +290,13 @@ class Executable:
         names = self._names
         return Dist.from_weights({State(names, f): n for f, n in acc.items()})
 
-    # ---- loop heads, read back through the steps from the warm tables
-
-    def _heads(self, loop, values):
-        """Each arrival at `loop`'s head when it runs from `values`, as (head
-        values, length of the loop's trace before that guard test).
-
-        Stops after a guard test that came out false or failed, or after a
-        round whose body failed.
-        """
-        trace = self._step(loop)(values)[0]
-        body = self._step(loop.body)
-        pos = 0
-        while True:
-            yield values, pos
-            if pos == len(trace) or trace[pos] == _FALSE:
-                return
-            t, values = body(values)
-            if type(values) is not tuple:
-                return
-            pos += 1 + len(t)
+    # ---- loop heads, read from the while steps' records
 
     def loop_rounds(self, loop, state):
         """How many guard tests come out true when `loop` runs alone from
         `state`, counting up to a runtime error that stops it."""
-        trace = self._step(loop)(state.values)[0]
-        return sum(
-            trace[pos] == _TRUE
-            for _, pos in self._heads(loop, state.values)
-            if pos < len(trace)
-        )
+        self._step(loop)(state.values)
+        return self._loops[id(loop)][state.values][0]
 
     def loop_heads(self, loop):
         """(observation history, state) at every arrival at `loop`'s head,
@@ -346,7 +334,7 @@ class Executable:
                     yield from self._replay(branch, values, history + t[:1], loop, path)
         else:  # `loop` itself, or a loop around it
             trace = self._step(stmt)(values)[0]
-            for head, pos in self._heads(stmt, values):
+            for pos, head in self._loops[id(stmt)][values][1]:
                 if stmt is loop:
                     yield history + trace[:pos], head
                 elif pos < len(trace) and trace[pos] == _TRUE:

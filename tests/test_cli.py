@@ -1004,6 +1004,22 @@ _EXTRA_KEY = {
     "hyper": [{"weight": "1", "inner": [{"state": {"x": 0, "zz": 5}, "prob": "1"}]}]
 }
 
+# a probability is a string: a JSON boolean or number is not read as one
+_BOOL_WEIGHT = {
+    "hyper": [{"weight": True, "inner": [{"state": {"x": 1}, "prob": "1"}]}]
+}
+_FLOAT_PROBS = {
+    "hyper": [
+        {
+            "weight": "1",
+            "inner": [
+                {"state": {"x": 0}, "prob": 0.1},
+                {"state": {"x": 1}, "prob": 0.9},
+            ],
+        }
+    ]
+}
+
 # json.dumps cannot write a repeated key
 _REPEATED_KEY = (
     '{"hyper": [{"weight": "1", "inner": '
@@ -1027,6 +1043,10 @@ _REPEATED_KEY = (
         (("eval", "--gain", "[x = 0]"), _REPEATED_KEY, "repeats the key 'x'"),
         (("run", "--prior", "product x:{1:1/2,12:1/2}"), None,
          "prior value x=12 is outside its domain"),
+        (("eval", "--gain", "[x = 0]"), json.dumps(_BOOL_WEIGHT),
+         "error: bad probability true (not a string)"),
+        (("eval", "--gain", "[x = 0]"), json.dumps(_FLOAT_PROBS),
+         "error: bad probability 0.1 (not a string)"),
     ],
 )
 def test_malformed_prior_or_hyper_exit_2(tmp_path, args, hyper_text, named):

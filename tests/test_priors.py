@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_prior as ref
-from kuifje.cli import _prior_from_lines
+from kuifje.cli import _named, _prior_lines
 from kuifje.core import Dist, Hyper, State
 from kuifje.errors import KuifjeError
 from kuifje.lang import check_program, parse_program
@@ -128,7 +128,7 @@ def _canonical(dist):
 
 
 def _new(text):
-    return _canonical(_prior_from_lines(text, DECLS))
+    return _canonical(_named(_prior_lines(text, DECLS), DECLS))
 
 
 def _binds_twice(text, name):
@@ -164,7 +164,7 @@ def test_prior_reader_matches_reference(text):
 )
 def test_prior_line_binding_a_variable_twice(text, message):
     with pytest.raises(KuifjeError) as exc:
-        _prior_from_lines(text, DECLS)
+        _prior_lines(text, DECLS)
     assert str(exc.value) == message
 
 
