@@ -37,7 +37,9 @@ _SEARCH = (
     "  n := n + 1\n"
     "od"
 )
-_DECLS = "hidden A : array[3] of int[0..3]\nhidden x : int[0..3]\nhidden n : int[0..3]\n"
+_DECLS = (
+    "hidden A : array[3] of int[0..3]\nhidden x : int[0..3]\nhidden n : int[0..3]\n"
+)
 _POST = "\n@post { MAX i in 0..2: [A[i] = x] }"
 NESTED = {
     "search_inside_if": (
@@ -120,24 +122,13 @@ def test_steps_match_the_reference_on_corpus(path, passes):
     assert _compare(program, _top_level(program), passes)
 
 
-def _facts(exe, loop, states):
-    """`loop_heads` and `loop_rounds` of `exe` in comparable form; the bound's
-    message when the bound was exceeded."""
+def _facts(heads, rounds, states):
+    """A loop's `loop_heads` pairs and its `loop_rounds` on every state, in
+    comparable form; None and the message when the bound was exceeded."""
     try:
-        heads = [(h, s.values) for h, s in exe.loop_heads(loop)]
-        rounds = [exe.loop_rounds(loop, s) for s in states]
+        return [(h, s.values) for h, s in heads], [rounds(s) for s in states]
     except LoopBoundExceeded as exc:
         return None, str(exc)
-    return heads, rounds
-
-
-def _reference_facts(ref, loop, bound):
-    try:
-        heads = [(h, s.values) for h, s in ref.loop_heads(loop, bound)]
-        rounds = [ref.loop_rounds(loop, s, bound) for s in ref.states()]
-    except LoopBoundExceeded as exc:
-        return None, str(exc)
-    return heads, rounds
 
 
 def _has_loop(path):
@@ -158,8 +149,15 @@ def test_loop_heads_and_rounds_match_the_reference(name):
     for bound in BOUNDS:
         exe, ref = Executable(program, bound), ReferenceExecutable(program)
         for loop in loops:
-            got = _facts(exe, loop, exe.states())
-            assert got == _reference_facts(ref, loop, bound), (loop, bound)
+            got = _facts(
+                exe.loop_heads(loop), lambda s: exe.loop_rounds(loop, s), ref.states()
+            )
+            want = _facts(
+                ref.loop_heads(loop, bound),
+                lambda s: ref.loop_rounds(loop, s, bound),
+                ref.states(),
+            )
+            assert got == want, (loop, bound)
             if got[0] is not None:
                 assert all(type(h) is tuple for h, _ in got[0])
 
