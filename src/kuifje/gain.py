@@ -21,7 +21,8 @@ quantifier binding, so a test that many atoms share is evaluated once per
 state: an atomic test takes one tri-state pass (`literal_masks`), `and`,
 `or` and `not` are bitmask operations, and arithmetic combines integer
 columns entry by entry.  The columns die with the evaluator.
-`eval_gain`/`eval_gain_hyper` are one-shot wrappers.
+`eval_gain`/`eval_gain_hyper` are one-shot wrappers, and
+`eval_atom_total`/`eval_bool_total` one-state ones.
 
 The same evaluator lists a gain's atom vectors over the states, pruned of
 dominated ones; `semantic_le`/`semantic_eq` decide a comparison on every
@@ -32,7 +33,10 @@ Atoms use a *total* semantics: inside an atom, an atomic boolean test that
 fails (out-of-bounds index, division by zero) is false under either polarity,
 and an atom whose numeric part cannot be evaluated on some state contributes
 0 there.  Multiplication short-circuits on a zero left factor, so a guard
-Iverson really does shield the expression it multiplies.
+Iverson really does shield the expression it multiplies.  `GainEvaluator`'s
+column kernel is the one implementation of that semantics; `lang`'s
+compiled closures evaluate strictly, and the kernel calls them only for
+reads and atomic tests.
 
 The canonicalizer rewrites every atom into a sum of terms coeff*[pred]*factors
 with predicates in minimized disjunctive normal form, merges complementary
@@ -43,9 +47,10 @@ bitmasks over it, both polarities of a literal from the evaluator's one
 tri-state pass, and values atoms as level sets, one (value, mask) pair per
 distinct nonzero value (the terminal-value view of algebraic decision
 diagrams: Bahar et al., ICCAD 1993), so an atom costs as much as its
-distinct values, not as the states.  It shares the tri-state pass with the
-evaluator, not its results: its masks and level sets are its own, and die
-with it.
+distinct values, not as the states.  It reads literal masks and factor
+columns through a `GainEvaluator` of its own, so it values an atom exactly
+as `check` does, but keeps its results apart from any other evaluator's:
+its masks, columns and level sets die with it.
 """
 
 from __future__ import annotations
@@ -61,8 +66,6 @@ from .core import Dist, all_states
 from .errors import DivisionByZero, NegativeAtom, TypeCheckError
 from .lang import (
     EVAL_ERRORS,
-    NUMERIC,
-    TEST,
     Bin,
     BoolLit,
     BoolOp,
@@ -108,17 +111,16 @@ def eval_bool_total(e, state, env=None):
     `not` is pushed down to the atomic tests (De Morgan through `and`/`or`),
     so a failing test is false under either polarity: on a state where n is
     past the end of A, `A[n] = x`, `A[n] != x` and `not (A[n] = x)` are all
-    false.
+    false.  A one-state `GainEvaluator` decides it.
     """
-    return compile_expr(e, state.names, TEST)(state.values, env)
+    ev = GainEvaluator([state])
+    return ev._test(e, False, 1, env, ev._memo(env)) == 1
 
 
 def eval_atom_total(e, state, env=None):
-    """Value of a gain atom on a state; unevaluable states contribute 0."""
-    try:
-        return Fraction(compile_expr(e, state.names, NUMERIC)(state.values, env))
-    except EVAL_ERRORS:
-        return ZERO
+    """Value of a gain atom on a state; unevaluable states contribute 0.
+    A one-state `GainEvaluator` values it."""
+    return GainEvaluator([state]).column(e, env)[0]
 
 
 # --- columns and masks ---------------------------------------------------------------
@@ -227,6 +229,13 @@ class GainEvaluator:
         for each (i, w) in support; every w is a positive integer."""
         env = env or {}
         return Fraction(self._eval(g, support, env, self._memo(env)), den)
+
+    def column(self, e, env=None):
+        """A numeric expression's total values on the states, as Fractions:
+        0 on a state where a read in it fails.  Unlike valuing a gain, a
+        negative value is returned, not refused."""
+        den, ints, _, _ = self._column(e, env, self._memo(env))
+        return [Fraction(x, den) for x in ints]
 
     def _memo(self, env):
         # the columns under one set of quantifier bindings
@@ -562,14 +571,17 @@ class Canon:
     Predicates and atoms are decided on the declared state space, in
     `all_states` order: bit i of a mask is the i-th state.  `states`, if
     given, returns that list (a WpEngine passes its executable's, so the
-    space is listed once); it is called when the first predicate or atom is
-    decided, so a Canon that decides none lists nothing.
+    space is listed once).  The Canon reads the space through one
+    `GainEvaluator` of its own, built when the first literal or factor is
+    read, so a Canon that decides nothing lists nothing; an atom's total
+    semantics is the evaluator's, and its columns die with the Canon.
 
-    One tri-state pass over a literal's atom, the evaluator's
-    `literal_masks`, gives both polarities' masks (`lit_models`).  `_models`
-    holds the mask of each predicate `models` is asked for, and only those:
-    minimisation works on one mask per conjunction, kept as literals and
-    disjuncts are dropped, and stores none of its candidates.
+    A literal's mask is the evaluator's (`_test`), whose one tri-state pass
+    over the literal's atom gives both polarities; `lit_models` keeps the
+    masks it is asked for.  `_models` holds the mask of each predicate
+    `models` is asked for, and only those: minimisation works on one mask
+    per conjunction, kept as literals and disjuncts are dropped, and stores
+    none of its candidates.
 
     An atom's values are a level set (`atom_levels`), never a per-state
     tuple.  `prune` hashes level sets to find equal atoms, sums them as
@@ -610,28 +622,26 @@ class Canon:
         self._normal_forms = {}
 
     @cached_property
-    def _values(self):
-        return [s.values for s in self._states()]
+    def _evaluator(self):
+        return GainEvaluator(self._states())
 
     @cached_property
     def full(self):
-        return (1 << len(self._values)) - 1
+        return self._evaluator._full
 
     # ---- literals and DNF
 
     def lit_models(self, lit):
-        """Bitmask of the states where one literal holds.  One tri-state pass
-        over the literal's atom (`literal_masks`) gives both polarities'
-        masks: a failing read is false under either, so the two are
-        disjoint, and outside their union lie exactly the states where a read
-        fails."""
+        """Bitmask of the states where one literal holds, from the
+        evaluator's one tri-state pass over the literal's atom (`_test`),
+        which gives both polarities' masks: a failing read is false under
+        either, so the two are disjoint, and outside their union lie exactly
+        the states where a read fails."""
         mask = self._lit_model_cache.get(lit)
         if mask is None:
-            atom = lit[1]
-            fn = compile_expr(atom, self.names)
-            cache = self._lit_model_cache
-            cache[False, atom], cache[True, atom] = literal_masks(fn, self._values)
-            mask = cache[lit]
+            ev, (neg, atom) = self._evaluator, lit
+            mask = ev._test(atom, neg, ev._full, {}, ev._memo({}))
+            self._lit_model_cache[lit] = mask
         return mask
 
     def _conj_models(self, conj):
@@ -1201,15 +1211,14 @@ class Canon:
         """A product of factors as (den, levels, fails): the product is v /
         den on the states of each (v, mask) of levels, which are disjoint,
         and 0 elsewhere; where bit i of fails is set, a factor's read fails
-        on the i-th state.  Each factor is read once over the states."""
+        on the i-th state.  Each factor is the evaluator's column
+        (`_column`), read once over the states."""
         out = self._factor_levels.get(factors)
         if out is None:
+            ev = self._evaluator
             den, ints, fails = 1, None, 0
             for f in factors:
-                fn = compile_expr(f, self.names, NUMERIC)
-                values, bad = read_column(fn, self._values)
-                d = lcm(*(x.denominator for x in values))
-                col = [x.numerator * (d // x.denominator) for x in values]
+                d, col, bad, _ = ev._column(f, {}, ev._memo({}))
                 den, fails = den * d, fails | bad
                 ints = col if ints is None else list(map(operator.mul, ints, col))
             levels = [(v, _pack(map(v.__eq__, ints))) for v in set(ints) if v]

@@ -9,8 +9,9 @@ bounded quantifier `MAX i in lo..hi: ...`.
 
 The parser is hand-rolled recursive descent over a regex lexer; positions are
 1-based line:column and ride along on AST nodes without affecting equality.
-Input may nest at most MAX_DEPTH levels.  Expressions are evaluated by
-closures that `compile_expr` builds once per node.
+Input may nest at most MAX_DEPTH levels.  Expressions are evaluated strictly
+by closures that `compile_expr` builds once per node; a gain atom's total
+semantics is `gain.GainEvaluator`'s.
 """
 
 from __future__ import annotations
@@ -1021,43 +1022,30 @@ def apply_op(op, a, b):
     return OPS[op](a, b)
 
 
-# Reads that fail.  Strict evaluation raises them; total evaluation turns a
-# failing test into false and a failing numeric read into an unevaluable atom.
+# Reads that fail.  Strict evaluation raises them; the gain evaluator's total
+# semantics (`gain.GainEvaluator`) turns a failing test into false and a
+# failing numeric read into an unevaluable atom.
 EVAL_ERRORS = (IndexOutOfBounds, DivisionByZero)
 
-# Compilation modes.  STRICT is the language's evaluation.  NUMERIC is the
-# total semantics of a gain atom: it descends only through Iverson, Bin, Neg
-# and max/min, `*` stops at a zero left factor, and an Iverson reads its test
-# in TEST mode; any other node is strict.  TEST and NEGATED_TEST value a
-# boolean, or its negation, with `not` pushed down to the atomic tests
-# through `and`/`or`, and an atomic test that fails false under either
-# polarity.
-STRICT, NUMERIC, TEST, NEGATED_TEST = "strict", "numeric", "test", "negated test"
 
-
-def compile_expr(e, names, mode=STRICT):
+def compile_expr(e, names):
     """e as a closure `f(values, env)` over a state's values tuple, laid out
-    as `names`, and the quantifier bindings `env` (a dict, or None).
+    as `names`, and the quantifier bindings `env` (a dict, or None).  The
+    closure evaluates strictly: a failing read raises one of EVAL_ERRORS.
 
-    The closure is built once per (names, mode) and kept on the node, so it
-    lives exactly as long as the expression does.
+    The closure is built once per names and kept on the node, so it lives
+    exactly as long as the expression does.
     """
     code = e.__dict__.get("_code")
     if code is None:
         code = e.__dict__["_code"] = {}
-    fn = code.get((names, mode))
+    fn = code.get(names)
     if fn is None:
-        fn = code[names, mode] = _compile(e, names, mode)
+        fn = code[names] = _compile(e, names)
     return fn
 
 
-def _compile(e, names, mode):
-    if mode in (TEST, NEGATED_TEST):
-        return _compile_test(e, names, mode == NEGATED_TEST)
-    if mode == NUMERIC and not isinstance(e, (Iverson, Bin, Neg, MaxF, MinF)):
-        return compile_expr(e, names)
-    # From here mode is STRICT, or NUMERIC for the nodes just named; the
-    # operands of Neg, Bin and max/min are compiled in the same mode.
+def _compile(e, names):
     if isinstance(e, (IntLit, RatLit, BoolLit)):
         value = e.value
         return lambda v, env: value
@@ -1080,25 +1068,18 @@ def _compile(e, names, mode):
 
         return idx
     if isinstance(e, Neg):
-        arg = compile_expr(e.arg, names, mode)
+        arg = compile_expr(e.arg, names)
         return lambda v, env: -arg(v, env)
     if isinstance(e, (Bin, Cmp)):
         op, fn = e.op, OPS[e.op]
-        left = compile_expr(e.left, names, mode)
-        right = compile_expr(e.right, names, mode)
+        left = compile_expr(e.left, names)
+        right = compile_expr(e.right, names)
         if op in ("div", "mod"):
             return lambda v, env: apply_op(op, left(v, env), right(v, env))
-        if op == "*" and mode == NUMERIC:
-
-            def times(v, env):
-                a = left(v, env)
-                return 0 if a == 0 else a * right(v, env)
-
-            return times
         return lambda v, env: fn(left(v, env), right(v, env))
     if isinstance(e, (MaxF, MinF)):
         pick = max if isinstance(e, MaxF) else min
-        args = tuple(compile_expr(a, names, mode) for a in e.args)
+        args = tuple(compile_expr(a, names) for a in e.args)
         return lambda v, env: pick([a(v, env) for a in args])
     if isinstance(e, BoolOp):
         left = compile_expr(e.left, names)
@@ -1110,7 +1091,7 @@ def _compile(e, names, mode):
         arg = compile_expr(e.arg, names)
         return lambda v, env: not arg(v, env)
     if isinstance(e, Iverson):
-        arg = compile_expr(e.arg, names, TEST if mode == NUMERIC else STRICT)
+        arg = compile_expr(e.arg, names)
         return lambda v, env: 1 if arg(v, env) else 0
     if isinstance(e, Mem):
         name, k, negated = e.array, names.index(e.array), e.negated
@@ -1129,28 +1110,6 @@ def _compile(e, names, mode):
 
         return mem
     raise TypeCheckError(f"cannot evaluate {e!r}")
-
-
-def _compile_test(e, names, neg):
-    # the total value of e, or of `not e` when neg is set
-    if isinstance(e, BoolOp):
-        mode = NEGATED_TEST if neg else TEST
-        left = compile_expr(e.left, names, mode)
-        right = compile_expr(e.right, names, mode)
-        if (e.op == "and") != neg:
-            return lambda v, env: left(v, env) and right(v, env)
-        return lambda v, env: left(v, env) or right(v, env)
-    if isinstance(e, Not):
-        return compile_expr(e.arg, names, TEST if neg else NEGATED_TEST)
-    strict = compile_expr(e, names)
-
-    def test(v, env):
-        try:
-            return (not strict(v, env)) if neg else bool(strict(v, env))
-        except EVAL_ERRORS:
-            return False
-
-    return test
 
 
 def eval_expr(e, state, env=None):

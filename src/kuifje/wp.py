@@ -56,7 +56,7 @@ from .errors import (
     LoopBoundExceeded,
     LoopNeedsInvariantOrBound,
 )
-from .gain import Canon, balanced, eval_atom_total, normalize, semantic_eq, simplify
+from .gain import Canon, GainEvaluator, balanced, normalize, semantic_eq, simplify
 from .lang import (
     EVAL_ERRORS,
     BoolLit,
@@ -322,9 +322,8 @@ def classical_wp(program, expr, config=None):
 
 def classical_expectation(program, expr, dist, config=None):
     """Expected value of expr after a leak-blind run — via the backwards
-    transformer, for cross-checking against forward classical_run."""
+    transformer, for cross-checking against forward classical_run.  pre is
+    valued as one column over dist's support, negative values included."""
     pre = classical_wp(program, expr, config)
-    total = 0
-    for s, p in dist.entries:
-        total += p * eval_atom_total(pre, s)
-    return total
+    values = GainEvaluator(dist.support()).column(pre)
+    return sum(p * v for (_, p), v in zip(dist.entries, values))

@@ -3,13 +3,14 @@
 `ReferenceMinimizer` is the minimisation `Canon` used before it worked on
 cached conjunction masks: every candidate deletion is a new frozenset whose
 states are found by ANDing its literals' masks again, and each literal's
-mask comes from its own pass in `TEST` or `NEGATED_TEST` mode.  It borrows
-only the Canon's state list and renderings, and keeps its own memos, so it
-leaves the Canon's caches as it found them.
+mask comes from its own walk of the literal, state by state, with the
+reference evaluator's `truth` under the literal's polarity.  It borrows only
+the Canon's state list and renderings, and keeps its own memos, so it leaves
+the Canon's caches as it found them.
 """
 
 from kuifje.gain import FALSE_DNF, TRUE_DNF
-from kuifje.lang import NEGATED_TEST, TEST, compile_expr
+from reference_eval import truth
 
 
 class ReferenceMinimizer:
@@ -23,8 +24,8 @@ class ReferenceMinimizer:
         mask = self._lits.get(lit)
         if mask is None:
             neg, atom = lit
-            fn = compile_expr(atom, self.canon.names, NEGATED_TEST if neg else TEST)
-            bits = "".join("1" if fn(row, None) else "0" for row in self.canon._values)
+            states = self.canon._evaluator.states
+            bits = "".join("1" if truth(atom, s, neg=neg) else "0" for s in states)
             mask = self._lits[lit] = int(bits[::-1] or "0", 2)
         return mask
 

@@ -1,26 +1,26 @@
 """Reference dominance pruning, kept only to test `Canon.prune` against.
 
-`reference_prune` values each atom with `eval_atom_total` on every declared
-state, where `Canon.prune` reads level sets from its masks and factor
-columns; it finds dominated vectors by comparing every pair, with no scan by
-descending sum, and keeps the smallest rendering among equal vectors by
-comparing renderings, where `Canon.prune` sorts by rendering first.  It
+`reference_prune` values each atom as one `GainEvaluator` column over the
+declared states, where `Canon.prune` reads level sets from its masks and
+factor columns; it finds dominated vectors by comparing every pair, with no
+scan by descending sum, and keeps the smallest rendering among equal vectors
+by comparing renderings, where `Canon.prune` sorts by rendering first.  It
 borrows only the Canon's declarations and renderings.
 """
 
 from operator import le
 
 from kuifje.core import all_states
-from kuifje.gain import eval_atom_total
+from kuifje.gain import GainEvaluator
 
 
 def atom_values(canon, atom, states=None):
-    """The atom's value on each declared state, by `eval_atom_total`; an
-    integral value as an int, which compares faster and equal."""
+    """The atom's value on each declared state, as the column of a new
+    `GainEvaluator` over them; an integral value as an int, which compares
+    faster and equal."""
     if states is None:
         states = all_states(canon.names, list(canon.domains.values()))
-    expr = canon.atom_expr(atom)
-    values = (eval_atom_total(expr, s) for s in states)
+    values = GainEvaluator(states).column(canon.atom_expr(atom))
     return tuple(x.numerator if x.denominator == 1 else x for x in values)
 
 

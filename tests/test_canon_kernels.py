@@ -5,10 +5,12 @@
   DNF that `wp` minimises on the corpus and on generated DNFs.
 - One tri-state pass per literal atom gives both polarities: the two masks
   are disjoint, and outside their union lie exactly the failing reads.
-- An atom's level set, expanded, equals `eval_atom_total` state by state,
-  for factorless terms, factor terms, sums and negative coefficients.
+- An atom's level set, expanded, equals the reference evaluator's total
+  value (`reference_eval.atom`) state by state, for factorless terms, factor
+  terms, sums, negative coefficients and a zero factor that shields a
+  failing read.
 - Pruning on level sets returns the same list as a reference that values
-  atoms with `eval_atom_total` and compares every pair
+  atoms as `GainEvaluator` columns and compares every pair
   (`reference_prune.py`): on generated atom lists with many vectors per sum,
   negative coefficients and factor terms, and on every call `wp` makes on
   the corpus.
@@ -26,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_eval as ref
 from kuifje.core import all_states
 from kuifje.gain import Canon, _levels_le, _pointwise_le, simplify
 from kuifje.lang import (
@@ -116,7 +119,7 @@ def _run_id(run):
 def _failing_reads(canon, atom):
     fn = compile_expr(atom, canon.names)
     mask = 0
-    for i, row in enumerate(canon._values):
+    for i, row in enumerate(canon._evaluator._rows):
         try:
             fn(row, None)
         except EVAL_ERRORS:
@@ -196,7 +199,7 @@ dnfs = st.frozensets(conjunctions, min_size=1, max_size=6)
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(dnfs)
 def test_minimize_matches_reference_on_generated_dnfs(dnf):
-    assert len(SPACE_CANON._values) == 288
+    assert len(SPACE_CANON._evaluator._rows) == 288
     expected = ReferenceMinimizer(SPACE_CANON).minimize(dnf)
     assert SPACE_CANON._minimize(dnf) == expected
 
@@ -212,7 +215,7 @@ def test_out_of_bounds_read_is_false_under_both_polarities():
     # n ranges over 0..3 and A has length 3: n = 3 reads past the end
     length = canon.domains["A"].length
     past = 0
-    for i, row in enumerate(canon._values):
+    for i, row in enumerate(canon._evaluator._rows):
         if row[canon.names.index("n")] == length:
             past |= 1 << i
     assert past
@@ -228,7 +231,8 @@ def test_out_of_bounds_read_is_false_under_both_polarities():
 @pytest.mark.parametrize("pred", [None, "[b or A[x] = y and x < 2]"])
 def test_level_set_matches_total_values(coeff, pred):
     # c·[p] alone, with factors (one whose read fails where A[x] is out of
-    # bounds), and in sums whose terms overlap
+    # bounds, one where a zero left factor shields that read), and in sums
+    # whose terms overlap
     canon = Canon(SPACE.decls)
     guarded = coeff if pred is None else f"{coeff} * {pred}"
     sources = [
@@ -237,6 +241,7 @@ def test_level_set_matches_total_values(coeff, pred):
         f"{guarded} * max(x, 2) * A[y]",
         f"{guarded} + [x < 2] - 1/2 * [y = 3]",
         f"{guarded} * y + x * [b] - A[x] div 2",
+        f"{guarded} * max([x < 2] * A[x], y)",
     ]
     states = all_states(canon.names, list(canon.domains.values()))
     for source in sources:
@@ -254,7 +259,8 @@ def test_level_set_matches_total_values(coeff, pred):
             for i in range(len(states)):
                 if m >> i & 1:
                     expanded[i] = Fraction(v, den)
-        assert expanded == list(atom_values(canon, atom, states)), source
+        expr = canon.atom_expr(atom)
+        assert expanded == [ref.atom(expr, s) for s in states], source
     (term,) = canon.atom_of(parse_gain(guarded).expr)
     assert term.coeff == Fraction(coeff) and not term.factors
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebra
+import reference_eval as ref
 import soundness
 from kuifje.core import (
     State,
@@ -129,7 +130,7 @@ def test_render_is_reparseable_and_stable():
 
 def strategies(g, env):
     if isinstance(g, GAtom):
-        return [lambda s, e=dict(env), x=g.expr: F(eval_atom_total(x, s, e))]
+        return [lambda s, e=dict(env), x=g.expr: ref.atom(x, s, e)]
     if isinstance(g, GMax):
         return strategies(g.left, env) + strategies(g.right, env)
     if isinstance(g, GPlus):
@@ -145,7 +146,7 @@ def strategies(g, env):
         return out
     # GAnd
     return [
-        (lambda s, f=f, e=dict(env), x=g.scalar: F(eval_atom_total(x, s, e)) * f(s))
+        (lambda s, f=f, e=dict(env), x=g.scalar: ref.atom(x, s, e) * f(s))
         for f in strategies(g.body, env)
     ]
 
@@ -483,6 +484,16 @@ def test_semantic_eq_reports_a_mixed_counterexample():
     assert semantic_le(h, g, X4.decls)
     res = semantic_eq(h, g, X4.decls)
     assert res.left < res.right
+
+
+def test_compare_result_describes_a_violation_and_a_hold(load_program):
+    # the best guess at x is worth 1 on a point prior, over 1/2; it is worth
+    # at least 1/10 on every prior, over 1/20
+    decls = load_program("threshold_print").decls
+    guess = parse_gain("MAX w in 0..9: [x = w]")
+    res = semantic_le(guess, parse_gain("1/2"), decls)
+    assert res.describe() == "violated on Dist({{x=0}: 1}): left = 1, right = 1/2"
+    assert semantic_le(parse_gain("1/20"), guess, decls).describe() == "holds"
 
 
 # ---- the algebra battery (the acceptance suite re-runs this at full size)

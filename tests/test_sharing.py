@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_eval as ref
 from kuifje import gain
 from kuifje.core import Dist
-from kuifje.gain import GainEvaluator, eval_atom_total
+from kuifje.gain import GainEvaluator
 from kuifje.lang import (
-    STRICT,
     Bin,
     GAnd,
     GAtom,
@@ -224,8 +224,8 @@ def test_gain_evaluator_values_each_literal_once_per_state(monkeypatch):
     calls = Counter()
     real = gain.compile_expr
 
-    def counting(e, names, mode=STRICT):
-        fn = real(e, names, mode)
+    def counting(e, names):
+        fn = real(e, names)
 
         def counted(values, env):
             calls[expr_to_source(e)] += 1
@@ -241,7 +241,7 @@ def test_gain_evaluator_values_each_literal_once_per_state(monkeypatch):
     assert max(calls.values()) <= len(states)
     # the value is the best expected atom, atom by atom and state by state
     assert got == max(
-        sum(w * eval_atom_total(a, s) for s, w in prior.weights) for a in nf.atoms
+        sum(w * ref.atom(a, s) for s, w in prior.weights) for a in nf.atoms
     ) / prior.den
 
 
