@@ -898,6 +898,26 @@ def test_unbounded_loop_exit_3(tmp_path):
     )
 
 
+@pytest.mark.parametrize("annotation", ["1", "2"])
+def test_unbounded_loop_beside_an_annotated_one_exit_3(tmp_path, annotation):
+    # the annotated loop's heads are found by running the program from every
+    # state, and from x > 0 that run takes the `else` branch's endless loop:
+    # the bound stops it before the annotation, right or wrong, is decided
+    f = tmp_path / "spin_else.kuif"
+    f.write_text(
+        "hidden x : int[0..2]\nif x = 0 then\n"
+        f"  while x < 1 invariant {{ {annotation} }} do\n    x := x + 1\n  od\n"
+        "else\n  while x > 0 do skip od\nfi\n@post { 1 }\n"
+    )
+    p = cli("wp", str(f), "--loop-bound", "50")
+    assert p.returncode == 3
+    assert p.stdout == ""
+    assert p.stderr == (
+        "error: loop exceeded 50 iterations; raise the loop bound or add an "
+        "invariant\n"
+    )
+
+
 def test_unfold_depth_above_the_exit_bound_prints_the_same_pre_gain():
     # the flag search exits within 3 rounds on every state: the unfoldings
     # past that no state reaches, so they print the same bytes

@@ -14,13 +14,23 @@ import glob
 import inspect
 import os
 import sys
+from collections import Counter
 
 import pytest
 
+from kuifje import semantics
 from kuifje.core import uniform
 from kuifje.errors import LoopBoundExceeded
 from kuifje.gain import semantic_eq
-from kuifje.lang import MAX_DEPTH, SIf, SSeq, SWhile, check_program, parse_program
+from kuifje.lang import (
+    MAX_DEPTH,
+    SIf,
+    SSeq,
+    SWhile,
+    check_program,
+    expr_to_source,
+    parse_program,
+)
 from kuifje.semantics import DEFAULT_LOOP_BOUND, Executable
 from kuifje.wp import WpConfig, WpEngine
 from reference_exec import ReferenceExecutable
@@ -165,6 +175,35 @@ def test_annotation_inside_an_enclosing_statement(name):
     annotated = WpEngine(program).wp_program().pre
     unfolded = WpEngine(program, WpConfig(force_unfold=True)).wp_program().pre
     assert semantic_eq(annotated, unfolded, program.decls)
+
+
+def test_a_loop_runs_once_from_each_entry_state(monkeypatch):
+    # a second run from the same prior enters the loop from the same states,
+    # so the loop's recorded outcomes answer it and its guard is not tested
+    calls = Counter()
+    real = semantics.compile_expr
+
+    def counting(e, names):
+        fn = real(e, names)
+        text = expr_to_source(e)
+
+        def counted(values, env):
+            calls[text] += 1
+            return fn(values, env)
+
+        return counted
+
+    monkeypatch.setattr(semantics, "compile_expr", counting)
+    exe = Executable(_corpus(LOOP_PROGRAMS["search_early_exit.kuif"]))
+    (loop,) = _loops(exe.program.body)
+    guard = expr_to_source(loop.guard)
+    prior = uniform(exe.states())
+    first = exe.run(prior)
+    tested = calls[guard]
+    assert tested > 0
+    assert exe.run(prior) == first
+    monkeypatch.undo()
+    assert calls[guard] == tested
 
 
 # ---- hand-written paths through every fault
