@@ -13,9 +13,9 @@ and returns the ordinary output distribution.  Averaging a run's Hyper always
 reproduces it, which is the package's leak-erasure sanity law.
 
 All concrete execution goes through one `Executable` per program.  Its
-compiled statements and their tables serve every run on it, the backwards
-analysis's loop bounds and loop-head groups, and `check`'s priors, and they
-are freed with the object.  Inside it a state is its values tuple and a
+compiled statements and its loops' recorded outcomes serve every run on it,
+the backwards analysis's loop bounds and loop-head groups, and `check`'s
+priors, and they are freed with the object.  Inside it a state is its values tuple and a
 posterior is a `{values: int}` group of integer weights; a State, Dist or
 Hyper is built only where a result leaves, and a prior over values tuples
 gives a Hyper over values tuples, so the command line's `run` builds no
@@ -39,9 +39,9 @@ from .lang import (
 
 DEFAULT_LOOP_BOUND = 10000
 
-# Runtime errors that end a path.  The tables record them; `run` and
-# `classical_run` raise them, the backwards analysis treats the path as
-# undefined.
+# Runtime errors that end a path.  A step returns them as its final state
+# and a loop records them; `run` and `classical_run` raise them, the
+# backwards analysis treats the path as undefined.
 _FAULTS = (IndexOutOfBounds, DivisionByZero, DomainViolation)
 
 _TRUE = ("branch", True)
@@ -91,19 +91,21 @@ class Executable:
     and records nothing, so every recorded outcome holds for the object's
     bound; a caller that wants another bound builds another Executable.
 
-    Beside its outcome, a `while` step records, for each values tuple it runs
-    from, `(rounds, arrivals)`: the number of guard tests that came out true,
-    and one `(length of the trace so far, head values)` pair for each arrival
-    at the loop's head.  The backwards analysis reads its loop facts from
-    that record, so no loop body runs twice to find them.
+    Only loops keep what they ran.  A `while` step records, for each values
+    tuple it runs from, `(outcome, rounds, arrivals)` in one dict,
+    `_loops[id(stmt)]`: the `(trace, final)` pair it returns, the number of
+    guard tests that came out true, and one `(length of the trace so far,
+    head values)` pair for each arrival at the loop's head.  A second run
+    from the same values is answered from that dict, and the backwards
+    analysis reads its loop facts there, so no loop runs twice from one
+    state.  A sequence or `if` just runs its children: it costs little more
+    than a lookup would.
 
-    The step of a sequence, `if` or `while` records its outcomes in its own
-    table, keyed by the values tuple.  Steps are kept by node identity, which
-    stays unique because the object holds the program; no step refers back
-    to the object or to a statement node, so the tables die with it.  A State
-    is built only where a result leaves the object.  Callers evaluating many
-    priors keep one Executable (or a WpEngine's) so that each state is
-    executed once.
+    Steps are kept by node identity, which stays unique because the object
+    holds the program; no step refers back to the object or to a statement
+    node, so the records die with it.  A State is built only where a result
+    leaves the object.  Callers evaluating many priors keep one Executable
+    (or a WpEngine's) so that each loop runs once from each state.
     """
 
     def __init__(self, program, loop_bound=DEFAULT_LOOP_BOUND):
@@ -123,8 +125,8 @@ class Executable:
 
     def finals(self):
         """The final states of the runs from every declared state that end
-        without a runtime error, each once, in order of first arrival; the
-        body's table answers for the states a loop analysis already ran."""
+        without a runtime error, each once, in order of first arrival; each
+        loop answers from its record for the states it already ran from."""
         step = self._step(self.program.body)
         finals = dict.fromkeys(step(s.values)[1] for s in self.states())
         names = self._names
@@ -137,11 +139,10 @@ class Executable:
         together with its children, catching the runtime errors of its own
         expressions and assignment.
 
-        The run of a sequence, `if` or `while` answers from its table where
-        it can.  An assignment, print or skip costs no more to run again
-        than to look up, so it has no table.  Compiling and running each
-        take one frame per statement node, so that the deepest nesting the
-        parser accepts stays clear of the recursion limit.
+        The run of a `while` answers from its loop's record where it can;
+        every other statement just runs.  Compiling and running each take
+        one frame per statement node, so that the deepest nesting the parser
+        accepts stays clear of the recursion limit.
         """
         run = self._steps.get(id(stmt))
         if run is not None:
@@ -162,77 +163,66 @@ class Executable:
             steps = []
             for s in stmt.stmts:
                 steps.append(self._step(s))
-            table = {}
 
-            def run(v0):
-                hit = table.get(v0)
-                if hit is None:
-                    v = v0
-                    trace = []
-                    for step in steps:
-                        t, v = step(v)
-                        trace += t
-                        if type(v) is not tuple:
-                            break
-                    hit = table[v0] = tuple(trace), v
-                return hit
+            def run(v):
+                trace = []
+                for step in steps:
+                    t, v = step(v)
+                    trace += t
+                    if type(v) is not tuple:
+                        break
+                return tuple(trace), v
 
         elif isinstance(stmt, SIf):
             guard = compile_expr(stmt.guard, names)
             then, els = self._step(stmt.then), self._step(stmt.els)
-            table = {}
 
             def run(v):
-                hit = table.get(v)
-                if hit is None:
-                    try:
-                        taken = guard(v, None)
-                    except _FAULTS as exc:
-                        hit = (), exc.with_traceback(None)
-                    else:
-                        t, fin = (then if taken else els)(v)
-                        hit = (_TRUE if taken else _FALSE, *t), fin
-                    table[v] = hit
-                return hit
+                try:
+                    taken = guard(v, None)
+                except _FAULTS as exc:
+                    return (), exc.with_traceback(None)
+                t, fin = (then if taken else els)(v)
+                return (_TRUE if taken else _FALSE, *t), fin
 
         elif isinstance(stmt, SWhile):
             guard = compile_expr(stmt.guard, names)
             body = self._step(stmt.body)
             bound = self.loop_bound
-            table = {}
-            record = self._loops[id(stmt)] = {}
+            loop = self._loops[id(stmt)] = {}
 
             def run(v0):
-                hit = table.get(v0)
-                if hit is None:
-                    v = v0
-                    trace = []
-                    arrivals = []
-                    k = 0  # body executions along this path so far
-                    while True:
-                        arrivals.append((len(trace), v))
-                        try:
-                            taken = guard(v, None)
-                        except _FAULTS as exc:
-                            v = exc.with_traceback(None)
-                            break
-                        if not taken:
-                            trace.append(_FALSE)
-                            break
-                        trace.append(_TRUE)
-                        k += 1
-                        if k > bound:
-                            raise LoopBoundExceeded(
-                                f"loop exceeded {bound} iterations; raise the loop "
-                                "bound or add an invariant"
-                            )
-                        t, v = body(v)
-                        trace += t
-                        if type(v) is not tuple:
-                            break
-                    hit = table[v0] = tuple(trace), v
-                    record[v0] = k, tuple(arrivals)
-                return hit
+                hit = loop.get(v0)
+                if hit is not None:
+                    return hit[0]
+                v = v0
+                trace = []
+                arrivals = []
+                k = 0  # body executions along this path so far
+                while True:
+                    arrivals.append((len(trace), v))
+                    try:
+                        taken = guard(v, None)
+                    except _FAULTS as exc:
+                        v = exc.with_traceback(None)
+                        break
+                    if not taken:
+                        trace.append(_FALSE)
+                        break
+                    trace.append(_TRUE)
+                    k += 1
+                    if k > bound:
+                        raise LoopBoundExceeded(
+                            f"loop exceeded {bound} iterations; raise the loop "
+                            "bound or add an invariant"
+                        )
+                    t, v = body(v)
+                    trace += t
+                    if type(v) is not tuple:
+                        break
+                outcome = tuple(trace), v
+                loop[v0] = outcome, k, tuple(arrivals)
+                return outcome
 
         else:  # SSkip leaves everything as it is
 
@@ -296,7 +286,7 @@ class Executable:
         """How many guard tests come out true when `loop` runs alone from
         `state`, counting up to a runtime error that stops it."""
         self._step(loop)(state.values)
-        return self._loops[id(loop)][state.values][0]
+        return self._loops[id(loop)][state.values][1]
 
     def loop_heads(self, loop):
         """(observation history, state) at every arrival at `loop`'s head,
@@ -306,11 +296,9 @@ class Executable:
         test itself fails.
         """
         body = self.program.body
-        step = self._step(body)
         path = _enclosing(body, loop)
         names = self._names
         for s0 in self.states():
-            step(s0.values)
             for history, head in self._replay(body, s0.values, (), loop, path):
                 yield history, State(names, head)
 
@@ -334,7 +322,7 @@ class Executable:
                     yield from self._replay(branch, values, history + t[:1], loop, path)
         else:  # `loop` itself, or a loop around it
             trace = self._step(stmt)(values)[0]
-            for pos, head in self._loops[id(stmt)][values][1]:
+            for pos, head in self._loops[id(stmt)][values][2]:
                 if stmt is loop:
                     yield history + trace[:pos], head
                 elif pos < len(trace) and trace[pos] == _TRUE:
@@ -436,8 +424,8 @@ def _assign(stmt, names, dom):
 
 
 def run(program, prior, loop_bound=DEFAULT_LOOP_BOUND, trace=None):
-    """One-shot `Executable(program, loop_bound).run(...)`: the tables die
-    with the call."""
+    """One-shot `Executable(program, loop_bound).run(...)`: the loop records
+    die with the call."""
     return Executable(program, loop_bound).run(prior, trace)
 
 

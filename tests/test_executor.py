@@ -2,9 +2,10 @@
 
 Every corpus program runs from every declared state through each top-level
 statement and through the whole body, on one executable per loop bound (1,
-2 and the default), first from cold tables and then again from the tables
-the first pass warmed.  Each run must give the reference's trace and final
-state (or fault type and message), or both must raise LoopBoundExceeded.
+2 and the default), first from empty loop records and then again from the
+records the first pass filled.  Each run must give the reference's trace
+and final state (or fault type and message), or both must raise
+LoopBoundExceeded.
 The loop facts the backwards analysis reads, `loop_heads` and `loop_rounds`,
 are compared the same way on every loop of every corpus program and of two
 programs that put an annotated loop inside an `if` and inside another loop.
@@ -104,7 +105,8 @@ def _outcome(fn):
 
 def _compare(program, stmts, passes):
     """Run `stmts` from every state `passes` times on one executable per
-    bound; every pass after the first is answered from the tables."""
+    bound; in every pass after the first, each loop answers from its
+    record."""
     ref = ReferenceExecutable(program)
     checked = 0
     for bound in BOUNDS:
