@@ -480,7 +480,7 @@ def cmd_check(args):
     post = _resolve_post(program, args)
     engine = WpEngine(program, _wp_config(args))
     result = _wp_pre(engine, post)
-    executable = engine.executable  # its tables are warm from wp's loop analysis
+    executable = engine.executable  # wp's loop analysis already ran its loops
     # one evaluator over the declared space values the pre-gain, and one over
     # the final states the program reaches values the post-gain, each
     # distinct sub-expression once over its states, so a test the pre-gain's
@@ -539,14 +539,28 @@ def cmd_eval(args):
 # ---------------------------------------------------------------- wiring
 
 
+def _count(text):
+    """An option's iteration count: an integer, 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {n}")
+    return n
+
+
 def _add_common(sub):
     sub.add_argument("program", help="program file (.kuif)")
     sub.add_argument(
         "--loop-bound",
-        type=int,
+        type=_count,
         default=DEFAULT_LOOP_BOUND,
         help="max loop iterations before giving up",
     )
+
+
+def _add_format(sub):
     sub.add_argument(
         "--format", choices=("table", "json"), default="table", help="output format"
     )
@@ -574,7 +588,7 @@ def _add_wp_flags(sub):
         help="ignore loop annotations and unfold loops",
     )
     sub.add_argument(
-        "--unfold-depth", type=int, default=None, help="exact unfolding depth"
+        "--unfold-depth", type=_count, default=None, help="exact unfolding depth"
     )
     sub.add_argument(
         "--unsound-no-branch-leak", action="store_true", help=argparse.SUPPRESS
@@ -592,6 +606,7 @@ def build_parser():
 
     p_run = subs.add_parser("run", help="run forward; print the output hyper")
     _add_common(p_run)
+    _add_format(p_run)
     p_run.add_argument(
         "--prior",
         required=True,
@@ -602,6 +617,7 @@ def build_parser():
 
     p_wp = subs.add_parser("wp", help="derive the canonical pre-gain")
     _add_common(p_wp)
+    _add_format(p_wp)
     _add_wp_flags(p_wp)
     p_wp.add_argument(
         "--show-trace",
@@ -615,12 +631,13 @@ def build_parser():
     )
     _add_common(p_check)
     _add_wp_flags(p_check)
-    p_check.add_argument(
+    priors = p_check.add_mutually_exclusive_group()
+    priors.add_argument(
         "--priors",
         default="exhaustive",
         help="'exhaustive' (every point prior) or 'random:COUNT:SEED'",
     )
-    p_check.add_argument("--prior", help="check a single prior instead")
+    priors.add_argument("--prior", help="check a single prior instead")
     p_check.add_argument(
         "--verbose", action="store_true", help="print one line per prior"
     )
@@ -630,9 +647,11 @@ def build_parser():
         "eval", help="evaluate a gain expression on a prior or saved hyper"
     )
     _add_common(p_eval)
+    _add_format(p_eval)
     p_eval.add_argument("--gain", required=True, help="gain expression")
-    p_eval.add_argument("--prior", help="prior (file or directive)")
-    p_eval.add_argument("--hyper", help="hyper JSON file (from `run --format json`)")
+    source = p_eval.add_mutually_exclusive_group()
+    source.add_argument("--prior", help="prior (file or directive)")
+    source.add_argument("--hyper", help="hyper JSON file (from `run --format json`)")
     p_eval.set_defaults(fn=cmd_eval)
     return parser
 

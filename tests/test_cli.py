@@ -1003,6 +1003,53 @@ def test_malformed_priors_spec_exit_2(spec, message):
     assert p.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("run", "search_early_exit.kuif", "--prior", "uniform", "--loop-bound",
+          "-1"), "argument --loop-bound: must be 0 or more, not -1"),
+        (("run", "skip_loop.kuif", "--prior", "uniform", "--loop-bound", "-1"),
+         "argument --loop-bound: must be 0 or more, not -1"),
+        (("wp", "search_with_flag.kuif", "--loop-bound", "-1"),
+         "argument --loop-bound: must be 0 or more, not -1"),
+        (("wp", "search_with_flag.kuif", "--force-unfold", "--unfold-depth", "-1"),
+         "argument --unfold-depth: must be 0 or more, not -1"),
+        (("wp", "search_with_flag.kuif", "--loop-bound", "x"),
+         "argument --loop-bound: invalid int value: 'x'"),
+        (("eval", "threshold_print.kuif", "--gain", "[x = 0]", "--prior",
+          "uniform", "--hyper", "out.json"),
+         "argument --hyper: not allowed with argument --prior"),
+        (("check", "threshold_print.kuif", "--prior", "uniform", "--priors",
+          "random:3:1"), "argument --priors: not allowed with argument --prior"),
+        (("check", "threshold_print.kuif", "--format", "json"),
+         "unrecognized arguments: --format json"),
+    ],
+    ids=[
+        "negative loop bound on run",
+        "negative loop bound on a loop that never runs",
+        "negative loop bound on wp",
+        "negative unfold depth",
+        "loop bound not an integer",
+        "eval prior and hyper",
+        "check prior and priors",
+        "check format",
+    ],
+)
+def test_bad_option_exit_2(args, message):
+    # an option out of range, or two that would override each other, is
+    # refused before anything runs
+    command, name, *rest = args
+    p = cli(command, corpus(name), *rest)
+    assert p.returncode == 2
+    assert p.stderr.splitlines()[-1].endswith(f"error: {message}")
+    assert p.stdout == ""
+
+
+def test_zero_loop_bound_is_accepted():
+    p = cli("run", corpus("skip_loop.kuif"), "--prior", "uniform", "--loop-bound", "0")
+    assert p.returncode == 0, p.stderr
+
+
 def test_unexpected_exception_exit_5(monkeypatch, capsys):
     from kuifje import cli as kuifje_cli
 
