@@ -550,7 +550,7 @@ def _count(text):
     return n
 
 
-def _add_common(sub):
+def _add_common(sub, output=True):
     sub.add_argument("program", help="program file (.kuif)")
     sub.add_argument(
         "--loop-bound",
@@ -558,12 +558,13 @@ def _add_common(sub):
         default=DEFAULT_LOOP_BOUND,
         help="max loop iterations before giving up",
     )
-
-
-def _add_format(sub):
-    sub.add_argument(
-        "--format", choices=("table", "json"), default="table", help="output format"
-    )
+    if output:  # `check` prints a table only
+        sub.add_argument(
+            "--format",
+            choices=("table", "json"),
+            default="table",
+            help="output format",
+        )
 
 
 def _add_wp_flags(sub):
@@ -606,7 +607,6 @@ def build_parser():
 
     p_run = subs.add_parser("run", help="run forward; print the output hyper")
     _add_common(p_run)
-    _add_format(p_run)
     p_run.add_argument(
         "--prior",
         required=True,
@@ -617,7 +617,6 @@ def build_parser():
 
     p_wp = subs.add_parser("wp", help="derive the canonical pre-gain")
     _add_common(p_wp)
-    _add_format(p_wp)
     _add_wp_flags(p_wp)
     p_wp.add_argument(
         "--show-trace",
@@ -629,7 +628,7 @@ def build_parser():
     p_check = subs.add_parser(
         "check", help="verify pre-on-prior equals post-on-hyper over many priors"
     )
-    _add_common(p_check)
+    _add_common(p_check, output=False)
     _add_wp_flags(p_check)
     priors = p_check.add_mutually_exclusive_group()
     priors.add_argument(
@@ -647,7 +646,6 @@ def build_parser():
         "eval", help="evaluate a gain expression on a prior or saved hyper"
     )
     _add_common(p_eval)
-    _add_format(p_eval)
     p_eval.add_argument("--gain", required=True, help="gain expression")
     source = p_eval.add_mutually_exclusive_group()
     source.add_argument("--prior", help="prior (file or directive)")

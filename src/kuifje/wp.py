@@ -122,7 +122,6 @@ class WpEngine:
         self.decls = self.program.decls
         self.domains = {d.name: d.domain for d in self.decls}
         self.canon = Canon(self.decls, self.executable.states)
-        self._loop_bounds = {}
 
     def states(self):
         return self.executable.states()
@@ -216,20 +215,17 @@ class WpEngine:
     # ---- loops
 
     def _loop_exit_bound(self, stmt):
-        """Max guard-true count running the loop alone from every state."""
-        if id(stmt) in self._loop_bounds:
-            return self._loop_bounds[id(stmt)]
+        """Max guard-true count running the loop alone from every state; the
+        loop's record answers for the states it already ran from."""
         try:
             # a runtime error ends the count: the program is undefined there
-            worst = max(self.executable.loop_rounds(stmt, s) for s in self.states())
+            return max(self.executable.loop_rounds(stmt, s) for s in self.states())
         except LoopBoundExceeded:
             raise LoopNeedsInvariantOrBound(
                 f"loop at line {stmt.pos[0] if stmt.pos else '?'} does not "
                 f"provably exit within {self.config.loop_bound} iterations on "
                 "the declared state space; annotate it or raise the loop bound"
             ) from None
-        self._loop_bounds[id(stmt)] = worst
-        return worst
 
     def _wp_while_unfold(self, stmt, g):
         k = self._loop_exit_bound(stmt)
