@@ -452,7 +452,7 @@ def _check_priors(args, executable):
         decls = executable.decls
         yield args.prior, _named(load_prior(args.prior, decls), decls)
         return
-    spec = args.priors
+    spec = args.priors or "exhaustive"
     if spec == "exhaustive":
         for s in executable.states():
             yield f"point {_state_line(s.names, s.values)}", point(s)
@@ -630,11 +630,12 @@ def build_parser():
     )
     _add_common(p_check, output=False)
     _add_wp_flags(p_check)
+    # `--priors` has no argparse default, which argparse could not tell from
+    # `--priors exhaustive` beside `--prior`
     priors = p_check.add_mutually_exclusive_group()
     priors.add_argument(
         "--priors",
-        default="exhaustive",
-        help="'exhaustive' (every point prior) or 'random:COUNT:SEED'",
+        help="'exhaustive' (every point prior, the default) or 'random:COUNT:SEED'",
     )
     priors.add_argument("--prior", help="check a single prior instead")
     p_check.add_argument(

@@ -15,11 +15,11 @@ reproduces it, which is the package's leak-erasure sanity law.
 All concrete execution goes through one `Executable` per program.  Its
 compiled statements and its loops' recorded outcomes serve every run on it,
 the backwards analysis's loop bounds and loop-head groups, and `check`'s
-priors, and they are freed with the object.  Inside it a state is its values tuple and a
-posterior is a `{values: int}` group of integer weights; a State, Dist or
-Hyper is built only where a result leaves, and a prior over values tuples
-gives a Hyper over values tuples, so the command line's `run` builds no
-State at all.
+priors, and they are freed with the object.  Inside it a state is its
+values tuple and a posterior is a `{values: int}` group of integer weights;
+a State, Dist or Hyper is built only where a result leaves, and a prior
+over values tuples gives a Hyper over values tuples, so the command line's
+`run` builds no State at all.
 """
 
 from __future__ import annotations
@@ -91,15 +91,12 @@ class Executable:
     and records nothing, so every recorded outcome holds for the object's
     bound; a caller that wants another bound builds another Executable.
 
-    Only loops keep what they ran.  A `while` step records, for each values
-    tuple it runs from, `(outcome, rounds, arrivals)` in one dict,
-    `_loops[id(stmt)]`: the `(trace, final)` pair it returns, the number of
-    guard tests that came out true, and one `(length of the trace so far,
-    head values)` pair for each arrival at the loop's head.  A second run
-    from the same values is answered from that dict, and the backwards
-    analysis reads its loop facts there, so no loop runs twice from one
-    state.  A sequence or `if` just runs its children: it costs little more
-    than a lookup would.
+    Only loops keep what they ran: `_loops[id(stmt)]` maps each values tuple
+    a `while` ran from to `(outcome, rounds, arrivals)`, the `(trace, final)`
+    it returned, the guard tests that came out true, and one `(length of the
+    trace so far, head values)` pair per arrival at its head.  Later runs and
+    the backwards analysis's loop facts read that dict, so no loop runs twice
+    from one state.  A sequence or `if` just runs its children.
 
     Steps are kept by node identity, which stays unique because the object
     holds the program; no step refers back to the object or to a statement
@@ -115,7 +112,7 @@ class Executable:
         self._names = tuple(d.name for d in self.decls)
         self._states = None
         self._steps = {}
-        self._loops = {}  # id of a while statement -> its step's record
+        self._loops = {}  # id of a while statement -> its record
 
     def states(self):
         """Every declared state, in canonical order."""

@@ -3,8 +3,8 @@
 Used by both the wp unit tests and the acceptance suite.  The engines and
 backwards results are cached per corpus program so one pytest session pays
 for each analysis exactly once, forward runs reuse the engine's executable,
-whose loops the analysis already ran, and pre- and post-gains are valued by one
-evaluator per program, which evaluates each atom on each state once.
+whose loops the analysis already ran, and pre- and post-gains are valued by
+one evaluator per program, which evaluates each atom on each state once.
 """
 
 import glob

@@ -1045,6 +1045,20 @@ def test_bad_option_exit_2(args, message):
     assert p.stdout == ""
 
 
+def test_prior_beside_priors_exhaustive_exit_2(capsys):
+    # in process too, where an argv string can be the very object argparse
+    # would hold as the option's default
+    from kuifje import cli as kuifje_cli
+
+    path = os.path.join(ROOT, "corpus", "branch_assign.kuif")
+    with pytest.raises(SystemExit) as exc:
+        kuifje_cli.main(["check", path, "--prior", "uniform", "--priors", "exhaustive"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: argument --priors: not allowed with argument --prior"
+    )
+
+
 def test_zero_loop_bound_is_accepted():
     p = cli("run", corpus("skip_loop.kuif"), "--prior", "uniform", "--loop-bound", "0")
     assert p.returncode == 0, p.stderr
