@@ -630,8 +630,8 @@ def build_parser():
     )
     _add_common(p_check, output=False)
     _add_wp_flags(p_check)
-    # `--priors` has no argparse default, which argparse could not tell from
-    # `--priors exhaustive` beside `--prior`
+    # no argparse default: argparse would take `--priors exhaustive` for an
+    # absent `--priors` and let it pass beside `--prior`
     priors = p_check.add_mutually_exclusive_group()
     priors.add_argument(
         "--priors",
