@@ -550,14 +550,15 @@ def _count(text):
     return n
 
 
-def _add_common(sub, output=True):
+def _add_common(sub, loops=True, output=True):
     sub.add_argument("program", help="program file (.kuif)")
-    sub.add_argument(
-        "--loop-bound",
-        type=_count,
-        default=DEFAULT_LOOP_BOUND,
-        help="max loop iterations before giving up",
-    )
+    if loops:  # `eval` runs no loop
+        sub.add_argument(
+            "--loop-bound",
+            type=_count,
+            default=DEFAULT_LOOP_BOUND,
+            help="max loop iterations before giving up",
+        )
     if output:  # `check` prints a table only
         sub.add_argument(
             "--format",
@@ -646,7 +647,7 @@ def build_parser():
     p_eval = subs.add_parser(
         "eval", help="evaluate a gain expression on a prior or saved hyper"
     )
-    _add_common(p_eval)
+    _add_common(p_eval, loops=False)
     p_eval.add_argument("--gain", required=True, help="gain expression")
     source = p_eval.add_mutually_exclusive_group()
     source.add_argument("--prior", help="prior (file or directive)")

@@ -1023,6 +1023,8 @@ def test_malformed_priors_spec_exit_2(spec, message):
           "random:3:1"), "argument --priors: not allowed with argument --prior"),
         (("check", "threshold_print.kuif", "--format", "json"),
          "unrecognized arguments: --format json"),
+        (("eval", "threshold_print.kuif", "--gain", "1", "--prior", "uniform",
+          "--loop-bound", "1"), "unrecognized arguments: --loop-bound 1"),
     ],
     ids=[
         "negative loop bound on run",
@@ -1033,6 +1035,7 @@ def test_malformed_priors_spec_exit_2(spec, message):
         "eval prior and hyper",
         "check prior and priors",
         "check format",
+        "eval loop bound",
     ],
 )
 def test_bad_option_exit_2(args, message):
