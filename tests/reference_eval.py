@@ -1,8 +1,9 @@
 """Reference tree-walking evaluators, kept only to test the compiler against.
 
 `value` is the language's strict evaluation, `truth` the total evaluation of
-a boolean (a failing atomic test is false under either polarity) and `atom`
-the total value of a gain atom.  They walk the tree state by state, as the
+a boolean (a failing atomic test is false under either polarity), `numeric`
+the total value of a numeric expression, which raises where a read fails,
+and `atom` the total value of a gain atom.  They walk the tree state by state, as the
 package did before it compiled expressions.
 """
 
@@ -101,26 +102,28 @@ def truth(e, state, env=None, neg=False):
         return False
 
 
-def _numeric(e, state, env):
+def numeric(e, state, env=None):
+    """The total value of a numeric expression: `[test]` is total and a zero
+    left factor of `*` shields the right one; a read that fails raises."""
     if isinstance(e, Iverson):
         return 1 if truth(e.arg, state, env) else 0
     if isinstance(e, Bin):
-        a = _numeric(e.left, state, env)
+        a = numeric(e.left, state, env)
         if a == 0 and e.op == "*":
             return 0
-        return _apply(e.op, a, _numeric(e.right, state, env))
+        return _apply(e.op, a, numeric(e.right, state, env))
     if isinstance(e, Neg):
-        return -_numeric(e.arg, state, env)
+        return -numeric(e.arg, state, env)
     if isinstance(e, MaxF):
-        return max(_numeric(a, state, env) for a in e.args)
+        return max(numeric(a, state, env) for a in e.args)
     if isinstance(e, MinF):
-        return min(_numeric(a, state, env) for a in e.args)
+        return min(numeric(a, state, env) for a in e.args)
     return value(e, state, env)
 
 
 def atom(e, state, env=None):
     """A gain atom's total value: 0 where it cannot be evaluated."""
     try:
-        return Fraction(_numeric(e, state, env))
+        return Fraction(numeric(e, state, env))
     except FAILS:
         return Fraction(0)

@@ -27,6 +27,7 @@ from kuifje.lang import (
     MAX_DEPTH,
     check_gain,
     check_program,
+    gain_to_source,
     parse_expr,
     parse_gain,
     parse_program,
@@ -162,6 +163,40 @@ def test_wp_print_splits_by_attained_value():
     p = make("hidden x : int[0..9]\nprint (x < 4)\n@post { [x = 3] }")
     # the false observation branch is identically zero and prunes away
     assert wp(p).render() == "[x = 3]"
+
+
+@pytest.mark.parametrize(
+    "printed, values, branches",
+    [
+        ("b", [False, True], "[b = false] AND [x = 1] PLUS [b = true] AND [x = 1]"),
+        (
+            "(x < 2 and b)",
+            [False, True],
+            "[(x < 2 and b) = false] AND [x = 1] PLUS [(x < 2 and b) = true] AND "
+            "[x = 1]",
+        ),
+        # A[n] fails at n = 2: those states attain no value
+        ("A[n] * 2", [2, 4], "[A[n] * 2 = 2] AND [x = 1] PLUS [A[n] * 2 = 4] AND [x = 1]"),
+    ],
+)
+def test_wp_print_branches_on_each_attained_value(printed, values, branches):
+    # a boolean's values are true and false, never 1 and 0
+    p = make(
+        "hidden b : bool\nhidden x : int[0..3]\nhidden A : array[2] of int[1..2]\n"
+        f"hidden n : int[0..2]\nprint {printed}\n@post {{ [x = 1] }}"
+    )
+    engine = WpEngine(p)
+    got = engine._attained(p.body.expr)
+    assert got == values
+    assert [type(v) for v in got] == [type(v) for v in values]
+    assert gain_to_source(engine.wp(p.body, p.post)) == branches
+
+
+def test_wp_print_that_fails_everywhere_is_refused():
+    p = make("hidden A : array[2] of int[1..2]\nhidden n : int[2..3]\nprint A[n]\n"
+             "@post { [n = 2] }")
+    with pytest.raises(KuifjeError, match="expression A\\[n\\] has no value on any state"):
+        wp(p)
 
 
 def test_wp_print_sums_observation_branches():
