@@ -17,10 +17,13 @@ large) normal form just to evaluate.  One class, `GainEvaluator`, computes
 that value: it reads a distribution as integer weights over indexed states
 with one common divisor, and divides once at the top.  It values atoms as
 columns over all its states, one per distinct sub-expression and
-quantifier binding, so a test that many atoms share is evaluated once per
-state: an atomic test takes one tri-state pass (`literal_masks`), `and`,
-`or` and `not` are bitmask operations, and arithmetic combines integer
-columns entry by entry.  The columns die with the evaluator.
+quantifier binding.  Reads and atomic tests are level sets, value -> mask
+of the states taking it (the terminal-value view of algebraic decision
+diagrams: Bahar et al., ICCAD 1993), built from one table per variable and
+array element, so a test costs mask operations, not a pass over the
+states: an atomic test's masks are its level set's, `and`, `or` and `not`
+are bitmask operations, and arithmetic combines integer columns entry by
+entry.  The tables, level sets and columns die with the evaluator.
 `eval_gain`/`eval_gain_hyper` are one-shot wrappers, and
 `eval_atom_total`/`eval_bool_total` one-state ones.
 
@@ -34,23 +37,23 @@ fails (out-of-bounds index, division by zero) is false under either polarity,
 and an atom whose numeric part cannot be evaluated on some state contributes
 0 there.  Multiplication short-circuits on a zero left factor, so a guard
 Iverson really does shield the expression it multiplies.  `GainEvaluator`'s
-column kernel is the one implementation of that semantics; `lang`'s
-compiled closures evaluate strictly, and the kernel calls them only for
-reads and atomic tests.
+column kernel is the one implementation of that semantics.  Reads and
+atomic tests inside it evaluate strictly, as `lang`'s compiled closures
+do; their level sets give exactly the closures' values, and a closure runs
+over the states only where a level set would cost more than that pass.
 
 The canonicalizer rewrites every atom into a sum of terms coeff*[pred]*factors
 with predicates in minimized disjunctive normal form, merges complementary
 and disjoint guarded terms, and renders deterministically; `simplify` prunes
 atoms that are pointwise dominated on the declared state space.  It reads
 that space's states once, when it first needs them, decides predicates on
-bitmasks over it, both polarities of a literal from the evaluator's one
-tri-state pass, and values atoms as level sets, one (value, mask) pair per
-distinct nonzero value (the terminal-value view of algebraic decision
-diagrams: Bahar et al., ICCAD 1993), so an atom costs as much as its
-distinct values, not as the states.  It reads literal masks and factor
-columns through a `GainEvaluator` of its own, so it values an atom exactly
-as `check` does, but keeps its results apart from any other evaluator's:
-its masks, columns and level sets die with it.
+bitmasks over it, both polarities of a literal from the level set of the
+literal's atom, and values atoms as level sets too, one (value, mask) pair
+per distinct nonzero value, so an atom costs as much as its distinct
+values, not as the states.  It reads literal masks and factor level sets
+through a `GainEvaluator` of its own, so it values an atom exactly as
+`check` does, but keeps its results apart from any other evaluator's: its
+masks and level sets die with it.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .core import Dist, all_states
 from .errors import DivisionByZero, NegativeAtom, TypeCheckError
@@ -114,7 +117,7 @@ def eval_bool_total(e, state, env=None):
     false.  A one-state `GainEvaluator` decides it.
     """
     ev = GainEvaluator([state])
-    return ev._test(e, False, 1, env, ev._memo(env)) == 1
+    return ev._test(e, False, env, ev._memo(env)) == 1
 
 
 def eval_atom_total(e, state, env=None):
@@ -123,10 +126,14 @@ def eval_atom_total(e, state, env=None):
     return GainEvaluator([state]).column(e, env)[0]
 
 
-# --- columns and masks ---------------------------------------------------------------
+# --- columns, masks and level sets ----------------------------------------------------
 #
 # A mask is an int whose bit i stands for the i-th state; a column is a
-# sequence with one value per state.
+# sequence with one value per state.  A level set is a pair (levels, fails):
+# levels maps each value an expression takes to the mask of the states where
+# it takes it, and fails is the mask of the states where a read in it fails.
+# The masks are disjoint and cover the states.  Level sets share their dicts,
+# which are never changed once built.
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -169,14 +176,51 @@ def read_column(fn, rows, env=None):
     return values, _at(failed, len(rows)) if failed else 0
 
 
-def literal_masks(fn, rows, env=None):
-    """One tri-state pass of an atomic test's closure over rows, as the
-    masks (true, false) of the rows where it holds and where it does not.
-    A read that fails puts a row in neither: a failing test is false under
-    either polarity."""
-    values, fails = read_column(fn, rows, env)
-    true = _pack(values)  # a test's values are bools
-    return true, ((1 << len(rows)) - 1) ^ true ^ fails
+def _group(entries, n):
+    """Levels from (position, value) pairs, positions below n: each value
+    with the mask of its positions."""
+    positions = {}
+    for i, v in entries:
+        positions.setdefault(v, []).append(i)
+    return {v: _at(p, n) for v, p in positions.items()}
+
+
+def _const(value, full):
+    # the level set of a value taken on every state
+    return ({value: full} if full else {}), 0
+
+
+def _truth(true, false):
+    # the levels of a test that holds on true and fails to hold on false
+    return {v: m for v, m in ((True, true), (False, false)) if m}
+
+
+def _pairs(left, right, fn):
+    """The levels of fn over two level sets' levels: fn(a, b) on each pair
+    (a, ma), (b, mb) whose masks meet, on ma & mb."""
+    out = {}
+    for a, ma in left.items():
+        for b, mb in right.items():
+            m = ma & mb
+            if m:
+                v = fn(a, b)
+                out[v] = out.get(v, 0) | m
+    return out
+
+
+def _strict_is_total(e):
+    """Whether a numeric expression's strict values are its total ones.  They
+    differ only below a `[test]`, which is total, or a `*`, whose zero left
+    factor shields the right one's reads, outside the reads."""
+    if isinstance(e, Iverson):
+        return False
+    if isinstance(e, Bin):
+        return e.op != "*" and _strict_is_total(e.left) and _strict_is_total(e.right)
+    if isinstance(e, Neg):
+        return _strict_is_total(e.arg)
+    if isinstance(e, (MaxF, MinF)):
+        return all(map(_strict_is_total, e.args))
+    return True  # a constant or a read
 
 
 # --- gain evaluation -------------------------------------------------------------------
@@ -195,11 +239,28 @@ class GainEvaluator:
     Atoms are valued a sub-expression at a time, each over all the states,
     and each distinct sub-expression once per quantifier bindings (`_column`),
     so a caller valuing many distributions over the same states, or many
-    atoms that share a test, pays for each once.  An atomic test takes one
-    tri-state pass (`literal_masks`), on the states not yet covered
-    (`_test`); `and`, `or` and `not` are operations on its masks, with
-    `not` pushed down to the atomic tests; `[test]` is a 0/1 column;
-    arithmetic combines columns entry by entry.  The columns die with the
+    atoms that share a test, pays for each once.  `[test]` is a 0/1 column,
+    and arithmetic combines columns entry by entry.
+
+    Reads and atomic tests are evaluated strictly, as level sets
+    (`_levels`), built compositionally from one table per declared scalar
+    and array element, value -> mask, each made in one pass over the states
+    the first time that variable is read (`_table`):
+    - a constant or a quantifier index is one level over every state;
+    - `A[e]` unions, over e's levels (i, m), m & table[A[i]]; a level with
+      i out of range fails;
+    - an operator combines each pair of levels whose masks meet, a pair
+      dividing by 0 failing; `=`/`!=` looks each level of one side up in
+      the other, so a test against a quantifier index costs one lookup;
+    - `and`/`or` fail, as the closures do, only where the left operand
+      leaves the value to the right one;
+    - `x in A[lo:hi]` looks x up in the tables of the slice's elements.
+    A node whose level pairs would outnumber the states is read instead by
+    one strict pass of its compiled closure over the states, grouped by
+    value (`_strict_pass`).  An atomic test's masks are its level set's
+    (`_test`), a read's column is built from its level set (`_fold`), and
+    `and`, `or` and `not` are operations on masks, with `not` pushed down
+    to the atomic tests.  The tables, level sets and columns die with the
     evaluator.
     """
 
@@ -207,8 +268,10 @@ class GainEvaluator:
         self.states = list(states)
         self._index = {s: i for i, s in enumerate(self.states)}
         self._names = self.states[0].names if self.states else ()
+        self._positions = {name: k for k, name in enumerate(self._names)}
         self._rows = [s.values for s in self.states]
         self._full = (1 << len(self.states)) - 1
+        self._tables = {}
         self._memos = {}
         self._binds = {}
 
@@ -368,7 +431,7 @@ class GainEvaluator:
         # nonzero where a read fails, and _column zeroes them
         n = len(self._rows)
         if isinstance(e, Iverson):
-            return 1, _bits(self._test(e.arg, False, self._full, env, memo), n), 0
+            return 1, _bits(self._test(e.arg, False, env, memo), n), 0
         if isinstance(e, (IntLit, RatLit)):
             v = Fraction(e.value)
             return v.denominator, [v.numerator] * n, 0
@@ -400,43 +463,181 @@ class GainEvaluator:
             fails = reduce(operator.or_, [c[2] for c in cols])
             return den, list(map(pick, zip(*ints))), fails
         # a read: a variable, a quantifier index or an array element
-        return 1, *read_column(compile_expr(e, self._names), self._rows, env)
+        levels, fails = self._levels(e, env, memo)
+        ints = [0] * n
+        for v, m in levels.items():
+            for i in compress(range(n), _bits(m, n)):
+                ints[i] = v
+        return 1, ints, fails
 
-    def _test(self, e, neg, care, env, memo):
-        """The mask of the states in care where the test e holds, or where
-        `not e` does when neg is set, under the total semantics.
-
-        As `and` and `or` short-circuit, the right operand is read only on
-        the states the left one leaves open.  An atomic test's masks are
-        kept with the states they cover, and a pass reads only the states
-        in care that are not yet covered, so it is read on each state at
-        most once."""
+    def _test(self, e, neg, env, memo):
+        """The mask of the states where the test e holds, or where `not e`
+        does when neg is set, under the total semantics: `not` is pushed
+        down to the atomic tests, and an atomic test holds where its level
+        set's value is true, and under `not` where it is false, so a test
+        whose read fails holds under neither."""
         if isinstance(e, BoolOp):
-            left = self._test(e.left, neg, care, env, memo)
-            if (e.op == "and") != neg:
-                return self._test(e.right, neg, left, env, memo)
-            return left | self._test(e.right, neg, care & ~left, env, memo)
+            left = self._test(e.left, neg, env, memo)
+            right = self._test(e.right, neg, env, memo)
+            return left & right if (e.op == "and") != neg else left | right
         if isinstance(e, Not):
-            return self._test(e.arg, not neg, care, env, memo)
-        masks = memo.get(e)
-        if masks is None:
-            masks = memo[e] = [0, 0, 0]  # covered, true, false
-        todo = care & ~masks[0]
-        if todo:
-            fn, rows = compile_expr(e, self._names), self._rows
-            if todo == self._full:
-                true, false = literal_masks(fn, rows, env)
-            else:
-                n = len(rows)
-                where = list(compress(range(n), _bits(todo, n)))
-                true, false = [
-                    _at(compress(where, _bits(m, len(where))), n)
-                    for m in literal_masks(fn, [rows[i] for i in where], env)
-                ]
-            masks[0] |= todo
-            masks[1] |= true
-            masks[2] |= false
-        return masks[2 if neg else 1] & care
+            return self._test(e.arg, not neg, env, memo)
+        return self._levels(e, env, memo)[0].get(not neg, 0)
+
+    def _total_levels(self, e, env, memo):
+        """A numeric expression's values as `_column` gives them, as a level
+        set: its strict level set where the two agree (`_strict_is_total`),
+        else its column's values grouped."""
+        if _strict_is_total(e):
+            return self._levels(e, env, memo)
+        den, ints, fails, _ = self._column(e, env, memo)
+        levels = self._grouped(ints, fails)
+        return {Fraction(v, den): m for v, m in levels.items()}, fails
+
+    def _levels(self, e, env, memo):
+        """e's level set under strict evaluation, as the compiled closure
+        gives it state by state: (levels, fails), see above.  It is built
+        from its operands' level sets, down to one table per variable and
+        array element (`_table`), and kept in memo."""
+        key = ("levels", e)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = self._level_set(e, env, memo)
+        return got
+
+    def _level_set(self, e, env, memo):
+        # A node that combines its operands' levels pairwise, when the pairs
+        # would outnumber the states, is read by one strict pass instead.
+        full, n = self._full, len(self._rows)
+        if isinstance(e, (IntLit, RatLit, BoolLit)):
+            return _const(e.value, full)
+        if isinstance(e, Var):
+            k = self._positions.get(e.name)
+            if k is None:  # a quantifier index
+                return _const(env[e.name], full)
+            return self._table(k), 0
+        if isinstance(e, Idx):
+            index, fails = self._levels(e.index, env, memo)
+            k = self._positions[e.name]
+            tables = []
+            for i, m in index.items():
+                if 0 <= i < len(self._rows[0][k]):
+                    tables.append((m, self._table(k, i)))
+                else:
+                    fails |= m  # past either end
+            if sum(len(t) for _, t in tables) > n:
+                return self._strict_pass(e, env)
+            levels = {}
+            for m, table in tables:
+                for v, t in table.items():
+                    inside = m & t
+                    if inside:
+                        levels[v] = levels.get(v, 0) | inside
+            return levels, fails
+        if isinstance(e, Neg):
+            levels, fails = self._levels(e.arg, env, memo)
+            return {-v: m for v, m in levels.items()}, fails
+        if isinstance(e, (Bin, Cmp)):
+            left, lfails = self._levels(e.left, env, memo)
+            right, rfails = self._levels(e.right, env, memo)
+            fails = lfails | rfails
+            if e.op in ("=", "!="):
+                # one lookup per level of the side with fewer
+                few, many = sorted((left, right), key=len)
+                true = 0
+                for v, m in few.items():
+                    true |= m & many.get(v, 0)
+                false = full ^ fails ^ true
+                if e.op == "!=":
+                    true, false = false, true
+                return _truth(true, false), fails
+            if e.op in ("div", "mod") and 0 in right:
+                fails |= right[0]
+                right = {b: m for b, m in right.items() if b}
+            if len(left) * len(right) > n:
+                return self._strict_pass(e, env)
+            return _pairs(left, right, OPS[e.op]), fails
+        if isinstance(e, (MaxF, MinF)):
+            sets = [self._levels(a, env, memo) for a in e.args]
+            if prod(len(levels) for levels, _ in sets) > n:
+                return self._strict_pass(e, env)
+            pick = max if isinstance(e, MaxF) else min
+            levels, fails = sets[0]
+            for more, bad in sets[1:]:
+                levels, fails = _pairs(levels, more, pick), fails | bad
+            return levels, fails
+        if isinstance(e, Not):
+            levels, fails = self._levels(e.arg, env, memo)
+            return _truth(levels.get(False, 0), levels.get(True, 0)), fails
+        if isinstance(e, Iverson):
+            levels, fails = self._levels(e.arg, env, memo)
+            return {int(v): m for v, m in levels.items()}, fails
+        if isinstance(e, BoolOp):
+            # as in the closure, the right operand is read, and can fail,
+            # only where the left one leaves the value open
+            left, fails = self._levels(e.left, env, memo)
+            right, rfails = self._levels(e.right, env, memo)
+            true, false = left.get(True, 0), left.get(False, 0)
+            rtrue, rfalse = right.get(True, 0), right.get(False, 0)
+            if e.op == "and":
+                levels = _truth(true & rtrue, false | true & rfalse)
+                return levels, fails | true & rfails
+            levels = _truth(true | false & rtrue, false & rfalse)
+            return levels, fails | false & rfails
+        if isinstance(e, Mem):
+            return self._member(e, env, memo)
+        raise TypeCheckError(f"cannot evaluate {e!r}")
+
+    def _member(self, e, env, memo):
+        # `x in A[lo:hi]`: x is in the slice where it equals one of the
+        # slice's elements, each read from its table
+        k, full, n = self._positions[e.array], self._full, len(self._rows)
+        length = len(self._rows[0][k]) if n else 0
+        item, fails = self._levels(e.item, env, memo)
+        lo, lo_fails = (
+            _const(0, full) if e.lo is None else self._levels(e.lo, env, memo)
+        )
+        hi, hi_fails = (
+            _const(length, full) if e.hi is None else self._levels(e.hi, env, memo)
+        )
+        fails |= lo_fails | hi_fails
+        if len(item) * len(lo) * len(hi) * length > n:
+            return self._strict_pass(e, env)
+        true = 0
+        for a, ma in lo.items():
+            for b, mb in hi.items():
+                m = ma & mb
+                if not (0 <= a <= length and 0 <= b <= length):
+                    fails |= m  # a slice out of bounds
+                    continue
+                for x, mx in item.items():
+                    inside = m & mx
+                    for j in range(a, b):
+                        true |= inside & self._table(k, j).get(x, 0)
+        false = full ^ fails ^ true
+        if e.negated:
+            true, false = false, true
+        return _truth(true, false), fails
+
+    def _table(self, k, j=None):
+        """The levels of the k-th variable, or of element j of that array,
+        built in one pass over the states the first time it is read."""
+        table = self._tables.get((k, j))
+        if table is None:
+            rows = self._rows
+            values = [r[k] for r in rows] if j is None else [r[k][j] for r in rows]
+            table = self._tables[k, j] = _group(enumerate(values), len(rows))
+        return table
+
+    def _strict_pass(self, e, env):
+        # e's level set from one strict pass of its closure over the states
+        values, fails = read_column(compile_expr(e, self._names), self._rows, env)
+        return self._grouped(values, fails), fails
+
+    def _grouped(self, column, fails):
+        # the levels of a column's values outside the fails
+        n = len(column)
+        return _group(compress(enumerate(column), _bits(self._full ^ fails, n)), n)
 
 
 def _exact(x, den):
@@ -574,10 +775,11 @@ class Canon:
     space is listed once).  The Canon reads the space through one
     `GainEvaluator` of its own, built when the first literal or factor is
     read, so a Canon that decides nothing lists nothing; an atom's total
-    semantics is the evaluator's, and its columns die with the Canon.
+    semantics is the evaluator's, and its tables, level sets and columns
+    die with the Canon.
 
-    A literal's mask is the evaluator's (`_test`), whose one tri-state pass
-    over the literal's atom gives both polarities; `lit_models` keeps the
+    A literal's mask is the evaluator's (`_test`), from the level set of the
+    literal's atom, which gives both polarities; `lit_models` keeps the
     masks it is asked for.  `_models` holds the mask of each predicate
     `models` is asked for, and only those: minimisation works on one mask
     per conjunction, kept as literals and disjuncts are dropped, and stores
@@ -632,15 +834,15 @@ class Canon:
     # ---- literals and DNF
 
     def lit_models(self, lit):
-        """Bitmask of the states where one literal holds, from the
-        evaluator's one tri-state pass over the literal's atom (`_test`),
-        which gives both polarities' masks: a failing read is false under
-        either, so the two are disjoint, and outside their union lie exactly
-        the states where a read fails."""
+        """Bitmask of the states where one literal holds, from the level
+        set of the literal's atom (`GainEvaluator._test`), which gives both
+        polarities' masks: a failing read is false under either, so the two
+        are disjoint, and outside their union lie exactly the states where a
+        read fails."""
         mask = self._lit_model_cache.get(lit)
         if mask is None:
             ev, (neg, atom) = self._evaluator, lit
-            mask = ev._test(atom, neg, ev._full, {}, ev._memo({}))
+            mask = ev._test(atom, neg, {}, ev._memo({}))
             self._lit_model_cache[lit] = mask
         return mask
 
@@ -1166,7 +1368,8 @@ class Canon:
 
         A term c·[p] is the one level (c's numerator, p's mask); a sum
         refines its terms' levels, so that only a term with factors reads
-        columns, those of its factor product, once (`_product_levels`)."""
+        their level sets, those of its factor product, once
+        (`_product_levels`)."""
         out = self._levels.get(id(atom))
         if out is None:
             out = self._levels[id(atom)] = self._sum_levels(atom)
@@ -1211,17 +1414,18 @@ class Canon:
         """A product of factors as (den, levels, fails): the product is v /
         den on the states of each (v, mask) of levels, which are disjoint,
         and 0 elsewhere; where bit i of fails is set, a factor's read fails
-        on the i-th state.  Each factor is the evaluator's column
-        (`_column`), read once over the states."""
+        on the i-th state.  Each factor's values are the evaluator's level
+        set (`_total_levels`), and the product combines each pair of levels
+        whose masks meet."""
         out = self._factor_levels.get(factors)
         if out is None:
             ev = self._evaluator
-            den, ints, fails = 1, None, 0
+            product, fails = _const(1, ev._full)
             for f in factors:
-                d, col, bad, _ = ev._column(f, {}, ev._memo({}))
-                den, fails = den * d, fails | bad
-                ints = col if ints is None else list(map(operator.mul, ints, col))
-            levels = [(v, _pack(map(v.__eq__, ints))) for v in set(ints) if v]
+                levels, bad = ev._total_levels(f, {}, ev._memo({}))
+                product, fails = _pairs(product, levels, operator.mul), fails | bad
+            den = lcm(*(Fraction(v).denominator for v in product))
+            levels = [(int(v * den), m) for v, m in product.items() if v]
             out = self._factor_levels[factors] = (den, levels, fails)
         return out
 

@@ -58,7 +58,6 @@ from .errors import (
 )
 from .gain import Canon, GainEvaluator, balanced, normalize, semantic_eq, simplify
 from .lang import (
-    EVAL_ERRORS,
     BoolLit,
     Cmp,
     GAnd,
@@ -74,7 +73,6 @@ from .lang import (
     SSeq,
     SSkip,
     SWhile,
-    compile_expr,
     expr_to_source,
     gain_to_source,
     stmt_to_source,
@@ -198,19 +196,16 @@ class WpEngine:
         )
 
     def _attained(self, expr):
-        """Values expr can take anywhere on the declared state space."""
-        fn = compile_expr(expr, tuple(d.name for d in self.decls))
-        seen = set()
-        for s in self.states():
-            try:
-                seen.add(fn(s.values, None))
-            except EVAL_ERRORS:
-                continue
-        if not seen:
+        """Values expr can take anywhere on the declared state space: the
+        values of its level set over that space (`GainEvaluator._levels`),
+        read through the Canon's evaluator."""
+        ev = self.canon._evaluator
+        levels, _ = ev._levels(expr, {}, ev._memo({}))
+        if not levels:
             raise KuifjeError(
                 f"expression {expr_to_source(expr)} has no value on any state"
             )
-        return sorted(seen)
+        return sorted(levels)
 
     # ---- loops
 

@@ -3,8 +3,8 @@
 - DNF minimisation on cached conjunction masks returns the same frozenset as
   the candidate-by-candidate reference (`reference_minimize.py`), on every
   DNF that `wp` minimises on the corpus and on generated DNFs.
-- One tri-state pass per literal atom gives both polarities: the two masks
-  are disjoint, and outside their union lie exactly the failing reads.
+- A literal atom's level set gives both polarities: the two masks are
+  disjoint, and outside their union lie exactly the failing reads.
 - An atom's level set, expanded, equals the reference evaluator's total
   value (`reference_eval.atom`) state by state, for factorless terms, factor
   terms, sums, negative coefficients and a zero factor that shields a

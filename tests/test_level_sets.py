@@ -1,10 +1,14 @@
-"""The evaluator's masks and factor values against a strict reference.
+"""The evaluator's level sets, masks and factor values against a strict
+reference.
 
-`GainEvaluator` decides an atomic test as masks over its states and values a
-factor as a column; `Canon` reads both through an evaluator of its own
-(`lit_models`, `_product_levels`).  Here each is checked state by state
-against `reference_eval`, which walks the tree one state at a time:
+`GainEvaluator` evaluates reads and atomic tests strictly, as level sets
+(`_levels`), decides a test as masks over its states (`_test`) and values a
+factor as a level set; `Canon` reads the last two through an evaluator of
+its own (`lit_models`, `_product_levels`).  Here each is checked state by
+state against `reference_eval`, which walks the tree one state at a time:
 
+- a level set's values, masks and fail mask, with no boolean value in a
+  numeric expression's level set and no number in a test's;
 - a test's true and false masks, under both polarities, and for an atomic
   test the fail mask, the states outside both;
 - a numeric expression's values and fail mask.
@@ -13,8 +17,10 @@ The cases are every literal and factor that `Canon` reads on `wp` and
 `wp --force-unfold` across the corpus, hand-written ones over a small space
 (reads past the end of an array, `div` and `mod` by 0, `and`/`or` whose left
 side shields a failing right side, tests compared as values, bad slices,
-`max`/`min` and quantifier bindings), and one literal whose level pairs
-outnumber the states.
+`max`/`min` and quantifier bindings), generated ones, and one literal whose
+level pairs
+outnumber the states, which is read by one strict pass of its closure where
+no other case is.
 """
 
 import glob
@@ -22,14 +28,27 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_eval as ref
+from kuifje import gain
 from kuifje.core import all_states
 from kuifje.gain import Canon, GainEvaluator
 from kuifje.lang import (
+    Bin,
+    BoolLit,
     BoolOp,
+    Cmp,
+    Idx,
+    IntLit,
     Iverson,
+    MaxF,
+    Mem,
+    MinF,
+    Neg,
     Not,
+    Var,
     check_program,
     parse_gain,
     parse_program,
@@ -189,6 +208,7 @@ STATES = all_states(
 TESTS = [
     ("A[n] = x", None),
     ("A[n] = A[x]", None),
+    ("A[n - 1] = x", None),
     ("A[n] != 1", None),
     ("x div n = 1", None),
     ("x mod n < 2", None),
@@ -270,6 +290,48 @@ NUMERIC = [
 ]
 
 
+def _counting_passes(monkeypatch):
+    # the number of states each strict pass of a closure reads
+    passes = []
+    real = gain.read_column
+
+    def counting(fn, rows, env=None):
+        passes.append(len(rows))
+        return real(fn, rows, env)
+
+    monkeypatch.setattr(gain, "read_column", counting)
+    return passes
+
+
+def _assert_levels_match(ev, e, env):
+    levels, fails = ev._levels(e, env, ev._memo(env))
+    want, want_fails = {}, 0
+    for i, s in enumerate(ev.states):
+        try:
+            v = ref.value(e, s, env)
+        except ref.FAILS:
+            want_fails |= 1 << i
+        else:
+            want[v] = want.get(v, 0) | 1 << i
+    assert fails == want_fails
+    assert levels == want
+    # True == 1, so the dicts' equality alone cannot tell them apart
+    assert {isinstance(v, bool) for v in levels} == {
+        isinstance(v, bool) for v in want
+    }
+
+
+@pytest.mark.parametrize(
+    "source, env, parse",
+    [(t, env, _test) for t, env in TESTS] + [(t, env, _numeric) for t, env in NUMERIC],
+    ids=[t for t, _ in TESTS + NUMERIC],
+)
+def test_level_sets_match_the_reference(source, env, parse, monkeypatch):
+    passes = _counting_passes(monkeypatch)
+    _assert_levels_match(GainEvaluator(STATES), parse(source), env)
+    assert passes == []
+
+
 @pytest.mark.parametrize("source, env", NUMERIC, ids=[t for t, _ in NUMERIC])
 def test_numeric_columns_match_the_reference(source, env):
     e = _numeric(source)
@@ -290,6 +352,43 @@ def test_factor_levels_match_the_reference(source):
     assert _expand(den, levels, fails, len(STATES)) == values
 
 
+# generated expressions over the small space, well typed: numbers over x, n,
+# A's elements and small constants, tests over numbers, b and B's elements
+numbers = st.recursive(
+    st.one_of(
+        st.builds(IntLit, st.integers(-1, 3)), st.sampled_from([Var("x"), Var("n")])
+    ),
+    lambda inner: st.one_of(
+        st.builds(Idx, st.just("A"), inner),
+        st.builds(Bin, st.sampled_from(["+", "-", "*", "div", "mod", "&"]), inner, inner),
+        st.builds(Neg, inner),
+        st.builds(lambda a, b: MaxF((a, b)), inner, inner),
+        st.builds(lambda a, b: MinF((a, b)), inner, inner),
+    ),
+    max_leaves=5,
+)
+tests = st.recursive(
+    st.one_of(
+        st.builds(Cmp, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), numbers, numbers),
+        st.builds(Mem, numbers, st.just("A"), numbers | st.none(), numbers | st.none(), st.booleans()),
+        st.builds(Idx, st.just("B"), numbers),
+        st.sampled_from([Var("b"), BoolLit(True)]),
+    ),
+    lambda inner: st.one_of(
+        st.builds(BoolOp, st.sampled_from(["and", "or"]), inner, inner),
+        st.builds(Not, inner),
+        st.builds(Cmp, st.sampled_from(["=", "!="]), inner, inner),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(tests, numbers, st.builds(Iverson, tests)))
+def test_generated_level_sets_match_the_reference(e):
+    _assert_levels_match(GainEvaluator(STATES), e, None)
+
+
 # ---- a literal whose level pairs outnumber the states
 
 # the left side takes 432 values and the right one 16: 6912 pairs over 3456
@@ -305,3 +404,9 @@ def test_wide_literal_matches_the_reference():
     assert true and false and not fails
     assert canon.lit_models((False, e)) == true
     assert canon.lit_models((True, e)) == false
+
+
+def test_wide_literal_is_read_by_one_strict_pass(monkeypatch):
+    passes = _counting_passes(monkeypatch)
+    _assert_levels_match(GainEvaluator(STATES), _test(WIDE), None)
+    assert passes == [len(STATES)]
