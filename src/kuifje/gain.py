@@ -176,15 +176,6 @@ def read_column(fn, rows, env=None):
     return values, _at(failed, len(rows)) if failed else 0
 
 
-def _group(entries, n):
-    """Levels from (position, value) pairs, positions below n: each value
-    with the mask of its positions."""
-    positions = {}
-    for i, v in entries:
-        positions.setdefault(v, []).append(i)
-    return {v: _at(p, n) for v, p in positions.items()}
-
-
 def _const(value, full):
     # the level set of a value taken on every state
     return ({value: full} if full else {}), 0
@@ -626,7 +617,7 @@ class GainEvaluator:
         if table is None:
             rows = self._rows
             values = [r[k] for r in rows] if j is None else [r[k][j] for r in rows]
-            table = self._tables[k, j] = _group(enumerate(values), len(rows))
+            table = self._tables[k, j] = self._grouped(values)
         return table
 
     def _strict_pass(self, e, env):
@@ -634,10 +625,12 @@ class GainEvaluator:
         values, fails = read_column(compile_expr(e, self._names), self._rows, env)
         return self._grouped(values, fails), fails
 
-    def _grouped(self, column, fails):
-        # the levels of a column's values outside the fails
-        n = len(column)
-        return _group(compress(enumerate(column), _bits(self._full ^ fails, n)), n)
+    def _grouped(self, column, fails=0):
+        # the levels of a column's values on the states outside fails
+        n, positions = len(column), {}
+        for i, v in compress(enumerate(column), _bits(self._full ^ fails, n)):
+            positions.setdefault(v, []).append(i)
+        return {v: _at(p, n) for v, p in positions.items()}
 
 
 def _exact(x, den):
