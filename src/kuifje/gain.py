@@ -15,17 +15,17 @@ with first flattening to the normal form "MAX over atoms" and then taking the
 best expected atom.  We therefore never need to expand the (exponentially
 large) normal form just to evaluate.  One class, `GainEvaluator`, computes
 that value: it reads a distribution as integer weights over indexed states
-with one common divisor, and divides once at the top.  It values atoms as
-columns over all its states, one per distinct sub-expression and
-quantifier binding.  Reads and atomic tests are level sets, value -> mask
-of the states taking it (the terminal-value view of algebraic decision
-diagrams: Bahar et al., ICCAD 1993), built from one table per variable and
-array element, so a test costs mask operations, not a pass over the
-states: an atomic test's masks are its level set's, `and`, `or` and `not`
-are bitmask operations, and arithmetic combines integer columns entry by
-entry.  The tables, level sets and columns die with the evaluator.
-`eval_gain`/`eval_gain_hyper` are one-shot wrappers, and
-`eval_atom_total`/`eval_bool_total` one-state ones.
+with one common divisor, and divides once at the top.  It values every
+expression node as a level set, value -> mask of the states taking it (the
+terminal-value view of algebraic decision diagrams: Bahar et al., ICCAD
+1993), built from one table per variable and array element, so an
+expression costs mask operations, not a pass over the states: an atomic
+test's masks are its level set's, `and`, `or` and `not` are bitmask
+operations, and an operator combines its operands' levels pairwise.  An
+atom's column over the states, one per distinct atom and quantifier
+binding, spreads its level set.  The tables, level sets and columns die
+with the evaluator.  `eval_gain`/`eval_gain_hyper` are one-shot wrappers,
+and `eval_atom_total`/`eval_bool_total` one-state ones.
 
 The same evaluator lists a gain's atom vectors over the states, pruned of
 dominated ones; `semantic_le`/`semantic_eq` decide a comparison on every
@@ -36,11 +36,11 @@ Atoms use a *total* semantics: inside an atom, an atomic boolean test that
 fails (out-of-bounds index, division by zero) is false under either polarity,
 and an atom whose numeric part cannot be evaluated on some state contributes
 0 there.  Multiplication short-circuits on a zero left factor, so a guard
-Iverson really does shield the expression it multiplies.  `GainEvaluator`'s
-column kernel is the one implementation of that semantics.  Reads and
-atomic tests inside it evaluate strictly, as `lang`'s compiled closures
-do; their level sets give exactly the closures' values, and a closure runs
-over the states only where a level set would cost more than that pass.
+Iverson really does shield the expression it multiplies.  The total form
+of `GainEvaluator`'s level sets is the one implementation of that
+semantics.  Reads and atomic tests inside an atom evaluate strictly, as
+`lang`'s compiled closures do, and their strict level sets give exactly the
+closures' values.
 
 The canonicalizer rewrites every atom into a sum of terms coeff*[pred]*factors
 with predicates in minimized disjunctive normal form, merges complementary
@@ -51,9 +51,10 @@ bitmasks over it, both polarities of a literal from the level set of the
 literal's atom, and values atoms as level sets too, one (value, mask) pair
 per distinct nonzero value, so an atom costs as much as its distinct
 values, not as the states.  It reads literal masks and factor level sets
-through a `GainEvaluator` of its own, so it values an atom exactly as
-`check` does, but keeps its results apart from any other evaluator's: its
-masks and level sets die with it.
+through a `GainEvaluator` of its own, a term's factors in rendered order,
+as the printed atom reads them, so it values an atom exactly as `check`
+values the printed one, but keeps its results apart from any other
+evaluator's: its masks and level sets die with it.
 """
 
 from __future__ import annotations
@@ -62,13 +63,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import compress
+from itertools import compress, starmap
 from math import gcd, lcm, prod
 
 from .core import Dist, all_states
 from .errors import DivisionByZero, NegativeAtom, TypeCheckError
 from .lang import (
-    EVAL_ERRORS,
     Bin,
     BoolLit,
     BoolOp,
@@ -90,7 +90,6 @@ from .lang import (
     RatLit,
     Var,
     apply_op,
-    compile_expr,
     expr_to_source,
     subst_gain,
 )
@@ -144,11 +143,6 @@ def _pack(bits):
     return int(bytes(bits).translate(_DIGITS)[::-1] or b"0", 2)
 
 
-def _mask(column):
-    """The mask of a column's nonzero entries."""
-    return _pack(map(bool, column))
-
-
 def _bits(mask, n):
     """A mask as a column of n 0/1 entries."""
     return format(mask, f"0{n}b")[::-1].encode().translate(_TO_BITS)
@@ -160,20 +154,6 @@ def _at(positions, n):
     for i in positions:
         bits[i] = 1
     return _pack(bits)
-
-
-def read_column(fn, rows, env=None):
-    """A compiled closure's values on rows, as (values, fails): where bit i
-    of fails is set, the read on rows[i] fails and values[i] is 0."""
-    values, failed = [], []
-    append = values.append
-    for row in rows:
-        try:
-            append(fn(row, env))
-        except EVAL_ERRORS:
-            failed.append(len(values))
-            append(0)
-    return values, _at(failed, len(rows)) if failed else 0
 
 
 def _const(value, full):
@@ -199,19 +179,37 @@ def _pairs(left, right, fn):
     return out
 
 
-def _strict_is_total(e):
-    """Whether a numeric expression's strict values are its total ones.  They
-    differ only below a `[test]`, which is total, or a `*`, whose zero left
-    factor shields the right one's reads, outside the reads."""
-    if isinstance(e, Iverson):
-        return False
-    if isinstance(e, Bin):
-        return e.op != "*" and _strict_is_total(e.left) and _strict_is_total(e.right)
-    if isinstance(e, Neg):
-        return _strict_is_total(e.arg)
-    if isinstance(e, (MaxF, MinF)):
-        return all(map(_strict_is_total, e.args))
-    return True  # a constant or a read
+def _element(i, *row):
+    # element i of an array, given its elements' values
+    return row[i]
+
+
+def _within(x, lo, hi, *row):
+    # whether x is in the slice [lo:hi] of an array, given its elements' values
+    return x in row[lo:hi]
+
+
+def _spread(levels, n, fill=None):
+    """Levels as a column of n entries: each value on the states of its
+    mask, fill on the rest."""
+    column = [fill] * n
+    for v, m in levels.items():
+        for i in compress(range(n), _bits(m, n)):
+            column[i] = v
+    return column
+
+
+def _grouped(indexed, n):
+    """The levels of (state index, value) pairs over n states."""
+    positions = {}
+    for i, v in indexed:
+        positions.setdefault(v, []).append(i)
+    return {v: _at(p, n) for v, p in positions.items()}
+
+
+# the nodes whose total level set can differ from their strict one: the
+# forms differ at `[test]` and `*`, and so at the arithmetic above them
+_ARITH = (Iverson, Bin, Neg, MaxF, MinF)
 
 
 # --- gain evaluation -------------------------------------------------------------------
@@ -227,16 +225,15 @@ class GainEvaluator:
     and drops the entries where that is 0, so a negative value that a zero
     guard shields is never reported.
 
-    Atoms are valued a sub-expression at a time, each over all the states,
-    and each distinct sub-expression once per quantifier bindings (`_column`),
-    so a caller valuing many distributions over the same states, or many
-    atoms that share a test, pays for each once.  `[test]` is a 0/1 column,
-    and arithmetic combines columns entry by entry.
-
-    Reads and atomic tests are evaluated strictly, as level sets
-    (`_levels`), built compositionally from one table per declared scalar
-    and array element, value -> mask, each made in one pass over the states
-    the first time that variable is read (`_table`):
+    One kernel, `_levels`, values every numeric and boolean node as a level
+    set, in one of two forms.  The strict form is the node's value as the
+    compiled closure gives it state by state; tests, indices and `print`
+    values read it.  The total form is how an atom reads the node: a
+    `[test]` is total, and a zero left factor of `*` shields the right one.
+    The forms differ only at those two nodes, and the memo keeps them
+    apart.  Level sets are built compositionally from one table per
+    declared scalar and array element, value -> mask, each made in one pass
+    over the states the first time that variable is read (`_table`):
     - a constant or a quantifier index is one level over every state;
     - `A[e]` unions, over e's levels (i, m), m & table[A[i]]; a level with
       i out of range fails;
@@ -246,13 +243,17 @@ class GainEvaluator:
     - `and`/`or` fail, as the closures do, only where the left operand
       leaves the value to the right one;
     - `x in A[lo:hi]` looks x up in the tables of the slice's elements.
-    A node whose level pairs would outnumber the states is read instead by
-    one strict pass of its compiled closure over the states, grouped by
-    value (`_strict_pass`).  An atomic test's masks are its level set's
-    (`_test`), a read's column is built from its level set (`_fold`), and
-    `and`, `or` and `not` are operations on masks, with `not` pushed down
-    to the atomic tests.  The tables, level sets and columns die with the
-    evaluator.
+    A node whose level pairs would outnumber the states is computed instead
+    state by state from its operands' level sets (`_by_state`).
+
+    An atomic test's masks are its strict level set's (`_test`), and `and`,
+    `or` and `not` are operations on masks, with `not` pushed down to the
+    atomic tests.  An atom's column (`_column`), built once per distinct
+    expression and quantifier bindings, is its total level set spread over
+    the states, and a `[test]`'s is its mask's 0/1 expansion; so a caller
+    valuing many distributions over the same states, or many atoms that
+    share a test, pays for each once.  The tables, level sets and columns
+    die with the evaluator.
     """
 
     def __init__(self, states):
@@ -292,7 +293,7 @@ class GainEvaluator:
         return [Fraction(x, den) for x in ints]
 
     def _memo(self, env):
-        # the columns under one set of quantifier bindings
+        # the level sets and columns under one set of quantifier bindings
         key = tuple(sorted(env.items())) if env else ()
         memo = self._memos.get(key)
         if memo is None:
@@ -300,7 +301,7 @@ class GainEvaluator:
         return memo
 
     def _bind(self, env, memo, var, v):
-        # env with var bound to v, and its columns, found once per binding
+        # env with var bound to v, and its memo, found once per binding
         key = (id(memo), var, v)
         got = self._binds.get(key)
         if got is None:
@@ -410,56 +411,16 @@ class GainEvaluator:
         ints[i] is 0; negative tells whether any value is below 0."""
         col = memo.get(e)
         if col is None:
-            den, ints, fails = self._fold(e, env, memo)
-            if fails:
-                kept = _bits(self._full ^ fails, len(ints))
-                ints = list(map(operator.mul, ints, kept))
+            n = len(self._rows)
+            if isinstance(e, Iverson):
+                den, fails = 1, 0
+                ints = _bits(self._test(e.arg, False, env, memo), n)
+            else:
+                levels, fails = self._levels(e, env, memo, total=True)
+                den = lcm(*(Fraction(v).denominator for v in levels))
+                ints = _spread({int(v * den): m for v, m in levels.items()}, n, 0)
             col = memo[e] = (den, ints, fails, min(ints, default=0) < 0)
         return col
-
-    def _fold(self, e, env, memo):
-        # e's (den, ints, fails) from its operands' columns; ints may be
-        # nonzero where a read fails, and _column zeroes them
-        n = len(self._rows)
-        if isinstance(e, Iverson):
-            return 1, _bits(self._test(e.arg, False, env, memo), n), 0
-        if isinstance(e, (IntLit, RatLit)):
-            v = Fraction(e.value)
-            return v.denominator, [v.numerator] * n, 0
-        if isinstance(e, Neg):
-            den, ints, fails, _ = self._column(e.arg, env, memo)
-            return den, list(map(operator.neg, ints)), fails
-        if isinstance(e, Bin):
-            left = self._column(e.left, env, memo)
-            right = self._column(e.right, env, memo)
-            fails = left[2] | right[2]
-            if e.op == "*":
-                # a zero left factor shields the right one's failing reads
-                if right[2]:
-                    fails = left[2] | right[2] & _mask(left[1])
-                ints = list(map(operator.mul, left[1], right[1]))
-                return left[0] * right[0], ints, fails
-            den, (a, b) = _common(left, right)
-            if e.op in ("div", "mod"):
-                # x/den div y/den is x div y; x/den mod y/den is (x mod y)/den
-                fn = OPS[e.op]
-                ints = [fn(x, y) if y else 0 for x, y in zip(a, b)]
-                fails |= self._full ^ _mask(b)
-                return (1 if e.op == "div" else den), ints, fails
-            return den, list(map(OPS[e.op], a, b)), fails
-        if isinstance(e, (MaxF, MinF)):
-            cols = [self._column(a, env, memo) for a in e.args]
-            den, ints = _common(*cols)
-            pick = max if isinstance(e, MaxF) else min
-            fails = reduce(operator.or_, [c[2] for c in cols])
-            return den, list(map(pick, zip(*ints))), fails
-        # a read: a variable, a quantifier index or an array element
-        levels, fails = self._levels(e, env, memo)
-        ints = [0] * n
-        for v, m in levels.items():
-            for i in compress(range(n), _bits(m, n)):
-                ints[i] = v
-        return 1, ints, fails
 
     def _test(self, e, neg, env, memo):
         """The mask of the states where the test e holds, or where `not e`
@@ -475,30 +436,20 @@ class GainEvaluator:
             return self._test(e.arg, not neg, env, memo)
         return self._levels(e, env, memo)[0].get(not neg, 0)
 
-    def _total_levels(self, e, env, memo):
-        """A numeric expression's values as `_column` gives them, as a level
-        set: its strict level set where the two agree (`_strict_is_total`),
-        else its column's values grouped."""
-        if _strict_is_total(e):
-            return self._levels(e, env, memo)
-        den, ints, fails, _ = self._column(e, env, memo)
-        levels = self._grouped(ints, fails)
-        return {Fraction(v, den): m for v, m in levels.items()}, fails
-
-    def _levels(self, e, env, memo):
-        """e's level set under strict evaluation, as the compiled closure
-        gives it state by state: (levels, fails), see above.  It is built
-        from its operands' level sets, down to one table per variable and
-        array element (`_table`), and kept in memo."""
-        key = ("levels", e)
+    def _levels(self, e, env, memo, total=False):
+        """e's level set, (levels, fails) as above, in its strict or its
+        total form, built from its operands' level sets and kept in memo.
+        A read or a test has one form: the two differ only at `[test]` and
+        `*`."""
+        if total and not isinstance(e, _ARITH):
+            total = False
+        key = (total, e)
         got = memo.get(key)
         if got is None:
-            got = memo[key] = self._level_set(e, env, memo)
+            got = memo[key] = self._level_set(e, total, env, memo)
         return got
 
-    def _level_set(self, e, env, memo):
-        # A node that combines its operands' levels pairwise, when the pairs
-        # would outnumber the states, is read by one strict pass instead.
+    def _level_set(self, e, total, env, memo):
         full, n = self._full, len(self._rows)
         if isinstance(e, (IntLit, RatLit, BoolLit)):
             return _const(e.value, full)
@@ -517,7 +468,8 @@ class GainEvaluator:
                 else:
                     fails |= m  # past either end
             if sum(len(t) for _, t in tables) > n:
-                return self._strict_pass(e, env)
+                row = [self._table(k, j) for j in range(len(self._rows[0][k]))]
+                return self._by_state(_element, [index, *row], full ^ fails), fails
             levels = {}
             for m, table in tables:
                 for v, t in table.items():
@@ -526,12 +478,25 @@ class GainEvaluator:
                         levels[v] = levels.get(v, 0) | inside
             return levels, fails
         if isinstance(e, Neg):
-            levels, fails = self._levels(e.arg, env, memo)
+            levels, fails = self._levels(e.arg, env, memo, total)
             return {-v: m for v, m in levels.items()}, fails
+        if isinstance(e, Iverson):
+            if total:  # a test whose read fails is false
+                true = self._test(e.arg, False, env, memo)
+                return {v: m for v, m in ((1, true), (0, full ^ true)) if m}, 0
+            levels, fails = self._levels(e.arg, env, memo)
+            return {int(v): m for v, m in levels.items()}, fails
         if isinstance(e, (Bin, Cmp)):
-            left, lfails = self._levels(e.left, env, memo)
-            right, rfails = self._levels(e.right, env, memo)
-            fails = lfails | rfails
+            left, fails = self._levels(e.left, env, memo, total)
+            right, rfails = self._levels(e.right, env, memo, total)
+            shielded = 0
+            if total and e.op == "*" and 0 in left:
+                # the product is 0 where the left factor is, and the right
+                # one is not read there
+                shielded = left[0]
+                left = {a: m for a, m in left.items() if a}
+                rfails &= full ^ shielded
+            fails |= rfails
             if e.op in ("=", "!="):
                 # one lookup per level of the side with fewer
                 few, many = sorted((left, right), key=len)
@@ -546,23 +511,24 @@ class GainEvaluator:
                 fails |= right[0]
                 right = {b: m for b, m in right.items() if b}
             if len(left) * len(right) > n:
-                return self._strict_pass(e, env)
-            return _pairs(left, right, OPS[e.op]), fails
-        if isinstance(e, (MaxF, MinF)):
-            sets = [self._levels(a, env, memo) for a in e.args]
-            if prod(len(levels) for levels, _ in sets) > n:
-                return self._strict_pass(e, env)
-            pick = max if isinstance(e, MaxF) else min
-            levels, fails = sets[0]
-            for more, bad in sets[1:]:
-                levels, fails = _pairs(levels, more, pick), fails | bad
+                keep = full ^ fails ^ shielded
+                levels = self._by_state(OPS[e.op], [left, right], keep)
+            else:
+                levels = _pairs(left, right, OPS[e.op])
+            if shielded:
+                levels[0] = levels.get(0, 0) | shielded
             return levels, fails
+        if isinstance(e, (MaxF, MinF)):
+            sets = [self._levels(a, env, memo, total) for a in e.args]
+            operands = [levels for levels, _ in sets]
+            fails = reduce(operator.or_, [bad for _, bad in sets])
+            pick = max if isinstance(e, MaxF) else min
+            if prod(map(len, operands)) > n:
+                return self._by_state(lambda *a: pick(a), operands, full ^ fails), fails
+            return reduce(lambda a, b: _pairs(a, b, pick), operands), fails
         if isinstance(e, Not):
             levels, fails = self._levels(e.arg, env, memo)
             return _truth(levels.get(False, 0), levels.get(True, 0)), fails
-        if isinstance(e, Iverson):
-            levels, fails = self._levels(e.arg, env, memo)
-            return {int(v): m for v, m in levels.items()}, fails
         if isinstance(e, BoolOp):
             # as in the closure, the right operand is read, and can fail,
             # only where the left one leaves the value open
@@ -581,30 +547,33 @@ class GainEvaluator:
 
     def _member(self, e, env, memo):
         # `x in A[lo:hi]`: x is in the slice where it equals one of the
-        # slice's elements, each read from its table
+        # slice's elements, each read from its table; a bound outside
+        # 0..length fails
         k, full, n = self._positions[e.array], self._full, len(self._rows)
         length = len(self._rows[0][k]) if n else 0
         item, fails = self._levels(e.item, env, memo)
-        lo, lo_fails = (
-            _const(0, full) if e.lo is None else self._levels(e.lo, env, memo)
-        )
-        hi, hi_fails = (
-            _const(length, full) if e.hi is None else self._levels(e.hi, env, memo)
-        )
-        fails |= lo_fails | hi_fails
+        bounds = []
+        for bound, default in ((e.lo, 0), (e.hi, length)):
+            bound = IntLit(default) if bound is None else bound
+            levels, bad = self._levels(bound, env, memo)
+            for b, m in levels.items():
+                if not 0 <= b <= length:
+                    bad |= m
+            fails |= bad
+            bounds.append({b: m for b, m in levels.items() if 0 <= b <= length})
+        lo, hi = bounds
         if len(item) * len(lo) * len(hi) * length > n:
-            return self._strict_pass(e, env)
-        true = 0
-        for a, ma in lo.items():
-            for b, mb in hi.items():
-                m = ma & mb
-                if not (0 <= a <= length and 0 <= b <= length):
-                    fails |= m  # a slice out of bounds
-                    continue
-                for x, mx in item.items():
-                    inside = m & mx
-                    for j in range(a, b):
-                        true |= inside & self._table(k, j).get(x, 0)
+            row = [self._table(k, j) for j in range(length)]
+            true = self._by_state(_within, [item, lo, hi, *row], full ^ fails).get(True, 0)
+        else:
+            true = 0
+            for a, ma in lo.items():
+                for b, mb in hi.items():
+                    m = ma & mb
+                    for x, mx in item.items():
+                        inside = m & mx
+                        for j in range(a, b):
+                            true |= inside & self._table(k, j).get(x, 0)
         false = full ^ fails ^ true
         if e.negated:
             true, false = false, true
@@ -617,34 +586,23 @@ class GainEvaluator:
         if table is None:
             rows = self._rows
             values = [r[k] for r in rows] if j is None else [r[k][j] for r in rows]
-            table = self._tables[k, j] = self._grouped(values)
+            table = self._tables[k, j] = _grouped(enumerate(values), len(rows))
         return table
 
-    def _strict_pass(self, e, env):
-        # e's level set from one strict pass of its closure over the states
-        values, fails = read_column(compile_expr(e, self._names), self._rows, env)
-        return self._grouped(values, fails), fails
-
-    def _grouped(self, column, fails=0):
-        # the levels of a column's values on the states outside fails
-        n, positions = len(column), {}
-        for i, v in compress(enumerate(column), _bits(self._full ^ fails, n)):
-            positions.setdefault(v, []).append(i)
-        return {v: _at(p, n) for v, p in positions.items()}
+    def _by_state(self, fn, operands, keep):
+        """The levels of fn over the operands' values, computed state by state
+        on the states of keep, where every operand's level set has a value:
+        the one fallback for a node whose level pairs would outnumber the
+        states."""
+        n = len(self._rows)
+        bits = _bits(keep, n)
+        args = compress(zip(*[_spread(levels, n) for levels in operands]), bits)
+        return _grouped(zip(compress(range(n), bits), starmap(fn, args)), n)
 
 
 def _exact(x, den):
     # x / den, an int when den is 1
     return x if den == 1 else Fraction(x, den)
-
-
-def _common(*columns):
-    """Columns' ints over one denominator, as (den, [ints, ...])."""
-    den = lcm(*[c[0] for c in columns])
-    return den, [
-        c[1] if c[0] == den else list(map((den // c[0]).__mul__, c[1]))
-        for c in columns
-    ]
 
 
 def _pointwise_le(v, w):
@@ -779,9 +737,10 @@ class Canon:
     none of its candidates.
 
     An atom's values are a level set (`atom_levels`), never a per-state
-    tuple.  `prune` hashes level sets to find equal atoms, sums them as
-    value times mask size, and decides dominance by mask containment
-    (`_levels_le`).
+    tuple, and they are the printed atom's total values on every state, so
+    `prune` is sound for the printed pre-gain.  `prune` hashes level sets
+    to find equal atoms, sums them as value times mask size, and decides
+    dominance by mask containment (`_levels_le`).
 
     Every atom a Canon returns comes from `_finalize`, which interns it, so an
     atom's identity is its value and no atom's id is reused while the Canon
@@ -1356,13 +1315,14 @@ class Canon:
         one (value, mask) pair per distinct nonzero integer value, in
         increasing order of value, with pairwise disjoint masks.  The atom is
         value / den on the states of a mask and 0 on the rest, in lowest
-        terms.  A factor that fails where its term's predicate holds makes
-        the atom 0 on that state.
+        terms.  It is the total value of `atom_expr(atom)` on every state:
+        where its term's predicate holds, a factor's read that fails, unless
+        a zero factor to its left shields it, makes the atom 0 on that
+        state.
 
         A term c·[p] is the one level (c's numerator, p's mask); a sum
         refines its terms' levels, so that only a term with factors reads
-        their level sets, those of its factor product, once
-        (`_product_levels`)."""
+        the level set of its factor product, once (`_product_levels`)."""
         out = self._levels.get(id(atom))
         if out is None:
             out = self._levels[id(atom)] = self._sum_levels(atom)
@@ -1406,19 +1366,18 @@ class Canon:
     def _product_levels(self, factors):
         """A product of factors as (den, levels, fails): the product is v /
         den on the states of each (v, mask) of levels, which are disjoint,
-        and 0 elsewhere; where bit i of fails is set, a factor's read fails
-        on the i-th state.  Each factor's values are the evaluator's level
-        set (`_total_levels`), and the product combines each pair of levels
-        whose masks meet."""
+        and 0 elsewhere; where bit i of fails is set, it cannot be evaluated
+        on the i-th state.  It is the evaluator's total level set of the
+        left-nested product `f1 * f2 * ...`, the factors read in rendered
+        order, as the printed term reads them: a zero factor shields the
+        reads of the ones to its right."""
         out = self._factor_levels.get(factors)
         if out is None:
             ev = self._evaluator
-            product, fails = _const(1, ev._full)
-            for f in factors:
-                levels, bad = ev._total_levels(f, {}, ev._memo({}))
-                product, fails = _pairs(product, levels, operator.mul), fails | bad
-            den = lcm(*(Fraction(v).denominator for v in product))
-            levels = [(int(v * den), m) for v, m in product.items() if v]
+            product = reduce(partial(Bin, "*"), factors)
+            levels, fails = ev._levels(product, {}, ev._memo({}), total=True)
+            den = lcm(*(Fraction(v).denominator for v in levels))
+            levels = [(int(v * den), m) for v, m in levels.items() if v]
             out = self._factor_levels[factors] = (den, levels, fails)
         return out
 

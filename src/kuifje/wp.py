@@ -197,8 +197,8 @@ class WpEngine:
 
     def _attained(self, expr):
         """Values expr can take anywhere on the declared state space: the
-        values of its level set over that space (`GainEvaluator._levels`),
-        read through the Canon's evaluator."""
+        values of its strict level set over that space
+        (`GainEvaluator._levels`), read through the Canon's evaluator."""
         ev = self.canon._evaluator
         levels, _ = ev._levels(expr, {}, ev._memo({}))
         if not levels:

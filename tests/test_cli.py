@@ -47,6 +47,25 @@ def test_wp_table_output_exact():
     assert p.stderr == ""
 
 
+def test_wp_and_check_keep_an_atom_whose_zero_factor_shields_a_failing_read(
+    tmp_path,
+):
+    # at b = 0 and n = 2 the first atom is 1: b shields z[n], past the end
+    f = tmp_path / "shielded.kuif"
+    f.write_text(
+        "hidden b : int[0..1]\n"
+        "hidden z : array[2] of int[0..1]\n"
+        "hidden n : int[0..2]\n"
+        "skip\n"
+        "@post { (1 + b * z[n]) MAX 2 * [n < 2] }\n"
+    )
+    p = cli("wp", str(f))
+    assert (p.returncode, p.stdout) == (0, "1 + b * z[n] MAX 2 * [n < 2]\n")
+    p = cli("check", str(f))
+    assert p.returncode == 0, p.stdout
+    assert p.stdout.endswith("checked 24 priors: 24 agree, 0 disagree\n")
+
+
 def test_wp_json_output():
     p = cli("wp", corpus("branch_assign.kuif"), "--format", "json")
     assert p.returncode == 0

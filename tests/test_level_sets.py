@@ -1,38 +1,43 @@
-"""The evaluator's level sets, masks and factor values against a strict
-reference.
+"""The evaluator's level sets, masks and factor values, and `Canon`'s
+atoms, against a strict reference.
 
-`GainEvaluator` evaluates reads and atomic tests strictly, as level sets
-(`_levels`), decides a test as masks over its states (`_test`) and values a
-factor as a level set; `Canon` reads the last two through an evaluator of
-its own (`lit_models`, `_product_levels`).  Here each is checked state by
-state against `reference_eval`, which walks the tree one state at a time:
+`GainEvaluator` values every node as a level set (`_levels`), strict for
+tests and indices, total as an atom reads it, decides a test as masks over
+its states (`_test`) and values a factor product as a total level set;
+`Canon` reads the last two through an evaluator of its own (`lit_models`,
+`_product_levels`) and values its atoms from them (`atom_levels`).  Here
+each is checked state by state against `reference_eval`, which walks the
+tree one state at a time:
 
 - a level set's values, masks and fail mask, with no boolean value in a
   numeric expression's level set and no number in a test's;
 - a test's true and false masks, under both polarities, and for an atomic
   test the fail mask, the states outside both;
-- a numeric expression's values and fail mask.
+- a numeric expression's total values and fail mask, a factor product's
+  read left to right, as the printed term reads it;
+- an atom's level set, against the total value of the atom as printed.
 
-The cases are every literal and factor that `Canon` reads on `wp` and
-`wp --force-unfold` across the corpus, hand-written ones over a small space
-(reads past the end of an array, `div` and `mod` by 0, `and`/`or` whose left
-side shields a failing right side, tests compared as values, bad slices,
-`max`/`min` and quantifier bindings), generated ones, and one literal whose
-level pairs
-outnumber the states, which is read by one strict pass of its closure where
-no other case is.
+The cases are every literal, factor product and atom that `Canon` reads or
+builds on `wp` and `wp --force-unfold` across the corpus, hand-written ones
+over a small space (reads past the end of an array, `div` and `mod` by 0,
+`and`/`or` whose left side shields a failing right side, a zero factor
+that shields a failing one, tests compared as values, bad slices,
+`max`/`min` and quantifier bindings), generated ones, and a literal, a
+product, an array read and a membership whose level pairs outnumber the
+states, each computed by one state-by-state pass where no other case takes
+any.
 """
 
 import glob
 import os
 from fractions import Fraction
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_eval as ref
-from kuifje import gain
 from kuifje.core import all_states
 from kuifje.gain import Canon, GainEvaluator
 from kuifje.lang import (
@@ -124,6 +129,11 @@ def _numeric_reference(e, states, env=None):
     return values, fails
 
 
+def _product(factors):
+    # the left-nested product f1 * f2 * ...
+    return reduce(partial(Bin, "*"), factors)
+
+
 def _expand(den, levels, fails, n):
     # a level set's values as a list, checking its masks are disjoint
     values, seen = [Fraction(0)] * n, fails
@@ -175,17 +185,31 @@ def test_canon_reads_match_the_reference(run):
         assert canon.lit_models((False, atom)) == true, atom
         assert canon.lit_models((True, atom)) == false, atom
     for factors in products:
+        # the factors read left to right, as the printed term reads them
         den, levels, fails = canon._product_levels(factors)
-        want, want_fails = [Fraction(1)] * len(states), 0
-        for f in factors:
-            values, bad = _numeric_reference(f, states)
-            want = [a * b for a, b in zip(want, values)]
-            want_fails |= bad
+        want, want_fails = _numeric_reference(_product(factors), states)
         assert fails == want_fails, factors
-        got = _expand(den, levels, fails, len(states))
-        assert [v for i, v in enumerate(got) if not fails >> i & 1] == [
-            v for i, v in enumerate(want) if not fails >> i & 1
-        ], factors
+        assert _expand(den, levels, fails, len(states)) == want, factors
+
+
+def _assert_atom_levels_match(canon, atom):
+    # an atom's level set is the printed atom's total value on every state,
+    # so `prune` drops only atoms that the printed ones dominate
+    states = canon._evaluator.states
+    den, levels = canon.atom_levels(atom)
+    expr = canon.atom_expr(atom)
+    want = [ref.atom(expr, s) for s in states]
+    assert _expand(den, levels, 0, len(states)) == want, canon.atom_render(atom)
+
+
+@pytest.mark.parametrize(
+    "run", RUNS, ids=[n + (" --force-unfold" if f else "") for n, f in RUNS]
+)
+def test_canon_atoms_match_the_reference(run):
+    canon, _, _ = _canon_reads(*run)
+    assert canon._intern
+    for atom in canon._intern:
+        _assert_atom_levels_match(canon, atom)
 
 
 # ---- hand-written cases over a small space
@@ -291,15 +315,15 @@ NUMERIC = [
 
 
 def _counting_passes(monkeypatch):
-    # the number of states each strict pass of a closure reads
+    # the number of states each state-by-state pass reads
     passes = []
-    real = gain.read_column
+    real = GainEvaluator._by_state
 
-    def counting(fn, rows, env=None):
-        passes.append(len(rows))
-        return real(fn, rows, env)
+    def counting(self, fn, operands, keep):
+        passes.append(keep.bit_count())
+        return real(self, fn, operands, keep)
 
-    monkeypatch.setattr(gain, "read_column", counting)
+    monkeypatch.setattr(GainEvaluator, "_by_state", counting)
     return passes
 
 
@@ -352,6 +376,25 @@ def test_factor_levels_match_the_reference(source):
     assert _expand(den, levels, fails, len(STATES)) == values
 
 
+# atoms whose terms read a factor that can fail, in sums so that a failing
+# read shows; each zero factor to the left of the failing one shields it
+SHIELDED = [
+    "1 + A[0] * A[n]",
+    "x + n * (x div n)",
+    "2 + A[0] * (x div n) - A[1]",
+    "1/2 + A[1] * A[n] * (x div n)",
+    "[b] + max(x, n) * (x div n)",
+    "[n < 3] * A[n] + A[0] * A[n - 1]",
+    "3 * A[n] + 1",
+]
+
+
+@pytest.mark.parametrize("source", SHIELDED)
+def test_shielded_atoms_match_the_reference(source):
+    canon = Canon(SPACE.decls)
+    _assert_atom_levels_match(canon, canon.atom_of(_numeric(source)))
+
+
 # generated expressions over the small space, well typed: numbers over x, n,
 # A's elements and small constants, tests over numbers, b and B's elements
 numbers = st.recursive(
@@ -389,7 +432,7 @@ def test_generated_level_sets_match_the_reference(e):
     _assert_levels_match(GainEvaluator(STATES), e, None)
 
 
-# ---- a literal whose level pairs outnumber the states
+# ---- nodes whose level pairs outnumber the states
 
 # the left side takes 432 values and the right one 16: 6912 pairs over 3456
 # states
@@ -410,3 +453,58 @@ def test_wide_literal_is_read_by_one_strict_pass(monkeypatch):
     passes = _counting_passes(monkeypatch)
     _assert_levels_match(GainEvaluator(STATES), _test(WIDE), None)
     assert passes == [len(STATES)]
+
+
+# x = 0 shields the right factor, whose A[n] fails at n = 3; the factors
+# take 217 and 24 values, 5208 pairs over 3456 states
+WIDE_PRODUCT = (
+    "(x * (1 + n + 4 * A[0] + 12 * A[1] + 36 * A[2]))"
+    " * (x + 4 * A[n] + 12 * [b])"
+)
+
+
+def test_wide_shielded_atom_is_computed_by_one_pass(monkeypatch):
+    e = _numeric(WIDE_PRODUCT)
+    ev = GainEvaluator(STATES)
+    memo = ev._memo({})
+    left, right = (ev._levels(f, {}, memo, total=True)[0] for f in (e.left, e.right))
+    assert (len(left), len(right)) == (217, 24)
+    passes = _counting_passes(monkeypatch)
+    assert ev.column(e) == [ref.atom(e, s) for s in STATES]
+    # the pass reads neither the shielded states nor the failing ones
+    assert passes == [sum(s.get("x") != 0 and s.get("n") < 3 for s in STATES)]
+
+
+# A is a different rotation of (0, 1, 2) on each state where A[n] is read,
+# so the element tables hold 9 levels over 4 states
+ROTATED = [
+    s
+    for s in STATES
+    if (s.get("A"), s.get("n"))
+    in {((0, 1, 2), 0), ((1, 2, 0), 1), ((2, 0, 1), 2), ((0, 0, 0), 3)}
+    and s.get("x") == 0
+    and not s.get("b")
+    and s.get("B") == (False, False)
+]
+
+
+def test_wide_array_read_is_computed_by_one_pass(monkeypatch):
+    assert len(ROTATED) == 4
+    passes = _counting_passes(monkeypatch)
+    _assert_levels_match(GainEvaluator(ROTATED), _numeric("A[n]"), None)
+    assert passes == [3]
+
+
+# the item takes 144 values, and the bounds 3 and 4 inside 0..3: 5184 pairs
+# of level and element over 3456 states; n - 1 fails as a bound at n = 0
+WIDE_MEMBER = "4 * x + n + 16 * A[0] + 48 * A[1] - 140 in A[n - 1:x]"
+
+
+def test_wide_membership_is_computed_by_one_pass(monkeypatch):
+    passes = _counting_passes(monkeypatch)
+    e = _test(WIDE_MEMBER)
+    ev = GainEvaluator(STATES)
+    _assert_levels_match(ev, e, None)
+    levels, fails = ev._levels(e, None, ev._memo(None))
+    assert levels.keys() == {True, False} and fails
+    assert passes == [sum(s.get("n") != 0 for s in STATES)]

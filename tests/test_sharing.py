@@ -5,7 +5,7 @@
 - On the DAG that `print` builds (one continuation under every
   observation branch), `Canon.normalize_gain` computes each node once.
 - `GainEvaluator` decides the literals of a pre-gain from level sets,
-  with no closure call on any state, however many atoms share them.
+  with no pass over the states, however many atoms share them.
 - `expr_to_source`, which keeps each node's rendering on the node, prints
   exactly what the recursive reference printer (`reference_print.py`)
   prints, at every precedence, whatever context rendered a node first.
@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_eval as ref
-from kuifje import gain
 from kuifje.core import Dist
 from kuifje.gain import GainEvaluator
 from kuifje.lang import (
@@ -211,30 +210,25 @@ def test_normalize_gain_computes_each_shared_node_once():
     assert again == atoms and again is not atoms
 
 
-# ---- literals decided from level sets, with no closure call per state
+# ---- literals decided from level sets, with no pass over the states
 
 
 def test_gain_evaluator_runs_no_literal_closure_per_state(monkeypatch):
     # 256 atoms over 256 states, each a disjunction of four of the sixteen
-    # literals H = c: each literal is decided from H's table, so no compiled
-    # closure is called on any state
+    # literals H = c: each literal is decided from H's table, so no node is
+    # computed state by state
     engine = WpEngine(_corpus("reveal_low_bits_small.kuif"))
     nf = engine.wp_program().nf
     states = engine.executable.states()
     assert len(nf.atoms) == len(states) == 256
-    calls = Counter()
-    real = gain.compile_expr
+    calls = []
+    real = GainEvaluator._by_state
 
-    def counting(e, names):
-        fn = real(e, names)
+    def counting(self, fn, operands, keep):
+        calls.append(keep)
+        return real(self, fn, operands, keep)
 
-        def counted(values, env):
-            calls[expr_to_source(e)] += 1
-            return fn(values, env)
-
-        return counted
-
-    monkeypatch.setattr(gain, "compile_expr", counting)
+    monkeypatch.setattr(GainEvaluator, "_by_state", counting)
     prior = Dist.from_weights({s: k + 1 for k, s in enumerate(states)})
     got = GainEvaluator(states).value(nf.as_gain(), prior)
     monkeypatch.undo()
