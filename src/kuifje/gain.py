@@ -148,12 +148,36 @@ def _bits(mask, n):
     return format(mask, f"0{n}b")[::-1].encode().translate(_TO_BITS)
 
 
+# a mask with fewer than n / _SPARSE of its n bits set is built and read bit
+# by bit, each step a shift or an xor, rather than through its 0/1 column,
+# whose cost is n on every mask: so a level set with many small levels
+# costs about as much to build and spread as one with few large ones
+_SPARSE = 64
+
+
 def _at(positions, n):
     """The mask with the bits at the given positions, all below n, set."""
+    if len(positions) * _SPARSE < n:
+        mask = 0
+        for i in positions:
+            mask |= 1 << i
+        return mask
     bits = bytearray(n)
     for i in positions:
         bits[i] = 1
     return _pack(bits)
+
+
+def _ones(mask, n):
+    """The positions of the set bits of a mask over n states."""
+    if mask.bit_count() * _SPARSE >= n:
+        return compress(range(n), _bits(mask, n))
+    out = []
+    while mask:
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    return out
 
 
 def _const(value, full):
@@ -179,11 +203,6 @@ def _pairs(left, right, fn):
     return out
 
 
-def _element(i, *row):
-    # element i of an array, given its elements' values
-    return row[i]
-
-
 def _within(x, lo, hi, *row):
     # whether x is in the slice [lo:hi] of an array, given its elements' values
     return x in row[lo:hi]
@@ -194,7 +213,7 @@ def _spread(levels, n, fill=None):
     mask, fill on the rest."""
     column = [fill] * n
     for v, m in levels.items():
-        for i in compress(range(n), _bits(m, n)):
+        for i in _ones(m, n):
             column[i] = v
     return column
 
@@ -236,15 +255,17 @@ class GainEvaluator:
     over the states the first time that variable is read (`_table`):
     - a constant or a quantifier index is one level over every state;
     - `A[e]` unions, over e's levels (i, m), m & table[A[i]]; a level with
-      i out of range fails;
+      i out of range fails; this costs at most the read tables' sizes, so
+      it needs no other path;
     - an operator combines each pair of levels whose masks meet, a pair
       dividing by 0 failing; `=`/`!=` looks each level of one side up in
       the other, so a test against a quantifier index costs one lookup;
     - `and`/`or` fail, as the closures do, only where the left operand
       leaves the value to the right one;
     - `x in A[lo:hi]` looks x up in the tables of the slice's elements.
-    A node whose level pairs would outnumber the states is computed instead
-    state by state from its operands' level sets (`_by_state`).
+    An operator or membership whose level pairs would outnumber the states
+    is computed instead state by state from its operands' level sets
+    (`_by_state`).
 
     An atomic test's masks are its strict level set's (`_test`), and `and`,
     `or` and `not` are operations on masks, with `not` pushed down to the
@@ -461,18 +482,12 @@ class GainEvaluator:
         if isinstance(e, Idx):
             index, fails = self._levels(e.index, env, memo)
             k = self._positions[e.name]
-            tables = []
-            for i, m in index.items():
-                if 0 <= i < len(self._rows[0][k]):
-                    tables.append((m, self._table(k, i)))
-                else:
-                    fails |= m  # past either end
-            if sum(len(t) for _, t in tables) > n:
-                row = [self._table(k, j) for j in range(len(self._rows[0][k]))]
-                return self._by_state(_element, [index, *row], full ^ fails), fails
             levels = {}
-            for m, table in tables:
-                for v, t in table.items():
+            for i, m in index.items():
+                if not 0 <= i < len(self._rows[0][k]):
+                    fails |= m  # past either end
+                    continue
+                for v, t in self._table(k, i).items():
                     inside = m & t
                     if inside:
                         levels[v] = levels.get(v, 0) | inside

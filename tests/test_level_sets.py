@@ -23,13 +23,17 @@ over a small space (reads past the end of an array, `div` and `mod` by 0,
 `and`/`or` whose left side shields a failing right side, a zero factor
 that shields a failing one, tests compared as values, bad slices,
 `max`/`min` and quantifier bindings), generated ones, and a literal, a
-product, an array read and a membership whose level pairs outnumber the
-states, each computed by one state-by-state pass where no other case takes
-any.
+product and a membership whose level pairs outnumber the states, each
+computed by one state-by-state pass where no other case takes any, beside
+an array read whose element tables outnumber the states, which takes none.
+A mask's set bits and the mask of a set of positions are checked against
+each other on both sides of the density below which they are read and
+built bit by bit.
 """
 
 import glob
 import os
+import random
 from fractions import Fraction
 from functools import partial, reduce
 
@@ -38,6 +42,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_eval as ref
+from kuifje import gain
 from kuifje.core import all_states
 from kuifje.gain import Canon, GainEvaluator
 from kuifje.lang import (
@@ -476,7 +481,8 @@ def test_wide_shielded_atom_is_computed_by_one_pass(monkeypatch):
 
 
 # A is a different rotation of (0, 1, 2) on each state where A[n] is read,
-# so the element tables hold 9 levels over 4 states
+# so the element tables hold 9 levels over 4 states; A[n] still unions
+# the tables its index reads, since that costs no more than their sizes
 ROTATED = [
     s
     for s in STATES
@@ -488,11 +494,11 @@ ROTATED = [
 ]
 
 
-def test_wide_array_read_is_computed_by_one_pass(monkeypatch):
+def test_wide_array_read_unions_its_element_tables(monkeypatch):
     assert len(ROTATED) == 4
     passes = _counting_passes(monkeypatch)
     _assert_levels_match(GainEvaluator(ROTATED), _numeric("A[n]"), None)
-    assert passes == [3]
+    assert passes == []
 
 
 # the item takes 144 values, and the bounds 3 and 4 inside 0..3: 5184 pairs
@@ -508,3 +514,22 @@ def test_wide_membership_is_computed_by_one_pass(monkeypatch):
     levels, fails = ev._levels(e, None, ev._memo(None))
     assert levels.keys() == {True, False} and fails
     assert passes == [sum(s.get("n") != 0 for s in STATES)]
+
+
+# ---- masks read and built bit by bit
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 63, 64, 65, 200, 4096])
+def test_sparse_masks_are_read_and_built_bit_by_bit(count, monkeypatch):
+    # over 4096 states a mask with fewer than 64 bits set skips its 0/1
+    # column both ways, so spreading many small levels costs no pass each
+    n = 4096
+    positions = sorted(random.Random(count).sample(range(n), count))
+    mask = sum(1 << i for i in positions)
+    calls = []
+    bits, pack = gain._bits, gain._pack
+    monkeypatch.setattr(gain, "_bits", lambda m, k: calls.append("bits") or bits(m, k))
+    monkeypatch.setattr(gain, "_pack", lambda b: calls.append("pack") or pack(b))
+    assert gain._at(positions, n) == mask
+    assert sorted(gain._ones(mask, n)) == positions
+    assert calls == ([] if count * gain._SPARSE < n else ["pack", "bits"])
