@@ -1640,30 +1640,39 @@ def _separating_prior(v, upper):
     return [(k, int(p * den)) for k, p in zip(pos, probs) if p]
 
 
-def _compare(g1, g2, decls, relation, states):
-    if states is None:
-        states = all_states(
-            tuple(d.name for d in decls), [d.domain for d in decls]
-        )
-    ev = GainEvaluator(states)
-    left, right = ev.vectors(g1), ev.vectors(g2)
+def _compare(g1, g2, decls, relation, states, ev):
+    if ev is None:
+        if states is None:
+            states = all_states(
+                tuple(d.name for d in decls), [d.domain for d in decls]
+            )
+        ev, states = GainEvaluator(states), None
+    # the compared states' indices in ev, in order; the vectors have one
+    # entry per compared state
+    at = range(len(ev.states)) if states is None else [ev._index[s] for s in states]
+    support = [(i, 1) for i in at]
+    memo = ev._memo({})
+    left = ev._vectors(g1, support, {}, memo)
+    right = ev._vectors(g2, support, {}, memo)
     bad = operator.gt if relation == "<=" else operator.ne
 
-    def violation(support):
-        total = sum(w for _, w in support)
-        l = ev.weighted_value(g1, support, total)
-        r = ev.weighted_value(g2, support, total)
-        witness = Dist.from_weights({ev.states[i]: w for i, w in support})
+    def violation(prior):
+        # prior: (position among the compared states, integer weight) pairs
+        prior = [(at[k], w) for k, w in prior]
+        total = sum(w for _, w in prior)
+        l = ev.weighted_value(g1, prior, total)
+        r = ev.weighted_value(g2, prior, total)
+        witness = Dist.from_weights({ev.states[i]: w for i, w in prior})
         return CompareResult(False, relation, witness, l, r)
 
     # point priors first, in state order: a gain's value there is the
     # largest entry of its vectors at that state
-    zeros = [0] * len(ev.states)
+    zeros = [0] * len(at)
     lmax = [max(col) for col in zip(*left)] if left else zeros
     rmax = [max(col) for col in zip(*right)] if right else zeros
-    for i, (l, r) in enumerate(zip(lmax, rmax)):
+    for k, (l, r) in enumerate(zip(lmax, rmax)):
         if bad(l, r):
-            return violation([(i, 1)])
+            return violation([(k, 1)])
     sides = [(left, right)] if relation == "<=" else [(left, right), (right, left)]
     for lower, upper in sides:
         ranked = sorted(
@@ -1672,13 +1681,13 @@ def _compare(g1, g2, decls, relation, states):
         for v in lower:
             if _lies_under(v, sum(v), ranked, _pointwise_le):
                 continue
-            support = _separating_prior(v, upper)
-            if support is not None:
-                return violation(support)
+            prior = _separating_prior(v, upper)
+            if prior is not None:
+                return violation(prior)
     return CompareResult(True, relation)
 
 
-def semantic_le(g1, g2, decls, states=None):
+def semantic_le(g1, g2, decls, states=None, evaluator=None):
     """Decides whether g1's value is at most g2's on every distribution over
     the declared state space (or over the given states).
 
@@ -1688,11 +1697,18 @@ def semantic_le(g1, g2, decls, states=None):
     state order; then a vector of g1 under a vector of g2 needs nothing
     more, and any other is settled by an exact rational LP whose optimal
     vertex, when the relation fails, is the counterexample prior.
+
+    `evaluator`, if given, is a `GainEvaluator` whose states include the
+    compared ones (all its states when `states` is None), so that a caller
+    deciding many state sets builds its tables and columns once.  The
+    vectors are read on the compared states' indices, and are the ones an
+    evaluator over those states alone builds: the result is the same.
     """
-    return _compare(g1, g2, decls, "<=", states)
+    return _compare(g1, g2, decls, "<=", states, evaluator)
 
 
-def semantic_eq(g1, g2, decls, states=None):
+def semantic_eq(g1, g2, decls, states=None, evaluator=None):
     """Decides whether g1 and g2 have equal values on every distribution:
-    `semantic_le` both ways, the point priors first."""
-    return _compare(g1, g2, decls, "==", states)
+    `semantic_le` both ways, the point priors first, on an `evaluator` as
+    `semantic_le` takes it."""
+    return _compare(g1, g2, decls, "==", states, evaluator)

@@ -15,7 +15,9 @@ reproduces it, which is the package's leak-erasure sanity law.
 All concrete execution goes through one `Executable` per program.  Its
 compiled statements and its loops' recorded outcomes serve every run on it,
 the backwards analysis's loop bounds and loop-head groups, and `check`'s
-priors, and they are freed with the object.  Inside it a state is its
+priors, and they are freed with the object.  The loop-head groups come from
+one pass that pushes sets of distinct states, keyed by observation history,
+through the statements on the path to the loop.  Inside it a state is its
 values tuple and a posterior is a `{values: int}` group of integer weights;
 a State, Dist or Hyper is built only where a result leaves, and a prior
 over values tuples gives a Hyper over values tuples, so the command line's
@@ -95,8 +97,9 @@ class Executable:
     a `while` ran from to `(outcome, rounds, arrivals)`, the `(trace, final)`
     it returned, the guard tests that came out true, and one `(length of the
     trace so far, head values)` pair per arrival at its head.  Later runs and
-    the backwards analysis's loop facts read that dict, so no loop runs twice
-    from one state.  A sequence or `if` just runs its children.
+    the backwards analysis's loop facts, `loop_rounds` and
+    `loop_head_groups`, read that dict, so no loop runs twice from one
+    state.  A sequence or `if` just runs its children.
 
     Steps are kept by node identity, which stays unique because the object
     holds the program; no step refers back to the object or to a statement
@@ -277,7 +280,7 @@ class Executable:
         names = self._names
         return Dist.from_weights({State(names, f): n for f, n in acc.items()})
 
-    # ---- loop heads, read from the while steps' records
+    # ---- loop facts, read from the while steps' records
 
     def loop_rounds(self, loop, state):
         """How many guard tests come out true when `loop` runs alone from
@@ -285,47 +288,64 @@ class Executable:
         self._step(loop)(state.values)
         return self._loops[id(loop)][state.values][1]
 
-    def loop_heads(self, loop):
-        """(observation history, state) at every arrival at `loop`'s head,
-        over runs of the whole program from every declared state.
+    def loop_head_groups(self, loop):
+        """`{observation history: set of head values}` over every arrival at
+        `loop`'s head, on runs of the whole program from every declared
+        state.
 
-        Arrivals before a runtime error count, and so does a head whose guard
-        test itself fails.
+        One pass pushes `{history: set of values}` groups through the
+        statements on the path to the loop, so equal states merge after each
+        step, as `run`'s groups merge them, and each statement runs once per
+        distinct state.  A path that a runtime error stops drops its state,
+        but its arrivals before the error count, and so does a head whose
+        guard test itself fails.
         """
         body = self.program.body
-        path = _enclosing(body, loop)
-        names = self._names
-        for s0 in self.states():
-            for history, head in self._replay(body, s0.values, (), loop, path):
-                yield history, State(names, head)
+        heads = {}
+        start = {(): {s.values for s in self.states()}}
+        self._heads(body, start, loop, _enclosing(body, loop), heads)
+        return heads
 
-    def _replay(self, stmt, values, history, loop, path):
-        """`loop_heads`'s pairs inside `stmt`, entered from `values` after
-        `history`; descends only into the statements on `path`."""
+    def _heads(self, stmt, groups, loop, path, heads):
+        """Add to `heads` the arrivals at `loop`'s head inside `stmt`,
+        entered from the `{history: set of values}` groups; descends only
+        into the statements on `path`."""
         if isinstance(stmt, SSeq):
             for s in stmt.stmts:
                 if id(s) in path:
-                    yield from self._replay(s, values, history, loop, path)
+                    self._heads(s, groups, loop, path, heads)
                     return
-                t, values = self._step(s)(values)
-                history += t
-                if type(values) is not tuple:
-                    return
-        elif isinstance(stmt, SIf):
-            t = self._step(stmt)(values)[0]
-            if t:  # the guard test did not fail
-                branch = stmt.then if t[0] == _TRUE else stmt.els
-                if id(branch) in path:
-                    yield from self._replay(branch, values, history + t[:1], loop, path)
-        else:  # `loop` itself, or a loop around it
-            trace = self._step(stmt)(values)[0]
-            for pos, head in self._loops[id(stmt)][values][2]:
-                if stmt is loop:
-                    yield history + trace[:pos], head
-                elif pos < len(trace) and trace[pos] == _TRUE:
-                    yield from self._replay(
-                        stmt.body, head, history + trace[: pos + 1], loop, path
-                    )
+                step, out = self._step(s), {}
+                for history, values in groups.items():
+                    for v in values:
+                        t, fin = step(v)
+                        if type(fin) is tuple:
+                            out.setdefault(history + t, set()).add(fin)
+                groups = out
+            return
+        step, out = self._step(stmt), {}
+        if isinstance(stmt, SIf):
+            # the states whose guard test chose the branch on the path
+            on_then = id(stmt.then) in path
+            taken = (_TRUE,) if on_then else (_FALSE,)
+            for history, values in groups.items():
+                for v in values:
+                    if step(v)[0][:1] == taken:
+                        out.setdefault(history + taken, set()).add(v)
+            self._heads(stmt.then if on_then else stmt.els, out, loop, path, heads)
+            return
+        # `loop` itself, or a loop around it
+        record = self._loops[id(stmt)]
+        for history, values in groups.items():
+            for v in values:
+                trace = step(v)[0]
+                for pos, head in record[v][2]:
+                    if stmt is loop:
+                        heads.setdefault(history + trace[:pos], set()).add(head)
+                    elif trace[pos : pos + 1] == (_TRUE,):
+                        out.setdefault(history + trace[: pos + 1], set()).add(head)
+        if stmt is not loop:
+            self._heads(stmt.body, out, loop, path, heads)
 
 
 def _split(step, groups):

@@ -22,14 +22,16 @@ An annotation V for `while g do B` must satisfy, at every loop head,
 
 The check decides the equality on every distribution an observer can
 actually hold at the loop head: those over one group of loop-head states
-with the same observation history (running the whole program concretely from
-every declared initial state; a path stopped by a runtime error is undefined,
-but the loop heads it reached before the error count).  `gain.semantic_eq`
-decides each group exactly, sampling no priors, on the equation as written:
-neither side is simplified first, so the decision is the same with or
-without `--no-simplify`.  The groups are decided in a
-fixed order, which fixes the reported counterexample: the first violating
-point prior, else the optimal vertex of an exact LP.
+with the same observation history.  The groups come from one concrete pass
+that pushes the sets of distinct states, from every declared initial state,
+through the statements on the path to the loop (a path stopped by a runtime
+error is undefined, but the loop heads it reached before the error count).
+`gain.semantic_eq` decides each group exactly, sampling no priors, on the
+equation as written: neither side is simplified first, so the decision is
+the same with or without `--no-simplify`.  Every group of a loop is read on
+the Canon's one evaluator over the declared space.  The groups are decided
+in a fixed order, which fixes the reported counterexample: the first
+violating point prior, else the optimal vertex of an exact LP.
 
 Unfolding is exact: if every state exits the loop within k iterations, the
 k-fold expansion with innermost term [not g] AND E is the loop's pre-gain.
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .core import BoolDomain
+from .core import BoolDomain, State
 from .core import all_states  # noqa: F401  perfbench/spans.py wraps wp.all_states
 from .errors import (
     BoundTooSmall,
@@ -246,8 +248,9 @@ class WpEngine:
             GAnd(Iverson(stmt.guard), self.wp(stmt.body, candidate)),
             GAnd(Iverson(Not(stmt.guard)), g),
         )
+        ev = self.canon._evaluator  # one evaluator over the declared space
         for states in self._loop_head_groups(stmt):
-            res = semantic_eq(candidate, rhs, self.decls, states=states)
+            res = semantic_eq(candidate, rhs, self.decls, states=states, evaluator=ev)
             if not res:
                 lhs_text = gain_to_source(candidate)
                 rhs_text = (
@@ -266,17 +269,20 @@ class WpEngine:
     def _loop_head_groups(self, target):
         """State sets an observer can hold at target's loop head.
 
-        Runs the whole program from every declared initial state.  Two
-        loop-head snapshots belong to the same group iff they carry the same
-        observation history — exactly then can one posterior mix them.
-        Groups are ordered deterministically (by the repr of the history,
-        then state order): they are decided one by one, so the order decides
+        `Executable.loop_head_groups` gives the head values by observation
+        history, from one pass over the distinct states on the path to the
+        loop: two loop-head snapshots belong to the same group iff they carry
+        the same history, exactly then can one posterior mix them.  Groups
+        are ordered deterministically (by the repr of the history, then
+        state order): they are decided one by one, so the order decides
         which counterexample is reported.
         """
-        groups = {}
-        for history, state in self.executable.loop_heads(target):
-            groups.setdefault(history, set()).add(state)
-        return [sorted(groups[key]) for key in sorted(groups, key=repr)]
+        groups = self.executable.loop_head_groups(target)
+        names = self.canon.names
+        return [
+            [State(names, v) for v in sorted(groups[key])]
+            for key in sorted(groups, key=repr)
+        ]
 
     # ---- the leak-blind adversary (the unsound mode)
 

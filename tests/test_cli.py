@@ -952,6 +952,9 @@ def test_unfold_depth_above_the_exit_bound_prints_the_same_pre_gain():
     assert short.stderr == "error: loop needs 3 unfoldings, but only 2 were allowed\n"
 
 
+HASH_SEEDS = ("0", "1", "2", "3")
+
+
 def test_bad_invariant_exit_4(tmp_path):
     f = tmp_path / "badinv.kuif"
     f.write_text(
@@ -959,18 +962,44 @@ def test_bad_invariant_exit_4(tmp_path):
         "n := 0;\nwhile n != x invariant { [n = 0] } do\n  n := n + 1\nod\n"
         "@post { MAX w in 0..3: [x = w] }\n"
     )
-    p = cli("wp", str(f))
-    assert p.returncode == 4
-    lines = p.stderr.splitlines()
-    # the whole line pins the group order and the point priors tried first
-    assert lines[0] == (
-        "error: loop annotation is not self-consistent: on the reachable prior "
-        "Dist({{x=2 n=2}: 1}) the annotation is worth 0 but one loop step is worth 1"
-    )
-    assert lines[1] == (
-        "  needed: [n = 0] == [n != x] AND pre(body, annotation) "
-        "PLUS [not (n != x)] AND post"
-    )
+    # the loop-head groups are sets: the report must not follow the hash seed
+    for seed in HASH_SEEDS:
+        p = cli("wp", str(f), hash_seed=seed)
+        assert p.returncode == 4
+        lines = p.stderr.splitlines()
+        # the whole line pins the group order and the point priors tried first
+        assert lines[0] == (
+            "error: loop annotation is not self-consistent: on the reachable prior "
+            "Dist({{x=2 n=2}: 1}) the annotation is worth 0 but one loop step is "
+            "worth 1"
+        ), seed
+        assert lines[1] == (
+            "  needed: [n = 0] == [n != x] AND pre(body, annotation) "
+            "PLUS [not (n != x)] AND post"
+        ), seed
+
+
+def test_mixed_counterexample_is_the_same_under_every_hash_seed(tmp_path):
+    # the full scan's annotation with its PLUS made a MAX holds on every
+    # point prior and fails on a two-state one, found by the exact LP; the
+    # group it comes from and the prior must not follow the hash seed
+    with open(os.path.join(ROOT, corpus("search_full_scan.kuif"))) as src:
+        text = src.read()
+    plus = "invariant { [x in A[n:]] PLUS "
+    assert plus in text
+    f = tmp_path / "maxinv.kuif"
+    f.write_text(text.replace(plus, "invariant { [x in A[n:]] MAX "))
+    for seed in HASH_SEEDS:
+        p = cli("wp", str(f), hash_seed=seed)
+        assert p.returncode == 4
+        assert p.stderr.splitlines() == [
+            "error: loop annotation is not self-consistent: on the reachable prior "
+            "Dist({{A=[0,1,0] x=1 n=1 f=false}: 1/2, {A=[0,1,1] x=1 n=1 f=false}: "
+            "1/2}) the annotation is worth 1 but one loop step is worth 1/2",
+            "  needed: [x in A[n:]] MAX (MAX i in 0..2: [i < n and A[i] = x and x "
+            "notin A[n:]]) == [n != 3] AND pre(body, annotation) PLUS "
+            "[not (n != 3)] AND post",
+        ], seed
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,12 @@ statement and through the whole body, on one executable per loop bound (1,
 records the first pass filled.  Each run must give the reference's trace
 and final state (or fault type and message), or both must raise
 LoopBoundExceeded.
-The loop facts the backwards analysis reads, `loop_heads` and `loop_rounds`,
-are compared the same way on every loop of every corpus program and of two
-programs that put an annotated loop inside an `if` and inside another loop.
+The loop facts the backwards analysis reads are compared the same way on
+every loop of every corpus program and of three programs that reach an
+annotated loop through an `if`, through another loop, and past a failing
+assignment and a failing `if` guard: `loop_head_groups`, one pass over the
+distinct states, against the reference's per-state head arrivals grouped by
+history, and `loop_rounds` state by state.
 """
 
 import glob
@@ -62,9 +65,20 @@ NESTED = {
         "k := 0;\nwhile k < 1 do\n  n := 0;\n" + _SEARCH + ";\n  k := k + 1\nod"
         + _POST
     ),
+    # the assignment fails at d = 0 and the guard's read at x = 3, so only
+    # some paths reach the loop
+    "search_past_faults": (
+        _DECLS + "hidden d : int[0..1]\n"
+        "n := 0 div d;\nif A[x] != 0 then\n" + _SEARCH + "\nelse\n  skip\nfi"
+        + _POST
+    ),
 }
 # head arrivals at the annotated loop, over runs from every declared state
-NESTED_ARRIVALS = {"search_inside_if": 2800, "search_inside_loop": 5600}
+NESTED_ARRIVALS = {
+    "search_inside_if": 2800,
+    "search_inside_loop": 5600,
+    "search_past_faults": 1656,
+}
 BOUNDS = (1, 2, DEFAULT_LOOP_BOUND)
 PASSES = {"cold": 1, "warm": 2}
 
@@ -134,11 +148,20 @@ def test_steps_match_the_reference_on_corpus(path, passes):
     assert _compare(program, _top_level(program), passes)
 
 
-def _facts(heads, rounds, states):
-    """A loop's `loop_heads` pairs and its `loop_rounds` on every state, in
+def _grouped(heads):
+    """The reference's `(history, State)` head arrivals as `loop_head_groups`
+    gives them: `{history: set of values}`."""
+    groups = {}
+    for history, s in heads:
+        groups.setdefault(history, set()).add(s.values)
+    return groups
+
+
+def _facts(groups, rounds, states):
+    """A loop's head groups and its `loop_rounds` on every state, in
     comparable form; None and the message when the bound was exceeded."""
     try:
-        return [(h, s.values) for h, s in heads], [rounds(s) for s in states]
+        return groups(), [rounds(s) for s in states]
     except LoopBoundExceeded as exc:
         return None, str(exc)
 
@@ -156,27 +179,36 @@ def test_loop_heads_and_rounds_match_the_reference(name):
         exe, ref = Executable(program, bound), ReferenceExecutable(program)
         for loop in loops:
             got = _facts(
-                exe.loop_heads(loop), lambda s: exe.loop_rounds(loop, s), ref.states()
+                lambda: exe.loop_head_groups(loop),
+                lambda s: exe.loop_rounds(loop, s),
+                ref.states(),
             )
             want = _facts(
-                ref.loop_heads(loop, bound),
+                lambda: _grouped(ref.loop_heads(loop, bound)),
                 lambda s: ref.loop_rounds(loop, s, bound),
                 ref.states(),
             )
             assert got == want, (loop, bound)
             if got[0] is not None:
-                assert all(type(h) is tuple for h, _ in got[0])
+                assert all(type(h) is tuple for h in got[0])
 
 
 @pytest.mark.parametrize("name", sorted(NESTED))
 def test_annotation_inside_an_enclosing_statement(name):
     program = check_program(parse_program(NESTED[name]))
     exe = Executable(program)
+    ref = ReferenceExecutable(exe.program)
     (loop,) = [w for w in _loops(exe.program.body) if w.invariant is not None]
-    assert len(list(exe.loop_heads(loop))) == NESTED_ARRIVALS[name]
+    heads = list(ref.loop_heads(loop, DEFAULT_LOOP_BOUND))
+    assert len(heads) == NESTED_ARRIVALS[name]
+    assert exe.loop_head_groups(loop) == _grouped(heads)
+    # a path that fails is undefined for wp, so the two pre-gains are
+    # compared on every prior over the states whose run does not fail
+    body = exe._step(exe.program.body)
+    defined = [s for s in exe.states() if type(body(s.values)[1]) is tuple]
     annotated = WpEngine(program).wp_program().pre
     unfolded = WpEngine(program, WpConfig(force_unfold=True)).wp_program().pre
-    assert semantic_eq(annotated, unfolded, program.decls)
+    assert semantic_eq(annotated, unfolded, program.decls, states=defined)
 
 
 def test_a_loop_runs_once_from_each_entry_state(monkeypatch):
@@ -229,6 +261,16 @@ FAULTING = {
         "hidden A : array[2] of int[0..3]\nhidden i : int[0..1]\n"
         "A[i] := A[i] + 2",
         ("DomainViolation", "A[1] := 5 leaves the declared domain int[0..3]"),
+    ),
+    "print read out of bounds": (
+        "hidden A : array[2] of int[0..1]\nhidden i : int[0..2]\n"
+        "print i;\nprint A[i];\nprint A[0]",
+        ("IndexOutOfBounds", "A[2] with length 2"),
+    ),
+    "if guard divides by zero": (
+        "hidden x : int[0..3]\nhidden y : int[0..3]\n"
+        "print y;\nif 3 div x = y then y := 0 else y := 1 fi",
+        ("DivisionByZero", "div by zero"),
     ),
     "while guard fails after k rounds": (
         "hidden A : array[2] of int[0..1]\nhidden n : int[0..3]\n"

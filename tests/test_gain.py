@@ -4,6 +4,7 @@ import glob
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -503,6 +504,68 @@ def test_semantic_eq_reports_a_mixed_counterexample():
     assert semantic_le(h, g, X4.decls)
     res = semantic_eq(h, g, X4.decls)
     assert res.left < res.right
+
+
+XY = parse_program("hidden x : int[0..3]\nhidden y : int[0..2]\nskip\n")
+check_program(XY)
+SHARED_CASES = {
+    # 1/3 * [y = 0] is 0 on the compared states, and a vector elsewhere
+    "holds": (
+        "[x = 0] MAX [x = 1] MAX 1/2 * [x = 0 or x = 1] MAX 1/3 * [y = 0]",
+        "[x = 0] MAX [x = 1] MAX [y = 2 and x = 3]",
+    ),
+    "point prior": ("[x < 2] MAX 1/3 * [y = 0]", "1/2 * [y != 0]"),
+    "mixed prior": (
+        "[x = 0] MAX [x = 1] MAX 3/5 * [x = 0 or x = 1]",
+        "[x = 0] MAX [x = 1] MAX 2 * [y = 0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_CASES))
+def test_a_shared_evaluator_decides_as_the_compared_states_alone(case):
+    # the states with y = 1, out of canonical order, read on an evaluator
+    # over all 12 states: the decision, counterexample and values are the
+    # one-shot call's on those states alone
+    names, domains = ("x", "y"), [d.domain for d in XY.decls]
+    space = all_states(names, domains)
+    compared = [s for s in reversed(space) if s.get("y") == 1]
+    ev = GainEvaluator(space)
+    g, h = map(parse_gain, SHARED_CASES[case])
+    for decide in (semantic_eq, semantic_le):
+        for left, right in ((g, h), (h, g)):
+            alone = decide(left, right, XY.decls, states=compared)
+            shared = decide(left, right, XY.decls, states=compared, evaluator=ev)
+            assert shared == alone, (decide, left, right)
+    res = semantic_eq(g, h, XY.decls, states=compared, evaluator=ev)
+    assert bool(res) == (case == "holds")
+    if not res:
+        support = res.counterexample.support()
+        assert len(support) == (1 if case == "point prior" else 2)
+        assert all(s.get("y") == 1 for s in support)
+    # without `states`, the evaluator's own states are compared
+    assert semantic_eq(g, h, XY.decls, evaluator=ev) == semantic_eq(g, h, XY.decls)
+
+
+def test_annotation_groups_share_one_evaluator(load_program, monkeypatch):
+    # deciding every loop-head group of the full scan reads each variable
+    # and array element table once, from the Canon's evaluator
+    builds = Counter()
+    table = GainEvaluator._table
+
+    def counting(self, k, j=None):
+        if (k, j) not in self._tables:
+            builds[k, j] += 1
+        return table(self, k, j)
+
+    monkeypatch.setattr(GainEvaluator, "_table", counting)
+    engine = WpEngine(load_program("search_full_scan"))
+    (loop,) = [
+        s for s in engine.program.body.stmts if getattr(s, "invariant", None)
+    ]
+    assert len(engine._loop_head_groups(loop)) > 1
+    engine.wp_program()
+    assert builds and set(builds.values()) == {1}
 
 
 def test_compare_result_describes_a_violation_and_a_hold(load_program):
