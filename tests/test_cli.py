@@ -190,6 +190,29 @@ def test_check_stdout_digest(name, flags):
     assert hashlib.sha256(p.stdout.encode()).hexdigest() == CHECK_DIGESTS[name, flags]
 
 
+CHECK_EXHAUSTIVE_DIGESTS = {
+    # SHA-256 of `check --priors exhaustive --verbose` stdout: one point
+    # prior per declared state, each with its own line
+    "branch_assign.kuif": "1d863bf263c154648943d5369ddb8cf8ad723e8dd5534e43626f2aac08dc962c",
+    "clamp_parity.kuif": "548e7a55f81e8767b68e8b4a42f4c19b2fb02eaf9c86c3bb5fb215a71d0b1ce5",
+    "halve_then_guess.kuif": "34f1df785f10f247e17fa3914345d5820d8c15ad4fb617b251635c7898fd40bf",
+    "threshold_print.kuif": "22e3e999bf87cdfac6c1f3ce723719239cb42751a017c6b41b32dc74c5300e63",
+    "reveal_mod4_small.kuif": "9b4f465a1f7a359756a4e9986baf897c7f10158b85026c196008936093051bc5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_EXHAUSTIVE_DIGESTS))
+def test_check_exhaustive_stdout_digest(name):
+    for seed in HASH_SEEDS:
+        p = cli(
+            "check", corpus(name), "--priors", "exhaustive", "--verbose",
+            hash_seed=seed,
+        )
+        assert p.returncode == 0, p.stderr
+        digest = hashlib.sha256(p.stdout.encode()).hexdigest()
+        assert digest == CHECK_EXHAUSTIVE_DIGESTS[name], seed
+
+
 def test_wp_explicit_post_overrides():
     p = cli("wp", corpus("branch_assign.kuif"), "--post", "[b]")
     assert p.returncode == 0
@@ -751,6 +774,71 @@ def test_check_unsound_mode_fails():
         "FAIL pre = [a or b] MAX [not a and not b]\n"
         "checked 1 priors: 0 agree, 1 disagree\n"
     )
+
+
+# A read past the end of A at n = 2: every prior whose support holds such a
+# state fails in the run, and one that avoids them passes.
+_FAULTY_READ = (
+    "hidden A : array[2] of int[0..1]; hidden n : int[0..2]; "
+    "hidden y : int[0..1]; y := A[n]\n@post { [y = 1] }\n"
+)
+
+# Three runtime errors behind one split: the point priors meet the state
+# x = 0 first (`x := 6`), random priors the first state of the first
+# posterior in canonical order (`x := -10`), and walking the posteriors in
+# the order they split off would meet a division by zero.
+_TWO_FAULTS = (
+    "hidden x : int[0..3];\nprint x mod 2;\nx := 3 - x;\n"
+    "if x < 2 then x := 10 div (x - 1) else x := x + x fi\n@post { [x = 1] }\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source, args, code, stderr",
+    [
+        (_FAULTY_READ, ("--priors", "random:2:3"), 2, "error: A[2] with length 2\n"),
+        (_TWO_FAULTS, ("--priors", "exhaustive"), 2,
+         "error: x := 6 leaves the declared domain int[0..3]\n"),
+        (_TWO_FAULTS, ("--priors", "random:2:3"), 2,
+         "error: x := -10 leaves the declared domain int[0..3]\n"),
+        (_TWO_FAULTS, ("--priors", "random:1:1"), 2,
+         "error: x := -10 leaves the declared domain int[0..3]\n"),
+        (None, ("--loop-bound", "1", "--priors", "random:1:1"), 3,
+         "error: loop exceeded 1 iterations; raise the loop bound or add an "
+         "invariant\n"),
+    ],
+    ids=["read", "two-faults-exhaustive", "two-faults-random", "two-faults-one",
+         "loop-bound"],
+)
+def test_check_reports_the_runs_first_error(tmp_path, source, args, code, stderr):
+    if source is None:
+        path = corpus("search_early_exit.kuif")
+    else:
+        path = tmp_path / "fails.kuif"
+        path.write_text(source)
+    for seed in HASH_SEEDS:
+        p = cli("check", str(path), "--verbose", *args, hash_seed=seed)
+        assert (p.returncode, p.stderr, p.stdout) == (code, stderr, ""), seed
+
+
+def test_check_prior_that_avoids_the_faulting_states(tmp_path):
+    # a repeated line adds up, and a zero line on a faulting state is no
+    # support: the run never meets A[2]
+    prog = tmp_path / "fails.kuif"
+    prog.write_text(_FAULTY_READ)
+    prior = tmp_path / "prior.txt"
+    prior.write_text(
+        "A=[1,1] n=0 y=0 : 1/4\nA=[1,1] n=0 y=0 : 1/4\nA=[0,1] n=1 y=0 : 1/4\n"
+        "A=[0,0] n=2 y=0 : 0\nA=[0,0] n=0 y=1 : 1/4\n"
+    )
+    for seed in HASH_SEEDS:
+        p = cli("check", str(prog), "--prior", str(prior), "--verbose", hash_seed=seed)
+        assert p.returncode == 0, p.stderr
+        assert p.stdout == (
+            f"PASS {prior} : value = 3/4\n"
+            "PASS pre = [A[n] = 1]\n"
+            "checked 1 priors: 1 agree, 0 disagree\n"
+        )
 
 
 # ---- error reporting and exit codes
