@@ -18,8 +18,10 @@ included.  Output is deterministic: same inputs, same bytes.
 
 A prior is read into a Dist over values tuples with integer weights, and
 `run` keeps its states as values tuples from the prior text to the output
-text; `eval --prior` and `check --prior` name them as States for the gain
-evaluator, and `eval --hyper` reads States, which the evaluator needs.
+text; `eval --prior` names them as States for the gain evaluator, and
+`eval --hyper` reads States, which the evaluator needs.  `check` turns every
+prior into (declared-state index, weight) pairs and values both sides from
+them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import Dist, Hyper, State, _fmt_value, all_states, point
+from .core import Dist, Hyper, State, _fmt_value, all_states
 from .errors import (
     BoundTooSmall,
     InvariantCheckFailed,
@@ -188,8 +190,8 @@ def _prior_dist(rows, probs, names):
 
 
 def _named(prior, decls):
-    """A prior over values tuples as one over States, for the callers that
-    read States: the gain evaluator and `check`'s run."""
+    """A prior over values tuples as one over States, for the gain
+    evaluator."""
     names = tuple(d.name for d in decls)
     return prior.map(lambda v: State(names, v))
 
@@ -448,14 +450,18 @@ def cmd_wp(args):
 
 
 def _check_priors(args, executable):
+    """(label, pairs) for each prior `check` values: `pairs` holds
+    (index into `executable.states()`, positive integer weight) in state
+    order, the prior giving each state its weight over their sum."""
     if args.prior:
-        decls = executable.decls
-        yield args.prior, _named(load_prior(args.prior, decls), decls)
+        index = {s.values: i for i, s in enumerate(executable.states())}
+        prior = load_prior(args.prior, executable.decls)
+        yield args.prior, [(index[v], w) for v, w in prior.weights]
         return
     spec = args.priors or "exhaustive"
     if spec == "exhaustive":
-        for s in executable.states():
-            yield f"point {_state_line(s.names, s.values)}", point(s)
+        for i, s in enumerate(executable.states()):
+            yield f"point {_state_line(s.names, s.values)}", [(i, 1)]
         return
     if spec.startswith("random:"):
         import random
@@ -466,13 +472,52 @@ def _check_priors(args, executable):
             count = 0
         if count < 1:
             raise KuifjeError("want --priors random:COUNT:SEED")
-        space = executable.states()
+        n = len(executable.states())
         rng = random.Random(seed)
         for k in range(count):
-            weights = random_weights(len(space), rng)
-            yield f"random #{k}", Dist.from_weights(dict(zip(space, weights)))
+            weights = random_weights(n, rng)
+            yield f"random #{k}", [(i, w) for i, w in enumerate(weights) if w]
         return
     raise KuifjeError(f"bad --priors {spec!r}")
+
+
+def _post_value(executable, post):
+    """`(pairs, total) -> value`: `post` on the hyper that running
+    `executable` from the prior `pairs` over `total` gives, as the sum over
+    trace classes (`Executable.outcomes()`) of `post` on the mass each class
+    takes to each final, valued in state order as a Dist's support is.  A
+    prior whose support holds a failing state is run by `executable.run`,
+    which raises the first runtime error in the canonical order of the
+    hyper."""
+    classes, finals = executable.outcomes()
+    ev = GainEvaluator(finals)
+    order = [0] * len(finals)  # final index -> its place in state order
+    for k, f in enumerate(sorted(range(len(finals)), key=finals.__getitem__)):
+        order[f] = k
+
+    def rank(entry):  # a (final index, weight) entry's place in state order
+        return order[entry[0]]
+
+    def value(pairs, total):
+        buckets = {}
+        for i, w in pairs:
+            hit = classes[i]
+            if hit is None:  # this state's run fails: `run` raises the error
+                states = executable.states()
+                executable.run(
+                    Dist.from_weights({states[j].values: v for j, v in pairs})
+                )
+            c, f = hit
+            bucket = buckets.get(c)
+            if bucket is None:
+                bucket = buckets[c] = {}
+            bucket[f] = bucket.get(f, 0) + w
+        return sum(
+            ev.weighted_value(post, sorted(b.items(), key=rank), total)
+            for b in buckets.values()
+        )
+
+    return value
 
 
 def cmd_check(args):
@@ -484,14 +529,15 @@ def cmd_check(args):
     # one evaluator over the declared space values the pre-gain, and one over
     # the final states the program reaches values the post-gain, each
     # distinct sub-expression once over its states, so a test the pre-gain's
-    # atoms share is evaluated once per state
+    # atoms share is evaluated once per state; a prior stays (state index,
+    # weight) pairs, and no State, Dist or Hyper is built for it
     pre_ev = GainEvaluator(executable.states())
-    post_ev = GainEvaluator(executable.finals())
+    post_value = _post_value(executable, post)
     ok = bad = 0
-    for label, prior in _check_priors(args, executable):
-        lhs = pre_ev.value(result.pre, prior)
-        hyper = executable.run(prior)
-        rhs = post_ev.hyper_value(post, hyper)
+    for label, pairs in _check_priors(args, executable):
+        total = sum(w for _, w in pairs)
+        lhs = pre_ev.weighted_value(result.pre, pairs, total)
+        rhs = post_value(pairs, total)
         if lhs == rhs:
             ok += 1
             if args.verbose:

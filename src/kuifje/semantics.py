@@ -15,13 +15,17 @@ reproduces it, which is the package's leak-erasure sanity law.
 All concrete execution goes through one `Executable` per program.  Its
 compiled statements and its loops' recorded outcomes serve every run on it,
 the backwards analysis's loop bounds and loop-head groups, and `check`'s
-priors, and they are freed with the object.  The loop-head groups come from
-one pass that pushes sets of distinct states, keyed by observation history,
-through the statements on the path to the loop.  Inside it a state is its
-values tuple and a posterior is a `{values: int}` group of integer weights;
-a State, Dist or Hyper is built only where a result leaves, and a prior
-over values tuples gives a Hyper over values tuples, so the command line's
-`run` builds no State at all.
+outcome table, and they are freed with the object.  The loop-head groups
+come from one pass that pushes sets of distinct states, keyed by
+observation history, through the statements on the path to the loop.  The
+outcome table, each declared state's trace class and final state, comes
+from one pass of the declared states through the top-level statements,
+equal states merged after each; `check` values every prior from it without
+building a Hyper.  Inside the object a state is its values tuple and a
+posterior is a `{values: int}` group of integer weights; a State, Dist or
+Hyper is built only where a result leaves, and a prior over values tuples
+gives a Hyper over values tuples, so the command line's `run` builds no
+State at all.
 """
 
 from __future__ import annotations
@@ -99,7 +103,9 @@ class Executable:
     trace so far, head values)` pair per arrival at its head.  Later runs and
     the backwards analysis's loop facts, `loop_rounds` and
     `loop_head_groups`, read that dict, so no loop runs twice from one
-    state.  A sequence or `if` just runs its children.
+    state.  A sequence or `if` just runs its children.  The whole body keeps
+    one more table, `outcomes()`: each declared state's trace class and
+    final, built the first time it is asked for.
 
     Steps are kept by node identity, which stays unique because the object
     holds the program; no step refers back to the object or to a statement
@@ -114,6 +120,7 @@ class Executable:
         self.loop_bound = loop_bound
         self._names = tuple(d.name for d in self.decls)
         self._states = None
+        self._outcomes = None
         self._steps = {}
         self._loops = {}  # id of a while statement -> its record
 
@@ -123,14 +130,58 @@ class Executable:
             self._states = all_states(self._names, [d.domain for d in self.decls])
         return self._states
 
-    def finals(self):
-        """The final states of the runs from every declared state that end
-        without a runtime error, each once, in order of first arrival; each
-        loop answers from its record for the states it already ran from."""
-        step = self._step(self.program.body)
-        finals = dict.fromkeys(step(s.values)[1] for s in self.states())
-        names = self._names
-        return [State(names, f) for f in finals if type(f) is tuple]
+    def outcomes(self):
+        """`(classes, finals)`: how the body ends from each declared state.
+
+        `finals` lists the distinct final States of the runs that end
+        without a runtime error, in order of first arrival; `classes[i]` is
+        `(c, f)` for the i-th of `states()`: c numbers its run's whole-body
+        trace among the distinct ones, in order of first arrival, and f its
+        final in `finals`.  It is None where a runtime error stops the run.
+
+        One pass pushes the declared states, in order, through the body's
+        top-level statements, merging the states that reach the same
+        values with the same trace after each one, as `run` merges its
+        groups; each loop answers from its record for the states it
+        already ran from.  The table is built on first use and dies with
+        the object.
+
+        Grouping a prior's mass by trace class gives exactly `run`'s
+        posteriors.  On a path with no runtime error each statement's
+        traces form a prefix-free set: an assignment leaves the empty
+        trace, a print one entry, an `if` its branch decision followed by
+        one of a prefix-free set, a `;` a concatenation of prefix-free
+        sets, and a `while` rounds that each start with a true test, ended
+        by the false one.  So a whole-body trace splits back into its
+        top-level statements' traces in one way only.
+        """
+        if self._outcomes is None:
+            body = self.program.body
+            first, *rest = body.stmts if isinstance(body, SSeq) else (body,)
+            # {(trace so far, values): indices of the states there}, kept in
+            # order of their first state, so first arrivals come in order
+            groups = {}
+            step = self._step(first)
+            for i, s in enumerate(self.states()):
+                _merge(groups, *step(s.values), [i])
+            for stmt in rest:
+                step, out = self._step(stmt), {}
+                for (trace, v), indices in groups.items():
+                    t, fin = step(v)
+                    _merge(out, trace + t, fin, indices)
+                groups = out
+            classes = [None] * len(self.states())
+            traces, finals = {}, {}
+            for (trace, fin), indices in groups.items():
+                entry = (
+                    traces.setdefault(trace, len(traces)),
+                    finals.setdefault(fin, len(finals)),
+                )
+                for i in indices:
+                    classes[i] = entry
+            names = self._names
+            self._outcomes = classes, [State(names, f) for f in finals]
+        return self._outcomes
 
     # ---- compiling statements into steps
 
@@ -346,6 +397,18 @@ class Executable:
                         out.setdefault(history + trace[: pos + 1], set()).add(head)
         if stmt is not loop:
             self._heads(stmt.body, out, loop, path, heads)
+
+
+def _merge(groups, trace, fin, indices):
+    """Add the state indices `indices`, which reach `fin` with `trace`, to
+    `groups`; a runtime error drops them."""
+    if type(fin) is tuple:
+        key = trace, fin
+        got = groups.get(key)
+        if got is None:
+            groups[key] = indices
+        else:
+            got += indices
 
 
 def _split(step, groups):

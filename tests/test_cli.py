@@ -12,17 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuifje.cli import _hyper_json
+import soundness
+from kuifje.cli import _check_priors, _hyper_json, _post_value, build_parser
 from kuifje.core import ArrayDomain, BoolDomain, Dist, Hyper, IntRange
+from kuifje.gain import GainEvaluator, random_weights
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
 
-def cli(*args, hash_seed="0", stdin=None):
+def cli(*args, hash_seed="0", stdin=None, module="kuifje.cli"):
     env = dict(os.environ, QIF_COLOR="0", PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
     proc = subprocess.run(
-        [sys.executable, "-m", "kuifje.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         input=stdin,
@@ -774,6 +776,62 @@ def test_check_unsound_mode_fails():
         "FAIL pre = [a or b] MAX [not a and not b]\n"
         "checked 1 priors: 0 agree, 1 disagree\n"
     )
+
+
+def test_package_runs_as_the_cli():
+    args = ("check", corpus("branch_assign.kuif"), "--priors", "exhaustive")
+    via_package = cli(*args, module="kuifje")
+    via_cli = cli(*args)
+    assert via_package.returncode == via_cli.returncode == 0
+    assert via_package.stdout == via_cli.stdout
+    assert via_package.stdout.endswith("checked 4 priors: 4 agree, 0 disagree\n")
+
+
+def _check_args(*flags):
+    return build_parser().parse_args(["check", "program.kuif", *flags])
+
+
+@pytest.mark.parametrize("name", soundness.with_post())
+def test_check_values_the_post_as_the_forward_hyper(name):
+    # check's trace-class sum against the soundness leg: the post-gain on
+    # the Hyper that `run` gives, on an evaluator over the same finals
+    exe = soundness.engine(name).executable
+    post = soundness.program(name).post
+    states = exe.states()
+    value = _post_value(exe, post)
+    reference = GainEvaluator(exe.outcomes()[1])
+    flags = [("--priors", "random:3:7")]
+    if len(states) <= 256:
+        flags.append(("--priors", "exhaustive"))
+    rng = random.Random(7)
+    for spec in flags:
+        for label, pairs in _check_priors(_check_args(*spec), exe):
+            prior = Dist.from_weights({states[i]: w for i, w in pairs})
+            if label.startswith("random"):  # the same draws as over States
+                weights = random_weights(len(states), rng)
+                assert prior == Dist.from_weights(dict(zip(states, weights)))
+            got = value(pairs, sum(w for _, w in pairs))
+            want = reference.hyper_value(post, exe.run(prior))
+            assert type(got) is type(want) is Fraction
+            assert got == want, (name, label)
+
+
+def test_check_values_a_prior_file_as_its_dist(tmp_path):
+    # a repeated line adds up and a zero line is no support
+    exe = soundness.engine("threshold_print.kuif").executable
+    post = soundness.program("threshold_print.kuif").post
+    prior_file = tmp_path / "prior.txt"
+    prior_file.write_text(
+        "x=3 : 1/4\nx=7 : 1/4\nx=3 : 1/4\nx=0 : 0\nx=9 : 1/4\n"
+    )
+    [(label, pairs)] = _check_priors(_check_args("--prior", str(prior_file)), exe)
+    states = exe.states()
+    assert [(states[i].values, w) for i, w in pairs] == [
+        ((3,), 2), ((7,), 1), ((9,), 1)
+    ]
+    prior = Dist.from_weights({states[i]: w for i, w in pairs})
+    want = GainEvaluator(exe.outcomes()[1]).hyper_value(post, exe.run(prior))
+    assert _post_value(exe, post)(pairs, 4) == want
 
 
 # A read past the end of A at n = 2: every prior whose support holds such a

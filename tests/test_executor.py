@@ -11,7 +11,9 @@ every loop of every corpus program and of three programs that reach an
 annotated loop through an `if`, through another loop, and past a failing
 assignment and a failing `if` guard: `loop_head_groups`, one pass over the
 distinct states, against the reference's per-state head arrivals grouped by
-history, and `loop_rounds` state by state.
+history, and `loop_rounds` state by state.  The outcome table `check`
+reads, `outcomes()`, is compared with the reference's runs of the whole body
+from each state in turn, on the same programs and on the faulting ones.
 """
 
 import glob
@@ -295,6 +297,48 @@ def test_faulting_paths_match_the_reference(case, passes):
     ]
     assert (type(faults[-1]).__name__, str(faults[-1])) == (kind, message)
     assert all(f.__traceback__ is None for f in faults)
+
+
+def _reference_outcomes(program, bound):
+    """The outcome table from the reference's run of the whole body from
+    each state in turn: trace classes and finals numbered by first arrival;
+    None and the message when the bound was exceeded."""
+    ref = ReferenceExecutable(program)
+    traces, finals, classes = {}, {}, []
+    for s in ref.states():
+        trace, fin = _outcome(lambda: ref._exec(ref.program.body, s, bound)[:2])
+        if trace is None:
+            return None, fin
+        if type(fin[0]) is type:  # a fault
+            classes.append(None)
+        else:
+            c = traces.setdefault(trace, len(traces))
+            classes.append((c, finals.setdefault(fin, len(finals))))
+    return classes, list(finals)
+
+
+OUTCOME_PROGRAMS = {os.path.basename(p): p for p in CORPUS}
+OUTCOME_PROGRAMS.update(NESTED)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("name", sorted(OUTCOME_PROGRAMS) + sorted(FAULTING))
+def test_outcomes_match_the_reference(name, bound):
+    # the grouped pass over the top-level statements numbers classes and
+    # finals as a run of the whole body from each state in turn would
+    if name in FAULTING:
+        program = _program(FAULTING[name][0])
+    elif name in NESTED:
+        program = _program(NESTED[name])
+    else:
+        program = _corpus(OUTCOME_PROGRAMS[name])
+    exe = Executable(program, bound)
+    try:
+        classes, finals = exe.outcomes()
+        got = classes, [f.values for f in finals]
+    except LoopBoundExceeded as exc:
+        got = None, str(exc)
+    assert got == _reference_outcomes(program, bound)
 
 
 def test_fault_keeps_the_observations_made_before_it():

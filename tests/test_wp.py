@@ -1,6 +1,7 @@
 """The backwards pre-gain transformer: rules, loops, and soundness."""
 
 import gc
+import sys
 import weakref
 from fractions import Fraction
 
@@ -507,9 +508,13 @@ def test_program_and_tables_are_freed_after_use():
             continue
         assert ev.value(pre, point(s)) == ev.hyper_value(p.post, hyper)
         assert eval_gain(pre, point(s)) == eval_gain_hyper(p.post, hyper)
+    # `check`'s outcome table: lists and States take no weak reference, so
+    # it is freed when only this test's own references are left
+    classes, finals = exe.outcomes()
     del p, guard, atom, engine, pre, exe, ev
     gc.collect()
     assert [r() for r in refs] == [None] * 7
+    assert sys.getrefcount(classes) == sys.getrefcount(finals) == 2
 
 
 # ---- the unsound mode reproduces the classical (leak-blind) answer
