@@ -485,18 +485,11 @@ def _post_value(executable, post):
     """`(pairs, total) -> value`: `post` on the hyper that running
     `executable` from the prior `pairs` over `total` gives, as the sum over
     trace classes (`Executable.outcomes()`) of `post` on the mass each class
-    takes to each final, valued in state order as a Dist's support is.  A
-    prior whose support holds a failing state is run by `executable.run`,
-    which raises the first runtime error in the canonical order of the
-    hyper."""
+    takes to each final.  A prior whose support holds a failing state is
+    run by `executable.run`, which raises the first runtime error in the
+    canonical order of the hyper."""
     classes, finals = executable.outcomes()
     ev = GainEvaluator(finals)
-    order = [0] * len(finals)  # final index -> its place in state order
-    for k, f in enumerate(sorted(range(len(finals)), key=finals.__getitem__)):
-        order[f] = k
-
-    def rank(entry):  # a (final index, weight) entry's place in state order
-        return order[entry[0]]
 
     def value(pairs, total):
         buckets = {}
@@ -513,7 +506,7 @@ def _post_value(executable, post):
                 bucket = buckets[c] = {}
             bucket[f] = bucket.get(f, 0) + w
         return sum(
-            ev.weighted_value(post, sorted(b.items(), key=rank), total)
+            ev.weighted_value(post, b.items(), total)
             for b in buckets.values()
         )
 

@@ -414,15 +414,17 @@ class GainEvaluator:
 
     def _atom(self, expr, support, env, memo):
         """The atom's values as (den, ints), as `_column` gives them;
-        NegativeAtom if one is negative on a support entry."""
+        NegativeAtom, naming the least such state, if one is negative on a
+        support entry."""
         den, ints, _, negative = memo.get(expr) or self._column(expr, env, memo)
         if negative:
-            for i, _ in support:
-                if ints[i] < 0:
-                    raise NegativeAtom(
-                        f"atom {expr_to_source(expr)} is {Fraction(ints[i], den)} "
-                        f"on {self.states[i]!r}"
-                    )
+            below = [i for i, _ in support if ints[i] < 0]
+            if below:
+                i = min(below, key=self._rows.__getitem__)
+                raise NegativeAtom(
+                    f"atom {expr_to_source(expr)} is {Fraction(ints[i], den)} "
+                    f"on {self.states[i]!r}"
+                )
         return den, ints
 
     def _column(self, e, env, memo):

@@ -15,17 +15,18 @@ reproduces it, which is the package's leak-erasure sanity law.
 All concrete execution goes through one `Executable` per program.  Its
 compiled statements and its loops' recorded outcomes serve every run on it,
 the backwards analysis's loop bounds and loop-head groups, and `check`'s
-outcome table, and they are freed with the object.  The loop-head groups
-come from one pass that pushes sets of distinct states, keyed by
-observation history, through the statements on the path to the loop.  The
-outcome table, each declared state's trace class and final state, comes
-from one pass of the declared states through the top-level statements,
-equal states merged after each; `check` values every prior from it without
-building a Hyper.  Inside the object a state is its values tuple and a
-posterior is a `{values: int}` group of integer weights; a State, Dist or
-Hyper is built only where a result leaves, and a prior over values tuples
-gives a Hyper over values tuples, so the command line's `run` builds no
-State at all.
+outcome table, and they are freed with the object.  The three passes share
+one kernel, `_push`, and one group format, `{observation history: {values:
+payload}}`: a statement runs every state of every group, and the states are
+regrouped by the history they then have, equal values merged.  `run` pushes
+a prior's integer weights through the top-level statements; `outcomes()`,
+the table of each declared state's trace class and final state that `check`
+values every prior from without building a Hyper, pushes each state's index
+list the same way; and the loop-head groups push distinct states (a None
+payload) along the statements on the path to a loop.  Inside the object a
+state is its values tuple, and a State, Dist or Hyper is built only where a
+result leaves; a prior over values tuples gives a Hyper over values tuples,
+so the command line's `run` builds no State at all.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class Executable:
     `loop_head_groups`, read that dict, so no loop runs twice from one
     state.  A sequence or `if` just runs its children.  The whole body keeps
     one more table, `outcomes()`: each declared state's trace class and
-    final, built the first time it is asked for.
+    final, built by the push `run` makes the first time it is asked for.
 
     Steps are kept by node identity, which stays unique because the object
     holds the program; no step refers back to the object or to a statement
@@ -139,40 +140,30 @@ class Executable:
         trace among the distinct ones, in order of first arrival, and f its
         final in `finals`.  It is None where a runtime error stops the run.
 
-        One pass pushes the declared states, in order, through the body's
-        top-level statements, merging the states that reach the same
-        values with the same trace after each one, as `run` merges its
-        groups; each loop answers from its record for the states it
-        already ran from.  The table is built on first use and dies with
-        the object.
-
-        Grouping a prior's mass by trace class gives exactly `run`'s
-        posteriors.  On a path with no runtime error each statement's
-        traces form a prefix-free set: an assignment leaves the empty
-        trace, a print one entry, an `if` its branch decision followed by
-        one of a prefix-free set, a `;` a concatenation of prefix-free
-        sets, and a `while` rounds that each start with a true test, ended
-        by the false one.  So a whole-body trace splits back into its
-        top-level statements' traces in one way only.
+        It is the push `run` makes, of `{(): {values: [index]}}` through the
+        body's top-level statements: each group's index lists say which
+        declared states reached those values with that history, and each
+        loop answers from its record for the states it already ran from.
+        The groups are then taken in order of their least index, which is
+        the order a run of the whole body from each state in turn first
+        meets them.  The table is built on first use and dies with the
+        object.  Grouping a prior's mass by trace class gives exactly
+        `run`'s posteriors.
         """
         if self._outcomes is None:
+            groups = {(): {s.values: [i] for i, s in enumerate(self.states())}}
             body = self.program.body
-            first, *rest = body.stmts if isinstance(body, SSeq) else (body,)
-            # {(trace so far, values): indices of the states there}, kept in
-            # order of their first state, so first arrivals come in order
-            groups = {}
-            step = self._step(first)
-            for i, s in enumerate(self.states()):
-                _merge(groups, *step(s.values), [i])
-            for stmt in rest:
-                step, out = self._step(stmt), {}
-                for (trace, v), indices in groups.items():
-                    t, fin = step(v)
-                    _merge(out, trace + t, fin, indices)
-                groups = out
+            for stmt in body.stmts if isinstance(body, SSeq) else (body,):
+                groups = _push(self._step(stmt), groups)[0]
+            ends = [
+                (trace, fin, indices)
+                for trace, group in groups.items()
+                for fin, indices in group.items()
+            ]
+            ends.sort(key=lambda end: min(end[2]))
             classes = [None] * len(self.states())
             traces, finals = {}, {}
-            for (trace, fin), indices in groups.items():
+            for trace, fin, indices in ends:
                 entry = (
                     traces.setdefault(trace, len(traces)),
                     finals.setdefault(fin, len(finals)),
@@ -293,31 +284,33 @@ class Executable:
         `trace`, if given, is a list that receives (label, hyper) snapshots
         after each top-level statement.
 
-        Between statements the posteriors are `{values: int}` groups whose
-        weights share the prior's denominator: each statement pushes every
-        group's states through its step and splits the group by trace.  A
-        Hyper is built only where one leaves.  A failing run raises the error
-        met first in the canonical order of the hyper before the statement
-        that fails: posteriors in order, states in order within each.
+        Between statements the posteriors are the `{values: int}` groups of
+        `_push`, keyed by observation history, whose weights share the
+        prior's denominator; a Hyper is built only where one leaves.  A
+        failing run raises the error met first in the canonical order of the
+        hyper before the statement that fails: posteriors in order, states
+        in order within each.
         """
         if type(prior.weights[0][0]) is State:
             names = self._names
-            groups = [{s.values: w for s, w in prior.weights}]
+            groups = {(): {s.values: w for s, w in prior.weights}}
         else:
             names = None
-            groups = [dict(prior.weights)]
+            groups = {(): dict(prior.weights)}
         body = self.program.body
         for stmt in body.stmts if isinstance(body, SSeq) else (body,):
             step = self._step(stmt)
             try:
-                groups = _split(step, groups)
-            except (LoopBoundExceeded, *_FAULTS):
-                _raise_first(step, groups)
-                raise
+                pushed, dropped = _push(step, groups)
+            except LoopBoundExceeded:
+                dropped = True
+            if dropped:
+                _raise_first(step, groups.values())
+            groups = pushed
             if trace is not None:
                 label = stmt_to_source(stmt).split("\n")[0].strip()
-                trace.append((label, _hyper(groups, names)))
-        return _hyper(groups, names)
+                trace.append((label, _hyper(groups.values(), names)))
+        return _hyper(groups.values(), names)
 
     def classical_run(self, prior):
         """Run forgetting all observations: the plain output distribution."""
@@ -344,35 +337,29 @@ class Executable:
         `loop`'s head, on runs of the whole program from every declared
         state.
 
-        One pass pushes `{history: set of values}` groups through the
-        statements on the path to the loop, so equal states merge after each
-        step, as `run`'s groups merge them, and each statement runs once per
-        distinct state.  A path that a runtime error stops drops its state,
-        but its arrivals before the error count, and so does a head whose
-        guard test itself fails.
+        One pass pushes `{history: {values: None}}` groups through the
+        statements on the path to the loop, by `_push` along a sequence, so
+        equal states merge after each step, as `run`'s groups merge them,
+        and each statement runs once per distinct state.  A path that a
+        runtime error stops drops its state, but its arrivals before the
+        error count, and so does a head whose guard test itself fails.
         """
         body = self.program.body
         heads = {}
-        start = {(): {s.values for s in self.states()}}
+        start = {(): dict.fromkeys(s.values for s in self.states())}
         self._heads(body, start, loop, _enclosing(body, loop), heads)
         return heads
 
     def _heads(self, stmt, groups, loop, path, heads):
         """Add to `heads` the arrivals at `loop`'s head inside `stmt`,
-        entered from the `{history: set of values}` groups; descends only
+        entered from the `{history: {values: None}}` groups; descends only
         into the statements on `path`."""
         if isinstance(stmt, SSeq):
             for s in stmt.stmts:
                 if id(s) in path:
                     self._heads(s, groups, loop, path, heads)
                     return
-                step, out = self._step(s), {}
-                for history, values in groups.items():
-                    for v in values:
-                        t, fin = step(v)
-                        if type(fin) is tuple:
-                            out.setdefault(history + t, set()).add(fin)
-                groups = out
+                groups = _push(self._step(s), groups)[0]
             return
         step, out = self._step(stmt), {}
         if isinstance(stmt, SIf):
@@ -382,7 +369,7 @@ class Executable:
             for history, values in groups.items():
                 for v in values:
                     if step(v)[0][:1] == taken:
-                        out.setdefault(history + taken, set()).add(v)
+                        out.setdefault(history + taken, {})[v] = None
             self._heads(stmt.then if on_then else stmt.els, out, loop, path, heads)
             return
         # `loop` itself, or a loop around it
@@ -394,39 +381,46 @@ class Executable:
                     if stmt is loop:
                         heads.setdefault(history + trace[:pos], set()).add(head)
                     elif trace[pos : pos + 1] == (_TRUE,):
-                        out.setdefault(history + trace[: pos + 1], set()).add(head)
+                        out.setdefault(history + trace[: pos + 1], {})[head] = None
         if stmt is not loop:
             self._heads(stmt.body, out, loop, path, heads)
 
 
-def _merge(groups, trace, fin, indices):
-    """Add the state indices `indices`, which reach `fin` with `trace`, to
-    `groups`; a runtime error drops them."""
-    if type(fin) is tuple:
-        key = trace, fin
-        got = groups.get(key)
-        if got is None:
-            groups[key] = indices
-        else:
-            got += indices
+def _push(step, groups):
+    """`{history: {values: payload}}` groups pushed through `step`: each
+    group's states bucketed by the step's trace, and each bucket stored at
+    `history + trace`, with the payloads of states that reach one final
+    values tuple added by `+=`, so weights sum and index lists extend in
+    place (a None payload stays None).  A state whose step ends in a runtime
+    error is dropped; the second result says whether any was.
 
-
-def _split(step, groups):
-    """Each `{values: int}` group pushed through `step` and split by trace;
-    raises the first runtime error it meets."""
-    out = []
-    for group in groups:
+    Two buckets never land on one key: the histories of a statement prefix
+    form a prefix-free set, so `h + t == h2 + t2` forces `h == h2`, and then
+    `t == t2`.  Inside a loop body, where one run's histories extend each
+    other, a history still fixes the path that made it, since every guard
+    test is observed, so the same holds.
+    """
+    out = {}
+    dropped = False
+    for history, group in groups.items():
         buckets = {}
-        for v, w in group.items():
+        for v, payload in group.items():
             trace, fin = step(v)
             if type(fin) is not tuple:
-                _raise(fin)
+                dropped = True
+                continue
             bucket = buckets.get(trace)
             if bucket is None:
                 bucket = buckets[trace] = {}
-            bucket[fin] = bucket.get(fin, 0) + w
-        out += buckets.values()
-    return out
+            got = bucket.get(fin)
+            if got is None:
+                bucket[fin] = payload
+            else:
+                got += payload
+                bucket[fin] = got
+        for trace, bucket in buckets.items():
+            out[history + trace] = bucket
+    return out, dropped
 
 
 def _raise_first(step, groups):

@@ -14,6 +14,9 @@ distinct states, against the reference's per-state head arrivals grouped by
 history, and `loop_rounds` state by state.  The outcome table `check`
 reads, `outcomes()`, is compared with the reference's runs of the whole body
 from each state in turn, on the same programs and on the faulting ones.
+Programs drawn by `programs.programs()`, with failing reads, writes and
+divisions and loops that pass a small bound, are compared the same way,
+and, where no run fails, `run` against `oracles.trace_hyper`.
 """
 
 import glob
@@ -23,7 +26,10 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from kuifje import semantics
 from kuifje.core import uniform
 from kuifje.errors import LoopBoundExceeded
@@ -39,6 +45,7 @@ from kuifje.lang import (
 )
 from kuifje.semantics import DEFAULT_LOOP_BOUND, Executable
 from kuifje.wp import WpConfig, WpEngine
+from programs import programs
 from reference_exec import ReferenceExecutable
 
 CORPUS = sorted(
@@ -341,6 +348,18 @@ def test_outcomes_match_the_reference(name, bound):
     assert got == _reference_outcomes(program, bound)
 
 
+def test_outcomes_number_by_first_arrival_not_by_push_order():
+    # the first print splits h into {0, 2} and {1, 3}, so the groups come
+    # out of the second print as h = 0, 2, 1, 3; a run of the whole body
+    # from each state in turn meets them as h = 0, 1, 2, 3
+    exe = Executable(
+        _program("hidden h : int[0..3]\nprint h mod 2;\nprint h div 2")
+    )
+    classes, finals = exe.outcomes()
+    assert classes == [(0, 0), (1, 1), (2, 2), (3, 3)]
+    assert [f.values for f in finals] == [(0,), (1,), (2,), (3,)]
+
+
 def test_fault_keeps_the_observations_made_before_it():
     # the guard reads A[2] after two true tests: the trace keeps both, and
     # a bound of one round stops the same run before the fault
@@ -353,6 +372,77 @@ def test_fault_keeps_the_observations_made_before_it():
     assert str(fin) == "A[2] with length 2"
     with pytest.raises(LoopBoundExceeded):
         Executable(program, 1)._step(program.body)(((0, 0), 3))
+
+
+# ---- generated programs
+
+
+def _oracle_hyper(ref, bound):
+    """`oracles.trace_hyper` of the uniform prior, with the reference's runs
+    of the whole body as the step, as `{posterior: weight}`; None if some
+    state's run fails or passes the bound."""
+    body = ref.program.body
+    try:
+        runs = {s: ref._exec(body, s, bound)[:2] for s in ref.states()}
+    except LoopBoundExceeded:
+        return None
+    if any(isinstance(fin, Exception) for _, fin in runs.values()):
+        return None
+    hyper = {}
+    for weight, posterior in oracles.trace_hyper(
+        oracles.uniform(ref.states()), runs.__getitem__
+    ).values():
+        key = frozenset(posterior.items())
+        hyper[key] = hyper.get(key, 0) + weight
+    return hyper
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(programs(), st.sampled_from([1, 3]))
+def test_generated_programs_match_the_reference(source, bound):
+    # the outcome table, every loop's rounds and head groups, and, where no
+    # run fails, `run` under the uniform prior, each against the reference
+    program = _program(source)
+    exe, ref = Executable(program, bound), ReferenceExecutable(program)
+    try:
+        classes, finals = exe.outcomes()
+        got = classes, [f.values for f in finals]
+    except LoopBoundExceeded as exc:
+        got = None, str(exc)
+    want = _reference_outcomes(program, bound)
+    assert got == want
+    for loop in _loops(program.body):
+        got = _facts(lambda: None, lambda s: exe.loop_rounds(loop, s), ref.states())
+        assert got == _facts(
+            lambda: None, lambda s: ref.loop_rounds(loop, s, bound), ref.states()
+        )
+        # where some run passes the bound the two disagree on the head
+        # groups (test_loop_heads_before_a_later_loop_that_passes_the_bound)
+        if want[0] is not None:
+            heads = _grouped(ref.loop_heads(loop, bound))
+            assert exe.loop_head_groups(loop) == heads, loop
+    want = _oracle_hyper(ref, bound)
+    if want is not None:
+        hyper = exe.run(uniform(exe.states()))
+        assert {frozenset(d.entries): w for d, w in hyper.entries} == want
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="loop_head_groups runs only the statements on the path to the loop",
+)
+def test_loop_heads_before_a_later_loop_that_passes_the_bound():
+    # a generated program: the reference runs the whole body from every
+    # state before reading a loop's heads, so a later loop that passes the
+    # bound raises; `loop_head_groups` answers for the first loop instead
+    program = _program(
+        "hidden x : int[0..1]\nwhile 0 = 1 do print 0 od;\nwhile 0 = 0 do x := 0 od"
+    )
+    first = _loops(program.body)[0]
+    with pytest.raises(LoopBoundExceeded):
+        list(ReferenceExecutable(program).loop_heads(first, 1))
+    with pytest.raises(LoopBoundExceeded):
+        Executable(program, 1).loop_head_groups(first)
 
 
 # ---- stack use

@@ -265,6 +265,23 @@ def test_negative_atom_raises():
         eval_gain(parse_gain("x - 1"), d)
 
 
+def test_negative_atom_names_the_least_failing_state():
+    # x - 2 is negative at x = 0 and x = 1; an evaluator over the states out
+    # of order, valuing a support that lists x = 1 first, still names x = 0,
+    # as a support in state order does
+    p = parse_program("hidden x : int[0..3]\nskip\n")
+    states = all_states(("x",), [d.domain for d in p.decls])
+    shuffled = [states[3], states[1], states[0], states[2]]
+    g = parse_gain("x - 2")
+    messages = []
+    for ev in (GainEvaluator(states), GainEvaluator(shuffled)):
+        with pytest.raises(NegativeAtom) as exc:
+            ev.weighted_value(g, [(i, 1) for i in range(4)], 4)
+        messages.append(str(exc.value))
+    assert messages[1] == messages[0]
+    assert messages[0].endswith(f"on {states[0]!r}")
+
+
 # ---- normal forms and pruning
 
 
