@@ -21,7 +21,7 @@ A prior is read into a Dist over values tuples with integer weights, and
 text; `eval --prior` names them as States for the gain evaluator, and
 `eval --hyper` reads States, which the evaluator needs.  `check` turns every
 prior into (declared-state index, weight) pairs and values both sides from
-them.
+them, on the one evaluator over the declared space that `wp` reads.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -42,7 +43,7 @@ from .errors import (
     LoopBoundExceeded,
     LoopNeedsInvariantOrBound,
 )
-from .gain import GainEvaluator, eval_gain, eval_gain_hyper, random_weights
+from .gain import eval_gain, eval_gain_hyper, random_weights
 from .lang import check_gain, check_program, parse_gain, parse_program
 from .semantics import run as run_forward
 from .wp import DEFAULT_LOOP_BOUND, WpConfig, WpEngine
@@ -211,7 +212,7 @@ def _prior_product(spec, decls):
             marginals[name] = [(v, Fraction(1, len(vals))) for v in vals]
         elif rest.startswith("{") and rest.endswith("}"):
             entries = []
-            for item in rest[1:-1].split(","):
+            for item in re.split(r",(?![^[]*])", rest[1:-1]):  # not in [...]
                 vtext, _, ptext = item.partition(":")
                 v = _bind(slots, "prior", name, vtext.strip())[1]
                 entries.append((v, _prob(ptext.strip())))
@@ -481,29 +482,29 @@ def _check_priors(args, executable):
     raise KuifjeError(f"bad --priors {spec!r}")
 
 
-def _post_value(executable, post):
+def _post_value(executable, post, ev):
     """`(pairs, total) -> value`: `post` on the hyper that running
     `executable` from the prior `pairs` over `total` gives, as the sum over
-    trace classes (`Executable.outcomes()`) of `post` on the mass each class
-    takes to each final.  A prior whose support holds a failing state is
-    run by `executable.run`, which raises the first runtime error in the
-    canonical order of the hyper."""
+    trace classes (`Executable.outcomes()`) of `post`, on `ev` over the
+    declared states, on the mass each class takes to each final.  A prior
+    whose support holds a failing state is run by `executable.run`, which
+    raises the first runtime error in the canonical order of the hyper."""
     classes, finals = executable.outcomes()
-    ev = GainEvaluator(finals)
+    index = {s.values: i for i, s in enumerate(executable.states())}
+    at = [index[f.values] for f in finals]  # every final is a declared state
 
     def value(pairs, total):
         buckets = {}
         for i, w in pairs:
             hit = classes[i]
             if hit is None:  # this state's run fails: `run` raises the error
-                states = executable.states()
-                executable.run(
-                    Dist.from_weights({states[j].values: v for j, v in pairs})
-                )
+                prior = {ev.states[j].values: v for j, v in pairs}
+                executable.run(Dist.from_weights(prior))
             c, f = hit
             bucket = buckets.get(c)
             if bucket is None:
                 bucket = buckets[c] = {}
+            f = at[f]
             bucket[f] = bucket.get(f, 0) + w
         return sum(
             ev.weighted_value(post, b.items(), total)
@@ -519,17 +520,14 @@ def cmd_check(args):
     engine = WpEngine(program, _wp_config(args))
     result = _wp_pre(engine, post)
     executable = engine.executable  # wp's loop analysis already ran its loops
-    # one evaluator over the declared space values the pre-gain, and one over
-    # the final states the program reaches values the post-gain, each
-    # distinct sub-expression once over its states, so a test the pre-gain's
-    # atoms share is evaluated once per state; a prior stays (state index,
+    # the Canon's evaluator values both sides; a prior stays (state index,
     # weight) pairs, and no State, Dist or Hyper is built for it
-    pre_ev = GainEvaluator(executable.states())
-    post_value = _post_value(executable, post)
+    ev = engine.canon.evaluator
+    post_value = _post_value(executable, post, ev)
     ok = bad = 0
     for label, pairs in _check_priors(args, executable):
         total = sum(w for _, w in pairs)
-        lhs = pre_ev.weighted_value(result.pre, pairs, total)
+        lhs = ev.weighted_value(result.pre, pairs, total)
         rhs = post_value(pairs, total)
         if lhs == rhs:
             ok += 1

@@ -51,10 +51,10 @@ bitmasks over it, both polarities of a literal from the level set of the
 literal's atom, and values atoms as level sets too, one (value, mask) pair
 per distinct nonzero value, so an atom costs as much as its distinct
 values, not as the states.  It reads literal masks and factor level sets
-through a `GainEvaluator` of its own, a term's factors in rendered order,
-as the printed atom reads them, so it values an atom exactly as `check`
-values the printed one, but keeps its results apart from any other
-evaluator's: its masks and level sets die with it.
+through `Canon.evaluator`, a term's factors in rendered order, as the
+printed atom reads them, so it values an atom exactly as `check` values
+the printed one, on the same evaluator: `wp` and `check` value every gain
+over the declared space on it, and its memos die with the Canon.
 """
 
 from __future__ import annotations
@@ -740,11 +740,12 @@ class Canon:
     Predicates and atoms are decided on the declared state space, in
     `all_states` order: bit i of a mask is the i-th state.  `states`, if
     given, returns that list (a WpEngine passes its executable's, so the
-    space is listed once).  The Canon reads the space through one
-    `GainEvaluator` of its own, built when the first literal or factor is
-    read, so a Canon that decides nothing lists nothing; an atom's total
-    semantics is the evaluator's, and its tables, level sets and columns
-    die with the Canon.
+    space is listed once).  It reads the space through one `GainEvaluator`,
+    `evaluator`, built when first read, so a Canon that decides nothing
+    lists nothing.  `wp` and `check` value every gain over the space on it:
+    its memos are keyed by expression and hold one kernel's results, so
+    sharing them changes no value.  Its tables, level sets and columns die
+    with the Canon.
 
     A literal's mask is the evaluator's (`_test`), from the level set of the
     literal's atom, which gives both polarities; `lit_models` keeps the
@@ -793,12 +794,12 @@ class Canon:
         self._normal_forms = {}
 
     @cached_property
-    def _evaluator(self):
+    def evaluator(self):
         return GainEvaluator(self._states())
 
     @cached_property
     def full(self):
-        return self._evaluator._full
+        return self.evaluator._full
 
     # ---- literals and DNF
 
@@ -810,7 +811,7 @@ class Canon:
         read fails."""
         mask = self._lit_model_cache.get(lit)
         if mask is None:
-            ev, (neg, atom) = self._evaluator, lit
+            ev, (neg, atom) = self.evaluator, lit
             mask = ev._test(atom, neg, {}, ev._memo({}))
             self._lit_model_cache[lit] = mask
         return mask
@@ -1390,7 +1391,7 @@ class Canon:
         reads of the ones to its right."""
         out = self._factor_levels.get(factors)
         if out is None:
-            ev = self._evaluator
+            ev = self.evaluator
             product = reduce(partial(Bin, "*"), factors)
             levels, fails = ev._levels(product, {}, ev._memo({}), total=True)
             den = lcm(*(Fraction(v).denominator for v in levels))
@@ -1560,10 +1561,10 @@ class CompareResult:
         )
 
 
-def random_weights(n, rng, max_weight=16):
-    """A non-degenerate integer weight vector (at least one positive entry)."""
+def random_weights(n, rng):
+    """n integer weights in 0..16, not all 0: the stream of randint(0, 16)."""
     while True:
-        w = [rng.randint(0, max_weight) for _ in range(n)]
+        w = [rng.randrange(17) for _ in range(n)]
         if any(w):
             return w
 

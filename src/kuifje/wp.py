@@ -201,7 +201,7 @@ class WpEngine:
         """Values expr can take anywhere on the declared state space: the
         values of its strict level set over that space
         (`GainEvaluator._levels`), read through the Canon's evaluator."""
-        ev = self.canon._evaluator
+        ev = self.canon.evaluator
         levels, _ = ev._levels(expr, {}, ev._memo({}))
         if not levels:
             raise KuifjeError(
@@ -248,7 +248,7 @@ class WpEngine:
             GAnd(Iverson(stmt.guard), self.wp(stmt.body, candidate)),
             GAnd(Iverson(Not(stmt.guard)), g),
         )
-        ev = self.canon._evaluator  # one evaluator over the declared space
+        ev = self.canon.evaluator  # one evaluator over the declared space
         for states in self._loop_head_groups(stmt):
             res = semantic_eq(candidate, rhs, self.decls, states=states, evaluator=ev)
             if not res:

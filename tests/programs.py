@@ -11,9 +11,20 @@ domain can all stop a path.  A loop either counts `n` up to a bound or has
 a drawn guard and body, so some loops run past a small loop bound; most
 assignments are taken modulo their domain's size, so many paths run to the
 end.
+
+`posts(decls)` draws a post-gain over a program's scalars: one-try guesses
+`MAX w in lo..hi: [v = w]`, `[test]` atoms, their `MAX` and `PLUS`, and
+`[test] AND G`, each of which typechecks against `decls`.
+
+`generated_settings()` gives the generated-program tests their settings:
+300 derandomized examples, or, under `--hypothesis-profile=long`, that
+profile's (both registered in `tests/conftest.py`).
 """
 
+from hypothesis import settings
 from hypothesis import strategies as st
+
+from kuifje.core import BoolDomain, IntRange
 
 MAX_STATES = 64
 
@@ -91,3 +102,39 @@ def programs(draw, depth=2):
         return ";\n".join(stmt(d) for _ in range(draw(st.integers(1, 3))))
 
     return "\n".join(decls) + "\n" + "n := 0;\n" * draw(st.booleans()) + seq(depth)
+
+
+@st.composite
+def posts(draw, decls, depth=2):
+    ints = [(d.name, d.domain) for d in decls if isinstance(d.domain, IntRange)]
+    bools = [d.name for d in decls if isinstance(d.domain, BoolDomain)]
+
+    def test():
+        if bools and draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from(bools + [f"not {b}" for b in bools]))
+        name, dom = draw(st.sampled_from(ints))
+        op = draw(st.sampled_from(["=", "!=", "<", "<="]))
+        if draw(st.booleans()):
+            return f"{name} {op} {draw(st.integers(dom.lo, dom.hi))}"
+        return f"{name} {op} {draw(st.sampled_from(ints))[0]}"
+
+    def gain(d):
+        kinds = ["guess", "guess", "test"] + (["MAX", "PLUS", "AND"] if d > 0 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "guess":
+            name, dom = draw(st.sampled_from(ints))
+            lo = draw(st.integers(dom.lo, dom.hi))
+            hi = draw(st.integers(lo, dom.hi))
+            return f"(MAX w in {lo}..{hi}: [{name} = w])"
+        if kind == "test":
+            return f"[{test()}]"
+        if kind == "AND":
+            return f"([{test()}] AND {gain(d - 1)})"
+        return f"({gain(d - 1)} {kind} {gain(d - 1)})"
+
+    return gain(depth)
+
+
+def generated_settings():
+    name = settings.get_current_profile_name()
+    return settings.get_profile("long" if name == "long" else "generated")

@@ -119,7 +119,7 @@ def _run_id(run):
 def _failing_reads(canon, atom):
     fn = compile_expr(atom, canon.names)
     mask = 0
-    for i, row in enumerate(canon._evaluator._rows):
+    for i, row in enumerate(canon.evaluator._rows):
         try:
             fn(row, None)
         except EVAL_ERRORS:
@@ -199,7 +199,7 @@ dnfs = st.frozensets(conjunctions, min_size=1, max_size=6)
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(dnfs)
 def test_minimize_matches_reference_on_generated_dnfs(dnf):
-    assert len(SPACE_CANON._evaluator._rows) == 288
+    assert len(SPACE_CANON.evaluator._rows) == 288
     expected = ReferenceMinimizer(SPACE_CANON).minimize(dnf)
     assert SPACE_CANON._minimize(dnf) == expected
 
@@ -215,7 +215,7 @@ def test_out_of_bounds_read_is_false_under_both_polarities():
     # n ranges over 0..3 and A has length 3: n = 3 reads past the end
     length = canon.domains["A"].length
     past = 0
-    for i, row in enumerate(canon._evaluator._rows):
+    for i, row in enumerate(canon.evaluator._rows):
         if row[canon.names.index("n")] == length:
             past |= 1 << i
     assert past

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soundness
-from kuifje.cli import _check_priors, _hyper_json, _post_value, build_parser
+from kuifje.cli import _check_priors, _hyper_json, _post_value, build_parser, main
 from kuifje.core import ArrayDomain, BoolDomain, Dist, Hyper, IntRange
 from kuifje.gain import GainEvaluator, random_weights
 
@@ -793,12 +794,14 @@ def _check_args(*flags):
 
 @pytest.mark.parametrize("name", soundness.with_post())
 def test_check_values_the_post_as_the_forward_hyper(name):
-    # check's trace-class sum against the soundness leg: the post-gain on
-    # the Hyper that `run` gives, on an evaluator over the same finals
-    exe = soundness.engine(name).executable
+    # check's trace-class sum on the Canon's evaluator against the soundness
+    # leg: the post-gain on the Hyper that `run` gives, on an evaluator over
+    # the finals alone
+    engine = soundness.engine(name)
+    exe = engine.executable
     post = soundness.program(name).post
     states = exe.states()
-    value = _post_value(exe, post)
+    value = _post_value(exe, post, engine.canon.evaluator)
     reference = GainEvaluator(exe.outcomes()[1])
     flags = [("--priors", "random:3:7")]
     if len(states) <= 256:
@@ -818,7 +821,8 @@ def test_check_values_the_post_as_the_forward_hyper(name):
 
 def test_check_values_a_prior_file_as_its_dist(tmp_path):
     # a repeated line adds up and a zero line is no support
-    exe = soundness.engine("threshold_print.kuif").executable
+    engine = soundness.engine("threshold_print.kuif")
+    exe = engine.executable
     post = soundness.program("threshold_print.kuif").post
     prior_file = tmp_path / "prior.txt"
     prior_file.write_text(
@@ -831,7 +835,33 @@ def test_check_values_a_prior_file_as_its_dist(tmp_path):
     ]
     prior = Dist.from_weights({states[i]: w for i, w in pairs})
     want = GainEvaluator(exe.outcomes()[1]).hyper_value(post, exe.run(prior))
-    assert _post_value(exe, post)(pairs, 4) == want
+    assert _post_value(exe, post, engine.canon.evaluator)(pairs, 4) == want
+
+
+@pytest.mark.parametrize("name", ["search_full_scan", "sell_secret"])
+def test_check_builds_one_table_per_variable(name, monkeypatch, capsys):
+    # wp, the pre-gain and the post-gain all read the Canon's evaluator, so
+    # a check request builds one evaluator and each variable and array
+    # element table once
+    evaluators, builds = [], Counter()
+    init, table = GainEvaluator.__init__, GainEvaluator._table
+
+    def counting_init(self, states):
+        evaluators.append(self)
+        init(self, states)
+
+    def counting(self, k, j=None):
+        if (k, j) not in self._tables:
+            builds[k, j] += 1
+        return table(self, k, j)
+
+    monkeypatch.setattr(GainEvaluator, "__init__", counting_init)
+    monkeypatch.setattr(GainEvaluator, "_table", counting)
+    path = os.path.join(ROOT, corpus(name + ".kuif"))
+    assert main(["check", path, "--priors", "random:2:1"]) == 0
+    assert capsys.readouterr().out.endswith("2 agree, 0 disagree\n")
+    assert len(evaluators) == 1
+    assert builds and set(builds.values()) == {1}
 
 
 # A read past the end of A at n = 2: every prior whose support holds such a

@@ -45,7 +45,7 @@ from kuifje.lang import (
 )
 from kuifje.semantics import DEFAULT_LOOP_BOUND, Executable
 from kuifje.wp import WpConfig, WpEngine
-from programs import programs
+from programs import generated_settings, programs
 from reference_exec import ReferenceExecutable
 
 CORPUS = sorted(
@@ -397,7 +397,7 @@ def _oracle_hyper(ref, bound):
     return hyper
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(generated_settings())
 @given(programs(), st.sampled_from([1, 3]))
 def test_generated_programs_match_the_reference(source, bound):
     # the outcome table, every loop's rounds and head groups, and, where no

@@ -184,7 +184,7 @@ def _canon_reads(name, force_unfold):
 def test_canon_reads_match_the_reference(run):
     canon, atoms, products = _canon_reads(*run)
     assert atoms or products
-    states = canon._evaluator.states
+    states = canon.evaluator.states
     for atom in atoms:
         true, false, _ = _strict_masks(atom, states)
         assert canon.lit_models((False, atom)) == true, atom
@@ -200,7 +200,7 @@ def test_canon_reads_match_the_reference(run):
 def _assert_atom_levels_match(canon, atom):
     # an atom's level set is the printed atom's total value on every state,
     # so `prune` drops only atoms that the printed ones dominate
-    states = canon._evaluator.states
+    states = canon.evaluator.states
     den, levels = canon.atom_levels(atom)
     expr = canon.atom_expr(atom)
     want = [ref.atom(expr, s) for s in states]

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_prior as ref
-from kuifje.cli import _named, _prior_lines
+from kuifje.cli import _named, _prior_lines, load_prior, main
 from kuifje.core import Dist, Hyper, State
 from kuifje.errors import KuifjeError
 from kuifje.lang import check_program, parse_program
@@ -206,3 +206,24 @@ def test_hyper_validation_matches_reference(pairs):
     new = _outcome(lambda ps: _canonical(Hyper(ps)), pairs)
     outer = ("outer weight {p}", "outer weights")
     assert new == _outcome(lambda ps: ref.canonical(ps, *outer), pairs)
+
+
+def test_product_prior_reads_array_values(tmp_path):
+    # the commas inside `[0,1]` separate its elements, not the marginal's
+    # entries: the product equals the same prior written line by line
+    product = "product b:{true:1} x:{3:1} A:{[0,1]:1/2,[1,1]:1/2}"
+    lines = tmp_path / "prior.txt"
+    lines.write_text("b=true x=3 A=[0,1] : 1/2\nb=true x=3 A=[1,1] : 1/2\n")
+    assert load_prior(product, DECLS) == load_prior(str(lines), DECLS)
+
+
+def test_unclosed_array_in_a_product_prior_exits_2(tmp_path, capsys):
+    # the comma inside an unclosed `[0,1` splits the entry: `[0` is no value
+    program = tmp_path / "p.kuif"
+    program.write_text("hidden A : array[2] of int[0..2]; hidden n : int[0..1]; skip")
+    good = "product A:{[0,1]:1/2,[2,2]:1/2} n:uniform"
+    assert main(["run", str(program), "--prior", good]) == 0
+    assert "A=[2,2] n=1 : 1/4" in capsys.readouterr().out
+    bad = "product A:{[0,1:1/2} n:uniform"
+    assert main(["run", str(program), "--prior", bad]) == 2
+    assert capsys.readouterr().err == "error: bad value '[0' in prior\n"

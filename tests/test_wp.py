@@ -1,14 +1,22 @@
 """The backwards pre-gain transformer: rules, loops, and soundness."""
 
 import gc
+import io
+import os
+import random
 import sys
+import tempfile
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soundness
-from kuifje.core import State, dist_from_entries, point, uniform
+from kuifje.cli import _post_value, main
+from kuifje.core import Dist, State, dist_from_entries, point, uniform
 from kuifje.errors import (
     BoundTooSmall,
     IndexOutOfBounds,
@@ -21,6 +29,7 @@ from kuifje.gain import (
     eval_atom_total,
     eval_gain,
     eval_gain_hyper,
+    random_weights,
     semantic_eq,
     simplify,
 )
@@ -37,6 +46,7 @@ from kuifje.lang import (
 )
 from kuifje.semantics import Executable, classical_run, run
 from kuifje.wp import WpConfig, WpEngine, classical_expectation, classical_wp, wp
+from programs import generated_settings, posts, programs
 
 F = Fraction
 
@@ -616,3 +626,55 @@ def test_trace_reports_intermediate_pres():
 def test_soundness_fast_programs(name):
     checked = soundness.check_soundness(name, n_random=25)
     assert checked >= 25
+
+
+# ---- generated programs and posts
+
+
+@settings(generated_settings())
+@given(programs(), st.data())
+def test_generated_programs_agree_backward_and_forward(source, data):
+    # a generated post either meets a loop that needs an annotation (or a
+    # print that fails everywhere, which wp refuses), or its pre-gain on the
+    # Canon's evaluator, check's trace-class sum and the post on `run`'s
+    # hyper agree on every point prior and on two random priors over the
+    # states whose run ends; `check` exits only 0, 2 or 3
+    program = make(source)
+    post_text = data.draw(posts(program.decls))
+    post = parse_gain(post_text)
+    check_gain(post, program.decls)
+    engine = WpEngine(program, WpConfig(loop_bound=3))
+    try:
+        pre = engine.wp_program(post).pre
+    except LoopNeedsInvariantOrBound:
+        pre = None
+    except KuifjeError as exc:  # test_wp_print_that_fails_everywhere_is_refused
+        assert "has no value on any state" in str(exc)
+        pre = None
+    if pre is not None:
+        exe, ev = engine.executable, engine.canon.evaluator
+        states = exe.states()
+        ends = [i for i, c in enumerate(exe.outcomes()[0]) if c is not None]
+        priors = [[(i, 1)] for i in ends]
+        rng = random.Random(7)
+        for _ in range(2 if ends else 0):
+            weights = random_weights(len(ends), rng)
+            priors.append([(i, w) for i, w in zip(ends, weights) if w])
+        post_value = _post_value(exe, post, ev)
+        fresh = GainEvaluator(states)
+        for pairs in priors:
+            total = sum(w for _, w in pairs)
+            hyper = exe.run(Dist.from_weights({states[i]: w for i, w in pairs}))
+            want = fresh.hyper_value(post, hyper)
+            assert ev.weighted_value(pre, pairs, total) == want, pairs
+            assert post_value(pairs, total) == want, pairs
+    seed = data.draw(st.integers(0, 9))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "generated.kuif")
+        with open(path, "w") as f:
+            f.write(f"{source}\n@post {{ {post_text} }}\n")
+        out, err = io.StringIO(), io.StringIO()
+        args = ["check", path, "--loop-bound", "3", "--priors", f"random:2:{seed}"]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(args)
+    assert code in (0, 2, 3), out.getvalue() + err.getvalue()
