@@ -519,7 +519,9 @@ def cmd_check(args):
     post = _resolve_post(program, args)
     engine = WpEngine(program, _wp_config(args))
     result = _wp_pre(engine, post)
-    executable = engine.executable  # wp's loop analysis already ran its loops
+    # the outcome table reuses the loop records that wp's annotation checks
+    # filled; an unfolded loop's exit bound wrote none
+    executable = engine.executable
     # the Canon's evaluator values both sides; a prior stays (state index,
     # weight) pairs, and no State, Dist or Hyper is built for it
     ev = engine.canon.evaluator

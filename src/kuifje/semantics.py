@@ -14,8 +14,9 @@ reproduces it, which is the package's leak-erasure sanity law.
 
 All concrete execution goes through one `Executable` per program.  Its
 compiled statements and its loops' recorded outcomes serve every run on it,
-the backwards analysis's loop bounds and loop-head groups, and `check`'s
-outcome table, and they are freed with the object.  The three passes share
+the backwards analysis's loop-head groups, and `check`'s outcome table, and
+they are freed with the object; a loop's exit bound is one memoised pass of
+its body over the declared states, kept per loop.  The three passes share
 one kernel, `_push`, and one group format, `{observation history: {values:
 payload}}`: a statement runs every state of every group, and the states are
 regrouped by the history they then have, equal values merged.  `run` pushes
@@ -61,6 +62,13 @@ def _raise(fault):
     raise type(fault)(*fault.args)
 
 
+def _bound_exceeded(bound):
+    return LoopBoundExceeded(
+        f"loop exceeded {bound} iterations; raise the loop bound or add an "
+        "invariant"
+    )
+
+
 def _enclosing(stmt, target):
     """Ids of the statements from `stmt` down to `target`; empty if absent."""
     if stmt is target:
@@ -99,14 +107,15 @@ class Executable:
     bound; a caller that wants another bound builds another Executable.
 
     Only loops keep what they ran: `_loops[id(stmt)]` maps each values tuple
-    a `while` ran from to `(outcome, rounds, arrivals)`, the `(trace, final)`
-    it returned, the guard tests that came out true, and one `(length of the
-    trace so far, head values)` pair per arrival at its head.  Later runs and
-    the backwards analysis's loop facts, `loop_rounds` and
-    `loop_head_groups`, read that dict, so no loop runs twice from one
-    state.  A sequence or `if` just runs its children.  The whole body keeps
-    one more table, `outcomes()`: each declared state's trace class and
-    final, built by the push `run` makes the first time it is asked for.
+    a `while` ran from to `(outcome, arrivals)`, the `(trace, final)` it
+    returned and one `(length of the trace so far, head values)` pair per
+    arrival at its head.  Later runs and `loop_head_groups` read that dict,
+    so no loop runs twice from one state.  A sequence or `if` just runs its
+    children.  `exit_rounds` keeps one number per loop, the most rounds the
+    loop runs from any declared state, and writes nothing to the record.
+    The whole body keeps one more table, `outcomes()`: each declared state's
+    trace class and final, built by the push `run` makes the first time it
+    is asked for.
 
     Steps are kept by node identity, which stays unique because the object
     holds the program; no step refers back to the object or to a statement
@@ -124,6 +133,8 @@ class Executable:
         self._outcomes = None
         self._steps = {}
         self._loops = {}  # id of a while statement -> its record
+        self._guards = {}  # id of a while statement -> its compiled guard
+        self._exit_rounds = {}  # id of a while statement -> exit_rounds
 
     def states(self):
         """Every declared state, in canonical order."""
@@ -228,7 +239,7 @@ class Executable:
                 return (_TRUE if taken else _FALSE, *t), fin
 
         elif isinstance(stmt, SWhile):
-            guard = compile_expr(stmt.guard, names)
+            guard = self._guards[id(stmt)] = compile_expr(stmt.guard, names)
             body = self._step(stmt.body)
             bound = self.loop_bound
             loop = self._loops[id(stmt)] = {}
@@ -254,16 +265,13 @@ class Executable:
                     trace.append(_TRUE)
                     k += 1
                     if k > bound:
-                        raise LoopBoundExceeded(
-                            f"loop exceeded {bound} iterations; raise the loop "
-                            "bound or add an invariant"
-                        )
+                        raise _bound_exceeded(bound)
                     t, v = body(v)
                     trace += t
                     if type(v) is not tuple:
                         break
                 outcome = tuple(trace), v
-                loop[v0] = outcome, k, tuple(arrivals)
+                loop[v0] = outcome, tuple(arrivals)
                 return outcome
 
         else:  # SSkip leaves everything as it is
@@ -324,13 +332,48 @@ class Executable:
         names = self._names
         return Dist.from_weights({State(names, f): n for f, n in acc.items()})
 
-    # ---- loop facts, read from the while steps' records
+    # ---- loop facts
 
-    def loop_rounds(self, loop, state):
-        """How many guard tests come out true when `loop` runs alone from
-        `state`, counting up to a runtime error that stops it."""
-        self._step(loop)(state.values)
-        return self._loops[id(loop)][state.values][1]
+    def exit_rounds(self, loop):
+        """The most guard tests that come out true when `loop` runs alone
+        from a declared state, counted as its `while` step counts them.
+
+        Every head is a declared state, so one pass keeps `{head values:
+        rounds}`: a state follows its chain of heads until it meets a known
+        count and then unwinds it, so the body runs at most once per state
+        whose guard holds.  A count over the bound, or a cycle, raises
+        LoopBoundExceeded.  Only the maximum is kept, per loop, so a later
+        request runs nothing.
+        """
+        most = self._exit_rounds.get(id(loop))
+        if most is not None:
+            return most
+        self._step(loop)
+        guard, body = self._guards[id(loop)], self._step(loop.body)
+        bound = self.loop_bound
+        counts = {}
+        for s in self.states():
+            v, chain = s.values, {}  # the heads met since a known count
+            while type(v) is tuple and v not in counts:
+                try:
+                    taken = guard(v, None)
+                except _FAULTS:
+                    taken = False
+                if not taken:
+                    counts[v] = 0
+                    break
+                if v in chain or len(chain) == bound:
+                    raise _bound_exceeded(bound)
+                chain[v] = None
+                v = body(v)[1]
+            count = counts.get(v, 0)  # 0 past a body that failed
+            for v in reversed(chain):
+                count += 1
+                if count > bound:
+                    raise _bound_exceeded(bound)
+                counts[v] = count
+        most = self._exit_rounds[id(loop)] = max(counts.values())
+        return most
 
     def loop_head_groups(self, loop):
         """`{observation history: set of head values}` over every arrival at
@@ -377,7 +420,7 @@ class Executable:
         for history, values in groups.items():
             for v in values:
                 trace = step(v)[0]
-                for pos, head in record[v][2]:
+                for pos, head in record[v][1]:
                     if stmt is loop:
                         heads.setdefault(history + trace[:pos], set()).add(head)
                     elif trace[pos : pos + 1] == (_TRUE,):

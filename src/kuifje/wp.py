@@ -212,11 +212,11 @@ class WpEngine:
     # ---- loops
 
     def _loop_exit_bound(self, stmt):
-        """Max guard-true count running the loop alone from every state; the
-        loop's record answers for the states it already ran from."""
+        """Max guard-true count running the loop alone from every state, a
+        runtime error ending it: `Executable.exit_rounds`, found once per
+        loop however often the unfolding reaches it."""
         try:
-            # a runtime error ends the count: the program is undefined there
-            return max(self.executable.loop_rounds(stmt, s) for s in self.states())
+            return self.executable.exit_rounds(stmt)
         except LoopBoundExceeded:
             raise LoopNeedsInvariantOrBound(
                 f"loop at line {stmt.pos[0] if stmt.pos else '?'} does not "

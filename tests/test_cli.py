@@ -10,13 +10,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import soundness
+from kuifje import check_program, parse_program
 from kuifje.cli import _check_priors, _hyper_json, _post_value, build_parser, main
 from kuifje.core import ArrayDomain, BoolDomain, Dist, Hyper, IntRange
 from kuifje.gain import GainEvaluator, random_weights
+from programs import posts, programs
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -1391,3 +1393,61 @@ def test_byte_identical_across_hash_seeds(args):
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout  # non-empty
+
+
+def _drawn_programs(n):
+    """`n` fixed generated programs, each with a generated @post, distinct:
+    the same texts on every run, since the draw is derandomized."""
+    drawn = []
+
+    @settings(
+        max_examples=n, derandomize=True, database=None, phases=[Phase.generate],
+        deadline=None,
+    )
+    @given(programs(), st.data())
+    def draw(source, data):
+        decls = check_program(parse_program(source)).decls
+        drawn.append(f"{source}\n@post {{ {data.draw(posts(decls))} }}\n")
+
+    draw()
+    return list(dict.fromkeys(drawn))
+
+
+# `wp` and `check` on each program named on the command line, in one
+# process, each request's stderr and exit code printed into stdout
+_WP_AND_CHECK = """
+import sys
+from contextlib import redirect_stderr
+from kuifje.cli import main
+for path in sys.argv[1:]:
+    for cmd in (["wp"], ["check", "--priors", "random:2:1"]):
+        with redirect_stderr(sys.stdout):
+            code = main([cmd[0], path, "--loop-bound", "3", *cmd[1:]])
+        print("exit", code, flush=True)
+"""
+
+
+def test_generated_programs_are_byte_identical_across_hash_seeds(tmp_path):
+    # the loop bounds, the outcome tables and the pre-gains are built from
+    # dicts and sets, so any order dependence would show in some program;
+    # 30 programs that have a loop, of the first 120 drawn
+    texts = [text for text in _drawn_programs(120) if "while" in text][:30]
+    paths = []
+    for i, text in enumerate(texts):
+        path = tmp_path / f"generated_{i}.kuif"
+        path.write_text(text)
+        paths.append(str(path))
+    outs = []
+    for seed in "0123":
+        env = dict(os.environ, QIF_COLOR="0", PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.path.join(ROOT, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", _WP_AND_CHECK, *paths],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[1:] == outs[:1] * 3
+    # every request ran to its exit code, whichever code the draw gives
+    exits = [line for line in outs[0].splitlines() if line.startswith("exit")]
+    assert len(exits) == 2 * len(texts) == 60

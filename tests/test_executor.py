@@ -11,9 +11,14 @@ every loop of every corpus program and of three programs that reach an
 annotated loop through an `if`, through another loop, and past a failing
 assignment and a failing `if` guard: `loop_head_groups`, one pass over the
 distinct states, against the reference's per-state head arrivals grouped by
-history, and `loop_rounds` state by state.  The outcome table `check`
-reads, `outcomes()`, is compared with the reference's runs of the whole body
-from each state in turn, on the same programs and on the faulting ones.
+history, and `exit_rounds`, one memoised pass over the declared states,
+against the largest of the reference's per-state round counts, or its
+LoopBoundExceeded message where some state passes the bound; named loops
+that cycle, fail a guard or a body, or reach their largest count through
+known heads pin the pass's edge cases, and its body runs are counted.  The
+outcome table `check` reads, `outcomes()`, is compared with the reference's
+runs of the whole body from each state in turn, on the same programs and on
+the faulting ones.
 Programs drawn by `programs.programs()`, with failing reads, writes and
 divisions and loops that pass a small bound, are compared the same way,
 and, where no run fails, `run` against `oracles.trace_hyper`.
@@ -166,13 +171,17 @@ def _grouped(heads):
     return groups
 
 
-def _facts(groups, rounds, states):
-    """A loop's head groups and its `loop_rounds` on every state, in
-    comparable form; None and the message when the bound was exceeded."""
+def _or_exceeded(fact):
+    """`fact()`, or None and the message when the bound was exceeded."""
     try:
-        return groups(), [rounds(s) for s in states]
+        return fact()
     except LoopBoundExceeded as exc:
         return None, str(exc)
+
+
+def _reference_exit_rounds(ref, loop, bound):
+    """The most rounds the reference's `loop` runs from a declared state."""
+    return max(ref.loop_rounds(loop, s, bound) for s in ref.states())
 
 
 LOOP_PROGRAMS = {os.path.basename(p): p for p in CORPUS if _loops(_corpus(p).body)}
@@ -187,19 +196,147 @@ def test_loop_heads_and_rounds_match_the_reference(name):
     for bound in BOUNDS:
         exe, ref = Executable(program, bound), ReferenceExecutable(program)
         for loop in loops:
-            got = _facts(
-                lambda: exe.loop_head_groups(loop),
-                lambda s: exe.loop_rounds(loop, s),
-                ref.states(),
-            )
-            want = _facts(
-                lambda: _grouped(ref.loop_heads(loop, bound)),
-                lambda s: ref.loop_rounds(loop, s, bound),
-                ref.states(),
-            )
+            got = _or_exceeded(lambda: exe.loop_head_groups(loop))
+            want = _or_exceeded(lambda: _grouped(ref.loop_heads(loop, bound)))
             assert got == want, (loop, bound)
-            if got[0] is not None:
-                assert all(type(h) is tuple for h in got[0])
+            if isinstance(got, dict):
+                assert all(type(h) is tuple for h in got)
+            got = _or_exceeded(lambda: exe.exit_rounds(loop))
+            assert got == _or_exceeded(
+                lambda: _reference_exit_rounds(ref, loop, bound)
+            ), (loop, bound)
+
+
+# Loops whose exit bound takes each way through `exit_rounds`, with the most
+# rounds any declared state runs, or None where some state never exits.
+EXIT_CASES = {
+    # every head leads to the next, so the chain closes on itself
+    "body cycles": (
+        "hidden x : int[0..3]\nwhile true do x := (x + 1) mod 4 od",
+        None,
+    ),
+    # the guard reads A[2] or A[3] from n = 2 or 3, on entry or after rounds
+    "guard fails on some heads": (
+        "hidden A : array[2] of int[0..1]\nhidden n : int[0..3]\n"
+        "while A[n] = 0 do n := n + 1 od",
+        2,
+    ),
+    # the print reads past the end of A after the assignment ran
+    "body fails partway": (
+        "hidden A : array[2] of int[0..1]\nhidden x : int[0..3]\n"
+        "while x < 3 do x := x + 1; print A[x] od",
+        2,
+    ),
+    # n = 3 counts down through the heads n = 2, 1, 0, whose counts the
+    # states before it in canonical order already gave
+    "largest count through known heads": (
+        "hidden n : int[0..3]\nwhile n > 0 do n := n - 1 od",
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("bound", (1, 3, DEFAULT_LOOP_BOUND))
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_rounds_on_named_loops(case, bound):
+    source, rounds = EXIT_CASES[case]
+    program = _program(source)
+    (loop,) = _loops(program.body)
+    got = _or_exceeded(lambda: Executable(program, bound).exit_rounds(loop))
+    ref = ReferenceExecutable(program)
+    assert got == _or_exceeded(lambda: _reference_exit_rounds(ref, loop, bound))
+    if rounds is not None and rounds <= bound:
+        assert got == rounds
+    else:
+        assert got == (None, f"loop exceeded {bound} iterations; raise the loop "
+                       "bound or add an invariant")
+
+
+def _count_body_runs(exe, loop):
+    """The values tuples `loop`'s compiled body is run on, as a list that
+    fills as it runs.  The counting step replaces the body's, so `loop`'s own
+    step, if compiled later, runs it too."""
+    runs = []
+    step = exe._step(loop.body)
+
+    def counted(v):
+        runs.append(v)
+        return step(v)
+
+    exe._steps[id(loop.body)] = counted
+    return runs
+
+
+def _count_exit_rounds(exe, loop, runs):
+    """Per call of `exe.exit_rounds(loop)`, how many of `runs` it added."""
+    calls = []
+    real = exe.exit_rounds
+
+    def counted(stmt):
+        before = len(runs)
+        try:
+            return real(stmt)
+        finally:
+            if stmt is loop:
+                calls.append(len(runs) - before)
+
+    exe.exit_rounds = counted
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_PROGRAMS))
+def test_exit_rounds_runs_each_body_once_per_state_whose_guard_holds(name):
+    source = LOOP_PROGRAMS[name]
+    program = _corpus(source) if name.endswith(".kuif") else _program(source)
+    for loop in _loops(program.body):
+        exe = Executable(program)
+        runs = _count_body_runs(exe, loop)
+        guard = semantics.compile_expr(loop.guard, exe._names)
+        holds = set()
+        for s in exe.states():
+            try:
+                if guard(s.values, None):
+                    holds.add(s.values)
+            except semantics._FAULTS:
+                pass
+        rounds = exe.exit_rounds(loop)
+        assert bool(runs) == (rounds > 0)
+        assert len(runs) == len(set(runs)) and set(runs) <= holds
+        ran = len(runs)
+        assert exe.exit_rounds(loop) == rounds
+        assert len(runs) == ran  # the second request ran no body
+
+
+def test_exit_rounds_of_a_nested_loop_runs_once_across_unfolding_rounds():
+    # wp reaches the inner loop once per round of the outer loop it unfolds
+    program = check_program(parse_program(
+        "hidden x : int[0..3]\nhidden n : int[0..3]\nhidden k : int[0..2]\n"
+        "while k < 2 invariant { [x = 0] } do\n"
+        "  n := 0;\n  while n < x do n := n + 1 od;\n  k := k + 1\nod\n"
+        "@post { MAX w in 0..3: [x = w] }"
+    ))
+    engine = WpEngine(program, WpConfig(force_unfold=True))
+    exe = engine.executable
+    _, inner = _loops(exe.program.body)
+    runs = _count_body_runs(exe, inner)
+    calls = _count_exit_rounds(exe, inner, runs)
+    engine.wp_program()
+    assert len(calls) == 2 and calls[0] > 0 and calls[1] == 0
+
+
+def test_exit_rounds_runs_once_across_the_atoms_of_a_leak_blind_post():
+    # the unsound mode takes wp of the body once per atom of the post
+    program = check_program(parse_program(
+        "hidden x : int[0..3]\nhidden n : int[0..3]\n"
+        "n := 0;\nwhile n < x do n := n + 1 od\n@post { [x = 0] MAX [n = 1] }"
+    ))
+    engine = WpEngine(program, WpConfig(unsound_no_branch_leak=True))
+    exe = engine.executable
+    (loop,) = _loops(exe.program.body)
+    runs = _count_body_runs(exe, loop)
+    calls = _count_exit_rounds(exe, loop, runs)
+    engine.wp_program()
+    assert len(calls) == 2 and calls[0] > 0 and calls[1] == 0
 
 
 @pytest.mark.parametrize("name", sorted(NESTED))
@@ -412,10 +549,8 @@ def test_generated_programs_match_the_reference(source, bound):
     want = _reference_outcomes(program, bound)
     assert got == want
     for loop in _loops(program.body):
-        got = _facts(lambda: None, lambda s: exe.loop_rounds(loop, s), ref.states())
-        assert got == _facts(
-            lambda: None, lambda s: ref.loop_rounds(loop, s, bound), ref.states()
-        )
+        got = _or_exceeded(lambda: exe.exit_rounds(loop))
+        assert got == _or_exceeded(lambda: _reference_exit_rounds(ref, loop, bound))
         # where some run passes the bound the two disagree on the head
         # groups (test_loop_heads_before_a_later_loop_that_passes_the_bound)
         if want[0] is not None:
