@@ -10,7 +10,9 @@ Exit codes: 0 success; 1 check found a mismatch; 2 parse/type/input error;
 3 a resource limit was hit (loop iterations, or expression depth built by
 the analysis); 4 a loop annotation failed its consistency check; 5 an
 internal error (any other exception, `MemoryError` included), reported on one
-line without a traceback.
+line without a traceback; 141, with nothing on stderr, when the reader
+closes stdout early (as `| head` does), the code a shell reports for a
+process that SIGPIPE ended.
 
 All probabilities are exact rationals.  Table output prints them as `p/q`
 (integers bare); JSON output always uses the `n/d` form, `0/1` and `1/1`
@@ -244,8 +246,7 @@ def load_prior(spec, decls):
     if spec.startswith("product "):
         return _prior_product(spec[len("product ") :], decls)
     if os.path.exists(spec):
-        with open(spec) as f:
-            return _prior_lines(f.read(), decls)
+        return _prior_lines(_read(spec), decls)
     if ":" in spec:
         return _prior_lines(spec, decls)
     raise KuifjeError(f"cannot read prior {spec!r}: not a file or directive")
@@ -367,13 +368,18 @@ def hyper_from_json(doc, decls):
 # ---------------------------------------------------------------- commands
 
 
-def _load_program(path):
+def _read(path):
+    """The text of a program or prior file; a file that cannot be opened or
+    is not UTF-8 text is bad input."""
     try:
         with open(path) as f:
-            src = f.read()
-    except OSError as exc:
-        raise KuifjeError(f"cannot read {path}: {exc}") from exc
-    program = parse_program(src)
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise KuifjeError(f"cannot read {path}: {exc}") from None
+
+
+def _load_program(path):
+    program = parse_program(_read(path))
     check_program(program)
     return program
 
@@ -698,7 +704,22 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, as SIGPIPE would end a
+        # process, and send what is still buffered to the null device so
+        # the interpreter's last flush does not fail again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass  # an in-process stream with no descriptor
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
     except InvariantCheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.equation is not None:

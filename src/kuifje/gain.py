@@ -54,7 +54,9 @@ values, not as the states.  It reads literal masks and factor level sets
 through `Canon.evaluator`, a term's factors in rendered order, as the
 printed atom reads them, so it values an atom exactly as `check` values
 the printed one, on the same evaluator: `wp` and `check` value every gain
-over the declared space on it, and its memos die with the Canon.
+over the declared space on it.  Its memos (one record per conjunction,
+the renderings of each factor list, and the rest listed on `Canon`) die
+with the Canon, and a MAX tree is squeezed once, not at each of its nodes.
 """
 
 from __future__ import annotations
@@ -750,8 +752,10 @@ class Canon:
     A literal's mask is the evaluator's (`_test`), from the level set of the
     literal's atom, which gives both polarities; `lit_models` keeps the
     masks it is asked for.  `_models` holds the mask of each predicate
-    `models` is asked for, and only those: minimisation works on one mask
-    per conjunction, kept as literals and disjuncts are dropped, and stores
+    `models` is asked for, and only those.  Each conjunction has one record
+    (`_conj`): its literals in rendered order, their renderings, which are
+    its sort key, their masks and its own mask.  Minimisation reads the
+    records, tries each deletion on prefix and suffix masks, and stores
     none of its candidates.
 
     An atom's values are a level set (`atom_levels`), never a per-state
@@ -765,10 +769,12 @@ class Canon:
     lives.  Caches keyed by atom ids (level sets, rebuilt expressions, and the
     memos of `atom_add`, `atom_mul` and `prune`) are therefore exact for the
     Canon's life.  `normalize_gain` memoises sub-gains by identity, keeping
-    each alive beside its atoms; `to_dnf` memoises tests by value; and
-    literal, conjunction and predicate expressions are built once, so their
-    renderings, which `lang.expr_to_source` keeps on the nodes, are made
-    once.  All of these die with the Canon.
+    each alive beside its atoms, and squeezes a MAX tree once over all its
+    operands; `to_dnf` memoises tests by value; `_finalize` keeps each
+    factor list's renderings (`_factor_key`); and literal, conjunction and
+    predicate expressions are built once, so their renderings, which
+    `lang.expr_to_source` keeps on the nodes, are made once.  All of these,
+    and the conjunction records, die with the Canon.
     """
 
     def __init__(self, decls, states=None):
@@ -777,6 +783,8 @@ class Canon:
         names, domains = self.names, list(self.domains.values())
         self._states = states or (lambda: all_states(names, domains))
         self._models = {}
+        self._conjs = {}
+        self._factor_keys = {}
         self._lit_model_cache = {}
         self._factor_levels = {}
         self._intern = {}
@@ -816,13 +824,21 @@ class Canon:
             self._lit_model_cache[lit] = mask
         return mask
 
-    def _conj_models(self, conj):
-        acc = self.full
-        for lit in conj:
-            acc &= self.lit_models(lit)
-            if not acc:
-                break
-        return acc
+    def _conj(self, conj):
+        """The conjunction's record (key, lits, masks, mask): its literals'
+        renderings in sorted order, the literals in that order, their masks,
+        and the conjunction's own mask, the full one when it is empty."""
+        rec = self._conjs.get(conj)
+        if rec is None:
+            lits = tuple(sorted(conj, key=self.lit_render))
+            masks = tuple(map(self.lit_models, lits))
+            rec = self._conjs[conj] = (
+                tuple(map(self.lit_render, lits)),
+                lits,
+                masks,
+                reduce(operator.and_, masks, self.full),
+            )
+        return rec
 
     def models(self, dnf):
         """Bitmask of the states where the DNF holds."""
@@ -830,7 +846,7 @@ class Canon:
         if out is None:
             out = 0
             for conj in dnf:
-                out |= self._conj_models(conj)
+                out |= self._conj(conj)[3]
             self._models[dnf] = out
         return out
 
@@ -864,7 +880,7 @@ class Canon:
     def _conj_expr(self, conj):
         out = self._conj_exprs.get(conj)
         if out is None:
-            lits = sorted(conj, key=self.lit_render)
+            lits = self._conj(conj)[1]
             out = self.lit_expr(lits[0])
             for lit in lits[1:]:
                 out = BoolOp("and", out, self.lit_expr(lit))
@@ -1058,55 +1074,70 @@ class Canon:
         self._minimized[out] = out
         return out
 
-    def _conj_key(self, conj):
-        return tuple(sorted(self.lit_render(lit) for lit in conj))
-
     def _minimize(self, dnf):
-        # Greedy two-level minimisation on one mask per conjunction, kept as
-        # literals and disjuncts are dropped.  The masks' union stays the
-        # target, so a slimmed conjunction keeps it exactly when its own mask
-        # stays inside the target.
+        # Greedy two-level minimisation on the conjunctions' records, in
+        # rendered order.  The masks' union stays the target, so a slimmed
+        # conjunction keeps it exactly when its own mask stays inside the
+        # target.  A candidate's mask is a prefix mask of what is kept
+        # before it and a suffix mask of what follows it.
         if dnf in (TRUE_DNF, FALSE_DNF):
             return dnf
-        conjs = sorted(dnf, key=self._conj_key)
-        masks = [self._conj_models(c) for c in conjs]
-        target = reduce(operator.or_, masks, 0)
+        full = self.full
+        recs = sorted(((self._conj(c), c) for c in dnf), key=lambda rc: rc[0][0])
+        target = 0
+        for rec, _ in recs:
+            target |= rec[3]
         if not target:
             return FALSE_DNF
-        if target == self.full:
+        if target == full:
             return TRUE_DNF
-        outside = self.full ^ target
-        live = [(c, m) for c, m in zip(conjs, masks) if m]
-        # absorption: a superset conjunction is redundant next to its subset
-        live = [(c, m) for c, m in live if not any(o < c for o, _ in live)]
+        outside = full ^ target
+        live = [(c, rec) for rec, c in recs if rec[3]]
+        # absorption: a superset conjunction is redundant next to its subset,
+        # and the shortest conjunctions have no proper subset among them
+        shortest = min(len(c) for c, _ in live)
+        live = [
+            (c, rec) for c, rec in live
+            if len(c) == shortest or not any(o < c for o, _ in live)
+        ]
         conjs = [c for c, _ in live]
-        masks = [m for _, m in live]
+        masks = [rec[3] for _, rec in live]
+        lits = [list(zip(rec[1], rec[2])) for _, rec in live]
 
         changed = True
         while changed:
             changed = False
-            # greedy literal deletion, in deterministic order
-            for i, conj in enumerate(conjs):
-                lits = sorted(conj, key=self.lit_render)
-                # a dropped literal's mask is replaced by the full one
-                lit_masks = [self.lit_models(lit) for lit in lits]
-                for p, lit in enumerate(lits):
-                    m, lit_masks[p] = lit_masks[p], self.full
-                    slim = reduce(operator.and_, lit_masks)
+            # greedy literal deletion, in rendered order
+            for i, pairs in enumerate(lits):
+                if len(pairs) < 2:
+                    continue  # without its one literal, a conjunction is true
+                suffix = [full] * (len(pairs) + 1)
+                for p in range(len(pairs) - 1, -1, -1):
+                    suffix[p] = suffix[p + 1] & pairs[p][1]
+                prefix, kept = full, []
+                for p, (lit, m) in enumerate(pairs):
+                    slim = prefix & suffix[p + 1]
                     if slim & outside:
-                        lit_masks[p] = m
+                        prefix &= m
+                        kept.append((lit, m))
                     else:
-                        conj = conj - {lit}
                         masks[i] = slim
-                        changed = True
-                conjs[i] = conj
+                if len(kept) < len(pairs):
+                    lits[i] = kept
+                    conjs[i] = frozenset(lit for lit, _ in kept)
+                    changed = True
             # greedy disjunct deletion, last first: a conjunction goes when
             # the others' union is the target
+            before = [0]
+            for m in masks:
+                before.append(before[-1] | m)
+            after = 0
             for i in range(len(conjs) - 1, -1, -1):
-                others = masks[:i] + masks[i + 1 :]
-                if others and reduce(operator.or_, others) == target:
-                    del conjs[i], masks[i]
+                if before[i] | after == target:
+                    del conjs[i], masks[i], lits[i]
                     changed = True
+                else:
+                    after |= masks[i]
         return frozenset(conjs)
 
     def preds_disjoint(self, d1, d2):
@@ -1208,10 +1239,11 @@ class Canon:
         return out
 
     def _finalize(self, terms):
-        # minimize predicates, dropping unsatisfiable terms
-        live = []
+        # merge terms of one (pred, factors), minimising predicates and
+        # dropping unsatisfiable terms
+        merged = {}
         for t in terms:
-            if t.coeff == 0:
+            if not t.coeff:
                 continue
             pred = t.pred
             if pred is not None:
@@ -1220,42 +1252,35 @@ class Canon:
                     continue
                 if pred == TRUE_DNF:
                     pred = None
-            live.append(_Term(t.coeff, pred, t.factors))
-        # merge identical (pred, factors)
-        merged = {}
-        for t in live:
-            k = (t.pred, t.factors)
-            merged[k] = merged.get(k, ZERO) + t.coeff
-        live = [
-            _Term(c, pred, factors) for (pred, factors), c in merged.items() if c != 0
-        ]
+            k = (pred, t.factors)
+            merged[k] = merged[k] + t.coeff if k in merged else t.coeff
         # merge guarded copies of the same quantity over disjoint predicates:
         # c*[p]*F + c*[q]*F with p, q disjoint becomes c*[p or q]*F
         buckets = {}
-        for t in live:
-            buckets.setdefault((t.coeff, t.factors), []).append(t)
+        for (pred, factors), c in merged.items():
+            if c:
+                buckets.setdefault((c, factors), []).append(pred)
         out = []
-        for (coeff, factors), group in sorted(
-            buckets.items(),
-            key=lambda kv: (tuple(map(expr_to_source, kv[0][1])), kv[0][0]),
+        for (coeff, factors), preds in sorted(
+            buckets.items(), key=lambda kv: (self._factor_key(kv[0][1]), kv[0][0])
         ):
-            group.sort(key=lambda t: "" if t.pred is None else self.pred_render(t.pred))
-            acc = []
-            for t in group:
-                if t.pred is None:
-                    acc.append(t)
-                    continue
-                for i, u in enumerate(acc):
-                    if u.pred is not None and self.preds_disjoint(u.pred, t.pred):
-                        pred = self.minimize(u.pred | t.pred)
-                        if pred == TRUE_DNF:
-                            pred = None
-                        acc[i] = _Term(coeff, pred, factors)
+            if len(preds) > 1:
+                preds.sort(key=self._pred_key)
+                acc = []
+                for p in preds:
+                    for i, q in enumerate(acc):
+                        if p is None or q is None or not self.preds_disjoint(q, p):
+                            continue
+                        q = self.minimize(q | p)
+                        acc[i] = None if q == TRUE_DNF else q
                         break
-                else:
-                    acc.append(t)
-            out.extend(acc)
-        atom = tuple(sorted(out, key=self._term_key))
+                    else:
+                        acc.append(p)
+                preds = acc
+            fkey = self._factor_key(factors)
+            out.extend((fkey, self._pred_key(p), coeff, p, factors) for p in preds)
+        out.sort(key=lambda row: row[:3])
+        atom = tuple(_Term(coeff, p, factors) for _, _, coeff, p, factors in out)
         # intern: one deep hash per distinct atom, then identity everywhere
         got = self._intern.get(atom)
         if got is None:
@@ -1263,12 +1288,14 @@ class Canon:
             got = atom
         return got
 
-    def _term_key(self, t):
-        return (
-            tuple(expr_to_source(f) for f in t.factors),
-            "" if t.pred is None else self.pred_render(t.pred),
-            t.coeff,
-        )
+    def _factor_key(self, factors):
+        out = self._factor_keys.get(factors)
+        if out is None:
+            out = self._factor_keys[factors] = tuple(map(expr_to_source, factors))
+        return out
+
+    def _pred_key(self, pred):
+        return "" if pred is None else self.pred_render(pred)
 
     # ---- atom arithmetic (memoised by atom identity; see the class docstring)
 
@@ -1417,9 +1444,17 @@ class Canon:
         if isinstance(g, GAtom):
             out = [self.atom_of(g.expr)]
         elif isinstance(g, GMax):
-            out = squeeze(
-                self.normalize_gain(g.left, prune) + self.normalize_gain(g.right, prune)
-            )
+            # the whole MAX tree, squeezed once over its operands' atoms in
+            # order: prune keeps the maximal level sets and the smallest
+            # rendering of each, however the MAX is grouped
+            out, rest = [], [g]
+            while rest:
+                h = rest.pop()
+                if isinstance(h, GMax):
+                    rest += (h.right, h.left)
+                else:
+                    out += self.normalize_gain(h, prune)
+            out = squeeze(out)
         elif isinstance(g, GPlus):
             zero = [self.atom_of(IntLit(0))]
             left = squeeze(self.normalize_gain(g.left, prune)) or zero

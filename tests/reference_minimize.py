@@ -53,7 +53,10 @@ class ReferenceMinimizer:
         if target == self.full:
             return TRUE_DNF
 
-        conjs = sorted(set(dnf), key=canon._conj_key)
+        def conj_key(conj):
+            return tuple(sorted(canon.lit_render(lit) for lit in conj))
+
+        conjs = sorted(set(dnf), key=conj_key)
         conjs = [c for c in conjs if self.models(frozenset({c}))]
         # absorption: a superset conjunction is redundant next to its subset
         kept = []

@@ -9,6 +9,11 @@
   value (`reference_eval.atom`) state by state, for factorless terms, factor
   terms, sums, negative coefficients and a zero factor that shields a
   failing read.
+- Merging terms into an atom (`Canon._finalize`) returns the same interned
+  atom as the merge it replaced (`reference_finalize.py`), on every term
+  list `wp` merges on the corpus and on generated lists drawn from few
+  coefficients and factor lists, so that a bucket holds several terms.
+- A MAX tree is squeezed by one prune.
 - Pruning on level sets returns the same list as a reference that values
   atoms as `GainEvaluator` columns and compares every pair
   (`reference_prune.py`): on generated atom lists with many vectors per sum,
@@ -30,9 +35,11 @@ from hypothesis import strategies as st
 
 import reference_eval as ref
 from kuifje.core import all_states
-from kuifje.gain import Canon, _levels_le, _pointwise_le, simplify
+from kuifje.gain import Canon, _levels_le, _pointwise_le, _Term, balanced, simplify
 from kuifje.lang import (
     EVAL_ERRORS,
+    GAtom,
+    GMax,
     check_program,
     compile_expr,
     parse_expr,
@@ -40,6 +47,7 @@ from kuifje.lang import (
     parse_program,
 )
 from kuifje.wp import WpConfig, WpEngine
+from reference_finalize import reference_finalize
 from reference_minimize import ReferenceMinimizer
 from reference_prune import atom_values, reference_prune
 
@@ -74,9 +82,9 @@ POSTED = sorted(
 RUNS = [(name, False) for name in POSTED] + [(name, True) for name in ANNOTATED]
 
 
-def _wp_run(name, force_unfold):
-    """The engine's Canon after `wp` on a corpus program, and each DNF its
-    minimisation was given, with the result.
+def _wp_run(name, force_unfold, method="_minimize"):
+    """The engine's Canon after `wp` on a corpus program, and each argument
+    its `method` (minimisation unless named) was given, with the result.
 
     `wp` decides a loop annotation's equation as written, so the run also
     simplifies both sides of the equation wherever `wp` decides it: an
@@ -85,12 +93,12 @@ def _wp_run(name, force_unfold):
     engine = WpEngine(_corpus(name), WpConfig(force_unfold=force_unfold))
     canon = engine.canon
     calls = []
-    minimize = canon._minimize
+    real = getattr(canon, method)
     decide = kuifje_wp.semantic_eq
 
-    def recording(dnf):
-        out = minimize(dnf)
-        calls.append((dnf, out))
+    def recording(arg):
+        out = real(arg)
+        calls.append((arg, out))
         return out
 
     def simplifying(lhs, rhs, *args, **kwargs):
@@ -98,13 +106,13 @@ def _wp_run(name, force_unfold):
         simplify(rhs, engine.decls, canon)
         return decide(lhs, rhs, *args, **kwargs)
 
-    canon._minimize = recording
+    setattr(canon, method, recording)
     kuifje_wp.semantic_eq = simplifying
     try:
         engine.wp_program()
     finally:
         kuifje_wp.semantic_eq = decide
-        del canon._minimize
+        delattr(canon, method)
     return canon, calls
 
 
@@ -202,6 +210,98 @@ def test_minimize_matches_reference_on_generated_dnfs(dnf):
     assert len(SPACE_CANON.evaluator._rows) == 288
     expected = ReferenceMinimizer(SPACE_CANON).minimize(dnf)
     assert SPACE_CANON._minimize(dnf) == expected
+
+
+# ---- term merging
+
+
+def _assert_finalize_matches(canon, terms, out):
+    expected = reference_finalize(canon, terms)
+    assert out == expected, canon.atom_render(out)
+    assert canon._intern[expected] is out
+
+
+@pytest.mark.parametrize("name, force_unfold", RUNS, ids=list(map(_run_id, RUNS)))
+def test_finalize_matches_reference_on_corpus(name, force_unfold):
+    canon, calls = _wp_run(name, force_unfold, "_finalize")
+    assert calls
+    for terms, out in calls:
+        _assert_finalize_matches(canon, terms, out)
+
+
+def test_corpus_finalize_merges_disjoint_terms():
+    # the differential test sees buckets of several terms, and merges
+    canon, calls = _wp_run("search_with_flag.kuif", False, "_finalize")
+    merged = [
+        (terms, out) for terms, out in calls
+        if len({(t.coeff, t.factors) for t in terms if t.coeff}) < len(terms)
+    ]
+    assert len(merged) > 50
+    assert any(len(out) < len(terms) for terms, out in merged)
+
+
+def _canon_terms(src):
+    return SPACE_CANON._terms_of(parse_expr(src))
+
+
+# one bucket: every drawn term is c * [p] * F for c and F from short lists,
+# with predicates that are disjoint (x = 0, x = 1), overlapping (x < 2,
+# y <= x), equal in value but written apart (x = 3, not x < 3), true,
+# contradictory, or a read that fails (A[x] = y); coefficients that cancel;
+# and factors whose reads fail where x or y is past A's end
+FINALIZE_PREDS = [None] + [
+    SPACE_CANON.to_dnf(parse_expr(src))
+    for src in (
+        "x = 0", "x = 1", "x < 2", "y <= x", "x = 3", "not x < 3", "b or x = 0",
+        "b and not b", "A[x] = y", "x = 0 or x = 1", "true",
+    )
+]
+FINALIZE_FACTORS = [
+    (),
+    tuple(f for (t,) in [_canon_terms("A[x]")] for f in t.factors),
+    tuple(f for (t,) in [_canon_terms("x * A[y]")] for f in t.factors),
+]
+finalize_terms = st.lists(
+    st.builds(
+        _Term,
+        st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(0)]),
+        st.sampled_from(FINALIZE_PREDS),
+        st.sampled_from(FINALIZE_FACTORS),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(finalize_terms)
+def test_finalize_matches_reference_on_generated_terms(terms):
+    _assert_finalize_matches(SPACE_CANON, terms, SPACE_CANON._finalize(terms))
+
+
+# ---- work done once
+
+
+def test_a_max_tree_is_squeezed_by_one_prune():
+    canon = Canon(SPACE.decls)
+    atoms = [
+        parse_gain(f"[x = {i} and y = {j}] * (1 + x)").expr
+        for i in range(4) for j in range(4)
+    ]
+    pruned = []
+    prune = canon.prune
+
+    def counting(atoms):
+        pruned.append(len(atoms))
+        return prune(atoms)
+
+    canon.prune = counting
+    g = balanced(GMax, [GAtom(a) for a in atoms])
+    out = canon.normalize_gain(g, prune=True)
+    assert pruned == [16]
+    # the grouping does not matter: the flat list prunes to the same atoms
+    del canon.prune
+    assert out == canon.prune([canon.atom_of(a) for a in atoms])
+    assert len(out) == 16
 
 
 # ---- an out-of-bounds read

@@ -1,6 +1,7 @@
 """Command-line interface: exact outputs, exit codes, and determinism."""
 
 import hashlib
+import io
 import json
 import os
 import random
@@ -1208,6 +1209,66 @@ def test_missing_file_exit_2():
     p = cli("wp", "corpus/no_such_program.kuif")
     assert p.returncode == 2
     assert p.stderr.startswith("error:")
+
+
+_SUBCOMMAND_ARGS = {
+    "run": (),
+    "check": (),
+    "eval": ("--gain", "[x = 0]"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_ARGS))
+def test_unreadable_program_or_prior_exit_2(tmp_path, command):
+    # a program that is not UTF-8 text, and a prior path that is a directory
+    bad = tmp_path / "bad.kuif"
+    bad.write_bytes(b"\xff")
+    extra = _SUBCOMMAND_ARGS[command]
+    cases = [
+        ((str(bad), *extra, "--prior", "uniform"), str(bad)),
+        ((corpus("threshold_print.kuif"), *extra, "--prior", str(tmp_path)),
+         str(tmp_path)),
+    ]
+    for args, path in cases:
+        p = cli(command, *args)
+        assert p.returncode == 2, p.stderr
+        assert p.stderr.startswith(f"error: cannot read {path}: ")
+        assert len(p.stderr.splitlines()) == 1
+        assert p.stdout == ""
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader goes away before the first write, as `| head -c 10` can
+    env = dict(os.environ, QIF_COLOR="0", PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kuifje.cli", "wp",
+         corpus("reveal_low_bits_small.kuif")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        cwd=ROOT,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
+def test_closed_stdout_in_process_keeps_the_stream(monkeypatch):
+    # a stream with no descriptor is left as it is, and stays open
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    stream = Closed()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["wp", os.path.join(ROOT, corpus("branch_assign.kuif"))]) == 141
+    assert sys.stdout is stream and not stream.closed
 
 
 @pytest.mark.parametrize(
