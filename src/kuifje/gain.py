@@ -62,7 +62,6 @@ with the Canon, and a MAX tree is squeezed once, not at each of its nodes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import compress, starmap
@@ -93,6 +92,7 @@ from .lang import (
     Var,
     apply_op,
     expr_to_source,
+    record,
     subst_gain,
 )
 
@@ -708,7 +708,7 @@ def eval_gain_hyper(g, hyper, env=None):
 
 # --- canonicalization ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class _Term:
     coeff: Fraction
     pred: frozenset | None  # DNF; None means true
@@ -1523,7 +1523,7 @@ class Canon:
 # --- normal form -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class NormalForm:
     """A MAX of canonical atoms, in deterministic rendering order."""
 
@@ -1572,7 +1572,7 @@ def simplify(g, decls, canon=None):
 # --- semantic comparison -----------------------------------------------------------------
 
 
-@dataclass
+@record
 class CompareResult:
     """The decision of `semantic_le`/`semantic_eq`.  When the relation fails,
     `counterexample` is a prior over the compared states on which it fails,

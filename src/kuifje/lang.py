@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import ArrayDomain, BoolDomain, IntRange
@@ -30,6 +29,67 @@ from .errors import (
     RangeEmpty,
     TypeCheckError,
 )
+
+# --- records ---------------------------------------------------------------------
+# Fields that say where a record came from, not what it is: stored, but left out
+# of equality, hashing and repr.
+_METADATA = ("pos", "desugared")
+
+
+def _read_only(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+def record(cls, hash_once=False):
+    """Make `cls` an immutable record of its annotated fields.
+
+    One `exec` builds `__init__`, `__eq__`, `__hash__` and `__repr__`, the
+    methods of a frozen record class from the standard library, at a
+    fraction of what building and importing those cost when the CLI starts.
+    The fields are the class's own annotations, in order; a class attribute
+    of the same name is a field's default.  `__eq__` compares the tuples of
+    compared fields (all but `_METADATA`) of two instances of one class,
+    `__hash__` is the hash of that tuple, and `__repr__` reads
+    `Name(field=value, ...)` over them.  With `hash_once` the hash is kept
+    in the instance's `__dict__` under `_hash` when first asked for.
+    Setting or deleting an attribute raises AttributeError.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {f"_d_{n}": getattr(cls, n) for n in names if n in cls.__dict__}
+    params = "".join(f", {n}=_d_{n}" if f"_d_{n}" in defaults else f", {n}" for n in names)
+    keys = [n for n in names if n not in _METADATA]
+    mine = "(" + "".join(f"self.{n}," for n in keys) + ")"
+    theirs = "(" + "".join(f"other.{n}," for n in keys) + ")"
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in keys)
+    hashed = f" return hash({mine})\n"
+    if hash_once:
+        kept = "self.__dict__['_hash']"
+        hashed = (
+            f" try:\n  return {kept}\n except KeyError:\n"
+            f"  h = {kept} = hash({mine})\n  return h\n"
+        )
+    made = {}
+    exec(
+        f"def __init__(self{params}):\n d = self.__dict__\n"
+        + "".join(f" d['{n}'] = {n}\n" for n in names)
+        + f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+        f"  return {mine} == {theirs}\n return NotImplemented\n"
+        f"def __hash__(self):\n{hashed}"
+        f"def __repr__(self):\n return f'{{self.__class__.__qualname__}}({shown})'\n",
+        defaults,
+        made,
+    )
+    for name, fn in made.items():
+        setattr(cls, name, fn)
+    cls.__setattr__ = cls.__delattr__ = _read_only
+    cls._fields = names
+    return cls
+
+
+def replace(rec, **changes):
+    """A copy of the record `rec` with the given fields changed."""
+    return type(rec)(**{n: changes.get(n, getattr(rec, n)) for n in rec._fields})
+
 
 # --- lexer ---------------------------------------------------------------------
 
@@ -53,7 +113,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str  # "int", "name", a keyword, "@post", a symbol, or "eof"
     text: str
@@ -92,35 +152,22 @@ def tokenize(src):
 
 
 # --- AST -------------------------------------------------------------------------
-# pos fields never participate in equality, so parse -> print -> parse round-trips
-# compare equal.
-
-_POS = dict(default=None, compare=False, repr=False)
-
+# pos is metadata (see `record`), so parse -> print -> parse round-trips compare
+# equal.
 
 def _node(cls):
-    """A frozen dataclass node that computes its hash once, on first use.
+    """An AST node: a `record` that computes its hash once, on first use.
 
     Memos keyed by nodes then pay one dict lookup per hash instead of a walk
     of the subtree.  Nodes are not interned: two equal nodes may carry
-    different positions.  Compiled closures (see `compile_expr`) and the
-    rendering (see `expr_to_source`) are kept in the same per-node dict.
+    different positions.  The hash is kept in the node's `__dict__` under
+    `_hash`, beside the compiled closures (see `compile_expr`) and the
+    rendering (see `expr_to_source`).
     """
-    cls = dataclass(frozen=True)(cls)
-    value_hash = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = value_hash(self)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
+    return record(cls, hash_once=True)
 
 
-@dataclass(frozen=True)
+@record
 class Expr:
     pass
 
@@ -128,32 +175,32 @@ class Expr:
 @_node
 class IntLit(Expr):
     value: int
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
 class RatLit(Expr):
     value: Fraction
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
 class BoolLit(Expr):
     value: bool
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
 class Var(Expr):
     name: str
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
 class Idx(Expr):
     name: str
     index: Expr
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
@@ -161,25 +208,25 @@ class Bin(Expr):
     op: str  # + - * div mod &
     left: Expr
     right: Expr
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
 class Neg(Expr):
     arg: Expr
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
 class MaxF(Expr):
     args: tuple
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
 class MinF(Expr):
     args: tuple
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
@@ -187,7 +234,7 @@ class Cmp(Expr):
     op: str  # = != < <= > >=
     left: Expr
     right: Expr
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
@@ -195,19 +242,19 @@ class BoolOp(Expr):
     op: str  # and | or   (short-circuit)
     left: Expr
     right: Expr
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
 class Not(Expr):
     arg: Expr
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
 class Iverson(Expr):
     arg: Expr  # boolean; value is the indicator 1/0
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
@@ -222,13 +269,13 @@ class Mem(Expr):
     lo: Expr | None
     hi: Expr | None
     negated: bool
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 # gain expressions
 
 
-@dataclass(frozen=True)
+@record
 class GainExpr:
     pass
 
@@ -236,28 +283,28 @@ class GainExpr:
 @_node
 class GAtom(GainExpr):
     expr: Expr
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
 class GMax(GainExpr):
     left: GainExpr
     right: GainExpr
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
 class GPlus(GainExpr):
     left: GainExpr
     right: GainExpr
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
 class GAnd(GainExpr):
     scalar: Expr  # the single-atom (standard) left operand
     body: GainExpr
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 @_node
@@ -265,74 +312,74 @@ class GQuantMax(GainExpr):
     var: str
     values: tuple  # concrete ints, resolved at parse time
     body: GainExpr
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
 # statements
 
 
-@dataclass(frozen=True)
+@record
 class Stmt:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class SSkip(Stmt):
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
-@dataclass(frozen=True)
+@_node
 class SAssign(Stmt):
     name: str
     index: Expr | None  # None for scalar targets
     value: Expr
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
-@dataclass(frozen=True)
+@_node
 class SSeq(Stmt):
     stmts: tuple
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
-@dataclass(frozen=True)
+@_node
 class SIf(Stmt):
     guard: Expr
     then: Stmt
     els: Stmt
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
-@dataclass(frozen=True)
+@_node
 class SWhile(Stmt):
     guard: Expr
     body: Stmt
     invariant: GainExpr | None
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
-@dataclass(frozen=True)
+@_node
 class SPrint(Stmt):
     expr: Expr
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
-@dataclass(frozen=True)
+@record
 class Decl:
     name: str
     domain: object
     visible: bool
-    pos: tuple = field(**_POS)
+    pos: tuple = None
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     decls: tuple
     body: Stmt
     post: GainExpr | None
-    pos: tuple = field(**_POS)
+    pos: tuple = None
     # set by desugar_visible, which returns a marked program unchanged
-    desugared: bool = field(default=False, compare=False, repr=False)
+    desugared: bool = False
 
 
 # --- parser ----------------------------------------------------------------------

@@ -47,8 +47,6 @@ post, so this mode unfolds every loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .core import BoolDomain, State
 from .core import all_states  # noqa: F401  perfbench/spans.py wraps wp.all_states
 from .errors import (
@@ -77,6 +75,8 @@ from .lang import (
     SWhile,
     expr_to_source,
     gain_to_source,
+    record,
+    replace,
     stmt_to_source,
     subst_array_elem_gain,
     subst_gain,
@@ -84,7 +84,7 @@ from .lang import (
 from .semantics import DEFAULT_LOOP_BOUND, Executable
 
 
-@dataclass
+@record
 class WpConfig:
     loop_bound: int = DEFAULT_LOOP_BOUND
     simplify: bool = True
@@ -94,11 +94,11 @@ class WpConfig:
     trace: bool = False
 
 
-@dataclass
+@record
 class WpResult:
     pre: object  # GainExpr in normal form
     nf: object  # NormalForm
-    trace: list = field(default_factory=list)
+    trace: tuple = ()  # (statement, pre-gain) pairs when config.trace
 
     def render(self):
         return self.nf.render()
@@ -149,7 +149,7 @@ class WpEngine:
             nf = simplify(pre, self.decls, self.canon)
         else:
             nf = normalize(pre, self.decls, self.canon)
-        return WpResult(pre=nf.as_gain(), nf=nf, trace=trace)
+        return WpResult(pre=nf.as_gain(), nf=nf, trace=tuple(trace))
 
     # ---- structural rules
 

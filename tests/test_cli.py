@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -24,11 +25,11 @@ from programs import posts, programs
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
 
-def cli(*args, hash_seed="0", stdin=None, module="kuifje.cli"):
+def cli(*args, hash_seed="0", stdin=None, module="kuifje.cli", python=sys.executable):
     env = dict(os.environ, QIF_COLOR="0", PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
     proc = subprocess.run(
-        [sys.executable, "-m", module, *args],
+        [python, "-m", module, *args],
         capture_output=True,
         text=True,
         input=stdin,
@@ -1039,15 +1040,23 @@ def test_deepest_accepted_input_runs(tmp_path, command, body, post):
     assert p.stderr == ""
 
 
+_DIVS = " + ".join(f"x div {i}" for i in range(1, 191))
+
+
+def _sum(v):
+    return " + ".join([v] * 190)
+
+
 @pytest.mark.parametrize("command", ["wp", "check"])
 def test_expression_built_too_deep_exit_3(tmp_path, command):
-    # both statements parse, but substituting y's 190-term value into the
-    # 190-term print nests far deeper than any parsed expression
+    # every statement parses, but substituting z's 190-term value, itself
+    # built from y's, into the 190-term print nests far deeper than any
+    # parsed expression
     f = tmp_path / "subst.kuif"
     f.write_text(
-        "hidden x : int[0..3]; hidden y : int[0..3];\n"
-        "y := " + " + ".join(f"x div {i}" for i in range(1, 191)) + ";\n"
-        "print " + " + ".join(["y"] * 190) + "\n@post { [x = 1] }\n"
+        "hidden x : int[0..3]; hidden y : int[0..3]; hidden z : int[0..3];\n"
+        f"y := {_DIVS};\nz := {_sum('y')};\n"
+        f"print {_sum('z')}\n@post {{ [x = 1] }}\n"
     )
     p = cli(command, str(f))
     assert p.returncode == 3
@@ -1055,6 +1064,26 @@ def test_expression_built_too_deep_exit_3(tmp_path, command):
         "error: the analysis built an expression nested too deep to process\n"
     )
     assert p.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "command, code, stdout, stderr",
+    [
+        ("wp", 0, "[x = 1]\n", ""),
+        ("check", 2, "", "error: y := 5 leaves the declared domain int[0..3]\n"),
+    ],
+)
+def test_one_substitution_of_190_terms_is_processed(tmp_path, command, code, stdout, stderr):
+    # y's 190-term value substituted into a 190-term print: hashing the
+    # result takes one frame per level, so wp finishes, and check runs the
+    # program forward into its own fault
+    f = tmp_path / "subst.kuif"
+    f.write_text(
+        "hidden x : int[0..3]; hidden y : int[0..3];\n"
+        f"y := {_DIVS};\nprint {_sum('y')}\n@post {{ [x = 1] }}\n"
+    )
+    p = cli(command, str(f))
+    assert (p.returncode, p.stdout, p.stderr) == (code, stdout, stderr)
 
 
 def test_leak_blind_mode_takes_a_wide_post(tmp_path):
@@ -1512,3 +1541,34 @@ def test_generated_programs_are_byte_identical_across_hash_seeds(tmp_path):
     # every request ran to its exit code, whichever code the draw gives
     exits = [line for line in outs[0].splitlines() if line.startswith("exit")]
     assert len(exits) == 2 * len(texts) == 60
+
+
+# ---- interpreters
+
+
+def _starts(python):
+    try:
+        proc = subprocess.run([python, "-c", "pass"], capture_output=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+    return proc.returncode == 0
+
+
+def test_every_supported_interpreter_prints_the_same():
+    # pyproject promises Python >= 3.10; each python3.10 ... python3.13 on
+    # PATH that starts (a pyenv shim with no version pinned does not) must
+    # print what this interpreter prints
+    pythons = [shutil.which(f"python3.{minor}") for minor in range(10, 14)]
+    requests = [
+        (command, corpus(name), *extra)
+        for name in ("branch_assign.kuif", "threshold_print.kuif", "search_with_flag.kuif")
+        for command, *extra in (("wp",), ("check", "--priors", "random:2:7"))
+    ]
+    want = [cli(*r, module="kuifje") for r in requests]
+    assert all(p.returncode == 0 and p.stdout for p in want)
+    for python in filter(None, pythons):
+        if _starts(python):
+            got = [cli(*r, module="kuifje", python=python) for r in requests]
+            assert [(p.stdout, p.returncode) for p in got] == [
+                (p.stdout, p.returncode) for p in want
+            ], python
