@@ -458,17 +458,18 @@ def cmd_wp(args):
 
 def _check_priors(args, executable):
     """(label, pairs) for each prior `check` values: `pairs` holds
-    (index into `executable.states()`, positive integer weight) in state
-    order, the prior giving each state its weight over their sum."""
+    (declared index, positive integer weight) in state order, the prior
+    giving each state its weight over their sum."""
+    space = executable.space
     if args.prior:
-        index = {s.values: i for i, s in enumerate(executable.states())}
+        index = space.index
         prior = load_prior(args.prior, executable.decls)
-        yield args.prior, [(index[v], w) for v, w in prior.weights]
+        yield args.prior, [(index(v), w) for v, w in prior.weights]
         return
     spec = args.priors or "exhaustive"
     if spec == "exhaustive":
-        for i, s in enumerate(executable.states()):
-            yield f"point {_state_line(s.names, s.values)}", [(i, 1)]
+        for i, v in enumerate(space.rows):
+            yield f"point {_state_line(space.names, v)}", [(i, 1)]
         return
     if spec.startswith("random:"):
         import random
@@ -479,7 +480,7 @@ def _check_priors(args, executable):
             count = 0
         if count < 1:
             raise KuifjeError("want --priors random:COUNT:SEED")
-        n = len(executable.states())
+        n = len(space)
         rng = random.Random(seed)
         for k in range(count):
             weights = random_weights(n, rng)
@@ -492,25 +493,23 @@ def _post_value(executable, post, ev):
     """`(pairs, total) -> value`: `post` on the hyper that running
     `executable` from the prior `pairs` over `total` gives, as the sum over
     trace classes (`Executable.outcomes()`) of `post`, on `ev` over the
-    declared states, on the mass each class takes to each final.  A prior
-    whose support holds a failing state is run by `executable.run`, which
-    raises the first runtime error in the canonical order of the hyper."""
-    classes, finals = executable.outcomes()
-    index = {s.values: i for i, s in enumerate(executable.states())}
-    at = [index[f.values] for f in finals]  # every final is a declared state
+    declared states, on the mass each class takes to each final's declared
+    index.  A prior whose support holds a failing state is run by
+    `executable.run`, which raises the first runtime error in the canonical
+    order of the hyper."""
+    classes = executable.outcomes()
 
     def value(pairs, total):
         buckets = {}
         for i, w in pairs:
             hit = classes[i]
             if hit is None:  # this state's run fails: `run` raises the error
-                prior = {ev.states[j].values: v for j, v in pairs}
-                executable.run(Dist.from_weights(prior))
+                rows = executable.space.rows
+                executable.run(Dist.from_weights({rows[j]: v for j, v in pairs}))
             c, f = hit
             bucket = buckets.get(c)
             if bucket is None:
                 bucket = buckets[c] = {}
-            f = at[f]
             bucket[f] = bucket.get(f, 0) + w
         return sum(
             ev.weighted_value(post, b.items(), total)

@@ -11,6 +11,8 @@ construction, and validates nothing.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -30,6 +32,9 @@ def _fmt_value(v):
 
 
 # --- declared domains ---------------------------------------------------------
+#
+# A domain lists its values in order (`values()`); `position(v)` is v's place
+# in that list and `value_at(p)` the value at place p, both in closed form.
 
 
 class BoolDomain:
@@ -39,6 +44,12 @@ class BoolDomain:
 
     def values(self):
         return (False, True)
+
+    def position(self, v):
+        return int(v)
+
+    def value_at(self, p):
+        return bool(p)
 
     def contains(self, v):
         return isinstance(v, bool)
@@ -65,6 +76,12 @@ class IntRange:
 
     def values(self):
         return tuple(range(self.lo, self.hi + 1))
+
+    def position(self, v):
+        return v - self.lo
+
+    def value_at(self, p):
+        return self.lo + p
 
     def contains(self, v):
         return isinstance(v, int) and not isinstance(v, bool) and self.lo <= v <= self.hi
@@ -94,6 +111,20 @@ class ArrayDomain:
         for _ in range(self.length):
             out = [rest + (v,) for rest in out for v in self.element.values()]
         return tuple(out)
+
+    def position(self, v):
+        # the elements' positions as digits, the first the most significant
+        p, element = 0, self.element
+        for x in v:
+            p = p * element.size + element.position(x)
+        return p
+
+    def value_at(self, p):
+        out, element = [], self.element
+        for _ in range(self.length):
+            p, q = divmod(p, element.size)
+            out.append(element.value_at(q))
+        return tuple(reversed(out))
 
     def contains(self, v):
         return (
@@ -167,13 +198,66 @@ class State:
         return "{" + inner + "}"
 
 
+class Space:
+    """The declared state space as indices.
+
+    Its rows are the values tuples over the parallel name/domain lists in
+    `all_states` order, the order of `itertools.product` over the domains'
+    values, so the first domain varies slowest and index order is values
+    order.  A values tuple's index is the mixed-radix number of its
+    per-domain positions: the k-th digit has radix `domains[k].size` and
+    weight `strides[k]`, the product of the later domains' sizes.  `index`
+    and `values` convert in closed form, so no {values: index} dict is
+    needed; `rows` is listed on first read, and a State is built only by
+    `state` and `states`, for a caller that wants one.
+    """
+
+    def __init__(self, names, domains):
+        self.names = tuple(names)
+        self.domains = tuple(domains)
+        strides, stride = [], 1
+        for dom in reversed(self.domains):
+            strides.append(stride)
+            stride *= dom.size
+        self.strides = tuple(reversed(strides))
+        self.size = stride
+
+    def __len__(self):
+        return self.size
+
+    @cached_property
+    def rows(self):
+        """Every values tuple, in index order."""
+        return list(product(*[dom.values() for dom in self.domains]))
+
+    def index(self, values):
+        """The index of a values tuple laid out as the declarations."""
+        i = 0
+        for dom, v in zip(self.domains, values):
+            i = i * dom.size + dom.position(v)
+        return i
+
+    def values(self, i):
+        """The values tuple at index i."""
+        out = []
+        for dom in reversed(self.domains):
+            i, p = divmod(i, dom.size)
+            out.append(dom.value_at(p))
+        return tuple(reversed(out))
+
+    def state(self, i):
+        """The State at index i."""
+        return State(self.names, self.values(i))
+
+    def states(self):
+        """Every State, in index order."""
+        names = self.names
+        return [State(names, vals) for vals in self.rows]
+
+
 def all_states(names, domains):
     """Every State over the given parallel name/domain lists, in order."""
-    names = tuple(names)
-    states = [()]
-    for dom in domains:
-        states = [vals + (v,) for vals in states for v in dom.values()]
-    return [State(names, vals) for vals in states]
+    return Space(names, domains).states()
 
 
 # --- distributions ------------------------------------------------------------

@@ -45,9 +45,10 @@ closures' values.
 The canonicalizer rewrites every atom into a sum of terms coeff*[pred]*factors
 with predicates in minimized disjunctive normal form, merges complementary
 and disjoint guarded terms, and renders deterministically; `simplify` prunes
-atoms that are pointwise dominated on the declared state space.  It reads
-that space's states once, when it first needs them, decides predicates on
-bitmasks over it, both polarities of a literal from the level set of the
+atoms that are pointwise dominated on the declared state space.  It
+decides predicates on bitmasks over that space's declared indices, whose
+variable tables are closed-form masks, so it lists no state, and reads
+both polarities of a literal from the level set of the
 literal's atom, and values atoms as level sets too, one (value, mask) pair
 per distinct nonzero value, so an atom costs as much as its distinct
 values, not as the states.  It reads literal masks and factor level sets
@@ -67,7 +68,8 @@ from functools import cached_property, partial, reduce
 from itertools import compress, starmap
 from math import gcd, lcm, prod
 
-from .core import Dist, all_states
+from .core import Dist, Space
+from .core import all_states  # noqa: F401  perfbench/spans.py wraps gain.all_states
 from .errors import DivisionByZero, NegativeAtom, TypeCheckError
 from .lang import (
     Bin,
@@ -228,6 +230,18 @@ def _grouped(indexed, n):
     return {v: _at(p, n) for v, p in positions.items()}
 
 
+def _digit(values, stride, n):
+    """The levels of one digit of the declared index over n states: the
+    digit has radix len(values) and weight stride, so values[p] is taken on
+    a run of stride states at p * stride, repeated every len(values) *
+    stride states.  The repeat is one geometric-series multiplier, and the
+    run at p is the run at 0 shifted; the levels come in the order of first
+    arrival, as `_grouped` gives them."""
+    period = len(values) * stride
+    first = ((1 << stride) - 1) * (((1 << n) - 1) // ((1 << period) - 1))
+    return {v: first << p * stride for p, v in enumerate(values)}
+
+
 # the nodes whose total level set can differ from their strict one: the
 # forms differ at `[test]` and `*`, and so at the arithmetic above them
 _ARITH = (Iverson, Bin, Neg, MaxF, MinF)
@@ -237,9 +251,13 @@ _ARITH = (Iverson, Bin, Neg, MaxF, MinF)
 
 
 class GainEvaluator:
-    """Values gain expressions on distributions over one fixed list of states.
+    """Values gain expressions on distributions over one fixed set of states:
+    the declared space, a `core.Space`, or an explicit list of States.
 
-    A distribution is read as (state index, integer weight) pairs plus one
+    On the declared space state i is the one at declared index i, and a
+    State is built only where one leaves (`state`), for a counterexample
+    or an error message; over a list, state i is the list's i-th.  A
+    distribution is read as (state index, integer weight) pairs plus one
     common divisor.  Every combinator commutes with dividing all weights by a
     positive constant, so the recursion runs on the weights and divides
     exactly once at the top.  `f AND G` multiplies each entry's weight by f
@@ -253,8 +271,10 @@ class GainEvaluator:
     `[test]` is total, and a zero left factor of `*` shields the right one.
     The forms differ only at those two nodes, and the memo keeps them
     apart.  Level sets are built compositionally from one table per
-    declared scalar and array element, value -> mask, each made in one pass
-    over the states the first time that variable is read (`_table`):
+    declared scalar and array element, value -> mask, each made the first
+    time that variable is read (`_table`): on the declared space in closed
+    form, since a scalar or an array element is one digit of the declared
+    index, and over a list in one pass over the states:
     - a constant or a quantifier index is one level over every state;
     - `A[e]` unions, over e's levels (i, m), m & table[A[i]]; a level with
       i out of range fails; this costs at most the read tables' sizes, so
@@ -280,20 +300,37 @@ class GainEvaluator:
     """
 
     def __init__(self, states):
-        self.states = list(states)
-        self._index = {s: i for i, s in enumerate(self.states)}
-        self._names = self.states[0].names if self.states else ()
-        self._positions = {name: k for k, name in enumerate(self._names)}
-        self._rows = [s.values for s in self.states]
-        self._full = (1 << len(self.states)) - 1
+        if isinstance(states, Space):
+            self.space, self.states, self._rows = states, None, None
+            names, n = states.names, len(states)
+        else:
+            self.space, self.states = None, list(states)
+            self._index = {s: i for i, s in enumerate(self.states)}
+            self._rows = [s.values for s in self.states]
+            names = self.states[0].names if self.states else ()
+            n = len(self._rows)
+        self._n = n
+        self._positions = {name: k for k, name in enumerate(names)}
+        self._full = (1 << n) - 1
         self._tables = {}
         self._memos = {}
         self._binds = {}
 
+    def __len__(self):
+        return self._n
+
+    def state(self, i):
+        """The i-th state, as a State."""
+        return self.states[i] if self.space is None else self.space.state(i)
+
     def value(self, g, dist, env=None):
         """g's exact value on dist, whose support lies in the states."""
-        index = self._index
-        support = [(index[s], w) for s, w in dist.weights]
+        if self.space is None:
+            index = self._index
+            support = [(index[s], w) for s, w in dist.weights]
+        else:
+            index = self.space.index
+            support = [(index(s.values), w) for s, w in dist.weights]
         return self.weighted_value(g, support, dist.den, env)
 
     def hyper_value(self, g, hyper, env=None):
@@ -369,7 +406,7 @@ class GainEvaluator:
         monotone and pointwise.  As in valuing, `f AND G` keeps G's entries
         only where f is not 0, so a negative atom value that the guard
         shields is never reported."""
-        support = [(i, 1) for i in range(len(self.states))]
+        support = [(i, 1) for i in range(self._n)]
         return self._vectors(g, support, {}, self._memo({}))
 
     def _vectors(self, g, support, env, memo):
@@ -422,10 +459,13 @@ class GainEvaluator:
         if negative:
             below = [i for i, _ in support if ints[i] < 0]
             if below:
-                i = min(below, key=self._rows.__getitem__)
+                if self.space is None:
+                    i = min(below, key=self._rows.__getitem__)
+                else:  # index order is values order
+                    i = min(below)
                 raise NegativeAtom(
                     f"atom {expr_to_source(expr)} is {Fraction(ints[i], den)} "
-                    f"on {self.states[i]!r}"
+                    f"on {self.state(i)!r}"
                 )
         return den, ints
 
@@ -436,7 +476,7 @@ class GainEvaluator:
         ints[i] is 0; negative tells whether any value is below 0."""
         col = memo.get(e)
         if col is None:
-            n = len(self._rows)
+            n = self._n
             if isinstance(e, Iverson):
                 den, fails = 1, 0
                 ints = _bits(self._test(e.arg, False, env, memo), n)
@@ -475,7 +515,7 @@ class GainEvaluator:
         return got
 
     def _level_set(self, e, total, env, memo):
-        full, n = self._full, len(self._rows)
+        full, n = self._full, self._n
         if isinstance(e, (IntLit, RatLit, BoolLit)):
             return _const(e.value, full)
         if isinstance(e, Var):
@@ -486,9 +526,9 @@ class GainEvaluator:
         if isinstance(e, Idx):
             index, fails = self._levels(e.index, env, memo)
             k = self._positions[e.name]
-            levels = {}
+            levels, length = {}, self._length(k)
             for i, m in index.items():
-                if not 0 <= i < len(self._rows[0][k]):
+                if not 0 <= i < length:
                     fails |= m  # past either end
                     continue
                 for v, t in self._table(k, i).items():
@@ -568,8 +608,8 @@ class GainEvaluator:
         # `x in A[lo:hi]`: x is in the slice where it equals one of the
         # slice's elements, each read from its table; a bound outside
         # 0..length fails
-        k, full, n = self._positions[e.array], self._full, len(self._rows)
-        length = len(self._rows[0][k]) if n else 0
+        k, full, n = self._positions[e.array], self._full, self._n
+        length = self._length(k) if n else 0
         item, fails = self._levels(e.item, env, memo)
         bounds = []
         for bound, default in ((e.lo, 0), (e.hi, length)):
@@ -598,14 +638,31 @@ class GainEvaluator:
             true, false = false, true
         return _truth(true, false), fails
 
+    def _length(self, k):
+        # the length of the k-th variable, an array
+        if self.space is None:
+            return len(self._rows[0][k])
+        return self.space.domains[k].length
+
     def _table(self, k, j=None):
         """The levels of the k-th variable, or of element j of that array,
-        built in one pass over the states the first time it is read."""
+        built the first time it is read: on the declared space in closed
+        form, as one digit of the index (`_digit`), and over a list of
+        states in one pass over them."""
         table = self._tables.get((k, j))
         if table is None:
             rows = self._rows
-            values = [r[k] for r in rows] if j is None else [r[k][j] for r in rows]
-            table = self._tables[k, j] = _grouped(enumerate(values), len(rows))
+            if rows is None:
+                dom, stride = self.space.domains[k], self.space.strides[k]
+                if j is not None:
+                    dom, stride = dom.element, stride * dom.element.size ** (
+                        dom.length - 1 - j
+                    )
+                table = _digit(dom.values(), stride, self._n)
+            else:
+                values = [r[k] for r in rows] if j is None else [r[k][j] for r in rows]
+                table = _grouped(enumerate(values), len(rows))
+            self._tables[k, j] = table
         return table
 
     def _by_state(self, fn, operands, keep):
@@ -613,7 +670,7 @@ class GainEvaluator:
         on the states of keep, where every operand's level set has a value:
         the one fallback for a node whose level pairs would outnumber the
         states."""
-        n = len(self._rows)
+        n = self._n
         bits = _bits(keep, n)
         args = compress(zip(*[_spread(levels, n) for levels in operands]), bits)
         return _grouped(zip(compress(range(n), bits), starmap(fn, args)), n)
@@ -739,12 +796,12 @@ class Canon:
     value gains as written, through `GainEvaluator`, because cancelling a
     term that reads out of bounds changes where an atom is defined.
 
-    Predicates and atoms are decided on the declared state space, in
-    `all_states` order: bit i of a mask is the i-th state.  `states`, if
-    given, returns that list (a WpEngine passes its executable's, so the
-    space is listed once).  It reads the space through one `GainEvaluator`,
-    `evaluator`, built when first read, so a Canon that decides nothing
-    lists nothing.  `wp` and `check` value every gain over the space on it:
+    Predicates and atoms are decided on the declared state space, `space`,
+    a `core.Space` (a WpEngine passes its executable's): bit i of a mask is
+    the state at declared index i, in `all_states` order.  It reads the
+    space through one `GainEvaluator`, `evaluator`, built when first read,
+    whose variable tables are closed-form masks over the index, so deciding
+    lists no state.  `wp` and `check` value every gain over the space on it:
     its memos are keyed by expression and hold one kernel's results, so
     sharing them changes no value.  Its tables, level sets and columns die
     with the Canon.
@@ -777,11 +834,10 @@ class Canon:
     and the conjunction records, die with the Canon.
     """
 
-    def __init__(self, decls, states=None):
+    def __init__(self, decls, space=None):
         self.domains = {d.name: d.domain for d in decls}
         self.names = tuple(self.domains)
-        names, domains = self.names, list(self.domains.values())
-        self._states = states or (lambda: all_states(names, domains))
+        self.space = space or Space(self.names, self.domains.values())
         self._models = {}
         self._conjs = {}
         self._factor_keys = {}
@@ -803,7 +859,7 @@ class Canon:
 
     @cached_property
     def evaluator(self):
-        return GainEvaluator(self._states())
+        return GainEvaluator(self.space)
 
     @cached_property
     def full(self):
@@ -1255,14 +1311,20 @@ class Canon:
             k = (pred, t.factors)
             merged[k] = merged[k] + t.coeff if k in merged else t.coeff
         # merge guarded copies of the same quantity over disjoint predicates:
-        # c*[p]*F + c*[q]*F with p, q disjoint becomes c*[p or q]*F
+        # c*[p]*F + c*[q]*F with p, q disjoint becomes c*[p or q]*F.  A
+        # bucket is keyed by c's numerator and denominator, so that c is
+        # hashed once, when the atom is interned.
         buckets = {}
         for (pred, factors), c in merged.items():
             if c:
-                buckets.setdefault((c, factors), []).append(pred)
+                key = c.numerator, c.denominator, factors
+                bucket = buckets.get(key)
+                if bucket is None:
+                    bucket = buckets[key] = (c, factors, [])
+                bucket[2].append(pred)
         out = []
-        for (coeff, factors), preds in sorted(
-            buckets.items(), key=lambda kv: (self._factor_key(kv[0][1]), kv[0][0])
+        for coeff, factors, preds in sorted(
+            buckets.values(), key=lambda b: (self._factor_key(b[1]), b[0])
         ):
             if len(preds) > 1:
                 preds.sort(key=self._pred_key)
@@ -1490,7 +1552,9 @@ class Canon:
     def prune(self, atoms):
         """Drop identically-zero atoms and pointwise-dominated atoms, in
         rendering order.  The result is a new list on every call; the memo
-        keeps a tuple.
+        keeps a tuple, under the input's ids and under its own, so pruning
+        a pruned list is a hit: prune(prune(x)) = prune(x), in the same
+        rendering order.
 
         The level sets are rescaled to one denominator, and equal ones are
         found by hashing, as `_dominant` does with vectors; of equal ones the
@@ -1516,7 +1580,7 @@ class Canon:
         sums = [sum(v * m.bit_count() for v, m in levels) for levels in sets]
         le = partial(_levels_le, full=self.full)
         out = list(compress(best.values(), _undominated(sets, sums, le)))
-        self._prunes[key] = tuple(out)
+        self._prunes[key] = self._prunes[tuple(map(id, out))] = tuple(out)
         return out
 
 
@@ -1681,13 +1745,11 @@ def _separating_prior(v, upper):
 def _compare(g1, g2, decls, relation, states, ev):
     if ev is None:
         if states is None:
-            states = all_states(
-                tuple(d.name for d in decls), [d.domain for d in decls]
-            )
+            states = Space([d.name for d in decls], [d.domain for d in decls])
         ev, states = GainEvaluator(states), None
     # the compared states' indices in ev, in order; the vectors have one
     # entry per compared state
-    at = range(len(ev.states)) if states is None else [ev._index[s] for s in states]
+    at = range(len(ev)) if states is None else states
     support = [(i, 1) for i in at]
     memo = ev._memo({})
     left = ev._vectors(g1, support, {}, memo)
@@ -1700,7 +1762,7 @@ def _compare(g1, g2, decls, relation, states, ev):
         total = sum(w for _, w in prior)
         l = ev.weighted_value(g1, prior, total)
         r = ev.weighted_value(g2, prior, total)
-        witness = Dist.from_weights({ev.states[i]: w for i, w in prior})
+        witness = Dist.from_weights({ev.state(i): w for i, w in prior})
         return CompareResult(False, relation, witness, l, r)
 
     # point priors first, in state order: a gain's value there is the
@@ -1737,10 +1799,11 @@ def semantic_le(g1, g2, decls, states=None, evaluator=None):
     vertex, when the relation fails, is the counterexample prior.
 
     `evaluator`, if given, is a `GainEvaluator` whose states include the
-    compared ones (all its states when `states` is None), so that a caller
-    deciding many state sets builds its tables and columns once.  The
-    vectors are read on the compared states' indices, and are the ones an
-    evaluator over those states alone builds: the result is the same.
+    compared ones, and `states` then lists the compared states' indices in
+    it (all its states when `states` is None), so that a caller deciding
+    many state sets builds its tables and columns once.  The vectors are
+    read on those indices, and are the ones an evaluator over those states
+    alone builds: the result is the same.
     """
     return _compare(g1, g2, decls, "<=", states, evaluator)
 

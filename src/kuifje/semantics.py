@@ -21,10 +21,12 @@ one kernel, `_push`, and one group format, `{observation history: {values:
 payload}}`: a statement runs every state of every group, and the states are
 regrouped by the history they then have, equal values merged.  `run` pushes
 a prior's integer weights through the top-level statements; `outcomes()`,
-the table of each declared state's trace class and final state that `check`
+the table of each declared state's trace class and final that `check`
 values every prior from without building a Hyper, pushes each state's index
 list the same way; and the loop-head groups push distinct states (a None
-payload) along the statements on the path to a loop.  Inside the object a
+payload) along the statements on the path to a loop.  The declared states
+are the rows of a `core.Space`, values tuples in index order, and a final's
+declared index is read off its values in closed form.  Inside the object a
 state is its values tuple, and a State, Dist or Hyper is built only where a
 result leaves; a prior over values tuples gives a Hyper over values tuples,
 so the command line's `run` builds no State at all.
@@ -32,7 +34,7 @@ so the command line's `run` builds no State at all.
 
 from __future__ import annotations
 
-from .core import BoolDomain, Dist, Hyper, State, all_states
+from .core import BoolDomain, Dist, Hyper, Space, State
 from .errors import DivisionByZero, DomainViolation, IndexOutOfBounds, LoopBoundExceeded
 from .lang import (
     SAssign,
@@ -114,13 +116,16 @@ class Executable:
     children.  `exit_rounds` keeps one number per loop, the most rounds the
     loop runs from any declared state, and writes nothing to the record.
     The whole body keeps one more table, `outcomes()`: each declared state's
-    trace class and final, built by the push `run` makes the first time it
-    is asked for.
+    trace class and the declared index of its final, built by the push `run`
+    makes the first time it is asked for.
 
-    Steps are kept by node identity, which stays unique because the object
-    holds the program; no step refers back to the object or to a statement
-    node, so the records die with it.  A State is built only where a result
-    leaves the object.  Callers evaluating many priors keep one Executable
+    The declared states are `space`, a `core.Space`: its rows, the values
+    tuples in index order, are what `exit_rounds`, `loop_head_groups` and
+    `outcomes()` run from, and a values tuple's declared index is computed,
+    not looked up.  Steps are kept by node identity, which stays unique
+    because the object holds the program; no step refers back to the object
+    or to a statement node, so the records die with it.  A State is built
+    only where a result leaves the object.  Callers evaluating many priors keep one Executable
     (or a WpEngine's) so that each loop runs once from each state.
     """
 
@@ -129,27 +134,21 @@ class Executable:
         self.decls = self.program.decls
         self.loop_bound = loop_bound
         self._names = tuple(d.name for d in self.decls)
-        self._states = None
+        self.space = Space(self._names, [d.domain for d in self.decls])
         self._outcomes = None
         self._steps = {}
         self._loops = {}  # id of a while statement -> its record
         self._guards = {}  # id of a while statement -> its compiled guard
         self._exit_rounds = {}  # id of a while statement -> exit_rounds
 
-    def states(self):
-        """Every declared state, in canonical order."""
-        if self._states is None:
-            self._states = all_states(self._names, [d.domain for d in self.decls])
-        return self._states
-
     def outcomes(self):
-        """`(classes, finals)`: how the body ends from each declared state.
+        """`classes`: how the body ends from each declared state.
 
-        `finals` lists the distinct final States of the runs that end
-        without a runtime error, in order of first arrival; `classes[i]` is
-        `(c, f)` for the i-th of `states()`: c numbers its run's whole-body
-        trace among the distinct ones, in order of first arrival, and f its
-        final in `finals`.  It is None where a runtime error stops the run.
+        `classes[i]` is `(c, f)` for the state at declared index i: c
+        numbers its run's whole-body trace among the distinct ones, in order
+        of first arrival, and f is the declared index of its final (every
+        final is a declared state, since every assignment is checked against
+        its domain).  It is None where a runtime error stops the run.
 
         It is the push `run` makes, of `{(): {values: [index]}}` through the
         body's top-level statements: each group's index lists say which
@@ -162,7 +161,8 @@ class Executable:
         `run`'s posteriors.
         """
         if self._outcomes is None:
-            groups = {(): {s.values: [i] for i, s in enumerate(self.states())}}
+            space = self.space
+            groups = {(): {v: [i] for i, v in enumerate(space.rows)}}
             body = self.program.body
             for stmt in body.stmts if isinstance(body, SSeq) else (body,):
                 groups = _push(self._step(stmt), groups)[0]
@@ -172,17 +172,13 @@ class Executable:
                 for fin, indices in group.items()
             ]
             ends.sort(key=lambda end: min(end[2]))
-            classes = [None] * len(self.states())
-            traces, finals = {}, {}
+            classes = [None] * len(space)
+            traces = {}
             for trace, fin, indices in ends:
-                entry = (
-                    traces.setdefault(trace, len(traces)),
-                    finals.setdefault(fin, len(finals)),
-                )
+                entry = traces.setdefault(trace, len(traces)), space.index(fin)
                 for i in indices:
                     classes[i] = entry
-            names = self._names
-            self._outcomes = classes, [State(names, f) for f in finals]
+            self._outcomes = classes
         return self._outcomes
 
     # ---- compiling statements into steps
@@ -352,8 +348,8 @@ class Executable:
         guard, body = self._guards[id(loop)], self._step(loop.body)
         bound = self.loop_bound
         counts = {}
-        for s in self.states():
-            v, chain = s.values, {}  # the heads met since a known count
+        for v in self.space.rows:
+            chain = {}  # the heads met since a known count
             while type(v) is tuple and v not in counts:
                 try:
                     taken = guard(v, None)
@@ -389,7 +385,7 @@ class Executable:
         """
         body = self.program.body
         heads = {}
-        start = {(): dict.fromkeys(s.values for s in self.states())}
+        start = {(): dict.fromkeys(self.space.rows)}
         self._heads(body, start, loop, _enclosing(body, loop), heads)
         return heads
 

@@ -47,7 +47,7 @@ post, so this mode unfolds every loop.
 
 from __future__ import annotations
 
-from .core import BoolDomain, State
+from .core import BoolDomain
 from .core import all_states  # noqa: F401  perfbench/spans.py wraps wp.all_states
 from .errors import (
     BoundTooSmall,
@@ -121,10 +121,7 @@ class WpEngine:
         self.program = self.executable.program
         self.decls = self.program.decls
         self.domains = {d.name: d.domain for d in self.decls}
-        self.canon = Canon(self.decls, self.executable.states)
-
-    def states(self):
-        return self.executable.states()
+        self.canon = Canon(self.decls, self.executable.space)
 
     # ---- public entry
 
@@ -249,8 +246,8 @@ class WpEngine:
             GAnd(Iverson(Not(stmt.guard)), g),
         )
         ev = self.canon.evaluator  # one evaluator over the declared space
-        for states in self._loop_head_groups(stmt):
-            res = semantic_eq(candidate, rhs, self.decls, states=states, evaluator=ev)
+        for group in self._loop_head_groups(stmt):
+            res = semantic_eq(candidate, rhs, self.decls, states=group, evaluator=ev)
             if not res:
                 lhs_text = gain_to_source(candidate)
                 rhs_text = (
@@ -267,22 +264,20 @@ class WpEngine:
         return candidate
 
     def _loop_head_groups(self, target):
-        """State sets an observer can hold at target's loop head.
+        """The state sets an observer can hold at target's loop head, each
+        as a sorted list of declared indices.
 
         `Executable.loop_head_groups` gives the head values by observation
         history, from one pass over the distinct states on the path to the
         loop: two loop-head snapshots belong to the same group iff they carry
         the same history, exactly then can one posterior mix them.  Groups
         are ordered deterministically (by the repr of the history, then
-        state order): they are decided one by one, so the order decides
-        which counterexample is reported.
+        state order, which is index order): they are decided one by one, so
+        the order decides which counterexample is reported.
         """
         groups = self.executable.loop_head_groups(target)
-        names = self.canon.names
-        return [
-            [State(names, v) for v in sorted(groups[key])]
-            for key in sorted(groups, key=repr)
-        ]
+        index = self.executable.space.index
+        return [sorted(map(index, groups[key])) for key in sorted(groups, key=repr)]
 
     # ---- the leak-blind adversary (the unsound mode)
 

@@ -24,7 +24,7 @@ class ReferenceMinimizer:
         mask = self._lits.get(lit)
         if mask is None:
             neg, atom = lit
-            states = self.canon.evaluator.states
+            states = self.canon.space.states()
             bits = "".join("1" if truth(atom, s, neg=neg) else "0" for s in states)
             mask = self._lits[lit] = int(bits[::-1] or "0", 2)
         return mask

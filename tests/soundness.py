@@ -60,7 +60,7 @@ def wp_nf(name):
 def evaluator(name):
     """One GainEvaluator over a corpus program's declared space, per session."""
     if name not in _evaluators:
-        _evaluators[name] = GainEvaluator(engine(name).states())
+        _evaluators[name] = GainEvaluator(engine(name).executable.space.states())
     return _evaluators[name]
 
 

@@ -254,7 +254,7 @@ def test_08_soundness_battery(clock):
 
     for name in names:
         engine, nf = soundness.wp_nf(name)
-        n_states = len(list(engine.states()))
+        n_states = len(list(engine.executable.space.states()))
         checked = soundness.check_soundness(name, n_random=100)
         assert checked == n_states + 100, name
     clock(60)
@@ -275,7 +275,7 @@ def test_10_leak_erasure(clock):
 
     for name in soundness.corpus_names():
         exe = soundness.engine(name).executable
-        states = list(exe.states())
+        states = list(exe.space.states())
         pts = states if len(states) <= 512 else states[:: len(states) // 192]
         priors = [uniform(states)] + [point(s) for s in pts]
         rng = random.Random(31)

@@ -127,7 +127,7 @@ def _run_id(run):
 def _failing_reads(canon, atom):
     fn = compile_expr(atom, canon.names)
     mask = 0
-    for i, row in enumerate(canon.evaluator._rows):
+    for i, row in enumerate(canon.space.rows):
         try:
             fn(row, None)
         except EVAL_ERRORS:
@@ -207,7 +207,7 @@ dnfs = st.frozensets(conjunctions, min_size=1, max_size=6)
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(dnfs)
 def test_minimize_matches_reference_on_generated_dnfs(dnf):
-    assert len(SPACE_CANON.evaluator._rows) == 288
+    assert len(SPACE_CANON.space.rows) == 288
     expected = ReferenceMinimizer(SPACE_CANON).minimize(dnf)
     assert SPACE_CANON._minimize(dnf) == expected
 
@@ -315,7 +315,7 @@ def test_out_of_bounds_read_is_false_under_both_polarities():
     # n ranges over 0..3 and A has length 3: n = 3 reads past the end
     length = canon.domains["A"].length
     past = 0
-    for i, row in enumerate(canon.evaluator._rows):
+    for i, row in enumerate(canon.space.rows):
         if row[canon.names.index("n")] == length:
             past |= 1 << i
     assert past
@@ -459,7 +459,7 @@ def test_prune_matches_reference_on_corpus(name, config):
     Canon's life, and so does a repeated call's list of ids."""
     engine = WpEngine(_corpus(name), config)
     canon = engine.canon
-    states = engine.states()
+    states = engine.executable.space.states()
     prune = canon.prune
     values, expected = {}, {}
     calls = []

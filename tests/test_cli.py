@@ -792,6 +792,12 @@ def test_package_runs_as_the_cli():
     assert via_package.stdout.endswith("checked 4 priors: 4 agree, 0 disagree\n")
 
 
+def _finals(exe):
+    # the States the runs that end without a runtime error end in
+    finals = {hit[1] for hit in exe.outcomes() if hit is not None}
+    return [exe.space.state(f) for f in sorted(finals)]
+
+
 def _check_args(*flags):
     return build_parser().parse_args(["check", "program.kuif", *flags])
 
@@ -804,9 +810,9 @@ def test_check_values_the_post_as_the_forward_hyper(name):
     engine = soundness.engine(name)
     exe = engine.executable
     post = soundness.program(name).post
-    states = exe.states()
+    states = exe.space.states()
     value = _post_value(exe, post, engine.canon.evaluator)
-    reference = GainEvaluator(exe.outcomes()[1])
+    reference = GainEvaluator(_finals(exe))
     flags = [("--priors", "random:3:7")]
     if len(states) <= 256:
         flags.append(("--priors", "exhaustive"))
@@ -833,12 +839,12 @@ def test_check_values_a_prior_file_as_its_dist(tmp_path):
         "x=3 : 1/4\nx=7 : 1/4\nx=3 : 1/4\nx=0 : 0\nx=9 : 1/4\n"
     )
     [(label, pairs)] = _check_priors(_check_args("--prior", str(prior_file)), exe)
-    states = exe.states()
+    states = exe.space.states()
     assert [(states[i].values, w) for i, w in pairs] == [
         ((3,), 2), ((7,), 1), ((9,), 1)
     ]
     prior = Dist.from_weights({states[i]: w for i, w in pairs})
-    want = GainEvaluator(exe.outcomes()[1]).hyper_value(post, exe.run(prior))
+    want = GainEvaluator(_finals(exe)).hyper_value(post, exe.run(prior))
     assert _post_value(exe, post, engine.canon.evaluator)(pairs, 4) == want
 
 
@@ -866,6 +872,38 @@ def test_check_builds_one_table_per_variable(name, monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("2 agree, 0 disagree\n")
     assert len(evaluators) == 1
     assert builds and set(builds.values()) == {1}
+
+
+@pytest.mark.parametrize("name", ["search_with_flag", "search_full_scan"])
+@pytest.mark.parametrize(
+    "command", [["wp"], ["check", "--priors", "random:2:7"]], ids=["wp", "check"]
+)
+def test_wp_and_check_build_no_declared_state(name, command, monkeypatch, capsys):
+    # the declared space is rows and indices from the loop-head groups to
+    # the last prior: with no counterexample to print, no State is built
+    # and `all_states` is not called
+    import kuifje.cli
+    import kuifje.core
+    import kuifje.gain
+
+    built = []
+    init = kuifje.core.State.__init__
+
+    def counting(self, names, values):
+        built.append(values)
+        init(self, names, values)
+
+    def refuse(*args):
+        raise AssertionError("all_states called")
+
+    monkeypatch.setattr(kuifje.core.State, "__init__", counting)
+    for module in (kuifje.cli, kuifje.gain, sys.modules["kuifje.wp"]):
+        monkeypatch.setattr(module, "all_states", refuse)
+    path = os.path.join(ROOT, corpus(name + ".kuif"))
+    assert main([command[0], path, *command[1:]]) == 0
+    out = capsys.readouterr().out
+    assert "disagree" not in out or out.endswith("2 agree, 0 disagree\n")
+    assert built == []
 
 
 # A read past the end of A at n = 2: every prior whose support holds such a

@@ -15,6 +15,7 @@ import algebra
 import reference_eval as ref
 import soundness
 from kuifje.core import (
+    Space,
     State,
     all_states,
     avg,
@@ -319,21 +320,23 @@ def test_simplify_keeps_an_atom_whose_zero_factor_shields_a_failing_read():
     assert semantic_eq(nf.as_gain(), g, p.decls)
 
 
-def test_canon_lists_the_states_when_first_deciding():
-    calls = []
+def test_canon_lists_no_states(monkeypatch):
+    # predicates and atoms are decided on masks over the declared index, so
+    # the Canon lists no row of its space and builds no State
+    import kuifje.gain
 
-    def states():
-        calls.append(1)
-        return all_states([d.name for d in DECLS], [d.domain for d in DECLS])
+    def refuse(*args):
+        raise AssertionError("the declared space was listed")
 
-    canon = Canon(DECLS, states)
-    assert calls == []
+    monkeypatch.setattr(kuifje.gain, "all_states", refuse)
+    monkeypatch.setattr(State, "__init__", refuse)
+    canon = Canon(DECLS)
     nf = simplify(parse_gain("[a] MAX [a and b] MAX 1/2"), DECLS, canon)
     assert nf.render() == "1/2 MAX [a]"
     assert simplify(parse_gain("[x = 1] MAX [n = 2]"), DECLS, canon).render() == (
         "[n = 2] MAX [x = 1]"
     )
-    assert calls == [1]
+    assert "rows" not in vars(canon.space)
 
 
 def test_normalize_keeps_dominated_atoms():
@@ -542,27 +545,31 @@ SHARED_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SHARED_CASES))
 def test_a_shared_evaluator_decides_as_the_compared_states_alone(case):
-    # the states with y = 1, out of canonical order, read on an evaluator
-    # over all 12 states: the decision, counterexample and values are the
-    # one-shot call's on those states alone
+    # the states with y = 1, out of canonical order, read by their indices
+    # on an evaluator over all 12 states, listed or as the declared space:
+    # the decision, counterexample and values are the one-shot call's on
+    # those states alone
     names, domains = ("x", "y"), [d.domain for d in XY.decls]
     space = all_states(names, domains)
-    compared = [s for s in reversed(space) if s.get("y") == 1]
-    ev = GainEvaluator(space)
+    at = [i for i in reversed(range(len(space))) if space[i].get("y") == 1]
+    compared = [space[i] for i in at]
     g, h = map(parse_gain, SHARED_CASES[case])
-    for decide in (semantic_eq, semantic_le):
-        for left, right in ((g, h), (h, g)):
-            alone = decide(left, right, XY.decls, states=compared)
-            shared = decide(left, right, XY.decls, states=compared, evaluator=ev)
-            assert shared == alone, (decide, left, right)
-    res = semantic_eq(g, h, XY.decls, states=compared, evaluator=ev)
-    assert bool(res) == (case == "holds")
-    if not res:
-        support = res.counterexample.support()
-        assert len(support) == (1 if case == "point prior" else 2)
-        assert all(s.get("y") == 1 for s in support)
-    # without `states`, the evaluator's own states are compared
-    assert semantic_eq(g, h, XY.decls, evaluator=ev) == semantic_eq(g, h, XY.decls)
+    for ev in (GainEvaluator(space), GainEvaluator(Space(names, domains))):
+        for decide in (semantic_eq, semantic_le):
+            for left, right in ((g, h), (h, g)):
+                alone = decide(left, right, XY.decls, states=compared)
+                shared = decide(left, right, XY.decls, states=at, evaluator=ev)
+                assert shared == alone, (decide, left, right)
+        res = semantic_eq(g, h, XY.decls, states=at, evaluator=ev)
+        assert bool(res) == (case == "holds")
+        if not res:
+            support = res.counterexample.support()
+            assert len(support) == (1 if case == "point prior" else 2)
+            assert all(s.get("y") == 1 for s in support)
+        # without `states`, the evaluator's own states are compared
+        assert semantic_eq(g, h, XY.decls, evaluator=ev) == semantic_eq(
+            g, h, XY.decls
+        )
 
 
 def test_annotation_groups_share_one_evaluator(load_program, monkeypatch):

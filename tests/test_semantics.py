@@ -220,7 +220,7 @@ def _scan_step(values):
 
 def test_trace_snapshots_on_a_program_with_visible_writes_and_a_loop():
     p = load("search_full_scan.kuif")
-    prior = uniform(Executable(p).states())
+    prior = uniform(Executable(p).space.states())
     snaps = []
     final = run(p, prior, trace=snaps)
     labels = [label for label, _ in snaps]
@@ -257,7 +257,7 @@ def test_run_on_values_tuples_matches_run_on_states(name):
 
     exe = Executable(load(name))
     rng = random.Random(name)
-    prior = Dist.from_weights({s: rng.randint(1, 9) for s in exe.states()})
+    prior = Dist.from_weights({s: rng.randint(1, 9) for s in exe.space.states()})
     named = exe.run(prior)
     plain = exe.run(prior.map(lambda s: s.values))
     assert [(d.weights, w) for d, w in plain.weights] == [

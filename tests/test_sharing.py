@@ -225,7 +225,7 @@ def test_gain_evaluator_runs_no_literal_closure_per_state(monkeypatch):
     # computed state by state
     engine = WpEngine(_corpus("reveal_low_bits_small.kuif"))
     nf = engine.wp_program().nf
-    states = engine.executable.states()
+    states = engine.executable.space.states()
     assert len(nf.atoms) == len(states) == 256
     calls = []
     real = GainEvaluator._by_state

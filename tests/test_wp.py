@@ -66,25 +66,46 @@ def test_wp_skip_is_identity():
     assert res.render() == "[x = 0] MAX [x = 1] MAX [x = 2] MAX [x = 3]"
 
 
-@pytest.mark.parametrize("stmt", ["skip", "print x mod 2"])
-def test_wp_lists_the_declared_space_once(monkeypatch, stmt):
-    # the canonicalizer reads the executable's state list, which a print
-    # also needs, rather than listing the space again
+def _count_listings(monkeypatch):
+    """The enumerations of a declared space (`Space.rows`) made from now
+    on, as a list that grows; `all_states` is refused."""
     import kuifje.core
     import kuifje.gain
-    import kuifje.semantics
 
-    calls = []
+    listings, product = [], kuifje.core.product
 
-    def counted(names, domains):
-        calls.append(tuple(names))
-        return kuifje.core.all_states(names, domains)
+    def counted(*domains):
+        listings.append(len(domains))
+        return product(*domains)
 
-    monkeypatch.setattr(kuifje.semantics, "all_states", counted)
-    monkeypatch.setattr(kuifje.gain, "all_states", counted)
+    def refuse(*args):
+        raise AssertionError("all_states called")
+
+    monkeypatch.setattr(kuifje.core, "product", counted)
+    monkeypatch.setattr(kuifje.gain, "all_states", refuse)
+    # `kuifje.wp` is the package's `wp` function, so the module is looked up
+    monkeypatch.setattr(sys.modules["kuifje.wp"], "all_states", refuse)
+    return listings
+
+
+@pytest.mark.parametrize("stmt", ["skip", "print x mod 2"])
+def test_wp_lists_the_declared_space_once(monkeypatch, stmt):
+    # the canonicalizer and a print's values are read from masks over the
+    # declared index, so a body with no loop lists no state at all
+    listings = _count_listings(monkeypatch)
     p = make(f"hidden x : int[0..3]\n{stmt}\n@post {{ [x = 1] }}")
     assert wp(p).render() == "[x = 1]"
-    assert calls == [("x",)]
+    assert listings == []
+
+
+def test_an_annotation_check_lists_the_declared_space_once(monkeypatch, load_program):
+    # the loop-head groups push the executable's rows, and the Canon reads
+    # the same space, so the space is listed once
+    listings = _count_listings(monkeypatch)
+    engine = WpEngine(load_program("search_full_scan"))
+    assert engine.canon.space is engine.executable.space
+    engine.wp_program()
+    assert listings == [len(engine.decls)]
 
 
 def test_wp_assign_substitutes():
@@ -158,7 +179,7 @@ def test_substitution_lemma(assign):
         else:
             pre = subst_array_elem_gain(g, stmt.name, stmt.index, stmt.value, 2, False)
         simple = simplify(pre, p.decls).as_gain()
-        for s in ex.states():
+        for s in ex.space.states():
             try:
                 after = ex.classical_run(point(s))
             except KuifjeError:
@@ -435,7 +456,7 @@ def test_failing_paths_are_undefined_for_leak_blind_mode():
     assert sound == "[A[0] = 0 and A[n] = 0 or A[0] = 0 and A[n] = 1]"
     assert wp(p, config=WpConfig(unsound_no_branch_leak=True)).render() == sound
     pre = classical_wp(p, parse_expr("[A[0] = 0]"))
-    for s in Executable(p).states():
+    for s in Executable(p).space.states():
         if s.get("n") == 2:
             assert eval_atom_total(pre, s) == 0
 
@@ -486,8 +507,8 @@ def test_deepest_accepted_input_leaves_recursion_headroom():
     ]:
         p = make(f"hidden x : int[0..3]\n{body}\n@post {{ {post} }}\n")
         pre = wp(p).pre
-        hyper = run(p, uniform(Executable(p).states()))
-        assert eval_gain(pre, uniform(Executable(p).states())) == eval_gain_hyper(
+        hyper = run(p, uniform(Executable(p).space.states()))
+        assert eval_gain(pre, uniform(Executable(p).space.states())) == eval_gain_hyper(
             p.post, hyper
         )
 
@@ -504,27 +525,27 @@ def test_program_and_tables_are_freed_after_use():
     engine = WpEngine(p)  # as `check` uses it: wp, then forward runs
     pre = engine.wp_program().pre
     exe = engine.executable
-    ev = GainEvaluator(exe.states())
+    ev = GainEvaluator(exe.space.states())
     refs += [
         weakref.ref(exe),
         weakref.ref(exe.program),
         weakref.ref(engine.canon),
         weakref.ref(ev),
     ]
-    for s in exe.states()[:16]:
+    for s in exe.space.states()[:16]:
         try:
             hyper = exe.run(point(s))
         except IndexOutOfBounds:
             continue
         assert ev.value(pre, point(s)) == ev.hyper_value(p.post, hyper)
         assert eval_gain(pre, point(s)) == eval_gain_hyper(p.post, hyper)
-    # `check`'s outcome table: lists and States take no weak reference, so
-    # it is freed when only this test's own references are left
-    classes, finals = exe.outcomes()
+    # `check`'s outcome table: a list takes no weak reference, so it is
+    # freed when only this test's own reference is left
+    classes = exe.outcomes()
     del p, guard, atom, engine, pre, exe, ev
     gc.collect()
     assert [r() for r in refs] == [None] * 7
-    assert sys.getrefcount(classes) == sys.getrefcount(finals) == 2
+    assert sys.getrefcount(classes) == 2
 
 
 # ---- the unsound mode reproduces the classical (leak-blind) answer
@@ -566,7 +587,7 @@ def test_classical_wp_matches_classical_run(name, expr):
     p = soundness.program(name)
     e = parse_expr(expr)
     engine = WpEngine(p)
-    states = list(engine.states())
+    states = list(engine.executable.space.states())
     rng = random.Random(5)
     priors = [point(rng.choice(states)) for _ in range(5)]
     w = [rng.randint(1, 9) for _ in states]
@@ -653,8 +674,8 @@ def test_generated_programs_agree_backward_and_forward(source, data):
         pre = None
     if pre is not None:
         exe, ev = engine.executable, engine.canon.evaluator
-        states = exe.states()
-        ends = [i for i, c in enumerate(exe.outcomes()[0]) if c is not None]
+        states = exe.space.states()
+        ends = [i for i, c in enumerate(exe.outcomes()) if c is not None]
         priors = [[(i, 1)] for i in ends]
         rng = random.Random(7)
         for _ in range(2 if ends else 0):
