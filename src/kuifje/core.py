@@ -34,7 +34,7 @@ def _fmt_value(v):
 # --- declared domains ---------------------------------------------------------
 #
 # A domain lists its values in order (`values()`); `position(v)` is v's place
-# in that list and `value_at(p)` the value at place p, both in closed form.
+# in that list, in closed form.
 
 
 class BoolDomain:
@@ -47,9 +47,6 @@ class BoolDomain:
 
     def position(self, v):
         return int(v)
-
-    def value_at(self, p):
-        return bool(p)
 
     def contains(self, v):
         return isinstance(v, bool)
@@ -79,9 +76,6 @@ class IntRange:
 
     def position(self, v):
         return v - self.lo
-
-    def value_at(self, p):
-        return self.lo + p
 
     def contains(self, v):
         return isinstance(v, int) and not isinstance(v, bool) and self.lo <= v <= self.hi
@@ -118,13 +112,6 @@ class ArrayDomain:
         for x in v:
             p = p * element.size + element.position(x)
         return p
-
-    def value_at(self, p):
-        out, element = [], self.element
-        for _ in range(self.length):
-            p, q = divmod(p, element.size)
-            out.append(element.value_at(q))
-        return tuple(reversed(out))
 
     def contains(self, v):
         return (
@@ -207,9 +194,9 @@ class Space:
     order.  A values tuple's index is the mixed-radix number of its
     per-domain positions: the k-th digit has radix `domains[k].size` and
     weight `strides[k]`, the product of the later domains' sizes.  `index`
-    and `values` convert in closed form, so no {values: index} dict is
-    needed; `rows` is listed on first read, and a State is built only by
-    `state` and `states`, for a caller that wants one.
+    computes it in closed form, so no {values: index} dict is needed;
+    `rows` is listed on first read, and a State is built only by `state`
+    and `states`, for a caller that wants one.
     """
 
     def __init__(self, names, domains):
@@ -237,17 +224,9 @@ class Space:
             i = i * dom.size + dom.position(v)
         return i
 
-    def values(self, i):
-        """The values tuple at index i."""
-        out = []
-        for dom in reversed(self.domains):
-            i, p = divmod(i, dom.size)
-            out.append(dom.value_at(p))
-        return tuple(reversed(out))
-
     def state(self, i):
         """The State at index i."""
-        return State(self.names, self.values(i))
+        return State(self.names, self.rows[i])
 
     def states(self):
         """Every State, in index order."""

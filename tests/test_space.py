@@ -3,8 +3,8 @@
 For drawn declarations of one to four variables (booleans, integer ranges
 with negative bounds, arrays of booleans and of integers) a values tuple's
 index is its position in `all_states`, which is itself checked against a
-listing built here, position by position; decoding an index gives the
-values back; and every closed-form mask of the declared-space evaluator,
+listing built here, position by position; decoding an index gives its
+State back; and every closed-form mask of the declared-space evaluator,
 scalar and array element, is the one the explicit-state evaluator builds
 from the same rows in one pass.
 """
@@ -52,7 +52,6 @@ def test_the_declared_index_is_the_listing_position(domains):
     assert [s.values for s in states] == rows == space.rows
     for i, values in enumerate(rows):
         assert space.index(values) == i
-        assert space.values(i) == values
         assert space.state(i) == State(names, values)
 
 
