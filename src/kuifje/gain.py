@@ -1318,10 +1318,7 @@ class Canon:
         for (pred, factors), c in merged.items():
             if c:
                 key = c.numerator, c.denominator, factors
-                bucket = buckets.get(key)
-                if bucket is None:
-                    bucket = buckets[key] = (c, factors, [])
-                bucket[2].append(pred)
+                buckets.setdefault(key, (c, factors, []))[2].append(pred)
         out = []
         for coeff, factors, preds in sorted(
             buckets.values(), key=lambda b: (self._factor_key(b[1]), b[0])
