@@ -316,9 +316,6 @@ class GainEvaluator:
         self._memos = {}
         self._binds = {}
 
-    def __len__(self):
-        return self._n
-
     def state(self, i):
         """The i-th state, as a State."""
         return self.states[i] if self.space is None else self.space.state(i)
@@ -1746,7 +1743,7 @@ def _compare(g1, g2, decls, relation, states, ev):
         ev, states = GainEvaluator(states), None
     # the compared states' indices in ev, in order; the vectors have one
     # entry per compared state
-    at = range(len(ev)) if states is None else states
+    at = range(ev._n) if states is None else states
     support = [(i, 1) for i in at]
     memo = ev._memo({})
     left = ev._vectors(g1, support, {}, memo)

@@ -125,8 +125,9 @@ class Executable:
     not looked up.  Steps are kept by node identity, which stays unique
     because the object holds the program; no step refers back to the object
     or to a statement node, so the records die with it.  A State is built
-    only where a result leaves the object.  Callers evaluating many priors keep one Executable
-    (or a WpEngine's) so that each loop runs once from each state.
+    only where a result leaves the object.  Callers evaluating many priors
+    keep one Executable (or a WpEngine's) so that each loop runs once from
+    each state.
     """
 
     def __init__(self, program, loop_bound=DEFAULT_LOOP_BOUND):

@@ -27,7 +27,7 @@ def int_ranges(draw):
 
 
 scalars = st.one_of(st.just(BoolDomain()), int_ranges())
-arrays = st.builds(ArrayDomain, st.integers(1, 3), st.one_of(st.just(BoolDomain()), int_ranges()))
+arrays = st.builds(ArrayDomain, st.integers(1, 3), scalars)
 declarations = st.lists(st.one_of(scalars, arrays), min_size=1, max_size=4).filter(
     lambda doms: prod(d.size for d in doms) <= MAX_STATES
 )
