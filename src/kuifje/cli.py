@@ -524,8 +524,8 @@ def cmd_check(args):
     post = _resolve_post(program, args)
     engine = WpEngine(program, _wp_config(args))
     result = _wp_pre(engine, post)
-    # the outcome table reuses the loop records that wp's annotation checks
-    # filled; an unfolded loop's exit bound wrote none
+    # the outcome table runs on the engine's executable, so it reuses the
+    # compiled steps and any loop outcomes that wp's loop passes recorded
     executable = engine.executable
     # the Canon's evaluator values both sides; a prior stays (state index,
     # weight) pairs, and no State, Dist or Hyper is built for it

@@ -24,12 +24,13 @@ a prior's integer weights through the top-level statements; `outcomes()`,
 the table of each declared state's trace class and final that `check`
 values every prior from without building a Hyper, pushes each state's index
 list the same way; and the loop-head groups push distinct states (a None
-payload) along the statements on the path to a loop.  The declared states
-are the rows of a `core.Space`, values tuples in index order, and a final's
-declared index is read off its values in closed form.  Inside the object a
-state is its values tuple, and a State, Dist or Hyper is built only where a
-result leaves; a prior over values tuples gives a Hyper over values tuples,
-so the command line's `run` builds no State at all.
+payload) along the statements on the path to a loop, and each loop on that
+path one round at a time.  The declared states are the rows of a
+`core.Space`, values tuples in index order, and a final's declared index is
+read off its values in closed form.  Inside the object a state is its values
+tuple, and a State, Dist or Hyper is built only where a result leaves; a
+prior over values tuples gives a Hyper over values tuples, so the command
+line's `run` builds no State at all.
 """
 
 from __future__ import annotations
@@ -109,12 +110,11 @@ class Executable:
     bound; a caller that wants another bound builds another Executable.
 
     Only loops keep what they ran: `_loops[id(stmt)]` maps each values tuple
-    a `while` ran from to `(outcome, arrivals)`, the `(trace, final)` it
-    returned and one `(length of the trace so far, head values)` pair per
-    arrival at its head.  Later runs and `loop_head_groups` read that dict,
-    so no loop runs twice from one state.  A sequence or `if` just runs its
-    children.  `exit_rounds` keeps one number per loop, the most rounds the
-    loop runs from any declared state, and writes nothing to the record.
+    a `while` ran from to the `(trace, final)` it returned, so no loop runs
+    twice from one state.  A sequence or `if` just runs its children.
+    `exit_rounds` keeps one number per loop, the most rounds the loop runs
+    from any declared state, and `loop_head_groups` pushes a loop's rounds
+    itself; neither reads the loop's record.
     The whole body keeps one more table, `outcomes()`: each declared state's
     trace class and the declared index of its final, built by the push `run`
     makes the first time it is asked for.
@@ -139,7 +139,6 @@ class Executable:
         self._outcomes = None
         self._steps = {}
         self._loops = {}  # id of a while statement -> its record
-        self._guards = {}  # id of a while statement -> its compiled guard
         self._exit_rounds = {}  # id of a while statement -> exit_rounds
 
     def outcomes(self):
@@ -236,7 +235,7 @@ class Executable:
                 return (_TRUE if taken else _FALSE, *t), fin
 
         elif isinstance(stmt, SWhile):
-            guard = self._guards[id(stmt)] = compile_expr(stmt.guard, names)
+            guard = compile_expr(stmt.guard, names)
             body = self._step(stmt.body)
             bound = self.loop_bound
             loop = self._loops[id(stmt)] = {}
@@ -244,13 +243,11 @@ class Executable:
             def run(v0):
                 hit = loop.get(v0)
                 if hit is not None:
-                    return hit[0]
+                    return hit
                 v = v0
                 trace = []
-                arrivals = []
                 k = 0  # body executions along this path so far
                 while True:
-                    arrivals.append((len(trace), v))
                     try:
                         taken = guard(v, None)
                     except _FAULTS as exc:
@@ -267,8 +264,7 @@ class Executable:
                     trace += t
                     if type(v) is not tuple:
                         break
-                outcome = tuple(trace), v
-                loop[v0] = outcome, tuple(arrivals)
+                outcome = loop[v0] = tuple(trace), v
                 return outcome
 
         else:  # SSkip leaves everything as it is
@@ -345,8 +341,8 @@ class Executable:
         most = self._exit_rounds.get(id(loop))
         if most is not None:
             return most
-        self._step(loop)
-        guard, body = self._guards[id(loop)], self._step(loop.body)
+        guard = compile_expr(loop.guard, self._names)
+        body = self._step(loop.body)
         bound = self.loop_bound
         counts = {}
         for v in self.space.rows:
@@ -374,15 +370,18 @@ class Executable:
 
     def loop_head_groups(self, loop):
         """`{observation history: set of head values}` over every arrival at
-        `loop`'s head, on runs of the whole program from every declared
-        state.
+        `loop`'s head, for every declared state whose run reaches it.
 
-        One pass pushes `{history: {values: None}}` groups through the
-        statements on the path to the loop, by `_push` along a sequence, so
-        equal states merge after each step, as `run`'s groups merge them,
-        and each statement runs once per distinct state.  A path that a
-        runtime error stops drops its state, but its arrivals before the
-        error count, and so does a head whose guard test itself fails.
+        Only the statements on the path to the loop run (`_heads`): a later
+        statement, or the other branch of an `if` on the path, runs from no
+        state, so a loop there that passes the bound goes unseen.  The pass
+        pushes `{history: {values: None}}` groups by `_push`, so equal states
+        merge after each step, as `run`'s groups merge them, and each push
+        runs a statement once per distinct state and history; a loop around
+        the target also pushes its whole body, target included, to reach its
+        next round.  A path that a runtime error stops drops its state, but
+        its arrivals before the error count, and so does a head whose guard
+        test itself fails.
         """
         body = self.program.body
         heads = {}
@@ -393,7 +392,17 @@ class Executable:
     def _heads(self, stmt, groups, loop, path, heads):
         """Add to `heads` the arrivals at `loop`'s head inside `stmt`,
         entered from the `{history: {values: None}}` groups; descends only
-        into the statements on `path`."""
+        into the statements on `path`.
+
+        A sequence pushes the statements before the one on the path.  An
+        `if` keeps the states whose guard picks the branch on the path and
+        runs neither branch.  A loop, `loop` itself or one around it, runs
+        one round at a time: each group's states are heads under its
+        history, those whose guard holds enter the body at `history +
+        (("branch", True),)`, and the body pushed from them gives the next
+        round's heads.  States still entering after `loop_bound` rounds
+        raise LoopBoundExceeded, as the loop's step does.
+        """
         if isinstance(stmt, SSeq):
             for s in stmt.stmts:
                 if id(s) in path:
@@ -401,29 +410,44 @@ class Executable:
                     return
                 groups = _push(self._step(s), groups)[0]
             return
-        step, out = self._step(stmt), {}
+        guard = compile_expr(stmt.guard, self._names)
         if isinstance(stmt, SIf):
-            # the states whose guard test chose the branch on the path
             on_then = id(stmt.then) in path
-            taken = (_TRUE,) if on_then else (_FALSE,)
-            for history, values in groups.items():
-                for v in values:
-                    if step(v)[0][:1] == taken:
-                        out.setdefault(history + taken, {})[v] = None
+            out = _choose(guard, groups, _TRUE if on_then else _FALSE)
             self._heads(stmt.then if on_then else stmt.els, out, loop, path, heads)
             return
-        # `loop` itself, or a loop around it
-        record = self._loops[id(stmt)]
-        for history, values in groups.items():
-            for v in values:
-                trace = step(v)[0]
-                for pos, head in record[v][1]:
-                    if stmt is loop:
-                        heads.setdefault(history + trace[:pos], set()).add(head)
-                    elif trace[pos : pos + 1] == (_TRUE,):
-                        out.setdefault(history + trace[: pos + 1], {})[head] = None
-        if stmt is not loop:
-            self._heads(stmt.body, out, loop, path, heads)
+        body, bound, rounds = self._step(stmt.body), self.loop_bound, 0
+        while True:
+            if stmt is loop:
+                for history, values in groups.items():
+                    heads.setdefault(history, set()).update(values)
+            groups = _choose(guard, groups, _TRUE)
+            if not groups:
+                return
+            rounds += 1
+            if rounds > bound:
+                raise _bound_exceeded(bound)
+            if stmt is not loop:
+                self._heads(stmt.body, groups, loop, path, heads)
+            groups = _push(body, groups)[0]
+
+
+def _choose(guard, groups, taken):
+    """The states of `{history: {values: None}}` groups whose guard test
+    makes the branch observation `taken`, each group stored at `history +
+    (taken,)`; a state whose test fails is dropped."""
+    out = {}
+    for history, values in groups.items():
+        chosen = {}
+        for v in values:
+            try:
+                if bool(guard(v, None)) is taken[1]:
+                    chosen[v] = None
+            except _FAULTS:
+                pass
+        if chosen:
+            out[history + (taken,)] = chosen
+    return out
 
 
 def _push(step, groups):

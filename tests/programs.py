@@ -10,7 +10,8 @@ read or write past the end of `A` and an assignment out of its declared
 domain can all stop a path.  A loop either counts `n` up to a bound or has
 a drawn guard and body, so some loops run past a small loop bound; most
 assignments are taken modulo their domain's size, so many paths run to the
-end.
+end.  `programs(loop_last=True)` appends one more top-level loop, most often
+a counting one, so that the program ends in a loop.
 
 `posts(decls)` draws a post-gain over a program's scalars: one-try guesses
 `MAX w in lo..hi: [v = w]`, `[test]` atoms, their `MAX` and `PLUS`, and
@@ -30,7 +31,7 @@ MAX_STATES = 64
 
 
 @st.composite
-def programs(draw, depth=2):
+def programs(draw, depth=2, loop_last=False):
     x_hi = draw(st.integers(1, 3))
     n_hi = draw(st.integers(1, 2))
     a_hi = draw(st.integers(0, 2))
@@ -75,10 +76,13 @@ def programs(draw, depth=2):
         e = int_expr(2)
         return e if draw(st.integers(0, 3)) == 0 else f"{e} mod {hi + 1}"
 
-    def stmt(d):
-        kinds = ["assign", "assign", "write", "print", "skip"]
-        if d > 0:
-            kinds += ["if", "while", "count"]
+    def stmt(d, loop=False):
+        if loop:
+            kinds = ["count", "count", "while"]
+        else:
+            kinds = ["assign", "assign", "write", "print", "skip"]
+            if d > 0:
+                kinds += ["if", "while", "count"]
         kind = draw(st.sampled_from(kinds))
         if kind == "assign":
             if has_b and draw(st.integers(0, 3)) == 0:
@@ -101,7 +105,8 @@ def programs(draw, depth=2):
     def seq(d):
         return ";\n".join(stmt(d) for _ in range(draw(st.integers(1, 3))))
 
-    return "\n".join(decls) + "\n" + "n := 0;\n" * draw(st.booleans()) + seq(depth)
+    source = "\n".join(decls) + "\n" + "n := 0;\n" * draw(st.booleans()) + seq(depth)
+    return source + ";\n" + stmt(depth, loop=True) if loop_last else source
 
 
 @st.composite

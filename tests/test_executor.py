@@ -13,9 +13,12 @@ assignment and a failing `if` guard: `loop_head_groups`, one pass over the
 distinct states, against the reference's per-state head arrivals grouped by
 history, and `exit_rounds`, one memoised pass over the declared states,
 against the largest of the reference's per-state round counts, or its
-LoopBoundExceeded message where some state passes the bound; named loops
-that cycle, fail a guard or a body, or reach their largest count through
-known heads pin the pass's edge cases, and its body runs are counted.  The
+LoopBoundExceeded message where some state passes the bound; the head
+groups are taken at bounds on each side of the annotated search's longest
+run, and the head pass is checked to run nothing off the path to the loop;
+named loops that cycle, fail a guard or a body, or reach their largest
+count through known heads pin the exit pass's edge cases, and its body runs
+are counted.  A run leaves each loop record holding only outcomes.  The
 outcome table `check` reads, `outcomes()`, is compared with the reference's
 runs of the whole body from each state in turn, on the same programs and on
 the faulting ones.
@@ -36,7 +39,7 @@ from hypothesis import strategies as st
 
 import oracles
 from kuifje import semantics
-from kuifje.core import uniform
+from kuifje.core import State, uniform
 from kuifje.errors import LoopBoundExceeded
 from kuifje.gain import semantic_eq
 from kuifje.lang import (
@@ -186,6 +189,15 @@ def _reference_exit_rounds(ref, loop, bound):
 
 LOOP_PROGRAMS = {os.path.basename(p): p for p in CORPUS if _loops(_corpus(p).body)}
 LOOP_PROGRAMS.update(NESTED)
+# The annotated search's longest reachable run takes 3 rounds, reached
+# directly, through an `if` and inside another loop, so that bounds 2, 3 and
+# 4 put the round counter of the head pass on each side of its edge.
+EDGE_ROUNDS = {
+    "search_early_exit.kuif": 3,
+    "search_inside_if": 3,
+    "search_inside_loop": 3,
+}
+HEAD_BOUNDS = (1, 2, 3, 4, DEFAULT_LOOP_BOUND)
 
 
 @pytest.mark.parametrize("name", sorted(LOOP_PROGRAMS))
@@ -193,7 +205,7 @@ def test_loop_heads_and_rounds_match_the_reference(name):
     source = LOOP_PROGRAMS[name]
     program = _corpus(source) if name.endswith(".kuif") else _program(source)
     loops = _loops(program.body)
-    for bound in BOUNDS:
+    for bound in HEAD_BOUNDS:
         exe, ref = Executable(program, bound), ReferenceExecutable(program)
         for loop in loops:
             got = _or_exceeded(lambda: exe.loop_head_groups(loop))
@@ -201,6 +213,8 @@ def test_loop_heads_and_rounds_match_the_reference(name):
             assert got == want, (loop, bound)
             if isinstance(got, dict):
                 assert all(type(h) is tuple for h in got)
+            if name in EDGE_ROUNDS and loop.invariant is not None:
+                assert isinstance(got, dict) == (bound >= EDGE_ROUNDS[name])
             got = _or_exceeded(lambda: exe.exit_rounds(loop))
             assert got == _or_exceeded(
                 lambda: _reference_exit_rounds(ref, loop, bound)
@@ -252,18 +266,18 @@ def test_exit_rounds_on_named_loops(case, bound):
                        "bound or add an invariant")
 
 
-def _count_body_runs(exe, loop):
-    """The values tuples `loop`'s compiled body is run on, as a list that
-    fills as it runs.  The counting step replaces the body's, so `loop`'s own
-    step, if compiled later, runs it too."""
+def _count_runs(exe, stmt):
+    """The values tuples `stmt`'s compiled step is run on, as a list that
+    fills as it runs.  The counting step replaces `stmt`'s, so the step of
+    a statement around it, if compiled later, runs it too."""
     runs = []
-    step = exe._step(loop.body)
+    step = exe._step(stmt)
 
     def counted(v):
         runs.append(v)
         return step(v)
 
-    exe._steps[id(loop.body)] = counted
+    exe._steps[id(stmt)] = counted
     return runs
 
 
@@ -290,7 +304,7 @@ def test_exit_rounds_runs_each_body_once_per_state_whose_guard_holds(name):
     program = _corpus(source) if name.endswith(".kuif") else _program(source)
     for loop in _loops(program.body):
         exe = Executable(program)
-        runs = _count_body_runs(exe, loop)
+        runs = _count_runs(exe, loop.body)
         guard = semantics.compile_expr(loop.guard, exe._names)
         holds = set()
         for s in exe.space.states():
@@ -318,7 +332,7 @@ def test_exit_rounds_of_a_nested_loop_runs_once_across_unfolding_rounds():
     engine = WpEngine(program, WpConfig(force_unfold=True))
     exe = engine.executable
     _, inner = _loops(exe.program.body)
-    runs = _count_body_runs(exe, inner)
+    runs = _count_runs(exe, inner.body)
     calls = _count_exit_rounds(exe, inner, runs)
     engine.wp_program()
     assert len(calls) == 2 and calls[0] > 0 and calls[1] == 0
@@ -333,7 +347,7 @@ def test_exit_rounds_runs_once_across_the_atoms_of_a_leak_blind_post():
     engine = WpEngine(program, WpConfig(unsound_no_branch_leak=True))
     exe = engine.executable
     (loop,) = _loops(exe.program.body)
-    runs = _count_body_runs(exe, loop)
+    runs = _count_runs(exe, loop.body)
     calls = _count_exit_rounds(exe, loop, runs)
     engine.wp_program()
     assert len(calls) == 2 and calls[0] > 0 and calls[1] == 0
@@ -384,6 +398,43 @@ def test_a_loop_runs_once_from_each_entry_state(monkeypatch):
     assert exe.run(prior) == first
     monkeypatch.undo()
     assert calls[guard] == tested
+
+
+def test_head_pass_runs_only_the_path_to_the_loop():
+    # the annotated search sits in the `then` branch: the head pass tests
+    # the `if` guard but runs nothing of the `else` branch, and pushes the
+    # search's body once per (history, state) that enters it
+    program = _program(
+        _DECLS + "hidden b : bool\n"
+        "n := 0;\nif b then\n" + _SEARCH + "\nelse\n  n := 1;\n  print x\nfi"
+    )
+    exe = Executable(program)
+    (loop,) = _loops(program.body)
+    els = program.body.stmts[1].els
+    # children first, so that the sequence's step runs their counting steps
+    other = [_count_runs(exe, s) for s in (*els.stmts, els)]
+    runs = _count_runs(exe, loop.body)
+    heads = exe.loop_head_groups(loop)
+    want = ReferenceExecutable(program).loop_heads(loop, DEFAULT_LOOP_BOUND)
+    assert heads == _grouped(want)
+    assert other == [[], [], []]
+    guard = semantics.compile_expr(loop.guard, exe._names)
+    entering = [(h, v) for h, group in heads.items() for v in group if guard(v, None)]
+    assert 0 < len(runs) <= len(entering)
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(LOOP_PROGRAMS) if n.endswith(".kuif")])
+def test_a_run_leaves_each_loop_record_holding_only_outcomes(name):
+    # after a one-shot run, a loop record maps each values tuple the loop
+    # ran from to the reference's (trace, final), and holds nothing else
+    exe = Executable(_corpus(LOOP_PROGRAMS[name]))
+    exe.run(uniform(exe.space.states()))
+    ref = ReferenceExecutable(exe.program)
+    for loop in _loops(exe.program.body):
+        assert exe._loops[id(loop)]
+        for v, outcome in exe._loops[id(loop)].items():
+            trace, fin = ref._exec(loop, State(exe._names, v), DEFAULT_LOOP_BOUND)[:2]
+            assert outcome == (trace, fin.values)
 
 
 # ---- hand-written paths through every fault

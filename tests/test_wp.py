@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import soundness
@@ -22,6 +22,7 @@ from kuifje.errors import (
     IndexOutOfBounds,
     InvariantCheckFailed,
     KuifjeError,
+    LoopBoundExceeded,
     LoopNeedsInvariantOrBound,
 )
 from kuifje.gain import (
@@ -41,6 +42,8 @@ from kuifje.lang import (
     parse_expr,
     parse_gain,
     parse_program,
+    program_to_source,
+    replace,
     subst_array_elem_gain,
     subst_gain,
 )
@@ -699,3 +702,39 @@ def test_generated_programs_agree_backward_and_forward(source, data):
         with redirect_stdout(out), redirect_stderr(err):
             code = main(args)
     assert code in (0, 2, 3), out.getvalue() + err.getvalue()
+
+
+@settings(generated_settings())
+@given(programs(loop_last=True), st.data())
+def test_generated_loops_accept_their_unfolded_pre_gain_as_annotation(source, data):
+    # a program whose runs all end, none failing, within the bound, its last
+    # loop annotated with that loop's `--force-unfold` pre-gain for a
+    # generated post, printed and parsed back: the annotation check accepts
+    # it, and the program's pre-gain is the unfolded one on every prior
+    program = make(source)
+    try:
+        assume(None not in Executable(program, 3).outcomes())
+    except LoopBoundExceeded:
+        reject()
+    post = parse_gain(data.draw(posts(program.decls)))
+    check_gain(post, program.decls)
+    *before, loop = program.body.stmts
+    unfold = WpConfig(loop_bound=3, force_unfold=True)
+    try:
+        loop_pre = WpEngine(replace(program, body=loop), unfold).wp_program(post)
+        unfolded = WpEngine(program, unfold).wp_program(post).pre
+        annotation = parse_gain(gain_to_source(loop_pre.pre))
+        stmts = (*before, replace(loop, invariant=annotation))
+        source = program_to_source(
+            replace(program, body=replace(program.body, stmts=stmts), post=post)
+        )
+        pre = WpEngine(make(source), WpConfig(loop_bound=3)).wp_program().pre
+    except LoopNeedsInvariantOrBound:
+        # a loop that no run reaches passes the bound, in the unfolding or
+        # in the annotated loop's body, whose pre-gain the check takes
+        reject()
+    except KuifjeError as exc:
+        if "has no value on any state" not in str(exc):
+            raise  # InvariantCheckFailed among them
+        reject()  # test_wp_print_that_fails_everywhere_is_refused
+    assert semantic_eq(pre, unfolded, program.decls)
