@@ -21,11 +21,14 @@ terminal-value view of algebraic decision diagrams: Bahar et al., ICCAD
 1993), built from one table per variable and array element, so an
 expression costs mask operations, not a pass over the states: an atomic
 test's masks are its level set's, `and`, `or` and `not` are bitmask
-operations, and an operator combines its operands' levels pairwise.  An
-atom's column over the states, one per distinct atom and quantifier
-binding, spreads its level set.  The tables, level sets and columns die
-with the evaluator.  `eval_gain`/`eval_gain_hyper` are one-shot wrappers,
-and `eval_atom_total`/`eval_bool_total` one-state ones.
+operations, and an operator combines its operands' levels pairwise.  A
+quantifier is valued through its instances (`lang.instances`), each a
+closed gain with a value substituted for the index, built once and kept on
+the quantifier's node; `Canon` normalizes the same nodes.  An atom's column
+over the states, one per distinct atom, spreads its level set.  The tables,
+level sets and columns die with the evaluator.  `eval_gain`/`eval_gain_hyper`
+are one-shot wrappers, and `eval_atom_total`/`eval_bool_total` one-state
+ones.
 
 The same evaluator lists a gain's atom vectors over the states, pruned of
 dominated ones; `semantic_le`/`semantic_eq` decide a comparison on every
@@ -94,8 +97,8 @@ from .lang import (
     Var,
     apply_op,
     expr_to_source,
+    instances,
     record,
-    subst_gain,
 )
 
 ZERO = Fraction(0)
@@ -111,7 +114,7 @@ FALSE_DNF = frozenset()
 # --- total evaluation inside atoms ---------------------------------------------------
 
 
-def eval_bool_total(e, state, env=None):
+def eval_bool_total(e, state):
     """Boolean evaluation where an atomic test that fails is false.
 
     `not` is pushed down to the atomic tests (De Morgan through `and`/`or`),
@@ -119,14 +122,13 @@ def eval_bool_total(e, state, env=None):
     past the end of A, `A[n] = x`, `A[n] != x` and `not (A[n] = x)` are all
     false.  A one-state `GainEvaluator` decides it.
     """
-    ev = GainEvaluator([state])
-    return ev._test(e, False, env, ev._memo(env)) == 1
+    return GainEvaluator([state])._test(e, False) == 1
 
 
-def eval_atom_total(e, state, env=None):
+def eval_atom_total(e, state):
     """Value of a gain atom on a state; unevaluable states contribute 0.
     A one-state `GainEvaluator` values it."""
-    return GainEvaluator([state]).column(e, env)[0]
+    return GainEvaluator([state]).column(e)[0]
 
 
 # --- columns, masks and level sets ----------------------------------------------------
@@ -262,7 +264,9 @@ class GainEvaluator:
     positive constant, so the recursion runs on the weights and divides
     exactly once at the top.  `f AND G` multiplies each entry's weight by f
     and drops the entries where that is 0, so a negative value that a zero
-    guard shields is never reported.
+    guard shields is never reported.  `MAX i in R: G` picks among its
+    instances (`lang.instances`), so every gain it values is closed, and
+    one memo holds every node's level sets and columns.
 
     One kernel, `_levels`, values every numeric and boolean node as a level
     set, in one of two forms.  The strict form is the node's value as the
@@ -275,13 +279,13 @@ class GainEvaluator:
     time that variable is read (`_table`): on the declared space in closed
     form, since a scalar or an array element is one digit of the declared
     index, and over a list in one pass over the states:
-    - a constant or a quantifier index is one level over every state;
+    - a constant is one level over every state;
     - `A[e]` unions, over e's levels (i, m), m & table[A[i]]; a level with
       i out of range fails; this costs at most the read tables' sizes, so
       it needs no other path;
     - an operator combines each pair of levels whose masks meet, a pair
       dividing by 0 failing; `=`/`!=` looks each level of one side up in
-      the other, so a test against a quantifier index costs one lookup;
+      the other, so a test against an instantiated index costs one lookup;
     - `and`/`or` fail, as the closures do, only where the left operand
       leaves the value to the right one;
     - `x in A[lo:hi]` looks x up in the tables of the slice's elements.
@@ -292,11 +296,11 @@ class GainEvaluator:
     An atomic test's masks are its strict level set's (`_test`), and `and`,
     `or` and `not` are operations on masks, with `not` pushed down to the
     atomic tests.  An atom's column (`_column`), built once per distinct
-    expression and quantifier bindings, is its total level set spread over
-    the states, and a `[test]`'s is its mask's 0/1 expansion; so a caller
-    valuing many distributions over the same states, or many atoms that
-    share a test, pays for each once.  The tables, level sets and columns
-    die with the evaluator.
+    expression, is its total level set spread over the states, and a
+    `[test]`'s is its mask's 0/1 expansion; so a caller valuing many
+    distributions over the same states, or many atoms that share a test,
+    pays for each once.  The tables, level sets and columns die with the
+    evaluator.
     """
 
     def __init__(self, states):
@@ -313,14 +317,13 @@ class GainEvaluator:
         self._positions = {name: k for k, name in enumerate(names)}
         self._full = (1 << n) - 1
         self._tables = {}
-        self._memos = {}
-        self._binds = {}
+        self._memo = {}
 
     def state(self, i):
         """The i-th state, as a State."""
         return self.states[i] if self.space is None else self.space.state(i)
 
-    def value(self, g, dist, env=None):
+    def value(self, g, dist):
         """g's exact value on dist, whose support lies in the states."""
         if self.space is None:
             index = self._index
@@ -328,71 +331,41 @@ class GainEvaluator:
         else:
             index = self.space.index
             support = [(index(s.values), w) for s, w in dist.weights]
-        return self.weighted_value(g, support, dist.den, env)
+        return self.weighted_value(g, support, dist.den)
 
-    def hyper_value(self, g, hyper, env=None):
+    def hyper_value(self, g, hyper):
         """g's value on a hyper, whose inners' supports lie in the states:
         the average of its values on the inners."""
-        total = sum((w * self.value(g, d, env) for d, w in hyper.weights), ZERO)
+        total = sum((w * self.value(g, d) for d, w in hyper.weights), ZERO)
         return total / hyper.den
 
-    def weighted_value(self, g, support, den=1, env=None):
+    def weighted_value(self, g, support, den=1):
         """g's value on the distribution giving states[i] probability w/den,
         for each (i, w) in support; every w is a positive integer."""
-        env = env or {}
-        return Fraction(self._eval(g, support, env, self._memo(env)), den)
+        return Fraction(self._eval(g, support), den)
 
-    def column(self, e, env=None):
+    def column(self, e):
         """A numeric expression's total values on the states, as Fractions:
         0 on a state where a read in it fails.  Unlike valuing a gain, a
         negative value is returned, not refused."""
-        den, ints, _, _ = self._column(e, env, self._memo(env))
+        den, ints, _, _ = self._column(e)
         return [Fraction(x, den) for x in ints]
 
-    def _memo(self, env):
-        # the level sets and columns under one set of quantifier bindings
-        key = tuple(sorted(env.items())) if env else ()
-        memo = self._memos.get(key)
-        if memo is None:
-            memo = self._memos[key] = {}
-        return memo
-
-    def _bind(self, env, memo, var, v):
-        # env with var bound to v, and its memo, found once per binding
-        key = (id(memo), var, v)
-        got = self._binds.get(key)
-        if got is None:
-            inner = dict(env, **{var: v})
-            got = self._binds[key] = (inner, self._memo(inner))
-        return got
-
-    def _eval(self, g, support, env, memo):
+    def _eval(self, g, support):
         if isinstance(g, GAtom):
-            den, ints = self._atom(g.expr, support, env, memo)
+            den, ints = self._atom(g.expr, support)
             total = sum([w * ints[i] for i, w in support])
             return total if den == 1 else Fraction(total, den)
-        if isinstance(g, GMax):
-            return max(
-                self._eval(g.left, support, env, memo),
-                self._eval(g.right, support, env, memo),
-            )
+        if isinstance(g, (GMax, GQuantMax)):
+            return max([self._eval(h, support) for h in _choices(g)])
         if isinstance(g, GPlus):
-            return self._eval(g.left, support, env, memo) + self._eval(
-                g.right, support, env, memo
-            )
+            return self._eval(g.left, support) + self._eval(g.right, support)
         if isinstance(g, GAnd):
-            den, ints = self._atom(g.scalar, support, env, memo)
+            den, ints = self._atom(g.scalar, support)
             scaled = [(i, w * ints[i]) for i, w in support if ints[i]]
             if not scaled:  # a guard 0 on the support: the body is not read
                 return 0
-            return _exact(self._eval(g.body, scaled, env, memo), den)
-        if isinstance(g, GQuantMax):
-            return max(
-                [
-                    self._eval(g.body, support, *self._bind(env, memo, g.var, v))
-                    for v in g.values
-                ]
-            )
+            return _exact(self._eval(g.body, scaled), den)
         raise TypeCheckError(f"unknown gain expression {g!r}")
 
     def vectors(self, g):
@@ -404,33 +377,30 @@ class GainEvaluator:
         only where f is not 0, so a negative atom value that the guard
         shields is never reported."""
         support = [(i, 1) for i in range(self._n)]
-        return self._vectors(g, support, {}, self._memo({}))
+        return self._vectors(g, support)
 
-    def _vectors(self, g, support, env, memo):
+    def _vectors(self, g, support):
         # support holds (state index, weight) pairs; the weights are unused
         if isinstance(g, GAtom):
-            den, ints = self._atom(g.expr, support, env, memo)
+            den, ints = self._atom(g.expr, support)
             v = [ints[i] for i, _ in support]
             return _dominant([tuple(v if den == 1 else [Fraction(x, den) for x in v])])
-        if isinstance(g, GMax):
-            return _dominant(
-                self._vectors(g.left, support, env, memo)
-                + self._vectors(g.right, support, env, memo)
-            )
+        if isinstance(g, (GMax, GQuantMax)):
+            return _dominant([v for h in _choices(g) for v in self._vectors(h, support)])
         if isinstance(g, GPlus):
-            left = self._vectors(g.left, support, env, memo)
-            right = self._vectors(g.right, support, env, memo)
+            left = self._vectors(g.left, support)
+            right = self._vectors(g.right, support)
             if not (left and right):
                 return left or right
             return _dominant(
                 [tuple(map(operator.add, a, b)) for a in left for b in right]
             )
         if isinstance(g, GAnd):
-            den, ints = self._atom(g.scalar, support, env, memo)
+            den, ints = self._atom(g.scalar, support)
             kept = [k for k, (i, _) in enumerate(support) if ints[i]]
             if not kept:  # a guard 0 on the support: the body is not read
                 return []
-            body = self._vectors(g.body, [support[k] for k in kept], env, memo)
+            body = self._vectors(g.body, [support[k] for k in kept])
             # a positive scale keeps the vectors nonzero and undominated
             out = []
             for v in body:
@@ -439,20 +409,13 @@ class GainEvaluator:
                     scaled[k] = _exact(ints[support[k][0]] * x, den)
                 out.append(tuple(scaled))
             return out
-        if isinstance(g, GQuantMax):
-            out = []
-            for v in g.values:
-                out.extend(
-                    self._vectors(g.body, support, *self._bind(env, memo, g.var, v))
-                )
-            return _dominant(out)
         raise TypeCheckError(f"unknown gain expression {g!r}")
 
-    def _atom(self, expr, support, env, memo):
+    def _atom(self, expr, support):
         """The atom's values as (den, ints), as `_column` gives them;
         NegativeAtom, naming the least such state, if one is negative on a
         support entry."""
-        den, ints, _, negative = memo.get(expr) or self._column(expr, env, memo)
+        den, ints, _, negative = self._memo.get(expr) or self._column(expr)
         if negative:
             below = [i for i, _ in support if ints[i] < 0]
             if below:
@@ -466,39 +429,39 @@ class GainEvaluator:
                 )
         return den, ints
 
-    def _column(self, e, env, memo):
+    def _column(self, e):
         """A numeric expression's total values on the states, as (den, ints,
         fails, negative): the value on the i-th state is ints[i] / den, or,
         where bit i of fails is set, unevaluable, since a read fails, and
         ints[i] is 0; negative tells whether any value is below 0."""
-        col = memo.get(e)
+        col = self._memo.get(e)
         if col is None:
             n = self._n
             if isinstance(e, Iverson):
                 den, fails = 1, 0
-                ints = _bits(self._test(e.arg, False, env, memo), n)
+                ints = _bits(self._test(e.arg, False), n)
             else:
-                levels, fails = self._levels(e, env, memo, total=True)
+                levels, fails = self._levels(e, total=True)
                 den = lcm(*(Fraction(v).denominator for v in levels))
                 ints = _spread({int(v * den): m for v, m in levels.items()}, n, 0)
-            col = memo[e] = (den, ints, fails, min(ints, default=0) < 0)
+            col = self._memo[e] = (den, ints, fails, min(ints, default=0) < 0)
         return col
 
-    def _test(self, e, neg, env, memo):
+    def _test(self, e, neg):
         """The mask of the states where the test e holds, or where `not e`
         does when neg is set, under the total semantics: `not` is pushed
         down to the atomic tests, and an atomic test holds where its level
         set's value is true, and under `not` where it is false, so a test
         whose read fails holds under neither."""
         if isinstance(e, BoolOp):
-            left = self._test(e.left, neg, env, memo)
-            right = self._test(e.right, neg, env, memo)
+            left = self._test(e.left, neg)
+            right = self._test(e.right, neg)
             return left & right if (e.op == "and") != neg else left | right
         if isinstance(e, Not):
-            return self._test(e.arg, not neg, env, memo)
-        return self._levels(e, env, memo)[0].get(not neg, 0)
+            return self._test(e.arg, not neg)
+        return self._levels(e)[0].get(not neg, 0)
 
-    def _levels(self, e, env, memo, total=False):
+    def _levels(self, e, total=False):
         """e's level set, (levels, fails) as above, in its strict or its
         total form, built from its operands' level sets and kept in memo.
         A read or a test has one form: the two differ only at `[test]` and
@@ -506,22 +469,19 @@ class GainEvaluator:
         if total and not isinstance(e, _ARITH):
             total = False
         key = (total, e)
-        got = memo.get(key)
+        got = self._memo.get(key)
         if got is None:
-            got = memo[key] = self._level_set(e, total, env, memo)
+            got = self._memo[key] = self._level_set(e, total)
         return got
 
-    def _level_set(self, e, total, env, memo):
+    def _level_set(self, e, total):
         full, n = self._full, self._n
         if isinstance(e, (IntLit, RatLit, BoolLit)):
             return _const(e.value, full)
         if isinstance(e, Var):
-            k = self._positions.get(e.name)
-            if k is None:  # a quantifier index
-                return _const(env[e.name], full)
-            return self._table(k), 0
+            return self._table(self._positions[e.name]), 0
         if isinstance(e, Idx):
-            index, fails = self._levels(e.index, env, memo)
+            index, fails = self._levels(e.index)
             k = self._positions[e.name]
             levels, length = {}, self._length(k)
             for i, m in index.items():
@@ -534,17 +494,17 @@ class GainEvaluator:
                         levels[v] = levels.get(v, 0) | inside
             return levels, fails
         if isinstance(e, Neg):
-            levels, fails = self._levels(e.arg, env, memo, total)
+            levels, fails = self._levels(e.arg, total)
             return {-v: m for v, m in levels.items()}, fails
         if isinstance(e, Iverson):
             if total:  # a test whose read fails is false
-                true = self._test(e.arg, False, env, memo)
+                true = self._test(e.arg, False)
                 return {v: m for v, m in ((1, true), (0, full ^ true)) if m}, 0
-            levels, fails = self._levels(e.arg, env, memo)
+            levels, fails = self._levels(e.arg)
             return {int(v): m for v, m in levels.items()}, fails
         if isinstance(e, (Bin, Cmp)):
-            left, fails = self._levels(e.left, env, memo, total)
-            right, rfails = self._levels(e.right, env, memo, total)
+            left, fails = self._levels(e.left, total)
+            right, rfails = self._levels(e.right, total)
             shielded = 0
             if total and e.op == "*" and 0 in left:
                 # the product is 0 where the left factor is, and the right
@@ -575,7 +535,7 @@ class GainEvaluator:
                 levels[0] = levels.get(0, 0) | shielded
             return levels, fails
         if isinstance(e, (MaxF, MinF)):
-            sets = [self._levels(a, env, memo, total) for a in e.args]
+            sets = [self._levels(a, total) for a in e.args]
             operands = [levels for levels, _ in sets]
             fails = reduce(operator.or_, [bad for _, bad in sets])
             pick = max if isinstance(e, MaxF) else min
@@ -583,13 +543,13 @@ class GainEvaluator:
                 return self._by_state(lambda *a: pick(a), operands, full ^ fails), fails
             return reduce(lambda a, b: _pairs(a, b, pick), operands), fails
         if isinstance(e, Not):
-            levels, fails = self._levels(e.arg, env, memo)
+            levels, fails = self._levels(e.arg)
             return _truth(levels.get(False, 0), levels.get(True, 0)), fails
         if isinstance(e, BoolOp):
             # as in the closure, the right operand is read, and can fail,
             # only where the left one leaves the value open
-            left, fails = self._levels(e.left, env, memo)
-            right, rfails = self._levels(e.right, env, memo)
+            left, fails = self._levels(e.left)
+            right, rfails = self._levels(e.right)
             true, false = left.get(True, 0), left.get(False, 0)
             rtrue, rfalse = right.get(True, 0), right.get(False, 0)
             if e.op == "and":
@@ -598,20 +558,20 @@ class GainEvaluator:
             levels = _truth(true | false & rtrue, false & rfalse)
             return levels, fails | false & rfails
         if isinstance(e, Mem):
-            return self._member(e, env, memo)
+            return self._member(e)
         raise TypeCheckError(f"cannot evaluate {e!r}")
 
-    def _member(self, e, env, memo):
+    def _member(self, e):
         # `x in A[lo:hi]`: x is in the slice where it equals one of the
         # slice's elements, each read from its table; a bound outside
         # 0..length fails
         k, full, n = self._positions[e.array], self._full, self._n
         length = self._length(k) if n else 0
-        item, fails = self._levels(e.item, env, memo)
+        item, fails = self._levels(e.item)
         bounds = []
         for bound, default in ((e.lo, 0), (e.hi, length)):
             bound = IntLit(default) if bound is None else bound
-            levels, bad = self._levels(bound, env, memo)
+            levels, bad = self._levels(bound)
             for b, m in levels.items():
                 if not 0 <= b <= length:
                     bad |= m
@@ -671,6 +631,11 @@ class GainEvaluator:
         bits = _bits(keep, n)
         args = compress(zip(*[_spread(levels, n) for levels in operands]), bits)
         return _grouped(zip(compress(range(n), bits), starmap(fn, args)), n)
+
+
+def _choices(g):
+    # the gains a MAX picks from: its two sides, or a quantifier's instances
+    return (g.left, g.right) if isinstance(g, GMax) else instances(g)
 
 
 def _exact(x, den):
@@ -748,16 +713,16 @@ def _dominant(vectors):
     return list(compress(vecs, keep))
 
 
-def eval_gain(g, dist, env=None):
+def eval_gain(g, dist):
     """The gain's exact value against a single distribution (one-shot)."""
-    return GainEvaluator(dist.support()).value(g, dist, env)
+    return GainEvaluator(dist.support()).value(g, dist)
 
 
-def eval_gain_hyper(g, hyper, env=None):
+def eval_gain_hyper(g, hyper):
     """The gain's value against a hyper: average of per-posterior values
     (one-shot)."""
     states = dict.fromkeys(s for d in hyper.inners() for s in d.support())
-    return GainEvaluator(states).hyper_value(g, hyper, env)
+    return GainEvaluator(states).hyper_value(g, hyper)
 
 
 # --- canonicalization ---------------------------------------------------------------
@@ -873,7 +838,7 @@ class Canon:
         mask = self._lit_model_cache.get(lit)
         if mask is None:
             ev, (neg, atom) = self.evaluator, lit
-            mask = ev._test(atom, neg, {}, ev._memo({}))
+            mask = ev._test(atom, neg)
             self._lit_model_cache[lit] = mask
         return mask
 
@@ -1072,7 +1037,9 @@ class Canon:
         return True
 
     def _shift_consts(self, left, right, op):
-        """Move additive constants to the right: n + 1 = 3 becomes n = 2."""
+        """Move additive constants to the right: n + 1 = 3 becomes n = 2.
+        Equal terms of opposite sign cancel only where the term cannot
+        fail: `A[n] = A[n]` is false where A[n] is out of range."""
 
         def decompose(x):
             if _is_const(x):
@@ -1091,12 +1058,13 @@ class Canon:
         lt, lc = decompose(left)
         rt, rc = decompose(right)
         terms = lt + [(t, -s) for t, s in rt]
-        # cancel equal terms of opposite sign
+        # cancel equal terms of opposite sign, where the term has a value on
+        # every state: one whose read fails makes the test fail there
         reduced = []
         for t, s in terms:
             key = expr_to_source(t)
             for i, (_, s2, key2) in enumerate(reduced):
-                if key == key2 and s2 == -s:
+                if key == key2 and s2 == -s and not self.evaluator._levels(t)[1]:
                     del reduced[i]
                     break
             else:
@@ -1476,7 +1444,7 @@ class Canon:
         if out is None:
             ev = self.evaluator
             product = reduce(partial(Bin, "*"), factors)
-            levels, fails = ev._levels(product, {}, ev._memo({}), total=True)
+            levels, fails = ev._levels(product, total=True)
             den = lcm(*(Fraction(v).denominator for v in levels))
             levels = [(int(v * den), m) for v, m in levels.items() if v]
             out = self._factor_levels[factors] = (den, levels, fails)
@@ -1522,12 +1490,7 @@ class Canon:
                 [self.atom_mul(scalar, a) for a in self.normalize_gain(g.body, prune)]
             )
         elif isinstance(g, GQuantMax):
-            out = []
-            for v in g.values:
-                out.extend(
-                    self.normalize_gain(subst_gain(g.body, g.var, IntLit(v)), prune)
-                )
-            out = squeeze(out)
+            out = squeeze([a for h in instances(g) for a in self.normalize_gain(h, prune)])
         else:
             raise TypeCheckError(f"unknown gain expression {g!r}")
         self._normal_forms[id(g), prune] = (g, tuple(out))
@@ -1745,9 +1708,8 @@ def _compare(g1, g2, decls, relation, states, ev):
     # entry per compared state
     at = range(ev._n) if states is None else states
     support = [(i, 1) for i in at]
-    memo = ev._memo({})
-    left = ev._vectors(g1, support, {}, memo)
-    right = ev._vectors(g2, support, {}, memo)
+    left = ev._vectors(g1, support)
+    right = ev._vectors(g2, support)
     bad = operator.gt if relation == "<=" else operator.ne
 
     def violation(prior):

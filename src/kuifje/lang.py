@@ -1076,9 +1076,10 @@ EVAL_ERRORS = (IndexOutOfBounds, DivisionByZero)
 
 
 def compile_expr(e, names):
-    """e as a closure `f(values, env)` over a state's values tuple, laid out
-    as `names`, and the quantifier bindings `env` (a dict, or None).  The
-    closure evaluates strictly: a failing read raises one of EVAL_ERRORS.
+    """e as a closure `f(values)` over a state's values tuple, laid out as
+    `names`.  The closure evaluates strictly: a failing read raises one of
+    EVAL_ERRORS.  e is closed: every variable it reads is one of names, so
+    a quantifier index must be substituted first (see `instances`).
 
     The closure is built once per names and kept on the node, so it lives
     exactly as long as the expression does.
@@ -1095,20 +1096,17 @@ def compile_expr(e, names):
 def _compile(e, names):
     if isinstance(e, (IntLit, RatLit, BoolLit)):
         value = e.value
-        return lambda v, env: value
+        return lambda v: value
     if isinstance(e, Var):
-        name = e.name
-        if name not in names:  # a quantifier index
-            return lambda v, env: env[name]
-        k = names.index(name)
-        return lambda v, env: v[k]
+        k = names.index(e.name)
+        return lambda v: v[k]
     if isinstance(e, Idx):
         name, k = e.name, names.index(e.name)
         index = compile_expr(e.index, names)
 
-        def idx(v, env):
+        def idx(v):
             arr = v[k]
-            i = index(v, env)
+            i = index(v)
             if 0 <= i < len(arr):
                 return arr[i]
             raise IndexOutOfBounds(f"{name}[{i}] with length {len(arr)}")
@@ -1116,41 +1114,41 @@ def _compile(e, names):
         return idx
     if isinstance(e, Neg):
         arg = compile_expr(e.arg, names)
-        return lambda v, env: -arg(v, env)
+        return lambda v: -arg(v)
     if isinstance(e, (Bin, Cmp)):
         op, fn = e.op, OPS[e.op]
         left = compile_expr(e.left, names)
         right = compile_expr(e.right, names)
         if op in ("div", "mod"):
-            return lambda v, env: apply_op(op, left(v, env), right(v, env))
-        return lambda v, env: fn(left(v, env), right(v, env))
+            return lambda v: apply_op(op, left(v), right(v))
+        return lambda v: fn(left(v), right(v))
     if isinstance(e, (MaxF, MinF)):
         pick = max if isinstance(e, MaxF) else min
         args = tuple(compile_expr(a, names) for a in e.args)
-        return lambda v, env: pick([a(v, env) for a in args])
+        return lambda v: pick([a(v) for a in args])
     if isinstance(e, BoolOp):
         left = compile_expr(e.left, names)
         right = compile_expr(e.right, names)
         if e.op == "and":
-            return lambda v, env: right(v, env) if left(v, env) else False
-        return lambda v, env: True if left(v, env) else right(v, env)
+            return lambda v: right(v) if left(v) else False
+        return lambda v: True if left(v) else right(v)
     if isinstance(e, Not):
         arg = compile_expr(e.arg, names)
-        return lambda v, env: not arg(v, env)
+        return lambda v: not arg(v)
     if isinstance(e, Iverson):
         arg = compile_expr(e.arg, names)
-        return lambda v, env: 1 if arg(v, env) else 0
+        return lambda v: 1 if arg(v) else 0
     if isinstance(e, Mem):
         name, k, negated = e.array, names.index(e.array), e.negated
         item = compile_expr(e.item, names)
         lo = None if e.lo is None else compile_expr(e.lo, names)
         hi = None if e.hi is None else compile_expr(e.hi, names)
 
-        def mem(v, env):
+        def mem(v):
             arr = v[k]
-            x = item(v, env)
-            a = 0 if lo is None else lo(v, env)
-            b = len(arr) if hi is None else hi(v, env)
+            x = item(v)
+            a = 0 if lo is None else lo(v)
+            b = len(arr) if hi is None else hi(v)
             if not (0 <= a <= len(arr) and 0 <= b <= len(arr)):
                 raise IndexOutOfBounds(f"slice {name}[{a}:{b}] with length {len(arr)}")
             return (x not in arr[a:b]) if negated else (x in arr[a:b])
@@ -1159,13 +1157,13 @@ def _compile(e, names):
     raise TypeCheckError(f"cannot evaluate {e!r}")
 
 
-def eval_expr(e, state, env=None):
-    """Evaluate an expression in a State (env carries quantifier bindings).
+def eval_expr(e, state):
+    """Evaluate an expression in a State.
 
     `and`/`or` are short-circuit, so guards like `n != N and A[n] != x` stay
     total at the array boundary.
     """
-    return compile_expr(e, state.names)(state.values, env)
+    return compile_expr(e, state.names)(state.values)
 
 
 # --- substitution -----------------------------------------------------------------------
@@ -1259,6 +1257,19 @@ def subst_gain(g, name, repl):
     for the whole call, so sharing within and across atoms is kept."""
     memo = {}
     return map_gain(g, _substitution(name, repl, memo), memo)
+
+
+def instances(g):
+    """The closed gains the quantifier g picks from: its body with each of
+    its values substituted for its index, in order.  They are built once and
+    kept on g, as `compile_expr` keeps closures, so every reader of g reads
+    the same instance nodes."""
+    got = g.__dict__.get("_instances")
+    if got is None:
+        got = g.__dict__["_instances"] = tuple(
+            subst_gain(g.body, g.var, IntLit(v)) for v in g.values
+        )
+    return got
 
 
 def _updated_element(k, idx, val, base, elem_is_bool):

@@ -204,7 +204,7 @@ class Executable:
 
             def run(v):
                 try:
-                    return (("print", expr(v, None)),), v
+                    return (("print", expr(v)),), v
                 except _FAULTS as exc:
                     return (), exc.with_traceback(None)
 
@@ -228,7 +228,7 @@ class Executable:
 
             def run(v):
                 try:
-                    taken = guard(v, None)
+                    taken = guard(v)
                 except _FAULTS as exc:
                     return (), exc.with_traceback(None)
                 t, fin = (then if taken else els)(v)
@@ -249,7 +249,7 @@ class Executable:
                 k = 0  # body executions along this path so far
                 while True:
                     try:
-                        taken = guard(v, None)
+                        taken = guard(v)
                     except _FAULTS as exc:
                         v = exc.with_traceback(None)
                         break
@@ -349,7 +349,7 @@ class Executable:
             chain = {}  # the heads met since a known count
             while type(v) is tuple and v not in counts:
                 try:
-                    taken = guard(v, None)
+                    taken = guard(v)
                 except _FAULTS:
                     taken = False
                 if not taken:
@@ -441,7 +441,7 @@ def _choose(guard, groups, taken):
         chosen = {}
         for v in values:
             try:
-                if bool(guard(v, None)) is taken[1]:
+                if bool(guard(v)) is taken[1]:
                     chosen[v] = None
             except _FAULTS:
                 pass
@@ -525,7 +525,7 @@ def _assign(stmt, names, dom):
 
         def run(v):
             try:
-                x = value(v, None)
+                x = value(v)
                 if not (type(x) is kind and lo <= x <= hi):
                     raise DomainViolation(
                         f"{name} := {x} leaves the declared domain {target!r}"
@@ -541,11 +541,11 @@ def _assign(stmt, names, dom):
 
     def run(v):
         try:
-            i = index(v, None)
+            i = index(v)
             arr = v[k]
             if not 0 <= i < len(arr):
                 raise IndexOutOfBounds(f"{name}[{i}] with length {len(arr)}")
-            x = value(v, None)
+            x = value(v)
             if not (type(x) is kind and lo <= x <= hi):
                 raise DomainViolation(
                     f"{name}[{i}] := {x} leaves the declared domain {target!r}"

@@ -199,7 +199,7 @@ class WpEngine:
         values of its strict level set over that space
         (`GainEvaluator._levels`), read through the Canon's evaluator."""
         ev = self.canon.evaluator
-        levels, _ = ev._levels(expr, {}, ev._memo({}))
+        levels, _ = ev._levels(expr)
         if not levels:
             raise KuifjeError(
                 f"expression {expr_to_source(expr)} has no value on any state"
@@ -241,12 +241,15 @@ class WpEngine:
 
     def _wp_while_invariant(self, stmt, g):
         candidate = stmt.invariant
-        rhs = GPlus(
-            GAnd(Iverson(stmt.guard), self.wp(stmt.body, candidate)),
-            GAnd(Iverson(Not(stmt.guard)), g),
-        )
+        groups = self._loop_head_groups(stmt)
         ev = self.canon.evaluator  # one evaluator over the declared space
-        for group in self._loop_head_groups(stmt):
+        rhs = GAnd(Iverson(Not(stmt.guard)), g)
+        # a loop no head state enters is decided without its body, whose
+        # pre-gain is then never read
+        entered = ev._test(stmt.guard, False)
+        if any(entered >> i & 1 for group in groups for i in group):
+            rhs = GPlus(GAnd(Iverson(stmt.guard), self.wp(stmt.body, candidate)), rhs)
+        for group in groups:
             res = semantic_eq(candidate, rhs, self.decls, states=group, evaluator=ev)
             if not res:
                 lhs_text = gain_to_source(candidate)

@@ -3,8 +3,10 @@
 `value` is the language's strict evaluation, `truth` the total evaluation of
 a boolean (a failing atomic test is false under either polarity), `numeric`
 the total value of a numeric expression, which raises where a read fails,
-and `atom` the total value of a gain atom.  They walk the tree state by state, as the
-package did before it compiled expressions.
+and `atom` the total value of a gain atom.  They walk the tree state by
+state, as the package did before it compiled expressions, and read a
+quantifier index from the bindings `env`, where the package substitutes
+its value (`closed`).
 """
 
 import operator
@@ -26,6 +28,7 @@ from kuifje.lang import (
     Not,
     RatLit,
     Var,
+    subst_expr,
 )
 
 FAILS = (IndexOutOfBounds, DivisionByZero)
@@ -127,3 +130,11 @@ def atom(e, state, env=None):
         return Fraction(numeric(e, state, env))
     except FAILS:
         return Fraction(0)
+
+
+def closed(e, env=None):
+    """e with each binding of env substituted for its index, as
+    `lang.instances` substitutes a quantifier's values."""
+    for name, v in (env or {}).items():
+        e = subst_expr(e, name, IntLit(v))
+    return e

@@ -129,7 +129,7 @@ def _failing_reads(canon, atom):
     mask = 0
     for i, row in enumerate(canon.space.rows):
         try:
-            fn(row, None)
+            fn(row)
         except EVAL_ERRORS:
             mask |= 1 << i
     return mask

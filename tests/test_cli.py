@@ -1009,8 +1009,23 @@ def test_parse_error_exit_2(tmp_path):
             ("run", "PROGRAM", "--prior", "uniform"),
             "error: arithmetic on booleans: x + (b or b) at line 3\n",
         ),
+        (
+            # wp makes the invariant's atom negative under the loop guard;
+            # the message names the quantifier's instance, at w = 1
+            "hidden x : int[0..2]\nhidden y : int[0..2]\n"
+            "while x < 2 invariant { MAX w in 0..2: [x = w] * y } do\n"
+            "  y := x - 1;\n  x := x + 1\nod\n@post { MAX w in 0..2: [x = w] * y }\n",
+            ("wp", "PROGRAM"),
+            "error: atom [x + 1 = 1] * (x - 1) is -1 on {x=0 y=0}\n",
+        ),
     ],
-    ids=["negative-atom", "boolean-atom", "assign-bool-to-int", "bool-arithmetic"],
+    ids=[
+        "negative-atom",
+        "boolean-atom",
+        "assign-bool-to-int",
+        "bool-arithmetic",
+        "negative-instance",
+    ],
 )
 def test_type_error_shows_source_text_exit_2(tmp_path, source, args, message):
     if source is not None:
@@ -1199,6 +1214,33 @@ def test_unbounded_loop_beside_an_annotated_one_is_decided_after_it(
         "",
         BESIDE_AN_ANNOTATED_LOOP[annotation][1],
     )
+
+
+# a loop that no head state enters is decided without its body: wp and
+# check print the pre-gain that unfolding gives, though the body's own
+# pre-gain has no value (0 div 0) or needs a loop past the bound (b)
+DEAD_LOOP_BODIES = {
+    "failing print": ("", "print (0 div 0)"),
+    "endless inner loop": ("hidden b : bool\n", "while b do skip od"),
+}
+
+
+@pytest.mark.parametrize("body", sorted(DEAD_LOOP_BODIES))
+def test_a_dead_annotated_loop_is_decided_without_its_body(tmp_path, body):
+    decl, stmt = DEAD_LOOP_BODIES[body]
+    f = tmp_path / "dead.kuif"
+    f.write_text(
+        f"hidden x : int[0..1]\n{decl}print 0;\n"
+        "while not (0 = 0) invariant { MAX w in 0..1: [x = w] } do\n"
+        f"  {stmt}\nod\n@post {{ MAX w in 0..1: [x = w] }}\n"
+    )
+    unfolded = cli("wp", str(f), "--force-unfold", "--loop-bound", "3")
+    assert (unfolded.returncode, unfolded.stdout) == (0, "[x = 0] MAX [x = 1]\n")
+    wp = cli("wp", str(f), "--loop-bound", "3")
+    assert (wp.returncode, wp.stdout, wp.stderr) == (0, unfolded.stdout, "")
+    check = cli("check", str(f), "--loop-bound", "3")
+    assert check.returncode == 0, check.stderr
+    assert check.stdout.startswith(f"PASS pre = {unfolded.stdout}")
 
 
 def test_unfold_depth_above_the_exit_bound_prints_the_same_pre_gain():

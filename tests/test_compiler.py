@@ -2,7 +2,9 @@
 
 The declaration makes reads fail: `A[n]` is out of range at n = 2, `div`
 and `mod` by z fail at z = 0, and slice bounds can leave the array.  The
-quantifier index `i` is bound in the environment.  Strict evaluation must
+quantifier index `i` reads 1: the reference reads it from its bindings, and
+the package is given the tree with 1 substituted for it, as
+`lang.instances` substitutes a quantifier's values.  Strict evaluation must
 give the same value, or raise the same error with the same message; total
 evaluation must give the same value.  `GainEvaluator`, which values atoms a
 sub-expression column at a time, must agree with the reference atom by atom
@@ -35,6 +37,7 @@ from kuifje.lang import (
     Neg,
     Not,
     Var,
+    compile_expr,
     eval_expr,
 )
 
@@ -94,9 +97,9 @@ def bools(depth):
     )
 
 
-def _strict(fn, e, s):
+def _strict(fn, *args):
     try:
-        v = fn(e, s, ENV)
+        v = fn(*args)
     except Exception as exc:  # the error is the outcome being compared
         return type(exc), str(exc)
     return type(v), v
@@ -118,18 +121,28 @@ def _subtrees(e):
 def test_compiled_evaluation_matches_the_reference(tree):
     for e in _subtrees(tree):
         boolean = isinstance(e, (BoolLit, Cmp, BoolOp, Not, Mem)) or e == Var("b")
+        c = ref.closed(e, ENV)
         for s in STATES:
-            assert _strict(eval_expr, e, s) == _strict(ref.value, e, s), (e, s)
+            want = _strict(ref.value, e, s, ENV)
+            assert _strict(eval_expr, c, s) == want, (e, s)
             if boolean:
-                assert eval_bool_total(e, s, ENV) is ref.truth(e, s, ENV), (e, s)
-                negated = eval_bool_total(Not(e), s, ENV)
+                assert eval_bool_total(c, s) is ref.truth(e, s, ENV), (e, s)
+                negated = eval_bool_total(Not(c), s)
                 assert negated is ref.truth(e, s, ENV, True), (e, s)
             else:
                 # an atom that fails is worth 0, like one that is 0; `e + 1`
                 # tells the two apart
                 for atom in (e, Bin("+", e, IntLit(1))):
                     want = ref.atom(atom, s, ENV)
-                    assert eval_atom_total(atom, s, ENV) == want, (e, s)
+                    assert eval_atom_total(ref.closed(atom, ENV), s) == want, (e, s)
+
+
+def test_a_closure_refuses_an_open_quantifier_index():
+    # a quantifier index is substituted before anything is compiled: a
+    # variable outside the state's names is refused when the closure is built
+    for e in (Var("i"), Bin("+", Var("n"), Var("i")), Idx("A", Var("i"))):
+        with pytest.raises(ValueError):
+            compile_expr(e, STATES[0].names)
 
 
 # holds on the states with n = i (1 in ENV) and b: a sixth of them
@@ -153,20 +166,22 @@ def test_column_evaluator_matches_the_reference(tree):
     # own subtrees left in the memo
     ev = GainEvaluator(STATES)
     everywhere = [(i, 1) for i in range(len(STATES))]
+    guard = ref.closed(GUARD, ENV)
     for atom in _atoms(tree):
         want = [ref.atom(atom, s, ENV) for s in STATES]
+        c = GAtom(ref.closed(atom, ENV))
         for i, s in enumerate(STATES):
             if want[i] < 0:
                 with pytest.raises(NegativeAtom):
-                    ev.weighted_value(GAtom(atom), [(i, 1)], 1, ENV)
+                    ev.weighted_value(c, [(i, 1)], 1)
             else:
-                got = ev.weighted_value(GAtom(atom), [(i, 1)], 1, ENV)
+                got = ev.weighted_value(c, [(i, 1)], 1)
                 assert got == want[i], (atom, s)
         # the guard reads the atom only where it holds
         guarded = [w for s, w in zip(STATES, want) if ref.atom(GUARD, s, ENV)]
-        g = GAnd(GUARD, GAtom(atom))
+        g = GAnd(guard, c)
         if min(guarded) < 0:
             with pytest.raises(NegativeAtom):
-                ev.weighted_value(g, everywhere, 1, ENV)
+                ev.weighted_value(g, everywhere, 1)
         else:
-            assert ev.weighted_value(g, everywhere, 1, ENV) == sum(guarded), atom
+            assert ev.weighted_value(g, everywhere, 1) == sum(guarded), atom

@@ -309,7 +309,7 @@ def test_exit_rounds_runs_each_body_once_per_state_whose_guard_holds(name):
         holds = set()
         for s in exe.space.states():
             try:
-                if guard(s.values, None):
+                if guard(s.values):
                     holds.add(s.values)
             except semantics._FAULTS:
                 pass
@@ -381,9 +381,9 @@ def test_a_loop_runs_once_from_each_entry_state(monkeypatch):
         fn = real(e, names)
         text = expr_to_source(e)
 
-        def counted(values, env):
+        def counted(values):
             calls[text] += 1
-            return fn(values, env)
+            return fn(values)
 
         return counted
 
@@ -419,7 +419,7 @@ def test_head_pass_runs_only_the_path_to_the_loop():
     assert heads == _grouped(want)
     assert other == [[], [], []]
     guard = semantics.compile_expr(loop.guard, exe._names)
-    entering = [(h, v) for h, group in heads.items() for v in group if guard(v, None)]
+    entering = [(h, v) for h, group in heads.items() for v in group if guard(v)]
     assert 0 < len(runs) <= len(entering)
 
 

@@ -22,7 +22,9 @@ builds on `wp` and `wp --force-unfold` across the corpus, hand-written ones
 over a small space (reads past the end of an array, `div` and `mod` by 0,
 `and`/`or` whose left side shields a failing right side, a zero factor
 that shields a failing one, tests compared as values, bad slices,
-`max`/`min` and quantifier bindings), generated ones, and a literal, a
+`max`/`min` and quantifier indices, which the reference reads from its
+bindings and the evaluator as the constants `lang.instances` substitutes
+for them), generated ones, and a literal, a
 product and a membership whose level pairs outnumber the states, each
 computed by one state-by-state pass where no other case takes any, beside
 an array read whose element tables outnumber the states, which takes none.
@@ -284,15 +286,15 @@ TESTS = [
 ]
 
 
-def _evaluator_masks(ev, e, env):
+def _evaluator_masks(ev, e):
     # the evaluator's masks of e and of `not e`, read through [e] and [not e]
-    return _mask(ev.column(Iverson(e), env)), _mask(ev.column(Iverson(Not(e)), env))
+    return _mask(ev.column(Iverson(e))), _mask(ev.column(Iverson(Not(e))))
 
 
 @pytest.mark.parametrize("source, env", TESTS, ids=[t for t, _ in TESTS])
 def test_test_masks_match_the_reference(source, env):
     e = _test(source)
-    pos, neg = _evaluator_masks(GainEvaluator(STATES), e, env)
+    pos, neg = _evaluator_masks(GainEvaluator(STATES), ref.closed(e, env))
     assert pos == _mask(ref.truth(e, s, env) for s in STATES)
     assert neg == _mask(ref.truth(e, s, env, neg=True) for s in STATES)
     if not isinstance(e, (BoolOp, Not)):
@@ -333,7 +335,7 @@ def _counting_passes(monkeypatch):
 
 
 def _assert_levels_match(ev, e, env):
-    levels, fails = ev._levels(e, env, ev._memo(env))
+    levels, fails = ev._levels(ref.closed(e, env))
     want, want_fails = {}, 0
     for i, s in enumerate(ev.states):
         try:
@@ -365,7 +367,7 @@ def test_level_sets_match_the_reference(source, env, parse, monkeypatch):
 def test_numeric_columns_match_the_reference(source, env):
     e = _numeric(source)
     ev = GainEvaluator(STATES)
-    den, ints, fails, _ = ev._column(e, env, ev._memo(env))
+    den, ints, fails, _ = ev._column(ref.closed(e, env))
     values, want_fails = _numeric_reference(e, STATES, env)
     assert fails == want_fails
     assert [Fraction(v, den) for v in ints] == values
@@ -471,8 +473,7 @@ WIDE_PRODUCT = (
 def test_wide_shielded_atom_is_computed_by_one_pass(monkeypatch):
     e = _numeric(WIDE_PRODUCT)
     ev = GainEvaluator(STATES)
-    memo = ev._memo({})
-    left, right = (ev._levels(f, {}, memo, total=True)[0] for f in (e.left, e.right))
+    left, right = (ev._levels(f, total=True)[0] for f in (e.left, e.right))
     assert (len(left), len(right)) == (217, 24)
     passes = _counting_passes(monkeypatch)
     assert ev.column(e) == [ref.atom(e, s) for s in STATES]
@@ -511,7 +512,7 @@ def test_wide_membership_is_computed_by_one_pass(monkeypatch):
     e = _test(WIDE_MEMBER)
     ev = GainEvaluator(STATES)
     _assert_levels_match(ev, e, None)
-    levels, fails = ev._levels(e, None, ev._memo(None))
+    levels, fails = ev._levels(e)
     assert levels.keys() == {True, False} and fails
     assert passes == [sum(s.get("n") != 0 for s in STATES)]
 

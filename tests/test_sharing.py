@@ -4,6 +4,8 @@
   node shared in its input as one shared object in its output.
 - On the DAG that `print` builds (one continuation under every
   observation branch), `Canon.normalize_gain` computes each node once.
+- A quantifier's instances are built once and kept on it, and `Canon` and
+  `GainEvaluator` read those very nodes.
 - `GainEvaluator` decides the literals of a pre-gain from level sets,
   with no pass over the states, however many atoms share them.
 - `expr_to_source`, which keeps each node's rendering on the node, prints
@@ -20,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_eval as ref
-from kuifje.core import Dist
-from kuifje.gain import GainEvaluator
+from kuifje.core import Dist, uniform
+from kuifje.gain import Canon, GainEvaluator
 from kuifje.lang import (
     Bin,
     GAnd,
@@ -39,6 +41,8 @@ from kuifje.lang import (
     Var,
     check_program,
     expr_to_source,
+    gain_to_source,
+    instances,
     parse_expr,
     parse_gain,
     parse_program,
@@ -214,6 +218,39 @@ def test_normalize_gain_computes_each_shared_node_once():
     # the memo returns a new list on each call
     again = canon.normalize_gain(pre, True)
     assert again == atoms and again is not atoms
+
+
+# ---- a quantifier instantiated once
+
+
+def test_a_quantifier_is_instantiated_once_for_every_reader(monkeypatch):
+    p = _program(
+        "hidden A : array[2] of int[0..2]\nskip\n"
+        "@post { MAX i in 0..1: MAX j in 0..2: [A[i] = j] }"
+    )
+    bodies = instances(p.post)
+    assert instances(p.post) is bodies
+    assert [gain_to_source(h) for h in bodies] == [
+        "MAX j in 0..2: [A[0] = j]",
+        "MAX j in 0..2: [A[1] = j]",
+    ]
+    nodes = [*bodies, *(h for body in bodies for h in instances(body))]
+    assert gain_to_source(nodes[-1]) == "[A[1] = 2]"
+    canon = Canon(p.decls)
+    canon.normalize_gain(p.post)
+    normalized = [g for g, _ in canon._normal_forms.values()]
+    read = []
+    real = GainEvaluator._eval
+
+    def reading(self, g, support):
+        read.append(g)
+        return real(self, g, support)
+
+    monkeypatch.setattr(GainEvaluator, "_eval", reading)
+    GainEvaluator(canon.space).value(p.post, uniform(canon.space.states()))
+    for node in nodes:
+        assert any(g is node for g in normalized), gain_to_source(node)
+        assert any(g is node for g in read), gain_to_source(node)
 
 
 # ---- literals decided from level sets, with no pass over the states
