@@ -18,12 +18,13 @@ All probabilities are exact rationals.  Table output prints them as `p/q`
 (integers bare); JSON output always uses the `n/d` form, `0/1` and `1/1`
 included.  Output is deterministic: same inputs, same bytes.
 
-A prior is read into a Dist over values tuples with integer weights, and
-`run` keeps its states as values tuples from the prior text to the output
-text; `eval --prior` names them as States for the gain evaluator, and
-`eval --hyper` reads States, which the evaluator needs.  `check` turns every
-prior into (declared-state index, weight) pairs and values both sides from
-them, on the one evaluator over the declared space that `wp` reads.
+A prior is read into a weight table, `{values tuple: positive int}` in
+lowest terms, and `run` keeps its states as values tuples from the prior
+text to the output text; `eval --prior` names them as States for the gain
+evaluator, and `eval --hyper` reads States, which the evaluator needs.
+`check` turns every prior into (declared-state index, weight) pairs and
+values both sides from them, on the one evaluator over the declared space
+that `wp` reads.
 """
 
 from __future__ import annotations
@@ -135,16 +136,68 @@ def _bind(slots, source, name, raw):
     return i, value
 
 
+def _prior_columns(text, decls):
+    """The weight table of a prior text in the regular layout, or None.
+
+    In that layout every line, comments and blank lines aside, is one
+    `name=value` binding per declared variable, a lone `:` and one
+    probability, and each binding column names one variable.  The lines are
+    split and transposed into columns; each distinct binding and probability
+    text is read once, and the rows are built column by column.  Any other
+    text, and any binding or probability text that is no value, is refused,
+    and `_prior_lines` reads it and names the first fault.
+    """
+    slots = {d.name: (i, d.domain) for i, d in enumerate(decls)}
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    k = len(slots)
+    if not k or set(map(len, map(str.split, lines))) - {0} != {k + 2}:
+        return None
+    tokens = " ".join(lines).split()
+    del lines
+    cols = [tokens[j :: k + 2] for j in range(k + 2)]
+    del tokens
+    if set(cols[k]) != {":"}:
+        return None
+    # the line reader splits a line at its last colon
+    probs = dict.fromkeys(cols[k + 1])
+    if any(":" in t for t in probs):
+        return None
+    columns = {}  # position -> its values, line by line
+    try:
+        for col in cols[:k]:
+            name0 = col[0].partition("=")[0]
+            bound = {}
+            for piece in set(col):
+                name, eq, val = piece.partition("=")
+                if not eq or name != name0:
+                    return None
+                i, bound[piece] = _bind(slots, "prior", name, val)
+            if i in columns:
+                return None
+            columns[i] = map(bound.__getitem__, col)
+        for t in probs:
+            probs[t] = _prob(t)
+    except KuifjeError:
+        return None
+    rows = list(zip(*(columns[i] for i in range(k))))
+    return _prior_table(rows, cols[k + 1], probs, tuple(slots))
+
+
 def _prior_lines(text, decls):
-    """A prior over values tuples from `bindings : probability` lines.  Each
-    distinct `name=value` text and each distinct probability text is read
-    once, in line order, so the first fault in the text is the one reported.
+    """The weight table of a prior from `bindings : probability` lines, in
+    any layout `_prior_columns` refuses.  Each distinct `name=value` text
+    and each distinct probability text is read once, in line order, so the
+    first fault in the text is the one reported: this reader alone names
+    a prior text's faults.
     """
     slots = {d.name: (i, d.domain) for i, d in enumerate(decls)}
     names = tuple(slots)
     bound = {}  # "name=value" -> (position, value)
     probs = {}  # probability text -> Fraction
-    rows = []  # (values, probability text)
+    rows = []  # values tuple of each line
+    keys = []  # probability text of each line
     for raw in text.splitlines():
         line = raw.partition("#")[0].strip()
         if not line:
@@ -171,32 +224,48 @@ def _prior_lines(text, decls):
             raise KuifjeError(f"prior line leaves {', '.join(missing)} unbound")
         if prob not in probs:
             probs[prob] = _prob(prob.strip())
-        rows.append((tuple(vals), prob))
+        rows.append(tuple(vals))
+        keys.append(prob)
     if not rows:
         raise KuifjeError("prior file/directive contains no entries")
-    return _prior_dist(rows, probs, names)
+    return _prior_table(rows, keys, probs, names)
 
 
-def _prior_dist(rows, probs, names):
-    """The prior giving each (values, key) row probability `probs[key]`,
-    rows with equal values adding up.  The probabilities are checked on
-    integers over the lcm of their denominators; only an invalid prior
-    builds States, so that `Dist` names the fault as it always has."""
+def _prior_text(text, decls):
+    """The weight table of a prior file's text, read by columns where its
+    layout allows and line by line otherwise."""
+    table = _prior_columns(text, decls)
+    return _prior_lines(text, decls) if table is None else table
+
+
+def _prior_table(rows, keys, probs, names):
+    """The weight table giving the values tuple `rows[j]` probability
+    `probs[keys[j]]`, in lowest terms: rows with equal values add up, and a
+    zero weight is dropped.  The probabilities are checked on integers over
+    the lcm of their denominators; only an invalid prior builds States, so
+    that `Dist` names the fault as it always has."""
     den = lcm(*(p.denominator for p in probs.values()))
     scaled = {k: p.numerator * (den // p.denominator) for k, p in probs.items()}
-    weights = {}
-    for vals, k in rows:
-        weights[vals] = weights.get(vals, 0) + scaled[k]
-    if min(scaled.values()) < 0 or sum(weights.values()) != den:
-        Dist([(State(names, vals), probs[k]) for vals, k in rows])  # raises
-    return Dist.from_weights(weights)
+    weights = list(map(scaled.__getitem__, keys))
+    table = dict(zip(rows, weights))
+    if len(table) < len(weights):  # a repeated state
+        table = {}
+        for vals, w in zip(rows, weights):
+            table[vals] = table.get(vals, 0) + w
+    least = min(scaled.values())
+    if least < 0 or sum(table.values()) != den:
+        Dist([(State(names, vals), probs[k]) for vals, k in zip(rows, keys)])  # raises
+    if not least:
+        table = {vals: w for vals, w in table.items() if w}
+    g = gcd(*table.values())
+    return table if g == 1 else {vals: w // g for vals, w in table.items()}
 
 
 def _named(prior, decls):
-    """A prior over values tuples as one over States, for the gain
+    """A prior's weight table as a Dist over States, for the gain
     evaluator."""
     names = tuple(d.name for d in decls)
-    return prior.map(lambda v: State(names, v))
+    return Dist.from_weights({State(names, v): w for v, w in prior.items()})
 
 
 def _prior_product(spec, decls):
@@ -230,25 +299,24 @@ def _prior_product(spec, decls):
         pairs = [
             (vals + (v,), p * q) for vals, p in pairs for v, q in marginals[n]
         ]
-    return _prior_dist(
-        [(vals, k) for k, (vals, _) in enumerate(pairs)],
-        {k: p for k, (_, p) in enumerate(pairs)},
-        names,
-    )
+    rows, ps = zip(*pairs)
+    return _prior_table(rows, ps, {p: p for p in ps}, names)
 
 
 def load_prior(spec, decls):
-    """A prior over values tuples, laid out as `decls`, from a directive
-    string or a file of weighted states."""
+    """The weight table `{values: int}` of a prior, from a directive string
+    or a file of weighted states: each values tuple, laid out as `decls`,
+    with a positive integer weight, the weights in lowest terms (gcd 1), so
+    that equal priors give equal dicts.  `run` takes the table as it is."""
     if spec == "uniform":
         states = all_states([d.name for d in decls], [d.domain for d in decls])
-        return Dist.from_weights(dict.fromkeys((s.values for s in states), 1))
+        return dict.fromkeys((s.values for s in states), 1)
     if spec.startswith("product "):
         return _prior_product(spec[len("product ") :], decls)
     if os.path.exists(spec):
-        return _prior_lines(_read(spec), decls)
+        return _prior_text(_read(spec), decls)
     if ":" in spec:
-        return _prior_lines(spec, decls)
+        return _prior_text(spec, decls)
     raise KuifjeError(f"cannot read prior {spec!r}: not a file or directive")
 
 
@@ -464,7 +532,7 @@ def _check_priors(args, executable):
     if args.prior:
         index = space.index
         prior = load_prior(args.prior, executable.decls)
-        yield args.prior, [(index(v), w) for v, w in prior.weights]
+        yield args.prior, sorted((index(v), w) for v, w in prior.items())
         return
     spec = args.priors or "exhaustive"
     if spec == "exhaustive":
@@ -505,7 +573,7 @@ def _post_value(executable, post, ev):
             hit = classes[i]
             if hit is None:  # this state's run fails: `run` raises the error
                 rows = executable.space.rows
-                executable.run(Dist.from_weights({rows[j]: v for j, v in pairs}))
+                executable.run({rows[j]: v for j, v in pairs})
             c, f = hit
             bucket = buckets.get(c)
             if bucket is None:

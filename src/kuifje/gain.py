@@ -1004,8 +1004,8 @@ class Canon:
             if expr_to_source(right) < expr_to_source(left):
                 left, right = right, left
             return frozenset({frozenset({(neg != (op == "!="), Cmp("=", left, right))})})
-        left = self.canon_num(e.left)
-        right = self.canon_num(e.right)
+        left = self._side(e.left)
+        right = self._side(e.right)
         if op in (">", ">="):
             left, right = right, left
             op = {">": "<", ">=": "<="}[op]
@@ -1027,6 +1027,15 @@ class Canon:
             left, right = right, left
             op = "<=" if op == "<" else "<"
         return frozenset({frozenset({(False, Cmp(op, left, right))})})
+
+    def _side(self, x):
+        """A comparison's side in canonical form, or as written where that
+        form is a constant but a read in x can fail: `A[n] * 0 = 0` is false
+        where A[n] is out of range."""
+        out = self.canon_num(x)
+        if _is_const(out) and not _is_const(x) and self.evaluator._levels(x)[1]:
+            return x
+        return out
 
     @staticmethod
     def _numeric_sides(left, right):
@@ -1123,42 +1132,44 @@ class Canon:
         ]
         conjs = [c for c, _ in live]
         masks = [rec[3] for _, rec in live]
-        lits = [list(zip(rec[1], rec[2])) for _, rec in live]
 
-        changed = True
-        while changed:
-            changed = False
-            # greedy literal deletion, in rendered order
-            for i, pairs in enumerate(lits):
-                if len(pairs) < 2:
-                    continue  # without its one literal, a conjunction is true
-                suffix = [full] * (len(pairs) + 1)
-                for p in range(len(pairs) - 1, -1, -1):
-                    suffix[p] = suffix[p + 1] & pairs[p][1]
-                prefix, kept = full, []
-                for p, (lit, m) in enumerate(pairs):
-                    slim = prefix & suffix[p + 1]
-                    if slim & outside:
-                        prefix &= m
-                        kept.append((lit, m))
-                    else:
-                        masks[i] = slim
-                if len(kept) < len(pairs):
-                    lits[i] = kept
-                    conjs[i] = frozenset(lit for lit, _ in kept)
-                    changed = True
-            # greedy disjunct deletion, last first: a conjunction goes when
-            # the others' union is the target
-            before = [0]
-            for m in masks:
-                before.append(before[-1] | m)
-            after = 0
-            for i in range(len(conjs) - 1, -1, -1):
-                if before[i] | after == target:
-                    del conjs[i], masks[i], lits[i]
-                    changed = True
+        # One greedy pass of each kind is a fixed point, so none is repeated.
+        # Literal deletion reads only the conjunction's own literals and
+        # `outside`: a literal it keeps has a slimmed mask (the AND of the
+        # kept literals before it and of all literals after it) that meets
+        # `outside`, and on the kept literals alone that mask can only grow,
+        # so a second pass keeps it again.  Disjunct deletion keeps a
+        # conjunction whose others' union falls short of `target`; a second
+        # pass sees a subset of those others, so it keeps it again.
+        # Greedy literal deletion, in rendered order:
+        for i, (_, rec) in enumerate(live):
+            pairs = list(zip(rec[1], rec[2]))
+            if len(pairs) < 2:
+                continue  # without its one literal, a conjunction is true
+            suffix = [full] * (len(pairs) + 1)
+            for p in range(len(pairs) - 1, -1, -1):
+                suffix[p] = suffix[p + 1] & pairs[p][1]
+            prefix, kept = full, []
+            for p, (lit, m) in enumerate(pairs):
+                slim = prefix & suffix[p + 1]
+                if slim & outside:
+                    prefix &= m
+                    kept.append((lit, m))
                 else:
-                    after |= masks[i]
+                    masks[i] = slim
+            if len(kept) < len(pairs):
+                conjs[i] = frozenset(lit for lit, _ in kept)
+        # greedy disjunct deletion, last first: a conjunction goes when
+        # the others' union is the target
+        before = [0]
+        for m in masks:
+            before.append(before[-1] | m)
+        after = 0
+        for i in range(len(conjs) - 1, -1, -1):
+            if before[i] | after == target:
+                del conjs[i], masks[i]
+            else:
+                after |= masks[i]
         return frozenset(conjs)
 
     def preds_disjoint(self, d1, d2):
@@ -1324,6 +1335,11 @@ class Canon:
     # ---- atom arithmetic (memoised by atom identity; see the class docstring)
 
     def atom_add(self, a, b):
+        # () is the zero atom, and an operand is already final
+        if not b:
+            return a
+        if not a:
+            return b
         key = (id(a), id(b))
         out = self._sums.get(key)
         if out is None:
@@ -1331,6 +1347,8 @@ class Canon:
         return out
 
     def atom_mul(self, a, b):
+        if not a or not b:
+            return ()
         key = (id(a), id(b))
         out = self._products.get(key)
         if out is None:

@@ -29,8 +29,9 @@ path one round at a time.  The declared states are the rows of a
 `core.Space`, values tuples in index order, and a final's declared index is
 read off its values in closed form.  Inside the object a state is its values
 tuple, and a State, Dist or Hyper is built only where a result leaves; a
-prior over values tuples gives a Hyper over values tuples, so the command
-line's `run` builds no State at all.
+prior over values tuples, as a Dist or as the bare `{values: int}` weight
+table that the command line's `run` passes, gives a Hyper over values
+tuples, so that `run` builds no State at all.
 """
 
 from __future__ import annotations
@@ -280,19 +281,25 @@ class Executable:
     def run(self, prior, trace=None):
         """The program as a Hyper transformer, applied to `prior`.
 
-        `prior` is a Dist over States, or over values tuples laid out as the
-        declarations; the posteriors of the result are over the same kind.
+        `prior` is a Dist over States, a Dist over values tuples laid out as
+        the declarations, or the weight table `{values: positive int}` of
+        one, which is read as it is, in any order; the posteriors of the
+        result are over States for the first, and over values tuples
+        otherwise.
         `trace`, if given, is a list that receives (label, hyper) snapshots
         after each top-level statement.
 
         Between statements the posteriors are the `{values: int}` groups of
-        `_push`, keyed by observation history, whose weights share the
-        prior's denominator; a Hyper is built only where one leaves.  A
+        `_push`, keyed by observation history, whose weights are the prior's
+        integer weights; a Hyper is built only where one leaves.  A
         failing run raises the error met first in the canonical order of the
         hyper before the statement that fails: posteriors in order, states
         in order within each.
         """
-        if type(prior.weights[0][0]) is State:
+        if type(prior) is dict:
+            names = None
+            groups = {(): prior}
+        elif type(prior.weights[0][0]) is State:
             names = self._names
             groups = {(): {s.values: w for s, w in prior.weights}}
         else:

@@ -1,6 +1,6 @@
-"""Reference prior-file reader, kept only to test the prior file reader
-(`cli._prior_lines`, its values tuples named as States by `cli._named`) and
-`Dist`'s validation against.
+"""Reference prior-file reader, kept only to test the prior file readers
+(`cli._prior_columns` and `cli._prior_lines`, whose weight tables are named
+as States) and `Dist`'s validation against.
 
 `prior_from_lines` reads a prior as the package did before it read each
 binding and probability text once per file: each line is bound through a

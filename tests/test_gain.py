@@ -246,6 +246,9 @@ skip
         "[A[n] = A[n]]",
         "[n - n + A[n] = A[n]]",
         "[n + 1 = n + 1]",
+        # a zero factor zeroes a side only where the other factor has a value
+        "[A[n] * 0 = 0]",
+        "[0 * A[n] = 0]",
         "MAX i in 0..1: MAX j in 0..2: [A[i] = j]",
     ],
 )
@@ -261,6 +264,12 @@ def test_simplify_keeps_value_where_a_test_fails(text):
         value = eval_gain(g, point(s))
         assert value == brute_eval(g, point(s)), s
         assert eval_gain(simple, point(s)) == value, s
+
+
+def test_simplify_folds_a_zero_factor_that_cannot_fail():
+    p = parse_program(PROBE)
+    check_program(p)
+    assert simplify(parse_gain("[n * 0 = 0]"), p.decls).render() == "1"
 
 
 def test_multiplication_short_circuits_zero_left_factor():

@@ -264,6 +264,9 @@ def test_run_on_values_tuples_matches_run_on_states(name):
         (tuple((s.values, v) for s, v in d.weights), w) for d, w in named.weights
     ]
     assert all(type(v) is tuple for d in plain.inners() for v in d.support())
+    # a bare weight table gives the same hyper, whatever its order or scale
+    table = {s.values: 3 * w for s, w in reversed(prior.weights)}
+    assert exe.run(table) == plain
 
 
 # ---- leak erasure: forgetting observations gives the classical semantics
