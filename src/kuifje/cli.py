@@ -141,11 +141,13 @@ def _prior_columns(text, decls):
 
     In that layout every line, comments and blank lines aside, is one
     `name=value` binding per declared variable, a lone `:` and one
-    probability, and each binding column names one variable.  The lines are
-    split and transposed into columns; each distinct binding and probability
-    text is read once, and the rows are built column by column.  Any other
-    text, and any binding or probability text that is no value, is refused,
-    and `_prior_lines` reads it and names the first fault.
+    probability, and each binding column names one variable.  Each line's
+    shape is checked with `str.split`, and the columns are slices of the
+    whole text split once, so no list per line is kept; each distinct
+    binding and probability text is read once, and the rows are built
+    column by column.  Any other text, and any binding or probability text
+    that is no value, is refused, and `_prior_lines` reads it and names the
+    first fault.
     """
     slots = {d.name: (i, d.domain) for i, d in enumerate(decls)}
     lines = text.splitlines()

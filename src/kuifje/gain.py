@@ -1141,7 +1141,8 @@ class Canon:
         # so a second pass keeps it again.  Disjunct deletion keeps a
         # conjunction whose others' union falls short of `target`; a second
         # pass sees a subset of those others, so it keeps it again.
-        # Greedy literal deletion, in rendered order:
+
+        # greedy literal deletion, in rendered order
         for i, (_, rec) in enumerate(live):
             pairs = list(zip(rec[1], rec[2]))
             if len(pairs) < 2:
@@ -1167,7 +1168,7 @@ class Canon:
         after = 0
         for i in range(len(conjs) - 1, -1, -1):
             if before[i] | after == target:
-                del conjs[i], masks[i]
+                del conjs[i]
             else:
                 after |= masks[i]
         return frozenset(conjs)
