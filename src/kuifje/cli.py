@@ -349,18 +349,15 @@ def _hyper_json(hyper, names):
                     "inner": [{"state": {name: value, ...}, "prob": "n/d"}]}]}
 
     with arrays as lists and every probability in lowest terms, `1/1`
-    included.  Each distinct state's block is written once."""
+    included."""
     pad = "\n            "
     keys = [pad + json.dumps(n) + ": " for n in names]
-    blocks = {}  # values tuple -> its "state" object
     groups = []
     for inner, w in hyper.weights:
         cells = []
         for v, p in inner.weights:
-            block = blocks.get(v)
-            if block is None:
-                fields = ",".join(k + _json_value(x, pad) for k, x in zip(keys, v))
-                block = blocks[v] = "{" + fields + "\n          }" if v else "{}"
+            fields = ",".join(k + _json_value(x, pad) for k, x in zip(keys, v))
+            block = "{" + fields + "\n          }" if v else "{}"
             cells.append(
                 '{\n          "state": ' + block
                 + ',\n          "prob": ' + _json_ratio(p, inner.den) + "\n        }"
@@ -595,7 +592,7 @@ def cmd_check(args):
     engine = WpEngine(program, _wp_config(args))
     result = _wp_pre(engine, post)
     # the outcome table runs on the engine's executable, so it reuses the
-    # compiled steps and any loop outcomes that wp's loop passes recorded
+    # steps wp's loop passes compiled (they record no top-level loop's outcomes)
     executable = engine.executable
     # the Canon's evaluator values both sides; a prior stays (state index,
     # weight) pairs, and no State, Dist or Hyper is built for it

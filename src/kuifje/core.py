@@ -348,11 +348,6 @@ class Dist:
         return "Dist({" + inner + "})"
 
 
-def dist_from_entries(pairs):
-    """Canonicalize (element, probability) pairs into a Dist."""
-    return Dist(pairs)
-
-
 def point(elem):
     """The distribution putting all mass on one element."""
     return Dist.from_weights({elem: 1})
@@ -399,11 +394,6 @@ class Hyper(Dist):
     def __repr__(self):
         inner = ", ".join(f"{w} @ {d!r}" for d, w in self.entries)
         return "Hyper(" + inner + ")"
-
-
-def hyper_reduce(pairs):
-    """Canonicalize (inner distribution, outer weight) pairs into a Hyper."""
-    return Hyper(pairs)
 
 
 def unit(dist):

@@ -751,6 +751,23 @@ def _const_val(e):
     return Fraction(e.value)
 
 
+def _decompose(x):
+    """A numeric expression as its signed additive terms and its constant:
+    ([(term, +1 or -1)], Fraction)."""
+    if _is_const(x):
+        return [], _const_val(x)
+    if isinstance(x, Bin) and x.op in ("+", "-"):
+        lt, lc = _decompose(x.left)
+        rt, rc = _decompose(x.right)
+        if x.op == "+":
+            return lt + rt, lc + rc
+        return lt + [(t, -s) for t, s in rt], lc - rc
+    if isinstance(x, Neg):
+        t, c = _decompose(x.arg)
+        return [(e, -s) for e, s in t], -c
+    return [(x, 1)], ZERO
+
+
 class Canon:
     """Canonicalizer of gains and tests for output, bound to declarations.
 
@@ -785,15 +802,16 @@ class Canon:
 
     Every atom a Canon returns comes from `_finalize`, which interns it, so an
     atom's identity is its value and no atom's id is reused while the Canon
-    lives.  Caches keyed by atom ids (level sets, rebuilt expressions, and the
-    memos of `atom_add`, `atom_mul` and `prune`) are therefore exact for the
-    Canon's life.  `normalize_gain` memoises sub-gains by identity, keeping
-    each alive beside its atoms, and squeezes a MAX tree once over all its
-    operands; `to_dnf` memoises tests by value; `_finalize` keeps each
-    factor list's renderings (`_factor_key`); and literal, conjunction and
-    predicate expressions are built once, so their renderings, which
-    `lang.expr_to_source` keeps on the nodes, are made once.  All of these,
-    and the conjunction records, die with the Canon.
+    lives.  Caches keyed by atom ids (level sets, rebuilt expressions and
+    `prune`'s memo) are therefore exact for the Canon's life; sums and
+    products of atoms are not memoised, since a request rarely repeats one.
+    `normalize_gain` memoises sub-gains by identity, keeping each alive
+    beside its atoms, and squeezes a MAX tree once over all its operands;
+    `to_dnf` memoises tests by value; `atom_of` memoises expressions by
+    value; and literal, conjunction and predicate expressions are built
+    once, so their renderings, which `lang.expr_to_source` keeps on the
+    nodes, are made once.  All of these, and the conjunction records, die
+    with the Canon: nothing it builds is in a reference cycle.
     """
 
     def __init__(self, decls, space=None):
@@ -802,9 +820,7 @@ class Canon:
         self.space = space or Space(self.names, self.domains.values())
         self._models = {}
         self._conjs = {}
-        self._factor_keys = {}
         self._lit_model_cache = {}
-        self._factor_levels = {}
         self._intern = {}
         self._dnfs = {}
         self._lit_exprs = {}
@@ -814,8 +830,6 @@ class Canon:
         self._atom_cache = {}
         self._levels = {}
         self._rebuilt = {}
-        self._sums = {}
-        self._products = {}
         self._prunes = {}
         self._normal_forms = {}
 
@@ -1050,22 +1064,8 @@ class Canon:
         Equal terms of opposite sign cancel only where the term cannot
         fail: `A[n] = A[n]` is false where A[n] is out of range."""
 
-        def decompose(x):
-            if _is_const(x):
-                return [], _const_val(x)
-            if isinstance(x, Bin) and x.op in ("+", "-"):
-                lt, lc = decompose(x.left)
-                rt, rc = decompose(x.right)
-                if x.op == "+":
-                    return lt + rt, lc + rc
-                return lt + [(t, -s) for t, s in rt], lc - rc
-            if isinstance(x, Neg):
-                t, c = decompose(x.arg)
-                return [(e, -s) for e, s in t], -c
-            return [(x, 1)], ZERO
-
-        lt, lc = decompose(left)
-        rt, rc = decompose(right)
+        lt, lc = _decompose(left)
+        rt, rc = _decompose(right)
         terms = lt + [(t, -s) for t, s in rt]
         # cancel equal terms of opposite sign, where the term has a value on
         # every state: one whose read fails makes the test fail there
@@ -1296,10 +1296,13 @@ class Canon:
             if c:
                 key = c.numerator, c.denominator, factors
                 buckets.setdefault(key, (c, factors, []))[2].append(pred)
+        rows = [
+            (tuple(map(expr_to_source, factors)), c, factors, preds)
+            for c, factors, preds in buckets.values()
+        ]
+        rows.sort(key=lambda row: row[:2])
         out = []
-        for coeff, factors, preds in sorted(
-            buckets.values(), key=lambda b: (self._factor_key(b[1]), b[0])
-        ):
+        for fkey, coeff, factors, preds in rows:
             if len(preds) > 1:
                 preds.sort(key=self._pred_key)
                 acc = []
@@ -1313,7 +1316,6 @@ class Canon:
                     else:
                         acc.append(p)
                 preds = acc
-            fkey = self._factor_key(factors)
             out.extend((fkey, self._pred_key(p), coeff, p, factors) for p in preds)
         out.sort(key=lambda row: row[:3])
         atom = tuple(_Term(coeff, p, factors) for _, _, coeff, p, factors in out)
@@ -1324,16 +1326,10 @@ class Canon:
             got = atom
         return got
 
-    def _factor_key(self, factors):
-        out = self._factor_keys.get(factors)
-        if out is None:
-            out = self._factor_keys[factors] = tuple(map(expr_to_source, factors))
-        return out
-
     def _pred_key(self, pred):
         return "" if pred is None else self.pred_render(pred)
 
-    # ---- atom arithmetic (memoised by atom identity; see the class docstring)
+    # ---- atom arithmetic
 
     def atom_add(self, a, b):
         # () is the zero atom, and an operand is already final
@@ -1341,22 +1337,12 @@ class Canon:
             return a
         if not a:
             return b
-        key = (id(a), id(b))
-        out = self._sums.get(key)
-        if out is None:
-            out = self._sums[key] = self._finalize(list(a) + list(b))
-        return out
+        return self._finalize(list(a) + list(b))
 
     def atom_mul(self, a, b):
         if not a or not b:
             return ()
-        key = (id(a), id(b))
-        out = self._products.get(key)
-        if out is None:
-            out = self._products[key] = self._finalize(
-                self._mul_terms(list(a), list(b))
-            )
-        return out
+        return self._finalize(self._mul_terms(list(a), list(b)))
 
     # ---- rebuild and render
 
@@ -1410,7 +1396,7 @@ class Canon:
 
         A term c·[p] is the one level (c's numerator, p's mask); a sum
         refines its terms' levels, so that only a term with factors reads
-        the level set of its factor product, once (`_product_levels`)."""
+        the level set of its factor product (`_product_levels`)."""
         out = self._levels.get(id(atom))
         if out is None:
             out = self._levels[id(atom)] = self._sum_levels(atom)
@@ -1459,15 +1445,10 @@ class Canon:
         left-nested product `f1 * f2 * ...`, the factors read in rendered
         order, as the printed term reads them: a zero factor shields the
         reads of the ones to its right."""
-        out = self._factor_levels.get(factors)
-        if out is None:
-            ev = self.evaluator
-            product = reduce(partial(Bin, "*"), factors)
-            levels, fails = ev._levels(product, total=True)
-            den = lcm(*(Fraction(v).denominator for v in levels))
-            levels = [(int(v * den), m) for v, m in levels.items() if v]
-            out = self._factor_levels[factors] = (den, levels, fails)
-        return out
+        product = reduce(partial(Bin, "*"), factors)
+        levels, fails = self.evaluator._levels(product, total=True)
+        den = lcm(*(Fraction(v).denominator for v in levels))
+        return den, [(int(v * den), m) for v, m in levels.items() if v], fails
 
     # ---- normal form construction
 
@@ -1584,14 +1565,14 @@ def balanced(join, gains):
     balanced tree, or 0 for no gains: log2(k) levels deep where a chain of k
     gains would be k deep, past the recursion limit of every walker for a
     wide form."""
+    return _tree(join, gains, 0, len(gains)) if gains else GAtom(IntLit(0))
 
-    def tree(lo, hi):
-        if hi - lo == 1:
-            return gains[lo]
-        mid = (lo + hi) // 2
-        return join(tree(lo, mid), tree(mid, hi))
 
-    return tree(0, len(gains)) if gains else GAtom(IntLit(0))
+def _tree(join, gains, lo, hi):
+    if hi - lo == 1:
+        return gains[lo]
+    mid = (lo + hi) // 2
+    return join(_tree(join, gains, lo, mid), _tree(join, gains, mid, hi))
 
 
 def normalize(g, decls, canon=None):

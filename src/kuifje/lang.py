@@ -1228,16 +1228,21 @@ def map_gain(g, f, memo):
     return out
 
 
-def _substitution(name, repl, memo):
-    # x with repl for the variable name, each node of a call mapped once
-    def go(x):
-        out = memo.get(id(x))
-        if out is None:
-            out = repl if isinstance(x, Var) and x.name == name else map_expr(x, go)
-            memo[id(x)] = out
-        return out
+class _Substitution:
+    # x with repl for the variable name, each node of a call mapped once.  A
+    # callable object, where a closure that called itself would hold its memo
+    # in a reference cycle, which only the cyclic collector frees.
+    __slots__ = ("name", "repl", "memo")
 
-    return go
+    def __init__(self, name, repl, memo):
+        self.name, self.repl, self.memo = name, repl, memo
+
+    def __call__(self, x):
+        out = self.memo.get(id(x))
+        if out is None:
+            out = self.repl if isinstance(x, Var) and x.name == self.name else map_expr(x, self)
+            self.memo[id(x)] = out
+        return out
 
 
 def subst_expr(e, name, repl):
@@ -1249,14 +1254,14 @@ def subst_expr(e, name, repl):
     index, and the typechecker rejects an index that shadows a variable or
     an outer index.
     """
-    return _substitution(name, repl, {})(e)
+    return _Substitution(name, repl, {})(e)
 
 
 def subst_gain(g, name, repl):
     """`subst_expr` on every atom and AND scalar of g, with one identity memo
     for the whole call, so sharing within and across atoms is kept."""
     memo = {}
-    return map_gain(g, _substitution(name, repl, memo), memo)
+    return map_gain(g, _Substitution(name, repl, memo), memo)
 
 
 def instances(g):
@@ -1303,20 +1308,31 @@ def subst_array_elem_gain(g, arr, idx, val, length, elem_is_bool):
     since they are post-state reads.  Sharing is kept as by `subst_gain`.
     """
     memo = {}
+    return map_gain(g, _ElemSubstitution(arr, idx, val, length, elem_is_bool, memo), memo)
 
-    def go(x):
-        out = memo.get(id(x))
+
+class _ElemSubstitution:
+    # one call of `subst_array_elem_gain`, a callable object as `_Substitution` is
+    __slots__ = ("arr", "idx", "val", "length", "elem_is_bool", "memo")
+
+    def __init__(self, arr, idx, val, length, elem_is_bool, memo):
+        self.arr, self.idx, self.val = arr, idx, val
+        self.length, self.elem_is_bool, self.memo = length, elem_is_bool, memo
+
+    def __call__(self, x):
+        out = self.memo.get(id(x))
         if out is not None:
             return out
+        arr, idx, val = self.arr, self.idx, self.val
         if isinstance(x, Idx) and x.name == arr:
-            k = go(x.index)
-            out = _updated_element(k, idx, val, Idx(arr, k), elem_is_bool)
+            k = self(x.index)
+            out = _updated_element(k, idx, val, Idx(arr, k), self.elem_is_bool)
         elif isinstance(x, Mem) and x.array == arr:
-            item = go(x.item)
-            lo = None if x.lo is None else go(x.lo)
-            hi = None if x.hi is None else go(x.hi)
+            item = self(x.item)
+            lo = None if x.lo is None else self(x.lo)
+            hi = None if x.hi is None else self(x.hi)
             disjuncts = []
-            for k in range(length):
+            for k in range(self.length):
                 kl = IntLit(k)
                 same = Cmp("=", kl, idx)
                 hit = BoolOp(
@@ -1347,11 +1363,9 @@ def subst_array_elem_gain(g, arr, idx, val, length, elem_is_bool):
             defined = BoolOp("or", pre, Not(pre))
             out = BoolOp("and", defined, BoolOp("or", Not(defined), out))
         else:
-            out = map_expr(x, go)
-        memo[id(x)] = out
+            out = map_expr(x, self)
+        self.memo[id(x)] = out
         return out
-
-    return map_gain(g, go, memo)
 
 
 # --- desugaring -----------------------------------------------------------------------
@@ -1366,21 +1380,20 @@ def desugar_visible(program):
     if program.desugared:
         return program
     visible = {d.name for d in program.decls if d.visible}
+    body = _desugar(program.body, visible)
+    return Program(program.decls, body, program.post, pos=program.pos, desugared=True)
 
-    def walk(s):
-        if isinstance(s, SAssign) and s.name in visible:
-            return SSeq((s, SPrint(Var(s.name, pos=s.pos), pos=s.pos)), pos=s.pos)
-        if isinstance(s, SSeq):
-            return SSeq(tuple(walk(st) for st in s.stmts), pos=s.pos)
-        if isinstance(s, SIf):
-            return SIf(s.guard, walk(s.then), walk(s.els), pos=s.pos)
-        if isinstance(s, SWhile):
-            return SWhile(s.guard, walk(s.body), s.invariant, pos=s.pos)
-        return s
 
-    return Program(
-        program.decls, walk(program.body), program.post, pos=program.pos, desugared=True
-    )
+def _desugar(s, visible):
+    if isinstance(s, SAssign) and s.name in visible:
+        return SSeq((s, SPrint(Var(s.name, pos=s.pos), pos=s.pos)), pos=s.pos)
+    if isinstance(s, SSeq):
+        return SSeq(tuple(_desugar(st, visible) for st in s.stmts), pos=s.pos)
+    if isinstance(s, SIf):
+        return SIf(s.guard, _desugar(s.then, visible), _desugar(s.els, visible), pos=s.pos)
+    if isinstance(s, SWhile):
+        return SWhile(s.guard, _desugar(s.body, visible), s.invariant, pos=s.pos)
+    return s
 
 
 # --- printer --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 import algebra
 import oracles
 import soundness
-from kuifje.core import State, avg, dist_from_entries, point, uniform
+from kuifje.core import Dist, State, avg, point, uniform
 from kuifje.errors import InvariantCheckFailed
 from kuifje.gain import eval_gain, eval_gain_hyper, semantic_eq, simplify
 from kuifje.lang import (
@@ -58,7 +58,7 @@ def cli(capsys, *args):
 
 def product_prior(alpha, beta):
     """Independent bools a, b with P(a) = alpha, P(b) = beta."""
-    return dist_from_entries(
+    return Dist(
         [
             (State(("a", "b"), (av, bv)),
              (alpha if av else 1 - alpha) * (beta if bv else 1 - beta))
@@ -285,7 +285,7 @@ def test_10_leak_erasure(clock):
                 w[0] = 1
             total = sum(w)
             priors.append(
-                dist_from_entries(
+                Dist(
                     [(s, F(wi, total)) for s, wi in zip(states, w) if wi]
                 )
             )

@@ -1,5 +1,7 @@
 """Command-line interface: exact outputs, exit codes, and determinism."""
 
+import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -1670,3 +1672,53 @@ def test_every_supported_interpreter_prints_the_same():
             assert [(p.stdout, p.returncode) for p in got] == [
                 (p.stdout, p.returncode) for p in want
             ], python
+
+
+# ---- memory: a request is freed by reference counting
+
+
+def _quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    assert code == 0, argv
+    return out.getvalue()
+
+
+GUESS_I = "MAX w in 0..1: [i = w]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "mark_slot.kuif", "--prior", "uniform"),
+        ("run", "search_with_flag.kuif", "--prior", "uniform", "--format", "json"),
+        ("eval", "mark_slot.kuif", "--gain", GUESS_I, "--prior", "uniform"),
+        ("eval", "mark_slot.kuif", "--gain", GUESS_I, "--hyper", None),
+        ("wp", "mark_slot.kuif"),
+        ("wp", "search_with_flag.kuif"),
+        ("wp", "search_early_exit.kuif", "--force-unfold"),
+        ("wp", "mark_slot.kuif", "--unsound-no-branch-leak"),
+        ("wp", "branch_assign.kuif", "--show-trace"),
+        ("check", "mark_slot.kuif", "--priors", "random:2:7"),
+        ("check", "search_with_flag.kuif", "--priors", "random:2:7"),
+        ("check", "search_early_exit.kuif", "--priors", "random:2:7"),
+    ],
+)
+def test_a_request_leaves_nothing_to_the_cyclic_collector(argv, tmp_path):
+    # nothing a request builds is in a reference cycle, so all of it is freed
+    # when the request ends, with the cyclic collector off
+    command, name, *extra = argv
+    path = os.path.join(ROOT, corpus(name))
+    if None in extra:
+        hyper = tmp_path / "hyper.json"
+        hyper.write_text(_quiet(["run", path, "--prior", "uniform", "--format", "json"]))
+        extra[extra.index(None)] = str(hyper)
+    argv = [command, path, *extra]
+    _quiet(argv)  # warm-up: module-level state is built once
+    gc.collect()
+    gc.disable()
+    try:
+        _quiet(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

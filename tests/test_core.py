@@ -16,9 +16,7 @@ from kuifje.core import (
     State,
     all_states,
     avg,
-    dist_from_entries,
     expectation,
-    hyper_reduce,
     point,
     uniform,
     unit,
@@ -158,7 +156,7 @@ def test_avg_mixes():
     assert avg(h) == Dist([(S[0], H), (S[1], H)])
 
 
-def test_hyper_reduce_orders_deterministically():
+def test_hyper_orders_deterministically():
     a = Hyper([(point(S[0]), H), (point(S[1]), H)])
     b = Hyper([(point(S[1]), H), (point(S[0]), H)])
     assert a.entries == b.entries
@@ -219,14 +217,14 @@ def test_map_composition(w):
 @given(weights4, weights4)
 def test_avg_of_two_point_hyper(w1, w2):
     d1, d2 = _dist_of(w1), _dist_of(w2)
-    h = hyper_reduce([(d1, H), (d2, H)])
+    h = Hyper([(d1, H), (d2, H)])
     mixed = avg(h)
     for s in S:
         assert mixed.prob(s) == H * d1.prob(s) + H * d2.prob(s)
 
 
 @given(weights4)
-def test_dist_from_entries_normalizes_like_dist(w):
+def test_dist_from_reversed_entries_is_equal(w):
     d1 = _dist_of(w)
-    d2 = dist_from_entries(list(reversed(list(d1.entries))))
+    d2 = Dist(list(reversed(list(d1.entries))))
     assert d1 == d2

@@ -15,12 +15,12 @@ import algebra
 import reference_eval as ref
 import soundness
 from kuifje.core import (
+    Dist,
+    Hyper,
     Space,
     State,
     all_states,
     avg,
-    dist_from_entries,
-    hyper_reduce,
     point,
     uniform,
 )
@@ -74,7 +74,7 @@ def dist_ax(weights):
     """Distribution over (a, x) with x in 0..3, a alternating."""
     states = [State(("a", "x"), (bool(i % 2), i % 4)) for i in range(len(weights))]
     total = sum(weights)
-    return dist_from_entries(
+    return Dist(
         [(s, F(w, total)) for s, w in zip(states, weights) if w]
     )
 
@@ -178,7 +178,7 @@ def test_eval_gain_hand_computed():
     g = parse_gain("[a] PLUS [x = 2] MAX 3 * [x = 0]")
     assert eval_gain(g, point(s)) == 2
     # on a mixture, MAX commits once, PLUS decides per branch independently
-    d = dist_from_entries(
+    d = Dist(
         [
             (State(("a", "x"), (True, 0)), F(1, 2)),
             (State(("a", "x"), (False, 2)), F(1, 2)),
@@ -194,7 +194,7 @@ def test_eval_gain_hyper_is_weighted_average():
     d1 = dist_ax([1, 1])
     d2 = dist_ax([0, 1, 2, 3])
     g = parse_gain("MAX w in 0..3: [x = w]")
-    h = hyper_reduce([(d1, F(1, 3)), (d2, F(2, 3))])
+    h = Hyper([(d1, F(1, 3)), (d2, F(2, 3))])
     expect = F(1, 3) * eval_gain(g, d1) + F(2, 3) * eval_gain(g, d2)
     assert eval_gain_hyper(g, h) == expect
 
@@ -266,6 +266,43 @@ def test_simplify_keeps_value_where_a_test_fails(text):
         assert eval_gain(simple, point(s)) == value, s
 
 
+FAILING_READ = """
+hidden A : array[2] of int[0..1]
+hidden n : int[0..2]
+skip
+"""
+
+
+def _points_where_simplify_differs(text):
+    # the states on whose point prior the simplified gain's value is not the
+    # gain's; A[n] fails on the 4 states with n = 2
+    p = parse_program(FAILING_READ)
+    check_program(p)
+    g = parse_gain(text)
+    simple = simplify(g, p.decls).as_gain()
+    names = tuple(d.name for d in p.decls)
+    return [
+        s
+        for s in all_states(names, [d.domain for d in p.decls])
+        if eval_gain(simple, point(s)) != eval_gain(g, point(s))
+    ]
+
+
+@pytest.mark.parametrize("text", ["0 * A[n] + 1", "[A[n] * 0 = 0]"])
+def test_simplify_keeps_a_failing_read_that_a_zero_shields_or_a_test_holds(text):
+    assert _points_where_simplify_differs(text) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open (ROADMAP item 6): Canon folds a top-level numeric atom whose "
+    "read can fail, and moves a guard to the left of such a read",
+)
+@pytest.mark.parametrize("text", ["A[n] * 0 + 1", "A[n] - A[n] + 1", "A[n] * [n < 2] + 1"])
+def test_simplify_keeps_a_failing_read_in_a_numeric_atom(text):
+    assert _points_where_simplify_differs(text) == []
+
+
 def test_simplify_folds_a_zero_factor_that_cannot_fail():
     p = parse_program(PROBE)
     check_program(p)
@@ -281,7 +318,7 @@ def test_multiplication_short_circuits_zero_left_factor():
 
 
 def test_negative_atom_raises():
-    d = dist_from_entries([(State(("x",), (0,)), F(1))])
+    d = Dist([(State(("x",), (0,)), F(1))])
     with pytest.raises(NegativeAtom):
         eval_gain(parse_gain("x - 1"), d)
 
@@ -388,19 +425,11 @@ def test_canon_memoises_sums_and_products():
     canon = Canon(DECLS)
     a = canon.atom_of(parse_gain("[a] * x").expr)
     b = canon.atom_of(parse_gain("[n = 1] + 1/2").expr)
-    finalized = []
-    real = canon._finalize
-
-    def counting(terms):
-        finalized.append(1)
-        return real(terms)
-
-    canon._finalize = counting
+    # sums and products are built anew on each call; interning makes the
+    # results the same objects
     assert canon.atom_add(a, b) is canon.atom_add(a, b)
     assert canon.atom_mul(a, b) is canon.atom_mul(a, b)
-    canon.atom_add(b, a)
-    # three distinct (combiner, pair) calls; the repeats are lookups
-    assert len(finalized) == 3
+    assert canon.atom_add(b, a) is canon.atom_add(a, b)
 
 
 def test_canon_prune_returns_a_fresh_list():
@@ -456,7 +485,7 @@ def test_simplified_and_shared_evaluations_agree_with_one_shot():
         support = rng.sample(states, rng.randint(1, 12))
         weights = [rng.randint(1, 9) for _ in support]
         total = sum(weights)
-        d = dist_from_entries(
+        d = Dist(
             [(s, F(w, total)) for s, w in zip(support, weights)]
         )
         expect = eval_gain(g, d)
@@ -662,7 +691,7 @@ def test_algebra_battery():
 @settings(max_examples=40, derandomize=True, deadline=None)
 def test_max_is_convex_plus_is_linear(w1, w2):
     d1, d2 = dist_ax(w1), dist_ax(w2)
-    mix = avg(hyper_reduce([(d1, F(1, 3)), (d2, F(2, 3))]))
+    mix = avg(Hyper([(d1, F(1, 3)), (d2, F(2, 3))]))
     g = parse_gain("[a] MAX [x = 2] MAX 1/2 * [x < 2]")
     # MAX of atoms is convex: mixing can only lose value
     assert eval_gain(g, mix) <= F(1, 3) * eval_gain(g, d1) + F(2, 3) * eval_gain(

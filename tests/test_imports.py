@@ -1,9 +1,14 @@
-"""No module of the package imports a name it does not use.
+"""No module of the package imports a name it does not use, and no nested
+function of the package calls itself.
 
 Every module-level import in `src/kuifje/*.py` binds a name that the module
 reads or lists in its `__all__`.  The one exception is a name that
 `perfbench/spans.py` wraps in that module (its `TARGETS`, read from the
 file): the module keeps that import so that a span can replace it there.
+
+A nested function that reads its own name holds itself through its closure
+cell, so each call of the enclosing function would leave a reference cycle,
+and everything the nested function reaches, to the cyclic collector.
 """
 
 import ast
@@ -65,3 +70,28 @@ def test_every_import_is_read(path):
     }
     kept = read | _exported(tree) | {name for m, name in _wrapped() if m == module}
     assert [name for name in _imported(tree) if name not in kept] == []
+
+
+def _nested_functions(node, inside=False):
+    # the functions defined inside a function or lambda, at any depth
+    for child in ast.iter_child_nodes(node):
+        is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if is_function and inside:
+            yield child
+        yield from _nested_functions(
+            child, inside or is_function or isinstance(child, ast.Lambda)
+        )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_nested_function_reads_its_own_name(path):
+    recursive = [
+        fn.name
+        for fn in _nested_functions(_tree(path))
+        if any(
+            isinstance(node, ast.Name) and node.id == fn.name
+            and isinstance(node.ctx, ast.Load)
+            for node in ast.walk(fn)
+        )
+    ]
+    assert recursive == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from kuifje.core import Dist, Hyper, State, avg, dist_from_entries, point, unit, uniform
+from kuifje.core import Dist, Hyper, State, avg, point, unit, uniform
 from kuifje.errors import DomainViolation, KuifjeError, LoopBoundExceeded
 from kuifje.lang import check_program, parse_program
 from kuifje.semantics import Executable, classical_run, run
@@ -32,7 +32,7 @@ def one_statement(stmt):
 
 
 def test_update_maps_inner_and_keeps_mass():
-    prior = dist_from_entries([(states_xy()[i], F(i + 1, 10)) for i in range(4)])
+    prior = Dist([(states_xy()[i], F(i + 1, 10)) for i in range(4)])
     out = run(one_statement("x := 3 - x"), prior)
     assert [w for _, w in out.entries] == [1]
     inner = out.entries[0][0]
@@ -43,7 +43,7 @@ def test_update_maps_inner_and_keeps_mass():
 
 
 def test_print_splits_weights_and_normalizes():
-    prior = dist_from_entries([(states_xy()[i], F(i + 1, 10)) for i in range(4)])
+    prior = Dist([(states_xy()[i], F(i + 1, 10)) for i in range(4)])
     out = run(one_statement("print x mod 2"), prior)
     by_weight = sorted(out.entries, key=lambda e: e[1])
     assert [w for _, w in by_weight] == [F(1, 10) + F(3, 10), F(2, 10) + F(4, 10)]
@@ -303,7 +303,7 @@ def test_leak_erasure_on_corpus(path):
 def test_leak_erasure_random_priors(weights):
     p = load("threshold_print.kuif")
     total = sum(weights)
-    prior = dist_from_entries(
+    prior = Dist(
         [
             (State(("x",), (i,)), F(w, total))
             for i, w in enumerate(weights)

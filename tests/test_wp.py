@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import soundness
 from kuifje.cli import _post_value, main
-from kuifje.core import Dist, State, dist_from_entries, point, uniform
+from kuifje.core import Dist, State, point, uniform
 from kuifje.errors import (
     BoundTooSmall,
     IndexOutOfBounds,
@@ -559,7 +559,7 @@ def test_unsound_mode_underestimates_branch_leak():
     sound = wp(p)
     unsound = wp(p, config=WpConfig(unsound_no_branch_leak=True))
     assert unsound.render() == "[a or b] MAX [not a and not b]"
-    prior = dist_from_entries(
+    prior = Dist(
         [
             (State(("a", "b"), (True, True)), F(9, 100)),
             (State(("a", "b"), (True, False)), F(21, 100)),
@@ -596,7 +596,7 @@ def test_classical_wp_matches_classical_run(name, expr):
     w = [rng.randint(1, 9) for _ in states]
     total = sum(w)
     priors.append(
-        dist_from_entries([(s, F(wi, total)) for s, wi in zip(states, w)])
+        Dist([(s, F(wi, total)) for s, wi in zip(states, w)])
     )
     from kuifje.lang import eval_expr
 
