@@ -38,7 +38,8 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import Dist, Hyper, State, _fmt_value, all_states
+from .core import Dist, Hyper, Space, State, _fmt_value
+from .core import all_states  # noqa: F401  perfbench/spans.py wraps cli.all_states
 from .errors import (
     BoundTooSmall,
     InvariantCheckFailed,
@@ -311,8 +312,8 @@ def load_prior(spec, decls):
     with a positive integer weight, the weights in lowest terms (gcd 1), so
     that equal priors give equal dicts.  `run` takes the table as it is."""
     if spec == "uniform":
-        states = all_states([d.name for d in decls], [d.domain for d in decls])
-        return dict.fromkeys((s.values for s in states), 1)
+        space = Space([d.name for d in decls], [d.domain for d in decls])
+        return dict.fromkeys(space.rows, 1)
     if spec.startswith("product "):
         return _prior_product(spec[len("product ") :], decls)
     if os.path.exists(spec):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import partial
 
 from .core import ArrayDomain, BoolDomain, IntRange
 from .errors import (
@@ -386,9 +387,37 @@ class Program:
 
 _STMT_END = {"eof", ";", "else", "fi", "od", "@post"}
 _CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
+
+# Operator precedence, stated once: `_build_levels` builds the parser's operator
+# levels from these tables and the printer parenthesizes by them.  A row is a
+# level, loosest first: name, associativity, node built, operator tokens.  The
+# "none" level (comparisons do not chain) and the "right" one (AND takes a
+# single atom on its left) are written out in `Parser`, so they name no node.
+_GAIN_LEVELS = (
+    ("max", "left", GMax, ("MAX",)),
+    ("plus", "left", GPlus, ("PLUS",)),
+    ("and", "right", None, ("AND",)),
+)
+_EXPR_LEVELS = (
+    ("or", "left", BoolOp, ("or",)),
+    ("and", "left", BoolOp, ("and",)),
+    ("not", "prefix", Not, ("not",)),
+    ("cmp", "none", None, _CMP_OPS | {"in", "notin"}),
+    ("add", "left", Bin, ("+", "-")),
+    ("mul", "left", Bin, ("*", "div", "mod", "&")),
+    ("unary", "prefix", Neg, ("-",)),
+)
+# a level's number, 1 for the loosest, by its tokens, or by its name for a
+# prefix level (so `_PREC["-"]` is binary minus's)
+_GAIN_PREC = {t: n for n, (*_, tokens) in enumerate(_GAIN_LEVELS, 1) for t in tokens}
+_PREC = {
+    key: n
+    for n, (name, assoc, _, tokens) in enumerate(_EXPR_LEVELS, 1)
+    for key in ((name,) if assoc == "prefix" else tokens)
+}
 # tokens that continue an arithmetic expression after a parenthesized gain turned
-# out to be a lone atom, e.g. `(1/10)*[x notin A]`
-_ARITH_CONT = {"+", "-", "*", "div", "mod", "&"} | _CMP_OPS | {"and", "or", "in", "notin"}
+# out to be a lone atom, e.g. `(1/10)*[x notin A]`: the binary operators
+_ARITH_CONT = {t for _, assoc, _, ts in _EXPR_LEVELS if assoc != "prefix" for t in ts}
 
 # The deepest a program, an expression or a gain may nest, in levels.  Each
 # unary or binary operator opens one level: `x + x + x` takes two more than
@@ -556,7 +585,9 @@ class Parser:
             return SAssign(name.text, index, value, pos=(name.line, name.col))
         self.fail(f"expected a statement, found {t.text or 'end of input'!r}")
 
-    # gain expressions: MAX binds loosest, then PLUS, then AND (right-assoc)
+    # gain expressions and expressions: `_build_levels` adds the "left" and
+    # "prefix" levels (`_gain_max`, `_gain_plus`, `_expr_or`, `_expr_and`,
+    # `_expr_not`, `_expr_add`, `_expr_mul`, `_expr_unary`)
 
     def parse_gain(self):
         saved, self.in_gain = self.in_gain, True
@@ -564,28 +595,6 @@ class Parser:
             return self._gain_max()
         finally:
             self.in_gain = saved
-
-    def _gain_max(self):
-        depth = self.depth
-        g = self._gain_plus()
-        while True:
-            t = self.accept("MAX")
-            if t is None:
-                self.depth = depth
-                return g
-            self.nest(t)
-            g = GMax(g, self._gain_plus(), pos=(t.line, t.col))
-
-    def _gain_plus(self):
-        depth = self.depth
-        g = self._gain_and()
-        while True:
-            t = self.accept("PLUS")
-            if t is None:
-                self.depth = depth
-                return g
-            self.nest(t)
-            g = GPlus(g, self._gain_and(), pos=(t.line, t.col))
 
     def _gain_and(self):
         g = self._gain_primary()
@@ -651,45 +660,11 @@ class Parser:
             raise RangeEmpty(f"{t.line}:{t.col}: quantifier range is empty")
         return values
 
-    # expressions, loosest binding first: or, and, not, comparison/membership,
-    # additive, multiplicative (* div mod &), unary minus, primary
-
     def parse_expr(self):
         self.nest(self.peek(), 3)
         e = self._expr_or()
         self.depth -= 3
         return e
-
-    def _expr_or(self):
-        depth = self.depth
-        e = self._expr_and()
-        while True:
-            t = self.accept("or")
-            if t is None:
-                self.depth = depth
-                return e
-            self.nest(t)
-            e = BoolOp("or", e, self._expr_and(), pos=(t.line, t.col))
-
-    def _expr_and(self):
-        depth = self.depth
-        e = self._expr_not()
-        while True:
-            t = self.accept("and")
-            if t is None:
-                self.depth = depth
-                return e
-            self.nest(t)
-            e = BoolOp("and", e, self._expr_not(), pos=(t.line, t.col))
-
-    def _expr_not(self):
-        t = self.accept("not")
-        if t is not None:
-            self.nest(t)
-            e = Not(self._expr_not(), pos=(t.line, t.col))
-            self.depth -= 1
-            return e
-        return self._expr_cmp()
 
     def _expr_cmp(self):
         e = self._expr_add()
@@ -713,41 +688,6 @@ class Parser:
                 hi = self.parse_expr()
             self.expect("]")
         return Mem(item, arr.text, lo, hi, t.kind == "notin", pos=(t.line, t.col))
-
-    def _expr_add(self):
-        depth = self.depth
-        e = self._expr_mul()
-        while True:
-            t = self.peek()
-            if t.kind in ("+", "-"):
-                self.next()
-                self.nest(t)
-                e = Bin(t.kind, e, self._expr_mul(), pos=(t.line, t.col))
-            else:
-                self.depth = depth
-                return e
-
-    def _expr_mul(self):
-        depth = self.depth
-        e = self._expr_unary()
-        while True:
-            t = self.peek()
-            if t.kind in ("*", "div", "mod", "&"):
-                self.next()
-                self.nest(t)
-                e = Bin(t.kind, e, self._expr_unary(), pos=(t.line, t.col))
-            else:
-                self.depth = depth
-                return e
-
-    def _expr_unary(self):
-        t = self.accept("-")
-        if t is not None:
-            self.nest(t)
-            e = Neg(self._expr_unary(), pos=(t.line, t.col))
-            self.depth -= 1
-            return e
-        return self._expr_primary()
 
     def _expr_primary(self):
         t = self.peek()
@@ -790,6 +730,61 @@ class Parser:
             self.expect("]")
             return Iverson(e, pos=(t.line, t.col))
         self.fail(f"expected an expression, found {t.text or 'end of input'!r}")
+
+
+def _left_level(node, tokens, operand):
+    """`operand`s joined by tokens, left-associatively; a node with an `op`
+    field records its token there.  Each token opens one nesting level."""
+    makers = {t: partial(node, t) if "op" in node._fields else node for t in tokens}
+
+    def level(self):
+        depth = self.depth
+        e = operand(self)
+        while True:
+            t = self.peek()
+            make = makers.get(t.kind)
+            if make is None:
+                self.depth = depth
+                return e
+            self.next()
+            self.nest(t)
+            e = make(e, operand(self), pos=(t.line, t.col))
+
+    return level
+
+
+def _prefix_level(node, tokens, operand):
+    """An `operand` under a run of tokens, each opening one nesting level."""
+
+    def level(self):
+        opened = []
+        while self.peek().kind in tokens:
+            opened.append(self.next())
+            self.nest(opened[-1])
+        e = operand(self)
+        for t in reversed(opened):
+            e = node(e, pos=(t.line, t.col))
+        self.depth -= len(opened)
+        return e
+
+    return level
+
+
+def _build_levels(stem, levels, primary):
+    """Give `Parser` the method `{stem}_{name}` of each "left" and "prefix"
+    level of a precedence table; each level reads its operands with the next
+    level's method, the last with `primary`."""
+    operand = getattr(Parser, primary)
+    for name, assoc, node, tokens in reversed(levels):
+        method = f"{stem}_{name}"
+        if node is not None:
+            build = _left_level if assoc == "left" else _prefix_level
+            setattr(Parser, method, build(node, tokens, operand))
+        operand = getattr(Parser, method)
+
+
+_build_levels("_gain", _GAIN_LEVELS, "_gain_primary")
+_build_levels("_expr", _EXPR_LEVELS, "_expr_primary")
 
 
 def parse_program(src):
@@ -1397,11 +1392,10 @@ def _desugar(s, visible):
 
 
 # --- printer --------------------------------------------------------------------------
-# Precedence levels, loosest first; matches the parser exactly.
+# Levels are the parser's: `_PREC` and `_GAIN_PREC`.
 
-_PREC = {"or": 1, "and": 2, "not": 3, "cmp": 4, "+": 5, "-": 5,
-         "*": 6, "div": 6, "mod": 6, "&": 6, "neg": 7}
-_SELF_DELIMITED = 9  # the level of a node no context parenthesizes
+_SELF_DELIMITED = float("inf")  # the level of a node no context parenthesizes
+_ATOM = _PREC["+"]  # atoms are numeric: one whose level is boolean is parenthesized
 
 
 def expr_to_source(e, prec=0):
@@ -1421,18 +1415,17 @@ def expr_to_source(e, prec=0):
             src = (_SELF_DELIMITED, e.name)
         elif isinstance(e, Idx):
             src = (_SELF_DELIMITED, f"{e.name}[{expr_to_source(e.index)}]")
-        elif isinstance(e, Neg):
-            src = (7, f"-{expr_to_source(e.arg, 8)}")
-        elif isinstance(e, (Bin, BoolOp)):
+        elif isinstance(e, (Neg, Not)):
+            p, op = (_PREC["unary"], "-") if isinstance(e, Neg) else (_PREC["not"], "not ")
+            src = (p, f"{op}{expr_to_source(e.arg, p + 1)}")
+        elif isinstance(e, (Bin, BoolOp, Cmp)):
             p = _PREC[e.op]
-            src = (p, f"{expr_to_source(e.left, p)} {e.op} {expr_to_source(e.right, p + 1)}")
+            # a left operand may share a level that associates, not a comparison's
+            left = expr_to_source(e.left, p + 1 if isinstance(e, Cmp) else p)
+            src = (p, f"{left} {e.op} {expr_to_source(e.right, p + 1)}")
         elif isinstance(e, (MaxF, MinF)):
             args = ", ".join(map(expr_to_source, e.args))
             src = (_SELF_DELIMITED, f"{'max' if isinstance(e, MaxF) else 'min'}({args})")
-        elif isinstance(e, Cmp):
-            src = (4, f"{expr_to_source(e.left, 5)} {e.op} {expr_to_source(e.right, 5)}")
-        elif isinstance(e, Not):
-            src = (3, f"not {expr_to_source(e.arg, 4)}")
         elif isinstance(e, Iverson):
             src = (_SELF_DELIMITED, f"[{expr_to_source(e.arg)}]")
         elif isinstance(e, Mem):
@@ -1440,7 +1433,8 @@ def expr_to_source(e, prec=0):
             lo = "" if e.lo is None else expr_to_source(e.lo)
             hi = "" if e.hi is None else expr_to_source(e.hi)
             arr = e.array if not lo and not hi else f"{e.array}[{lo}:{hi}]"
-            src = (4, f"{expr_to_source(e.item, 5)} {op} {arr}")
+            p = _PREC[op]
+            src = (p, f"{expr_to_source(e.item, p + 1)} {op} {arr}")
         else:
             raise TypeCheckError(f"cannot print {e!r}")
         e.__dict__["_src"] = src
@@ -1448,29 +1442,30 @@ def expr_to_source(e, prec=0):
     return f"({text})" if level < prec else text
 
 
-# gain precedence: MAX=1, PLUS=2, AND=3, primary=4
-
-
 def gain_to_source(g, prec=0):
+    """g as source text in a context of gain precedence prec."""
+
     def wrap(level, s):
         return f"({s})" if level < prec else s
 
     if isinstance(g, GAtom):
-        return expr_to_source(g.expr, 5)  # atoms self-delimit or parenthesize
-    if isinstance(g, GMax):
-        return wrap(1, f"{gain_to_source(g.left, 1)} MAX {gain_to_source(g.right, 2)}")
-    if isinstance(g, GPlus):
-        return wrap(2, f"{gain_to_source(g.left, 2)} PLUS {gain_to_source(g.right, 3)}")
+        return expr_to_source(g.expr, _ATOM)
+    if isinstance(g, (GMax, GPlus)):
+        op = "MAX" if isinstance(g, GMax) else "PLUS"
+        p = _GAIN_PREC[op]
+        return wrap(p, f"{gain_to_source(g.left, p)} {op} {gain_to_source(g.right, p + 1)}")
     if isinstance(g, GAnd):
-        return wrap(3, f"{expr_to_source(g.scalar, 5)} AND {gain_to_source(g.body, 3)}")
+        p = _GAIN_PREC["AND"]
+        return wrap(p, f"{expr_to_source(g.scalar, _ATOM)} AND {gain_to_source(g.body, p)}")
     if isinstance(g, GQuantMax):
         vals = g.values
         if vals == tuple(range(vals[0], vals[-1] + 1)):
             rng = f"{vals[0]}..{vals[-1]}"
         else:
             rng = "{" + ", ".join(str(v) for v in vals) + "}"
-        # the body extends maximally, so any binary context needs parens
-        return wrap(0, f"MAX {g.var} in {rng}: {gain_to_source(g.body, 1)}")
+        body = gain_to_source(g.body, _GAIN_PREC["MAX"])
+        # the body extends maximally, so any operator's context parenthesizes it
+        return wrap(0, f"MAX {g.var} in {rng}: {body}")
     raise TypeCheckError(f"cannot print {g!r}")
 
 

@@ -309,8 +309,11 @@ _PRECEDENCE_READS = (
         (_PRECEDENCE_READS + "print A[n]", (), 2, "error: A[2] with length 2"),
         (_PRECEDENCE_READS + "if A[n] = 0 then skip else skip fi", (), 2,
          "error: A[2] with length 2"),
+        # a slice bound past the array's length is a failing read, not clamped
+        ("hidden A : array[2] of int[0..1];\nhidden n : int[0..3];\n"
+         "print [1 in A[n:]]", (), 2, "error: slice A[3:2] with length 2"),
     ],
-    ids=["domain", "loop bound", "print read", "guard read"],
+    ids=["domain", "loop bound", "print read", "guard read", "slice read"],
 )
 def test_run_reports_the_first_failure_in_canonical_order(
     tmp_path, source, flags, code, stderr

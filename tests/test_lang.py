@@ -1,5 +1,7 @@
 """Parsing, printing, typechecking, and expression evaluation."""
 
+import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,9 @@ from kuifje.errors import (
     TypeCheckError,
 )
 from kuifje.lang import (
+    _EXPR_LEVELS,
+    _GAIN_LEVELS,
+    KEYWORDS,
     MAX_DEPTH,
     BoolLit,
     Cmp,
@@ -25,6 +30,8 @@ from kuifje.lang import (
     IntLit,
     Iverson,
     Mem,
+    Neg,
+    Not,
     RatLit,
     Var,
     check_gain,
@@ -191,6 +198,215 @@ def test_program_print_parse_roundtrip(corpus_dir):
         assert program_to_source(q) == program_to_source(p), path
 
 
+# ---- the precedence table
+
+# the operators of each kind in `_EXPR_LEVELS` and `_GAIN_LEVELS`, with the
+# level each binds at, 1 for the loosest
+BINARY = {
+    t: (level, node, assoc)
+    for level, (_, assoc, node, tokens) in enumerate(_EXPR_LEVELS, 1)
+    if assoc != "prefix"
+    for t in sorted(tokens)
+}
+PREFIX = {
+    t: (level, node)
+    for level, (_, assoc, node, tokens) in enumerate(_EXPR_LEVELS, 1)
+    if assoc == "prefix"
+    for t in tokens
+}
+GAIN = {t: level for level, (*_, tokens) in enumerate(_GAIN_LEVELS, 1) for t in tokens}
+OPERATOR_TOKEN = {
+    GMax: "MAX", GPlus: "PLUS", GAnd: "AND", GQuantMax: "MAX", Not: "not", Neg: "-"
+}
+
+
+def _binary(op, left, right):
+    # the node of `left op right`; membership's right operand is the array A
+    if op in ("in", "notin"):
+        return Mem(left, "A", None, None, op == "notin")
+    return (BINARY[op][1] or Cmp)(op, left, right)
+
+
+def _operator_nodes(tree):
+    # every node of tree, with the operator token its pos should point at
+    if hasattr(tree, "_fields"):
+        token = getattr(tree, "op", None) or OPERATOR_TOKEN.get(type(tree))
+        if isinstance(tree, Mem):
+            token = "notin" if tree.negated else "in"
+        if token is not None:
+            yield tree, token
+        for field in tree._fields:
+            yield from _operator_nodes(getattr(tree, field))
+    elif isinstance(tree, tuple):
+        for item in tree:
+            yield from _operator_nodes(item)
+
+
+def _assert_operators_point_at_their_tokens(tree, text):
+    lines = text.split("\n")
+    for node, token in _operator_nodes(tree):
+        line, col = node.pos
+        assert lines[line - 1][col - 1 :].startswith(token), (node, text)
+
+
+def _assert_prints_as_the_table_needs(tree, nested, needs, gain=False):
+    """The printed tree parses back to tree, each operator node's pos at its
+    token, and parenthesizes `nested`, a node inside it, just when `needs`,
+    where the text without the parentheses parses otherwise."""
+    show, parse = (gain_to_source, parse_gain) if gain else (expr_to_source, parse_expr)
+    text = show(tree)
+    back = parse(text)
+    assert back == tree, text
+    _assert_operators_point_at_their_tokens(back, text)
+    if not needs:
+        assert "(" not in text, text
+        return
+    assert text.count("(") == 1 and f"({show(nested)})" in text, text
+    try:
+        assert parse(text.replace("(", "").replace(")", "")) != tree, text
+    except (ParseError, NonStandardAndContext):
+        pass
+
+
+@pytest.mark.parametrize("outer", sorted(BINARY))
+def test_binary_operators_print_as_the_table_needs(outer):
+    a, b, c = Var("a"), Var("b"), Var("c")
+    level, _, assoc = BINARY[outer]
+    for inner, (inner_level, _, _) in BINARY.items():
+        nested = _binary(inner, a, b)
+        # a left operand may share the level of an operator that associates
+        needs = inner_level < level or (inner_level == level and assoc != "left")
+        tree = _binary(outer, nested, c)
+        _assert_prints_as_the_table_needs(tree, nested, needs)
+        if outer not in ("in", "notin"):
+            nested = _binary(inner, b, c)
+            tree = _binary(outer, a, nested)
+            needs = inner_level <= level
+            _assert_prints_as_the_table_needs(tree, nested, needs)
+
+
+@pytest.mark.parametrize("prefix", sorted(PREFIX))
+def test_prefix_operators_print_as_the_table_needs(prefix):
+    a, b = Var("a"), Var("b")
+    level, node = PREFIX[prefix]
+    for op, (op_level, _, _) in BINARY.items():
+        nested = _binary(op, a, b)
+        needs = op_level < level
+        tree = node(nested)
+        _assert_prints_as_the_table_needs(tree, nested, needs)
+        nested = node(a)
+        tree = _binary(op, nested, b)
+        needs = level < op_level
+        _assert_prints_as_the_table_needs(tree, nested, needs)
+        if op not in ("in", "notin"):
+            tree = _binary(op, b, nested)
+            _assert_prints_as_the_table_needs(tree, nested, needs)
+    for other, (other_level, other_node) in PREFIX.items():
+        nested = other_node(a)
+        tree = node(nested)
+        if other == prefix:
+            # the printer parenthesizes a prefix operand at the prefix's own
+            # level too, though `not not a` would parse back the same
+            text = expr_to_source(tree)
+            assert text.endswith(f"({expr_to_source(nested)})") and text.count("(") == 1
+            assert parse_expr(text) == tree
+        else:
+            needs = other_level < level
+            _assert_prints_as_the_table_needs(tree, nested, needs)
+
+
+def _gain(op, left, right):
+    # AND's left operand is an atom's expression
+    if op == "AND":
+        return GAnd(left.expr, right)
+    return (GMax if op == "MAX" else GPlus)(left, right)
+
+
+@pytest.mark.parametrize("outer", sorted(GAIN))
+def test_gain_operators_print_as_the_table_needs(outer):
+    a, b, c = (GAtom(Iverson(Var(n))) for n in "abc")
+    level = GAIN[outer]
+    for inner, inner_level in GAIN.items():
+        if outer != "AND":  # AND takes a single atom on its left
+            nested = _gain(inner, a, b)
+            tree = _gain(outer, nested, c)
+            needs = inner_level < level
+            _assert_prints_as_the_table_needs(tree, nested, needs, gain=True)
+        nested = _gain(inner, b, c)
+        tree = _gain(outer, a, nested)
+        # AND associates to the right
+        needs = inner_level < level or (inner_level == level and outer != "AND")
+        _assert_prints_as_the_table_needs(tree, nested, needs, gain=True)
+    # a quantifier's body extends as far as it can, so it needs parentheses
+    # on the left of an operator; the printer gives them to it on the right too
+    quant = GQuantMax("i", (0, 1), _gain(outer, a, b))
+    _assert_prints_as_the_table_needs(quant, None, False, gain=True)
+    if outer != "AND":
+        tree = _gain(outer, quant, c)
+        _assert_prints_as_the_table_needs(tree, quant, True, gain=True)
+    tree = _gain(outer, a, quant)
+    assert gain_to_source(tree).endswith(f"({gain_to_source(quant)})")
+    assert parse_gain(gain_to_source(tree)) == tree
+
+
+def test_operator_positions_span_lines():
+    text = "[a or\n not b] MAX\n (MAX i in 0..1:\n [x <\n -n + A[i] * 2] AND [x in A])"
+    g = parse_gain(text)
+    assert len(list(_operator_nodes(g))) == 10
+    _assert_operators_point_at_their_tokens(g, text)
+
+
+# the rules of docs/grammar.ebnf that are the levels of each table, in order,
+# each followed by the rule of its operands
+GRAMMAR_LEVELS = [
+    (
+        _EXPR_LEVELS,
+        ("expr", "conjunct", "negation", "relation", "sum", "product", "unary"),
+        "primary",
+    ),
+    (_GAIN_LEVELS, ("gain", "gain_plus", "gain_and"), "gain_prim"),
+]
+
+
+def _grammar():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "grammar.ebnf")
+    with open(path) as f:
+        return f.read()
+
+
+def _rules(text):
+    # {name: right-hand side} of each rule, comments left out
+    text = re.sub(r"\(\*.*?\*\)", "", text, flags=re.S)
+    return dict(re.findall(r'(\w+)\s*=((?:"[^"]*"|[^";])*);', text))
+
+
+def _operators(rules, name):
+    # the quoted tokens of a rule, and of each rule it names that is only a
+    # choice of quoted tokens (`compare`)
+    rhs = rules[name]
+    found = set(re.findall(r'"([^"]*)"', rhs))
+    for ref in re.findall(r"\b\w+\b", re.sub(r'"[^"]*"', "", rhs)):
+        if re.fullmatch(r'\s*"[^"]*"(\s*\|\s*"[^"]*")*\s*', rules.get(ref, "")):
+            found |= set(re.findall(r'"([^"]*)"', rules[ref]))
+    return found
+
+
+@pytest.mark.parametrize("levels, names, operand", GRAMMAR_LEVELS, ids=["expr", "gain"])
+def test_grammar_lists_the_operators_level_by_level(levels, names, operand):
+    rules = _rules(_grammar())
+    assert [_operators(rules, name) for name in names] == [
+        set(tokens) for *_, tokens in levels
+    ]
+    # each level's operands are the next level's
+    for name, after in zip(names, names[1:] + (operand,)):
+        assert re.search(rf"\b{after}\b", rules[name]), (name, after)
+
+
+def test_grammar_lists_the_keywords():
+    listed = re.search(r"Keywords:(.*?)\.\s", _grammar(), re.S).group(1)
+    assert set(listed.replace("*", " ").split()) == KEYWORDS
+
+
 # ---- gain grammar specifics
 
 
@@ -281,18 +497,23 @@ def test_desugar_visible_is_idempotent(load_program):
 
 def test_nesting_limit_is_a_parse_error():
     # an expression opens three levels, each parenthesis three more, each
-    # operator one
+    # operator one, at the operator's token
     parens = (MAX_DEPTH - 3) // 3
     parse_expr("(" * parens + "x" + ")" * parens)
     with pytest.raises(ParseError, match=f"^1:{parens + 2}: nesting deeper"):
         parse_expr("(" * (parens + 1) + "x" + ")" * (parens + 1))
-    parse_expr(" + ".join(["x"] * (MAX_DEPTH - 2)))
-    with pytest.raises(ParseError, match="nesting deeper"):
-        parse_expr(" + ".join(["x"] * (MAX_DEPTH - 1)))
+    for piece, leaf in [("x + ", "x"), ("a or ", "a"), ("not ", "a"), ("-", "x")]:
+        k = MAX_DEPTH - 3
+        parse_expr(piece * k + leaf)
+        col = len(piece) * k + piece.index(piece.split()[-1]) + 1
+        with pytest.raises(ParseError, match=f"^1:{col}: nesting deeper"):
+            parse_expr(piece * (k + 1) + leaf)
     # each atom's expression and its Iverson bracket open six
-    parse_gain(" MAX ".join(["[x = 1]"] * (MAX_DEPTH - 5)))
-    with pytest.raises(ParseError, match="nesting deeper"):
-        parse_gain(" MAX ".join(["[x = 1]"] * (MAX_DEPTH - 4)))
+    for op in ("MAX", "PLUS", "AND"):
+        k = MAX_DEPTH - 6
+        parse_gain(f"[x = 1] {op} " * k + "[x = 1]")
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_gain(f"[x = 1] {op} " * (k + 1) + "[x = 1]")
     # each `if` and `while` opens one, and its guard three more
     for open_, close in [("if x = 1 then ", " fi"), ("while x = 1 do ", " od")]:
         k = MAX_DEPTH - 3
