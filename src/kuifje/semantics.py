@@ -19,7 +19,12 @@ they are freed with the object; a loop's exit bound is one memoised pass of
 its body over the declared states, kept per loop.  The three passes share
 one kernel, `_push`, and one group format, `{observation history: {values:
 payload}}`: a statement runs every state of every group, and the states are
-regrouped by the history they then have, equal values merged.  `run` pushes
+regrouped by the history they then have, equal values merged.  Before each
+push, the states of a group that differ only in the statement's kill set,
+the variables every path through it assigns whole before reading them, are
+merged into one (`Executable._merged`): such states reach one trace and one
+final, so a statement runs once per state it can tell apart, and the push
+gives the groups it gives unmerged.  `run` pushes
 a prior's integer weights through the top-level statements; `outcomes()`,
 the table of each declared state's trace class and final that `check`
 values every prior from without building a Hyper, pushes each state's index
@@ -36,16 +41,25 @@ tuples, so that `run` builds no State at all.
 
 from __future__ import annotations
 
-from .core import BoolDomain, Dist, Hyper, Space, State
+from operator import itemgetter
+
+from .core import ArrayDomain, BoolDomain, Dist, Hyper, Space, State
 from .errors import DivisionByZero, DomainViolation, IndexOutOfBounds, LoopBoundExceeded
 from .lang import (
+    BoolLit,
+    Idx,
+    IntLit,
+    Mem,
+    RatLit,
     SAssign,
     SIf,
     SPrint,
     SSeq,
     SWhile,
+    Var,
     compile_expr,
     desugar_visible,
+    map_expr,
     stmt_to_source,
 )
 
@@ -113,6 +127,13 @@ class Executable:
     Only loops keep what they ran: `_loops[id(stmt)]` maps each values tuple
     a `while` ran from to the `(trace, final)` it returned, so no loop runs
     twice from one state.  A sequence or `if` just runs its children.
+    Each compiled statement also keeps its kill set, the variables every
+    path through it assigns whole before reading them: a whole assignment
+    `x := e` kills x unless e reads it, an element write kills nothing, a
+    sequence kills what a part kills that no earlier part may read, an `if`
+    what both branches kill and its guard does not read, and a `while`
+    nothing.  Each push of a statement first merges the states that differ
+    only there (`_merged`), so it runs once per state it can tell apart.
     `exit_rounds` keeps one number per loop, the most rounds the loop runs
     from any declared state, and `loop_head_groups` pushes a loop's rounds
     itself; neither reads the loop's record.
@@ -137,8 +158,10 @@ class Executable:
         self.loop_bound = loop_bound
         self._names = tuple(d.name for d in self.decls)
         self.space = Space(self._names, [d.domain for d in self.decls])
+        self._least = tuple(_least(d.domain) for d in self.decls)
         self._outcomes = None
         self._steps = {}
+        self._flows = {}  # id of a statement -> (reads, kills), as positions
         self._loops = {}  # id of a while statement -> its record
         self._exit_rounds = {}  # id of a while statement -> exit_rounds
 
@@ -166,7 +189,7 @@ class Executable:
             groups = {(): {v: [i] for i, v in enumerate(space.rows)}}
             body = self.program.body
             for stmt in body.stmts if isinstance(body, SSeq) else (body,):
-                groups = _push(self._step(stmt), groups)[0]
+                groups = _push(self._step(stmt), self._merged(stmt, groups))[0]
             ends = [
                 (trace, fin, indices)
                 for trace, group in groups.items()
@@ -192,15 +215,25 @@ class Executable:
         The run of a `while` answers from its loop's record where it can;
         every other statement just runs.  Compiling and running each take
         one frame per statement node, so that the deepest nesting the parser
-        accepts stays clear of the recursion limit.
+        accepts stays clear of the recursion limit.  Compiling also keeps
+        `_flows[id(stmt)]`, the positions of the variables the statement may
+        read before it assigns them whole and of those it kills.
         """
         run = self._steps.get(id(stmt))
         if run is not None:
             return run
         names = self._names
+        kills = _NONE
         if isinstance(stmt, SAssign):
             run = _assign(stmt, names, self.decls[names.index(stmt.name)].domain)
+            reads = _reads(stmt.value, names)
+            k = frozenset((names.index(stmt.name),))
+            if stmt.index is None:
+                kills = k - reads
+            else:
+                reads |= k | _reads(stmt.index, names)
         elif isinstance(stmt, SPrint):
+            reads = _reads(stmt.expr, names)
             expr = compile_expr(stmt.expr, names)
 
             def run(v):
@@ -211,8 +244,12 @@ class Executable:
 
         elif isinstance(stmt, SSeq):
             steps = []
+            reads = _NONE
             for s in stmt.stmts:
                 steps.append(self._step(s))
+                r, k = self._flows[id(s)]
+                kills |= k - reads
+                reads |= r - kills
 
             def run(v):
                 trace = []
@@ -226,6 +263,9 @@ class Executable:
         elif isinstance(stmt, SIf):
             guard = compile_expr(stmt.guard, names)
             then, els = self._step(stmt.then), self._step(stmt.els)
+            (r1, k1), (r2, k2) = self._flows[id(stmt.then)], self._flows[id(stmt.els)]
+            tested = _reads(stmt.guard, names)
+            reads, kills = tested | r1 | r2, (k1 & k2) - tested
 
             def run(v):
                 try:
@@ -238,6 +278,7 @@ class Executable:
         elif isinstance(stmt, SWhile):
             guard = compile_expr(stmt.guard, names)
             body = self._step(stmt.body)
+            reads = _reads(stmt.guard, names) | self._flows[id(stmt.body)][0]
             bound = self.loop_bound
             loop = self._loops[id(stmt)] = {}
 
@@ -269,12 +310,54 @@ class Executable:
                 return outcome
 
         else:  # SSkip leaves everything as it is
+            reads = _NONE
 
             def run(v):
                 return (), v
 
         self._steps[id(stmt)] = run
+        self._flows[id(stmt)] = reads, kills
         return run
+
+    def _merged(self, stmt, groups):
+        """`groups` as the compiled step of `stmt` can tell them apart:
+        within each group the states that differ only in what `stmt` kills
+        are merged into one, whose killed variables hold their least
+        declared values, with their payloads added by `+=` as `_push` adds
+        them.
+
+        Every path through `stmt` assigns each killed variable whole before
+        it reads it, so all the states merged into one reach one trace and
+        one final, or one runtime error, and pushing the merged groups
+        gives the groups that pushing `groups` gives, in the same order.
+        Only the index lists' order inside a payload may differ.
+        """
+        kills = self._flows[id(stmt)][1]
+        if not kills:
+            return groups
+        least = self._least
+        keep = [k for k in range(len(least)) if k not in kills]
+        project = itemgetter(*keep) if keep else (lambda v: ())
+        out = {}
+        for history, group in groups.items():
+            merged, firsts = {}, []
+            for v, payload in group.items():
+                key = project(v)
+                got = merged.get(key)
+                if got is None:  # a new key, or a None payload
+                    if key not in merged:
+                        firsts.append(v)
+                    merged[key] = payload
+                else:
+                    got += payload
+                    merged[key] = got
+            group = out[history] = {}
+            for v, payload in zip(firsts, merged.values()):
+                w = list(v)
+                for k in kills:
+                    w[k] = least[k]
+                group[tuple(w)] = payload
+        return out
 
     # ---- forward runs
 
@@ -291,10 +374,14 @@ class Executable:
 
         Between statements the posteriors are the `{values: int}` groups of
         `_push`, keyed by observation history, whose weights are the prior's
-        integer weights; a Hyper is built only where one leaves.  A
+        integer weights; a Hyper is built only where one leaves.  Each
+        statement is pushed from the groups merged on its kill set.  A
         failing run raises the error met first in the canonical order of the
         hyper before the statement that fails: posteriors in order, states
-        in order within each.
+        in order within each.  `_raise_first` finds it in the unmerged
+        groups: a merged state holds its killed variables' least values, so
+        merging can move a posterior, or a state within one, ahead of the
+        one that fails first.
         """
         if type(prior) is dict:
             names = None
@@ -309,7 +396,7 @@ class Executable:
         for stmt in body.stmts if isinstance(body, SSeq) else (body,):
             step = self._step(stmt)
             try:
-                pushed, dropped = _push(step, groups)
+                pushed, dropped = _push(step, self._merged(stmt, groups))
             except LoopBoundExceeded:
                 dropped = True
             if dropped:
@@ -384,7 +471,8 @@ class Executable:
         state, so a loop there that passes the bound goes unseen.  The pass
         pushes `{history: {values: None}}` groups by `_push`, so equal states
         merge after each step, as `run`'s groups merge them, and each push
-        runs a statement once per distinct state and history; a loop around
+        runs a statement once per state and history it can tell apart
+        (`_merged`); a loop around
         the target also pushes its whole body, target included, to reach its
         next round.  A path that a runtime error stops drops its state, but
         its arrivals before the error count, and so does a head whose guard
@@ -408,14 +496,16 @@ class Executable:
         history, those whose guard holds enter the body at `history +
         (("branch", True),)`, and the body pushed from them gives the next
         round's heads.  States still entering after `loop_bound` rounds
-        raise LoopBoundExceeded, as the loop's step does.
+        raise LoopBoundExceeded, as the loop's step does.  Every push, of a
+        statement before the one on the path or of a loop's body, is made
+        from the groups merged on that statement's kill set.
         """
         if isinstance(stmt, SSeq):
             for s in stmt.stmts:
                 if id(s) in path:
                     self._heads(s, groups, loop, path, heads)
                     return
-                groups = _push(self._step(s), groups)[0]
+                groups = _push(self._step(s), self._merged(s, groups))[0]
             return
         guard = compile_expr(stmt.guard, self._names)
         if isinstance(stmt, SIf):
@@ -436,7 +526,32 @@ class Executable:
                 raise _bound_exceeded(bound)
             if stmt is not loop:
                 self._heads(stmt.body, groups, loop, path, heads)
-            groups = _push(body, groups)[0]
+            groups = _push(body, self._merged(stmt.body, groups))[0]
+
+
+_NONE = frozenset()
+
+
+def _reads(e, names):
+    """The positions in `names` of the variables expression `e` reads."""
+    out, todo = set(), [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Var):
+            out.add(names.index(e.name))
+        elif not isinstance(e, (IntLit, RatLit, BoolLit)):  # a leaf reads nothing
+            if isinstance(e, (Idx, Mem)):
+                out.add(names.index(e.name if isinstance(e, Idx) else e.array))
+            # map_expr hands over each direct sub-expression; kept unchanged
+            map_expr(e, lambda sub: todo.append(sub) or sub)
+    return frozenset(out)
+
+
+def _least(dom):
+    """The first value `dom` lists."""
+    element = dom.element if isinstance(dom, ArrayDomain) else dom
+    least = False if isinstance(element, BoolDomain) else element.lo
+    return least if element is dom else (least,) * dom.length
 
 
 def _choose(guard, groups, taken):
@@ -464,6 +579,10 @@ def _push(step, groups):
     values tuple added by `+=`, so weights sum and index lists extend in
     place (a None payload stays None).  A state whose step ends in a runtime
     error is dropped; the second result says whether any was.
+
+    Every caller passes the groups merged on the statement's kill set
+    (`Executable._merged`), so that the step runs once per state it can
+    tell apart; the groups pushed are the same either way.
 
     Two buckets never land on one key: the histories of a statement prefix
     form a prefix-free set, so `h + t == h2 + t2` forces `h == h2`, and then

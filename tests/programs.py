@@ -12,6 +12,10 @@ a drawn guard and body, so some loops run past a small loop bound; most
 assignments are taken modulo their domain's size, so many paths run to the
 end.  `programs(loop_last=True)` appends one more top-level loop, most often
 a counting one, so that the program ends in a loop.
+`programs(in_range=True)` keeps every run clear of runtime errors: each
+divisor is a literal 1 to 3, each index into `A` is taken modulo 2, and
+every assignment modulo its domain's size.  With `loop_last=True` too, the
+last loop, when it counts, counts `x` or `n`, so that it can run 3 rounds.
 
 `posts(decls)` draws a post-gain over a program's scalars: one-try guesses
 `MAX w in lo..hi: [v = w]`, `[test]` atoms, their `MAX` and `PLUS`, and
@@ -31,7 +35,7 @@ MAX_STATES = 64
 
 
 @st.composite
-def programs(draw, depth=2, loop_last=False):
+def programs(draw, depth=2, loop_last=False, in_range=False):
     x_hi = draw(st.integers(1, 3))
     n_hi = draw(st.integers(1, 2))
     a_hi = draw(st.integers(0, 2))
@@ -54,9 +58,15 @@ def programs(draw, depth=2, loop_last=False):
         if kind == "var":
             return draw(st.sampled_from(["x", "n"]))
         if kind == "read":
-            return f"A[{int_expr(d - 1, lits=1)}]"
+            return f"A[{index(d - 1)}]"
         op = draw(st.sampled_from(["+", "-", "*", "div", "mod"]))
+        if in_range and op in ("div", "mod"):
+            return f"({int_expr(d - 1)} {op} {draw(st.integers(1, 3))})"
         return f"({int_expr(d - 1)} {op} {int_expr(d - 1)})"
+
+    def index(d):
+        e = int_expr(d, lits=1)
+        return f"{e} mod 2" if in_range else e
 
     def bool_expr(d):
         kinds = ["cmp", "cmp"] + (["var"] if has_b else []) + (
@@ -74,7 +84,9 @@ def programs(draw, depth=2, loop_last=False):
 
     def value(hi):
         e = int_expr(2)
-        return e if draw(st.integers(0, 3)) == 0 else f"{e} mod {hi + 1}"
+        if not in_range and draw(st.integers(0, 3)) == 0:
+            return e
+        return f"{e} mod {hi + 1}"
 
     def stmt(d, loop=False):
         if loop:
@@ -90,7 +102,7 @@ def programs(draw, depth=2, loop_last=False):
             name = draw(st.sampled_from(["x", "n"]))
             return f"{name} := {value(his[name])}"
         if kind == "write":
-            return f"A[{int_expr(1, lits=1)}] := {value(his['A'])}"
+            return f"A[{index(1)}] := {value(his['A'])}"
         if kind == "print":
             return f"print {int_expr(2)}"
         if kind == "skip":
@@ -99,8 +111,9 @@ def programs(draw, depth=2, loop_last=False):
             return f"if {bool_expr(1)} then {seq(d - 1)} else {seq(d - 1)} fi"
         if kind == "while":
             return f"while {bool_expr(1)} do {seq(d - 1)} od"
-        k = draw(st.integers(1, n_hi))
-        return f"while n < {k} do {seq(d - 1)}; n := n + 1 od"
+        name = draw(st.sampled_from(["n", "x"])) if loop and in_range and x_hi else "n"
+        k = draw(st.integers(1, his[name]))
+        return f"while {name} < {k} do {seq(d - 1)}; {name} := {name} + 1 od"
 
     def seq(d):
         return ";\n".join(stmt(d) for _ in range(draw(st.integers(1, 3))))

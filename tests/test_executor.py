@@ -22,6 +22,12 @@ are counted.  A run leaves each loop record holding only outcomes.  The
 outcome table `check` reads, `outcomes()`, is compared with the reference's
 runs of the whole body from each state in turn, on the same programs and on
 the faulting ones.
+Each push first merges the states that differ only in what the statement
+kills: for every top-level statement of the corpus and of generated
+programs, and for one statement per kill-set rule, the merged groups push to
+what the unmerged ones push to, for weights, index lists and None payloads;
+a killing statement that fails on several states fails as the reference
+does, though the merge reorders those states; and the work saved is counted.
 Programs drawn by `programs.programs()`, with failing reads, writes and
 divisions and loops that pass a small bound, are compared the same way,
 and, where no run fails, `run` against `oracles.trace_hyper`.
@@ -39,8 +45,8 @@ from hypothesis import strategies as st
 
 import oracles
 from kuifje import semantics
-from kuifje.core import State, uniform
-from kuifje.errors import LoopBoundExceeded
+from kuifje.core import Dist, State, uniform
+from kuifje.errors import KuifjeError, LoopBoundExceeded
 from kuifje.gain import semantic_eq
 from kuifje.lang import (
     MAX_DEPTH,
@@ -559,6 +565,212 @@ def test_fault_keeps_the_observations_made_before_it():
     assert str(fin) == "A[2] with length 2"
     with pytest.raises(LoopBoundExceeded):
         Executable(program, 1)._step(program.body)(((0, 0), 3))
+
+
+# ---- merging the states a statement cannot tell apart
+
+# A payload per declared index i, one of each kind `_push` carries: `run`'s
+# weights (distinct, so that a lost or doubled state shows in a sum),
+# `outcomes()`'s index lists and the head pass's None.
+PAYLOADS = {
+    "weights": lambda i: i + 1,
+    "indices": lambda i: [i],
+    "none": lambda i: None,
+}
+
+
+def _reaching(exe, stmts, payload):
+    """The `{history: {values: payload}}` groups that reach `stmts[-1]`,
+    pushed without merging from every declared state through the ones
+    before it; None if one of those passes the bound.  A push extends index
+    lists in place, so every call builds its payloads afresh."""
+    groups = {(): {v: payload(i) for i, v in enumerate(exe.space.rows)}}
+    for s in stmts[:-1]:
+        try:
+            groups = semantics._push(exe._step(s), groups)[0]
+        except LoopBoundExceeded:
+            return None
+    return groups
+
+
+def _pushed(exe, stmt, groups):
+    """`_push` of `groups` through `stmt` as comparable lists, in order,
+    each index list sorted; the message where the bound was exceeded."""
+    try:
+        out, dropped = semantics._push(exe._step(stmt), groups)
+    except LoopBoundExceeded as exc:
+        return str(exc)
+    return dropped, [
+        (history, [(v, sorted(p) if type(p) is list else p) for v, p in group.items()])
+        for history, group in out.items()
+    ]
+
+
+def _merges_as_unmerged(exe):
+    """For every top-level statement and payload kind, the merged groups
+    push to what the unmerged ones push to; the number of (statement, kind)
+    pairs whose merge left fewer states."""
+    stmts = _top_level(exe.program)[:-1]
+    shrunk = 0
+    for j, stmt in enumerate(stmts):
+        exe._step(stmt)
+        for payload in PAYLOADS.values():
+            groups = _reaching(exe, stmts[: j + 1], payload)
+            if groups is None:
+                return shrunk
+            merged = exe._merged(stmt, _reaching(exe, stmts[: j + 1], payload))
+            assert list(merged) == list(groups)
+            assert _pushed(exe, stmt, merged) == _pushed(exe, stmt, groups), stmt
+            size = sum(map(len, groups.values()))
+            shrunk += sum(map(len, merged.values())) < size
+    return shrunk
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=[os.path.basename(p) for p in CORPUS])
+def test_merged_groups_push_as_the_unmerged_ones_on_corpus(path):
+    # every top-level statement with a kill set merges some states, since
+    # the groups reaching it still differ in what it kills
+    exe = Executable(_corpus(path))
+    shrunk = _merges_as_unmerged(exe)
+    killing = [
+        stmt for stmt in _top_level(exe.program)[:-1] if exe._flows[id(stmt)][1]
+    ]
+    assert shrunk == len(killing) * len(PAYLOADS)
+
+
+# One statement per kill-set rule, after a print that splits the prior,
+# with the variables it kills.
+_RULE_DECLS = (
+    "hidden x : int[0..3]\nhidden n : int[0..1]\nhidden b : bool\n"
+    "hidden A : array[2] of int[0..1]\nprint n;\n"
+)
+KILL_RULES = {
+    "x := n + 1": {"x"},
+    "x := x mod 3": set(),
+    "A[n] := 1": set(),
+    "if b then x := 0; print x else x := n fi": {"x"},
+    "if b then print x; x := 0 else x := n fi": set(),
+    "if b then x := 0 else skip fi": set(),
+    "if x = 0 then x := 1 else x := 2 fi": set(),
+    "if b then x := 0; n := x else n := 1; x := n fi": {"x", "n"},
+    "if b then x := 0; while x < 2 do x := x + 1 od else x := 3 fi": {"x"},
+    "while n < 1 do x := 0; n := n + 1 od": set(),
+}
+
+
+@pytest.mark.parametrize("stmt", sorted(KILL_RULES))
+def test_kill_sets_follow_the_rules(stmt):
+    exe = Executable(_program(_RULE_DECLS + stmt))
+    last = exe.program.body.stmts[-1]
+    exe._step(last)
+    assert {exe._names[k] for k in exe._flows[id(last)][1]} == KILL_RULES[stmt]
+    _merges_as_unmerged(exe)
+
+
+def test_a_statement_that_kills_every_variable_merges_each_group_into_one():
+    exe = Executable(_program("hidden x : int[0..3]\nprint x mod 2;\nx := 1"))
+    assert _merges_as_unmerged(exe) == len(PAYLOADS)
+    groups = _reaching(exe, exe.program.body.stmts, PAYLOADS["weights"])
+    merged = exe._merged(exe.program.body.stmts[-1], groups)
+    assert merged == {(("print", 0),): {(0,): 4}, (("print", 1),): {(0,): 6}}
+
+
+@settings(generated_settings())
+@given(programs(), st.sampled_from([1, 3]))
+def test_generated_merged_groups_push_as_the_unmerged_ones(source, bound):
+    _merges_as_unmerged(Executable(_program(source), bound))
+
+
+# `x := A[i]` overwrites x and fails at i = 2 and at i = 3 with different
+# messages; so does the `if`, whose `then` branch loops past the bound
+# instead at i = 3.  The print splits each prior into two posteriors.  With
+# x set to its least value, as the merge sets it, the first state that
+# fails changes: the posterior {x=1 i=0, x=0 i=3} moves ahead of {x=0 i=2}
+# in the first prior, and x=1 i=2 moves ahead of x=0 i=3 in the second.
+_KILLING = (
+    "hidden x : int[0..1]\nhidden i : int[0..3]\nhidden A : array[2] of int[0..1]\n"
+    "print x + i mod 2;\n"
+)
+KILLING_FAULTS = {
+    "out-of-range reads": _KILLING + "x := A[i]",
+    "loop past the bound": (
+        _KILLING + "if i = 3 then x := 0; while x = 0 do skip od else x := A[i] fi"
+    ),
+}
+KILLING_PRIORS = {
+    "posterior order": [(0, 2), (0, 3), (1, 0)],
+    "state order": [(0, 1), (0, 2), (0, 3), (1, 2)],
+}
+
+
+def _reference_first_fault(program, prior, bound):
+    """The error a run from `prior`, `{values: weight}`, raises by the
+    reference: at the first top-level statement where a state of the
+    prior's support fails, the first such state in the canonical order of
+    the hyper before that statement, posteriors in order and states in
+    order within each."""
+    ref = ReferenceExecutable(program)
+    names = tuple(d.name for d in ref.decls)
+
+    def outcome(stmt, s):
+        try:
+            return ref._exec(stmt, s, bound)[:2]
+        except LoopBoundExceeded as exc:
+            return (), exc
+
+    groups = {(): {State(names, v): w for v, w in prior.items()}}
+    for stmt in _top_level(ref.program)[:-1]:
+        for inner in sorted(Dist.from_weights(g) for g in groups.values()):
+            for s, _ in inner.weights:
+                fin = outcome(stmt, s)[1]
+                if isinstance(fin, Exception):
+                    return type(fin).__name__, str(fin)
+        pushed = {}
+        for history, group in groups.items():
+            for s, w in group.items():
+                trace, fin = outcome(stmt, s)
+                bucket = pushed.setdefault(history + trace, {})
+                bucket[fin] = bucket.get(fin, 0) + w
+        groups = pushed
+    return None
+
+
+@pytest.mark.parametrize("order", sorted(KILLING_PRIORS))
+@pytest.mark.parametrize("case", sorted(KILLING_FAULTS))
+def test_a_killing_statement_fails_as_the_reference(case, order):
+    # `run` raises the reference's first error, which the merged groups
+    # would not give, and `outcomes()` marks exactly the reference's failing
+    # states None, or both pass the bound
+    program = _program(KILLING_FAULTS[case])
+    exe = Executable(program, 5)
+    stmt = program.body.stmts[-1]
+    exe._step(stmt)
+    assert exe._flows[id(stmt)][1] == {0}  # the statement kills x
+    prior = {(x, i, (0, 0)): 1 for x, i in KILLING_PRIORS[order]}
+    want = _reference_first_fault(program, prior, 5)
+    assert want is not None
+    with pytest.raises(KuifjeError) as info:
+        exe.run(prior)
+    assert (type(info.value).__name__, str(info.value)) == want
+    try:
+        got = exe.outcomes()
+    except LoopBoundExceeded as exc:
+        got = str(exc)
+    assert got == _reference_outcomes(program, 5)
+
+
+@pytest.mark.parametrize("table", ["run", "outcomes"])
+def test_a_statement_runs_once_per_state_it_can_tell_apart(table):
+    # reveal_mod8's one top-level statement is an `if` whose branches both
+    # overwrite L before reading it, so it runs from the 64 values of H,
+    # not from the 4096 declared states
+    exe = Executable(_corpus(OUTCOME_PROGRAMS["reveal_mod8.kuif"]))
+    runs = _count_runs(exe, exe.program.body)
+    if table == "run":
+        exe.run(uniform(exe.space.states()))
+    else:
+        exe.outcomes()
+    assert len(runs) == len(set(runs)) == 64
 
 
 # ---- generated programs

@@ -7,6 +7,7 @@ import random
 import sys
 import tempfile
 import weakref
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -704,38 +705,49 @@ def test_generated_programs_agree_backward_and_forward(source, data):
     assert code in (0, 2, 3), out.getvalue() + err.getvalue()
 
 
-@settings(generated_settings())
-@given(programs(loop_last=True), st.data())
-def test_generated_loops_accept_their_unfolded_pre_gain_as_annotation(source, data):
+def test_generated_loops_accept_their_unfolded_pre_gain_as_annotation():
     # a program whose runs all end, none failing, within the bound, its last
     # loop annotated with that loop's `--force-unfold` pre-gain for a
     # generated post, printed and parsed back: the annotation check accepts
-    # it, and the program's pre-gain is the unfolded one on every prior
-    program = make(source)
-    try:
-        assume(None not in Executable(program, 3).outcomes())
-    except LoopBoundExceeded:
-        reject()
-    post = parse_gain(data.draw(posts(program.decls)))
-    check_gain(post, program.decls)
-    *before, loop = program.body.stmts
-    unfold = WpConfig(loop_bound=3, force_unfold=True)
-    try:
-        loop_pre = WpEngine(replace(program, body=loop), unfold).wp_program(post)
-        unfolded = WpEngine(program, unfold).wp_program(post).pre
-    except LoopNeedsInvariantOrBound:
-        # a loop that no run reaches passes the bound in the unfolding
-        reject()
-    except KuifjeError as exc:
-        if "has no value on any state" not in str(exc):
-            raise
-        reject()  # test_wp_print_that_fails_everywhere_is_refused
-    # the annotated program is answered whenever the unfolded one is: a loop
-    # that no head state enters is decided without its body
-    annotation = parse_gain(gain_to_source(loop_pre.pre))
-    stmts = (*before, replace(loop, invariant=annotation))
-    source = program_to_source(
-        replace(program, body=replace(program.body, stmts=stmts), post=post)
-    )
-    pre = WpEngine(make(source), WpConfig(loop_bound=3)).wp_program().pre
-    assert semantic_eq(pre, unfolded, program.decls)
+    # it, and the program's pre-gain is the unfolded one on every prior.
+    # The draws keep every read, write and division in range, and the
+    # examples must include last loops that run at most 0, 1 and 3 rounds
+    # (`exit_rounds`), the last at the bound.
+    rounds = Counter()
+
+    @settings(generated_settings())
+    @given(programs(loop_last=True, in_range=True), st.data())
+    def accepts(source, data):
+        program = make(source)
+        exe = Executable(program, 3)
+        try:
+            assume(None not in exe.outcomes())
+        except LoopBoundExceeded:
+            reject()
+        post = parse_gain(data.draw(posts(program.decls)))
+        check_gain(post, program.decls)
+        *before, loop = program.body.stmts
+        unfold = WpConfig(loop_bound=3, force_unfold=True)
+        try:
+            loop_pre = WpEngine(replace(program, body=loop), unfold).wp_program(post)
+            unfolded = WpEngine(program, unfold).wp_program(post).pre
+        except LoopNeedsInvariantOrBound:
+            # a loop that no run reaches passes the bound in the unfolding
+            reject()
+        except KuifjeError as exc:
+            if "has no value on any state" not in str(exc):
+                raise
+            reject()  # test_wp_print_that_fails_everywhere_is_refused
+        # the annotated program is answered whenever the unfolded one is: a
+        # loop that no head state enters is decided without its body
+        annotation = parse_gain(gain_to_source(loop_pre.pre))
+        stmts = (*before, replace(loop, invariant=annotation))
+        source = program_to_source(
+            replace(program, body=replace(program.body, stmts=stmts), post=post)
+        )
+        pre = WpEngine(make(source), WpConfig(loop_bound=3)).wp_program().pre
+        assert semantic_eq(pre, unfolded, program.decls)
+        rounds[exe.exit_rounds(loop)] += 1
+
+    accepts()
+    assert {0, 1, 3} <= set(rounds), rounds
