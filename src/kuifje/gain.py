@@ -803,8 +803,11 @@ class Canon:
     Every atom a Canon returns comes from `_finalize`, which interns it, so an
     atom's identity is its value and no atom's id is reused while the Canon
     lives.  Caches keyed by atom ids (level sets, rebuilt expressions and
-    `prune`'s memo) are therefore exact for the Canon's life; sums and
-    products of atoms are not memoised, since a request rarely repeats one.
+    `prune`'s memo) are therefore exact for the Canon's life.  Sums and
+    products of atoms are not memoised: a `backward` pass repeats within one
+    Canon a quarter to a third of the pairs it adds or multiplies (470 of
+    1,752 `atom_add` and 575 of 1,642 `atom_mul` calls), but a memo of them
+    saved at most about 3% of the pass, within run-to-run noise.
     `normalize_gain` memoises sub-gains by identity, keeping each alive
     beside its atoms, and squeezes a MAX tree once over all its operands;
     `to_dnf` memoises tests by value; `atom_of` memoises expressions by

@@ -41,49 +41,83 @@ def _read_only(self, name, value=None):
     raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
 
+def _comparison(key, one):
+    """`__eq__` and `__hash__` of a record class, as closures over its `_key`
+    and `_one` (see `record`), so that every class shares their two code
+    objects.  A one-field record's `_key` is its one value, which equality
+    checks for identity first, as the tuple of it would."""
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            if one:
+                mine = key(self)
+                theirs = key(other)
+                return mine is theirs or mine == theirs
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        if one:
+            return hash((key(self),))
+        return hash(key(self))
+
+    return __eq__, __hash__
+
+
+def _hash_once(self):
+    # the `__hash__` of a `hash_once` record: the plain hash, worked out in
+    # this one frame, so that hashing a deep node costs one frame a level,
+    # and kept in the instance's `__dict__`
+    try:
+        return self.__dict__["_hash"]
+    except KeyError:
+        cls = type(self)
+        k = cls._key(self)
+        h = self.__dict__["_hash"] = hash((k,) if cls._one else k)
+        return h
+
+
+def _repr(self):
+    shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._compared)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
 def record(cls, hash_once=False):
     """Make `cls` an immutable record of its annotated fields.
 
-    One `exec` builds `__init__`, `__eq__`, `__hash__` and `__repr__`, the
-    methods of a frozen record class from the standard library, at a
-    fraction of what building and importing those cost when the CLI starts.
     The fields are the class's own annotations, in order; a class attribute
-    of the same name is a field's default.  `__eq__` compares the tuples of
-    compared fields (all but `_METADATA`) of two instances of one class,
-    `__hash__` is the hash of that tuple, and `__repr__` reads
-    `Name(field=value, ...)` over them.  With `hash_once` the hash is kept
-    in the instance's `__dict__` under `_hash` when first asked for.
-    Setting or deleting an attribute raises AttributeError.
+    of the same name is a field's default.  Only `__init__` is generated,
+    one `exec` per class, so that its parameters carry the field names for
+    keyword calls and `replace`.  `__eq__`, `__hash__` and `__repr__` are
+    this module's functions over the compared fields, all but `_METADATA`,
+    which the class's `_key`, one `operator.attrgetter`, reads.  `__eq__`
+    compares them between two instances of one class, `__hash__` is the
+    hash of their tuple, and `__repr__` reads `Name(field=value, ...)` over
+    them.  With `hash_once` the hash is kept in the instance's `__dict__`
+    under `_hash` when first asked for.  Setting or deleting an attribute
+    raises AttributeError.
     """
     names = tuple(cls.__annotations__)
     defaults = {f"_d_{n}": getattr(cls, n) for n in names if n in cls.__dict__}
     params = "".join(f", {n}=_d_{n}" if f"_d_{n}" in defaults else f", {n}" for n in names)
-    keys = [n for n in names if n not in _METADATA]
-    mine = "(" + "".join(f"self.{n}," for n in keys) + ")"
-    theirs = "(" + "".join(f"other.{n}," for n in keys) + ")"
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in keys)
-    hashed = f" return hash({mine})\n"
-    if hash_once:
-        kept = "self.__dict__['_hash']"
-        hashed = (
-            f" try:\n  return {kept}\n except KeyError:\n"
-            f"  h = {kept} = hash({mine})\n  return h\n"
-        )
     made = {}
     exec(
         f"def __init__(self{params}):\n d = self.__dict__\n"
-        + "".join(f" d['{n}'] = {n}\n" for n in names)
-        + f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
-        f"  return {mine} == {theirs}\n return NotImplemented\n"
-        f"def __hash__(self):\n{hashed}"
-        f"def __repr__(self):\n return f'{{self.__class__.__qualname__}}({shown})'\n",
+        + "".join(f" d['{n}'] = {n}\n" for n in names),
         defaults,
         made,
     )
-    for name, fn in made.items():
-        setattr(cls, name, fn)
-    cls.__setattr__ = cls.__delattr__ = _read_only
+    cls.__init__ = made["__init__"]
     cls._fields = names
+    cls._compared = keys = tuple(n for n in names if n not in _METADATA)
+    # their tuple, their one value (`_one`), or with none the empty `_compared`
+    cls._key = operator.attrgetter(*keys or ("_compared",))
+    cls._one = len(keys) == 1
+    cls.__eq__, cls.__hash__ = _comparison(cls._key, cls._one)
+    if hash_once:
+        cls.__hash__ = _hash_once
+    cls.__repr__ = _repr
+    cls.__setattr__ = cls.__delattr__ = _read_only
     return cls
 
 
@@ -1164,36 +1198,38 @@ def eval_expr(e, state):
 # --- substitution -----------------------------------------------------------------------
 
 
-def map_expr(e, f):
-    """e's node with f applied to each direct sub-expression, or e itself
-    when f returns every one unchanged: a subtree a rewrite leaves alone
-    stays the same object, with its cached hash, closures and rendering.
-    Variables and literals have none and come back unchanged.
+def map_expr(e, f, state):
+    """e's node with `f(sub, state)` in place of each direct sub-expression
+    sub, or e itself when f returns every one unchanged: a subtree a rewrite
+    leaves alone stays the same object, with its cached hash, closures and
+    rendering.  Variables and literals have none and come back unchanged.
+    A recursive rewrite is a module-level f that hands itself and its
+    `state` on, so that it holds no reference to itself.
     """
     if isinstance(e, Idx):
-        index = f(e.index)
+        index = f(e.index, state)
         return e if index is e.index else Idx(e.name, index, pos=e.pos)
     if isinstance(e, (Bin, Cmp, BoolOp)):
-        left, right = f(e.left), f(e.right)
+        left, right = f(e.left, state), f(e.right, state)
         same = left is e.left and right is e.right
         return e if same else type(e)(e.op, left, right, pos=e.pos)
     if isinstance(e, (Neg, Not, Iverson)):
-        arg = f(e.arg)
+        arg = f(e.arg, state)
         return e if arg is e.arg else type(e)(arg, pos=e.pos)
     if isinstance(e, (MaxF, MinF)):
-        args = tuple(map(f, e.args))
+        args = tuple([f(a, state) for a in e.args])
         return e if all(map(operator.is_, args, e.args)) else type(e)(args, pos=e.pos)
     if isinstance(e, Mem):
-        item = f(e.item)
-        lo = None if e.lo is None else f(e.lo)
-        hi = None if e.hi is None else f(e.hi)
+        item = f(e.item, state)
+        lo = None if e.lo is None else f(e.lo, state)
+        hi = None if e.hi is None else f(e.hi, state)
         same = item is e.item and lo is e.lo and hi is e.hi
         return e if same else Mem(item, e.array, lo, hi, e.negated, pos=e.pos)
     return e
 
 
-def map_gain(g, f, memo):
-    """g with f applied to every atom and every AND scalar.
+def map_gain(g, f, memo, state):
+    """g with `f(x, state)` in place of every atom and AND scalar x.
 
     As in `map_expr`, a node whose parts all come back unchanged is returned
     itself.  `memo` maps the id of each node of g visited to its image, so a
@@ -1204,18 +1240,18 @@ def map_gain(g, f, memo):
     if out is not None:
         return out
     if isinstance(g, GAtom):
-        expr = f(g.expr)
+        expr = f(g.expr, state)
         out = g if expr is g.expr else GAtom(expr, pos=g.pos)
     elif isinstance(g, (GMax, GPlus)):
-        left, right = map_gain(g.left, f, memo), map_gain(g.right, f, memo)
+        left, right = map_gain(g.left, f, memo, state), map_gain(g.right, f, memo, state)
         same = left is g.left and right is g.right
         out = g if same else type(g)(left, right, pos=g.pos)
     elif isinstance(g, GAnd):
-        scalar, body = f(g.scalar), map_gain(g.body, f, memo)
+        scalar, body = f(g.scalar, state), map_gain(g.body, f, memo, state)
         same = scalar is g.scalar and body is g.body
         out = g if same else GAnd(scalar, body, pos=g.pos)
     elif isinstance(g, GQuantMax):
-        body = map_gain(g.body, f, memo)
+        body = map_gain(g.body, f, memo, state)
         out = g if body is g.body else GQuantMax(g.var, g.values, body, pos=g.pos)
     else:
         raise TypeCheckError(f"unknown gain expression {g!r}")
@@ -1223,21 +1259,15 @@ def map_gain(g, f, memo):
     return out
 
 
-class _Substitution:
-    # x with repl for the variable name, each node of a call mapped once.  A
-    # callable object, where a closure that called itself would hold its memo
-    # in a reference cycle, which only the cyclic collector frees.
-    __slots__ = ("name", "repl", "memo")
-
-    def __init__(self, name, repl, memo):
-        self.name, self.repl, self.memo = name, repl, memo
-
-    def __call__(self, x):
-        out = self.memo.get(id(x))
-        if out is None:
-            out = self.repl if isinstance(x, Var) and x.name == self.name else map_expr(x, self)
-            self.memo[id(x)] = out
-        return out
+def _subst(x, state):
+    # x with repl for the variable name, state being (name, repl, memo): each
+    # node of one call is mapped once
+    name, repl, memo = state
+    out = memo.get(id(x))
+    if out is None:
+        out = repl if isinstance(x, Var) and x.name == name else map_expr(x, _subst, state)
+        memo[id(x)] = out
+    return out
 
 
 def subst_expr(e, name, repl):
@@ -1249,14 +1279,14 @@ def subst_expr(e, name, repl):
     index, and the typechecker rejects an index that shadows a variable or
     an outer index.
     """
-    return _Substitution(name, repl, {})(e)
+    return _subst(e, (name, repl, {}))
 
 
 def subst_gain(g, name, repl):
     """`subst_expr` on every atom and AND scalar of g, with one identity memo
     for the whole call, so sharing within and across atoms is kept."""
     memo = {}
-    return map_gain(g, _Substitution(name, repl, memo), memo)
+    return map_gain(g, _subst, memo, (name, repl, memo))
 
 
 def instances(g):
@@ -1303,64 +1333,58 @@ def subst_array_elem_gain(g, arr, idx, val, length, elem_is_bool):
     since they are post-state reads.  Sharing is kept as by `subst_gain`.
     """
     memo = {}
-    return map_gain(g, _ElemSubstitution(arr, idx, val, length, elem_is_bool, memo), memo)
+    return map_gain(g, _subst_elem, memo, (arr, idx, val, length, elem_is_bool, memo))
 
 
-class _ElemSubstitution:
-    # one call of `subst_array_elem_gain`, a callable object as `_Substitution` is
-    __slots__ = ("arr", "idx", "val", "length", "elem_is_bool", "memo")
-
-    def __init__(self, arr, idx, val, length, elem_is_bool, memo):
-        self.arr, self.idx, self.val = arr, idx, val
-        self.length, self.elem_is_bool, self.memo = length, elem_is_bool, memo
-
-    def __call__(self, x):
-        out = self.memo.get(id(x))
-        if out is not None:
-            return out
-        arr, idx, val = self.arr, self.idx, self.val
-        if isinstance(x, Idx) and x.name == arr:
-            k = self(x.index)
-            out = _updated_element(k, idx, val, Idx(arr, k), self.elem_is_bool)
-        elif isinstance(x, Mem) and x.array == arr:
-            item = self(x.item)
-            lo = None if x.lo is None else self(x.lo)
-            hi = None if x.hi is None else self(x.hi)
-            disjuncts = []
-            for k in range(self.length):
-                kl = IntLit(k)
-                same = Cmp("=", kl, idx)
-                hit = BoolOp(
-                    "or",
-                    BoolOp("and", same, Cmp("=", item, val)),
-                    BoolOp("and", Not(same), Cmp("=", item, Idx(arr, kl))),
-                )
-                guards = []
-                if lo is not None:
-                    guards.append(Cmp("<=", lo, kl))
-                if hi is not None:
-                    guards.append(Cmp("<", kl, hi))
-                d = hit
-                for gd in reversed(guards):
-                    d = BoolOp("and", gd, d)
-                disjuncts.append(d)
-            out = disjuncts[0]
-            for d in disjuncts[1:]:
-                out = BoolOp("or", out, d)
-            if x.negated:
-                out = Not(out)
-            # The same test read before the write fails exactly where x does
-            # (same item and bounds, same length).  `pre or not pre` holds
-            # exactly where it is defined and its negation never holds, so the
-            # guarded expansion, like the atomic x, is false under either
-            # polarity wherever x fails.
-            pre = Mem(item, arr, lo, hi, x.negated)
-            defined = BoolOp("or", pre, Not(pre))
-            out = BoolOp("and", defined, BoolOp("or", Not(defined), out))
-        else:
-            out = map_expr(x, self)
-        self.memo[id(x)] = out
+def _subst_elem(x, state):
+    # x rewritten for one call of `subst_array_elem_gain`, whose arguments and
+    # memo make up state
+    arr, idx, val, length, elem_is_bool, memo = state
+    out = memo.get(id(x))
+    if out is not None:
         return out
+    if isinstance(x, Idx) and x.name == arr:
+        k = _subst_elem(x.index, state)
+        out = _updated_element(k, idx, val, Idx(arr, k), elem_is_bool)
+    elif isinstance(x, Mem) and x.array == arr:
+        item = _subst_elem(x.item, state)
+        lo = None if x.lo is None else _subst_elem(x.lo, state)
+        hi = None if x.hi is None else _subst_elem(x.hi, state)
+        disjuncts = []
+        for k in range(length):
+            kl = IntLit(k)
+            same = Cmp("=", kl, idx)
+            hit = BoolOp(
+                "or",
+                BoolOp("and", same, Cmp("=", item, val)),
+                BoolOp("and", Not(same), Cmp("=", item, Idx(arr, kl))),
+            )
+            guards = []
+            if lo is not None:
+                guards.append(Cmp("<=", lo, kl))
+            if hi is not None:
+                guards.append(Cmp("<", kl, hi))
+            d = hit
+            for gd in reversed(guards):
+                d = BoolOp("and", gd, d)
+            disjuncts.append(d)
+        out = disjuncts[0]
+        for d in disjuncts[1:]:
+            out = BoolOp("or", out, d)
+        if x.negated:
+            out = Not(out)
+        # The same test read before the write fails exactly where x does
+        # (same item and bounds, same length).  `pre or not pre` holds
+        # exactly where it is defined and its negation never holds, so the
+        # guarded expansion, like the atomic x, is false under either
+        # polarity wherever x fails.
+        pre = Mem(item, arr, lo, hi, x.negated)
+        defined = BoolOp("or", pre, Not(pre))
+        out = BoolOp("and", defined, BoolOp("or", Not(defined), out))
+    else:
+        out = map_expr(x, _subst_elem, state)
+    memo[id(x)] = out
+    return out
 
 
 # --- desugaring -----------------------------------------------------------------------

@@ -543,7 +543,7 @@ def _reads(e, names):
             if isinstance(e, (Idx, Mem)):
                 out.add(names.index(e.name if isinstance(e, Idx) else e.array))
             # map_expr hands over each direct sub-expression; kept unchanged
-            map_expr(e, lambda sub: todo.append(sub) or sub)
+            map_expr(e, lambda sub, into: into.append(sub) or sub, todo)
     return frozenset(out)
 
 

@@ -11,7 +11,9 @@ domain can all stop a path.  A loop either counts `n` up to a bound or has
 a drawn guard and body, so some loops run past a small loop bound; most
 assignments are taken modulo their domain's size, so many paths run to the
 end.  `programs(loop_last=True)` appends one more top-level loop, most often
-a counting one, so that the program ends in a loop.
+a counting one, so that the program ends in a loop; when it counts, neither
+its body nor any loop counted inside it writes its counter, so it ends
+within as many rounds as it counts to unless a loop inside it does not.
 `programs(in_range=True)` keeps every run clear of runtime errors: each
 divisor is a literal 1 to 3, each index into `A` is taken modulo 2, and
 every assignment modulo its domain's size.  With `loop_last=True` too, the
@@ -88,7 +90,9 @@ def programs(draw, depth=2, loop_last=False, in_range=False):
             return e
         return f"{e} mod {hi + 1}"
 
-    def stmt(d, loop=False):
+    def stmt(d, loop=False, keep=()):
+        # keep: the counters of the counting loops around it that it may not
+        # write (the last loop's, when it counts, and any counted inside it)
         if loop:
             kinds = ["count", "count", "while"]
         else:
@@ -99,7 +103,10 @@ def programs(draw, depth=2, loop_last=False, in_range=False):
         if kind == "assign":
             if has_b and draw(st.integers(0, 3)) == 0:
                 return f"b := {bool_expr(1)}"
-            name = draw(st.sampled_from(["x", "n"]))
+            names = [v for v in ("x", "n") if v not in keep]
+            if not names:
+                return "skip"
+            name = draw(st.sampled_from(names))
             return f"{name} := {value(his[name])}"
         if kind == "write":
             return f"A[{index(1)}] := {value(his['A'])}"
@@ -108,15 +115,24 @@ def programs(draw, depth=2, loop_last=False, in_range=False):
         if kind == "skip":
             return "skip"
         if kind == "if":
-            return f"if {bool_expr(1)} then {seq(d - 1)} else {seq(d - 1)} fi"
+            return f"if {bool_expr(1)} then {seq(d - 1, keep)} else {seq(d - 1, keep)} fi"
         if kind == "while":
-            return f"while {bool_expr(1)} do {seq(d - 1)} od"
-        name = draw(st.sampled_from(["n", "x"])) if loop and in_range and x_hi else "n"
+            return f"while {bool_expr(1)} do {seq(d - 1, keep)} od"
+        if loop and in_range and x_hi:
+            name = draw(st.sampled_from(["n", "x"]))
+        elif keep:
+            free = [v for v in ("n", "x") if v not in keep and his[v]]
+            if not free:
+                return "skip"
+            name = free[0]
+        else:
+            name = "n"
         k = draw(st.integers(1, his[name]))
-        return f"while {name} < {k} do {seq(d - 1)}; {name} := {name} + 1 od"
+        inner = (*keep, name) if loop or keep else ()
+        return f"while {name} < {k} do {seq(d - 1, inner)}; {name} := {name} + 1 od"
 
-    def seq(d):
-        return ";\n".join(stmt(d) for _ in range(draw(st.integers(1, 3))))
+    def seq(d, keep=()):
+        return ";\n".join(stmt(d, keep=keep) for _ in range(draw(st.integers(1, 3))))
 
     source = "\n".join(decls) + "\n" + "n := 0;\n" * draw(st.booleans()) + seq(depth)
     return source + ";\n" + stmt(depth, loop=True) if loop_last else source

@@ -1105,6 +1105,19 @@ def _sum(v):
     return " + ".join([v] * 190)
 
 
+def test_wp_answers_a_straight_line_of_242_assignments(tmp_path):
+    # each `x := (x + 1) mod 4` nests the pre-gain one level deeper, and
+    # substituting, hashing and printing it take one or two frames a level
+    f = tmp_path / "line.kuif"
+    body = ";\n".join(["x := (x + 1) mod 4"] * 242)
+    f.write_text(f"hidden x : int[0..3]\n{body}\n@post {{ MAX w in 0..3: [x = w] }}\n")
+    p = cli("wp", str(f))
+    assert (p.returncode, p.stderr) == (0, "")
+    atoms = p.stdout.rstrip("\n").split(" MAX ")
+    assert [a[-4:] for a in atoms] == ["= 0]", "= 1]", "= 2]", "= 3]"]
+    assert all(a.count("mod 4") == 242 for a in atoms)
+
+
 @pytest.mark.parametrize("command", ["wp", "check"])
 def test_expression_built_too_deep_exit_3(tmp_path, command):
     # every statement parses, but substituting z's 190-term value, itself

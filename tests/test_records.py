@@ -7,7 +7,9 @@ tuple of its compared fields, so dicts and sets keyed by records iterate in
 an order fixed by their values.
 """
 
+import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -240,3 +242,53 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert (proc.stdout, proc.stderr) == ("[]\n", "")
+
+
+def test_record_classes_share_their_eq_hash_and_repr_code():
+    # only `__init__` is compiled per class: every class's `__eq__`,
+    # `__repr__` and `__hash__` run one code object each, with one more for
+    # the `hash_once` form
+    classes = [cls for cls, _ in SAMPLES]
+    assert len({cls.__eq__.__code__ for cls in classes}) == 1
+    assert len({cls.__repr__.__code__ for cls in classes}) == 1
+    forms = {}
+    for cls, values in SAMPLES:
+        x = cls(*values)
+        hash(x)
+        forms.setdefault("_hash" in vars(x), set()).add(cls.__hash__.__code__)
+    assert sorted(forms) == [False, True]
+    assert [len(codes) for codes in forms.values()] == [1, 1]
+    assert forms[False] != forms[True]
+
+
+_EXEC_SPY = """
+import builtins, json
+sources, real = [], builtins.exec
+def spy(source, *rest):
+    if isinstance(source, str):  # not a module's code, which imports run
+        sources.append(source)
+    return real(source, *rest)
+builtins.exec = spy
+import kuifje.cli
+builtins.exec = real
+print(json.dumps(sources))
+"""
+
+
+def test_cli_import_compiles_one_init_per_record_class_and_nothing_else():
+    # source text handed to `exec` is compiled on every start; -S: only what
+    # kuifje itself imports, not what the site's .pth files do
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _EXEC_SPY],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.stderr == ""
+    sources = json.loads(proc.stdout)
+    assert len(sources) == len(SAMPLES)
+    for source in sources:
+        tree = ast.parse(source)
+        assert [(type(d).__name__, d.name) for d in tree.body] == [("FunctionDef", "__init__")]
